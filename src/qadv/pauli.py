@@ -9,6 +9,12 @@ Conventions used throughout the package:
   both, I iff neither. Each site holds the Hermitian Pauli with phase +1
   (Y itself, not XZ), so Hermitian operators expand with real coefficients
   and conjugation by any unitary keeps them real.
+- A PauliMap holds its terms in three parallel numpy arrays: x-masks and
+  z-masks as uint64 (bit i = qubit i, as in PauliString) and float64
+  coefficients. The propagation kernels work on these arrays only;
+  ``PauliMap.terms`` is a dict view built on first use. One uint64 word per
+  mask limits a PauliMap to 64 qubits; a wider one raises
+  ResourceLimitExceeded.
 - Gate-local Pauli operators are indexed in base 4 with digits
   0=I, 1=X, 2=Y, 3=Z and the gate's first target as the most significant
   digit, matching the Kronecker order of the gate matrix.
@@ -20,6 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .errors import ResourceLimitExceeded
 
 # Hermitian single-qubit basis, indexed I=0, X=1, Y=2, Z=3.
 PAULI_1Q = np.array(
@@ -40,6 +48,9 @@ _LABELS = "IXYZ"
 #: an implementation guard on memory, not part of the propagation rule; runs
 #: record it in their metadata.
 DROP_TOLERANCE = 1e-12
+
+#: Widest PauliMap: each mask is one uint64 word.
+MAX_QUBITS = 64
 
 _UNITARITY_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
@@ -107,11 +118,14 @@ class PauliString:
 class PauliMap:
     """A finite real-weighted sum of PauliStrings (a Hermitian observable).
 
-    Immutable after construction; all operations return new maps.
-    Coefficients with magnitude below ``drop_tolerance`` are discarded.
+    The terms are the parallel arrays ``x``, ``z`` (uint64 masks) and
+    ``coeffs`` (float64); each (x, z) pair occurs at most once. Immutable
+    after construction (the arrays are read-only); all operations return
+    new maps. Coefficients with magnitude at or below ``drop_tolerance`` are
+    discarded, so zero coefficients never stay.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "x", "z", "coeffs", "_terms")
 
     def __init__(
         self,
@@ -121,15 +135,44 @@ class PauliMap:
     ) -> None:
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        self.n_qubits = n_qubits
-        kept: dict[PauliString, float] = {}
-        for p, c in (terms or {}).items():
-            if p.n_qubits != n_qubits:
-                raise ValueError("term qubit count mismatch")
-            c = float(c)
-            if abs(c) > drop_tolerance:
-                kept[p] = c
-        self.terms = kept
+        if n_qubits > MAX_QUBITS:
+            raise ResourceLimitExceeded(
+                f"PauliMap on {n_qubits} qubits exceeds the {MAX_QUBITS}-qubit mask width"
+            )
+        items = list((terms or {}).items())
+        if any(p.n_qubits != n_qubits for p, _ in items):
+            raise ValueError("term qubit count mismatch")
+        self._assign(
+            n_qubits,
+            np.array([p.x for p, _ in items], dtype=np.uint64),
+            np.array([p.z for p, _ in items], dtype=np.uint64),
+            np.array([float(c) for _, c in items], dtype=np.float64),
+            drop_tolerance,
+        )
+
+    def _assign(self, n_qubits, x, z, coeffs, drop_tolerance) -> None:
+        keep = np.abs(coeffs) > drop_tolerance
+        if not keep.all():
+            x, z, coeffs = x[keep], z[keep], coeffs[keep]
+        for a in (x, z, coeffs):
+            a.flags.writeable = False
+        self.n_qubits, self.x, self.z, self.coeffs = n_qubits, x, z, coeffs
+        self._terms = None
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        n_qubits: int,
+        x: np.ndarray,
+        z: np.ndarray,
+        coeffs: np.ndarray,
+        drop_tolerance: float = 0.0,
+    ) -> "PauliMap":
+        """Wrap arrays that already hold distinct (x, z) pairs, without
+        copying or validating them."""
+        m = object.__new__(cls)
+        m._assign(n_qubits, x, z, coeffs, drop_tolerance)
+        return m
 
     @classmethod
     def single(cls, p: PauliString, coefficient: float = 1.0) -> "PauliMap":
@@ -141,21 +184,30 @@ class PauliMap:
         n = next(iter(parsed)).n_qubits
         return cls(n, parsed)
 
+    @property
+    def terms(self) -> dict[PauliString, float]:
+        """The terms as a dict, built on first use. Not for hot loops."""
+        if self._terms is None:
+            n = self.n_qubits
+            self._terms = {
+                PauliString(n, x, z): c
+                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())
+            }
+        return self._terms
+
     def frobenius_normalized(self) -> float:
         """Squared Pauli-2 norm: sum of squared coefficients = Tr[O^2]/2^n."""
-        return float(sum(c * c for c in self.terms.values()))
+        return float(self.coeffs @ self.coeffs)
 
     def project_weight(self, k: int) -> "PauliMap":
         """Keep only terms of weight <= k; coefficients unchanged."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        return PauliMap(
-            self.n_qubits,
-            {p: c for p, c in self.terms.items() if p.weight() <= k},
-        )
+        keep = np.bitwise_count(self.x | self.z) <= k
+        return PauliMap._from_arrays(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -181,16 +233,6 @@ class TransferMatrix:
         d = 4**self.arity
         if self.entries.shape != (d, d):
             raise ValueError("entries shape does not match arity")
-        object.__setattr__(self, "_rows", [None] * d)
-
-    def row_nonzeros(self, a: int) -> list[tuple[int, float]]:
-        """Nonzero (output index, coefficient) pairs of row a, cached."""
-        cached = self._rows[a]
-        if cached is None:
-            row = self.entries[a]
-            cached = [(int(b), float(row[b])) for b in np.nonzero(row)[0]]
-            self._rows[a] = cached
-        return cached
 
 
 def _pauli_basis(arity: int) -> np.ndarray:
@@ -205,9 +247,10 @@ def _pauli_basis(arity: int) -> np.ndarray:
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 _TM_CACHE: dict[tuple[int, bytes], TransferMatrix] = {}
-# Random gates never repeat, so the cache only pays off for named gates;
-# cap it so long Monte Carlo runs cannot grow memory without bound.
-_TM_CACHE_MAX = 65536
+# Random gates never repeat, so the cache only pays off for the few named
+# gates a circuit reuses; a small cap keeps one-shot Haar matrices from
+# piling up over a long Monte Carlo run.
+_TM_CACHE_MAX = 1024
 
 
 def _basis(arity: int) -> np.ndarray:
@@ -236,9 +279,13 @@ def transfer_matrix(u: np.ndarray) -> TransferMatrix:
     if cached is not None:
         return cached
     check_unitary(u)
-    basis = _basis(arity)
-    rotated = np.einsum("ab,nbc,cd->nad", u.conj().T, basis, u)
-    raw = np.einsum("bij,aji->ab", basis, rotated) / d
+    # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U, U)
+    # is vec(U^dag P_a U) with its two indices swapped; the product with
+    # conj(vec(P_b)) = vec(P_b^T) then sums to Tr(P_b U^dag P_a U). The
+    # Kronecker product is formed by broadcasting, which is faster than np.kron.
+    superop = (u.conj()[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)
+    flat = _basis(arity).reshape(d * d, d * d)
+    raw = flat @ superop @ flat.conj().T / d
     if np.abs(raw.imag).max() > _HERMITICITY_TOL:
         raise ValueError("transfer matrix has nonreal entries")
     entries = raw.real.copy()
@@ -256,23 +303,88 @@ def clear_transfer_cache() -> None:
     _TM_CACHE.clear()
 
 
-def _local_index(p: PauliString, targets: Sequence[int]) -> int:
-    a = 0
+def _target_mask(targets: Sequence[int]) -> np.uint64:
+    mask = 0
     for t in targets:
-        a = (a << 2) | p.digit(t)
-    return a
+        mask |= 1 << t
+    return np.uint64(mask)
 
 
-def _replace_local(p: PauliString, targets: Sequence[int], b: int) -> PauliString:
+def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Base-4 local index of every term on ``targets`` (first most significant)."""
+    a = np.zeros(len(x), dtype=np.uint64)
+    y = x ^ z
+    for t in targets:
+        # Digit bits: low = x xor z, high = z (I=00, X=01, Y=10, Z=11).
+        a = (a << 2) | ((y >> t) & 1) | (((z >> t) & 1) << 1)
+    return a.astype(np.intp)
+
+
+def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """x- and z-masks of the local indices ``b`` placed on ``targets``."""
+    b = b.astype(np.uint64)
+    x = np.zeros(len(b), dtype=np.uint64)
+    z = np.zeros(len(b), dtype=np.uint64)
     w = len(targets)
-    x, z = p.x, p.z
-    for j in range(w - 1, -1, -1):
-        xb, zb = _BITS_FROM_DIGIT[b & 3]
-        b >>= 2
-        bit = 1 << targets[j]
-        x = (x & ~bit) | (xb << targets[j])
-        z = (z & ~bit) | (zb << targets[j])
-    return PauliString(p.n_qubits, x, z)
+    for j, t in enumerate(targets):
+        digit = (b >> (2 * (w - 1 - j))) & 3
+        high = digit >> 1
+        x |= ((digit & 1) ^ high) << t
+        z |= high << t
+    return x, z
+
+
+def _group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct (x, z) pairs in sorted order: returns each
+    element's group and the index of one element of every group."""
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
+
+
+def _split(x: np.ndarray, z: np.ndarray, targets: Sequence[int]):
+    """Find the terms that act on ``targets`` and group them by their
+    off-target part. Returns the mask of those terms, their local indices,
+    each one's group, and every group's off-target x- and z-masks."""
+    a = _gather_digits(x, z, targets)
+    moving = a != 0
+    off = ~_target_mask(targets)
+    rest_x, rest_z = x[moving] & off, z[moving] & off
+    group, first = _group(rest_x, rest_z)
+    return moving, a[moving], group, rest_x[first], rest_z[first]
+
+
+def _conjugate_gate(
+    x: np.ndarray, z: np.ndarray, c: np.ndarray, targets: Sequence[int], entries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward-evolve the terms through one gate given by its transfer entries.
+
+    Terms that are the identity on the targets pass through. The others are
+    grouped by their off-target part; each group's coefficients over the
+    local indices form one row of a dense matrix that is multiplied by the
+    transfer entries, which sums every collision. A unitary preserves the
+    trace, so a term that is not the identity on the targets never maps onto
+    one that is: the identity column is rounding noise and is not read, and
+    no new term can coincide with a passing one.
+    """
+    moving, a, group, rest_x, rest_z = _split(x, z, targets)
+    if not moving.any():
+        return x, z, c
+    local = np.zeros((len(rest_x), entries.shape[0]))
+    local[group, a] = c[moving]
+    spread = local @ entries[:, 1:]
+    g, b = np.nonzero(spread)
+    bx, bz = _scatter_digits(b + 1, targets)
+    stay = ~moving
+    return (
+        np.concatenate((x[stay], rest_x[g] | bx)),
+        np.concatenate((z[stay], rest_z[g] | bz)),
+        np.concatenate((c[stay], spread[g, b])),
+    )
 
 
 def conjugate_layer(
@@ -299,15 +411,10 @@ def conjugate_layer(
             raise ValueError("transfer matrix arity does not match targets")
         seen |= tmask
 
-    acc: dict[PauliString, float] = dict(m.terms)
+    x, z, c = m.x, m.z, m.coeffs
     for targets, tm in gates:
-        nxt: dict[PauliString, float] = {}
-        for p, c in acc.items():
-            for b, v in tm.row_nonzeros(_local_index(p, targets)):
-                q = _replace_local(p, targets, b)
-                nxt[q] = nxt.get(q, 0.0) + c * v
-        acc = nxt
-    return PauliMap(m.n_qubits, acc, drop_tolerance=drop_tolerance)
+        x, z, c = _conjugate_gate(x, z, c, targets, tm.entries)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)
 
 
 def _local_matrix(digits_and_coeffs: Iterable[tuple[int, float]], w: int) -> np.ndarray:
@@ -340,34 +447,33 @@ def conjugate_dense(
     The unitary acts on ``support`` (sorted qubit indices); terms disjoint
     from the support pass through untouched. Touched terms are grouped by
     their off-support factor, materialized as a dense matrix, conjugated
-    as U^dag M U, and re-expanded in the Pauli basis.
+    as U^dag M U, and re-expanded in the Pauli basis. As in conjugate_layer,
+    the trace is preserved, so the identity coefficient on the support is
+    rounding noise and is not kept.
     """
     support = tuple(support)
     w = len(support)
     if unitary.shape != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
-    smask = 0
-    for q in support:
-        smask |= 1 << q
-
-    out: dict[PauliString, float] = {}
-    groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for p, c in m.terms.items():
-        if not (p.x | p.z) & smask:
-            out[p] = out.get(p, 0.0) + c
-            continue
-        rest = (p.x & ~smask, p.z & ~smask)
-        groups.setdefault(rest, []).append((_local_index(p, support), c))
-
+    moving, a, group, rest_x, rest_z = _split(m.x, m.z, support)
+    c = m.coeffs[moving]
+    stay = ~moving
+    xs, zs, cs = [m.x[stay]], [m.z[stay]], [m.coeffs[stay]]
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(len(rest_x) + 1))
     udag = unitary.conj().T
-    for (rx, rz), locals_ in groups.items():
-        conjugated = udag @ _local_matrix(locals_, w) @ unitary
+    for g in range(len(rest_x)):
+        idx = order[bounds[g] : bounds[g + 1]]
+        conjugated = udag @ _local_matrix(zip(a[idx], c[idx]), w) @ unitary
         coeffs = _pauli_coefficients(conjugated, w)
         if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
             raise ValueError("conjugation produced nonreal Pauli coefficients")
-        for b in np.nonzero(np.abs(coeffs.real) > drop_tolerance)[0]:
-            base = PauliString(m.n_qubits, rx, rz)
-            q = _replace_local(base, support, int(b))
-            out[q] = out.get(q, 0.0) + float(coeffs.real[b])
-    return PauliMap(m.n_qubits, out, drop_tolerance=drop_tolerance)
+        b = np.flatnonzero(np.abs(coeffs.real[1:]) > drop_tolerance) + 1
+        bx, bz = _scatter_digits(b, support)
+        xs.append(rest_x[g] | bx)
+        zs.append(rest_z[g] | bz)
+        cs.append(coeffs.real[b])
+    return PauliMap._from_arrays(
+        m.n_qubits, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs), drop_tolerance
+    )

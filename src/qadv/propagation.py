@@ -144,12 +144,10 @@ def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:
     for q, b in enumerate(bits):
         if int(b):
             xmask |= 1 << q
-    total = 0.0
-    for p, c in o.terms.items():
-        if p.x:
-            continue
-        total += c if (p.z & xmask).bit_count() % 2 == 0 else -c
-    return total
+    diagonal = o.x == 0
+    flipped = np.bitwise_count(o.z[diagonal] & np.uint64(xmask)) & 1
+    c = o.coeffs[diagonal]
+    return float(np.sum(np.where(flipped, -c, c)))
 
 
 def heuristic_expectation(

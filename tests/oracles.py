@@ -117,3 +117,23 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def conjugate_gate_labels(m, targets, tm) -> dict[str, float]:
+    """One gate applied term by term from its transfer entries, rewriting
+    each output with PauliString.with_digit; keyed by label."""
+    w = len(targets)
+    out: dict[str, float] = {}
+    for p, c in m.terms.items():
+        a = 0
+        for t in targets:
+            a = 4 * a + p.digit(t)
+        for b in range(4**w):
+            v = tm.entries[a, b]
+            if v == 0.0:
+                continue
+            q = p
+            for j, t in enumerate(targets):
+                q = q.with_digit(t, (b >> 2 * (w - 1 - j)) & 3)
+            out[q.label()] = out.get(q.label(), 0.0) + c * v
+    return out

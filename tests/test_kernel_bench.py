@@ -1,0 +1,52 @@
+"""Micro-benchmarks of the propagation kernels (pytest-benchmark).
+
+Run ``pytest tests/test_kernel_bench.py`` for timings; ``--benchmark-disable``
+runs each kernel once as a plain correctness smoke test. Every benchmark
+asserts that the kernel preserves the Pauli-2 norm.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from qadv.pauli import PauliMap, PauliString, clear_transfer_cache, conjugate_layer, transfer_matrix
+
+from oracles import haar_unitary
+
+N_WIDE = 24
+
+
+def _all_low_weight(n: int, rng: np.random.Generator) -> PauliMap:
+    """Every Pauli string of weight 1 or 2 on n qubits with random
+    coefficients: the steady-state map of k=2 propagation through Haar
+    brickwork (2,556 terms at n=24)."""
+    terms = {}
+    for support in [(q,) for q in range(n)] + list(combinations(range(n), 2)):
+        for digits in np.ndindex(*(3,) * len(support)):
+            p = PauliString.identity(n)
+            for q, d in zip(support, digits):
+                p = p.with_digit(q, d + 1)
+            terms[p] = float(rng.normal())
+    return PauliMap(n, terms)
+
+
+def test_conjugate_layer_wide_step(benchmark):
+    rng = np.random.default_rng(0)
+    m = _all_low_weight(N_WIDE, rng)
+    assert len(m) == 2556
+    layer = [((q, q + 1), transfer_matrix(haar_unitary(4, rng))) for q in range(0, N_WIDE, 2)]
+    out = benchmark(conjugate_layer, m, layer)
+    assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
+
+
+def test_transfer_matrix_two_qubit(benchmark):
+    rng = np.random.default_rng(1)
+
+    def fresh():
+        # A cache hit would time a dict lookup, not the construction.
+        clear_transfer_cache()
+        return (haar_unitary(4, rng),), {}
+
+    tm = benchmark.pedantic(transfer_matrix, setup=fresh, rounds=500)
+    assert np.abs(tm.entries @ tm.entries.T - np.eye(16)).max() < 1e-12

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qadv import circuits
+from qadv.errors import ResourceLimitExceeded
 from qadv.pauli import (
     NonUnitaryError,
     PauliMap,
@@ -14,6 +15,7 @@ from qadv.pauli import (
 )
 
 from oracles import (
+    conjugate_gate_labels,
     conjugate_map_dense,
     embed,
     haar_unitary,
@@ -41,6 +43,20 @@ def test_label_round_trip():
 def test_mask_bounds_rejected():
     with pytest.raises(ValueError):
         PauliString(1, 0b10, 0)
+
+
+def test_pauli_map_drops_zero_terms():
+    m = PauliMap(2, {PauliString.from_label("XZ"): 0.0, PauliString.from_label("ZI"): 0.5})
+    assert len(m) == 1
+    assert m.terms == {PauliString.from_label("ZI"): 0.5}
+
+
+def test_pauli_map_wider_than_64_qubits_refused():
+    PauliMap(64, {PauliString(64, 1 << 63, 1 << 63): 1.0})
+    with pytest.raises(ResourceLimitExceeded):
+        PauliMap(65)
+    with pytest.raises(ResourceLimitExceeded):
+        PauliMap.single(PauliString(65, 0, 1 << 64))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +192,67 @@ def test_conjugate_layer_matches_dense_oracle(seed):
     assert set(got) == set(expected)
     for label, coeff in expected.items():
         assert got[label] == pytest.approx(coeff, abs=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20)
+def test_conjugate_layer_unsorted_targets_match_dense_oracle(seed):
+    # Targets out of qubit order, and a three-qubit gate whose first target
+    # is the most significant local digit.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    terms = {}
+    for _ in range(rng.integers(1, 6)):
+        p = PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
+        terms[p] = float(rng.normal())
+    m = PauliMap(n, terms)
+    if n == 3:
+        targets = [(2, 0), (1,)]
+    else:
+        targets = [(3, 1, 0)] + ([(4, 2)] if n == 5 else [(2,)])
+    gate_specs = [(t, haar_unitary(2 ** len(t), rng)) for t in targets]
+    full = np.eye(2**n, dtype=complex)
+    for t, u in gate_specs:
+        full = embed(u, list(t), n) @ full
+    out = conjugate_layer(m, _layer(*gate_specs))
+    expected = conjugate_map_dense(m, full)
+    got = {p.label(): c for p, c in out.terms.items()}
+    assert set(got) == set(expected)
+    for label, coeff in expected.items():
+        assert got[label] == pytest.approx(coeff, abs=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_conjugate_layer_at_64_qubits_matches_label_reference(seed):
+    # Gates on the top uint64 bits and across the 32-bit boundary, checked
+    # gate by gate against label-level rewriting.
+    rng = np.random.default_rng(seed)
+    n = 64
+    hot = [0, 31, 32, 62, 63]
+    terms = {}
+    for _ in range(rng.integers(1, 6)):
+        p = PauliString.identity(n)
+        for q in rng.choice(hot, size=int(rng.integers(1, 4)), replace=False):
+            p = p.with_digit(int(q), int(rng.integers(1, 4)))
+        terms[p] = float(rng.normal())
+    m = PauliMap(n, terms)
+    gates = _layer(
+        ((62, 63), haar_unitary(4, rng)),
+        ((32, 31), haar_unitary(4, rng)),
+        ((0,), haar_unitary(2, rng)),
+    )
+    expected = m
+    for targets, tm in gates:
+        labels = conjugate_gate_labels(expected, targets, tm)
+        expected = PauliMap(n, {PauliString.from_label(l): c for l, c in labels.items()})
+    out = conjugate_layer(m, gates)
+    got = {p.label(): c for p, c in out.terms.items()}
+    want = {p.label(): c for p, c in expected.terms.items() if abs(c) > 1e-12}
+    assert set(got) == set(want)
+    for label, coeff in want.items():
+        assert got[label] == pytest.approx(coeff, abs=1e-12)
+    assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
 
 
 def test_conjugate_dense_matches_oracle_with_off_support_terms():
