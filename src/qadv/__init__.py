@@ -4,10 +4,9 @@ detection, dequantized sampling, noisy sensing, and Bell games."""
 from . import bell, circuits, detection, pauli, propagation, sensing, sq, statevector
 from .circuits import Circuit, Gate, amplify, build_cnew, random_brickwork
 from .detection import DetectionReport, decay_experiment, detect, instance_suite
+from .manifest import ARTIFACT_VERSION as __version__
 from .pauli import PauliMap, PauliString, TransferMatrix, transfer_matrix
 from .propagation import PropagationConfig, backpropagate, heuristic_expectation
 from .sensing import SensingConfig, ghz_protocol, kl_sample_bound, separable_protocol
 from .sq import SQVector, inner_product_estimate
 from .statevector import StateVector, apply_circuit, expectation, output_prob, prepare_basis
-
-__version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Single command-line entry point exposing every experiment.
 
-Defaults (overridable by config file, then by flags):
-
-    k = 1, copies = 3, s = 32, depth = 6 * circuit width,
-    drop tolerance = 1e-12, separable uses per shot = ceil(1/gamma).
+Every subcommand except ``rerun`` is one row of the ``_COMMANDS`` table:
+name, help text, and options, each with its flag, config key, default and
+type. The table is the only place defaults live; a config file overrides
+them, and explicit flags override the config file. Keys without a flag
+(``drop_tolerance``, ``cells``) can only be set by a config file.
 
 Outputs land in --out-dir (or $QADV_OUTPUT_DIR): a JSON report, CSV
 tables, and a run manifest. Exit codes: 2 config/schema error, 3 runtime
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -412,19 +414,113 @@ _EXECUTORS = {
 
 
 # ---------------------------------------------------------------------------
-# Click wiring
+# Command table. A required option must not get a default, not even None:
+# click 8.4 then accepts the missing flag, and the run crashes (exit 1)
+# instead of failing as a usage error (exit 2).
 
 
-def common_options(fn):
-    fn = click.option(
-        "--out-dir",
-        envvar="QADV_OUTPUT_DIR",
-        default=".",
-        show_default=True,
-        help="Directory for reports, tables, and the manifest.",
-    )(fn)
-    fn = click.option("--config", "config_path", default=None, help="JSON config file; flags override it.")(fn)
-    return fn
+class Opt(NamedTuple):
+    flag: str | None
+    key: str
+    default: object = None
+    type: object = int
+    help: str | None = None
+    required: bool = False
+
+
+_PATH = click.Path(exists=True)
+_SEED = Opt("--seed", "seed", 0)
+_JOBS = Opt("--jobs", "jobs", 1)
+_DROP = Opt(None, "drop_tolerance", 1e-12)
+_NORMALIZE = Opt("--normalize", "normalize", False, bool)
+
+_COMMANDS = (
+    ("decay", "Per-layer Frobenius-decay Monte Carlo (expected ratio 2/5).", (
+        Opt("--n", "n", 8, help="Qubit count (even)."),
+        Opt("--L", "L", 10, help="Brickwork depth."),
+        Opt("--trials", "trials", 500),
+        _SEED, _JOBS, _DROP,
+    )),
+    ("detect", "Classify one circuit file: advantage vs no-advantage.", (
+        Opt("--circuit", "circuit", type=_PATH, required=True),
+        Opt("--s", "s", 32, help="Sampled inputs."),
+        Opt("--k", "k", 1, help="Weight cutoff."),
+        _SEED,
+        Opt("--shots", "shots", None, help="Shot-based exact side (default: exact probabilities)."),
+        _DROP,
+    )),
+    ("suite", "Labeled YES/NO detection suite with confusion counts.", (
+        Opt("--yes", "yes", 20, help="YES instances."),
+        Opt("--no", "no", 20, help="NO instances."),
+        Opt("--n", "n", 6, help="Main register width."),
+        Opt("--m", "m", 2, help="Instance circuit width."),
+        Opt("--copies", "copies", 3, help="Majority-vote copies (odd)."),
+        Opt("--L", "L", None, help="Random depth (default 6*width)."),
+        Opt("--s", "s", 32), Opt("--k", "k", 1),
+        _SEED, _JOBS, _DROP,
+    )),
+    ("dequant-build", "Build the prefix-sum tree and verify its invariants.", (
+        Opt("--vector", "vector", type=_PATH, required=True),
+        _NORMALIZE,
+    )),
+    ("dequant-sample", "Draw indices with probability values[i]^2 and tabulate frequencies.", (
+        Opt("--vector", "vector", type=_PATH, required=True),
+        _NORMALIZE, Opt("--draws", "draws", 100000), _SEED,
+    )),
+    ("dequant-estimate", "Importance-sampling inner-product estimate with standard error.", (
+        Opt("--x", "x", type=_PATH, required=True),
+        Opt("--y", "y", type=_PATH, required=True),
+        _NORMALIZE, Opt("--samples", "samples", 10000), _SEED,
+    )),
+    ("sense", "Separable-protocol bias measurement plus the KL sample bound.", (
+        Opt("--theta", "theta", 0.05, float, "Signal angle (radians)."),
+        Opt("--gamma", "gamma", 0.2, float, "Noise variance per use."),
+        Opt("--r-uses", "r_uses", None, help="Uses per shot (default ceil(1/gamma))."),
+        Opt("--shots", "shots", 100000), _SEED,
+    )),
+    ("sweep", "Two-hypothesis success rates over a (N, theta, gamma, T, K) grid.\n\n"
+              'The config file must supply the grid as {"cells": [{...}, ...]}.', (
+        Opt("--protocol", "protocol", "ghz", click.Choice(["ghz", "separable"])),
+        Opt("--trials", "trials", 400),
+        _SEED, _JOBS,
+        Opt(None, "cells", None),
+    )),
+    ("bell", "Socks protocol, 16-strategy table, and the quantum optimum.", (
+        Opt("--trials", "trials", 100000), _SEED,
+    )),
+    ("oracle-check", "Heuristic with k=n against the statevector oracle (must agree to 1e-9).", (
+        Opt("--instances", "instances", 100),
+        Opt("--max-n", "max_n", 6),
+        Opt("--max-layers", "max_layers", 8),
+        Opt("--inputs-per-circuit", "inputs_per_circuit", 3),
+        _SEED,
+    )),
+)
+
+
+def _option(o: Opt) -> click.Option:
+    if o.type is bool:
+        # An absent flag arrives as None, so it never overrides the config file.
+        return click.Option([o.flag, o.key], is_flag=True, default=None, help=o.help)
+    return click.Option([o.flag, o.key], type=o.type, required=o.required, help=o.help)
+
+
+def _command(name: str, help_text: str, options: tuple[Opt, ...]) -> click.Command:
+    """A click command that resolves the row's defaults, the config file and
+    the given flags, then runs the subcommand's executor."""
+    defaults = {o.key: o.default for o in options}
+
+    @guarded
+    def run(out_dir, config_path, **flags):
+        _execute(name, _resolve(defaults, _load_config(config_path), flags), out_dir)
+
+    params = [_option(o) for o in options if o.flag] + [
+        click.Option(["--config", "config_path"], help="JSON config file; flags override it."),
+        click.Option(["--out-dir"], envvar="QADV_OUTPUT_DIR", default=".", show_default=True,
+                     help="Directory for reports, tables, and the manifest."),
+    ]
+    return click.Command(name.removeprefix("dequant-"), params=params, callback=run,
+                         help=help_text)
 
 
 @click.group()
@@ -433,209 +529,13 @@ def main():
     dequantized sampling, noisy sensing, and Bell games."""
 
 
-@main.command()
-@click.option("--n", type=int, default=None, help="Qubit count (even).")
-@click.option("--L", "layers", type=int, default=None, help="Brickwork depth.")
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None)
-@common_options
-@guarded
-def decay(n, layers, trials, seed, jobs, out_dir, config_path):
-    """Per-layer Frobenius-decay Monte Carlo (expected ratio 2/5)."""
-    defaults = {"n": 8, "L": 10, "trials": 500, "seed": 0, "jobs": 1,
-                "drop_tolerance": 1e-12}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"n": n, "L": layers, "trials": trials, "seed": seed, "jobs": jobs},
-    )
-    _execute("decay", config, out_dir)
-
-
-@main.command("detect")
-@click.option("--circuit", required=True, type=click.Path(exists=True))
-@click.option("--s", "samples", type=int, default=None, help="Sampled inputs.")
-@click.option("--k", type=int, default=None, help="Weight cutoff.")
-@click.option("--seed", type=int, default=None)
-@click.option("--shots", type=int, default=None, help="Shot-based exact side (default: exact probabilities).")
-@common_options
-@guarded
-def detect_cmd(circuit, samples, k, seed, shots, out_dir, config_path):
-    """Classify one circuit file: advantage vs no-advantage."""
-    defaults = {"circuit": circuit, "s": 32, "k": 1, "seed": 0, "shots": None,
-                "drop_tolerance": 1e-12}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"circuit": circuit, "s": samples, "k": k, "seed": seed, "shots": shots},
-    )
-    _execute("detect", config, out_dir)
-
-
-@main.command()
-@click.option("--yes", "n_yes", type=int, default=None, help="YES instances.")
-@click.option("--no", "n_no", type=int, default=None, help="NO instances.")
-@click.option("--n", type=int, default=None, help="Main register width.")
-@click.option("--m", type=int, default=None, help="Instance circuit width.")
-@click.option("--copies", type=int, default=None, help="Majority-vote copies (odd).")
-@click.option("--L", "layers", type=int, default=None, help="Random depth (default 6*width).")
-@click.option("--s", "samples", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None)
-@common_options
-@guarded
-def suite(n_yes, n_no, n, m, copies, layers, samples, k, seed, jobs, out_dir, config_path):
-    """Labeled YES/NO detection suite with confusion counts."""
-    defaults = {
-        "yes": 20, "no": 20, "n": 6, "m": 2, "copies": 3,
-        "L": None, "s": 32, "k": 1, "seed": 0, "jobs": 1,
-        "drop_tolerance": 1e-12,
-    }
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {
-            "yes": n_yes, "no": n_no, "n": n, "m": m, "copies": copies,
-            "L": layers, "s": samples, "k": k, "seed": seed, "jobs": jobs,
-        },
-    )
-    _execute("suite", config, out_dir)
-
-
 @main.group()
 def dequant():
     """Sample-and-query access over classical vectors."""
 
 
-@dequant.command("build")
-@click.option("--vector", required=True, type=click.Path(exists=True))
-@click.option("--normalize", is_flag=True, default=False)
-@common_options
-@guarded
-def dequant_build(vector, normalize, out_dir, config_path):
-    """Build the prefix-sum tree and verify its invariants."""
-    defaults = {"vector": vector, "normalize": False}
-    config = _resolve(
-        defaults, _load_config(config_path), {"vector": vector, "normalize": normalize or None}
-    )
-    _execute("dequant-build", config, out_dir)
-
-
-@dequant.command("sample")
-@click.option("--vector", required=True, type=click.Path(exists=True))
-@click.option("--normalize", is_flag=True, default=False)
-@click.option("--draws", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@common_options
-@guarded
-def dequant_sample(vector, normalize, draws, seed, out_dir, config_path):
-    """Draw indices with probability values[i]^2 and tabulate frequencies."""
-    defaults = {"vector": vector, "normalize": False, "draws": 100000, "seed": 0}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"vector": vector, "normalize": normalize or None, "draws": draws, "seed": seed},
-    )
-    _execute("dequant-sample", config, out_dir)
-
-
-@dequant.command("estimate")
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
-@click.option("--y", "y_path", required=True, type=click.Path(exists=True))
-@click.option("--normalize", is_flag=True, default=False)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@common_options
-@guarded
-def dequant_estimate(x_path, y_path, normalize, samples, seed, out_dir, config_path):
-    """Importance-sampling inner-product estimate with standard error."""
-    defaults = {"x": x_path, "y": y_path, "normalize": False, "samples": 10000, "seed": 0}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"x": x_path, "y": y_path, "normalize": normalize or None, "samples": samples, "seed": seed},
-    )
-    _execute("dequant-estimate", config, out_dir)
-
-
-@main.command()
-@click.option("--theta", type=float, default=None, help="Signal angle (radians).")
-@click.option("--gamma", type=float, default=None, help="Noise variance per use.")
-@click.option("--r-uses", type=int, default=None, help="Uses per shot (default ceil(1/gamma)).")
-@click.option("--shots", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@common_options
-@guarded
-def sense(theta, gamma, r_uses, shots, seed, out_dir, config_path):
-    """Separable-protocol bias measurement plus the KL sample bound."""
-    defaults = {"theta": 0.05, "gamma": 0.2, "r_uses": None, "shots": 100000, "seed": 0}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"theta": theta, "gamma": gamma, "r_uses": r_uses, "shots": shots, "seed": seed},
-    )
-    _execute("sense", config, out_dir)
-
-
-@main.command()
-@click.option("--protocol", type=click.Choice(["ghz", "separable"]), default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=None)
-@common_options
-@guarded
-def sweep(protocol, trials, seed, jobs, out_dir, config_path):
-    """Two-hypothesis success rates over a (N, theta, gamma, T, K) grid.
-
-    The config file must supply the grid as {"cells": [{...}, ...]}.
-    """
-    defaults = {"protocol": "ghz", "trials": 400, "seed": 0, "jobs": 1, "cells": None}
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {"protocol": protocol, "trials": trials, "seed": seed, "jobs": jobs},
-    )
-    if not config["cells"]:
-        raise ConfigError("sweep needs a config file with a nonempty 'cells' list")
-    _execute("sweep", config, out_dir)
-
-
-@main.command("bell")
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@common_options
-@guarded
-def bell_cmd(trials, seed, out_dir, config_path):
-    """Socks protocol, 16-strategy table, and the quantum optimum."""
-    defaults = {"trials": 100000, "seed": 0}
-    config = _resolve(defaults, _load_config(config_path), {"trials": trials, "seed": seed})
-    _execute("bell", config, out_dir)
-
-
-@main.command("oracle-check")
-@click.option("--instances", type=int, default=None)
-@click.option("--max-n", type=int, default=None)
-@click.option("--max-layers", type=int, default=None)
-@click.option("--inputs-per-circuit", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@common_options
-@guarded
-def oracle_check(instances, max_n, max_layers, inputs_per_circuit, seed, out_dir, config_path):
-    """Heuristic with k=n against the statevector oracle (must agree to 1e-9)."""
-    defaults = {
-        "instances": 100, "max_n": 6, "max_layers": 8, "inputs_per_circuit": 3, "seed": 0,
-    }
-    config = _resolve(
-        defaults,
-        _load_config(config_path),
-        {
-            "instances": instances, "max_n": max_n, "max_layers": max_layers,
-            "inputs_per_circuit": inputs_per_circuit, "seed": seed,
-        },
-    )
-    _execute("oracle-check", config, out_dir)
+for _row in _COMMANDS:
+    (dequant if _row[0].startswith("dequant-") else main).add_command(_command(*_row))
 
 
 @main.command()

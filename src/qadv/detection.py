@@ -5,7 +5,6 @@ suites with confusion counts."""
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +12,7 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import PromiseViolation
+from .pool import seeded_map
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
 #: A heuristic and an exact value disagree when they differ by at least this.
@@ -150,8 +150,8 @@ class DecayResult:
         }
 
 
-def _decay_trial(args) -> list[float]:
-    n, layers, ss, drop_tolerance = args
+def _decay_trial(args, ss) -> list[float]:
+    n, layers, drop_tolerance = args
     c = circuits.random_brickwork(n, layers, pairing="brick", seed=ss)
     cfg = PropagationConfig(k=1, drop_tolerance=drop_tolerance)
     _, norms = backpropagate(c, z_first(n), cfg, record_norms=True)
@@ -176,15 +176,9 @@ def decay_experiment(
         raise ValueError("decay experiment requires an even qubit count")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(trials)
-    work = [(n, layers, ss, drop_tolerance) for ss in children]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_norms = list(pool.map(_decay_trial, work, chunksize=8))
-    else:
-        all_norms = [_decay_trial(w) for w in work]
-    norms = np.array(all_norms)  # (trials, layers + 1)
+    work = [(n, layers, drop_tolerance)] * trials
+    # One row of layers + 1 norms per trial.
+    norms = np.array(seeded_map(_decay_trial, work, seed, jobs, chunksize=8))
     means = norms.mean(axis=0)
     ratios = tuple(float(means[j + 1] / means[j]) for j in range(layers))
     final = norms[:, -1]
@@ -296,8 +290,8 @@ class SuiteResult:
         }
 
 
-def _suite_entry(args) -> SuiteEntry:
-    inst, n, depth, copies, s, k, ss, drop_tolerance = args
+def _suite_entry(args, ss) -> SuiteEntry:
+    inst, n, depth, copies, s, k, drop_tolerance = args
     prob = verify_promise(inst)
     u_seed, detect_seed = ss.spawn(2)
     cnew = circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed)
@@ -335,17 +329,8 @@ def instance_suite(
     if instances and depth is None:
         m = instances[0].circuit.n_qubits
         depth = circuits.default_depth(n + m * copies + 1)
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(len(instances))
-    work = [
-        (inst, n, depth, copies, s, k, ss, drop_tolerance)
-        for inst, ss in zip(instances, children)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(_suite_entry, work))
-    else:
-        entries = tuple(_suite_entry(w) for w in work)
+    work = [(inst, n, depth, copies, s, k, drop_tolerance) for inst in instances]
+    entries = tuple(seeded_map(_suite_entry, work, seed, jobs))
     confusion: dict[str, int] = {}
     for e in entries:
         key = f"{e.label}:{e.report.verdict}"

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+#: The package version: qadv.__version__ and pyproject.toml read it here.
 ARTIFACT_VERSION = "0.1.0"
 
 SIGNIFICANT_DIGITS = 12

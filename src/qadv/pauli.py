@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -235,8 +236,10 @@ class TransferMatrix:
             raise ValueError("entries shape does not match arity")
 
 
-def _pauli_basis(arity: int) -> np.ndarray:
-    """All 4^arity Hermitian Pauli matrices, first qubit most significant."""
+@functools.cache
+def _basis(arity: int) -> np.ndarray:
+    """All 4^arity Hermitian Pauli matrices, first qubit most significant.
+    Only for transfer matrices (arity <= 3): the array holds 16^arity entries."""
     basis = PAULI_1Q
     for _ in range(arity - 1):
         basis = np.einsum("iab,jcd->ijacbd", basis, PAULI_1Q).reshape(
@@ -245,18 +248,11 @@ def _pauli_basis(arity: int) -> np.ndarray:
     return basis
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
 _TM_CACHE: dict[tuple[int, bytes], TransferMatrix] = {}
 # Random gates never repeat, so the cache only pays off for the few named
 # gates a circuit reuses; a small cap keeps one-shot Haar matrices from
 # piling up over a long Monte Carlo run.
 _TM_CACHE_MAX = 1024
-
-
-def _basis(arity: int) -> np.ndarray:
-    if arity not in _BASIS_CACHE:
-        _BASIS_CACHE[arity] = _pauli_basis(arity)
-    return _BASIS_CACHE[arity]
 
 
 def check_unitary(u: np.ndarray, tol: float = _UNITARITY_TOL) -> None:
@@ -417,12 +413,16 @@ def conjugate_layer(
     return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)
 
 
-def _local_matrix(digits_and_coeffs: Iterable[tuple[int, float]], w: int) -> np.ndarray:
-    basis = _basis(w)
-    out = np.zeros((2**w, 2**w), dtype=complex)
-    for a, c in digits_and_coeffs:
-        out += c * basis[a]
-    return out
+def _local_matrix(coeffs: np.ndarray, w: int) -> np.ndarray:
+    """Inverse of _pauli_coefficients: sum_a coeffs[a] P_a as a 2^w x 2^w
+    matrix, contracted one qubit at a time (every intermediate has 4^w
+    entries)."""
+    t = coeffs.reshape((4,) * w)
+    for _ in range(w):
+        # Contract the leading digit axis; its row and column axes go last.
+        t = np.tensordot(t, PAULI_1Q, axes=([0], [0]))
+    rows_then_cols = tuple(range(0, 2 * w, 2)) + tuple(range(1, 2 * w, 2))
+    return t.transpose(rows_then_cols).reshape(2**w, 2**w)
 
 
 def _pauli_coefficients(matrix: np.ndarray, w: int) -> np.ndarray:
@@ -465,7 +465,9 @@ def conjugate_dense(
     udag = unitary.conj().T
     for g in range(len(rest_x)):
         idx = order[bounds[g] : bounds[g + 1]]
-        conjugated = udag @ _local_matrix(zip(a[idx], c[idx]), w) @ unitary
+        local = np.zeros(4**w)
+        local[a[idx]] = c[idx]
+        conjugated = udag @ _local_matrix(local, w) @ unitary
         coeffs = _pauli_coefficients(conjugated, w)
         if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
             raise ValueError("conjugation produced nonreal Pauli coefficients")

@@ -1,0 +1,27 @@
+"""Seeded fan-out: every work item gets its own child of one seed, so
+results do not depend on how many worker processes run them."""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence
+
+import numpy as np
+
+
+def spawn_seeds(seed: int | np.random.SeedSequence | None, count: int) -> list:
+    """``count`` independent child SeedSequences of ``seed``."""
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return base.spawn(count)
+
+
+def seeded_map(
+    fn: Callable, items: Sequence, seed, jobs: int = 1, chunksize: int = 1
+) -> list:
+    """``[fn(item, child_seed) ...]`` in item order; with jobs > 1 the calls
+    run in a process pool (``fn`` and the items must then be picklable)."""
+    children = spawn_seeds(seed, len(items))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items, children, chunksize=chunksize))
+    return list(map(fn, items, children))

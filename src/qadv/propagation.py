@@ -26,11 +26,6 @@ from .pauli import (
     transfer_matrix,
 )
 
-#: Count of backpropagate invocations in this process; lets callers assert
-#: that one backward pass is reused across many inputs.
-BACKPROP_CALLS = 0
-
-
 @dataclass(frozen=True)
 class PropagationConfig:
     k: int = 1
@@ -95,12 +90,13 @@ def _conjugate_declared_layer(
 def _conjugate_block(
     m: PauliMap, block: circuits.BlockLayer, cfg: PropagationConfig
 ) -> PauliMap:
-    support, u = block_unitary(block)
-    if len(support) > cfg.dense_block_limit:
+    # Refuse before building: the unitary alone has 4^width entries.
+    if len(block.support) > cfg.dense_block_limit:
         raise ResourceLimitExceeded(
-            f"block on {len(support)} qubits exceeds dense block limit "
+            f"block on {len(block.support)} qubits exceeds dense block limit "
             f"{cfg.dense_block_limit}"
         )
+    support, u = block_unitary(block)
     return conjugate_dense(m, u, support, drop_tolerance=cfg.drop_tolerance)
 
 
@@ -117,8 +113,6 @@ def backpropagate(
     record_norms, also returns the normalized squared Frobenius norm after
     the initial projection and after each layer step.
     """
-    global BACKPROP_CALLS
-    BACKPROP_CALLS += 1
     if o.n_qubits != c.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     acc = o.project_weight(cfg.k)

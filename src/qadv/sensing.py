@@ -11,11 +11,12 @@ for the GHZ minus outcome and (1 + sin phi)/2 for the separable +i outcome.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .pool import seeded_map, spawn_seeds
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,8 @@ class SweepCell:
         }
 
 
-def _run_cell(args) -> SweepCell:
-    protocol, n, theta, gamma, t_uses, k_reps, trials, ss = args
+def _run_cell(args, ss) -> SweepCell:
+    protocol, n, theta, gamma, t_uses, k_reps, trials = args
     rng = np.random.default_rng(ss)
     correct = 0
     for trial in range(trials):
@@ -230,8 +231,6 @@ def scaling_sweep(
     (half the trials run with theta=0, half with the signal)."""
     if not grid:
         raise ValueError("sweep grid must be nonempty")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(len(grid))
     work = [
         (
             protocol,
@@ -241,14 +240,10 @@ def scaling_sweep(
             int(cell.get("T", 1)),
             int(cell.get("K", 1)),
             trials,
-            ss,
         )
-        for cell, ss in zip(grid, children)
+        for cell in grid
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, work))
-    return [_run_cell(w) for w in work]
+    return seeded_map(_run_cell, work, seed, jobs)
 
 
 def minimal_ghz_uses(
@@ -284,10 +279,8 @@ def minimal_separable_nt(
         if not k_values or kk != k_values[-1]:
             k_values.append(kk)
         k *= growth
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(len(k_values))
     cells: list[SweepCell] = []
-    for kk, ss in zip(k_values, children):
+    for kk, ss in zip(k_values, spawn_seeds(seed, len(k_values))):
         (cell,) = scaling_sweep(
             "separable",
             [{"N": 1, "theta": theta, "gamma": gamma, "K": kk}],

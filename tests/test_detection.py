@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qadv import circuits, propagation
+from qadv import circuits, detection, propagation
 from qadv.circuits import Circuit, ElementaryLayer, Gate
 from qadv.detection import (
     PromiseInstance,
@@ -32,12 +32,19 @@ def test_detect_is_reproducible_for_fixed_seed():
     assert a.records != c2.records
 
 
-def test_detect_reuses_single_backpropagation():
+def test_detect_reuses_single_backpropagation(monkeypatch):
     cq, _ = circuits.promise_instance("x", 1)
     c = circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5)
-    before = propagation.BACKPROP_CALLS
-    detect(c, s=16, k=1, seed=0)
-    assert propagation.BACKPROP_CALLS == before + 1
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return propagation.backpropagate(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "backpropagate", counting)
+    rep = detect(c, s=16, k=1, seed=0)
+    assert len(calls) == 1
+    assert len(rep.records) == 16
 
 
 def test_detect_verdicts_on_small_instances():

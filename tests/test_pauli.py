@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,19 +259,50 @@ def test_conjugate_layer_at_64_qubits_matches_label_reference(seed):
     assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
 
 
-def test_conjugate_dense_matches_oracle_with_off_support_terms():
-    rng = np.random.default_rng(11)
-    n = 5
-    m = PauliMap.from_labels(
-        {"ZIIII": 0.5, "IXIYI": -0.25, "IIIIZ": 0.8, "YIIIX": 0.1}
-    )
-    u = haar_unitary(8, rng)
-    out = conjugate_dense(m, u, (1, 2, 3))
-    expected = conjugate_map_dense(m, embed(u, [1, 2, 3], n))
+@pytest.mark.parametrize(
+    "labels, support",
+    [
+        ({"ZIIII": 0.5, "IXIYI": -0.25, "IIIIZ": 0.8, "YIIIX": 0.1}, (1, 2, 3)),
+        ({"ZIXIIY": 0.5, "IXIYIZ": -0.25, "IIZIII": 0.8, "YZIIXI": 0.1, "IIXZII": 0.3},
+         (0, 1, 3, 4, 5)),
+        # Full support: the oracle's cost grows as 8^n, and the cases above
+        # already cover terms grouped by an off-support factor.
+        ({"ZIXIIY": 0.5, "IXIYIZ": -0.25, "IIZIII": 0.8, "YZIIXI": 0.1}, (0, 1, 2, 3, 4, 5)),
+    ],
+    ids=["w3-off-support", "w5-off-support", "w6-full-support"],
+)
+def test_conjugate_dense_matches_oracle(labels, support):
+    m = PauliMap.from_labels(labels)
+    u = haar_unitary(2 ** len(support), np.random.default_rng(11))
+    out = conjugate_dense(m, u, support)
+    expected = conjugate_map_dense(m, embed(u, list(support), m.n_qubits))
     got = {p.label(): c for p, c in out.terms.items()}
     assert set(got) == set(expected)
     for label, coeff in expected.items():
         assert got[label] == pytest.approx(coeff, abs=1e-9)
+
+
+def test_conjugate_dense_memory_is_small_on_six_qubits():
+    # The block's 4^6 Pauli matrices alone would take 268 MB; the local
+    # matrix is built qubit by qubit instead. Measured in a fresh
+    # interpreter, so no cache warmed by an earlier test hides an allocation.
+    code = """
+import tracemalloc
+import numpy as np
+from oracles import haar_unitary
+from qadv.pauli import PauliMap, PauliString, conjugate_dense
+u = haar_unitary(64, np.random.default_rng(6))
+m = PauliMap.single(PauliString.from_label("IZIIIII"))
+tracemalloc.start()
+out = conjugate_dense(m, u, (1, 2, 3, 4, 5, 6))
+print(tracemalloc.get_traced_memory()[1], out.frobenius_normalized())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    peak, norm = run.stdout.split()
+    assert int(peak) < 8 * 2**20
+    assert float(norm) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_conjugate_dense_untouched_terms_pass_through():

@@ -150,6 +150,17 @@ def test_block_wider_than_limit_rejected():
         backpropagate(c, z_first(5), cfg)
 
 
+def test_block_limit_checked_before_building_unitary(monkeypatch):
+    def refuse(block):
+        raise AssertionError("block_unitary called for an oversized block")
+
+    monkeypatch.setattr(prop, "block_unitary", refuse)
+    sub = _circ(13, [Gate("H", (q,)) for q in range(13)])
+    c = Circuit(14, (BlockLayer("wide", sub, tuple(range(13)), control=13),))
+    with pytest.raises(ResourceLimitExceeded):
+        backpropagate(c, z_first(14), PropagationConfig(k=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(k=0)

@@ -164,6 +164,18 @@ def test_sweep_rejects_empty_grid():
         scaling_sweep("ghz", [], trials=10, seed=0)
 
 
+def test_sweep_parallel_matches_serial():
+    grid = [
+        {"N": 2, "theta": 0.05, "gamma": 0.1, "T": 4},
+        {"N": 1, "theta": 0.2, "gamma": 0.5, "K": 3},
+        {"N": 3, "theta": 0.01, "gamma": 0.02, "T": 50},
+    ]
+    for protocol in ("ghz", "separable"):
+        serial = scaling_sweep(protocol, grid, trials=60, seed=8, jobs=1)
+        parallel = scaling_sweep(protocol, grid, trials=60, seed=8, jobs=2)
+        assert serial == parallel
+
+
 def test_noiseless_ghz_sweep_at_pi_schedule():
     theta = 0.01
     grid = [
