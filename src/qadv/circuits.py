@@ -212,6 +212,14 @@ class Circuit:
             return self.registers["main"]
         return (0, self.n_qubits - 1)
 
+    def full_input(self, bits: str | Sequence[int]) -> str:
+        """The full-width bitstring of |bits, 0...0>: ``bits`` on the input
+        register, 0 on every other qubit."""
+        lo, hi = self.input_register()
+        if len(bits) != hi - lo + 1:
+            raise ValueError("input length must match the input register")
+        return "0" * lo + "".join(str(int(b)) for b in bits) + "0" * (self.n_qubits - 1 - hi)
+
     def inverse(self) -> "Circuit":
         """Layer-wise inverse; only defined for elementary layers."""
         inv_layers = []

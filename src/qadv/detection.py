@@ -100,9 +100,7 @@ def detect(
         if shots is not None:
             prob = rng.binomial(shots, prob) / shots
         exact = 1.0 - 2.0 * prob
-        full = ["0"] * c.n_qubits
-        full[lo : hi + 1] = list(x)
-        heur = evaluate_product_state(o0, "".join(full))
+        heur = evaluate_product_state(o0, c.full_input(x))
         records.append(InputRecord(x, exact, heur, abs(exact - heur)))
 
     disagree = sum(r.difference >= DISAGREEMENT_GAP for r in records) / s

@@ -4,6 +4,8 @@ observable with a weight-k projection after every declared layer.
 Elementary layers evolve exactly through cached Pauli transfer matrices;
 composite blocks (and elementary gates wider than 3 qubits) evolve by
 dense conjugation of the truncated observable over the block support.
+`block_unitary` builds that dense unitary in one pass of the statevector
+interpreter, applied to the identity with its columns on a batch axis.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
 """
@@ -26,47 +28,29 @@ from .pauli import (
     transfer_matrix,
 )
 
+#: Widest declared layer conjugated densely; its unitary has 4^w entries.
+DENSE_BLOCK_LIMIT = 12
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     k: int = 1
     drop_tolerance: float = DROP_TOLERANCE
-    dense_block_limit: int = 12
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("weight cutoff k must be at least 1")
-        if self.dense_block_limit > statevector.DEFAULT_DENSE_LIMIT:
-            raise ValueError("dense_block_limit exceeds the statevector dense limit")
 
 
-def block_unitary(block: circuits.BlockLayer) -> tuple[tuple[int, ...], np.ndarray]:
-    """Dense unitary of a block over its sorted support (targets + control)."""
-    support = tuple(sorted(block.support))
-    pos = {q: i for i, q in enumerate(support)}
-    local = circuits.BlockLayer(
-        block.name,
-        block.circuit,
-        tuple(pos[t] for t in block.targets),
-        control=pos[block.control] if block.control is not None else None,
-    )
-    w = len(support)
-    dim = 2**w
-    u = np.zeros((dim, dim), dtype=complex)
-    col = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        col[:] = 0.0
-        col[j] = 1.0
-        out = statevector._apply_block(col.reshape((2,) * w), local, list(range(w)))
-        u[:, j] = out.reshape(-1)
-    return support, u
-
-
-def _wrap_wide_gate(gate: circuits.Gate) -> circuits.BlockLayer:
-    w = len(gate.targets)
-    local = circuits.Gate(gate.kind, tuple(range(w)), param=gate.param,
-                          matrix=gate.matrix, perm=gate.perm)
-    sub = circuits.Circuit(w, (circuits.ElementaryLayer((local,)),))
-    return circuits.BlockLayer("wide_gate", sub, gate.targets)
+def block_unitary(layer: circuits.Layer) -> tuple[tuple[int, ...], np.ndarray]:
+    """Dense unitary of a layer over its sorted support (for a block,
+    targets + control). One pass of the statevector interpreter over the
+    identity, whose columns ride on a trailing batch axis."""
+    support = tuple(sorted(layer.support))
+    dim = 2 ** len(support)
+    eye = np.eye(dim, dtype=complex).reshape((2,) * len(support) + (dim,))
+    u = statevector._apply_layers(eye, (layer,), {q: i for i, q in enumerate(support)})
+    return support, u.reshape(dim, dim)
 
 
 def _conjugate_declared_layer(
@@ -82,21 +66,21 @@ def _conjugate_declared_layer(
                 drop_tolerance=cfg.drop_tolerance,
             )
         for g in wide:
-            m = _conjugate_block(m, _wrap_wide_gate(g), cfg)
+            m = _conjugate_block(m, circuits.ElementaryLayer((g,)), cfg)
         return m
     return _conjugate_block(m, layer, cfg)
 
 
 def _conjugate_block(
-    m: PauliMap, block: circuits.BlockLayer, cfg: PropagationConfig
+    m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig
 ) -> PauliMap:
     # Refuse before building: the unitary alone has 4^width entries.
-    if len(block.support) > cfg.dense_block_limit:
+    if len(layer.support) > DENSE_BLOCK_LIMIT:
         raise ResourceLimitExceeded(
-            f"block on {len(block.support)} qubits exceeds dense block limit "
-            f"{cfg.dense_block_limit}"
+            f"block on {len(layer.support)} qubits exceeds dense block limit "
+            f"{DENSE_BLOCK_LIMIT}"
         )
-    support, u = block_unitary(block)
+    support, u = block_unitary(layer)
     return conjugate_dense(m, u, support, drop_tolerance=cfg.drop_tolerance)
 
 
@@ -152,14 +136,8 @@ def heuristic_expectation(
 ) -> float:
     """Backpropagate then evaluate on |x, 0...0>; x addresses the circuit's
     input register and all other qubits start at 0."""
-    lo, hi = c.input_register()
-    if len(bits) != hi - lo + 1:
-        raise ValueError("input length must match the input register")
-    full = ["0"] * c.n_qubits
-    for i, b in enumerate(bits):
-        full[lo + i] = str(int(b))
-    o0 = backpropagate(c, o, cfg)
-    return evaluate_product_state(o0, "".join(full))
+    full = c.full_input(bits)
+    return evaluate_product_state(backpropagate(c, o, cfg), full)
 
 
 def z_first(n_qubits: int) -> PauliMap:

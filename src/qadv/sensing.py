@@ -267,7 +267,6 @@ def minimal_separable_nt(
     success_target: float = 2 / 3,
     growth: float = 1.15,
     max_shots: int = 10**7,
-    jobs: int = 1,
 ) -> tuple[int, list[SweepCell]]:
     """Scan K geometrically, stopping at the first cell whose success rate
     meets the target; returns (N*T at that cell, all swept cells)."""
@@ -286,7 +285,6 @@ def minimal_separable_nt(
             [{"N": 1, "theta": theta, "gamma": gamma, "K": kk}],
             trials,
             seed=ss,
-            jobs=jobs,
         )
         cells.append(cell)
         if cell.success >= success_target:

@@ -7,7 +7,7 @@ the index, so ``prepare_basis(2, "10")`` puts the amplitude at index 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import ResourceLimitExceeded
 from .pauli import PauliMap
 
 #: Widest system simulated densely; every acceptance experiment fits in 14.
-DEFAULT_DENSE_LIMIT = 16
+DENSE_LIMIT = 16
 
 _NORM_TOL = 1e-9
 
@@ -41,10 +41,17 @@ def _bits_to_index(bits: str | Sequence[int]) -> int:
     return idx
 
 
+def _check_dense_limit(n_qubits: int) -> None:
+    if n_qubits > DENSE_LIMIT:
+        raise ResourceLimitExceeded(f"{n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
+
+
 def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
     """Computational basis state |bits>, first character = qubit 0."""
     if len(bits) != n_qubits:
         raise ValueError("bitstring length must equal qubit count")
+    # Refuse before allocating the 2^n amplitudes.
+    _check_dense_limit(n_qubits)
     amp = np.zeros(2**n_qubits, dtype=complex)
     amp[_bits_to_index(bits)] = 1.0
     return StateVector(n_qubits, amp)
@@ -67,14 +74,20 @@ def _apply_perm(arr: np.ndarray, perm: Sequence[int], axes: Sequence[int]) -> np
     return np.moveaxis(out.reshape(shape), range(w), axes)
 
 
-def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: Sequence[int]) -> np.ndarray:
+#: Qubit -> array axis, a list indexed by qubit or a dict keyed by qubit.
+AxisMap = Mapping[int, int] | Sequence[int]
+
+
+def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.ndarray:
     axes = [axis_map[t] for t in gate.targets]
     if gate.kind == "perm":
         return _apply_perm(arr, gate.perm, axes)
     return _apply_matrix(arr, gate.unitary(), axes)
 
 
-def _apply_layers(arr: np.ndarray, layers, axis_map: Sequence[int]) -> np.ndarray:
+def _apply_layers(arr: np.ndarray, layers, axis_map: AxisMap) -> np.ndarray:
+    """Apply layers to the qubit axes named by axis_map; axes no qubit maps
+    to are batch axes and pass through."""
     for layer in layers:
         if isinstance(layer, circuits.ElementaryLayer):
             for gate in layer.gates:
@@ -84,7 +97,7 @@ def _apply_layers(arr: np.ndarray, layers, axis_map: Sequence[int]) -> np.ndarra
     return arr
 
 
-def _apply_block(arr: np.ndarray, block: circuits.BlockLayer, axis_map: Sequence[int]) -> np.ndarray:
+def _apply_block(arr: np.ndarray, block: circuits.BlockLayer, axis_map: AxisMap) -> np.ndarray:
     target_axes = [axis_map[t] for t in block.targets]
     if block.control is None:
         return _apply_layers(arr, block.circuit.layers, target_axes)
@@ -99,17 +112,10 @@ def _apply_block(arr: np.ndarray, block: circuits.BlockLayer, axis_map: Sequence
     return out
 
 
-def apply_circuit(
-    s: StateVector,
-    c: circuits.Circuit,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> StateVector:
+def apply_circuit(s: StateVector, c: circuits.Circuit) -> StateVector:
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    if c.n_qubits > dense_limit:
-        raise ResourceLimitExceeded(
-            f"{c.n_qubits} qubits exceeds dense limit {dense_limit}"
-        )
+    _check_dense_limit(c.n_qubits)
     arr = s.amplitudes.reshape((2,) * s.n_qubits)
     arr = _apply_layers(arr, c.layers, list(range(s.n_qubits)))
     return StateVector(s.n_qubits, arr.reshape(-1))
@@ -155,11 +161,5 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     ``bits`` addresses the circuit's input register (the ``main`` register
     when declared, otherwise all qubits); remaining qubits start at 0.
     """
-    lo, hi = c.input_register()
-    if len(bits) != hi - lo + 1:
-        raise ValueError("input length must match the input register")
-    full = ["0"] * c.n_qubits
-    for i, b in enumerate(bits):
-        full[lo + i] = str(int(b))
-    out = apply_circuit(prepare_basis(c.n_qubits, "".join(full)), c)
+    out = apply_circuit(prepare_basis(c.n_qubits, c.full_input(bits)), c)
     return first_qubit_one_probability(out)

@@ -244,6 +244,12 @@ def test_resource_limit_exits_4(runner, tmp_path):
         main, ["detect", "--circuit", str(cpath), "--s", "2", "--out-dir", str(tmp_path)]
     )
     assert r.exit_code == 4
+    # Refused before the 2^40 amplitudes are allocated.
+    circuits.save_circuit(circuits.Circuit(40, ()), str(cpath))
+    r = runner.invoke(
+        main, ["detect", "--circuit", str(cpath), "--s", "2", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 4
     # Pauli masks are one uint64 word: a 66-qubit propagation is refused.
     r = runner.invoke(
         main, ["decay", "--n", "66", "--L", "1", "--trials", "2", "--out-dir", str(tmp_path)]

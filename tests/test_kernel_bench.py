@@ -2,7 +2,7 @@
 
 Run ``pytest tests/test_kernel_bench.py`` for timings; ``--benchmark-disable``
 runs each kernel once as a plain correctness smoke test. Every benchmark
-asserts that the kernel preserves the Pauli-2 norm.
+asserts that its kernel preserves the Pauli-2 norm or builds a unitary.
 """
 
 from itertools import combinations
@@ -10,7 +10,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from qadv import circuits
 from qadv.pauli import PauliMap, PauliString, clear_transfer_cache, conjugate_layer, transfer_matrix
+from qadv.propagation import block_unitary
 
 from oracles import haar_unitary
 
@@ -50,3 +52,15 @@ def test_transfer_matrix_two_qubit(benchmark):
 
     tm = benchmark.pedantic(transfer_matrix, setup=fresh, rounds=500)
     assert np.abs(tm.entries @ tm.entries.T - np.eye(16)).max() < 1e-12
+
+
+def test_block_unitary_suite_block(benchmark):
+    # The suite shape (n=6, m=2, copies=3, L=78): the controlled inverse
+    # brickwork is a 7-qubit block of 78 layers.
+    cq, _ = circuits.promise_instance("x", 2)
+    block = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0).layers[1]
+    assert block.name == "ctrl_inverse" and len(block.support) == 7
+    assert len(block.circuit.layers) == 78
+    support, u = benchmark(block_unitary, block)
+    assert support == tuple(sorted(block.support))
+    assert np.abs(u @ u.conj().T - np.eye(2**7)).max() < 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,36 +120,81 @@ def test_block_single_projection_semantics():
 
 
 def test_controlled_block_matches_dense_oracle():
-    cq, _ = circuits.promise_instance("x", 1)
-    c = circuits.build_cnew(cq, n=2, depth=2, copies=1, seed=6)
-    ctrl = c.layers[1]
-    assert isinstance(ctrl, BlockLayer) and ctrl.control is not None
-    support, u = block_unitary(ctrl)
-    want = circuit_unitary(Circuit(c.n_qubits, (ctrl,)))
     from oracles import embed
 
-    assert np.abs(embed(u, list(support), c.n_qubits) - want).max() < 1e-12
+    cq, _ = circuits.promise_instance("x", 1)
+    cnew = circuits.build_cnew(cq, n=2, depth=2, copies=1, seed=6)
+    assert isinstance(cnew.layers[1], BlockLayer) and cnew.layers[1].control is not None
+    rng = np.random.default_rng(8)
+    sub = circuits.random_brickwork(3, 3, seed=9)
+    sub = Circuit(3, sub.layers + (ElementaryLayer((
+        Gate("matrix", (2, 0, 1), matrix=haar_unitary(8, rng)),)),))
+    cases = {
+        "build_cnew ctrl_inverse": (cnew.n_qubits, cnew.layers[1]),
+        # Unsorted targets with the control between them.
+        "unsorted targets": (6, BlockLayer("b", sub, (5, 1, 3), control=2)),
+        "uncontrolled": (6, BlockLayer("b", sub, (4, 0, 2))),
+    }
+    for name, (n, block) in cases.items():
+        support, u = block_unitary(block)
+        assert support == tuple(sorted(block.support)), name
+        want = circuit_unitary(Circuit(n, (block,)))
+        assert np.abs(embed(u, list(support), n) - want).max() < 1e-12, name
 
 
 def test_wide_perm_gate_backpropagates_densely():
-    g = majority_gate([0, 1, 2], 3)
-    c = _circ(4, [g])
-    cfg = PropagationConfig(k=4)
-    got = backpropagate(c, z_first(4), cfg)
-    expected = conjugate_map_dense(z_first(4), circuit_unitary(c))
-    got_labels = {p.label(): c_ for p, c_ in got.terms.items()}
-    assert set(got_labels) == set(expected)
-    for label, coeff in expected.items():
-        assert got_labels[label] == pytest.approx(coeff, abs=1e-9)
+    # The second gate has unsorted targets and its output below its voters.
+    for n, g in ((4, majority_gate([0, 1, 2], 3)), (6, majority_gate([5, 1, 3], 0))):
+        c = _circ(n, [g])
+        got = backpropagate(c, z_first(n), PropagationConfig(k=n))
+        expected = conjugate_map_dense(z_first(n), circuit_unitary(c))
+        got_labels = {p.label(): c_ for p, c_ in got.terms.items()}
+        assert set(got_labels) == set(expected)
+        for label, coeff in expected.items():
+            assert got_labels[label] == pytest.approx(coeff, abs=1e-9)
 
 
-def test_block_wider_than_limit_rejected():
-    rng = np.random.default_rng(2)
-    sub = _circ(3, [Gate("matrix", (0, 1), matrix=haar_unitary(4, rng))])
-    c = Circuit(5, (BlockLayer("big", sub, (0, 1, 2), control=4),))
-    cfg = PropagationConfig(k=1, dense_block_limit=3)
-    with pytest.raises(ResourceLimitExceeded):
-        backpropagate(c, z_first(5), cfg)
+def _ctrl_inverse_block(w: int) -> BlockLayer:
+    """A controlled-inverse block on w qubits, the shape `build_cnew` makes."""
+    bw = circuits.random_brickwork(w - 1, 6, seed=1)
+    return BlockLayer("ctrl_inverse", bw.inverse(), tuple(range(w - 1)), control=w - 1)
+
+
+def test_block_unitary_is_one_interpreter_pass(monkeypatch):
+    # Count outermost calls only: a block re-enters _apply_layers for its
+    # sub-circuit.
+    real = sv._apply_layers
+    depth, outer = 0, 0
+
+    def counting(*args):
+        nonlocal depth, outer
+        outer += depth == 0
+        depth += 1
+        try:
+            return real(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(sv, "_apply_layers", counting)
+    for layer in (_ctrl_inverse_block(5), ElementaryLayer((majority_gate([4, 0, 2], 1),))):
+        outer = 0
+        block_unitary(layer)
+        assert outer == 1
+
+
+def test_block_unitary_transient_memory():
+    # The price of the batch axis: a controlled block holds the identity,
+    # its copy and three half-size arrays of the control=1 slice (3.5x the
+    # unitary's bytes); a perm gate holds three full-size arrays (3x).
+    for layer in (_ctrl_inverse_block(10), ElementaryLayer((majority_gate(range(1, 10), 0),))):
+        tracemalloc.start()
+        try:
+            _, u = block_unitary(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes == 16 * 4**10
+        assert peak < 4 * u.nbytes
 
 
 def test_block_limit_checked_before_building_unitary(monkeypatch):
@@ -156,16 +203,16 @@ def test_block_limit_checked_before_building_unitary(monkeypatch):
 
     monkeypatch.setattr(prop, "block_unitary", refuse)
     sub = _circ(13, [Gate("H", (q,)) for q in range(13)])
-    c = Circuit(14, (BlockLayer("wide", sub, tuple(range(13)), control=13),))
-    with pytest.raises(ResourceLimitExceeded):
-        backpropagate(c, z_first(14), PropagationConfig(k=1))
+    block = Circuit(14, (BlockLayer("wide", sub, tuple(range(13)), control=13),))
+    wide_gate = _circ(13, [Gate("perm", tuple(range(13)), perm=tuple(range(2**13)))])
+    for c in (block, wide_gate):
+        with pytest.raises(ResourceLimitExceeded):
+            backpropagate(c, z_first(c.n_qubits), PropagationConfig(k=1))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(k=0)
-    with pytest.raises(ValueError):
-        PropagationConfig(k=1, dense_block_limit=99)
 
 
 def test_accuracy_improves_with_k():

@@ -146,8 +146,16 @@ def test_qubit_count_mismatch_rejected():
 
 
 def test_dense_limit_enforced():
+    amps = np.zeros(2**17, dtype=complex)  # 2 MB
+    amps[0] = 1.0
     with pytest.raises(ResourceLimitExceeded):
-        sv.apply_circuit(sv.prepare_basis(3, "000"), Circuit(3, ()), dense_limit=2)
+        sv.apply_circuit(sv.StateVector(17, amps), Circuit(17, ()))
+
+
+def test_output_prob_refuses_before_allocating():
+    # 2^40 amplitudes would be 16 TiB: the refusal must come first.
+    with pytest.raises(ResourceLimitExceeded):
+        sv.output_prob(Circuit(40, ()), "0" * 40)
 
 
 def test_out_of_range_targets_rejected():
