@@ -18,17 +18,22 @@ Conventions used throughout the package:
 - Gate-local Pauli operators are indexed in base 4 with digits
   0=I, 1=X, 2=Y, 3=Z and the gate's first target as the most significant
   digit, matching the Kronecker order of the gate matrix.
+- ``conjugate_layer`` (gates of up to 3 qubits, through their transfer
+  matrices) and ``conjugate_dense`` (any unitary, by dense conjugation)
+  share one group-and-scatter step and differ only in how a row of local
+  coefficients spreads. Transfer matrices are plain arrays; the module
+  keeps no cache, so a caller that reuses gates memoizes them itself.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitExceeded
+from .errors import InvariantViolation, ResourceLimitExceeded
 
 # Hermitian single-qubit basis, indexed I=0, X=1, Y=2, Z=3.
 PAULI_1Q = np.array(
@@ -217,25 +222,6 @@ class PauliMap:
         return f"PauliMap({self.n_qubits}, {{{inner}}})"
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real matrix of conjugation coefficients for a 1-3 qubit unitary.
-
-    entries[a, b] = Tr(P_b U^dag P_a U) / 2^arity, so a row lists how the
-    input Pauli P_a spreads over output Paulis under backward evolution.
-    Rows are orthonormal (conjugation is an isometry of the Pauli basis)
-    and the identity row is the identity unit row.
-    """
-
-    arity: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = 4**self.arity
-        if self.entries.shape != (d, d):
-            raise ValueError("entries shape does not match arity")
-
-
 @functools.cache
 def _basis(arity: int) -> np.ndarray:
     """All 4^arity Hermitian Pauli matrices, first qubit most significant.
@@ -248,13 +234,6 @@ def _basis(arity: int) -> np.ndarray:
     return basis
 
 
-_TM_CACHE: dict[tuple[int, bytes], TransferMatrix] = {}
-# Random gates never repeat, so the cache only pays off for the few named
-# gates a circuit reuses; a small cap keeps one-shot Haar matrices from
-# piling up over a long Monte Carlo run.
-_TM_CACHE_MAX = 1024
-
-
 def check_unitary(u: np.ndarray, tol: float = _UNITARITY_TOL) -> None:
     d = u.shape[0]
     if u.shape != (d, d):
@@ -263,47 +242,33 @@ def check_unitary(u: np.ndarray, tol: float = _UNITARITY_TOL) -> None:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
-def transfer_matrix(u: np.ndarray) -> TransferMatrix:
-    """Pauli transfer coefficients of a 1-3 qubit unitary, cached by content."""
+def transfer_matrix(u: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix of a 1-3 qubit unitary.
+
+    entries[a, b] = Tr(P_b U^dag P_a U) / 2^w, so a row lists how the input
+    Pauli P_a spreads over output Paulis under backward evolution. Rows are
+    orthonormal (conjugation is an isometry of the Pauli basis) and the
+    identity row is the identity unit row.
+    """
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    arity = d.bit_length() - 1
     if d not in (2, 4, 8) or u.shape != (d, d):
         raise ValueError("unitary must act on 1, 2, or 3 qubits")
-    key = (d, u.tobytes())
-    cached = _TM_CACHE.get(key)
-    if cached is not None:
-        return cached
     check_unitary(u)
     # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U, U)
     # is vec(U^dag P_a U) with its two indices swapped; the product with
     # conj(vec(P_b)) = vec(P_b^T) then sums to Tr(P_b U^dag P_a U). The
     # Kronecker product is formed by broadcasting, which is faster than np.kron.
     superop = (u.conj()[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)
-    flat = _basis(arity).reshape(d * d, d * d)
+    flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)
     raw = flat @ superop @ flat.conj().T / d
     if np.abs(raw.imag).max() > _HERMITICITY_TOL:
-        raise ValueError("transfer matrix has nonreal entries")
+        raise InvariantViolation("transfer matrix has nonreal entries")
     entries = raw.real.copy()
     # Snap trace-noise to exact zeros so structurally absent outputs are
     # skipped; the perturbation is far below the orthogonality tolerance.
     entries[np.abs(entries) < 1e-13] = 0.0
-    tm = TransferMatrix(arity, entries)
-    if len(_TM_CACHE) >= _TM_CACHE_MAX:
-        _TM_CACHE.clear()
-    _TM_CACHE[key] = tm
-    return tm
-
-
-def clear_transfer_cache() -> None:
-    _TM_CACHE.clear()
-
-
-def _target_mask(targets: Sequence[int]) -> np.uint64:
-    mask = 0
-    for t in targets:
-        mask |= 1 << t
-    return np.uint64(mask)
+    return entries
 
 
 def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -342,37 +307,35 @@ def _group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, order[starts]
 
 
-def _split(x: np.ndarray, z: np.ndarray, targets: Sequence[int]):
-    """Find the terms that act on ``targets`` and group them by their
-    off-target part. Returns the mask of those terms, their local indices,
-    each one's group, and every group's off-target x- and z-masks."""
-    a = _gather_digits(x, z, targets)
-    moving = a != 0
-    off = ~_target_mask(targets)
-    rest_x, rest_z = x[moving] & off, z[moving] & off
-    group, first = _group(rest_x, rest_z)
-    return moving, a[moving], group, rest_x[first], rest_z[first]
-
-
-def _conjugate_gate(
-    x: np.ndarray, z: np.ndarray, c: np.ndarray, targets: Sequence[int], entries: np.ndarray
+def _conjugate_terms(
+    x: np.ndarray,
+    z: np.ndarray,
+    c: np.ndarray,
+    targets: Sequence[int],
+    spread_rows: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward-evolve the terms through one gate given by its transfer entries.
+    """Backward-evolve the terms through one unitary on ``targets``.
 
     Terms that are the identity on the targets pass through. The others are
     grouped by their off-target part; each group's coefficients over the
-    local indices form one row of a dense matrix that is multiplied by the
-    transfer entries, which sums every collision. A unitary preserves the
+    local indices form one row of a (groups, 4^w) array, and ``spread_rows``
+    maps those rows to the coefficients of the non-identity local outputs
+    (columns 1..4^w-1), summing every collision. A unitary preserves the
     trace, so a term that is not the identity on the targets never maps onto
-    one that is: the identity column is rounding noise and is not read, and
+    one that is: the identity output is rounding noise and is not kept, and
     no new term can coincide with a passing one.
     """
-    moving, a, group, rest_x, rest_z = _split(x, z, targets)
+    a = _gather_digits(x, z, targets)
+    moving = a != 0
     if not moving.any():
         return x, z, c
-    local = np.zeros((len(rest_x), entries.shape[0]))
-    local[group, a] = c[moving]
-    spread = local @ entries[:, 1:]
+    off = ~np.uint64(sum(1 << t for t in targets))
+    rest_x, rest_z = x[moving] & off, z[moving] & off
+    group, first = _group(rest_x, rest_z)
+    rest_x, rest_z = rest_x[first], rest_z[first]
+    local = np.zeros((len(first), 4 ** len(targets)))
+    local[group, a[moving]] = c[moving]
+    spread = spread_rows(local)
     g, b = np.nonzero(spread)
     bx, bz = _scatter_digits(b + 1, targets)
     stay = ~moving
@@ -385,17 +348,18 @@ def _conjugate_gate(
 
 def conjugate_layer(
     m: PauliMap,
-    gates: Iterable[tuple[Sequence[int], TransferMatrix]],
+    gates: Iterable[tuple[Sequence[int], np.ndarray]],
     drop_tolerance: float = DROP_TOLERANCE,
 ) -> PauliMap:
-    """Backward-evolve a PauliMap through one layer of disjoint gates.
+    """Backward-evolve a PauliMap through one layer of disjoint gates, each
+    given as its targets and its ``transfer_matrix``.
 
     Computes U^dag O U for the layer unitary U; exact up to the drop
     tolerance, so the Frobenius norm is preserved.
     """
     gates = list(gates)
     seen = 0
-    for targets, tm in gates:
+    for targets, entries in gates:
         tmask = 0
         for t in targets:
             if not 0 <= t < m.n_qubits:
@@ -403,13 +367,13 @@ def conjugate_layer(
             tmask |= 1 << t
         if tmask & seen:
             raise ValueError("overlapping gate supports in one layer")
-        if len(targets) != tm.arity:
-            raise ValueError("transfer matrix arity does not match targets")
+        if entries.shape != (4 ** len(targets),) * 2:
+            raise ValueError("transfer matrix shape does not match targets")
         seen |= tmask
 
     x, z, c = m.x, m.z, m.coeffs
-    for targets, tm in gates:
-        x, z, c = _conjugate_gate(x, z, c, targets, tm.entries)
+    for targets, entries in gates:
+        x, z, c = _conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
     return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)
 
 
@@ -444,38 +408,27 @@ def conjugate_dense(
 ) -> PauliMap:
     """Backward-evolve through a wide unitary by dense matrix conjugation.
 
-    The unitary acts on ``support`` (sorted qubit indices); terms disjoint
-    from the support pass through untouched. Touched terms are grouped by
-    their off-support factor, materialized as a dense matrix, conjugated
-    as U^dag M U, and re-expanded in the Pauli basis. As in conjugate_layer,
-    the trace is preserved, so the identity coefficient on the support is
-    rounding noise and is not kept.
+    The unitary acts on ``support`` in the given qubit order (first qubit
+    most significant); terms disjoint from the support pass through
+    untouched. Each group of touched terms that share an off-support factor
+    is materialized as a dense matrix M, conjugated as U^dag M U, and
+    re-expanded in the Pauli basis.
     """
     support = tuple(support)
     w = len(support)
     if unitary.shape != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
-    moving, a, group, rest_x, rest_z = _split(m.x, m.z, support)
-    c = m.coeffs[moving]
-    stay = ~moving
-    xs, zs, cs = [m.x[stay]], [m.z[stay]], [m.coeffs[stay]]
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(len(rest_x) + 1))
     udag = unitary.conj().T
-    for g in range(len(rest_x)):
-        idx = order[bounds[g] : bounds[g + 1]]
-        local = np.zeros(4**w)
-        local[a[idx]] = c[idx]
-        conjugated = udag @ _local_matrix(local, w) @ unitary
-        coeffs = _pauli_coefficients(conjugated, w)
-        if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
-            raise ValueError("conjugation produced nonreal Pauli coefficients")
-        b = np.flatnonzero(np.abs(coeffs.real[1:]) > drop_tolerance) + 1
-        bx, bz = _scatter_digits(b, support)
-        xs.append(rest_x[g] | bx)
-        zs.append(rest_z[g] | bz)
-        cs.append(coeffs.real[b])
-    return PauliMap._from_arrays(
-        m.n_qubits, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs), drop_tolerance
-    )
+
+    def spread_rows(rows: np.ndarray) -> np.ndarray:
+        out = np.empty((len(rows), 4**w - 1))
+        for g, row in enumerate(rows):
+            coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ unitary, w)
+            if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
+                raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
+            out[g] = coeffs.real[1:]
+        return out
+
+    x, z, c = _conjugate_terms(m.x, m.z, m.coeffs, support, spread_rows)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)

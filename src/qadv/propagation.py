@@ -1,7 +1,8 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through cached Pauli transfer matrices;
+Elementary layers evolve exactly through Pauli transfer matrices, memoized
+by gate unitary within one backward pass (nothing outlives the call);
 composite blocks (and elementary gates wider than 3 qubits) evolve by
 dense conjugation of the truncated observable over the block support.
 `block_unitary` builds that dense unitary in one pass of the statevector
@@ -53,8 +54,19 @@ def block_unitary(layer: circuits.Layer) -> tuple[tuple[int, ...], np.ndarray]:
     return support, u.reshape(dim, dim)
 
 
+def _transfer(gate: circuits.Gate, memo: dict[bytes, np.ndarray]) -> np.ndarray:
+    """The gate's transfer matrix, computed once per distinct unitary."""
+    u = np.asarray(gate.unitary(), dtype=complex)
+    # As complex128, the byte length alone tells 1-, 2- and 3-qubit gates apart.
+    key = u.tobytes()
+    entries = memo.get(key)
+    if entries is None:
+        entries = memo[key] = transfer_matrix(u)
+    return entries
+
+
 def _conjugate_declared_layer(
-    m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig
+    m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig, memo: dict[bytes, np.ndarray]
 ) -> PauliMap:
     if isinstance(layer, circuits.ElementaryLayer):
         narrow = [g for g in layer.gates if len(g.targets) <= 3]
@@ -62,7 +74,7 @@ def _conjugate_declared_layer(
         if narrow:
             m = conjugate_layer(
                 m,
-                [(g.targets, transfer_matrix(g.unitary())) for g in narrow],
+                [(g.targets, _transfer(g, memo)) for g in narrow],
                 drop_tolerance=cfg.drop_tolerance,
             )
         for g in wide:
@@ -95,14 +107,16 @@ def backpropagate(
     Projects the observable to weight <= k up front, then for each layer
     from last to first conjugates exactly and projects once. With
     record_norms, also returns the normalized squared Frobenius norm after
-    the initial projection and after each layer step.
+    the initial projection and after each layer step. Transfer matrices
+    are memoized for this pass only.
     """
     if o.n_qubits != c.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     acc = o.project_weight(cfg.k)
     norms = [acc.frobenius_normalized()]
+    memo: dict[bytes, np.ndarray] = {}
     for layer in reversed(c.layers):
-        acc = _conjugate_declared_layer(acc, layer, cfg).project_weight(cfg.k)
+        acc = _conjugate_declared_layer(acc, layer, cfg, memo).project_weight(cfg.k)
         if record_norms:
             norms.append(acc.frobenius_normalized())
     if record_norms:

@@ -23,6 +23,11 @@ from .errors import InvariantViolation
 _NORM_TOL = 1e-9
 
 
+def _children_sum(tree: np.ndarray, lo: int) -> np.ndarray:
+    """Sum of the two children of every node on the level lo..2lo-1."""
+    return tree[2 * lo : 4 * lo : 2] + tree[2 * lo + 1 : 4 * lo : 2]
+
+
 class SQVector:
     """Immutable sample-and-query wrapper around a unit vector."""
 
@@ -43,9 +48,14 @@ class SQVector:
         """Re-verify the prefix-sum invariants in O(N)."""
         if abs(self.tree[1] - 1.0) > _NORM_TOL:
             raise InvariantViolation(f"root sum {self.tree[1]} deviates from 1")
-        for node in range(1, self.dim):
-            if abs(self.tree[node] - (self.tree[2 * node] + self.tree[2 * node + 1])) > 1e-12:
+        # Levels top down, so the first bad node found is the first in heap order.
+        lo = 1
+        while lo < self.dim:
+            bad = np.abs(self.tree[lo : 2 * lo] - _children_sum(self.tree, lo)) > 1e-12
+            if bad.any():
+                node = lo + int(bad.argmax())
                 raise InvariantViolation(f"node {node} does not match its children")
+            lo *= 2
 
 
 def build(v, normalize: bool = False) -> SQVector:
@@ -63,8 +73,10 @@ def build(v, normalize: bool = False) -> SQVector:
         values = np.concatenate([values, np.zeros(dim - len(values))])
     tree = np.zeros(2 * dim)
     tree[dim:] = values**2
-    for node in range(dim - 1, 0, -1):
-        tree[node] = tree[2 * node] + tree[2 * node + 1]
+    lo = dim // 2
+    while lo >= 1:
+        tree[lo : 2 * lo] = _children_sum(tree, lo)
+        lo //= 2
     return SQVector(dim, values, tree)
 
 

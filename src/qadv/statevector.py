@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import circuits
-from .errors import ResourceLimitExceeded
+from .errors import InvariantViolation, ResourceLimitExceeded
 from .pauli import PauliMap
 
 #: Widest system simulated densely; every acceptance experiment fits in 14.
@@ -57,32 +57,24 @@ def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def _apply_matrix(arr: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    w = len(axes)
-    m = matrix.reshape((2,) * (2 * w))
-    arr = np.tensordot(m, arr, axes=(tuple(range(w, 2 * w)), tuple(axes)))
-    return np.moveaxis(arr, range(w), axes)
-
-
-def _apply_perm(arr: np.ndarray, perm: Sequence[int], axes: Sequence[int]) -> np.ndarray:
-    w = len(axes)
-    moved = np.moveaxis(arr, axes, range(w))
-    shape = moved.shape
-    flat = moved.reshape(2**w, -1)
-    out = np.empty_like(flat)
-    out[list(perm)] = flat
-    return np.moveaxis(out.reshape(shape), range(w), axes)
-
-
 #: Qubit -> array axis, a list indexed by qubit or a dict keyed by qubit.
 AxisMap = Mapping[int, int] | Sequence[int]
 
 
 def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.ndarray:
+    """Move the target axes to the front, flatten them to 2^w rows (first
+    target most significant), multiply or permute the rows, and move the
+    axes back."""
     axes = [axis_map[t] for t in gate.targets]
+    w = len(axes)
+    moved = np.moveaxis(arr, axes, range(w))
+    rows = moved.reshape(2**w, -1)
     if gate.kind == "perm":
-        return _apply_perm(arr, gate.perm, axes)
-    return _apply_matrix(arr, gate.unitary(), axes)
+        out = np.empty_like(rows)
+        out[list(gate.perm)] = rows
+    else:
+        out = gate.unitary() @ rows
+    return np.moveaxis(out.reshape(moved.shape), range(w), axes)
 
 
 def _apply_layers(arr: np.ndarray, layers, axis_map: AxisMap) -> np.ndarray:
@@ -146,7 +138,7 @@ def expectation(s: StateVector, o: PauliMap) -> float:
         phase = 1j ** ((p.x & p.z).bit_count() % 4)
         total += coeff * phase * np.vdot(amp[flipped], signs * amp)
     if abs(total.imag) > _NORM_TOL:
-        raise ValueError(f"expectation has imaginary residue {total.imag}")
+        raise InvariantViolation(f"expectation has imaginary residue {total.imag}")
     return float(total.real)
 
 

@@ -119,8 +119,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def conjugate_gate_labels(m, targets, tm) -> dict[str, float]:
-    """One gate applied term by term from its transfer entries, rewriting
+def conjugate_gate_labels(m, targets, entries) -> dict[str, float]:
+    """One gate applied term by term from its transfer matrix, rewriting
     each output with PauliString.with_digit; keyed by label."""
     w = len(targets)
     out: dict[str, float] = {}
@@ -129,7 +129,7 @@ def conjugate_gate_labels(m, targets, tm) -> dict[str, float]:
         for t in targets:
             a = 4 * a + p.digit(t)
         for b in range(4**w):
-            v = tm.entries[a, b]
+            v = entries[a, b]
             if v == 0.0:
                 continue
             q = p

@@ -236,6 +236,20 @@ def test_invariant_violation_exits_3(runner, tmp_path, monkeypatch):
     assert r.exit_code == 3
 
 
+def test_internal_check_failure_exits_3(runner, tmp_path, monkeypatch):
+    # A failed internal consistency check is a broken invariant, not a
+    # configuration error: with a negative tolerance every transfer matrix
+    # fails its realness check.
+    from qadv import pauli
+
+    monkeypatch.setattr(pauli, "_HERMITICITY_TOL", -1)
+    r = runner.invoke(
+        main, ["decay", "--n", "4", "--L", "1", "--trials", "2", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 3
+    assert "invariant violation" in r.output
+
+
 def test_resource_limit_exits_4(runner, tmp_path):
     wide = circuits.Circuit(17, ())
     cpath = tmp_path / "wide.json"

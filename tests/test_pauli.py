@@ -68,8 +68,7 @@ def test_pauli_map_wider_than_64_qubits_refused():
 
 
 def test_transfer_identity_unitary():
-    tm = transfer_matrix(np.eye(4))
-    assert np.allclose(tm.entries, np.eye(16))
+    assert np.allclose(transfer_matrix(np.eye(4)), np.eye(16))
 
 
 def test_transfer_rejects_non_unitary():
@@ -90,8 +89,8 @@ def test_transfer_swap_permutes_pairs():
                 for lb in labels
             ]
         )
-        assert np.allclose(tm.entries[a], expected, atol=1e-12)
-        assert tm.entries[a, labels.index(la[1] + la[0])] == pytest.approx(1.0)
+        assert np.allclose(tm[a], expected, atol=1e-12)
+        assert tm[a, labels.index(la[1] + la[0])] == pytest.approx(1.0)
 
 
 def test_transfer_cnot_known_rows():
@@ -101,10 +100,10 @@ def test_transfer_cnot_known_rows():
     xi = labels.index("XI")
     row = np.zeros(16)
     row[zi] = 1.0
-    assert np.allclose(tm.entries[zi], row, atol=1e-12)
+    assert np.allclose(tm[zi], row, atol=1e-12)
     row = np.zeros(16)
     row[labels.index("XX")] = 1.0
-    assert np.allclose(tm.entries[xi], row, atol=1e-12)
+    assert np.allclose(tm[xi], row, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
@@ -112,11 +111,11 @@ def test_transfer_cnot_known_rows():
 def test_transfer_orthogonal_and_identity_row(seed, dim):
     u = haar_unitary(dim, np.random.default_rng(seed))
     tm = transfer_matrix(u)
-    d = 4**tm.arity
-    assert np.abs(tm.entries @ tm.entries.T - np.eye(d)).max() < 1e-10
+    d = dim * dim
+    assert np.abs(tm @ tm.T - np.eye(d)).max() < 1e-10
     ident = np.zeros(d)
     ident[0] = 1.0
-    assert np.abs(tm.entries[0] - ident).max() < 1e-10
+    assert np.abs(tm[0] - ident).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +246,8 @@ def test_conjugate_layer_at_64_qubits_matches_label_reference(seed):
         ((0,), haar_unitary(2, rng)),
     )
     expected = m
-    for targets, tm in gates:
-        labels = conjugate_gate_labels(expected, targets, tm)
+    for targets, entries in gates:
+        labels = conjugate_gate_labels(expected, targets, entries)
         expected = PauliMap(n, {PauliString.from_label(l): c for l, c in labels.items()})
     out = conjugate_layer(m, gates)
     got = {p.label(): c for p, c in out.terms.items()}
@@ -303,6 +302,30 @@ print(tracemalloc.get_traced_memory()[1], out.frobenius_normalized())
     peak, norm = run.stdout.split()
     assert int(peak) < 8 * 2**20
     assert float(norm) == pytest.approx(1.0, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20)
+def test_conjugate_dense_agrees_with_conjugate_layer(seed):
+    # Both kernels on the same 1-3 qubit unitary, targets in any order:
+    # conjugate_dense takes the unitary in target order, as a gate does.
+    rng = np.random.default_rng(seed)
+    n = 5
+    terms = {}
+    for _ in range(rng.integers(1, 8)):
+        p = PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
+        terms[p] = float(rng.normal())
+    m = PauliMap(n, terms)
+    w = int(rng.integers(1, 4))
+    targets = tuple(int(t) for t in rng.permutation(n)[:w])
+    u = haar_unitary(2**w, rng)
+    dense = conjugate_dense(m, u, targets)
+    layer = conjugate_layer(m, _layer((targets, u)))
+    got = {p.label(): c for p, c in dense.terms.items()}
+    want = {p.label(): c for p, c in layer.terms.items()}
+    assert set(got) == set(want)
+    for label, coeff in want.items():
+        assert got[label] == pytest.approx(coeff, abs=1e-12)
 
 
 def test_conjugate_dense_untouched_terms_pass_through():

@@ -210,6 +210,32 @@ def test_block_limit_checked_before_building_unitary(monkeypatch):
             backpropagate(c, z_first(c.n_qubits), PropagationConfig(k=1))
 
 
+def test_transfer_matrices_memoized_per_backward_pass(monkeypatch):
+    # Trotter-style: RX, CNOT and RZ layers repeated, so three distinct
+    # unitaries across 4 * 3 * 2 = 24 gates. Each pass builds each once.
+    n, steps = 4, 3
+    layers = []
+    for _ in range(steps):
+        layers.append([Gate("RX", (q,), param=0.3) for q in range(n)])
+        layers.append([Gate("CNOT", (q, q + 1)) for q in range(0, n, 2)])
+        layers.append([Gate("RZ", (q,), param=0.7) for q in range(n)])
+    c = _circ(n, *layers)
+    calls = []
+    real = prop.transfer_matrix
+
+    def counting(u):
+        calls.append(u.tobytes())
+        return real(u)
+
+    monkeypatch.setattr(prop, "transfer_matrix", counting)
+    cfg = PropagationConfig(k=n)
+    first = backpropagate(c, z_first(n), cfg)
+    assert len(calls) == 3 and len(set(calls)) == 3
+    second = backpropagate(c, z_first(n), cfg)
+    assert len(calls) == 6 and set(calls[3:]) == set(calls[:3])
+    assert second.terms == first.terms
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(k=0)

@@ -191,6 +191,35 @@ def test_check_tree_detects_corruption():
         v.check_tree()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+def test_tree_matches_node_by_node_sums(n):
+    v = sq.build(np.random.default_rng(n).standard_normal(n), normalize=True)
+    want = np.zeros(2 * v.dim)
+    want[v.dim:] = v.values**2
+    for node in range(v.dim - 1, 0, -1):
+        want[node] = want[2 * node] + want[2 * node + 1]
+    assert np.array_equal(v.tree, want)
+    v.check_tree()
+
+
+def test_check_tree_reports_first_bad_node_in_heap_order():
+    v = sq.build(np.full(8, np.sqrt(1 / 8)))
+    v.tree[13] += 1e-6  # a leaf of node 6
+    v.tree[11] += 1e-6  # a leaf of node 5
+    with pytest.raises(InvariantViolation, match="node 5 does"):
+        v.check_tree()
+    v.tree[11] -= 1e-6
+    # Nodes 2 and 3 move in opposite directions, so the root still matches.
+    v.tree[2] += 1e-6
+    v.tree[3] -= 1e-6
+    with pytest.raises(InvariantViolation, match="node 2 does"):
+        v.check_tree()
+    v.tree[2] -= 1e-6
+    v.tree[3] += 1e-6
+    with pytest.raises(InvariantViolation, match="node 6 does"):
+        v.check_tree()
+
+
 def test_load_vector_formats(tmp_path):
     arr = np.array([0.1, -0.2, 0.3])
     npy = tmp_path / "v.npy"
