@@ -37,15 +37,6 @@ class SocksStats:
     bob_marginal: float
     correlation: float  # mean of product of +-1 outcomes
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "joint": self.joint,
-            "alice_marginal": self.alice_marginal,
-            "bob_marginal": self.bob_marginal,
-            "correlation": self.correlation,
-        }
-
 
 def socks_simulation(trials: int, rng: np.random.Generator) -> SocksStats:
     """Shared uniform bit, both parties report it: perfectly correlated

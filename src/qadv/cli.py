@@ -6,8 +6,12 @@ type. The table is the only place defaults live; a config file overrides
 them, and explicit flags override the config file. Keys without a flag
 (``drop_tolerance``, ``cells``) can only be set by a config file.
 
-Outputs land in --out-dir (or $QADV_OUTPUT_DIR): a JSON report, CSV
-tables, and a run manifest. Exit codes: 2 config/schema error, 3 runtime
+An executor maps the resolved config to an `Output` and writes nothing;
+`_execute` alone writes files into --out-dir (or $QADV_OUTPUT_DIR): the
+report ``<subcommand>_report.json``, at most one CSV table, and last the
+manifest ``<subcommand>_manifest.json``, only when the run succeeded.
+``rerun`` refuses a manifest whose stored hash does not match its
+subcommand and config. Exit codes: 2 config/schema error, 3 runtime
 invariant violation, 4 resource limit exceeded.
 """
 
@@ -19,12 +23,13 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from typing import NamedTuple
 
 import click
 import numpy as np
 
-from . import bell, circuits, detection, manifest, propagation, sensing, sq, statevector
+from . import bell, circuits, detection, manifest, sensing, sq
 from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded
 
 
@@ -71,12 +76,33 @@ def guarded(fn):
     return wrapper
 
 
+class Output(NamedTuple):
+    """What an executor returns: the report, the console summary, at most one
+    CSV table as (file stem, header, rows), and a failure that `_execute`
+    raises once the report and table are written, so no manifest follows."""
+
+    report: dict
+    summary: list[str]
+    table: tuple[str, list[str], list] | None = None
+    failure: InvariantViolation | None = None
+
+
 def _execute(subcommand: str, config: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one executor and write everything it produced: the report, the
+    optional CSV table, and last the manifest."""
     started = time.perf_counter()
     mhash = manifest.manifest_hash(subcommand, config)
-    payload, outputs = _EXECUTORS[subcommand](config, out_dir, mhash)
-    duration = time.perf_counter() - started
+    out = _EXECUTORS[subcommand](config)
+    os.makedirs(out_dir, exist_ok=True)
+    stem = subcommand.replace("-", "_")
+    outputs = [os.path.join(out_dir, f"{stem}_report.json")]
+    manifest.write_json_report(outputs[0], out.report, mhash)
+    if out.table is not None:
+        table_stem, header, rows = out.table
+        outputs.append(os.path.join(out_dir, f"{table_stem}.csv"))
+        manifest.write_csv_table(outputs[1], header, rows, mhash)
+    if out.failure is not None:
+        raise out.failure
     m = manifest.RunManifest(
         subcommand=subcommand,
         config=config,
@@ -84,20 +110,25 @@ def _execute(subcommand: str, config: dict, out_dir: str) -> None:
         version=manifest.ARTIFACT_VERSION,
         manifest_hash=mhash,
         outputs=outputs,
-        duration_s=duration,
+        duration_s=time.perf_counter() - started,
     )
-    mpath = os.path.join(out_dir, f"{subcommand.replace('-', '_')}_manifest.json")
+    mpath = os.path.join(out_dir, f"{stem}_manifest.json")
     manifest.write_manifest(mpath, m)
     click.echo(f"{subcommand}: wrote {', '.join(outputs)} (manifest {mpath})")
-    for line in payload.get("summary_lines", []):
+    for line in out.summary:
         click.echo(f"  {line}")
 
 
+def _records(stem: str, items: list) -> tuple[str, list[str], list]:
+    """A CSV table with one row per dataclass instance, its header the field names."""
+    return stem, [f.name for f in fields(items[0])], [astuple(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
-# Executors: resolved config -> (report payload, output paths)
+# Executors: resolved config -> Output
 
 
-def _exec_decay(config: dict, out_dir: str, mhash: str):
+def _exec_decay(config: dict) -> Output:
     result = detection.decay_experiment(
         n=config["n"],
         layers=config["L"],
@@ -106,48 +137,35 @@ def _exec_decay(config: dict, out_dir: str, mhash: str):
         jobs=config["jobs"],
         drop_tolerance=config["drop_tolerance"],
     )
-    report = result.to_dict()
-    jpath = os.path.join(out_dir, "decay_report.json")
-    cpath = os.path.join(out_dir, "decay_layers.csv")
-    manifest.write_json_report(jpath, report, mhash)
-    rows = [
-        (j, result.layer_means[j], result.ratios[j - 1] if j else "")
-        for j in range(len(result.layer_means))
-    ]
-    manifest.write_csv_table(cpath, ["layer", "mean_norm", "ratio"], rows, mhash)
-    report["summary_lines"] = [
-        f"ratios min={min(result.ratios):.4f} max={max(result.ratios):.4f} (expect 0.4)",
-        f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}",
-    ]
-    return report, [jpath, cpath]
-
-
-def _exec_detect(config: dict, out_dir: str, mhash: str):
-    c = circuits.load_circuit(config["circuit"])
-    cfg = propagation.PropagationConfig(
-        k=config["k"], drop_tolerance=config["drop_tolerance"]
+    rows = [(j, m, result.ratios[j - 1] if j else "") for j, m in enumerate(result.layer_means)]
+    return Output(
+        asdict(result),
+        [
+            f"ratios min={min(result.ratios):.4f} max={max(result.ratios):.4f} "
+            f"(expect {result.expected_ratio})",
+            f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}",
+        ],
+        ("decay_layers", ["layer", "mean_norm", "ratio"], rows),
     )
+
+
+def _exec_detect(config: dict) -> Output:
     report = detection.detect(
-        c, s=config["s"], k=config["k"], seed=config["seed"], shots=config["shots"],
-        cfg=cfg,
+        circuits.load_circuit(config["circuit"]),
+        s=config["s"],
+        k=config["k"],
+        seed=config["seed"],
+        shots=config["shots"],
+        drop_tolerance=config["drop_tolerance"],
     )
-    jpath = os.path.join(out_dir, "detect_report.json")
-    cpath = os.path.join(out_dir, "detect_records.csv")
-    manifest.write_json_report(jpath, report.to_dict(), mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["x", "exact", "heuristic", "difference"],
-        [(r.x, r.exact, r.heuristic, r.difference) for r in report.records],
-        mhash,
+    return Output(
+        asdict(report),
+        [f"verdict={report.verdict} disagree_fraction={report.disagree_fraction:.4f}"],
+        _records("detect_records", report.records),
     )
-    payload = report.to_dict()
-    payload["summary_lines"] = [
-        f"verdict={report.verdict} disagree_fraction={report.disagree_fraction:.4f}"
-    ]
-    return payload, [jpath, cpath]
 
 
-def _exec_suite(config: dict, out_dir: str, mhash: str):
+def _exec_suite(config: dict) -> Output:
     instances = detection.default_instances(
         config["yes"], config["no"], config["m"], seed=config["seed"]
     )
@@ -162,28 +180,17 @@ def _exec_suite(config: dict, out_dir: str, mhash: str):
         jobs=config["jobs"],
         drop_tolerance=config["drop_tolerance"],
     )
-    jpath = os.path.join(out_dir, "suite_report.json")
-    cpath = os.path.join(out_dir, "suite_entries.csv")
-    manifest.write_json_report(jpath, result.to_dict(), mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["name", "label", "exact_probability", "verdict", "disagree_fraction", "correct"],
-        [
-            (
-                e.name,
-                e.label,
-                e.exact_probability,
-                e.report.verdict,
-                e.report.disagree_fraction,
-                e.correct,
-            )
-            for e in result.entries
-        ],
-        mhash,
+    rows = [
+        (e.name, e.label, e.exact_probability, e.report.verdict, e.report.disagree_fraction,
+         e.correct)
+        for e in result.entries
+    ]
+    header = ["name", "label", "exact_probability", "verdict", "disagree_fraction", "correct"]
+    return Output(
+        asdict(result),
+        [f"correct {result.correct}/{result.total}: {result.confusion}"],
+        ("suite_entries", header, rows),
     )
-    payload = result.to_dict()
-    payload["summary_lines"] = [f"correct {result.correct}/{result.total}: {result.confusion}"]
-    return payload, [jpath, cpath]
 
 
 def _load_sq(path: str, normalize: bool) -> sq.SQVector:
@@ -193,83 +200,66 @@ def _load_sq(path: str, normalize: bool) -> sq.SQVector:
         raise ConfigError(f"cannot build sample access from {path}: {exc}") from exc
 
 
-def _exec_dequant_build(config: dict, out_dir: str, mhash: str):
+def _exec_dequant_build(config: dict) -> Output:
     sqv = _load_sq(config["vector"], config["normalize"])
     sqv.check_tree()
-    report = {
-        "dim": sqv.dim,
-        "root": float(sqv.tree[1]),
-        "nonzero": int(np.count_nonzero(sqv.values)),
-    }
-    jpath = os.path.join(out_dir, "dequant_build_report.json")
-    manifest.write_json_report(jpath, report, mhash)
-    report["summary_lines"] = [f"dim={sqv.dim} root={report['root']:.12g}"]
-    return report, [jpath]
+    root = float(sqv.tree[1])
+    report = {"dim": sqv.dim, "root": root, "nonzero": int(np.count_nonzero(sqv.values))}
+    return Output(report, [f"dim={sqv.dim} root={root:.12g}"])
 
 
-def _exec_dequant_sample(config: dict, out_dir: str, mhash: str):
+def _exec_dequant_sample(config: dict) -> Output:
+    draws = config["draws"]
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
     sqv = _load_sq(config["vector"], config["normalize"])
     rng = np.random.default_rng(config["seed"])
-    idx = sq.sample_many(sqv, rng.random(config["draws"]))
-    counts = np.bincount(idx, minlength=sqv.dim)
+    counts = np.bincount(sq.sample_many(sqv, rng.random(draws)), minlength=sqv.dim)
     probs = sqv.tree[sqv.dim :]
-    tv = 0.5 * float(np.abs(counts / config["draws"] - probs).sum())
-    report = {"dim": sqv.dim, "draws": config["draws"], "tv_distance": tv}
-    jpath = os.path.join(out_dir, "dequant_sample_report.json")
-    cpath = os.path.join(out_dir, "dequant_samples.csv")
-    manifest.write_json_report(jpath, report, mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["index", "count", "probability"],
-        [(i, int(counts[i]), float(probs[i])) for i in range(sqv.dim)],
-        mhash,
+    tv = 0.5 * float(np.abs(counts / draws - probs).sum())
+    return Output(
+        {"dim": sqv.dim, "draws": draws, "tv_distance": tv},
+        [f"TV distance to exact distribution: {tv:.4f}"],
+        ("dequant_samples", ["index", "count", "probability"],
+         [(i, int(counts[i]), float(probs[i])) for i in range(sqv.dim)]),
     )
-    report["summary_lines"] = [f"TV distance to exact distribution: {tv:.4f}"]
-    return report, [jpath, cpath]
 
 
-def _exec_dequant_estimate(config: dict, out_dir: str, mhash: str):
+def _exec_dequant_estimate(config: dict) -> Output:
     sqx = _load_sq(config["x"], config["normalize"])
     try:
         y = sq.load_vector(config["y"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read query vector: {exc}") from exc
-    ny = np.linalg.norm(y)
     if config["normalize"]:
-        y = y / ny
+        y = y / np.linalg.norm(y)
     if len(y) < sqx.dim:
         y = np.concatenate([y, np.zeros(sqx.dim - len(y))])
     rng = np.random.default_rng(config["seed"])
     est = sq.inner_product_estimate(sqx, y, config["samples"], rng)
     exact = float(np.dot(sqx.values, y))
-    report = est.to_dict()
-    report["exact"] = exact
-    report["abs_error"] = abs(est.estimate - exact)
-    jpath = os.path.join(out_dir, "dequant_estimate_report.json")
-    manifest.write_json_report(jpath, report, mhash)
-    report["summary_lines"] = [
-        f"estimate={est.estimate:.6g} exact={exact:.6g} stderr={est.stderr:.2g}"
-    ]
-    return report, [jpath]
-
-
-def _exec_sense(config: dict, out_dir: str, mhash: str):
-    theta, gamma = config["theta"], config["gamma"]
-    r = config["r_uses"] or sensing.default_uses_per_shot(gamma)
-    cfg = sensing.SensingConfig(
-        n_probes=1, theta=theta, gamma=gamma, repetitions=config["shots"]
+    return Output(
+        {**asdict(est), "exact": exact, "abs_error": abs(est.estimate - exact)},
+        [f"estimate={est.estimate:.6g} exact={exact:.6g} stderr={est.stderr:.2g}"],
     )
+
+
+def _exec_sense(config: dict) -> Output:
+    theta, gamma, shots = config["theta"], config["gamma"], config["shots"]
+    r = sensing.default_uses_per_shot(gamma) if config["r_uses"] is None else config["r_uses"]
+    cfg = sensing.SensingConfig(n_probes=1, theta=theta, gamma=gamma, repetitions=shots)
     rng = np.random.default_rng(config["seed"])
     outcome = sensing.separable_protocol(cfg, uses_per_shot=r, rng=rng)
     eps = sensing.separable_bias(theta, gamma, r)
-    stderr = math.sqrt(0.25 / config["shots"])
+    stderr = math.sqrt(0.25 / shots)
+    bias = outcome.fraction - 0.5
     report = {
         "theta": theta,
         "gamma": gamma,
         "uses_per_shot": r,
-        "shots": config["shots"],
+        "shots": shots,
         "fraction": outcome.fraction,
-        "bias_measured": outcome.fraction - 0.5,
+        "bias_measured": bias,
         "bias_analytic": eps,
         "fraction_stderr": stderr,
         "decision": outcome.decision,
@@ -277,16 +267,12 @@ def _exec_sense(config: dict, out_dir: str, mhash: str):
         "kl_sample_bound": sensing.kl_sample_bound(theta, gamma) if theta > 0 else None,
         "nt_bound": sensing.nt_bound_branches(theta, gamma) if theta > 0 else None,
     }
-    jpath = os.path.join(out_dir, "sense_report.json")
-    manifest.write_json_report(jpath, report, mhash)
-    report["summary_lines"] = [
-        f"measured bias {report['bias_measured']:.5f} vs analytic {eps:.5f} "
-        f"(stderr {stderr:.5f})"
-    ]
-    return report, [jpath]
+    return Output(
+        report, [f"measured bias {bias:.5f} vs analytic {eps:.5f} (stderr {stderr:.5f})"]
+    )
 
 
-def _exec_sweep(config: dict, out_dir: str, mhash: str):
+def _exec_sweep(config: dict) -> Output:
     cells = sensing.scaling_sweep(
         config["protocol"],
         config["cells"],
@@ -294,34 +280,14 @@ def _exec_sweep(config: dict, out_dir: str, mhash: str):
         seed=config["seed"],
         jobs=config["jobs"],
     )
-    jpath = os.path.join(out_dir, "sweep_report.json")
-    cpath = os.path.join(out_dir, "sweep_results.csv")
-    payload = {"protocol": config["protocol"], "cells": [c.to_dict() for c in cells]}
-    manifest.write_json_report(jpath, payload, mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["protocol", "N", "theta", "gamma", "T", "K", "trials", "success", "stderr"],
-        [
-            (
-                c.protocol,
-                c.n_probes,
-                c.theta,
-                c.gamma,
-                c.channel_uses,
-                c.repetitions,
-                c.trials,
-                c.success,
-                c.stderr,
-            )
-            for c in cells
-        ],
-        mhash,
+    return Output(
+        {"protocol": config["protocol"], "cells": [asdict(c) for c in cells]},
+        [f"{len(cells)} cells swept"],
+        _records("sweep_results", cells),
     )
-    payload["summary_lines"] = [f"{len(cells)} cells swept"]
-    return payload, [jpath, cpath]
 
 
-def _exec_bell(config: dict, out_dir: str, mhash: str):
+def _exec_bell(config: dict) -> Output:
     rng = np.random.default_rng(config["seed"])
     socks = bell.socks_simulation(config["trials"], rng)
     quantum = bell.quantum_single_basis_distribution()
@@ -330,73 +296,61 @@ def _exec_bell(config: dict, out_dir: str, mhash: str):
         for k in set(socks.joint) | set(quantum)
     )
     table = bell.strategy_table()
+    classical = bell.classical_chsh_max()
+    optimum = bell.quantum_chsh_value(bell.OPTIMAL_ANGLES)
     report = {
-        "socks": socks.to_dict(),
+        "socks": asdict(socks),
         "quantum_single_basis": quantum,
         "tv_socks_vs_quantum": tv,
-        "classical_chsh_max": bell.classical_chsh_max(),
-        "quantum_chsh_optimal": bell.quantum_chsh_value(bell.OPTIMAL_ANGLES),
+        "classical_chsh_max": classical,
+        "quantum_chsh_optimal": optimum,
         "optimal_angles": list(bell.OPTIMAL_ANGLES),
         "tsirelson_bound": bell.TSIRELSON_BOUND,
     }
-    jpath = os.path.join(out_dir, "bell_report.json")
-    cpath = os.path.join(out_dir, "bell_strategies.csv")
-    manifest.write_json_report(jpath, report, mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["a0", "a1", "b0", "b1", "chsh_value"],
-        [(s[0], s[1], s[2], s[3], v) for s, v in table],
-        mhash,
+    return Output(
+        report,
+        [
+            "strategy (a0 a1 b0 b1) -> value:",
+            *[f"  ({s[0]:+d} {s[1]:+d} {s[2]:+d} {s[3]:+d}) -> {v:+d}" for s, v in table],
+            f"classical max {classical}, quantum optimum {optimum:.7f}, "
+            f"socks vs quantum TV {tv:.5f}",
+        ],
+        ("bell_strategies", ["a0", "a1", "b0", "b1", "chsh_value"],
+         [(*s, v) for s, v in table]),
     )
-    report["summary_lines"] = [
-        "strategy (a0 a1 b0 b1) -> value:",
-        *[f"  ({s[0]:+d} {s[1]:+d} {s[2]:+d} {s[3]:+d}) -> {v:+d}" for s, v in table],
-        f"classical max {report['classical_chsh_max']}, "
-        f"quantum optimum {report['quantum_chsh_optimal']:.7f}, "
-        f"socks vs quantum TV {tv:.5f}"
-    ]
-    return report, [jpath, cpath]
 
 
-def _exec_oracle_check(config: dict, out_dir: str, mhash: str):
+def _exec_oracle_check(config: dict) -> Output:
+    if config["instances"] < 1:
+        raise ValueError("instances must be at least 1")
     rng = np.random.default_rng(config["seed"])
-    worst = 0.0
     rows = []
     for i in range(config["instances"]):
         n = int(rng.integers(2, config["max_n"] + 1))
         layers = int(rng.integers(1, config["max_layers"] + 1))
         c = circuits.random_brickwork(n, layers, seed=rng.integers(2**63))
-        cfg = propagation.PropagationConfig(k=n)
-        o0 = propagation.backpropagate(c, propagation.z_first(n), cfg)
-        for _ in range(config["inputs_per_circuit"]):
-            x = "".join(str(b) for b in rng.integers(0, 2, size=n))
-            heur = propagation.evaluate_product_state(o0, x)
-            exact = 1.0 - 2.0 * statevector.output_prob(c, x)
-            dev = abs(heur - exact)
-            worst = max(worst, dev)
-            rows.append((i, n, layers, x, exact, heur, dev))
+        # The generator itself is the seed, so detect draws the inputs from it.
+        report = detection.detect(c, s=config["inputs_per_circuit"], k=n, seed=rng)
+        rows += [(i, n, layers, *astuple(r)) for r in report.records]
+    worst = max(row[-1] for row in rows)
+    passed = worst <= 1e-9
     report = {
         "instances": config["instances"],
         "inputs_per_circuit": config["inputs_per_circuit"],
         "max_abs_deviation": worst,
         "tolerance": 1e-9,
-        "passed": worst <= 1e-9,
+        "passed": passed,
     }
-    jpath = os.path.join(out_dir, "oracle_check_report.json")
-    cpath = os.path.join(out_dir, "oracle_check_records.csv")
-    manifest.write_json_report(jpath, report, mhash)
-    manifest.write_csv_table(
-        cpath,
-        ["instance", "n", "layers", "x", "exact", "heuristic", "deviation"],
-        rows,
-        mhash,
+    failure = None if passed else InvariantViolation(
+        f"heuristic with k=n deviated from the statevector oracle by {worst}"
     )
-    report["summary_lines"] = [f"max |heuristic - exact| = {worst:.3g}"]
-    if not report["passed"]:
-        raise InvariantViolation(
-            f"heuristic with k=n deviated from the statevector oracle by {worst}"
-        )
-    return report, [jpath, cpath]
+    return Output(
+        report,
+        [f"max |heuristic - exact| = {worst:.3g}"],
+        ("oracle_check_records",
+         ["instance", "n", "layers", "x", "exact", "heuristic", "deviation"], rows),
+        failure,
+    )
 
 
 _EXECUTORS = {
@@ -543,7 +497,8 @@ for _row in _COMMANDS:
 @click.option("--out-dir", envvar="QADV_OUTPUT_DIR", default=".", show_default=True)
 @guarded
 def rerun(manifest_path, out_dir):
-    """Re-run an experiment from its manifest; outputs are bit-identical."""
+    """Re-run an experiment from its manifest; outputs are bit-identical.
+    A manifest whose hash does not match its subcommand and config is refused."""
     m = manifest.load_manifest(manifest_path)
     if m.subcommand not in _EXECUTORS:
         raise ConfigError(f"manifest names unknown subcommand {m.subcommand!r}")

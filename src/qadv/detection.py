@@ -12,6 +12,7 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import PromiseViolation
+from .pauli import DROP_TOLERANCE
 from .pool import seeded_map
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
@@ -44,27 +45,6 @@ class DetectionReport:
     promise_violated: bool  # disagree_fraction strictly inside (1/3, 2/3)
     heuristic_norm: float  # normalized squared Frobenius norm of O_0
 
-    def to_dict(self) -> dict:
-        return {
-            "circuit_id": self.circuit_id,
-            "s": self.s,
-            "k": self.k,
-            "seed": self.seed,
-            "disagree_fraction": self.disagree_fraction,
-            "verdict": self.verdict,
-            "promise_violated": self.promise_violated,
-            "heuristic_norm": self.heuristic_norm,
-            "records": [
-                {
-                    "x": r.x,
-                    "exact": r.exact,
-                    "heuristic": r.heuristic,
-                    "difference": r.difference,
-                }
-                for r in self.records
-            ],
-        }
-
 
 def detect(
     c: circuits.Circuit,
@@ -72,7 +52,7 @@ def detect(
     k: int = 1,
     seed: int | np.random.SeedSequence | None = None,
     shots: int | None = None,
-    cfg: PropagationConfig | None = None,
+    drop_tolerance: float = DROP_TOLERANCE,
 ) -> DetectionReport:
     """Sample s uniform inputs over the main register, compare the exact
     first-qubit expectation against the weight-k heuristic, and classify.
@@ -84,9 +64,7 @@ def detect(
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
-    cfg = cfg or PropagationConfig(k=k)
-    if cfg.k != k:
-        raise ValueError("k disagrees with the supplied PropagationConfig")
+    cfg = PropagationConfig(k=k, drop_tolerance=drop_tolerance)
     rng = np.random.default_rng(seed)
     lo, hi = c.input_register()
     width = hi - lo + 1
@@ -132,20 +110,7 @@ class DecayResult:
     final_mean: float
     final_stderr: float
     expected_final: float  # (2/5)^layers
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "layers": self.layers,
-            "trials": self.trials,
-            "seed": self.seed,
-            "layer_means": list(self.layer_means),
-            "ratios": list(self.ratios),
-            "final_mean": self.final_mean,
-            "final_stderr": self.final_stderr,
-            "expected_final": self.expected_final,
-            "expected_ratio": 0.4,
-        }
+    expected_ratio: float = 0.4
 
 
 def _decay_trial(args, ss) -> list[float]:
@@ -269,32 +234,13 @@ class SuiteResult:
     correct: int
     total: int
 
-    def to_dict(self) -> dict:
-        return {
-            "correct": self.correct,
-            "total": self.total,
-            "confusion": self.confusion,
-            "entries": [
-                {
-                    "name": e.name,
-                    "label": e.label,
-                    "exact_probability": e.exact_probability,
-                    "correct": e.correct,
-                    "markov_outlier": e.markov_outlier,
-                    "report": e.report.to_dict(),
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def _suite_entry(args, ss) -> SuiteEntry:
     inst, n, depth, copies, s, k, drop_tolerance = args
     prob = verify_promise(inst)
     u_seed, detect_seed = ss.spawn(2)
     cnew = circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed)
-    cfg = PropagationConfig(k=k, drop_tolerance=drop_tolerance)
-    report = detect(cnew, s=s, k=k, seed=detect_seed, cfg=cfg)
+    report = detect(cnew, s=s, k=k, seed=detect_seed, drop_tolerance=drop_tolerance)
     expected = "advantage" if inst.label == "YES" else "no-advantage"
     # Markov budget on the final heuristic norm: exceeded for at most a
     # 2^-n fraction of random circuits; an exceedance is flagged, not fatal.

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from .errors import ConfigError
 
 #: The package version: qadv.__version__ and pyproject.toml read it here.
 ARTIFACT_VERSION = "0.1.0"
@@ -53,21 +55,19 @@ class RunManifest:
     outputs: list[str]
     duration_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "manifest_hash": self.manifest_hash,
-            "outputs": self.outputs,
-            "duration_s": self.duration_s,
-        }
-
 
 def load_manifest(path: str) -> RunManifest:
+    """Read a manifest, refusing one that lacks a required key or whose
+    stored hash no longer matches its subcommand and config."""
     with open(path) as fh:
         data = json.load(fh)
+    required = ("subcommand", "config", "manifest_hash")
+    if not isinstance(data, dict) or any(key not in data for key in required):
+        raise ConfigError(f"manifest {path} must hold the keys {', '.join(required)}")
+    if manifest_hash(data["subcommand"], data["config"]) != data["manifest_hash"]:
+        raise ConfigError(
+            f"manifest {path}: stored hash does not match its subcommand and config"
+        )
     return RunManifest(
         subcommand=data["subcommand"],
         config=data["config"],
@@ -80,7 +80,7 @@ def load_manifest(path: str) -> RunManifest:
 
 
 def write_manifest(path: str, m: RunManifest) -> None:
-    payload = m.to_dict()
+    payload = asdict(m)
     # Duration is wall-clock bookkeeping and must not affect reproducibility
     # of the data files; it lives only here.
     with open(path, "w") as fh:

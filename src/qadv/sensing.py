@@ -26,7 +26,6 @@ class SensingConfig:
     gamma: float  # dephasing noise variance per channel use (radians^2)
     channel_uses: int = 1  # T
     repetitions: int = 1  # K
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.theta < 0 or self.gamma < 0:
@@ -57,13 +56,13 @@ def coherence_damping(gamma: float, uses: int = 1) -> float:
     return math.exp(-gamma * uses / 2)
 
 
-def ghz_protocol(cfg: SensingConfig, noisy: bool, rng: np.random.Generator) -> TrialOutcome:
+def ghz_protocol(cfg: SensingConfig, rng: np.random.Generator) -> TrialOutcome:
     """One GHZ trial: N entangled probes through T parallel channel uses,
     then a measurement in the GHZ +/- basis. The minus outcome heralds the
     signal."""
     n, t = cfg.n_probes, cfg.channel_uses
     phase = n * t * cfg.theta
-    if noisy and cfg.gamma > 0:
+    if cfg.gamma > 0:
         phase += rng.normal(0.0, math.sqrt(cfg.gamma), size=n * t).sum()
     p_minus = 0.5 * (1.0 - math.cos(phase))
     minus = bool(rng.random() < p_minus)
@@ -93,8 +92,8 @@ def separable_bias(theta: float, gamma: float, uses_per_shot: int) -> float:
 
 def separable_protocol(
     cfg: SensingConfig,
-    uses_per_shot: int | None = None,
-    rng: np.random.Generator | None = None,
+    uses_per_shot: int,
+    rng: np.random.Generator,
     signal_theta: float | None = None,
 ) -> TrialOutcome:
     """One separable trial: K*N independent |+> probes, each evolved R times
@@ -105,17 +104,16 @@ def separable_protocol(
     simulated evolution always uses cfg.theta, so null trials run with
     theta=0 but keep the signal's threshold.
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    r = uses_per_shot if uses_per_shot is not None else default_uses_per_shot(cfg.gamma)
-    if r < 1:
+    if uses_per_shot < 1:
         raise ValueError("uses per shot must be at least 1")
     shots = cfg.repetitions * cfg.n_probes
-    phases = np.full(shots, r * cfg.theta)
+    phases = np.full(shots, uses_per_shot * cfg.theta)
     if cfg.gamma > 0:
-        phases += rng.normal(0.0, math.sqrt(cfg.gamma), size=(shots, r)).sum(axis=1)
+        phases += rng.normal(0.0, math.sqrt(cfg.gamma), size=(shots, uses_per_shot)).sum(axis=1)
     p_plus_i = 0.5 * (1.0 + np.sin(phases))
     fraction = float((rng.random(shots) < p_plus_i).mean())
-    eps = separable_bias(signal_theta if signal_theta is not None else cfg.theta, cfg.gamma, r)
+    theta = signal_theta if signal_theta is not None else cfg.theta
+    eps = separable_bias(theta, cfg.gamma, uses_per_shot)
     present = fraction > 0.5 + eps / 2
     return TrialOutcome(
         protocol="separable",
@@ -164,28 +162,17 @@ def nt_bound_branches(theta: float, gamma: float) -> dict:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One grid cell's result; the fields carry the grid's names."""
+
     protocol: str
-    n_probes: int
+    N: int  # probes
     theta: float
     gamma: float
-    channel_uses: int
-    repetitions: int
+    T: int  # channel uses
+    K: int  # repetitions
     trials: int
     success: float
     stderr: float
-
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "N": self.n_probes,
-            "theta": self.theta,
-            "gamma": self.gamma,
-            "T": self.channel_uses,
-            "K": self.repetitions,
-            "trials": self.trials,
-            "success": self.success,
-            "stderr": self.stderr,
-        }
 
 
 def _run_cell(args, ss) -> SweepCell:
@@ -197,7 +184,7 @@ def _run_cell(args, ss) -> SweepCell:
         true_theta = 0.0 if trial % 2 == 0 else theta
         if protocol == "ghz":
             cfg = SensingConfig(n, true_theta, gamma, channel_uses=t_uses)
-            out = ghz_protocol(cfg, noisy=gamma > 0, rng=rng)
+            out = ghz_protocol(cfg, rng=rng)
         elif protocol == "separable":
             r = default_uses_per_shot(gamma)
             cfg = SensingConfig(n, true_theta, gamma, repetitions=k_reps)
@@ -209,11 +196,11 @@ def _run_cell(args, ss) -> SweepCell:
     success = correct / trials
     return SweepCell(
         protocol=protocol,
-        n_probes=n,
+        N=n,
         theta=theta,
         gamma=gamma,
-        channel_uses=t_uses,
-        repetitions=k_reps,
+        T=t_uses,
+        K=k_reps,
         trials=trials,
         success=success,
         stderr=math.sqrt(max(success * (1 - success), 1e-12) / trials),

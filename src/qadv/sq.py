@@ -121,14 +121,6 @@ class InnerProductEstimate:
     n_samples: int
     sample_variance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "sample_variance": self.sample_variance,
-        }
-
 
 def inner_product_estimate(
     sq_x: SQVector,

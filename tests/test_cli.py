@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -228,7 +229,7 @@ def test_invariant_violation_exits_3(runner, tmp_path, monkeypatch):
     from qadv import cli
     from qadv.errors import InvariantViolation
 
-    def boom(config, out_dir, mhash):
+    def boom(config):
         raise InvariantViolation("synthetic failure")
 
     monkeypatch.setitem(cli._EXECUTORS, "bell", boom)
@@ -272,11 +273,81 @@ def test_resource_limit_exits_4(runner, tmp_path):
 
 
 def test_bad_parameter_value_exits_2(runner, tmp_path):
+    vp = tmp_path / "v.txt"
+    np.savetxt(vp, [0.6, 0.8])
+    out = tmp_path / "out"
+    for args in (
+        ["sense", "--gamma", "-0.5"],
+        ["decay", "--n", "5"],  # odd n rejected
+        ["dequant", "sample", "--vector", str(vp), "--draws", "0"],
+        ["sense", "--r-uses", "0"],  # 0 is a value, not "use the default"
+        ["oracle-check", "--inputs-per-circuit", "0"],
+        ["oracle-check", "--instances", "0"],
+    ):
+        r = runner.invoke(main, [*args, "--out-dir", str(out)])
+        assert r.exit_code == 2, (args, r.output)
+        assert not any(out.glob("*")), args
+
+
+@pytest.mark.parametrize("edit", ["trials", "subcommand", "config", "manifest_hash"])
+def test_rerun_refuses_modified_manifest(runner, tmp_path, edit):
     r = runner.invoke(
-        main, ["sense", "--gamma", "-0.5", "--out-dir", str(tmp_path)]
+        main, ["decay", "--n", "4", "--L", "2", "--trials", "4", "--out-dir", str(tmp_path)]
     )
-    assert r.exit_code == 2
+    assert r.exit_code == 0, r.output
+    man = json.loads(_read(tmp_path / "decay_manifest.json"))
+    if edit == "trials":
+        man["config"]["trials"] = 6  # the stored hash no longer matches
+    else:
+        del man[edit]
+    mpath = tmp_path / "edited.json"
+    mpath.write_text(json.dumps(man))
+    out = tmp_path / "out"
+    out.mkdir()
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert not list(out.iterdir())
+
+
+def test_oracle_check_failure_writes_data_but_no_manifest(runner, tmp_path, monkeypatch):
+    from qadv import statevector
+
+    exact = statevector.output_prob
+    monkeypatch.setattr(statevector, "output_prob", lambda c, x: exact(c, x) + 1e-6)
     r = runner.invoke(
-        main, ["decay", "--n", "5", "--out-dir", str(tmp_path)]  # odd n rejected
+        main, ["oracle-check", "--instances", "2", "--max-n", "3", "--out-dir", str(tmp_path)]
     )
-    assert r.exit_code == 2
+    assert r.exit_code == 3
+    assert json.loads(_read(tmp_path / "oracle_check_report.json"))["passed"] is False
+    assert (tmp_path / "oracle_check_records.csv").exists()
+    assert not (tmp_path / "oracle_check_manifest.json").exists()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_report_bytes_are_pinned(runner, tmp_path):
+    # Report and table bytes, not only manifest hashes, are the output
+    # contract. Decay and suite are not pinned: their random unitaries come
+    # from a LAPACK QR whose output may differ between machines.
+    r = runner.invoke(
+        main, ["bell", "--trials", "20000", "--seed", "0", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "bell_report.json") == (
+        "91f4bfbbf07e04108f4a02a7e51ed596ce50ea92b14b1e936446b4fb1aa641bf")
+    assert _sha256(tmp_path / "bell_strategies.csv") == (
+        "a903eb53ca1317f76e4518063572a5754c73fb1aadb83dd4f74603cae67c8477")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(
+        {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
+    r = runner.invoke(
+        main, ["sweep", "--protocol", "ghz", "--config", str(cfg), "--seed", "4",
+               "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "sweep_report.json") == (
+        "6a9bdefa43993938af0179640484093d09b89322801af271fa765b3cd14e8497")
+    assert _sha256(tmp_path / "sweep_results.csv") == (
+        "1b32fac4121f1971fd9ae857c6aee31eee648b73676010b6da6f527ab8185ee6")

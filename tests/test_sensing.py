@@ -60,7 +60,7 @@ def test_ghz_no_signal_never_heralds():
     rng = np.random.default_rng(3)
     cfg = SensingConfig(4, 0.0, 0.0, channel_uses=10)
     for _ in range(200):
-        out = ghz_protocol(cfg, noisy=False, rng=rng)
+        out = ghz_protocol(cfg, rng=rng)
         assert out.decision == "signal-absent"
 
 
@@ -68,7 +68,7 @@ def test_ghz_pi_phase_always_heralds():
     rng = np.random.default_rng(4)
     cfg = SensingConfig(2, math.pi / 8, 0.0, channel_uses=4)  # N*T*theta = pi
     for _ in range(200):
-        out = ghz_protocol(cfg, noisy=False, rng=rng)
+        out = ghz_protocol(cfg, rng=rng)
         assert out.decision == "signal-present"
 
 
@@ -78,7 +78,7 @@ def test_ghz_detection_rate_matches_closed_form():
     cfg = SensingConfig(8, 0.01, 0.0, channel_uses=40)
     want = ghz_minus_probability(8, 40, 0.01)
     assert want == pytest.approx(math.sin(1.6) ** 2)
-    hits = sum(ghz_protocol(cfg, noisy=False, rng=rng).minus_outcome for _ in range(1000))
+    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(1000))
     assert hits / 1000 >= 0.99
 
 
@@ -86,7 +86,7 @@ def test_ghz_noisy_phase_accumulates_nt_noise_draws():
     # With full dephasing the herald rate drops to about 1/2.
     rng = np.random.default_rng(6)
     cfg = SensingConfig(4, 0.0, 0.5, channel_uses=50)
-    hits = sum(ghz_protocol(cfg, noisy=True, rng=rng).minus_outcome for _ in range(4000))
+    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(4000))
     assert hits / 4000 == pytest.approx(0.5, abs=0.03)
 
 
@@ -221,7 +221,7 @@ def test_outcome_frequencies_match_analytic_probability():
     cfg = SensingConfig(3, 0.07, 0.0, channel_uses=3)
     trials = 100_000
     p = 0.5 * (1 - math.cos(3 * 3 * 0.07))
-    hits = sum(ghz_protocol(cfg, noisy=False, rng=rng).minus_outcome for _ in range(trials))
+    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(trials))
     se = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 4 * se
 
@@ -236,7 +236,7 @@ def test_decisions_reproducible_for_fixed_seed():
     def run():
         rng = np.random.default_rng(300)
         cfg = SensingConfig(2, 0.03, 0.1, channel_uses=20, repetitions=50)
-        g = ghz_protocol(cfg, noisy=True, rng=rng)
+        g = ghz_protocol(cfg, rng=rng)
         s = separable_protocol(cfg, uses_per_shot=10, rng=rng)
         return g, s
 
