@@ -60,21 +60,24 @@ def detect(
     The exact side is 1 - 2*C(x) from the statevector oracle; passing
     `shots` switches it to an empirical estimate from that many Bernoulli
     draws per input, matching the repeated-measurement procedure. One
-    backward propagation serves every sampled input.
+    backward propagation and one fused circuit serve every sampled input.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be at least 1")
     cfg = PropagationConfig(k=k, drop_tolerance=drop_tolerance)
     rng = np.random.default_rng(seed)
     lo, hi = c.input_register()
     width = hi - lo + 1
 
+    fused = statevector.fuse(c)
     o0 = backpropagate(c, z_first(c.n_qubits), cfg)
 
     records = []
     for _ in range(s):
         x = "".join(str(int(b)) for b in rng.integers(0, 2, size=width))
-        prob = statevector.output_prob(c, x)
+        prob = statevector.output_prob(fused, x)
         if shots is not None:
             prob = rng.binomial(shots, prob) / shots
         exact = 1.0 - 2.0 * prob
@@ -236,8 +239,7 @@ class SuiteResult:
 
 
 def _suite_entry(args, ss) -> SuiteEntry:
-    inst, n, depth, copies, s, k, drop_tolerance = args
-    prob = verify_promise(inst)
+    inst, prob, n, depth, copies, s, k, drop_tolerance = args
     u_seed, detect_seed = ss.spawn(2)
     cnew = circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed)
     report = detect(cnew, s=s, k=k, seed=detect_seed, drop_tolerance=drop_tolerance)
@@ -266,14 +268,17 @@ def instance_suite(
     jobs: int = 1,
     drop_tolerance: float = 1e-12,
 ) -> SuiteResult:
-    """Verify labels, build one detection circuit per instance with a fresh
-    random-circuit seed, run detect, and tally verdict-vs-label counts."""
-    for inst in instances:
-        verify_promise(inst)
+    """Verify every label before any detection work, then build one
+    detection circuit per instance with a fresh random-circuit seed, run
+    detect, and tally verdict-vs-label counts."""
+    probs = [verify_promise(inst) for inst in instances]
     if instances and depth is None:
         m = instances[0].circuit.n_qubits
         depth = circuits.default_depth(n + m * copies + 1)
-    work = [(inst, n, depth, copies, s, k, drop_tolerance) for inst in instances]
+    work = [
+        (inst, prob, n, depth, copies, s, k, drop_tolerance)
+        for inst, prob in zip(instances, probs)
+    ]
     entries = tuple(seeded_map(_suite_entry, work, seed, jobs))
     confusion: dict[str, int] = {}
     for e in entries:

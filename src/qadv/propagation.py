@@ -5,8 +5,9 @@ Elementary layers evolve exactly through Pauli transfer matrices, memoized
 by gate unitary within one backward pass (nothing outlives the call);
 composite blocks (and elementary gates wider than 3 qubits) evolve by
 dense conjugation of the truncated observable over the block support.
-`block_unitary` builds that dense unitary in one pass of the statevector
-interpreter, applied to the identity with its columns on a batch axis.
+`statevector.block_unitary`, imported here by name, builds that dense
+unitary in one pass of the statevector interpreter, applied to the identity
+with its columns on a batch axis.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
 """
@@ -18,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import circuits, statevector
-from .errors import ResourceLimitExceeded
+from . import circuits
 from .pauli import (
     DROP_TOLERANCE,
     PauliMap,
@@ -28,9 +28,7 @@ from .pauli import (
     conjugate_layer,
     transfer_matrix,
 )
-
-#: Widest declared layer conjugated densely; its unitary has 4^w entries.
-DENSE_BLOCK_LIMIT = 12
+from .statevector import block_unitary, check_block_width
 
 
 @dataclass(frozen=True)
@@ -41,17 +39,6 @@ class PropagationConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("weight cutoff k must be at least 1")
-
-
-def block_unitary(layer: circuits.Layer) -> tuple[tuple[int, ...], np.ndarray]:
-    """Dense unitary of a layer over its sorted support (for a block,
-    targets + control). One pass of the statevector interpreter over the
-    identity, whose columns ride on a trailing batch axis."""
-    support = tuple(sorted(layer.support))
-    dim = 2 ** len(support)
-    eye = np.eye(dim, dtype=complex).reshape((2,) * len(support) + (dim,))
-    u = statevector._apply_layers(eye, (layer,), {q: i for i, q in enumerate(support)})
-    return support, u.reshape(dim, dim)
 
 
 def _transfer(gate: circuits.Gate, memo: dict[bytes, np.ndarray]) -> np.ndarray:
@@ -87,11 +74,7 @@ def _conjugate_block(
     m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig
 ) -> PauliMap:
     # Refuse before building: the unitary alone has 4^width entries.
-    if len(layer.support) > DENSE_BLOCK_LIMIT:
-        raise ResourceLimitExceeded(
-            f"block on {len(layer.support)} qubits exceeds dense block limit "
-            f"{DENSE_BLOCK_LIMIT}"
-        )
+    check_block_width(len(layer.support))
     support, u = block_unitary(layer)
     return conjugate_dense(m, u, support, drop_tolerance=cfg.drop_tolerance)
 

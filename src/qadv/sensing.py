@@ -207,6 +207,10 @@ def _run_cell(args, ss) -> SweepCell:
     )
 
 
+#: The keys a sweep grid cell may set; only theta has no default.
+_CELL_KEYS = frozenset({"N", "theta", "gamma", "T", "K"})
+
+
 def scaling_sweep(
     protocol: str,
     grid: Sequence[dict],
@@ -218,6 +222,16 @@ def scaling_sweep(
     (half the trials run with theta=0, half with the signal)."""
     if not grid:
         raise ValueError("sweep grid must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    for i, cell in enumerate(grid):
+        if not isinstance(cell, dict):
+            raise ValueError(f"sweep cell {i} must be an object")
+        unknown = sorted(set(cell) - _CELL_KEYS)
+        if unknown:
+            raise ValueError(f"sweep cell {i} has unknown keys {unknown}")
+        if "theta" not in cell:
+            raise ValueError(f"sweep cell {i} lacks 'theta'")
     work = [
         (
             protocol,

@@ -2,6 +2,18 @@
 
 Amplitude indexing is big-endian: qubit 0 is the most significant bit of
 the index, so ``prepare_basis(2, "10")`` puts the amplitude at index 2.
+
+A circuit runs in two steps. `fuse` compiles it once into dense ops, each a
+sorted support and its unitary: every block layer becomes one op, and every
+maximal run of elementary layers whose union support stays within
+`FUSE_WIDTH` qubits becomes one op (a layer wider than that is split into
+its gates first). `apply_circuit` and `output_prob` then run the ops, each
+as one multiply on the state; both accept a `Circuit`, which they fuse on
+entry, or a `FusedCircuit`, so a caller with many inputs fuses once.
+
+`block_unitary` builds every op, and every dense unitary `propagation`
+conjugates by: it runs the gate-by-gate interpreter (`_apply_layers`) once
+on the identity, whose columns ride on a trailing batch axis.
 """
 
 from __future__ import annotations
@@ -17,6 +29,14 @@ from .pauli import PauliMap
 
 #: Widest system simulated densely; every acceptance experiment fits in 14.
 DENSE_LIMIT = 16
+
+#: Widest dense unitary built; it has 4^w entries (256 MB at w = 12).
+DENSE_BLOCK_LIMIT = 12
+
+#: Widest run of elementary layers fused into one op, chosen by measurement
+#: on 12- and 14-qubit brickwork (CHANGES.md): an op costs 4^w per gate to
+#: build and 2^w per amplitude to apply, so wider ops lost to narrower ones.
+FUSE_WIDTH = 6
 
 _NORM_TOL = 1e-9
 
@@ -61,19 +81,23 @@ def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
 AxisMap = Mapping[int, int] | Sequence[int]
 
 
-def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.ndarray:
-    """Move the target axes to the front, flatten them to 2^w rows (first
-    target most significant), multiply or permute the rows, and move the
-    axes back."""
-    axes = [axis_map[t] for t in gate.targets]
+def _apply_matrix(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Move `axes` to the front, flatten them to 2^w rows (first axis most
+    significant), multiply the rows by u, and move the axes back."""
     w = len(axes)
     moved = np.moveaxis(arr, axes, range(w))
-    rows = moved.reshape(2**w, -1)
-    if gate.kind == "perm":
-        out = np.empty_like(rows)
-        out[list(gate.perm)] = rows
-    else:
-        out = gate.unitary() @ rows
+    out = u @ moved.reshape(2**w, -1)
+    return np.moveaxis(out.reshape(moved.shape), range(w), axes)
+
+
+def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.ndarray:
+    axes = [axis_map[t] for t in gate.targets]
+    if gate.kind != "perm":
+        return _apply_matrix(arr, gate.unitary(), axes)
+    # A basis permutation moves whole rows: index them instead of multiplying.
+    w = len(axes)
+    moved = np.moveaxis(arr, axes, range(w))
+    out = moved.reshape(2**w, -1)[np.argsort(gate.perm)]
     return np.moveaxis(out.reshape(moved.shape), range(w), axes)
 
 
@@ -104,12 +128,86 @@ def _apply_block(arr: np.ndarray, block: circuits.BlockLayer, axis_map: AxisMap)
     return out
 
 
-def apply_circuit(s: StateVector, c: circuits.Circuit) -> StateVector:
+def check_block_width(width: int) -> None:
+    """Refuse a dense unitary wider than DENSE_BLOCK_LIMIT before it is built."""
+    if width > DENSE_BLOCK_LIMIT:
+        raise ResourceLimitExceeded(
+            f"block on {width} qubits exceeds dense block limit {DENSE_BLOCK_LIMIT}"
+        )
+
+
+#: One dense op: the sorted qubits it acts on and its unitary over them.
+Op = tuple[tuple[int, ...], np.ndarray]
+
+
+def block_unitary(*layers: circuits.Layer) -> Op:
+    """Dense unitary of one layer, or of a run of layers applied in order,
+    over their sorted union support (for a block, targets + control). One
+    pass of the interpreter over the identity, whose columns ride on a
+    trailing batch axis."""
+    support = tuple(sorted(frozenset().union(*(layer.support for layer in layers))))
+    dim = 2 ** len(support)
+    eye = np.eye(dim, dtype=complex).reshape((2,) * len(support) + (dim,))
+    u = _apply_layers(eye, layers, {q: i for i, q in enumerate(support)})
+    return support, u.reshape(dim, dim)
+
+
+@dataclass(frozen=True, eq=False)
+class FusedCircuit:
+    """A circuit compiled by `fuse`: its width, its input register and its
+    dense ops in application order."""
+
+    n_qubits: int
+    input_register: tuple[int, int]
+    ops: tuple[Op, ...]
+
+    def full_input(self, bits: str | Sequence[int]) -> str:
+        return circuits.pad_input(self.n_qubits, self.input_register, bits)
+
+
+def _fusion_units(layer: circuits.Layer) -> Sequence[circuits.Layer]:
+    """A layer as the units fusion groups: itself, or, for an elementary
+    layer wider than FUSE_WIDTH, one single-gate layer per gate (its gates
+    are disjoint, so their order does not matter)."""
+    if isinstance(layer, circuits.BlockLayer) or len(layer.support) <= FUSE_WIDTH:
+        return (layer,)
+    return [circuits.ElementaryLayer((g,)) for g in layer.gates]
+
+
+def fuse(c: circuits.Circuit) -> FusedCircuit:
+    """Compile a circuit into dense ops: one per block layer, and one per
+    maximal run of elementary units whose union support fits in FUSE_WIDTH.
+
+    Widths are checked before anything is built: the circuit against
+    DENSE_LIMIT, every op against DENSE_BLOCK_LIMIT.
+    """
+    _check_dense_limit(c.n_qubits)
+    runs: list[list[circuits.Layer]] = []
+    supports: list[frozenset[int]] = []
+    extendable = False  # the last run is elementary and may still grow
+    for layer in c.layers:
+        for unit in _fusion_units(layer):
+            elementary = isinstance(unit, circuits.ElementaryLayer)
+            if extendable and elementary and len(supports[-1] | unit.support) <= FUSE_WIDTH:
+                runs[-1].append(unit)
+                supports[-1] |= unit.support
+            else:
+                runs.append([unit])
+                supports.append(unit.support)
+            extendable = elementary
+    for support in supports:
+        check_block_width(len(support))
+    ops = tuple(block_unitary(*run) for run, support in zip(runs, supports) if support)
+    return FusedCircuit(c.n_qubits, c.input_register(), ops)
+
+
+def apply_circuit(s: StateVector, c: circuits.Circuit | FusedCircuit) -> StateVector:
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    _check_dense_limit(c.n_qubits)
+    fused = fuse(c) if isinstance(c, circuits.Circuit) else c
     arr = s.amplitudes.reshape((2,) * s.n_qubits)
-    arr = _apply_layers(arr, c.layers, list(range(s.n_qubits)))
+    for support, u in fused.ops:
+        arr = _apply_matrix(arr, u, support)
     return StateVector(s.n_qubits, arr.reshape(-1))
 
 
@@ -147,11 +245,12 @@ def first_qubit_one_probability(s: StateVector) -> float:
     return float(np.real(np.vdot(half, half)))
 
 
-def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
+def output_prob(c: circuits.Circuit | FusedCircuit, bits: str | Sequence[int]) -> float:
     """Pr[first qubit measures 1] after running the circuit on |bits, 0...0>.
 
     ``bits`` addresses the circuit's input register (the ``main`` register
-    when declared, otherwise all qubits); remaining qubits start at 0.
+    when declared, otherwise all qubits); remaining qubits start at 0. Pass
+    a `FusedCircuit` to run many inputs through one compiled circuit.
     """
     out = apply_circuit(prepare_basis(c.n_qubits, c.full_input(bits)), c)
     return first_qubit_one_probability(out)

@@ -275,6 +275,10 @@ def test_resource_limit_exits_4(runner, tmp_path):
 def test_bad_parameter_value_exits_2(runner, tmp_path):
     vp = tmp_path / "v.txt"
     np.savetxt(vp, [0.6, 0.8])
+    cpath = tmp_path / "c.json"
+    circuits.save_circuit(circuits.random_brickwork(3, 2, seed=0), str(cpath))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"N": 2, "theta": 0.1}]}))
     out = tmp_path / "out"
     for args in (
         ["sense", "--gamma", "-0.5"],
@@ -283,10 +287,34 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
         ["sense", "--r-uses", "0"],  # 0 is a value, not "use the default"
         ["oracle-check", "--inputs-per-circuit", "0"],
         ["oracle-check", "--instances", "0"],
+        ["detect", "--circuit", str(cpath), "--shots", "0"],  # a rate over 0 draws
+        ["sweep", "--config", str(grid), "--trials", "0"],  # a rate over 0 trials
     ):
         r = runner.invoke(main, [*args, "--out-dir", str(out)])
         assert r.exit_code == 2, (args, r.output)
         assert not any(out.glob("*")), args
+
+
+def _sweep_cells(runner, tmp_path, cells):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": cells}))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["sweep", "--config", str(grid), "--out-dir", str(out)])
+    assert not out.exists()
+    return r
+
+
+def test_sweep_cell_without_theta_exits_2(runner, tmp_path):
+    r = _sweep_cells(runner, tmp_path, [{"N": 2, "gamma": 0.0}])
+    assert r.exit_code == 2, r.output
+    assert "'theta'" in r.output
+
+
+def test_sweep_cell_with_misspelt_key_exits_2(runner, tmp_path):
+    # "n" is not "N": the cell must not silently run with the default N = 1.
+    r = _sweep_cells(runner, tmp_path, [{"n": 4, "theta": 0.1}])
+    assert r.exit_code == 2, r.output
+    assert "['n']" in r.output
 
 
 @pytest.mark.parametrize("edit", ["trials", "subcommand", "config", "manifest_hash"])

@@ -47,6 +47,23 @@ def test_detect_reuses_single_backpropagation(monkeypatch):
     assert len(rep.records) == 16
 
 
+def test_detect_fuses_its_circuit_once(monkeypatch):
+    from qadv import statevector
+
+    cq, _ = circuits.promise_instance("x", 1)
+    c = circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5)
+    real, calls = statevector.fuse, []
+
+    def counting(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(statevector, "fuse", counting)
+    rep = detect(c, s=16, k=1, seed=0)
+    assert calls == [c]
+    assert len(rep.records) == 16
+
+
 def test_detect_verdicts_on_small_instances():
     yes_cq, _ = circuits.promise_instance("x", 1)
     yes = detect(circuits.build_cnew(yes_cq, n=3, depth=42, copies=3, seed=7), s=16, k=1, seed=1)

@@ -1,8 +1,10 @@
-"""Micro-benchmarks of the propagation kernels (pytest-benchmark).
+"""Micro-benchmarks of the propagation and statevector kernels
+(pytest-benchmark).
 
 Run ``pytest tests/test_kernel_bench.py`` for timings; ``--benchmark-disable``
 runs each kernel once as a plain correctness smoke test. Every benchmark
-asserts that its kernel preserves the Pauli-2 norm or builds a unitary.
+asserts that its kernel preserves the Pauli-2 norm, builds a unitary, or
+matches the gate-by-gate interpreter.
 """
 
 from itertools import combinations
@@ -10,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qadv import circuits
+from qadv import circuits, statevector
 from qadv.pauli import PauliMap, PauliString, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
@@ -62,3 +64,21 @@ def test_block_unitary_suite_block(benchmark):
     support, u = benchmark(block_unitary, block)
     assert support == tuple(sorted(block.support))
     assert np.abs(u @ u.conj().T - np.eye(2**7)).max() < 1e-12
+
+
+def test_output_prob_fused_suite_shape(benchmark):
+    # The exact side of one suite-shape detect: 32 inputs through one fused
+    # C_new (13 qubits: three ops on 7, 7 and 6 qubits).
+    cq, _ = circuits.promise_instance("x", 2)
+    cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
+    fused = statevector.fuse(cnew)
+    assert sorted(len(support) for support, _ in fused.ops) == [6, 7, 7]
+    rng = np.random.default_rng(2)
+    xs = ["".join(str(b) for b in rng.integers(0, 2, 6)) for _ in range(32)]
+    got = benchmark(lambda: [statevector.output_prob(fused, x) for x in xs])
+    n = cnew.n_qubits
+    for x, prob in zip(xs, got):
+        # Unfused reference: the interpreter, gate by gate, on the basis state.
+        state = statevector.prepare_basis(n, cnew.full_input(x)).amplitudes
+        out = statevector._apply_layers(state.reshape((2,) * n), cnew.layers, range(n))
+        assert prob == pytest.approx(np.sum(np.abs(out[1]) ** 2), abs=1e-12)

@@ -161,3 +161,81 @@ def test_output_prob_refuses_before_allocating():
 def test_out_of_range_targets_rejected():
     with pytest.raises(ValueError):
         Circuit(2, (ElementaryLayer((Gate("X", (2,)),)),))
+
+
+def _fusion_case(rng: np.random.Generator) -> Circuit:
+    """A random circuit on FUSE_WIDTH + 2 qubits mixing every kind of op
+    fusion handles: full-width brickwork runs (wider than FUSE_WIDTH, so
+    split into gates), narrow runs that merge, a 4-qubit perm gate with
+    unsorted targets, and blocks with unsorted targets, with and without a
+    control."""
+    n = sv.FUSE_WIDTH + 2
+    sub = circuits.random_brickwork(3, 3, seed=int(rng.integers(2**32)))
+    sub = Circuit(3, sub.layers + (ElementaryLayer((
+        Gate("matrix", (2, 0, 1), matrix=haar_unitary(8, rng)),)),))
+    order = [int(q) for q in rng.permutation(n)]
+    kinds = ["brick", "brick", "narrow", "narrow", "perm", "block", "ctrl"]
+    layers = []
+    for kind in rng.permutation(kinds):
+        if kind == "brick":
+            layers += circuits.random_brickwork(n, 3, seed=int(rng.integers(2**32))).layers
+        elif kind == "narrow":
+            qs = order[:3]
+            layers += [ElementaryLayer((Gate("matrix", (qs[j], qs[j + 1]),
+                                             matrix=haar_unitary(4, rng)),)) for j in (0, 1, 0)]
+        elif kind == "perm":
+            perm = tuple(int(v) for v in rng.permutation(16))
+            layers.append(ElementaryLayer((Gate("perm", tuple(order[:4]), perm=perm),
+                                           Gate("H", (order[4],)))))
+        elif kind == "block":
+            layers.append(BlockLayer("b", sub, tuple(order[-3:])))
+        else:
+            layers.append(BlockLayer("c", sub, (order[5], order[1], order[3]), control=order[2]))
+    return Circuit(n, tuple(layers))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_apply_matches_unitary_oracle(seed):
+    rng = np.random.default_rng(seed)
+    c = _fusion_case(rng)
+    fused = sv.fuse(c)
+    blocks = [layer for layer in c.layers if isinstance(layer, BlockLayer)]
+    assert len(fused.ops) < sum(
+        len(layer.gates) for layer in c.layers if isinstance(layer, ElementaryLayer))
+    for support, u in fused.ops:
+        assert list(support) == sorted(support)
+        assert u.shape == (2 ** len(support),) * 2
+        assert len(support) <= sv.FUSE_WIDTH or any(
+            set(support) == b.support for b in blocks)
+    want_u = circuit_unitary(c)
+    for _ in range(2):
+        amps = rng.standard_normal(2**c.n_qubits) + 1j * rng.standard_normal(2**c.n_qubits)
+        amps /= np.linalg.norm(amps)
+        state = sv.StateVector(c.n_qubits, amps)
+        got = sv.apply_circuit(state, fused).amplitudes
+        assert np.abs(got - want_u @ amps).max() < 1e-12
+        assert np.array_equal(sv.apply_circuit(state, c).amplitudes, got)
+
+
+def test_fuse_groups_runs_within_fuse_width():
+    # Three narrow layers and a block: the layers fuse into one op, the
+    # block is one op of its own, and the run after it starts afresh.
+    n = sv.FUSE_WIDTH + 2
+    h = [ElementaryLayer((Gate("H", (q,)),)) for q in range(n)]
+    blk = BlockLayer("b", _circ(1, [Gate("X", (0,))]), (0,))
+    c = Circuit(n, (h[0], h[1], h[2], blk, h[3]))
+    assert [s for s, _ in sv.fuse(c).ops] == [(0, 1, 2), (0,), (3,)]
+    # One layer wider than FUSE_WIDTH is split into gates, then regrouped.
+    wide = Circuit(n, (ElementaryLayer(tuple(Gate("H", (q,)) for q in range(n))),))
+    assert [len(s) for s, _ in sv.fuse(wide).ops] == [sv.FUSE_WIDTH, 2]
+
+
+def test_fuse_refuses_wide_block_before_building(monkeypatch):
+    def refuse(*layers):
+        raise AssertionError("block_unitary called for an oversized op")
+
+    monkeypatch.setattr(sv, "block_unitary", refuse)
+    w = sv.DENSE_BLOCK_LIMIT + 1
+    sub = _circ(w, [Gate("H", (q,)) for q in range(w)])
+    with pytest.raises(ResourceLimitExceeded):
+        sv.fuse(Circuit(w + 1, (BlockLayer("wide", sub, tuple(range(w)), control=w),)))
