@@ -105,11 +105,12 @@ def classical_chsh_max() -> float:
 # Quantum side: correlators on the shared pair
 
 
-def measurement_observable(angle: float, qubit: int, n_qubits: int = 2) -> PauliMap:
-    """The +-1 observable of the standard basis rotated by `angle`."""
-    z = PauliString.identity(n_qubits).with_digit(qubit, 3)
-    x = PauliString.identity(n_qubits).with_digit(qubit, 1)
-    return PauliMap(n_qubits, {z: math.cos(2 * angle), x: math.sin(2 * angle)})
+def measurement_observable(angle: float, qubit: int) -> PauliMap:
+    """The +-1 observable of the standard basis rotated by `angle`, on one
+    qubit of the pair."""
+    z = PauliString.identity(2).with_digit(qubit, 3)
+    x = PauliString.identity(2).with_digit(qubit, 1)
+    return PauliMap(2, {z: math.cos(2 * angle), x: math.sin(2 * angle)})
 
 
 def quantum_correlator(alpha: float, beta: float) -> float:

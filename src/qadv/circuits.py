@@ -247,13 +247,8 @@ def haar_two_qubit(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _layer_pairs(
-    n: int, layer_idx: int, pairing: str, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    if pairing == "random":
-        order = [int(v) for v in rng.permutation(n)]
-        return [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
-    offset = layer_idx % 2 if pairing == "brick" else 0
+def _layer_pairs(n: int, layer_idx: int) -> list[tuple[int, int]]:
+    offset = layer_idx % 2
     pairs = [(i, i + 1) for i in range(offset, n - 1, 2)]
     if offset == 1 and n % 2 == 0:
         pairs.append((n - 1, 0))
@@ -263,7 +258,6 @@ def _layer_pairs(
 def random_brickwork(
     n: int,
     layers: int,
-    pairing: str = "brick",
     seed: int | np.random.SeedSequence | None = None,
 ) -> Circuit:
     """Brickwork of fresh Haar two-qubit gates; deterministic for fixed seed.
@@ -273,17 +267,14 @@ def random_brickwork(
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
-    if pairing not in ("brick", "fixed", "random"):
-        raise ValueError(f"unknown pairing scheme {pairing!r}")
     rng = np.random.default_rng(seed)
     out = []
     for j in range(layers):
         gates = tuple(
-            Gate("matrix", (a, b), matrix=haar_two_qubit(rng))
-            for a, b in _layer_pairs(n, j, pairing, rng)
+            Gate("matrix", (a, b), matrix=haar_two_qubit(rng)) for a, b in _layer_pairs(n, j)
         )
         out.append(ElementaryLayer(gates))
-    meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": pairing}
+    meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": "brick"}
     return Circuit(n, tuple(out), registers={"main": (0, n - 1)}, metadata=meta)
 
 
@@ -344,7 +335,6 @@ def build_cnew(
     depth: int | None = None,
     copies: int = 3,
     seed: int | np.random.SeedSequence | None = None,
-    pairing: str = "brick",
 ) -> Circuit:
     """The detection circuit: amplified promise circuit on ancillas, an
     inverse random circuit on the main register controlled by the majority
@@ -358,7 +348,7 @@ def build_cnew(
     if depth is None:
         depth = default_depth(width)
     cext = amplify(c_q, copies)
-    bw = random_brickwork(n, depth, pairing, seed)
+    bw = random_brickwork(n, depth, seed)
     q_maj = width - 1
     layers: tuple[Layer, ...] = (
         BlockLayer("c_ext", cext, tuple(range(n, width))),

@@ -1,10 +1,11 @@
 """Single command-line entry point exposing every experiment.
 
 Every subcommand except ``rerun`` is one row of the ``_COMMANDS`` table:
-name, help text, and options, each with its flag, config key, default and
-type. The table is the only place defaults live; a config file overrides
-them, and explicit flags override the config file. Keys without a flag
-(``drop_tolerance``, ``cells``) can only be set by a config file.
+name, help text, options (each with its flag, config key, default and
+type), and the executor that runs it. The table is the only place defaults
+live; a config file overrides them, and explicit flags override the config
+file. Keys without a flag (``drop_tolerance``, ``cells``) can only be set by
+a config file.
 
 An executor maps the resolved config to an `Output` and writes nothing;
 `_execute` alone writes files into --out-dir (or $QADV_OUTPUT_DIR): the
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import bell, circuits, detection, manifest, sensing, sq
 from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded
+from .pauli import DROP_TOLERANCE
 
 
 def _load_config(path: str | None) -> dict:
@@ -138,15 +140,11 @@ def _exec_decay(config: dict) -> Output:
         drop_tolerance=config["drop_tolerance"],
     )
     rows = [(j, m, result.ratios[j - 1] if j else "") for j, m in enumerate(result.layer_means)]
-    return Output(
-        asdict(result),
-        [
-            f"ratios min={min(result.ratios):.4f} max={max(result.ratios):.4f} "
-            f"(expect {result.expected_ratio})",
-            f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}",
-        ],
-        ("decay_layers", ["layer", "mean_norm", "ratio"], rows),
-    )
+    summary = [f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}"]
+    if result.ratios:
+        summary.insert(0, f"ratios min={min(result.ratios):.4f} max={max(result.ratios):.4f} "
+                          f"(expect {result.expected_ratio})")
+    return Output(asdict(result), summary, ("decay_layers", ["layer", "mean_norm", "ratio"], rows))
 
 
 def _exec_detect(config: dict) -> Output:
@@ -323,6 +321,10 @@ def _exec_bell(config: dict) -> Output:
 def _exec_oracle_check(config: dict) -> Output:
     if config["instances"] < 1:
         raise ValueError("instances must be at least 1")
+    if config["max_n"] < 2:
+        raise ValueError("--max-n must be at least 2: a brickwork needs 2 qubits")
+    if config["max_layers"] < 1:
+        raise ValueError("--max-layers must be at least 1")
     rng = np.random.default_rng(config["seed"])
     rows = []
     for i in range(config["instances"]):
@@ -353,20 +355,6 @@ def _exec_oracle_check(config: dict) -> Output:
     )
 
 
-_EXECUTORS = {
-    "decay": _exec_decay,
-    "detect": _exec_detect,
-    "suite": _exec_suite,
-    "dequant-build": _exec_dequant_build,
-    "dequant-sample": _exec_dequant_sample,
-    "dequant-estimate": _exec_dequant_estimate,
-    "sense": _exec_sense,
-    "sweep": _exec_sweep,
-    "bell": _exec_bell,
-    "oracle-check": _exec_oracle_check,
-}
-
-
 # ---------------------------------------------------------------------------
 # Command table. A required option must not get a default, not even None:
 # click 8.4 then accepts the missing flag, and the run crashes (exit 1)
@@ -385,7 +373,7 @@ class Opt(NamedTuple):
 _PATH = click.Path(exists=True)
 _SEED = Opt("--seed", "seed", 0)
 _JOBS = Opt("--jobs", "jobs", 1)
-_DROP = Opt(None, "drop_tolerance", 1e-12)
+_DROP = Opt(None, "drop_tolerance", DROP_TOLERANCE)
 _NORMALIZE = Opt("--normalize", "normalize", False, bool)
 
 _COMMANDS = (
@@ -394,7 +382,7 @@ _COMMANDS = (
         Opt("--L", "L", 10, help="Brickwork depth."),
         Opt("--trials", "trials", 500),
         _SEED, _JOBS, _DROP,
-    )),
+    ), _exec_decay),
     ("detect", "Classify one circuit file: advantage vs no-advantage.", (
         Opt("--circuit", "circuit", type=_PATH, required=True),
         Opt("--s", "s", 32, help="Sampled inputs."),
@@ -402,7 +390,7 @@ _COMMANDS = (
         _SEED,
         Opt("--shots", "shots", None, help="Shot-based exact side (default: exact probabilities)."),
         _DROP,
-    )),
+    ), _exec_detect),
     ("suite", "Labeled YES/NO detection suite with confusion counts.", (
         Opt("--yes", "yes", 20, help="YES instances."),
         Opt("--no", "no", 20, help="NO instances."),
@@ -412,44 +400,46 @@ _COMMANDS = (
         Opt("--L", "L", None, help="Random depth (default 6*width)."),
         Opt("--s", "s", 32), Opt("--k", "k", 1),
         _SEED, _JOBS, _DROP,
-    )),
+    ), _exec_suite),
     ("dequant-build", "Build the prefix-sum tree and verify its invariants.", (
         Opt("--vector", "vector", type=_PATH, required=True),
         _NORMALIZE,
-    )),
+    ), _exec_dequant_build),
     ("dequant-sample", "Draw indices with probability values[i]^2 and tabulate frequencies.", (
         Opt("--vector", "vector", type=_PATH, required=True),
         _NORMALIZE, Opt("--draws", "draws", 100000), _SEED,
-    )),
+    ), _exec_dequant_sample),
     ("dequant-estimate", "Importance-sampling inner-product estimate with standard error.", (
         Opt("--x", "x", type=_PATH, required=True),
         Opt("--y", "y", type=_PATH, required=True),
         _NORMALIZE, Opt("--samples", "samples", 10000), _SEED,
-    )),
+    ), _exec_dequant_estimate),
     ("sense", "Separable-protocol bias measurement plus the KL sample bound.", (
         Opt("--theta", "theta", 0.05, float, "Signal angle (radians)."),
         Opt("--gamma", "gamma", 0.2, float, "Noise variance per use."),
         Opt("--r-uses", "r_uses", None, help="Uses per shot (default ceil(1/gamma))."),
         Opt("--shots", "shots", 100000), _SEED,
-    )),
+    ), _exec_sense),
     ("sweep", "Two-hypothesis success rates over a (N, theta, gamma, T, K) grid.\n\n"
               'The config file must supply the grid as {"cells": [{...}, ...]}.', (
         Opt("--protocol", "protocol", "ghz", click.Choice(["ghz", "separable"])),
         Opt("--trials", "trials", 400),
         _SEED, _JOBS,
         Opt(None, "cells", None),
-    )),
+    ), _exec_sweep),
     ("bell", "Socks protocol, 16-strategy table, and the quantum optimum.", (
         Opt("--trials", "trials", 100000), _SEED,
-    )),
+    ), _exec_bell),
     ("oracle-check", "Heuristic with k=n against the statevector oracle (must agree to 1e-9).", (
         Opt("--instances", "instances", 100),
         Opt("--max-n", "max_n", 6),
         Opt("--max-layers", "max_layers", 8),
         Opt("--inputs-per-circuit", "inputs_per_circuit", 3),
         _SEED,
-    )),
+    ), _exec_oracle_check),
 )
+
+_EXECUTORS = {name: executor for name, _, _, executor in _COMMANDS}
 
 
 def _option(o: Opt) -> click.Option:
@@ -489,7 +479,7 @@ def dequant():
 
 
 for _row in _COMMANDS:
-    (dequant if _row[0].startswith("dequant-") else main).add_command(_command(*_row))
+    (dequant if _row[0].startswith("dequant-") else main).add_command(_command(*_row[:3]))
 
 
 @main.command()

@@ -118,7 +118,7 @@ class DecayResult:
 
 def _decay_trial(args, ss) -> list[float]:
     n, layers, drop_tolerance = args
-    c = circuits.random_brickwork(n, layers, pairing="brick", seed=ss)
+    c = circuits.random_brickwork(n, layers, seed=ss)
     cfg = PropagationConfig(k=1, drop_tolerance=drop_tolerance)
     _, norms = backpropagate(c, z_first(n), cfg, record_norms=True)
     return norms
@@ -130,7 +130,7 @@ def decay_experiment(
     trials: int,
     seed: int | None = None,
     jobs: int = 1,
-    drop_tolerance: float = 1e-12,
+    drop_tolerance: float = DROP_TOLERANCE,
 ) -> DecayResult:
     """Mean normalized norm of the k=1 heuristic observable after each
     brickwork layer, over fresh random circuits.
@@ -266,7 +266,7 @@ def instance_suite(
     k: int = 1,
     seed: int | None = None,
     jobs: int = 1,
-    drop_tolerance: float = 1e-12,
+    drop_tolerance: float = DROP_TOLERANCE,
 ) -> SuiteResult:
     """Verify every label before any detection work, then build one
     detection circuit per instance with a fresh random-circuit seed, run

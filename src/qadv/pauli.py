@@ -127,8 +127,8 @@ class PauliMap:
     The terms are the parallel arrays ``x``, ``z`` (uint64 masks) and
     ``coeffs`` (float64); each (x, z) pair occurs at most once. Immutable
     after construction (the arrays are read-only); all operations return
-    new maps. Coefficients with magnitude at or below ``drop_tolerance`` are
-    discarded, so zero coefficients never stay.
+    new maps. Zero coefficients are discarded; the conjugation kernels also
+    discard those at or below their ``drop_tolerance``.
     """
 
     __slots__ = ("n_qubits", "x", "z", "coeffs", "_terms")
@@ -137,7 +137,6 @@ class PauliMap:
         self,
         n_qubits: int,
         terms: Mapping[PauliString, float] | None = None,
-        drop_tolerance: float = 0.0,
     ) -> None:
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
@@ -153,7 +152,7 @@ class PauliMap:
             np.array([p.x for p, _ in items], dtype=np.uint64),
             np.array([p.z for p, _ in items], dtype=np.uint64),
             np.array([float(c) for _, c in items], dtype=np.float64),
-            drop_tolerance,
+            0.0,
         )
 
     def _assign(self, n_qubits, x, z, coeffs, drop_tolerance) -> None:
@@ -181,8 +180,8 @@ class PauliMap:
         return m
 
     @classmethod
-    def single(cls, p: PauliString, coefficient: float = 1.0) -> "PauliMap":
-        return cls(p.n_qubits, {p: coefficient})
+    def single(cls, p: PauliString) -> "PauliMap":
+        return cls(p.n_qubits, {p: 1.0})
 
     @classmethod
     def from_labels(cls, terms: Mapping[str, float]) -> "PauliMap":
@@ -234,11 +233,11 @@ def _basis(arity: int) -> np.ndarray:
     return basis
 
 
-def check_unitary(u: np.ndarray, tol: float = _UNITARITY_TOL) -> None:
+def check_unitary(u: np.ndarray) -> None:
     d = u.shape[0]
     if u.shape != (d, d):
         raise NonUnitaryError("matrix is not square")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > tol:
+    if np.abs(u.conj().T @ u - np.eye(d)).max() > _UNITARITY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 

@@ -51,9 +51,9 @@ def dephased_angle(theta: float, gamma: float, rng: np.random.Generator) -> floa
     return theta + rng.normal(0.0, math.sqrt(gamma))
 
 
-def coherence_damping(gamma: float, uses: int = 1) -> float:
-    """Expected |E[e^{i phase}]| damping from `uses` independent noise draws."""
-    return math.exp(-gamma * uses / 2)
+def coherence_damping(gamma: float) -> float:
+    """Expected |E[e^{i phase}]| damping from one noise draw."""
+    return math.exp(-gamma / 2)
 
 
 def ghz_protocol(cfg: SensingConfig, rng: np.random.Generator) -> TrialOutcome:
@@ -260,25 +260,30 @@ def minimal_ghz_uses(
     return math.ceil(2 * math.asin(math.sqrt(need)) / (n_probes * theta))
 
 
+#: The separable scan stops at the first cell whose success rate reaches
+#: SEPARABLE_TARGET; K grows by SEPARABLE_GROWTH per cell while K*R stays
+#: within SEPARABLE_MAX_SHOTS.
+SEPARABLE_TARGET = 2 / 3
+SEPARABLE_GROWTH = 1.15
+SEPARABLE_MAX_SHOTS = 10**7
+
+
 def minimal_separable_nt(
     theta: float,
     gamma: float,
     trials: int,
     seed: int | None = None,
-    success_target: float = 2 / 3,
-    growth: float = 1.15,
-    max_shots: int = 10**7,
 ) -> tuple[int, list[SweepCell]]:
     """Scan K geometrically, stopping at the first cell whose success rate
-    meets the target; returns (N*T at that cell, all swept cells)."""
+    meets SEPARABLE_TARGET; returns (N*T at that cell, all swept cells)."""
     r = default_uses_per_shot(gamma)
     k_values: list[int] = []
     k = 1.0
-    while k * r <= max_shots:
+    while k * r <= SEPARABLE_MAX_SHOTS:
         kk = int(round(k))
         if not k_values or kk != k_values[-1]:
             k_values.append(kk)
-        k *= growth
+        k *= SEPARABLE_GROWTH
     cells: list[SweepCell] = []
     for kk, ss in zip(k_values, spawn_seeds(seed, len(k_values))):
         (cell,) = scaling_sweep(
@@ -288,6 +293,6 @@ def minimal_separable_nt(
             seed=ss,
         )
         cells.append(cell)
-        if cell.success >= success_target:
+        if cell.success >= SEPARABLE_TARGET:
             return kk * r, cells
-    raise RuntimeError("no swept cell met the success target; raise max_shots")
+    raise RuntimeError("no swept cell met the success target within SEPARABLE_MAX_SHOTS")

@@ -283,6 +283,10 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
     for args in (
         ["sense", "--gamma", "-0.5"],
         ["decay", "--n", "5"],  # odd n rejected
+        ["decay", "--jobs", "0"],
+        ["suite", "--yes", "1", "--no", "1", "--s", "0"],
+        ["dequant", "estimate", "--x", str(vp), "--y", str(vp), "--samples", "0"],
+        ["bell", "--trials", "0"],
         ["dequant", "sample", "--vector", str(vp), "--draws", "0"],
         ["sense", "--r-uses", "0"],  # 0 is a value, not "use the default"
         ["oracle-check", "--inputs-per-circuit", "0"],
@@ -293,6 +297,25 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
         r = runner.invoke(main, [*args, "--out-dir", str(out)])
         assert r.exit_code == 2, (args, r.output)
         assert not any(out.glob("*")), args
+
+
+@pytest.mark.parametrize("flag,value", [("--max-n", "1"), ("--max-layers", "0")])
+def test_oracle_check_out_of_range_bound_names_the_flag(runner, tmp_path, flag, value):
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["oracle-check", flag, value, "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert flag in r.output
+    assert not out.exists()
+
+
+def test_decay_zero_layers_writes_one_row(runner, tmp_path):
+    r = runner.invoke(
+        main, ["decay", "--n", "4", "--L", "0", "--trials", "4", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    rows = [l for l in _read(tmp_path / "decay_layers.csv").splitlines()
+            if not l.startswith("#")]
+    assert rows == ["layer,mean_norm,ratio", "0,1,"]
 
 
 def _sweep_cells(runner, tmp_path, cells):

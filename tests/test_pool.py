@@ -1,0 +1,52 @@
+import pytest
+
+from qadv import pool
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def _draw(item, ss):
+    return item, int(ss.generate_state(1)[0])
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", _InProcessPool)
+    return _InProcessPool
+
+
+@pytest.mark.parametrize("jobs,items,expected", [
+    (8, 3, [3]),  # never more workers than items
+    (2, 5, [2]),
+    (8, 1, []),  # one item runs in-process
+    (1, 5, []),
+])
+def test_seeded_map_bounds_workers_by_items(fake_pool, jobs, items, expected):
+    work = list(range(items))
+    out = pool.seeded_map(_draw, work, 7, jobs)
+    assert fake_pool.sizes == expected
+    assert out == pool.seeded_map(_draw, work, 7, 1)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_seeded_map_refuses_jobs_below_one(fake_pool, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        pool.seeded_map(_draw, [1, 2], 7, jobs)
+    assert fake_pool.sizes == []
