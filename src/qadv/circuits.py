@@ -238,13 +238,15 @@ class Circuit:
 # Random circuit generation
 
 
-def haar_two_qubit(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 4x4 unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase folded back in to remove the QR sign ambiguity."""
-    z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def haar_two_qubit(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A ``(count, 4, 4)`` stack of Haar unitaries: QR of complex Ginibre
+    matrices with the R-diagonal phase folded back in to remove the QR sign
+    ambiguity. One draw of 16 real then 16 imaginary normals per matrix
+    serves the stack: the same stream as ``count`` one-matrix draws."""
+    g = rng.standard_normal((count, 2, 4, 4))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def _layer_pairs(n: int, layer_idx: int) -> list[tuple[int, int]]:
@@ -267,13 +269,13 @@ def random_brickwork(
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
-    rng = np.random.default_rng(seed)
-    out = []
-    for j in range(layers):
-        gates = tuple(
-            Gate("matrix", (a, b), matrix=haar_two_qubit(rng)) for a, b in _layer_pairs(n, j)
-        )
-        out.append(ElementaryLayer(gates))
+    pairs = [_layer_pairs(n, j) for j in range(layers)]
+    # One draw for the whole circuit, handed out to the layers in order.
+    matrices = iter(haar_two_qubit(np.random.default_rng(seed), sum(map(len, pairs))))
+    out = [
+        ElementaryLayer(tuple(Gate("matrix", ab, matrix=next(matrices)) for ab in layer))
+        for layer in pairs
+    ]
     meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": "brick"}
     return Circuit(n, tuple(out), registers={"main": (0, n - 1)}, metadata=meta)
 

@@ -34,6 +34,8 @@ from . import bell, circuits, detection, manifest, sensing, sq
 from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded
 from .pauli import DROP_TOLERANCE
 
+ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that passes
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -164,6 +166,8 @@ def _exec_detect(config: dict) -> Output:
 
 
 def _exec_suite(config: dict) -> Output:
+    if config["yes"] + config["no"] < 1:
+        raise ValueError("--yes plus --no must be at least 1: a suite needs an instance")
     instances = detection.default_instances(
         config["yes"], config["no"], config["m"], seed=config["seed"]
     )
@@ -335,12 +339,12 @@ def _exec_oracle_check(config: dict) -> Output:
         report = detection.detect(c, s=config["inputs_per_circuit"], k=n, seed=rng)
         rows += [(i, n, layers, *astuple(r)) for r in report.records]
     worst = max(row[-1] for row in rows)
-    passed = worst <= 1e-9
+    passed = worst <= ORACLE_TOLERANCE
     report = {
         "instances": config["instances"],
         "inputs_per_circuit": config["inputs_per_circuit"],
         "max_abs_deviation": worst,
-        "tolerance": 1e-9,
+        "tolerance": ORACLE_TOLERANCE,
         "passed": passed,
     }
     failure = None if passed else InvariantViolation(
@@ -430,7 +434,8 @@ _COMMANDS = (
     ("bell", "Socks protocol, 16-strategy table, and the quantum optimum.", (
         Opt("--trials", "trials", 100000), _SEED,
     ), _exec_bell),
-    ("oracle-check", "Heuristic with k=n against the statevector oracle (must agree to 1e-9).", (
+    ("oracle-check", "Heuristic with k=n against the statevector oracle "
+                     f"(must agree to {ORACLE_TOLERANCE:g}).", (
         Opt("--instances", "instances", 100),
         Opt("--max-n", "max_n", 6),
         Opt("--max-layers", "max_layers", 8),

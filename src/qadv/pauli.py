@@ -21,8 +21,8 @@ Conventions used throughout the package:
 - ``conjugate_layer`` (gates of up to 3 qubits, through their transfer
   matrices) and ``conjugate_dense`` (any unitary, by dense conjugation)
   share one group-and-scatter step and differ only in how a row of local
-  coefficients spreads. Transfer matrices are plain arrays; the module
-  keeps no cache, so a caller that reuses gates memoizes them itself.
+  coefficients spreads. ``transfer_matrix`` builds one matrix or a stack at
+  once; the module keeps no cache, so a caller memoizes reused gates.
 """
 
 from __future__ import annotations
@@ -234,15 +234,18 @@ def _basis(arity: int) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray) -> None:
-    d = u.shape[0]
-    if u.shape != (d, d):
+    """Raise NonUnitaryError unless ``u`` is one square unitary or a
+    ``(g, d, d)`` stack of them."""
+    d = u.shape[-1]
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise NonUnitaryError("matrix is not square")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > _UNITARITY_TOL:
+    if np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() > _UNITARITY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
 def transfer_matrix(u: np.ndarray) -> np.ndarray:
-    """Real Pauli transfer matrix of a 1-3 qubit unitary.
+    """Real Pauli transfer matrix of a 1-3 qubit unitary, or the
+    ``(g, 4^w, 4^w)`` stack of them for a ``(g, 2^w, 2^w)`` stack.
 
     entries[a, b] = Tr(P_b U^dag P_a U) / 2^w, so a row lists how the input
     Pauli P_a spreads over output Paulis under backward evolution. Rows are
@@ -250,15 +253,16 @@ def transfer_matrix(u: np.ndarray) -> np.ndarray:
     identity row is the identity unit row.
     """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if d not in (2, 4, 8) or u.shape != (d, d):
+    d = u.shape[-1]
+    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise ValueError("unitary must act on 1, 2, or 3 qubits")
     check_unitary(u)
     # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U, U)
     # is vec(U^dag P_a U) with its two indices swapped; the product with
     # conj(vec(P_b)) = vec(P_b^T) then sums to Tr(P_b U^dag P_a U). The
     # Kronecker product is formed by broadcasting, which is faster than np.kron.
-    superop = (u.conj()[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)
+    superop = u.conj()[..., :, None, :, None] * u[..., None, :, None, :]
+    superop = superop.reshape(u.shape[:-2] + (d * d, d * d))
     flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)
     raw = flat @ superop @ flat.conj().T / d
     if np.abs(raw.imag).max() > _HERMITICITY_TOL:

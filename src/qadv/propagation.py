@@ -2,7 +2,8 @@
 observable with a weight-k projection after every declared layer.
 
 Elementary layers evolve exactly through Pauli transfer matrices, memoized
-by gate unitary within one backward pass (nothing outlives the call);
+by gate unitary within one backward pass (nothing outlives the call) and
+built per layer, one stack per gate width for the unitaries not yet seen;
 composite blocks (and elementary gates wider than 3 qubits) evolve by
 dense conjugation of the truncated observable over the block support.
 `statevector.block_unitary`, imported here by name, builds that dense
@@ -41,17 +42,6 @@ class PropagationConfig:
             raise ValueError("weight cutoff k must be at least 1")
 
 
-def _transfer(gate: circuits.Gate, memo: dict[bytes, np.ndarray]) -> np.ndarray:
-    """The gate's transfer matrix, computed once per distinct unitary."""
-    u = np.asarray(gate.unitary(), dtype=complex)
-    # As complex128, the byte length alone tells 1-, 2- and 3-qubit gates apart.
-    key = u.tobytes()
-    entries = memo.get(key)
-    if entries is None:
-        entries = memo[key] = transfer_matrix(u)
-    return entries
-
-
 def _conjugate_declared_layer(
     m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig, memo: dict[bytes, np.ndarray]
 ) -> PauliMap:
@@ -59,9 +49,18 @@ def _conjugate_declared_layer(
         narrow = [g for g in layer.gates if len(g.targets) <= 3]
         wide = [g for g in layer.gates if len(g.targets) > 3]
         if narrow:
+            unitaries = [np.asarray(g.unitary(), dtype=complex) for g in narrow]
+            # As complex128, the byte length alone tells 1-, 2- and 3-qubit gates apart.
+            keys = [u.tobytes() for u in unitaries]
+            misses: dict[int, dict[bytes, np.ndarray]] = {}
+            for key, u in zip(keys, unitaries):
+                if key not in memo:
+                    misses.setdefault(len(u), {})[key] = u
+            for group in misses.values():
+                memo.update(zip(group, transfer_matrix(np.stack(list(group.values())))))
             m = conjugate_layer(
                 m,
-                [(g.targets, _transfer(g, memo)) for g in narrow],
+                [(g.targets, memo[key]) for g, key in zip(narrow, keys)],
                 drop_tolerance=cfg.drop_tolerance,
             )
         for g in wide:

@@ -19,7 +19,7 @@ from qadv.circuits import (
 )
 from qadv.errors import SchemaError
 
-from oracles import circuit_unitary
+from oracles import circuit_unitary, haar_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -28,23 +28,40 @@ from oracles import circuit_unitary
 
 def test_haar_unitarity():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = haar_two_qubit(rng)
+    for u in haar_two_qubit(rng, 50):
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
 
 
 def test_haar_first_moment():
     # E |<00|U|00>|^2 = 1/d = 1/4 for Haar on dimension 4.
     rng = np.random.default_rng(1)
-    vals = np.array([abs(haar_two_qubit(rng)[0, 0]) ** 2 for _ in range(100_000)])
+    vals = np.abs(haar_two_qubit(rng, 100_000)[:, 0, 0]) ** 2
     assert vals.mean() == pytest.approx(0.25, abs=0.005)
 
 
 def test_haar_trace_moment():
     # E |Tr U|^2 = 1 for Haar, so the mean of |Tr U|^2 / 16 is 1/16.
     rng = np.random.default_rng(2)
-    vals = np.array([abs(np.trace(haar_two_qubit(rng))) ** 2 / 16 for _ in range(100_000)])
+    vals = np.abs(np.trace(haar_two_qubit(rng, 100_000), axis1=1, axis2=2)) ** 2 / 16
     assert vals.mean() == pytest.approx(1 / 16, abs=0.003)
+
+
+@pytest.mark.parametrize("count", [1, 4, 37])
+def test_haar_stack_matches_one_at_a_time_draws(count):
+    # The reference is the one-matrix sampler the stacked draw replaced.
+    stack = haar_two_qubit(np.random.default_rng(count), count)
+    rng = np.random.default_rng(count)
+    reference = np.stack([haar_unitary(4, rng) for _ in range(count)])
+    assert stack.shape == (count, 4, 4)
+    assert np.abs(stack - reference).max() <= 1e-15
+
+
+def test_brickwork_hands_out_one_stream_in_layer_order():
+    c = random_brickwork(5, 3, seed=9)
+    rng = np.random.default_rng(9)
+    for layer in c.layers:
+        for g in layer.gates:
+            assert np.abs(g.matrix - haar_unitary(4, rng)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

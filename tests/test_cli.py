@@ -285,6 +285,7 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
         ["decay", "--n", "5"],  # odd n rejected
         ["decay", "--jobs", "0"],
         ["suite", "--yes", "1", "--no", "1", "--s", "0"],
+        ["suite", "--yes", "0", "--no", "0"],  # a suite with no instances
         ["dequant", "estimate", "--x", str(vp), "--y", str(vp), "--samples", "0"],
         ["bell", "--trials", "0"],
         ["dequant", "sample", "--vector", str(vp), "--draws", "0"],

@@ -106,6 +106,22 @@ def test_transfer_cnot_known_rows():
     assert np.allclose(tm[xi], row, atol=1e-12)
 
 
+def test_transfer_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(5)
+    for dim in (2, 4, 8):
+        stack = np.stack([haar_unitary(dim, rng) for _ in range(5)])
+        got = transfer_matrix(stack)
+        assert got.shape == (5, dim * dim, dim * dim)
+        for entries, u in zip(got, stack):
+            assert np.abs(entries - transfer_matrix(u)).max() <= 1e-15
+
+
+def test_transfer_stack_rejects_one_non_unitary_member():
+    stack = np.stack([np.eye(4), circuits.FIXED_GATES["CNOT"], np.ones((4, 4))])
+    with pytest.raises(NonUnitaryError):
+        transfer_matrix(stack)
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
 @settings(max_examples=40)
 def test_transfer_orthogonal_and_identity_row(seed, dim):

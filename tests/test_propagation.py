@@ -236,6 +236,37 @@ def test_transfer_matrices_memoized_per_backward_pass(monkeypatch):
     assert second.terms == first.terms
 
 
+def test_mixed_width_layers_match_dense_route(monkeypatch):
+    # Layers mixing 1-, 2- and 3-qubit matrix gates, with one unitary
+    # repeated inside a layer and one repeated across layers: each layer
+    # builds its new transfer matrices as one stack per gate width.
+    rng = np.random.default_rng(83)
+    u1, u2, v2, u3 = (haar_unitary(d, rng) for d in (2, 4, 4, 8))
+    n = 6
+    c = _circ(
+        n,
+        [Gate("matrix", (0,), matrix=u1), Gate("matrix", (1, 2), matrix=u2),
+         Gate("matrix", (5, 3, 4), matrix=u3)],
+        [Gate("matrix", (1, 0), matrix=u2), Gate("matrix", (2,), matrix=u1),
+         Gate("matrix", (3,), matrix=u1), Gate("matrix", (4, 5), matrix=v2)],
+    )
+    shapes = []
+    real = prop.transfer_matrix
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(prop, "transfer_matrix", recording)
+    o = PauliMap.from_labels({"ZIIIII": 1.0, "IXIIYI": 0.5, "IIZIIX": -0.3})
+    got = backpropagate(c, o, PropagationConfig(k=n))
+    assert sorted(shapes) == [(1, 2, 2), (1, 8, 8), (2, 4, 4)]
+    expected = conjugate_map_dense(o, circuit_unitary(c))
+    got_labels = {p.label(): v for p, v in got.terms.items()}
+    for label in set(got_labels) | set(expected):
+        assert got_labels.get(label, 0.0) == pytest.approx(expected.get(label, 0.0), abs=1e-9)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(k=0)
