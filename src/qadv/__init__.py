@@ -7,6 +7,6 @@ from .detection import DetectionReport, decay_experiment, detect, instance_suite
 from .manifest import ARTIFACT_VERSION as __version__
 from .pauli import PauliMap, PauliString, transfer_matrix
 from .propagation import PropagationConfig, backpropagate, heuristic_expectation
-from .sensing import SensingConfig, ghz_protocol, kl_sample_bound, separable_protocol
+from .sensing import ghz_trial, kl_sample_bound, separable_fraction
 from .sq import SQVector, inner_product_estimate
 from .statevector import StateVector, apply_circuit, expectation, output_prob, prepare_basis

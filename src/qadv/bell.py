@@ -11,7 +11,6 @@ every local deterministic strategy and reaches 2*sqrt(2) quantum-mechanically.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -54,7 +53,6 @@ def socks_simulation(trials: int, rng: np.random.Generator) -> SocksStats:
     )
 
 
-@functools.lru_cache(maxsize=1)
 def _bell_pair() -> statevector.StateVector:
     prep = Circuit(
         2,

@@ -144,7 +144,7 @@ def decay_experiment(
         raise ValueError("trials must be at least 1")
     work = [(n, layers, drop_tolerance)] * trials
     # One row of layers + 1 norms per trial.
-    norms = np.array(seeded_map(_decay_trial, work, seed, jobs, chunksize=8))
+    norms = np.array(seeded_map(_decay_trial, work, seed, jobs))
     means = norms.mean(axis=0)
     ratios = tuple(float(means[j + 1] / means[j]) for j in range(layers))
     final = norms[:, -1]

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 - A PauliMap holds its terms in three parallel numpy arrays: x-masks and
   z-masks as uint64 (bit i = qubit i, as in PauliString) and float64
   coefficients. The propagation kernels work on these arrays only;
-  ``PauliMap.terms`` is a dict view built on first use. One uint64 word per
+  ``PauliMap.terms`` builds a new dict on each call. One uint64 word per
   mask limits a PauliMap to 64 qubits; a wider one raises
   ResourceLimitExceeded.
 - Gate-local Pauli operators are indexed in base 4 with digits
@@ -131,7 +131,7 @@ class PauliMap:
     discard those at or below their ``drop_tolerance``.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "coeffs", "_terms")
+    __slots__ = ("n_qubits", "x", "z", "coeffs")
 
     def __init__(
         self,
@@ -162,7 +162,6 @@ class PauliMap:
         for a in (x, z, coeffs):
             a.flags.writeable = False
         self.n_qubits, self.x, self.z, self.coeffs = n_qubits, x, z, coeffs
-        self._terms = None
 
     @classmethod
     def _from_arrays(
@@ -191,14 +190,12 @@ class PauliMap:
 
     @property
     def terms(self) -> dict[PauliString, float]:
-        """The terms as a dict, built on first use. Not for hot loops."""
-        if self._terms is None:
-            n = self.n_qubits
-            self._terms = {
-                PauliString(n, x, z): c
-                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())
-            }
-        return self._terms
+        """The terms as a new dict on each call. Not for hot loops."""
+        n = self.n_qubits
+        return {
+            PauliString(n, x, z): c
+            for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())
+        }
 
     def frobenius_normalized(self) -> float:
         """Squared Pauli-2 norm: sum of squared coefficients = Tr[O^2]/2^n."""

@@ -6,6 +6,9 @@ Every protocol state here is characterized by a single accumulated phase,
 so the simulation is phase bookkeeping plus Bernoulli draws; no qubit-level
 state is needed. A phase phi gives outcome probabilities (1 - cos phi)/2
 for the GHZ minus outcome and (1 + sin phi)/2 for the separable +i outcome.
+The trial functions return what was measured; the decision on it (the GHZ
+minus outcome heralds the signal, a separable +i fraction above
+1/2 + separable_bias/2 does) is the caller's.
 """
 
 from __future__ import annotations
@@ -19,59 +22,24 @@ import numpy as np
 from .pool import seeded_map, spawn_seeds
 
 
-@dataclass(frozen=True)
-class SensingConfig:
-    n_probes: int  # N
-    theta: float  # signal angle per channel use (radians)
-    gamma: float  # dephasing noise variance per channel use (radians^2)
-    channel_uses: int = 1  # T
-    repetitions: int = 1  # K
-
-    def __post_init__(self) -> None:
-        if self.theta < 0 or self.gamma < 0:
-            raise ValueError("theta and gamma must be nonnegative")
-        if min(self.n_probes, self.channel_uses, self.repetitions) < 1:
-            raise ValueError("N, T, and K must be at least 1")
+def _check(theta: float, gamma: float, *counts: int) -> None:
+    # Written so that NaN fails too: every comparison with NaN is False.
+    if not (theta >= 0 and gamma >= 0):
+        raise ValueError(f"theta and gamma must be nonnegative numbers, got {theta}, {gamma}")
+    if min(counts) < 1:
+        raise ValueError("N, T, K and uses per shot must be at least 1")
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    protocol: str
-    minus_outcome: bool | None
-    fraction: float | None
-    decision: str  # "signal-present" | "signal-absent"
-
-
-def dephased_angle(theta: float, gamma: float, rng: np.random.Generator) -> float:
-    """One noisy rotation angle: theta plus a zero-mean Gaussian of variance gamma."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if gamma == 0:
-        return theta
-    return theta + rng.normal(0.0, math.sqrt(gamma))
-
-
-def coherence_damping(gamma: float) -> float:
-    """Expected |E[e^{i phase}]| damping from one noise draw."""
-    return math.exp(-gamma / 2)
-
-
-def ghz_protocol(cfg: SensingConfig, rng: np.random.Generator) -> TrialOutcome:
+def ghz_trial(
+    n_probes: int, uses: int, theta: float, gamma: float, rng: np.random.Generator
+) -> bool:
     """One GHZ trial: N entangled probes through T parallel channel uses,
-    then a measurement in the GHZ +/- basis. The minus outcome heralds the
-    signal."""
-    n, t = cfg.n_probes, cfg.channel_uses
-    phase = n * t * cfg.theta
-    if cfg.gamma > 0:
-        phase += rng.normal(0.0, math.sqrt(cfg.gamma), size=n * t).sum()
-    p_minus = 0.5 * (1.0 - math.cos(phase))
-    minus = bool(rng.random() < p_minus)
-    return TrialOutcome(
-        protocol="ghz",
-        minus_outcome=minus,
-        fraction=None,
-        decision="signal-present" if minus else "signal-absent",
-    )
+    then a measurement in the GHZ +/- basis. Returns the minus outcome."""
+    _check(theta, gamma, n_probes, uses)
+    phase = n_probes * uses * theta
+    if gamma > 0:
+        phase += rng.normal(0.0, math.sqrt(gamma), size=n_probes * uses).sum()
+    return bool(rng.random() < 0.5 * (1.0 - math.cos(phase)))
 
 
 def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
@@ -80,7 +48,7 @@ def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
 
 
 def default_uses_per_shot(gamma: float) -> int:
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("separable schedule needs gamma > 0")
     return math.ceil(1.0 / gamma)
 
@@ -90,37 +58,17 @@ def separable_bias(theta: float, gamma: float, uses_per_shot: int) -> float:
     return math.sin(theta * uses_per_shot) * math.exp(-gamma * uses_per_shot / 2) / 2
 
 
-def separable_protocol(
-    cfg: SensingConfig,
-    uses_per_shot: int,
-    rng: np.random.Generator,
-    signal_theta: float | None = None,
-) -> TrialOutcome:
-    """One separable trial: K*N independent |+> probes, each evolved R times
-    and measured in the Y basis; decide on the +i fraction.
-
-    The decision threshold is 1/2 + eps/2 with eps the analytic bias of the
-    hypothesized signal (`signal_theta`, defaulting to cfg.theta). The
-    simulated evolution always uses cfg.theta, so null trials run with
-    theta=0 but keep the signal's threshold.
-    """
-    if uses_per_shot < 1:
-        raise ValueError("uses per shot must be at least 1")
-    shots = cfg.repetitions * cfg.n_probes
-    phases = np.full(shots, uses_per_shot * cfg.theta)
-    if cfg.gamma > 0:
-        phases += rng.normal(0.0, math.sqrt(cfg.gamma), size=(shots, uses_per_shot)).sum(axis=1)
+def separable_fraction(
+    shots: int, uses_per_shot: int, theta: float, gamma: float, rng: np.random.Generator
+) -> float:
+    """One separable trial: `shots` independent |+> probes, each evolved R
+    times and measured in the Y basis. Returns the +i fraction."""
+    _check(theta, gamma, shots, uses_per_shot)
+    phases = np.full(shots, uses_per_shot * theta)
+    if gamma > 0:
+        phases += rng.normal(0.0, math.sqrt(gamma), size=(shots, uses_per_shot)).sum(axis=1)
     p_plus_i = 0.5 * (1.0 + np.sin(phases))
-    fraction = float((rng.random(shots) < p_plus_i).mean())
-    theta = signal_theta if signal_theta is not None else cfg.theta
-    eps = separable_bias(theta, cfg.gamma, uses_per_shot)
-    present = fraction > 0.5 + eps / 2
-    return TrialOutcome(
-        protocol="separable",
-        minus_outcome=None,
-        fraction=fraction,
-        decision="signal-present" if present else "signal-absent",
-    )
+    return float((rng.random(shots) < p_plus_i).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +77,7 @@ def separable_protocol(
 
 def kl_divergence(theta: float, gamma: float) -> float:
     """D_KL(N(0, gamma) || N(theta, gamma)) = theta^2 / (2 gamma)."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     return theta**2 / (2 * gamma)
 
@@ -137,14 +85,14 @@ def kl_divergence(theta: float, gamma: float) -> float:
 def kl_sample_bound(theta: float, gamma: float) -> float:
     """1 / D_KL: the sample-count lower bound with its Omega-constant
     reported as 1."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("the bound is undefined for theta = 0")
     return 1.0 / kl_divergence(theta, gamma)
 
 
 def nt_bound_branches(theta: float, gamma: float) -> dict:
     """Both branches of the channel-use lower bound max(gamma/theta^2, 1/theta)."""
-    if theta <= 0 or gamma <= 0:
+    if not (theta > 0 and gamma > 0):
         raise ValueError("theta and gamma must be positive")
     noisy = gamma / theta**2
     noiseless = 1.0 / theta
@@ -177,22 +125,22 @@ class SweepCell:
 
 def _run_cell(args, ss) -> SweepCell:
     protocol, n, theta, gamma, t_uses, k_reps, trials = args
+    # Checked here too: with trials = 1 only a null trial runs, never theta.
+    _check(theta, gamma, n, t_uses, k_reps)
     rng = np.random.default_rng(ss)
+    if protocol == "separable":
+        r = default_uses_per_shot(gamma)
+        # The threshold is the hypothesized signal's, also on null trials.
+        threshold = 0.5 + separable_bias(theta, gamma, r) / 2
     correct = 0
     for trial in range(trials):
         # Equal priors: even trials are null, odd trials carry the signal.
         true_theta = 0.0 if trial % 2 == 0 else theta
         if protocol == "ghz":
-            cfg = SensingConfig(n, true_theta, gamma, channel_uses=t_uses)
-            out = ghz_protocol(cfg, rng=rng)
-        elif protocol == "separable":
-            r = default_uses_per_shot(gamma)
-            cfg = SensingConfig(n, true_theta, gamma, repetitions=k_reps)
-            out = separable_protocol(cfg, uses_per_shot=r, rng=rng, signal_theta=theta)
+            present = ghz_trial(n, t_uses, true_theta, gamma, rng)
         else:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        want = "signal-absent" if true_theta == 0 else "signal-present"
-        correct += out.decision == want
+            present = separable_fraction(k_reps * n, r, true_theta, gamma, rng) > threshold
+        correct += present == (true_theta != 0)
     success = correct / trials
     return SweepCell(
         protocol=protocol,
@@ -220,6 +168,8 @@ def scaling_sweep(
 ) -> list[SweepCell]:
     """Per grid cell, the fraction of correct two-hypothesis decisions
     (half the trials run with theta=0, half with the signal)."""
+    if protocol not in ("ghz", "separable"):
+        raise ValueError(f"unknown protocol {protocol!r}")
     if not grid:
         raise ValueError("sweep grid must be nonempty")
     if trials < 1:

@@ -45,22 +45,30 @@ class SQVector:
         return float(self.tree[self.dim + i])
 
     def check_tree(self) -> None:
-        """Re-verify the prefix-sum invariants in O(N)."""
-        if abs(self.tree[1] - 1.0) > _NORM_TOL:
+        """Re-verify the prefix-sum invariants in O(N). Written as
+        ``not (deviation <= tol)`` so that a NaN node fails."""
+        if not abs(self.tree[1] - 1.0) <= _NORM_TOL:
             raise InvariantViolation(f"root sum {self.tree[1]} deviates from 1")
         # Levels top down, so the first bad node found is the first in heap order.
         lo = 1
         while lo < self.dim:
-            bad = np.abs(self.tree[lo : 2 * lo] - _children_sum(self.tree, lo)) > 1e-12
+            bad = ~(np.abs(self.tree[lo : 2 * lo] - _children_sum(self.tree, lo)) <= 1e-12)
             if bad.any():
                 node = lo + int(bad.argmax())
                 raise InvariantViolation(f"node {node} does not match its children")
             lo *= 2
 
 
+def _check_finite(values: np.ndarray) -> None:
+    # A NaN passes every ``deviation > tol`` test, so refuse it up front.
+    if not np.isfinite(values).all():
+        raise ValueError("vector entries must be finite")
+
+
 def build(v, normalize: bool = False) -> SQVector:
     """Build sample-and-query access in O(N); pads to a power of two."""
     values = np.asarray(v, dtype=float).reshape(-1)
+    _check_finite(values)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ValueError("cannot build sample access over the zero vector")
@@ -136,6 +144,7 @@ def inner_product_estimate(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     yv = y.values if isinstance(y, SQVector) else np.asarray(y, dtype=float)
+    _check_finite(yv)
     if abs(np.linalg.norm(yv) - 1.0) > _NORM_TOL:
         raise ValueError("query vector must have unit norm")
     if len(yv) != sq_x.dim:

@@ -58,10 +58,11 @@ def test_criterion_3_oracle_equivalence():
         layers = int(rng.integers(1, 9))
         c = circuits.random_brickwork(n, layers, seed=int(rng.integers(2**32)))
         o0 = backpropagate(c, z_first(n), PropagationConfig(k=n))
+        fused = sv.fuse(c)
         for _ in range(3):
             x = "".join(str(b) for b in rng.integers(0, 2, n))
             heur = evaluate_product_state(o0, x)
-            exact = 1 - 2 * sv.output_prob(c, x)
+            exact = 1 - 2 * sv.output_prob(fused, x)
             worst = max(worst, abs(heur - exact))
     _report(
         3,
@@ -129,16 +130,15 @@ def test_criterion_5_dequantization_estimator():
 def test_criterion_6_sensing_bias_formula():
     shots = 100_000
     rng = np.random.default_rng(15)
-    cfg = sensing.SensingConfig(n_probes=1, theta=0.05, gamma=0.2, repetitions=shots)
-    out = sensing.separable_protocol(cfg, uses_per_shot=5, rng=rng)
+    fraction = sensing.separable_fraction(shots, 5, 0.05, 0.2, rng)
     eps = sensing.separable_bias(0.05, 0.2, 5)
     stderr = math.sqrt(0.25 / shots)
-    gap = abs((out.fraction - 0.5) - eps)
+    gap = abs((fraction - 0.5) - eps)
     _report(
         6,
         "separable-protocol bias matches sin(0.25) e^{-0.5} / 2",
         gap <= 3 * stderr,
-        f"measured {out.fraction - 0.5:.5f} vs analytic {eps:.5f}, "
+        f"measured {fraction - 0.5:.5f} vs analytic {eps:.5f}, "
         f"off by {gap / stderr:.2f} stderr",
     )
 

@@ -279,6 +279,12 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
     circuits.save_circuit(circuits.random_brickwork(3, 2, seed=0), str(cpath))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"cells": [{"N": 2, "theta": 0.1}]}))
+    nan_grid = tmp_path / "nan_grid.json"
+    nan_grid.write_text(json.dumps({"cells": [{"N": 2, "theta": float("nan")}]}))
+    nan_vec = tmp_path / "nan.txt"
+    np.savetxt(nan_vec, [0.6, np.nan])
+    inf_vec = tmp_path / "inf.txt"
+    np.savetxt(inf_vec, [0.6, np.inf])
     out = tmp_path / "out"
     for args in (
         ["sense", "--gamma", "-0.5"],
@@ -294,6 +300,14 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
         ["oracle-check", "--instances", "0"],
         ["detect", "--circuit", str(cpath), "--shots", "0"],  # a rate over 0 draws
         ["sweep", "--config", str(grid), "--trials", "0"],  # a rate over 0 trials
+        # NaN passes every "x < 0" and "|x - 1| > tol" test.
+        ["sense", "--theta", "nan"],
+        ["sense", "--gamma", "nan", "--r-uses", "5"],
+        ["sweep", "--config", str(nan_grid)],
+        ["dequant", "build", "--vector", str(nan_vec)],
+        ["dequant", "sample", "--vector", str(nan_vec)],
+        ["dequant", "estimate", "--x", str(vp), "--y", str(nan_vec)],
+        ["dequant", "build", "--vector", str(inf_vec), "--normalize"],
     ):
         r = runner.invoke(main, [*args, "--out-dir", str(out)])
         assert r.exit_code == 2, (args, r.output)
@@ -403,3 +417,30 @@ def test_report_bytes_are_pinned(runner, tmp_path):
         "6a9bdefa43993938af0179640484093d09b89322801af271fa765b3cd14e8497")
     assert _sha256(tmp_path / "sweep_results.csv") == (
         "1b32fac4121f1971fd9ae857c6aee31eee648b73676010b6da6f527ab8185ee6")
+
+
+def test_sensing_report_bytes_are_pinned(runner, tmp_path):
+    # The separable decision rule and the theta = 0 expected answer both
+    # reach these bytes; the second sweep cell has theta = 0.
+    r = runner.invoke(
+        main, ["sense", "--theta", "0.05", "--gamma", "0.2", "--shots", "20000", "--seed", "3",
+               "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "sense_report.json") == (
+        "bab76f2839cc62619210a799960c887040c198f6d2fc837fcbbce7328cff1c13")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"cells": [
+        {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
+        {"N": 1, "theta": 0.0, "gamma": 0.2, "K": 2},
+        {"N": 3, "theta": 0.2, "gamma": 0.5, "T": 4, "K": 5},
+    ]}))
+    r = runner.invoke(
+        main, ["sweep", "--protocol", "separable", "--trials", "301", "--config", str(cfg),
+               "--seed", "5", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "sweep_report.json") == (
+        "874153b8155574d724244ebe6123144d3f412b83d3456f150563dccd82c89085")
+    assert _sha256(tmp_path / "sweep_results.csv") == (
+        "50a92d31e32503bd2e3a93391161ed1f57ec97d62185aa4243a34d2bb5fa3d88")

@@ -387,6 +387,13 @@ def test_frobenius_examples():
     assert np.trace(dense.conj().T @ dense).real / 4 == pytest.approx(1.0)
 
 
+def test_terms_is_a_new_dict_on_each_call():
+    m = PauliMap.from_labels({"ZI": 0.5})
+    m.terms[PauliString.from_label("XX")] = 1.0
+    assert m.terms == {PauliString.from_label("ZI"): 0.5}
+    assert m.terms is not m.terms
+
+
 def test_drop_tolerance_filters_small_terms():
     m = PauliMap.from_labels({"Z": 1.0, "X": 1e-15})
     out = conjugate_layer(m, _layer(((0,), np.eye(2))))

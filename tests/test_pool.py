@@ -4,9 +4,11 @@ from qadv import pool
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the chunk
+    size it is given, maps in-process."""
 
     sizes: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -18,6 +20,7 @@ class _InProcessPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -28,6 +31,7 @@ def _draw(item, ss):
 @pytest.fixture
 def fake_pool(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(_InProcessPool, "chunks", [])
     monkeypatch.setattr(pool, "ProcessPoolExecutor", _InProcessPool)
     return _InProcessPool
 
@@ -50,3 +54,18 @@ def test_seeded_map_refuses_jobs_below_one(fake_pool, jobs):
     with pytest.raises(ValueError, match="jobs"):
         pool.seeded_map(_draw, [1, 2], 7, jobs)
     assert fake_pool.sizes == []
+
+
+@pytest.mark.parametrize("jobs,items,chunk", [
+    (2, 5, 1),
+    (2, 8, 1),
+    (2, 9, 2),  # ceil(9 / (4 * 2))
+    (2, 300, 38),
+    (4, 300, 19),
+    (8, 3, 1),  # three workers for three items
+])
+def test_seeded_map_chunk_size(fake_pool, jobs, items, chunk):
+    work = list(range(items))
+    out = pool.seeded_map(_draw, work, 7, jobs)
+    assert fake_pool.chunks == [chunk]
+    assert out == pool.seeded_map(_draw, work, 7, 1)

@@ -69,10 +69,11 @@ def test_exact_mode_matches_statevector():
         c = circuits.random_brickwork(n, layers, seed=int(rng.integers(2**32)))
         cfg = PropagationConfig(k=n)
         o0 = backpropagate(c, z_first(n), cfg)
+        fused = sv.fuse(c)
         for _ in range(3):
             x = "".join(str(b) for b in rng.integers(0, 2, n))
             heur = evaluate_product_state(o0, x)
-            exact = 1 - 2 * sv.output_prob(c, x)
+            exact = 1 - 2 * sv.output_prob(fused, x)
             assert heur == pytest.approx(exact, abs=1e-9)
 
 

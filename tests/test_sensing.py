@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from qadv.sensing import (
-    SensingConfig,
-    coherence_damping,
     default_uses_per_shot,
-    dephased_angle,
     ghz_minus_probability,
-    ghz_protocol,
+    ghz_trial,
     kl_divergence,
     kl_sample_bound,
     minimal_ghz_uses,
@@ -17,39 +14,25 @@ from qadv.sensing import (
     nt_bound_branches,
     scaling_sweep,
     separable_bias,
-    separable_protocol,
+    separable_fraction,
 )
 
 
-def test_dephased_angle_noiseless_is_exact():
-    rng = np.random.default_rng(0)
-    assert dephased_angle(0.37, 0.0, rng) == 0.37
-
-
-def test_dephased_angle_moments():
-    rng = np.random.default_rng(1)
-    gamma = 0.3
-    draws = np.array([dephased_angle(0.0, gamma, rng) for _ in range(100_000)])
-    assert abs(draws.mean()) < 4 * math.sqrt(gamma) / math.sqrt(100_000)
-    assert draws.var() == pytest.approx(gamma, rel=0.05)
-
-
-def test_dephasing_characteristic_function():
-    # E[e^{i angle}] = e^{i theta} e^{-gamma/2}: the coherence damping that
-    # defines the dephasing probability p = 1 - e^{-gamma/2}.
-    rng = np.random.default_rng(2)
-    theta, gamma = 0.4, 0.5
-    draws = np.array([dephased_angle(theta, gamma, rng) for _ in range(100_000)])
-    measured = np.exp(1j * draws).mean()
-    expected = np.exp(1j * theta) * coherence_damping(gamma)
-    assert abs(measured - expected) < 4 / math.sqrt(100_000)
-
-
 def test_config_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        SensingConfig(0, 0.1, 0.1)
+        ghz_trial(0, 1, 0.1, 0.1, rng)
     with pytest.raises(ValueError):
-        SensingConfig(1, -0.1, 0.1)
+        ghz_trial(1, 1, -0.1, 0.1, rng)
+    with pytest.raises(ValueError):
+        separable_fraction(0, 1, 0.1, 0.1, rng)
+    with pytest.raises(ValueError):
+        separable_fraction(1, 1, -0.1, 0.1, rng)
+    # NaN passes every "x < 0" test, so it is refused explicitly.
+    with pytest.raises(ValueError):
+        ghz_trial(1, 1, math.nan, 0.1, rng)
+    with pytest.raises(ValueError):
+        separable_fraction(1, 1, 0.1, math.nan, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -58,35 +41,29 @@ def test_config_validation():
 
 def test_ghz_no_signal_never_heralds():
     rng = np.random.default_rng(3)
-    cfg = SensingConfig(4, 0.0, 0.0, channel_uses=10)
     for _ in range(200):
-        out = ghz_protocol(cfg, rng=rng)
-        assert out.decision == "signal-absent"
+        assert not ghz_trial(4, 10, 0.0, 0.0, rng)
 
 
 def test_ghz_pi_phase_always_heralds():
     rng = np.random.default_rng(4)
-    cfg = SensingConfig(2, math.pi / 8, 0.0, channel_uses=4)  # N*T*theta = pi
     for _ in range(200):
-        out = ghz_protocol(cfg, rng=rng)
-        assert out.decision == "signal-present"
+        assert ghz_trial(2, 4, math.pi / 8, 0.0, rng)  # N*T*theta = pi
 
 
 def test_ghz_detection_rate_matches_closed_form():
     # N=8, theta=0.01, T=40: Pr[minus] = sin^2(1.6) ~ 0.9992.
     rng = np.random.default_rng(5)
-    cfg = SensingConfig(8, 0.01, 0.0, channel_uses=40)
     want = ghz_minus_probability(8, 40, 0.01)
     assert want == pytest.approx(math.sin(1.6) ** 2)
-    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(1000))
+    hits = sum(ghz_trial(8, 40, 0.01, 0.0, rng) for _ in range(1000))
     assert hits / 1000 >= 0.99
 
 
 def test_ghz_noisy_phase_accumulates_nt_noise_draws():
     # With full dephasing the herald rate drops to about 1/2.
     rng = np.random.default_rng(6)
-    cfg = SensingConfig(4, 0.0, 0.5, channel_uses=50)
-    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(4000))
+    hits = sum(ghz_trial(4, 50, 0.0, 0.5, rng) for _ in range(4000))
     assert hits / 4000 == pytest.approx(0.5, abs=0.03)
 
 
@@ -96,9 +73,8 @@ def test_ghz_noisy_phase_accumulates_nt_noise_draws():
 
 def test_separable_zero_signal_fraction_half():
     rng = np.random.default_rng(7)
-    cfg = SensingConfig(1, 0.0, 0.2, repetitions=100_000)
-    out = separable_protocol(cfg, uses_per_shot=5, rng=rng, signal_theta=0.05)
-    assert abs(out.fraction - 0.5) < 0.01
+    fraction = separable_fraction(100_000, 5, 0.0, 0.2, rng)
+    assert abs(fraction - 0.5) < 0.01
 
 
 def test_separable_bias_formula_value():
@@ -111,20 +87,16 @@ def test_separable_bias_formula_value():
 def test_separable_measured_bias_matches_formula():
     rng = np.random.default_rng(8)
     shots = 100_000
-    cfg = SensingConfig(1, 0.05, 0.2, repetitions=shots)
-    out = separable_protocol(cfg, uses_per_shot=5, rng=rng)
+    fraction = separable_fraction(shots, 5, 0.05, 0.2, rng)
     eps = separable_bias(0.05, 0.2, 5)
     stderr = math.sqrt(0.25 / shots)
-    assert abs((out.fraction - 0.5) - eps) < 3 * stderr
+    assert abs((fraction - 0.5) - eps) < 3 * stderr
 
 
 def test_separable_deterministic_quarter_turn():
     # gamma = 0 and R*theta = pi/2 puts every shot at +i.
     rng = np.random.default_rng(9)
-    cfg = SensingConfig(1, math.pi / 8, 0.0, repetitions=500)
-    out = separable_protocol(cfg, uses_per_shot=4, rng=rng)
-    assert out.fraction == 1.0
-    assert out.decision == "signal-present"
+    assert separable_fraction(500, 4, math.pi / 8, 0.0, rng) == 1.0
 
 
 def test_default_uses_per_shot():
@@ -132,6 +104,8 @@ def test_default_uses_per_shot():
     assert default_uses_per_shot(0.3) == 4
     with pytest.raises(ValueError):
         default_uses_per_shot(0.0)
+    with pytest.raises(ValueError, match="gamma > 0"):
+        default_uses_per_shot(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +118,11 @@ def test_kl_formula_and_bound():
     assert kl_sample_bound(0.1, 1.0) == pytest.approx(200.0)  # linear in gamma
     with pytest.raises(ValueError):
         kl_sample_bound(0.0, 0.5)
+    for theta, gamma in ((math.nan, 0.5), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            kl_sample_bound(theta, gamma)
+        with pytest.raises(ValueError):
+            nt_bound_branches(theta, gamma)
 
 
 def test_nt_bound_branches_regime_switch():
@@ -162,6 +141,12 @@ def test_nt_bound_branches_regime_switch():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         scaling_sweep("ghz", [], trials=10, seed=0)
+
+
+def test_sweep_refuses_unknown_protocol_first():
+    # Refused before the grid is even read, so no cell runs.
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        scaling_sweep("bogus", [], trials=10, seed=0)
 
 
 def test_sweep_parallel_matches_serial():
@@ -218,10 +203,9 @@ def test_minimal_ghz_uses_monte_carlo_agreement():
 def test_outcome_frequencies_match_analytic_probability():
     # Monte Carlo herald frequency vs (1 - cos(N T theta))/2 within 4 SE.
     rng = np.random.default_rng(13)
-    cfg = SensingConfig(3, 0.07, 0.0, channel_uses=3)
     trials = 100_000
     p = 0.5 * (1 - math.cos(3 * 3 * 0.07))
-    hits = sum(ghz_protocol(cfg, rng=rng).minus_outcome for _ in range(trials))
+    hits = sum(ghz_trial(3, 3, 0.07, 0.0, rng) for _ in range(trials))
     se = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 4 * se
 
@@ -235,9 +219,8 @@ def test_minimal_separable_nt_near_theory():
 def test_decisions_reproducible_for_fixed_seed():
     def run():
         rng = np.random.default_rng(300)
-        cfg = SensingConfig(2, 0.03, 0.1, channel_uses=20, repetitions=50)
-        g = ghz_protocol(cfg, rng=rng)
-        s = separable_protocol(cfg, uses_per_shot=10, rng=rng)
+        g = ghz_trial(2, 20, 0.03, 0.1, rng)
+        s = separable_fraction(2 * 50, 10, 0.03, 0.1, rng)
         return g, s
 
     assert run() == run()

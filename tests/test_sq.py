@@ -191,6 +191,25 @@ def test_check_tree_detects_corruption():
         v.check_tree()
 
 
+def test_check_tree_detects_nan_node():
+    v = sq.build(np.full(4, 0.5))
+    v.tree[3] = np.nan
+    with pytest.raises(InvariantViolation, match="node 1 does"):
+        v.check_tree()
+    v.tree[1] = np.nan
+    with pytest.raises(InvariantViolation, match="root sum"):
+        v.check_tree()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sq.build([0.6, bad], normalize=True)
+    x = sq.build([0.6, 0.8])
+    with pytest.raises(ValueError, match="finite"):
+        sq.inner_product_estimate(x, np.array([0.6, bad]), 10, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
 def test_tree_matches_node_by_node_sums(n):
     v = sq.build(np.random.default_rng(n).standard_normal(n), normalize=True)
