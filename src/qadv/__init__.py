@@ -5,7 +5,7 @@ from . import bell, circuits, detection, pauli, propagation, sensing, sq, statev
 from .circuits import Circuit, Gate, amplify, build_cnew, random_brickwork
 from .detection import DetectionReport, decay_experiment, detect, instance_suite
 from .manifest import ARTIFACT_VERSION as __version__
-from .pauli import PauliMap, PauliString, transfer_matrix
+from .pauli import PauliMap, transfer_matrix
 from .propagation import PropagationConfig, backpropagate, heuristic_expectation
 from .sensing import ghz_trial, kl_sample_bound, separable_fraction
 from .sq import SQVector, inner_product_estimate

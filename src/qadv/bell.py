@@ -4,9 +4,11 @@ and two-qubit correlators at tunable measurement angles.
 
 Measurement settings are basis-rotation angles in the real (X-Z) plane: a
 setting t measures the observable cos(2t) Z + sin(2t) X, the +-1 observable
-of the standard basis rotated by t. The shared state is (|00> + |11>)/sqrt(2).
-The combination E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1) is capped at 2 for
-every local deterministic strategy and reaches 2*sqrt(2) quantum-mechanically.
+of the standard basis rotated by t. The shared state is (|00> + |11>)/sqrt(2),
+prepared once at import as a read-only constant; observables are built from
+Pauli masks. The combination E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1) is
+capped at 2 for every local deterministic strategy and reaches 2*sqrt(2)
+quantum-mechanically.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import statevector
 from .circuits import Circuit, ElementaryLayer, Gate
-from .pauli import PauliMap, PauliString
+from .pauli import PauliMap
 
 #: Settings achieving the quantum maximum under this angle convention:
 #: (a0, a1, b0, b1) = (0, pi/4, pi/8, -pi/8).
@@ -53,22 +55,19 @@ def socks_simulation(trials: int, rng: np.random.Generator) -> SocksStats:
     )
 
 
-def _bell_pair() -> statevector.StateVector:
-    prep = Circuit(
-        2,
-        (
-            ElementaryLayer((Gate("H", (0,)),)),
-            ElementaryLayer((Gate("CNOT", (0, 1)),)),
-        ),
-    )
-    return statevector.apply_circuit(statevector.prepare_basis(2, "00"), prep)
+#: The shared pair, prepared by H then CNOT. Its amplitudes are read-only,
+#: so no caller can change the state the others measure.
+_BELL_PAIR = statevector.apply_circuit(
+    statevector.prepare_basis(2, "00"),
+    Circuit(2, (ElementaryLayer((Gate("H", (0,)),)), ElementaryLayer((Gate("CNOT", (0, 1)),)))),
+)
+_BELL_PAIR.amplitudes.setflags(write=False)
 
 
 def quantum_single_basis_distribution() -> dict[str, float]:
     """Joint outcome distribution when both parties measure the standard
     basis on the shared pair."""
-    state = _bell_pair()
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(_BELL_PAIR.amplitudes) ** 2
     return {format(i, "02b"): float(p) for i, p in enumerate(probs)}
 
 
@@ -106,21 +105,23 @@ def classical_chsh_max() -> float:
 def measurement_observable(angle: float, qubit: int) -> PauliMap:
     """The +-1 observable of the standard basis rotated by `angle`, on one
     qubit of the pair."""
-    z = PauliString.identity(2).with_digit(qubit, 3)
-    x = PauliString.identity(2).with_digit(qubit, 1)
-    return PauliMap(2, {z: math.cos(2 * angle), x: math.sin(2 * angle)})
+    bit = 1 << qubit
+    return PauliMap._from_masks(2, [0, bit], [bit, 0], [math.cos(2 * angle), math.sin(2 * angle)])
 
 
 def quantum_correlator(alpha: float, beta: float) -> float:
     """E(alpha, beta): expectation of the product observable on the pair."""
-    terms: dict[PauliString, float] = {}
     a = measurement_observable(alpha, 0)
     b = measurement_observable(beta, 1)
-    for pa, ca in a.terms.items():
-        for pb, cb in b.terms.items():
-            combined = PauliString(2, pa.x | pb.x, pa.z | pb.z)
-            terms[combined] = terms.get(combined, 0.0) + ca * cb
-    return statevector.expectation(_bell_pair(), PauliMap(2, terms))
+    # The parties act on different qubits, so every pair of terms gives a
+    # distinct product term.
+    product = PauliMap._from_arrays(
+        2,
+        (a.x[:, None] | b.x).ravel(),
+        (a.z[:, None] | b.z).ravel(),
+        np.outer(a.coeffs, b.coeffs).ravel(),
+    )
+    return statevector.expectation(_BELL_PAIR, product)
 
 
 def quantum_chsh_value(angles: tuple[float, float, float, float]) -> float:

@@ -167,7 +167,7 @@ def _exec_detect(config: dict) -> Output:
 
 def _exec_suite(config: dict) -> Output:
     if config["yes"] + config["no"] < 1:
-        raise ValueError("--yes plus --no must be at least 1: a suite needs an instance")
+        raise ConfigError("--yes plus --no must be at least 1: a suite needs an instance")
     instances = detection.default_instances(
         config["yes"], config["no"], config["m"], seed=config["seed"]
     )
@@ -213,7 +213,7 @@ def _exec_dequant_build(config: dict) -> Output:
 def _exec_dequant_sample(config: dict) -> Output:
     draws = config["draws"]
     if draws < 1:
-        raise ValueError("draws must be at least 1")
+        raise ConfigError("draws must be at least 1")
     sqv = _load_sq(config["vector"], config["normalize"])
     rng = np.random.default_rng(config["seed"])
     counts = np.bincount(sq.sample_many(sqv, rng.random(draws)), minlength=sqv.dim)
@@ -323,11 +323,11 @@ def _exec_bell(config: dict) -> Output:
 
 def _exec_oracle_check(config: dict) -> Output:
     if config["instances"] < 1:
-        raise ValueError("instances must be at least 1")
+        raise ConfigError("instances must be at least 1")
     if config["max_n"] < 2:
-        raise ValueError("--max-n must be at least 2: a brickwork needs 2 qubits")
+        raise ConfigError("--max-n must be at least 2: a brickwork needs 2 qubits")
     if config["max_layers"] < 1:
-        raise ValueError("--max-layers must be at least 1")
+        raise ConfigError("--max-layers must be at least 1")
     rng = np.random.default_rng(config["seed"])
     rows = []
     for i in range(config["instances"]):

@@ -4,17 +4,20 @@ Conventions used throughout the package:
 
 - Qubits are indexed 0..n-1. Qubit 0 is "the first qubit" and is the most
   significant bit of a statevector amplitude index.
-- A PauliString stores two integer bitmasks; bit i refers to qubit i.
-  Qubit i carries X iff the x-bit is set, Z iff the z-bit is set, Y iff
-  both, I iff neither. Each site holds the Hermitian Pauli with phase +1
-  (Y itself, not XZ), so Hermitian operators expand with real coefficients
-  and conjugation by any unitary keeps them real.
+- A Pauli term is a pair of integer bitmasks (x, z); bit i refers to
+  qubit i. Qubit i carries X iff the x-bit is set, Z iff the z-bit is set,
+  Y iff both, I iff neither. Each site holds the Hermitian Pauli with phase
+  +1 (Y itself, not XZ), so Hermitian operators expand with real
+  coefficients and conjugation by any unitary keeps them real.
 - A PauliMap holds its terms in three parallel numpy arrays: x-masks and
-  z-masks as uint64 (bit i = qubit i, as in PauliString) and float64
-  coefficients. The propagation kernels work on these arrays only;
-  ``PauliMap.terms`` builds a new dict on each call. One uint64 word per
-  mask limits a PauliMap to 64 qubits; a wider one raises
-  ResourceLimitExceeded.
+  z-masks as uint64 and float64 coefficients. These masks are the only
+  form the library computes on. One uint64 word per mask limits a PauliMap
+  to 64 qubits; a wider one raises ResourceLimitExceeded.
+- Labels are the human-facing form: ``PauliMap.from_labels`` and
+  ``to_labels`` convert ``{"XIZ": 0.5, ...}`` to and from masks; letter i
+  of a label acts on qubit i. ``PauliString`` and ``PauliMap.terms`` (a new
+  dict on each call) remain only for external callers, such as the
+  benchmark, that key a map by ``PauliString(n, x, z)``.
 - Gate-local Pauli operators are indexed in base 4 with digits
   0=I, 1=X, 2=Y, 3=Z and the gate's first target as the most significant
   digit, matching the Kronecker order of the gate matrix.
@@ -46,8 +49,6 @@ PAULI_1Q = np.array(
     dtype=complex,
 )
 
-_DIGIT_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-_BITS_FROM_DIGIT = ((0, 0), (1, 0), (1, 1), (0, 1))
 _LABELS = "IXYZ"
 
 #: Coefficients smaller than this are dropped after each layer step. This is
@@ -68,7 +69,8 @@ class NonUnitaryError(ValueError):
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator without phase; signs live in coefficients."""
+    """An n-qubit Pauli operator without phase, as its (x, z) masks: the
+    key of ``PauliMap(n, {PauliString: coeff})`` and of ``PauliMap.terms``."""
 
     n_qubits: int
     x: int
@@ -85,44 +87,24 @@ class PauliString:
         """Number of non-identity tensor factors."""
         return (self.x | self.z).bit_count()
 
-    def digit(self, qubit: int) -> int:
-        """Base-4 Pauli index (0=I,1=X,2=Y,3=Z) at one qubit."""
-        return _DIGIT_FROM_BITS[(self.x >> qubit) & 1, (self.z >> qubit) & 1]
 
-    def with_digit(self, qubit: int, digit: int) -> "PauliString":
-        xb, zb = _BITS_FROM_DIGIT[digit]
-        bit = 1 << qubit
-        return PauliString(
-            self.n_qubits,
-            (self.x & ~bit) | (xb << qubit),
-            (self.z & ~bit) | (zb << qubit),
+def _checked_arrays(n_qubits: int, x, z, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks and coefficients as arrays, after the public checks: a
+    width of 1..MAX_QUBITS and finite coefficients."""
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be positive")
+    if n_qubits > MAX_QUBITS:
+        raise ResourceLimitExceeded(
+            f"PauliMap on {n_qubits} qubits exceeds the {MAX_QUBITS}-qubit mask width"
         )
-
-    def label(self) -> str:
-        return "".join(_LABELS[self.digit(q)] for q in range(self.n_qubits))
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label):
-            try:
-                xb, zb = _BITS_FROM_DIGIT[_LABELS.index(ch)]
-            except ValueError:
-                raise ValueError(f"unknown Pauli letter {ch!r}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z)
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    def __repr__(self) -> str:
-        return f"PauliString({self.label()!r})"
+    coeffs = np.array([float(c) for c in coeffs], dtype=np.float64)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("Pauli coefficients must be finite")
+    return np.array(x, dtype=np.uint64), np.array(z, dtype=np.uint64), coeffs
 
 
 class PauliMap:
-    """A finite real-weighted sum of PauliStrings (a Hermitian observable).
+    """A finite real-weighted sum of Pauli strings (a Hermitian observable).
 
     The terms are the parallel arrays ``x``, ``z`` (uint64 masks) and
     ``coeffs`` (float64); each (x, z) pair occurs at most once. Immutable
@@ -138,22 +120,13 @@ class PauliMap:
         n_qubits: int,
         terms: Mapping[PauliString, float] | None = None,
     ) -> None:
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        if n_qubits > MAX_QUBITS:
-            raise ResourceLimitExceeded(
-                f"PauliMap on {n_qubits} qubits exceeds the {MAX_QUBITS}-qubit mask width"
-            )
         items = list((terms or {}).items())
         if any(p.n_qubits != n_qubits for p, _ in items):
             raise ValueError("term qubit count mismatch")
-        self._assign(
-            n_qubits,
-            np.array([p.x for p, _ in items], dtype=np.uint64),
-            np.array([p.z for p, _ in items], dtype=np.uint64),
-            np.array([float(c) for _, c in items], dtype=np.float64),
-            0.0,
+        x, z, coeffs = _checked_arrays(
+            n_qubits, [p.x for p, _ in items], [p.z for p, _ in items], [c for _, c in items]
         )
+        self._assign(n_qubits, x, z, coeffs, 0.0)
 
     def _assign(self, n_qubits, x, z, coeffs, drop_tolerance) -> None:
         keep = np.abs(coeffs) > drop_tolerance
@@ -179,14 +152,39 @@ class PauliMap:
         return m
 
     @classmethod
-    def single(cls, p: PauliString) -> "PauliMap":
-        return cls(p.n_qubits, {p: 1.0})
+    def _from_masks(cls, n_qubits: int, x, z, coeffs) -> "PauliMap":
+        """Build from sequences of distinct (x, z) mask pairs and their
+        coefficients, with the checks of the public constructor."""
+        return cls._from_arrays(n_qubits, *_checked_arrays(n_qubits, x, z, coeffs))
 
     @classmethod
     def from_labels(cls, terms: Mapping[str, float]) -> "PauliMap":
-        parsed = {PauliString.from_label(l): c for l, c in terms.items()}
-        n = next(iter(parsed)).n_qubits
-        return cls(n, parsed)
+        """Parse ``{label: coeff}``, where letter q of a label (I, X, Y or Z)
+        acts on qubit q; the inverse of `to_labels`."""
+        if not terms:
+            raise ValueError("from_labels needs at least one term")
+        n = len(next(iter(terms)))
+        xs, zs = [], []
+        for label in terms:
+            if len(label) != n:
+                raise ValueError("term qubit count mismatch")
+            x = z = 0
+            for q, ch in enumerate(label):
+                if ch not in _LABELS:
+                    raise ValueError(f"unknown Pauli letter {ch!r}")
+                x |= (ch in "XY") << q
+                z |= (ch in "YZ") << q
+            xs.append(x)
+            zs.append(z)
+        return cls._from_masks(n, xs, zs, terms.values())
+
+    def to_labels(self) -> dict[str, float]:
+        """The terms as ``{label: coeff}``; the inverse of `from_labels`."""
+        qubits = range(self.n_qubits)
+        return {
+            "".join("IZXY"[2 * (x >> q & 1) | (z >> q & 1)] for q in qubits): c
+            for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())
+        }
 
     @property
     def terms(self) -> dict[PauliString, float]:
@@ -212,9 +210,7 @@ class PauliMap:
         return len(self.coeffs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{p.label()}: {c:+.6g}" for p, c in sorted(self.terms.items(), key=lambda t: t[0].label())
-        )
+        inner = ", ".join(f"{l}: {c:+.6g}" for l, c in sorted(self.to_labels().items()))
         return f"PauliMap({self.n_qubits}, {{{inner}}})"
 
 

@@ -24,7 +24,6 @@ from . import circuits
 from .pauli import (
     DROP_TOLERANCE,
     PauliMap,
-    PauliString,
     conjugate_dense,
     conjugate_layer,
     transfer_matrix,
@@ -138,4 +137,4 @@ def heuristic_expectation(
 
 def z_first(n_qubits: int) -> PauliMap:
     """The observable Z on the first qubit, identity elsewhere."""
-    return PauliMap.single(PauliString(n_qubits, 0, 1))
+    return PauliMap._from_masks(n_qubits, [0], [1], [1.0])

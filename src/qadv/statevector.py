@@ -212,28 +212,28 @@ def apply_circuit(s: StateVector, c: circuits.Circuit | FusedCircuit) -> StateVe
 
 
 def _index_mask(qubit_mask: int, n: int) -> int:
-    """Translate a qubit bitmask (bit i = qubit i) to an amplitude-index mask."""
-    out = 0
-    for q in range(n):
-        if (qubit_mask >> q) & 1:
-            out |= 1 << (n - 1 - q)
-    return out
+    """Translate a qubit bitmask (bit i = qubit i) to an amplitude-index mask
+    (qubit i = bit n-1-i): reverse the n low bits."""
+    return int(format(qubit_mask, f"0{n}b")[::-1], 2)
 
 
 def expectation(s: StateVector, o: PauliMap) -> float:
-    """<s|O|s> for a Hermitian PauliMap; the imaginary residue is checked."""
+    """<s|O|s> for a Hermitian PauliMap; the imaginary residue is checked.
+
+    One pass over the 2^n amplitudes per term, read from the masks: the x
+    mask flips amplitude indices, the z mask's parity gives the sign, and
+    each Y (x & z) contributes a factor i.
+    """
     if o.n_qubits != s.n_qubits:
         raise ValueError("observable and state qubit counts differ")
     n = s.n_qubits
     amp = s.amplitudes
     idx = np.arange(2**n, dtype=np.uint64)
     total = 0.0 + 0.0j
-    for p, coeff in o.terms.items():
-        xm = _index_mask(p.x, n)
-        zm = _index_mask(p.z, n)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zm)) & 1).astype(float)
-        flipped = (idx ^ np.uint64(xm)).astype(np.int64)
-        phase = 1j ** ((p.x & p.z).bit_count() % 4)
+    for x, z, coeff in zip(o.x.tolist(), o.z.tolist(), o.coeffs.tolist()):
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(_index_mask(z, n))) & 1).astype(float)
+        flipped = (idx ^ np.uint64(_index_mask(x, n))).astype(np.int64)
+        phase = 1j ** ((x & z).bit_count() % 4)
         total += coeff * phase * np.vdot(amp[flipped], signs * amp)
     if abs(total.imag) > _NORM_TOL:
         raise InvariantViolation(f"expectation has imaginary residue {total.imag}")

@@ -35,8 +35,8 @@ def paulimap_matrix(m) -> np.ndarray:
     """Dense matrix of a qadv PauliMap, built from labels only."""
     n = m.n_qubits
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for p, c in m.terms.items():
-        out += c * pauli_matrix(p.label())
+    for label, c in m.to_labels().items():
+        out += c * pauli_matrix(label)
     return out
 
 
@@ -121,19 +121,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def conjugate_gate_labels(m, targets, entries) -> dict[str, float]:
     """One gate applied term by term from its transfer matrix, rewriting
-    each output with PauliString.with_digit; keyed by label."""
+    the target letters of each label; keyed by label."""
     w = len(targets)
     out: dict[str, float] = {}
-    for p, c in m.terms.items():
+    for label, c in m.to_labels().items():
         a = 0
         for t in targets:
-            a = 4 * a + p.digit(t)
+            a = 4 * a + "IXYZ".index(label[t])
         for b in range(4**w):
             v = entries[a, b]
             if v == 0.0:
                 continue
-            q = p
+            letters = list(label)
             for j, t in enumerate(targets):
-                q = q.with_digit(t, (b >> 2 * (w - 1 - j)) & 3)
-            out[q.label()] = out.get(q.label(), 0.0) + c * v
+                letters[t] = "IXYZ"[(b >> 2 * (w - 1 - j)) & 3]
+            q = "".join(letters)
+            out[q] = out.get(q, 0.0) + c * v
     return out

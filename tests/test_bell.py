@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qadv import bell
 from qadv.bell import (
     OPTIMAL_ANGLES,
     TSIRELSON_BOUND,
@@ -86,3 +87,13 @@ def test_random_angles_never_exceed_tsirelson():
 
 def test_strategy_space_size():
     assert len(all_strategies()) == 16
+
+
+def test_bell_pair_is_a_read_only_constant():
+    amps = bell._BELL_PAIR.amplitudes
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0] = 0.0
+    assert quantum_single_basis_distribution() == pytest.approx(
+        {"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}, abs=1e-12
+    )

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qadv import circuits
+from qadv import circuits, cli
 from qadv.cli import main
+from qadv.errors import ConfigError
 
 
 @pytest.fixture
@@ -321,6 +322,23 @@ def test_oracle_check_out_of_range_bound_names_the_flag(runner, tmp_path, flag, 
     assert r.exit_code == 2, r.output
     assert flag in r.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "execute, config",
+    [
+        (cli._exec_suite, {"yes": 0, "no": 0}),
+        (cli._exec_dequant_sample, {"draws": 0}),
+        (cli._exec_oracle_check, {"instances": 0, "max_n": 4, "max_layers": 4}),
+        (cli._exec_oracle_check, {"instances": 1, "max_n": 1, "max_layers": 4}),
+        (cli._exec_oracle_check, {"instances": 1, "max_n": 4, "max_layers": 0}),
+    ],
+    ids=["yes-no", "draws", "instances", "max-n", "max-layers"],
+)
+def test_parameter_checks_raise_config_error(execute, config):
+    # A config error, not a ValueError, so exit 2 does not rest on ValueError.
+    with pytest.raises(ConfigError):
+        execute(config)
 
 
 def test_decay_zero_layers_writes_one_row(runner, tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qadv import circuits, statevector
-from qadv.pauli import PauliMap, PauliString, conjugate_layer, transfer_matrix
+from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
 from oracles import haar_unitary
@@ -28,11 +28,11 @@ def _all_low_weight(n: int, rng: np.random.Generator) -> PauliMap:
     terms = {}
     for support in [(q,) for q in range(n)] + list(combinations(range(n), 2)):
         for digits in np.ndindex(*(3,) * len(support)):
-            p = PauliString.identity(n)
+            letters = ["I"] * n
             for q, d in zip(support, digits):
-                p = p.with_digit(q, d + 1)
-            terms[p] = float(rng.normal())
-    return PauliMap(n, terms)
+                letters[q] = "XYZ"[d]
+            terms["".join(letters)] = float(rng.normal())
+    return PauliMap.from_labels(terms)
 
 
 def test_conjugate_layer_wide_step(benchmark):

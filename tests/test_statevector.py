@@ -8,7 +8,7 @@ from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate
 from qadv.errors import ResourceLimitExceeded
 from qadv.pauli import PauliMap
 
-from oracles import circuit_unitary, haar_unitary
+from oracles import circuit_unitary, haar_unitary, paulimap_matrix
 
 
 def _circ(n, *gate_layers):
@@ -136,6 +136,25 @@ def test_nested_blocks_match_unitary_oracle():
     got = sv.apply_circuit(sv.StateVector(3, amps), outer).amplitudes
     want = circuit_unitary(outer) @ amps
     assert np.abs(got - want).max() < 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=40)
+def test_expectation_matches_dense_oracle(seed, n):
+    # Random normalized states against <psi|M|psi> with M built from labels;
+    # every map holds a Y term, whose phase the masks must get right.
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    labels = {}
+    for _ in range(int(rng.integers(1, 9))):
+        labels["".join(rng.choice(list("IXYZ"), size=n))] = float(rng.normal())
+    with_y = list(rng.choice(list("IXYZ"), size=n))
+    with_y[int(rng.integers(n))] = "Y"
+    labels["".join(with_y)] = float(rng.normal())
+    m = PauliMap.from_labels(labels)
+    want = np.vdot(amps, paulimap_matrix(m) @ amps).real
+    assert sv.expectation(sv.StateVector(n, amps), m) == pytest.approx(want, abs=1e-12)
 
 
 def test_qubit_count_mismatch_rejected():
