@@ -413,8 +413,10 @@ def _sha256(path: Path) -> str:
 
 def test_report_bytes_are_pinned(runner, tmp_path):
     # Report and table bytes, not only manifest hashes, are the output
-    # contract. Decay and suite are not pinned: their random unitaries come
-    # from a LAPACK QR whose output may differ between machines.
+    # contract. Suite is not pinned: its random unitaries come from a LAPACK
+    # QR whose output may differ between machines (decay is pinned below,
+    # for the numpy build in use, because the batched propagation must not
+    # move its floats).
     r = runner.invoke(
         main, ["bell", "--trials", "20000", "--seed", "0", "--out-dir", str(tmp_path)]
     )
@@ -462,3 +464,25 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
         "874153b8155574d724244ebe6123144d3f412b83d3456f150563dccd82c89085")
     assert _sha256(tmp_path / "sweep_results.csv") == (
         "50a92d31e32503bd2e3a93391161ed1f57ec97d62185aa4243a34d2bb5fa3d88")
+
+
+
+def test_decay_report_bytes_are_pinned(runner, tmp_path):
+    # Trials propagate in batches; each trial's norms must be the floats its
+    # own backward pass gives, so these bytes hold whatever the batch size.
+    # The Haar draws go through LAPACK's QR, so another numpy build may
+    # need the hashes re-taken.
+    pinned = [
+        (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
+         "72fc46894afee2f6edd1f6a8a53f999458d74d36791800f1dea695530ba57474",
+         "ff0dfea0f2df5c6162744a4ac2f53afd85f160d61b9666133635c833ef5cba31"),
+        (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
+         "ef8ba412349ae77e1e43a7a3cbe522db603eb79bd73154d64be3b095f3c5bdf8",
+         "d554a3de6f4a35a32355cbc859c36519097ad0e93dfc2432192315333be3837e"),
+    ]
+    for args, report_sha, csv_sha in pinned:
+        out = tmp_path / args[-1]
+        r = runner.invoke(main, ["decay", *args, "--out-dir", str(out)])
+        assert r.exit_code == 0, r.output
+        assert _sha256(out / "decay_report.json") == report_sha
+        assert _sha256(out / "decay_layers.csv") == csv_sha
