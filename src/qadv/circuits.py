@@ -100,6 +100,8 @@ class Gate:
         elif self.kind in PARAM_GATES:
             if self.param is None:
                 raise ValueError(f"{self.kind} needs an angle parameter")
+            if not math.isfinite(self.param):
+                raise ValueError(f"{self.kind} angle must be finite, got {self.param}")
             if w != 1:
                 raise ValueError(f"{self.kind} acts on one qubit")
         else:

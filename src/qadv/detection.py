@@ -4,6 +4,7 @@ suites with confusion counts."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,11 +14,17 @@ import numpy as np
 from . import circuits, statevector
 from .errors import PromiseViolation
 from .pauli import DROP_TOLERANCE
-from .pool import seeded_map
+from .pool import seeded_chunks, seeded_map
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
 #: A heuristic and an exact value disagree when they differ by at least this.
 DISAGREEMENT_GAP = 1.0 / 3.0
+
+#: Bytes of memory one batch of decay trials may hold while it propagates.
+#: A trial takes about (16 + L) KiB per two-qubit gate of a layer: its share
+#: of one layer's transfer-matrix build, then its circuit and gate keys. So
+#: 1 MiB batches 9 trials at n = 8, L = 10, and at most 64.
+DECAY_BATCH_BYTES = 1024 * 1024
 
 
 def circuit_id(c: circuits.Circuit) -> str:
@@ -116,11 +123,27 @@ class DecayResult:
     expected_ratio: float = 0.4
 
 
-def _decay_trial(args, ss) -> list[float]:
-    n, layers, drop_tolerance = args
-    c = circuits.random_brickwork(n, layers, seed=ss)
+def _decay_batch(n: int, layers: int, drop_tolerance: float, seeds) -> list[list[float]]:
+    """The norms of one trial per seed, from one batched backward pass."""
+    batch = [circuits.random_brickwork(n, layers, seed=ss) for ss in seeds]
     cfg = PropagationConfig(k=1, drop_tolerance=drop_tolerance)
-    _, norms = backpropagate(c, z_first(n), cfg, record_norms=True)
+    return [norms for _, norms in backpropagate(batch, z_first(n), cfg, record_norms=True)]
+
+
+def _batch_trials(n: int, layers: int) -> int:
+    """Trials per batch: a trial takes about (16 + layers) KiB per two-qubit
+    gate of a layer (see `DECAY_BATCH_BYTES`)."""
+    return max(1, DECAY_BATCH_BYTES // ((16 + layers) * 1024 * (n // 2)))
+
+
+def _decay_norms(n, layers, trials, seed, jobs=1, drop_tolerance=DROP_TOLERANCE) -> np.ndarray:
+    """One row of layers + 1 norms per trial, each the trial's own
+    ``backpropagate(..., record_norms=True)`` norms."""
+    size = _batch_trials(n, layers)
+    norms = np.empty((trials, layers + 1))
+    run = functools.partial(_decay_batch, n, layers, drop_tolerance)
+    for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, seed, jobs)):
+        norms[start:start + len(rows)] = rows
     return norms
 
 
@@ -136,15 +159,16 @@ def decay_experiment(
     brickwork layer, over fresh random circuits.
 
     Requires even n: the per-layer decay law needs every qubit covered by
-    exactly one two-qubit gate per layer.
+    exactly one two-qubit gate per layer. Trial i draws its circuit from
+    child i of ``seed``; trials propagate in batches sized by
+    `DECAY_BATCH_BYTES`, and with jobs > 1 each worker takes whole batches.
+    A trial's norms do not depend on its batch.
     """
     if n % 2 != 0:
         raise ValueError("decay experiment requires an even qubit count")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    work = [(n, layers, drop_tolerance)] * trials
-    # One row of layers + 1 norms per trial.
-    norms = np.array(seeded_map(_decay_trial, work, seed, jobs))
+    norms = _decay_norms(n, layers, trials, seed, jobs, drop_tolerance)
     means = norms.mean(axis=0)
     ratios = tuple(float(means[j + 1] / means[j]) for j in range(layers))
     final = norms[:, -1]

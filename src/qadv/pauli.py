@@ -26,6 +26,14 @@ Conventions used throughout the package:
   share one group-and-scatter step and differ only in how a row of local
   coefficients spreads. ``transfer_matrix`` builds one matrix or a stack at
   once; the module keeps no cache, so a caller memoizes reused gates.
+- A map may carry a batch column: the terms of several observables on the
+  same qubits, stored trial after trial, so that one kernel call evolves a
+  whole batch of circuits with the same gate targets (each trial through
+  its own matrix of a stack). The step groups on (trial, off-target x,
+  off-target z), spreads each trial's rows with that trial's own matrix
+  product and keeps each trial's terms in the order its lone pass gives, so
+  every trial's coefficients are bit-identical to that pass. A map without
+  the column is a batch of one: one product, and no sort or copy for it.
 """
 
 from __future__ import annotations
@@ -111,9 +119,15 @@ class PauliMap:
     after construction (the arrays are read-only); all operations return
     new maps. Zero coefficients are discarded; the conjugation kernels also
     discard those at or below their ``drop_tolerance``.
+
+    ``batch`` is None, except in the maps that `propagation.backpropagate`
+    passes between its steps when it evolves several circuits at once: there
+    it is the non-decreasing trial index of every term, (x, z) pairs are
+    distinct within a trial, and only the kernels and `project_weight` read
+    it. Such maps never leave that function.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "coeffs")
+    __slots__ = ("n_qubits", "x", "z", "coeffs", "batch")
 
     def __init__(
         self,
@@ -126,15 +140,16 @@ class PauliMap:
         x, z, coeffs = _checked_arrays(
             n_qubits, [p.x for p, _ in items], [p.z for p, _ in items], [c for _, c in items]
         )
-        self._assign(n_qubits, x, z, coeffs, 0.0)
+        self._assign(n_qubits, x, z, coeffs, 0.0, None)
 
-    def _assign(self, n_qubits, x, z, coeffs, drop_tolerance) -> None:
+    def _assign(self, n_qubits, x, z, coeffs, drop_tolerance, batch) -> None:
         keep = np.abs(coeffs) > drop_tolerance
         if not keep.all():
             x, z, coeffs = x[keep], z[keep], coeffs[keep]
-        for a in (x, z, coeffs):
+            batch = None if batch is None else batch[keep]
+        for a in (x, z, coeffs) if batch is None else (x, z, coeffs, batch):
             a.flags.writeable = False
-        self.n_qubits, self.x, self.z, self.coeffs = n_qubits, x, z, coeffs
+        self.n_qubits, self.x, self.z, self.coeffs, self.batch = n_qubits, x, z, coeffs, batch
 
     @classmethod
     def _from_arrays(
@@ -144,11 +159,12 @@ class PauliMap:
         z: np.ndarray,
         coeffs: np.ndarray,
         drop_tolerance: float = 0.0,
+        batch: np.ndarray | None = None,
     ) -> "PauliMap":
-        """Wrap arrays that already hold distinct (x, z) pairs, without
-        copying or validating them."""
+        """Wrap arrays that already hold distinct (x, z) pairs (per trial,
+        with a batch column), without copying or validating them."""
         m = object.__new__(cls)
-        m._assign(n_qubits, x, z, coeffs, drop_tolerance)
+        m._assign(n_qubits, x, z, coeffs, drop_tolerance, batch)
         return m
 
     @classmethod
@@ -204,7 +220,10 @@ class PauliMap:
         if k < 0:
             raise ValueError("k must be nonnegative")
         keep = np.bitwise_count(self.x | self.z) <= k
-        return PauliMap._from_arrays(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
+        return PauliMap._from_arrays(
+            self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep],
+            batch=None if self.batch is None else self.batch[keep],
+        )
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -232,7 +251,10 @@ def check_unitary(u: np.ndarray) -> None:
     d = u.shape[-1]
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise NonUnitaryError("matrix is not square")
-    if np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() > _UNITARITY_TOL:
+    with np.errstate(invalid="ignore"):  # an inf entry gives NaN, refused below
+        err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max()
+    # Written so that a NaN deviation fails too.
+    if not err <= _UNITARITY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
@@ -291,13 +313,16 @@ def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> tuple[np.ndarray, 
     return x, z
 
 
-def _group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct (x, z) pairs in sorted order: returns each
-    element's group and the index of one element of every group."""
-    order = np.lexsort((z, x))
-    xs, zs = x[order], z[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+def _group(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct key tuples in sorted order, the last key most
+    significant (as in np.lexsort): returns each element's group and the
+    index of one element of every group."""
+    order = np.lexsort(keys)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for k in keys:
+        k = k[order]
+        starts[1:] |= k[1:] != k[:-1]
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     return group, order[starts]
@@ -307,39 +332,58 @@ def _conjugate_terms(
     x: np.ndarray,
     z: np.ndarray,
     c: np.ndarray,
+    batch: np.ndarray | None,
     targets: Sequence[int],
-    spread_rows: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward-evolve the terms through one unitary on ``targets``.
+    spread_rows: Callable[[int, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Backward-evolve the terms through one unitary on ``targets`` (one per
+    trial of a batch).
 
     Terms that are the identity on the targets pass through. The others are
-    grouped by their off-target part; each group's coefficients over the
-    local indices form one row of a (groups, 4^w) array, and ``spread_rows``
-    maps those rows to the coefficients of the non-identity local outputs
-    (columns 1..4^w-1), summing every collision. A unitary preserves the
-    trace, so a term that is not the identity on the targets never maps onto
-    one that is: the identity output is rounding noise and is not kept, and
-    no new term can coincide with a passing one.
+    grouped by their trial and off-target part; each group's coefficients
+    over the local indices form one row of a (groups, 4^w) array, and
+    ``spread_rows(trial, rows)`` maps one trial's rows to the coefficients
+    of the non-identity local outputs (columns 1..4^w-1), summing every
+    collision. A unitary preserves the trace, so a term that is not the
+    identity on the targets never maps onto one that is: the identity output
+    is rounding noise and is not kept, and no new term can coincide with a
+    passing one. Each trial's terms come out contiguous: its passing terms
+    in their order, then its new terms by group.
     """
     a = _gather_digits(x, z, targets)
     moving = a != 0
     if not moving.any():
-        return x, z, c
+        return x, z, c, batch
     off = ~np.uint64(sum(1 << t for t in targets))
     rest_x, rest_z = x[moving] & off, z[moving] & off
-    group, first = _group(rest_x, rest_z)
+    if batch is None:
+        group, first = _group(rest_z, rest_x)
+        trials, bounds = None, [0, len(first)]
+    else:
+        group, first = _group(rest_z, rest_x, batch[moving])
+        trials = batch[moving][first]
+        bounds = [0, *(np.flatnonzero(trials[1:] != trials[:-1]) + 1), len(first)]
     rest_x, rest_z = rest_x[first], rest_z[first]
     local = np.zeros((len(first), 4 ** len(targets)))
     local[group, a[moving]] = c[moving]
-    spread = spread_rows(local)
+    # One product per trial, on that trial's rows alone: the same operation
+    # as the trial's lone pass, so the same floats.
+    parts = [
+        spread_rows(0 if trials is None else int(trials[s]), local[s:e])
+        for s, e in zip(bounds[:-1], bounds[1:])
+    ]
+    spread = parts[0] if len(parts) == 1 else np.concatenate(parts)
     g, b = np.nonzero(spread)
     bx, bz = _scatter_digits(b + 1, targets)
     stay = ~moving
-    return (
-        np.concatenate((x[stay], rest_x[g] | bx)),
-        np.concatenate((z[stay], rest_z[g] | bz)),
-        np.concatenate((c[stay], spread[g, b])),
-    )
+    x = np.concatenate((x[stay], rest_x[g] | bx))
+    z = np.concatenate((z[stay], rest_z[g] | bz))
+    c = np.concatenate((c[stay], spread[g, b]))
+    if batch is None:
+        return x, z, c, None
+    batch = np.concatenate((batch[stay], trials[g]))
+    order = np.argsort(batch, kind="stable")
+    return x[order], z[order], c[order], batch[order]
 
 
 def conjugate_layer(
@@ -348,7 +392,8 @@ def conjugate_layer(
     drop_tolerance: float = DROP_TOLERANCE,
 ) -> PauliMap:
     """Backward-evolve a PauliMap through one layer of disjoint gates, each
-    given as its targets and its ``transfer_matrix``.
+    given as its targets and its ``transfer_matrix`` (for a batched map,
+    one matrix for every trial or a stack of one per trial).
 
     Computes U^dag O U for the layer unitary U; exact up to the drop
     tolerance, so the Frobenius norm is preserved.
@@ -363,14 +408,18 @@ def conjugate_layer(
             tmask |= 1 << t
         if tmask & seen:
             raise ValueError("overlapping gate supports in one layer")
-        if entries.shape != (4 ** len(targets),) * 2:
+        per_trial = m.batch is not None and entries.ndim == 3
+        if entries.shape[per_trial:] != (4 ** len(targets),) * 2:
             raise ValueError("transfer matrix shape does not match targets")
         seen |= tmask
 
-    x, z, c = m.x, m.z, m.coeffs
+    x, z, c, batch = m.x, m.z, m.coeffs, m.batch
     for targets, entries in gates:
-        x, z, c = _conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)
+        x, z, c, batch = _conjugate_terms(
+            x, z, c, batch, targets,
+            lambda trial, rows: rows @ (entries if entries.ndim == 2 else entries[trial])[:, 1:],
+        )
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance, batch)
 
 
 def _local_matrix(coeffs: np.ndarray, w: int) -> np.ndarray:
@@ -408,23 +457,26 @@ def conjugate_dense(
     most significant); terms disjoint from the support pass through
     untouched. Each group of touched terms that share an off-support factor
     is materialized as a dense matrix M, conjugated as U^dag M U, and
-    re-expanded in the Pauli basis.
+    re-expanded in the Pauli basis. A batched map takes one unitary for
+    every trial or a stack of one per trial.
     """
     support = tuple(support)
     w = len(support)
-    if unitary.shape != (2**w, 2**w):
+    per_trial = m.batch is not None and unitary.ndim == 3
+    if unitary.shape[per_trial:] != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
-    udag = unitary.conj().T
 
-    def spread_rows(rows: np.ndarray) -> np.ndarray:
+    def spread_rows(trial: int, rows: np.ndarray) -> np.ndarray:
+        u = unitary[trial] if per_trial else unitary
+        udag = u.conj().T
         out = np.empty((len(rows), 4**w - 1))
         for g, row in enumerate(rows):
-            coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ unitary, w)
+            coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ u, w)
             if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
                 raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
             out[g] = coeffs.real[1:]
         return out
 
-    x, z, c = _conjugate_terms(m.x, m.z, m.coeffs, support, spread_rows)
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance)
+    x, z, c, batch = _conjugate_terms(m.x, m.z, m.coeffs, m.batch, support, spread_rows)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance, batch)

@@ -1,20 +1,28 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through Pauli transfer matrices, memoized
-by gate unitary within one backward pass (nothing outlives the call) and
-built per layer, one stack per gate width for the unitaries not yet seen;
-composite blocks (and elementary gates wider than 3 qubits) evolve by
-dense conjugation of the truncated observable over the block support.
+Elementary layers evolve exactly through Pauli transfer matrices, built
+per layer, one stack per gate width for the unitaries not yet seen, and
+memoized by gate unitary within one backward pass for the unitaries that
+occur more than once in it (nothing outlives the call); composite blocks
+(and elementary gates wider than 3 qubits) evolve by dense conjugation of
+the truncated observable over the block support.
 `statevector.block_unitary`, imported here by name, builds that dense
 unitary in one pass of the statevector interpreter, applied to the identity
 with its columns on a batch axis.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
+
+`backpropagate` also takes a batch of circuits that share their gate
+targets layer by layer (the trials of a Monte Carlo over random
+brickworks). The batch travels as one PauliMap with a batch column, so each
+gate slot costs one kernel call for all trials, and each trial's result is
+bit-identical to its lone pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,68 +49,158 @@ class PropagationConfig:
             raise ValueError("weight cutoff k must be at least 1")
 
 
-def _conjugate_declared_layer(
-    m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig, memo: dict[bytes, np.ndarray]
-) -> PauliMap:
-    if isinstance(layer, circuits.ElementaryLayer):
-        narrow = [g for g in layer.gates if len(g.targets) <= 3]
-        wide = [g for g in layer.gates if len(g.targets) > 3]
-        if narrow:
-            unitaries = [np.asarray(g.unitary(), dtype=complex) for g in narrow]
+def _per_trial(matrices: list[np.ndarray]) -> np.ndarray:
+    """One trial's matrix as it is, several as a stack indexed by trial."""
+    return matrices[0] if len(matrices) == 1 else np.stack(matrices)
+
+
+def _gate_slots(layers: list[circuits.Layer]) -> tuple[list, list]:
+    """The gate slots of one elementary layer given per trial (slot j holds
+    gate j of every trial), split into gates of up to 3 qubits and wider
+    ones; none for a block."""
+    if not isinstance(layers[0], circuits.ElementaryLayer):
+        return [], []
+    slots = list(zip(*(layer.gates for layer in layers)))
+    return [s for s in slots if len(s[0].targets) <= 3], [s for s in slots if len(s[0].targets) > 3]
+
+
+def _unitary(g: circuits.Gate) -> np.ndarray:
+    return np.asarray(g.unitary(), dtype=complex)
+
+
+def _transfer_matrices(
+    gates: list[circuits.Gate], keys: list[bytes], memo: dict[bytes, np.ndarray], uses: Counter
+) -> list[np.ndarray]:
+    """The transfer matrix of each gate, keyed by its unitary's bytes: from
+    the memo, or built in one stack per gate width for the unitaries not
+    seen before. Only those of unitaries that occur more than once in the
+    pass go into the memo, so one-shot gates (fresh Haar draws) hold no
+    memory past their layer."""
+    misses: dict[int, dict[bytes, circuits.Gate]] = {}
+    for key, g in zip(keys, gates):
+        if key not in memo:
             # As complex128, the byte length alone tells 1-, 2- and 3-qubit gates apart.
-            keys = [u.tobytes() for u in unitaries]
-            misses: dict[int, dict[bytes, np.ndarray]] = {}
-            for key, u in zip(keys, unitaries):
-                if key not in memo:
-                    misses.setdefault(len(u), {})[key] = u
-            for group in misses.values():
-                memo.update(zip(group, transfer_matrix(np.stack(list(group.values())))))
-            m = conjugate_layer(
-                m,
-                [(g.targets, memo[key]) for g, key in zip(narrow, keys)],
-                drop_tolerance=cfg.drop_tolerance,
-            )
-        for g in wide:
-            m = _conjugate_block(m, circuits.ElementaryLayer((g,)), cfg)
-        return m
-    return _conjugate_block(m, layer, cfg)
+            misses.setdefault(len(key), {})[key] = g
+    built: dict[bytes, np.ndarray] = {}
+    for group in misses.values():
+        built.update(zip(group, transfer_matrix(np.stack([_unitary(g) for g in group.values()]))))
+    memo.update((key, entries) for key, entries in built.items() if uses[key] > 1)
+    return [built[key] if key in built else memo[key] for key in keys]
+
+
+def _conjugate_declared_layer(
+    m: PauliMap, layers: list[circuits.Layer], keys: list[bytes], cfg: PropagationConfig,
+    memo: dict[bytes, np.ndarray], uses: Counter,
+) -> PauliMap:
+    """One declared layer, given per trial (the layers share gate targets);
+    ``keys`` are the unitary bytes of its narrow gates, slot by slot."""
+    if not isinstance(layers[0], circuits.ElementaryLayer):
+        return _conjugate_block(m, layers, cfg)
+    narrow, wide = _gate_slots(layers)
+    if narrow:
+        tms = _transfer_matrices([g for slot in narrow for g in slot], keys, memo, uses)
+        trials = len(layers)
+        m = conjugate_layer(
+            m,
+            [
+                (slot[0].targets, _per_trial(tms[j * trials:(j + 1) * trials]))
+                for j, slot in enumerate(narrow)
+            ],
+            drop_tolerance=cfg.drop_tolerance,
+        )
+    for slot in wide:
+        m = _conjugate_block(m, [circuits.ElementaryLayer((g,)) for g in slot], cfg)
+    return m
 
 
 def _conjugate_block(
-    m: PauliMap, layer: circuits.Layer, cfg: PropagationConfig
+    m: PauliMap, layers: list[circuits.Layer], cfg: PropagationConfig
 ) -> PauliMap:
     # Refuse before building: the unitary alone has 4^width entries.
-    check_block_width(len(layer.support))
-    support, u = block_unitary(layer)
-    return conjugate_dense(m, u, support, drop_tolerance=cfg.drop_tolerance)
+    check_block_width(len(layers[0].support))
+    built = [block_unitary(layer) for layer in layers]
+    support = built[0][0]
+    return conjugate_dense(
+        m, _per_trial([u for _, u in built]), support, drop_tolerance=cfg.drop_tolerance
+    )
+
+
+def _layout(layer: circuits.Layer) -> tuple | frozenset:
+    """What the trials of a batch must share in a layer: its gate targets,
+    or a block's support."""
+    if isinstance(layer, circuits.ElementaryLayer):
+        return tuple(g.targets for g in layer.gates)
+    return layer.support
+
+
+def _trial_slices(m: PauliMap, trials: int) -> list[slice]:
+    """Where each trial's terms lie (all of them for a map without a batch
+    column)."""
+    if m.batch is None:
+        return [slice(None)]
+    bounds = np.searchsorted(m.batch, np.arange(trials + 1)).tolist()
+    return [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+def _trial_norms(m: PauliMap, trials: int) -> list[float]:
+    """Each trial's `frobenius_normalized`: one dot over its own terms."""
+    return [float(m.coeffs[t] @ m.coeffs[t]) for t in _trial_slices(m, trials)]
 
 
 def backpropagate(
-    c: circuits.Circuit,
+    c: circuits.Circuit | Sequence[circuits.Circuit],
     o: PauliMap,
     cfg: PropagationConfig,
     record_norms: bool = False,
-) -> PauliMap | tuple[PauliMap, list[float]]:
+) -> PauliMap | tuple[PauliMap, list[float]] | list:
     """Evolve the observable backward through the whole circuit.
 
     Projects the observable to weight <= k up front, then for each layer
     from last to first conjugates exactly and projects once. With
     record_norms, also returns the normalized squared Frobenius norm after
-    the initial projection and after each layer step. Transfer matrices
-    are memoized for this pass only.
+    the initial projection and after each layer step. Transfer matrices of
+    recurring unitaries are memoized for this pass only.
+
+    ``c`` may also be a sequence of circuits whose layers have the same gate
+    targets (or block supports), layer by layer. They then evolve in one
+    batched pass, one kernel call per gate slot for all of them, and the
+    result is a list with one entry per circuit, each bit-identical to what
+    that circuit's own pass returns.
     """
-    if o.n_qubits != c.n_qubits:
+    lone = isinstance(c, circuits.Circuit)
+    batch = [c] if lone else list(c)
+    if not batch:
+        raise ValueError("backpropagate needs at least one circuit")
+    if any(b.n_qubits != o.n_qubits for b in batch):
         raise ValueError("observable and circuit qubit counts differ")
-    acc = o.project_weight(cfg.k)
-    norms = [acc.frobenius_normalized()]
+    trials = len(batch)
+    if trials > 1:
+        layout = [_layout(layer) for layer in batch[0].layers]
+        if any([_layout(layer) for layer in b.layers] != layout for b in batch[1:]):
+            raise ValueError("batched circuits must share their gate targets layer by layer")
+        o = PauliMap._from_arrays(
+            o.n_qubits, np.tile(o.x, trials), np.tile(o.z, trials), np.tile(o.coeffs, trials),
+            batch=np.repeat(np.arange(trials), len(o)),
+        )
+    steps = [list(layers) for layers in zip(*(b.layers[::-1] for b in batch))]
+    keys = [[_unitary(g).tobytes() for slot in _gate_slots(layers)[0] for g in slot]
+            for layers in steps]
+    uses = Counter(key for step in keys for key in step)
     memo: dict[bytes, np.ndarray] = {}
-    for layer in reversed(c.layers):
-        acc = _conjugate_declared_layer(acc, layer, cfg, memo).project_weight(cfg.k)
+    acc = o.project_weight(cfg.k)
+    norms = [_trial_norms(acc, trials)]
+    for layers, step_keys in zip(steps, keys):
+        acc = _conjugate_declared_layer(acc, layers, step_keys, cfg, memo, uses)
+        acc = acc.project_weight(cfg.k)
         if record_norms:
-            norms.append(acc.frobenius_normalized())
+            norms.append(_trial_norms(acc, trials))
+    out = [acc] if acc.batch is None else [
+        PauliMap._from_arrays(acc.n_qubits, acc.x[t], acc.z[t], acc.coeffs[t])
+        for t in _trial_slices(acc, trials)
+    ]
     if record_norms:
-        return acc, norms
-    return acc
+        out = [(m, list(row)) for m, row in zip(out, zip(*norms))]
+    return out[0] if lone else out
 
 
 def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:

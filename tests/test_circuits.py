@@ -8,6 +8,7 @@ from qadv import statevector as sv
 from qadv.circuits import (
     BlockLayer,
     ElementaryLayer,
+    Gate,
     amplify,
     build_cnew,
     deserialize,
@@ -107,6 +108,19 @@ def test_brickwork_odd_n_leaves_one_idle():
 def test_brickwork_rejects_width_one():
     with pytest.raises(ValueError):
         random_brickwork(1, 1, seed=0)
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+def test_rotation_refuses_non_finite_angle(angle):
+    # A NaN angle gives a NaN matrix; propagated, it used to read as an
+    # empty observable instead of an error.
+    with pytest.raises(ValueError, match="finite"):
+        Gate("RX", (0,), param=angle)
+
+
+def test_matrix_gate_refuses_nan_entries():
+    with pytest.raises(ValueError):
+        Gate("matrix", (0,), matrix=np.full((2, 2), np.nan))
 
 
 # ---------------------------------------------------------------------------

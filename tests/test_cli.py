@@ -87,6 +87,19 @@ def test_detect_rejects_malformed_circuit(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_detect_refuses_nan_gate_angle(runner, tmp_path):
+    c = circuits.Circuit(2, (circuits.ElementaryLayer((circuits.Gate("RX", (0,), param=0.5),)),))
+    text = circuits.serialize_json(c).replace('"param": 0.5', '"param": NaN')
+    assert '"param": NaN' in text
+    cpath = tmp_path / "circuit.json"
+    cpath.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "finite" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "L": 2, "trials": 4, "seed": 5}))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qadv import circuits, detection, propagation
 from qadv.circuits import Circuit, ElementaryLayer, Gate
@@ -126,6 +130,63 @@ def test_decay_stderr_shrinks_with_trials():
     # up to sampling noise in the variance estimate itself.
     ratio = small.final_stderr / big.final_stderr
     assert ratio == pytest.approx(4.0, rel=0.35)
+
+
+def _per_trial_norms(n, layers, trials, seed):
+    cfg = propagation.PropagationConfig(k=1)
+    return np.array([
+        propagation.backpropagate(
+            circuits.random_brickwork(n, layers, seed=ss), propagation.z_first(n), cfg,
+            record_norms=True,
+        )[1]
+        for ss in np.random.SeedSequence(seed).spawn(trials)
+    ])
+
+
+@given(
+    n=st.sampled_from([2, 4, 6, 8, 10]),
+    layers=st.integers(0, 8),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25)
+# Batches of 8 (n = 10, L = 8) and 10 (n = 8, L = 8) trials: one short of a
+# batch, exactly one, one over, and past two.
+@example(n=10, layers=8, trials=7, seed=1)
+@example(n=10, layers=8, trials=8, seed=2)
+@example(n=10, layers=8, trials=9, seed=3)
+@example(n=10, layers=8, trials=17, seed=4)
+@example(n=8, layers=8, trials=10, seed=5)
+@example(n=8, layers=8, trials=21, seed=6)
+def test_decay_norms_equal_per_trial_passes(n, layers, trials, seed):
+    # Batching shares the backward pass, never the floats: each row is
+    # exactly what the trial's own pass records.
+    got = detection._decay_norms(n, layers, trials, seed)
+    assert np.array_equal(got, _per_trial_norms(n, layers, trials, seed))
+
+
+def test_decay_batch_sizes_straddle_the_examples():
+    assert detection._batch_trials(10, 8) == 8
+    assert detection._batch_trials(8, 8) == 10
+    assert detection._batch_trials(2, 0) == 64
+
+
+def test_decay_memory_does_not_grow_with_trials():
+    # Trials run a batch at a time and their seeds are spawned per batch,
+    # so traced memory is set by the batch, not by the trial count. The
+    # slack covers the norms array (35 KB at 400 trials) and allocator
+    # noise.
+    decay_experiment(8, 10, trials=20, seed=0)  # warm numpy's caches
+    peaks = []
+    for trials in (40, 400):
+        tracemalloc.start()
+        try:
+            decay_experiment(8, 10, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert max(peaks) <= detection.DECAY_BATCH_BYTES + 256 * 1024
 
 
 def test_decay_parallel_matches_serial():

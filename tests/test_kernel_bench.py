@@ -44,6 +44,30 @@ def test_conjugate_layer_wide_step(benchmark):
     assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
 
 
+def test_conjugate_layer_batched_step(benchmark):
+    # One brickwork layer over a 16-trial batch at n = 8, the decay shape:
+    # each trial carries all 276 strings of weight 1 and 2 and has its own
+    # four Haar gates.
+    n, trials = 8, 16
+    rng = np.random.default_rng(3)
+    maps = [_all_low_weight(n, rng) for _ in range(trials)]
+    m = PauliMap._from_arrays(
+        n,
+        np.concatenate([p.x for p in maps]),
+        np.concatenate([p.z for p in maps]),
+        np.concatenate([p.coeffs for p in maps]),
+        batch=np.repeat(np.arange(trials), [len(p) for p in maps]),
+    )
+    layer = [
+        ((q, q + 1), transfer_matrix(np.stack([haar_unitary(4, rng) for _ in range(trials)])))
+        for q in range(0, n, 2)
+    ]
+    out = benchmark(conjugate_layer, m, layer)
+    for t, p in enumerate(maps):
+        c = out.coeffs[out.batch == t]
+        assert c @ c == pytest.approx(p.frobenius_normalized(), rel=1e-12)
+
+
 def test_transfer_matrix_two_qubit(benchmark):
     rng = np.random.default_rng(1)
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -144,6 +145,17 @@ def test_transfer_stack_matches_one_matrix_at_a_time():
         assert got.shape == (5, dim * dim, dim * dim)
         for entries, u in zip(got, stack):
             assert np.abs(entries - transfer_matrix(u)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_unitarity_check_rejects_non_finite_matrices(fill):
+    # A NaN deviation compares False against any tolerance, so the check
+    # must be written to fail on it.
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = fill
+    for u in (bad, np.full((2, 2), fill), np.stack([np.eye(4), bad])):
+        with pytest.raises(NonUnitaryError):
+            transfer_matrix(u)
 
 
 def test_transfer_stack_rejects_one_non_unitary_member():
@@ -427,3 +439,97 @@ def test_drop_tolerance_filters_small_terms():
     m = PauliMap.from_labels({"Z": 1.0, "X": 1e-15})
     out = conjugate_layer(m, _layer(((0,), np.eye(2))))
     assert "X" not in out.to_labels()
+
+
+# ---------------------------------------------------------------------------
+# Lone maps through the batch-capable kernel
+
+
+def _random_map(n, rng, size):
+    x = rng.integers(0, 2**n, size=size, dtype=np.uint64)
+    z = rng.integers(0, 2**n, size=size, dtype=np.uint64)
+    pairs = dict.fromkeys(zip(x.tolist(), z.tolist()))
+    return PauliMap._from_masks(
+        n, [p[0] for p in pairs], [p[1] for p in pairs], rng.normal(size=len(pairs))
+    )
+
+
+def test_lone_map_kernels_are_byte_equal_to_the_per_map_kernel():
+    # sha256 of x, z and coeffs from conjugate_layer and conjugate_dense on
+    # 30 seeded random maps (n 3-8, 1-3-qubit gates, dense supports of 2-5
+    # qubits), taken with the kernel as it was before maps could carry a
+    # batch column. A lone map is a batch of one and must give the same
+    # bytes. The unitaries come from LAPACK's QR, so another numpy build
+    # may need the digest re-taken.
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        m = _random_map(n, rng, int(rng.integers(1, 60)))
+        qubits = rng.permutation(n).tolist()
+        gates = []
+        while qubits:
+            w = min(int(rng.integers(1, 4)), len(qubits))
+            targets, qubits = tuple(qubits[:w]), qubits[w:]
+            gates.append((targets, transfer_matrix(haar_unitary(2**w, rng))))
+        w = int(rng.integers(2, min(n, 5) + 1))
+        support = rng.choice(n, size=w, replace=False).tolist()
+        for out in (conjugate_layer(m, gates), conjugate_dense(m, haar_unitary(2**w, rng), support)):
+            assert out.batch is None
+            for a in (out.x, out.z, out.coeffs):
+                h.update(a.tobytes())
+    assert h.hexdigest() == "4bfdc1e167fd2bed16a87c2d58aaa58e9e71ea3adef645fd4267cffb9bc44431"
+
+
+def _batched(maps):
+    """Several maps on the same qubits as one map with a batch column."""
+    return PauliMap._from_arrays(
+        maps[0].n_qubits,
+        np.concatenate([m.x for m in maps]),
+        np.concatenate([m.z for m in maps]),
+        np.concatenate([m.coeffs for m in maps]),
+        batch=np.repeat(np.arange(len(maps)), [len(m) for m in maps]),
+    )
+
+
+def _trial(m, t):
+    keep = m.batch == t
+    return m.x[keep], m.z[keep], m.coeffs[keep]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25)
+def test_batched_kernels_give_each_trial_its_lone_bytes(seed):
+    # Every trial evolves through its own matrices of a stack; its terms
+    # must be the bytes, in the order, of its lone call. Some trials start
+    # empty or untouched by the gates.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    trials = int(rng.integers(1, 6))
+    maps = [_random_map(n, rng, int(rng.integers(0, 30))) for _ in range(trials)]
+    targets = [tuple(rng.choice(n, size=min(n, 2), replace=False).tolist())]
+    if n >= 5:
+        targets.append(tuple(q for q in range(n) if q not in targets[0])[:3])
+    stacks = [transfer_matrix(np.stack([haar_unitary(2 ** len(t), rng) for _ in maps]))
+              for t in targets]
+    support = rng.choice(n, size=min(n, 3), replace=False).tolist()
+    dense = np.stack([haar_unitary(2 ** len(support), rng) for _ in maps])
+    layer = conjugate_layer(_batched(maps), list(zip(targets, stacks)))
+    block = conjugate_dense(_batched(maps), dense, support)
+    assert np.all(np.diff(layer.batch) >= 0) and np.all(np.diff(block.batch) >= 0)
+    for t, m in enumerate(maps):
+        lone = conjugate_layer(m, [(tg, st_[t]) for tg, st_ in zip(targets, stacks)])
+        for got, want in zip(_trial(layer, t), (lone.x, lone.z, lone.coeffs)):
+            assert got.tobytes() == want.tobytes()
+        lone = conjugate_dense(m, dense[t], support)
+        for got, want in zip(_trial(block, t), (lone.x, lone.z, lone.coeffs)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_matrices_need_a_batched_map():
+    m = PauliMap.from_labels({"ZI": 1.0})
+    stack = transfer_matrix(np.stack([np.eye(4), circuits.FIXED_GATES["CNOT"]]))
+    with pytest.raises(ValueError, match="shape"):
+        conjugate_layer(m, [((0, 1), stack)])
+    with pytest.raises(ValueError, match="size"):
+        conjugate_dense(m, np.stack([np.eye(4)] * 2), (0, 1))

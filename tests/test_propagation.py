@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
@@ -381,3 +383,92 @@ def test_multilayer_truncated_chain_matches_dense_route():
     assert set(got_labels) == set(coeffs)
     for label, v in coeffs.items():
         assert got_labels[label] == pytest.approx(v, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Batched passes
+
+
+def _same_result(got, want):
+    (gm, gn), (wm, wn) = got, want
+    assert gn == wn
+    for a, b in ((gm.x, wm.x), (gm.z, wm.z), (gm.coeffs, wm.coeffs)):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(
+    n=st.integers(2, 7),
+    layers=st.integers(0, 6),
+    trials=st.integers(1, 12),
+    split=st.integers(1, 12),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30)
+def test_batched_pass_gives_each_circuit_its_own_pass(n, layers, trials, split, k, seed):
+    # Batches of any size, cut anywhere: each circuit's map and norms are
+    # the bytes of its lone pass.
+    cs = [circuits.random_brickwork(n, layers, seed=ss)
+          for ss in np.random.SeedSequence(seed).spawn(trials)]
+    cfg = PropagationConfig(k=k)
+    want = [backpropagate(c, z_first(n), cfg, record_norms=True) for c in cs]
+    got = []
+    for start in range(0, trials, split):
+        got += backpropagate(cs[start:start + split], z_first(n), cfg, record_norms=True)
+    assert len(got) == trials
+    for g, w in zip(got, want):
+        _same_result(g, w)
+    maps = backpropagate(cs, z_first(n), cfg)
+    assert [m.to_labels() for m in maps] == [m.to_labels() for m, _ in want]
+
+
+def test_batched_pass_through_blocks_and_wide_gates():
+    # A batch may hold blocks (same support, different sub-circuits) and
+    # gates wider than 3 qubits; each goes through its own dense unitary.
+    rng = np.random.default_rng(17)
+    cs = []
+    for _ in range(3):
+        sub = circuits.random_brickwork(3, 2, seed=int(rng.integers(2**32)))
+        perm = tuple(int(p) for p in rng.permutation(16))
+        cs.append(Circuit(5, (
+            ElementaryLayer((Gate("matrix", (0, 1), matrix=haar_unitary(4, rng)),
+                             Gate("H", (4,)))),
+            BlockLayer("sub", sub, (1, 2, 3), control=0),
+            ElementaryLayer((Gate("perm", (1, 2, 3, 4), perm=perm),)),
+        )))
+    cfg = PropagationConfig(k=3)
+    want = [backpropagate(c, z_first(5), cfg, record_norms=True) for c in cs]
+    for g, w in zip(backpropagate(cs, z_first(5), cfg, record_norms=True), want):
+        _same_result(g, w)
+
+
+def test_batched_pass_refuses_circuits_with_other_targets():
+    a = _circ(3, [Gate("CNOT", (0, 1))])
+    b = _circ(3, [Gate("CNOT", (1, 2))])
+    deeper = _circ(3, [Gate("CNOT", (0, 1))], [Gate("H", (2,))])
+    cfg = PropagationConfig(k=1)
+    for batch in ([a, b], [a, deeper]):
+        with pytest.raises(ValueError, match="targets"):
+            backpropagate(batch, z_first(3), cfg)
+    with pytest.raises(ValueError, match="at least one"):
+        backpropagate([], z_first(3), cfg)
+
+
+def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
+    # Fresh Haar gates never recur, so the pass keeps none of their
+    # transfer matrices past their layer; a recurring gate is built once.
+    kept = []
+    real = prop._transfer_matrices
+
+    def spy(gates, keys, memo, uses):
+        out = real(gates, keys, memo, uses)
+        kept.append(len(memo))
+        return out
+
+    monkeypatch.setattr(prop, "_transfer_matrices", spy)
+    cs = [circuits.random_brickwork(6, 5, seed=s) for s in range(4)]
+    backpropagate(cs, z_first(6), PropagationConfig(k=1))
+    assert kept == [0] * 5
+    kept.clear()
+    backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
+    assert kept == [1] * 4
