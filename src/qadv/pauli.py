@@ -356,23 +356,22 @@ def _conjugate_terms(
         return x, z, c, batch
     off = ~np.uint64(sum(1 << t for t in targets))
     rest_x, rest_z = x[moving] & off, z[moving] & off
-    if batch is None:
-        group, first = _group(rest_z, rest_x)
-        trials, bounds = None, [0, len(first)]
-    else:
-        group, first = _group(rest_z, rest_x, batch[moving])
-        trials = batch[moving][first]
-        bounds = [0, *(np.flatnonzero(trials[1:] != trials[:-1]) + 1), len(first)]
+    keys = (rest_z, rest_x) if batch is None else (rest_z, rest_x, batch[moving])
+    group, first = _group(*keys)
     rest_x, rest_z = rest_x[first], rest_z[first]
     local = np.zeros((len(first), 4 ** len(targets)))
     local[group, a[moving]] = c[moving]
-    # One product per trial, on that trial's rows alone: the same operation
-    # as the trial's lone pass, so the same floats.
-    parts = [
-        spread_rows(0 if trials is None else int(trials[s]), local[s:e])
-        for s, e in zip(bounds[:-1], bounds[1:])
-    ]
-    spread = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if batch is None:
+        spread = spread_rows(0, local)
+    else:
+        # One product per trial, on that trial's rows alone: the same
+        # operation as the trial's lone pass, so the same floats.
+        trials = keys[2][first]
+        starts = np.flatnonzero(np.diff(trials, prepend=-1))
+        spread = np.concatenate([
+            spread_rows(t, rows)
+            for t, rows in zip(trials[starts].tolist(), np.split(local, starts[1:]))
+        ])
     g, b = np.nonzero(spread)
     bx, bz = _scatter_digits(b + 1, targets)
     stay = ~moving
