@@ -69,3 +69,25 @@ def test_seeded_map_chunk_size(fake_pool, jobs, items, chunk):
     out = pool.seeded_map(_draw, work, 7, jobs)
     assert fake_pool.chunks == [chunk]
     assert out == pool.seeded_map(_draw, work, 7, 1)
+
+
+def _draws(children):
+    return [int(ss.generate_state(1)[0]) for ss in children]
+
+
+@pytest.mark.parametrize("jobs,count,size,workers", [
+    (1, 10, 4, []),
+    (2, 10, 4, [2]),  # three runs of 4, 4 and 2 children
+    (8, 10, 4, [3]),  # never more workers than runs
+    (2, 3, 4, []),  # one run goes in-process
+])
+def test_seeded_chunks_hand_out_the_children_of_spawn_seeds(fake_pool, jobs, count, size, workers):
+    runs = list(pool.seeded_chunks(_draws, count, size, 7, jobs))
+    assert [len(r) for r in runs] == [min(size, count - s) for s in range(0, count, size)]
+    assert sum(runs, []) == _draws(pool.spawn_seeds(7, count))
+    assert fake_pool.sizes == workers
+
+
+def test_seeded_chunks_refuse_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs"):
+        pool.seeded_chunks(_draws, 4, 2, 7, 0)
