@@ -136,7 +136,9 @@ def _batch_trials(n: int, layers: int) -> int:
     return max(1, DECAY_BATCH_BYTES // ((16 + layers) * 1024 * (n // 2)))
 
 
-def _decay_norms(n, layers, trials, seed, jobs=1, drop_tolerance=DROP_TOLERANCE) -> np.ndarray:
+def _decay_norms(
+    n: int, layers: int, trials: int, seed, jobs: int = 1, drop_tolerance: float = DROP_TOLERANCE
+) -> np.ndarray:
     """One row of layers + 1 norms per trial, each the trial's own
     ``backpropagate(..., record_norms=True)`` norms."""
     size = _batch_trials(n, layers)
