@@ -499,3 +499,29 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
         assert r.exit_code == 0, r.output
         assert _sha256(out / "decay_report.json") == report_sha
         assert _sha256(out / "decay_layers.csv") == csv_sha
+
+
+def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
+    # The draws cross several descent blocks, so a kernel that changed a
+    # single index would move these bytes. The vector paths enter the
+    # manifest hash, so they are given relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    np.savetxt("x.txt", rng.standard_normal(1000))
+    np.savetxt("y.txt", rng.standard_normal(1000))
+    r = runner.invoke(
+        main, ["dequant", "sample", "--vector", "x.txt", "--normalize", "--draws", "50000",
+               "--seed", "6", "--out-dir", "out"]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
+        "becc926cd96a6ae427eb3ba29b5bbdd81144dc73b7de94d1f0ce37b8af36cee7")
+    assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
+        "fbf40512f78bb057a4c6938d7baa4541aa84e1646633c697e9e011e04b198227")
+    r = runner.invoke(
+        main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
+               "--samples", "40000", "--seed", "7", "--out-dir", "out"]
+    )
+    assert r.exit_code == 0, r.output
+    assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
+        "23e8942d2748acd1342e85b1c3e9a76d3cf75d89ef62fd7fdd858eb7207df2d7")
