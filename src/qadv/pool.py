@@ -34,11 +34,15 @@ def _pooled(fn: Callable, jobs: int, rows: int, *columns: Iterable) -> Iterator:
 
 
 def seeded_map(fn: Callable, items: Sequence, seed, jobs: int = 1) -> list:
-    """``[fn(item, child_seed) ...]`` in item order, in a process pool when
-    jobs > 1 (see `_pooled`)."""
+    """``[fn(item, child_seed) ...]`` in item order, the children those of
+    ``spawn_seeds(seed, len(items))``, in a process pool when jobs > 1 (see
+    `_pooled`). In-process, each child is spawned only as its item starts."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return list(_pooled(fn, jobs, len(items), items, spawn_seeds(seed, len(items))))
+    base = _base(seed)
+    # Each spawn call continues the numbering of the children spawned so far.
+    children = (base.spawn(1)[0] for _ in items)
+    return list(_pooled(fn, jobs, len(items), items, children))
 
 
 def seeded_chunks(fn: Callable, count: int, size: int, seed, jobs: int = 1) -> Iterator:

@@ -64,11 +64,15 @@ def separable_fraction(
     """One separable trial: `shots` independent |+> probes, each evolved R
     times and measured in the Y basis. Returns the +i fraction."""
     _check(theta, gamma, shots, uses_per_shot)
-    phases = np.full(shots, uses_per_shot * theta)
     if gamma > 0:
-        phases += rng.normal(0.0, math.sqrt(gamma), size=(shots, uses_per_shot)).sum(axis=1)
+        # Adding the signal to the noise sums in place gives the same floats
+        # as adding the noise to the signal: IEEE addition commutes.
+        phases = rng.normal(0.0, math.sqrt(gamma), size=(shots, uses_per_shot)).sum(axis=1)
+        phases += uses_per_shot * theta
+    else:
+        phases = np.full(shots, uses_per_shot * theta)
     p_plus_i = 0.5 * (1.0 + np.sin(phases))
-    return float((rng.random(shots) < p_plus_i).mean())
+    return np.count_nonzero(rng.random(shots) < p_plus_i) / shots
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,16 @@ def conjugate_gate_labels(m, targets, entries) -> dict[str, float]:
             q = "".join(letters)
             out[q] = out.get(q, 0.0) + c * v
     return out
+
+
+def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
+    """The full-length descent that `qadv.sq.sample_many` replaced: every
+    lane steps one tree level per iteration, with fresh arrays each level."""
+    r = np.array(rs, dtype=float)
+    node = np.ones(len(r), dtype=np.int64)
+    while len(node) and node[0] < sq.dim:
+        left = sq.tree[2 * node]
+        go_right = r >= left
+        r -= np.where(go_right, left, 0.0)
+        node = 2 * node + go_right
+    return node - sq.dim

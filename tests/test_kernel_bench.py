@@ -1,10 +1,11 @@
-"""Micro-benchmarks of the propagation and statevector kernels
+"""Micro-benchmarks of the propagation, statevector and sampling kernels
 (pytest-benchmark).
 
 Run ``pytest tests/test_kernel_bench.py`` for timings; ``--benchmark-disable``
 runs each kernel once as a plain correctness smoke test. Every benchmark
-asserts that its kernel preserves the Pauli-2 norm, builds a unitary, or
-matches the gate-by-gate interpreter.
+asserts that its kernel preserves the Pauli-2 norm, builds a unitary,
+matches the gate-by-gate interpreter, or draws what the lockstep tree
+descent draws.
 """
 
 from itertools import combinations
@@ -12,11 +13,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qadv import circuits, statevector
+from qadv import circuits, sq, statevector
 from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
-from oracles import haar_unitary
+from oracles import haar_unitary, sample_many_lockstep
 
 N_WIDE = 24
 
@@ -106,3 +107,13 @@ def test_output_prob_fused_suite_shape(benchmark):
         state = statevector.prepare_basis(n, cnew.full_input(x)).amplitudes
         out = statevector._apply_layers(state.reshape((2,) * n), cnew.layers, range(n))
         assert prob == pytest.approx(np.sum(np.abs(out[1]) ** 2), abs=1e-12)
+
+
+def test_sample_many_2_20(benchmark):
+    # The sampling workload's shape: 10^6 draws on a 2^20 tree.
+    rng = np.random.default_rng(4)
+    v = sq.build(rng.standard_normal(1 << 20), normalize=True)
+    rs = rng.random(10**6)
+    got = benchmark(sq.sample_many, v, rs)
+    part = slice(3 * sq._DESCENT_LANES - 5, 3 * sq._DESCENT_LANES + 40_000)
+    assert np.array_equal(got[part], sample_many_lockstep(v, rs[part]))

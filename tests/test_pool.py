@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from qadv import pool
@@ -28,6 +31,10 @@ def _draw(item, ss):
     return item, int(ss.generate_state(1)[0])
 
 
+def _draws(children):
+    return [int(ss.generate_state(1)[0]) for ss in children]
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
@@ -56,6 +63,38 @@ def test_seeded_map_refuses_jobs_below_one(fake_pool, jobs):
     assert fake_pool.sizes == []
 
 
+def test_seeded_map_hands_out_the_children_of_spawn_seeds():
+    out = pool.seeded_map(_draw, list(range(6)), 7)
+    assert [d for _, d in out] == _draws(pool.spawn_seeds(7, 6))
+    # A SeedSequence passed in continues its own numbering, as with spawn.
+    base, twin = np.random.SeedSequence(7), np.random.SeedSequence(7)
+    base.spawn(2)
+    twin.spawn(2)
+    out = pool.seeded_map(_draw, list(range(3)), base)
+    assert [d for _, d in out] == _draws(twin.spawn(3))
+
+
+def _nothing(item, ss):
+    return None
+
+
+def test_seeded_map_memory_does_not_grow_with_items():
+    # In-process only the running item's child SeedSequence is alive.
+    pool.seeded_map(_nothing, [0], 7)  # warm numpy's first-use allocations
+    peaks = []
+    for count in (40, 4000):
+        items = list(range(count))
+        tracemalloc.start()
+        try:
+            pool.seeded_map(_nothing, items, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Holding all 4,000 children at once takes about 1.5 MB; the result
+    # list takes 32 KB.
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
 @pytest.mark.parametrize("jobs,items,chunk", [
     (2, 5, 1),
     (2, 8, 1),
@@ -69,10 +108,6 @@ def test_seeded_map_chunk_size(fake_pool, jobs, items, chunk):
     out = pool.seeded_map(_draw, work, 7, jobs)
     assert fake_pool.chunks == [chunk]
     assert out == pool.seeded_map(_draw, work, 7, 1)
-
-
-def _draws(children):
-    return [int(ss.generate_state(1)[0]) for ss in children]
 
 
 @pytest.mark.parametrize("jobs,count,size,workers", [

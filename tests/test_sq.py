@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from qadv import sq
 from qadv.errors import InvariantViolation
 
+from oracles import sample_many_lockstep
+
 
 def test_build_point_mass():
     v = sq.build([1.0, 0.0, 0.0, 0.0])
@@ -97,6 +99,63 @@ def test_sample_many_matches_scalar(seed):
     rs = rng.random(64)
     vec = sq.sample_many(v, rs)
     assert [sq.sample(v, float(r)) for r in rs] == list(vec)
+
+
+BLOCK = sq._DESCENT_LANES
+
+
+@pytest.mark.parametrize("draws", [1, BLOCK, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 2**16])
+def test_sample_many_matches_lockstep_oracle(n, draws):
+    # One short block, exactly one full block, and two full blocks plus a
+    # short last one.
+    rng = np.random.default_rng(n + draws)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.2] = 0.0  # zero-probability leaves too
+    x[0] = 1.0
+    v = sq.build(x, normalize=True)
+    rs = rng.random(draws)
+    got = sq.sample_many(v, rs)
+    assert got.dtype == np.int64
+    assert got.tobytes() == sample_many_lockstep(v, rs).tobytes()
+    assert np.all(v.values[got] != 0.0)
+
+
+def _dyadic_vector(rng: np.random.Generator) -> np.ndarray:
+    """Entries a_i / s with small integers a_i and sum(a_i^2) = s^2 for a
+    power of two s, so every tree node and every prefix is exact."""
+    a = rng.integers(0, 4, 700)
+    side = 1
+    while side * side < a @ a:
+        side *= 2
+    return np.concatenate([a, np.ones(side * side - a @ a)]) / side
+
+
+def test_sample_many_ties_on_stored_prefixes_resolve_right():
+    rng = np.random.default_rng(21)
+    v = sq.build(_dyadic_vector(rng))
+    cdf = np.cumsum(v.values**2)
+    rs = np.concatenate([[0.0], cdf[cdf < 1.0]])
+    # The index i with F(i-1) <= r < F(i): a tie moves past every zero leaf.
+    want = np.searchsorted(cdf, rs, side="right")
+    assert np.array_equal(sq.sample_many(v, rs), want)
+    assert [sq.sample(v, float(r)) for r in rs] == list(want)
+    across = np.resize(rs, 2 * BLOCK + 3)
+    assert np.array_equal(sq.sample_many(v, across), sample_many_lockstep(v, across))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, -np.inf, 1.0, np.inf])
+def test_sample_many_refuses_uniforms_outside_unit_interval(bad):
+    v = sq.build([0.0, 0.6, 0.8, 0.0])
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sq.sample_many(v, [bad, 0.5])
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sq.sample(v, bad)
+
+
+def test_sample_many_of_no_draws_is_empty():
+    got = sq.sample_many(sq.build([0.6, 0.8]), [])
+    assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_empirical_tv_distance_small():
