@@ -112,7 +112,7 @@ def sample(sq: SQVector, r: float) -> int:
 def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
     """Vectorized sample() over an array of uniforms, `_DESCENT_LANES` lanes
     at a time."""
-    rs = np.asarray(rs, dtype=float).reshape(-1)
+    rs = np.asarray(rs, dtype=float)
     # Written so that a NaN uniform fails.
     if not ((rs >= 0.0).all() and (rs < 1.0).all()):
         raise ValueError("r must lie in [0, 1)")
