@@ -4,16 +4,17 @@ Every subcommand except ``rerun`` is one row of the ``_COMMANDS`` table:
 name, help text, options (each with its flag, config key, default and
 type), and the executor that runs it. The table is the only place defaults
 live; a config file overrides them, and explicit flags override the config
-file. Keys without a flag (``drop_tolerance``, ``cells``) can only be set by
-a config file.
+file, whose values are typed as their flags' text would be. Only ``cells``
+(``sweep``'s grid, checked by ``scaling_sweep``) has no flag.
 
 An executor maps the resolved config to an `Output` and writes nothing;
 `_execute` alone writes files into --out-dir (or $QADV_OUTPUT_DIR): the
 report ``<subcommand>_report.json``, at most one CSV table, and last the
 manifest ``<subcommand>_manifest.json``, only when the run succeeded.
 ``rerun`` refuses a manifest whose stored hash does not match its
-subcommand and config. Exit codes: 2 config/schema error, 3 runtime
-invariant violation, 4 resource limit exceeded.
+subcommand and config, or that recorded (as earlier versions did) a drop
+tolerance other than ``pauli.DROP_TOLERANCE``. Exit codes: 2 config/schema
+error, 3 runtime invariant violation, 4 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -50,13 +51,27 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve(defaults: dict, file_config: dict, flags: dict) -> dict:
+def _from_file(o: Opt, value):
+    """A config-file value as its flag would take the same text: a number as
+    its JSON literal, so neither ``"30"`` nor ``2.5`` is an integer (click
+    alone truncates 2.5 to 2). Null is kept where it is the default."""
+    if o.flag is None or (value is None and o.default is None):
+        return value
+    text = str(value) if isinstance(o.type, click.ParamType) else json.dumps(value)
+    try:
+        return click.types.convert_type(o.type).convert(text, None, None)
+    except click.BadParameter as exc:
+        raise ConfigError(f"config key {o.key!r}: {exc.message}") from exc
+
+
+def _resolve(options: tuple[Opt, ...], file_config: dict, flags: dict) -> dict:
     """Defaults, overridden by the config file, overridden by explicit flags."""
-    out = dict(defaults)
-    unknown = set(file_config) - set(defaults)
+    by_key = {o.key: o for o in options}
+    unknown = set(file_config) - set(by_key)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    out.update(file_config)
+    out = {o.key: o.default for o in options}
+    out.update((k, _from_file(by_key[k], v)) for k, v in file_config.items())
     out.update({k: v for k, v in flags.items() if v is not None})
     return out
 
@@ -139,7 +154,6 @@ def _exec_decay(config: dict) -> Output:
         trials=config["trials"],
         seed=config["seed"],
         jobs=config["jobs"],
-        drop_tolerance=config["drop_tolerance"],
     )
     rows = [(j, m, result.ratios[j - 1] if j else "") for j, m in enumerate(result.layer_means)]
     summary = [f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}"]
@@ -156,7 +170,6 @@ def _exec_detect(config: dict) -> Output:
         k=config["k"],
         seed=config["seed"],
         shots=config["shots"],
-        drop_tolerance=config["drop_tolerance"],
     )
     return Output(
         asdict(report),
@@ -180,7 +193,6 @@ def _exec_suite(config: dict) -> Output:
         k=config["k"],
         seed=config["seed"],
         jobs=config["jobs"],
-        drop_tolerance=config["drop_tolerance"],
     )
     rows = [
         (e.name, e.label, e.exact_probability, e.report.verdict, e.report.disagree_fraction,
@@ -376,7 +388,6 @@ class Opt(NamedTuple):
 _PATH = click.Path(exists=True)
 _SEED = Opt("--seed", "seed", 0)
 _JOBS = Opt("--jobs", "jobs", 1)
-_DROP = Opt(None, "drop_tolerance", DROP_TOLERANCE)
 _NORMALIZE = Opt("--normalize", "normalize", False, bool)
 
 _COMMANDS = (
@@ -384,7 +395,7 @@ _COMMANDS = (
         Opt("--n", "n", 8, help="Qubit count (even)."),
         Opt("--L", "L", 10, help="Brickwork depth."),
         Opt("--trials", "trials", 500),
-        _SEED, _JOBS, _DROP,
+        _SEED, _JOBS,
     ), _exec_decay),
     ("detect", "Classify one circuit file: advantage vs no-advantage.", (
         Opt("--circuit", "circuit", type=_PATH, required=True),
@@ -392,7 +403,6 @@ _COMMANDS = (
         Opt("--k", "k", 1, help="Weight cutoff."),
         _SEED,
         Opt("--shots", "shots", None, help="Shot-based exact side (default: exact probabilities)."),
-        _DROP,
     ), _exec_detect),
     ("suite", "Labeled YES/NO detection suite with confusion counts.", (
         Opt("--yes", "yes", 20, help="YES instances."),
@@ -402,7 +412,7 @@ _COMMANDS = (
         Opt("--copies", "copies", 3, help="Majority-vote copies (odd)."),
         Opt("--L", "L", None, help="Random depth (default 6*width)."),
         Opt("--s", "s", 32), Opt("--k", "k", 1),
-        _SEED, _JOBS, _DROP,
+        _SEED, _JOBS,
     ), _exec_suite),
     ("dequant-build", "Build the prefix-sum tree and verify its invariants.", (
         Opt("--vector", "vector", type=_PATH, required=True),
@@ -456,11 +466,9 @@ def _option(o: Opt) -> click.Option:
 def _command(name: str, help_text: str, options: tuple[Opt, ...]) -> click.Command:
     """A click command that resolves the row's defaults, the config file and
     the given flags, then runs the subcommand's executor."""
-    defaults = {o.key: o.default for o in options}
-
     @guarded
     def run(out_dir, config_path, **flags):
-        _execute(name, _resolve(defaults, _load_config(config_path), flags), out_dir)
+        _execute(name, _resolve(options, _load_config(config_path), flags), out_dir)
 
     params = [_option(o) for o in options if o.flag] + [
         click.Option(["--config", "config_path"], help="JSON config file; flags override it."),
@@ -492,10 +500,15 @@ for _row in _COMMANDS:
 @guarded
 def rerun(manifest_path, out_dir):
     """Re-run an experiment from its manifest; outputs are bit-identical.
-    A manifest whose hash does not match its subcommand and config is refused."""
+    A manifest whose hash does not match its subcommand and config is refused,
+    and so is one that recorded a drop tolerance other than the fixed one."""
     m = manifest.load_manifest(manifest_path)
     if m.subcommand not in _EXECUTORS:
         raise ConfigError(f"manifest names unknown subcommand {m.subcommand!r}")
+    # Earlier versions recorded the tolerance, which the executors ignore.
+    drop = m.config.get("drop_tolerance", DROP_TOLERANCE)
+    if drop != DROP_TOLERANCE:
+        raise ConfigError(f"manifest ran with drop_tolerance {drop}, not {DROP_TOLERANCE}")
     _execute(m.subcommand, m.config, out_dir)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import PromiseViolation
-from .pauli import DROP_TOLERANCE
 from .pool import seeded_chunks, seeded_map
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
@@ -59,7 +58,6 @@ def detect(
     k: int = 1,
     seed: int | np.random.SeedSequence | None = None,
     shots: int | None = None,
-    drop_tolerance: float = DROP_TOLERANCE,
 ) -> DetectionReport:
     """Sample s uniform inputs over the main register, compare the exact
     first-qubit expectation against the weight-k heuristic, and classify.
@@ -73,7 +71,7 @@ def detect(
         raise ValueError("sample count must be at least 1")
     if shots is not None and shots < 1:
         raise ValueError("shots must be at least 1")
-    cfg = PropagationConfig(k=k, drop_tolerance=drop_tolerance)
+    cfg = PropagationConfig(k=k)
     rng = np.random.default_rng(seed)
     lo, hi = c.input_register()
     width = hi - lo + 1
@@ -123,10 +121,10 @@ class DecayResult:
     expected_ratio: float = 0.4
 
 
-def _decay_batch(n: int, layers: int, drop_tolerance: float, seeds) -> list[list[float]]:
+def _decay_batch(n: int, layers: int, seeds) -> list[list[float]]:
     """The norms of one trial per seed, from one batched backward pass."""
     batch = [circuits.random_brickwork(n, layers, seed=ss) for ss in seeds]
-    cfg = PropagationConfig(k=1, drop_tolerance=drop_tolerance)
+    cfg = PropagationConfig(k=1)
     return [norms for _, norms in backpropagate(batch, z_first(n), cfg, record_norms=True)]
 
 
@@ -136,14 +134,12 @@ def _batch_trials(n: int, layers: int) -> int:
     return max(1, DECAY_BATCH_BYTES // ((16 + layers) * 1024 * (n // 2)))
 
 
-def _decay_norms(
-    n: int, layers: int, trials: int, seed, jobs: int = 1, drop_tolerance: float = DROP_TOLERANCE
-) -> np.ndarray:
+def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.ndarray:
     """One row of layers + 1 norms per trial, each the trial's own
     ``backpropagate(..., record_norms=True)`` norms."""
     size = _batch_trials(n, layers)
     norms = np.empty((trials, layers + 1))
-    run = functools.partial(_decay_batch, n, layers, drop_tolerance)
+    run = functools.partial(_decay_batch, n, layers)
     for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, seed, jobs)):
         norms[start:start + len(rows)] = rows
     return norms
@@ -155,7 +151,6 @@ def decay_experiment(
     trials: int,
     seed: int | None = None,
     jobs: int = 1,
-    drop_tolerance: float = DROP_TOLERANCE,
 ) -> DecayResult:
     """Mean normalized norm of the k=1 heuristic observable after each
     brickwork layer, over fresh random circuits.
@@ -170,7 +165,7 @@ def decay_experiment(
         raise ValueError("decay experiment requires an even qubit count")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    norms = _decay_norms(n, layers, trials, seed, jobs, drop_tolerance)
+    norms = _decay_norms(n, layers, trials, seed, jobs)
     means = norms.mean(axis=0)
     ratios = tuple(float(means[j + 1] / means[j]) for j in range(layers))
     final = norms[:, -1]
@@ -265,10 +260,10 @@ class SuiteResult:
 
 
 def _suite_entry(args, ss) -> SuiteEntry:
-    inst, prob, n, depth, copies, s, k, drop_tolerance = args
+    inst, prob, n, depth, copies, s, k = args
     u_seed, detect_seed = ss.spawn(2)
     cnew = circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed)
-    report = detect(cnew, s=s, k=k, seed=detect_seed, drop_tolerance=drop_tolerance)
+    report = detect(cnew, s=s, k=k, seed=detect_seed)
     expected = "advantage" if inst.label == "YES" else "no-advantage"
     # Markov budget on the final heuristic norm: exceeded for at most a
     # 2^-n fraction of random circuits; an exceedance is flagged, not fatal.
@@ -292,7 +287,6 @@ def instance_suite(
     k: int = 1,
     seed: int | None = None,
     jobs: int = 1,
-    drop_tolerance: float = DROP_TOLERANCE,
 ) -> SuiteResult:
     """Verify every label before any detection work, then build one
     detection circuit per instance with a fresh random-circuit seed, run
@@ -301,10 +295,7 @@ def instance_suite(
     if instances and depth is None:
         m = instances[0].circuit.n_qubits
         depth = circuits.default_depth(n + m * copies + 1)
-    work = [
-        (inst, prob, n, depth, copies, s, k, drop_tolerance)
-        for inst, prob in zip(instances, probs)
-    ]
+    work = [(inst, prob, n, depth, copies, s, k) for inst, prob in zip(instances, probs)]
     entries = tuple(seeded_map(_suite_entry, work, seed, jobs))
     confusion: dict[str, int] = {}
     for e in entries:

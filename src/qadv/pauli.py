@@ -59,9 +59,10 @@ PAULI_1Q = np.array(
 
 _LABELS = "IXYZ"
 
-#: Coefficients smaller than this are dropped after each layer step. This is
-#: an implementation guard on memory, not part of the propagation rule; runs
-#: record it in their metadata.
+#: Coefficients at or below this are dropped after each layer step: a guard
+#: on memory that is also part of the truncation rule. It is fixed, not an
+#: option, so the version names it: changing it is a new
+#: ``manifest.ARTIFACT_VERSION``.
 DROP_TOLERANCE = 1e-12
 
 #: Widest PauliMap: each mask is one uint64 word.
@@ -118,7 +119,7 @@ class PauliMap:
     ``coeffs`` (float64); each (x, z) pair occurs at most once. Immutable
     after construction (the arrays are read-only); all operations return
     new maps. Zero coefficients are discarded; the conjugation kernels also
-    discard those at or below their ``drop_tolerance``.
+    discard those at or below ``DROP_TOLERANCE``.
 
     ``batch`` is None, except in the maps that `propagation.backpropagate`
     passes between its steps when it evolves several circuits at once: there
@@ -142,8 +143,8 @@ class PauliMap:
         )
         self._assign(n_qubits, x, z, coeffs, 0.0, None)
 
-    def _assign(self, n_qubits, x, z, coeffs, drop_tolerance, batch) -> None:
-        keep = np.abs(coeffs) > drop_tolerance
+    def _assign(self, n_qubits, x, z, coeffs, threshold, batch) -> None:
+        keep = np.abs(coeffs) > threshold
         if not keep.all():
             x, z, coeffs = x[keep], z[keep], coeffs[keep]
             batch = None if batch is None else batch[keep]
@@ -158,13 +159,14 @@ class PauliMap:
         x: np.ndarray,
         z: np.ndarray,
         coeffs: np.ndarray,
-        drop_tolerance: float = 0.0,
+        threshold: float = 0.0,
         batch: np.ndarray | None = None,
     ) -> "PauliMap":
         """Wrap arrays that already hold distinct (x, z) pairs (per trial,
-        with a batch column), without copying or validating them."""
+        with a batch column), without copying or validating them; terms with
+        |coefficient| at or below ``threshold`` are dropped."""
         m = object.__new__(cls)
-        m._assign(n_qubits, x, z, coeffs, drop_tolerance, batch)
+        m._assign(n_qubits, x, z, coeffs, threshold, batch)
         return m
 
     @classmethod
@@ -385,19 +387,16 @@ def _conjugate_terms(
     return x[order], z[order], c[order], batch[order]
 
 
-def conjugate_layer(
-    m: PauliMap,
-    gates: Iterable[tuple[Sequence[int], np.ndarray]],
-    drop_tolerance: float = DROP_TOLERANCE,
-) -> PauliMap:
+def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray]]) -> PauliMap:
     """Backward-evolve a PauliMap through one layer of disjoint gates, each
-    given as its targets and its ``transfer_matrix`` (for a batched map,
-    one matrix for every trial or a stack of one per trial).
+    given as its targets and its ``transfer_matrix`` (for a batched map, a
+    stack of one matrix per trial).
 
-    Computes U^dag O U for the layer unitary U; exact up to the drop
-    tolerance, so the Frobenius norm is preserved.
+    Computes U^dag O U for the layer unitary U; exact up to
+    ``DROP_TOLERANCE``, so the Frobenius norm is preserved.
     """
     gates = list(gates)
+    per_trial = m.batch is not None
     seen = 0
     for targets, entries in gates:
         tmask = 0
@@ -407,7 +406,6 @@ def conjugate_layer(
             tmask |= 1 << t
         if tmask & seen:
             raise ValueError("overlapping gate supports in one layer")
-        per_trial = m.batch is not None and entries.ndim == 3
         if entries.shape[per_trial:] != (4 ** len(targets),) * 2:
             raise ValueError("transfer matrix shape does not match targets")
         seen |= tmask
@@ -416,9 +414,9 @@ def conjugate_layer(
     for targets, entries in gates:
         x, z, c, batch = _conjugate_terms(
             x, z, c, batch, targets,
-            lambda trial, rows: rows @ (entries if entries.ndim == 2 else entries[trial])[:, 1:],
+            lambda trial, rows: rows @ (entries[trial] if per_trial else entries)[:, 1:],
         )
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance, batch)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)
 
 
 def _local_matrix(coeffs: np.ndarray, w: int) -> np.ndarray:
@@ -444,24 +442,19 @@ def _pauli_coefficients(matrix: np.ndarray, w: int) -> np.ndarray:
     return t.reshape(-1) / 2**w
 
 
-def conjugate_dense(
-    m: PauliMap,
-    unitary: np.ndarray,
-    support: Sequence[int],
-    drop_tolerance: float = DROP_TOLERANCE,
-) -> PauliMap:
+def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) -> PauliMap:
     """Backward-evolve through a wide unitary by dense matrix conjugation.
 
     The unitary acts on ``support`` in the given qubit order (first qubit
     most significant); terms disjoint from the support pass through
     untouched. Each group of touched terms that share an off-support factor
     is materialized as a dense matrix M, conjugated as U^dag M U, and
-    re-expanded in the Pauli basis. A batched map takes one unitary for
-    every trial or a stack of one per trial.
+    re-expanded in the Pauli basis. A batched map takes a stack of one
+    unitary per trial.
     """
     support = tuple(support)
     w = len(support)
-    per_trial = m.batch is not None and unitary.ndim == 3
+    per_trial = m.batch is not None
     if unitary.shape[per_trial:] != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
@@ -478,4 +471,4 @@ def conjugate_dense(
         return out
 
     x, z, c, batch = _conjugate_terms(m.x, m.z, m.coeffs, m.batch, support, spread_rows)
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, drop_tolerance, batch)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)

@@ -18,6 +18,15 @@ def spawn_seeds(seed: int | np.random.SeedSequence | None, count: int) -> list:
     return _base(seed).spawn(count)
 
 
+def child_seeds(seed: int | np.random.SeedSequence | None) -> Iterator[np.random.SeedSequence]:
+    """The children of ``spawn_seeds(seed, ...)`` in order, each spawned only
+    as it is taken, so a caller that stops early spawns no more."""
+    base = _base(seed)
+    while True:
+        # Each spawn call continues the numbering of the children spawned so far.
+        yield base.spawn(1)[0]
+
+
 def _pooled(fn: Callable, jobs: int, rows: int, *columns: Iterable) -> Iterator:
     """``map(fn, *columns)`` over ``rows`` rows, yielded in order. With more
     than one row and jobs > 1 the calls run in a process pool of at most one
@@ -39,10 +48,7 @@ def seeded_map(fn: Callable, items: Sequence, seed, jobs: int = 1) -> list:
     `_pooled`). In-process, each child is spawned only as its item starts."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    base = _base(seed)
-    # Each spawn call continues the numbering of the children spawned so far.
-    children = (base.spawn(1)[0] for _ in items)
-    return list(_pooled(fn, jobs, len(items), items, children))
+    return list(_pooled(fn, jobs, len(items), items, child_seeds(seed)))
 
 
 def seeded_chunks(fn: Callable, count: int, size: int, seed, jobs: int = 1) -> Iterator:

@@ -29,20 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from . import circuits
-from .pauli import (
-    DROP_TOLERANCE,
-    PauliMap,
-    conjugate_dense,
-    conjugate_layer,
-    transfer_matrix,
-)
+from .pauli import PauliMap, conjugate_dense, conjugate_layer, transfer_matrix
 from .statevector import block_unitary, check_block_width
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
     k: int = 1
-    drop_tolerance: float = DROP_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -50,7 +43,8 @@ class PropagationConfig:
 
 
 def _per_trial(matrices: list[np.ndarray]) -> np.ndarray:
-    """One trial's matrix as it is, several as a stack indexed by trial."""
+    """What the kernels take: a lone trial's matrix as it is, several (a map
+    with a batch column) as a stack indexed by trial."""
     return matrices[0] if len(matrices) == 1 else np.stack(matrices)
 
 
@@ -89,13 +83,13 @@ def _transfer_matrices(
 
 
 def _conjugate_declared_layer(
-    m: PauliMap, layers: list[circuits.Layer], keys: list[bytes], cfg: PropagationConfig,
+    m: PauliMap, layers: list[circuits.Layer], keys: list[bytes],
     memo: dict[bytes, np.ndarray], uses: Counter,
 ) -> PauliMap:
     """One declared layer, given per trial (the layers share gate targets);
     ``keys`` are the unitary bytes of its narrow gates, slot by slot."""
     if not isinstance(layers[0], circuits.ElementaryLayer):
-        return _conjugate_block(m, layers, cfg)
+        return _conjugate_block(m, layers)
     narrow, wide = _gate_slots(layers)
     if narrow:
         tms = _transfer_matrices([g for slot in narrow for g in slot], keys, memo, uses)
@@ -106,23 +100,18 @@ def _conjugate_declared_layer(
                 (slot[0].targets, _per_trial(tms[j * trials:(j + 1) * trials]))
                 for j, slot in enumerate(narrow)
             ],
-            drop_tolerance=cfg.drop_tolerance,
         )
     for slot in wide:
-        m = _conjugate_block(m, [circuits.ElementaryLayer((g,)) for g in slot], cfg)
+        m = _conjugate_block(m, [circuits.ElementaryLayer((g,)) for g in slot])
     return m
 
 
-def _conjugate_block(
-    m: PauliMap, layers: list[circuits.Layer], cfg: PropagationConfig
-) -> PauliMap:
+def _conjugate_block(m: PauliMap, layers: list[circuits.Layer]) -> PauliMap:
     # Refuse before building: the unitary alone has 4^width entries.
     check_block_width(len(layers[0].support))
     built = [block_unitary(layer) for layer in layers]
     support = built[0][0]
-    return conjugate_dense(
-        m, _per_trial([u for _, u in built]), support, drop_tolerance=cfg.drop_tolerance
-    )
+    return conjugate_dense(m, _per_trial([u for _, u in built]), support)
 
 
 def _layout(layer: circuits.Layer) -> tuple | frozenset:
@@ -190,7 +179,7 @@ def backpropagate(
     acc = o.project_weight(cfg.k)
     norms = [_trial_norms(acc, trials)]
     for layers, step_keys in zip(steps, keys):
-        acc = _conjugate_declared_layer(acc, layers, step_keys, cfg, memo, uses)
+        acc = _conjugate_declared_layer(acc, layers, step_keys, memo, uses)
         acc = acc.project_weight(cfg.k)
         if record_norms:
             norms.append(_trial_norms(acc, trials))

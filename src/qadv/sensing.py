@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pool import seeded_map, spawn_seeds
+from .pool import child_seeds, seeded_map
 
 
 def _check(theta: float, gamma: float, *counts: int) -> None:
@@ -226,10 +226,11 @@ def minimal_separable_nt(
     theta: float,
     gamma: float,
     trials: int,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> tuple[int, list[SweepCell]]:
     """Scan K geometrically, stopping at the first cell whose success rate
-    meets SEPARABLE_TARGET; returns (N*T at that cell, all swept cells)."""
+    meets SEPARABLE_TARGET; returns (N*T at that cell, all swept cells).
+    Cell i runs on child i of ``seed``, spawned only as the cell starts."""
     r = default_uses_per_shot(gamma)
     k_values: list[int] = []
     k = 1.0
@@ -239,7 +240,7 @@ def minimal_separable_nt(
             k_values.append(kk)
         k *= SEPARABLE_GROWTH
     cells: list[SweepCell] = []
-    for kk, ss in zip(k_values, spawn_seeds(seed, len(k_values))):
+    for kk, ss in zip(k_values, child_seeds(seed)):
         (cell,) = scaling_sweep(
             "separable",
             [{"N": 1, "theta": theta, "gamma": gamma, "K": kk}],

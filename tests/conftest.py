@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,3 +12,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    # The kernel micro-benchmarks run once each, untimed, unless
+    # --benchmark-enable asks for timings. Set before pytest-benchmark reads
+    # its options, and only where it is installed: without it the option
+    # does not exist.
+    if config.pluginmanager.hasplugin("benchmark"):
+        config.option.benchmark_disable = True

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qadv import circuits, cli
+from qadv import circuits, cli, manifest
 from qadv.cli import main
 from qadv.errors import ConfigError
+from qadv.pauli import DROP_TOLERANCE
 
 
 @pytest.fixture
@@ -38,9 +39,7 @@ def test_decay_outputs_and_manifest(runner, tmp_path):
     csv_text = _read(tmp_path / "decay_layers.csv")
     assert report["manifest_hash"] == man["manifest_hash"]
     assert csv_text.startswith(f"# manifest_hash={man['manifest_hash']}")
-    assert man["config"] == {
-        "n": 4, "L": 3, "trials": 8, "seed": 1, "jobs": 1, "drop_tolerance": 1e-12,
-    }
+    assert man["config"] == {"n": 4, "L": 3, "trials": 8, "seed": 1, "jobs": 1}
     assert len(report["ratios"]) == 3
 
 
@@ -120,6 +119,57 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
         main, ["decay", "--config", str(cfg), "--out-dir", str(tmp_path)]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("name", ["decay", "detect", "suite"])
+def test_drop_tolerance_is_not_a_config_key(runner, tmp_path, name):
+    # The tolerance is the constant pauli.DROP_TOLERANCE: even its own value
+    # is an unknown key, refused before anything runs.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drop_tolerance": DROP_TOLERANCE}))
+    circuit = ["--circuit", str(cfg)] if name == "detect" else []
+    out = tmp_path / "out"
+    r = runner.invoke(main, [name, *circuit, "--config", str(cfg), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "drop_tolerance" in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"n": 4, "L": 2, "trials": "30"}, "trials"),
+        ({"n": 4, "L": 2.5, "trials": 4}, "L"),
+        ({"n": 4, "L": 2, "trials": 4, "seed": 1.5}, "seed"),
+    ],
+    ids=["string-trials", "fractional-L", "fractional-seed"],
+)
+def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, config, key):
+    # A value is typed as its flag's text would be: "30" is a string and
+    # 2.5 is no integer (not truncated to 2).
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["decay", "--config", str(cfg), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert repr(key) in r.output
+    assert not out.exists()
+
+
+def test_config_value_and_flag_give_one_manifest(runner, tmp_path):
+    # The JSON integer 1 for a float option is the flag text "1": both runs
+    # record theta = 1.0, so their manifests hash alike.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1, "shots": 100}))
+    hashes = []
+    for args in (["--config", str(cfg)], ["--theta", "1", "--shots", "100"]):
+        out = tmp_path / str(len(hashes))
+        r = runner.invoke(main, ["sense", *args, "--out-dir", str(out)])
+        assert r.exit_code == 0, r.output
+        man = json.loads(_read(out / "sense_manifest.json"))
+        assert man["config"]["theta"] == 1.0 and isinstance(man["config"]["theta"], float)
+        hashes.append(man["manifest_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_sweep_requires_cells(runner, tmp_path):
@@ -406,6 +456,55 @@ def test_rerun_refuses_modified_manifest(runner, tmp_path, edit):
     assert not list(out.iterdir())
 
 
+def _old_shape_manifest(tmp_path, drop_tolerance):
+    """A decay manifest as versions that took the drop tolerance wrote it:
+    the key in its config, and its hash over that config."""
+    config = {"n": 6, "L": 7, "trials": 50, "seed": 2, "jobs": 1,
+              "drop_tolerance": drop_tolerance}
+    mpath = tmp_path / "old_manifest.json"
+    mpath.write_text(json.dumps({
+        "subcommand": "decay", "config": config, "seed": 2,
+        "version": manifest.ARTIFACT_VERSION,
+        "manifest_hash": manifest.manifest_hash("decay", config),
+        "outputs": [], "duration_s": 0.0,
+    }))
+    return mpath
+
+
+def test_rerun_replays_a_manifest_that_recorded_the_drop_tolerance(runner, tmp_path):
+    # Such a run dropped at today's constant, so it replays to the bytes it
+    # wrote then: a fresh run's data under the old manifest hash. The
+    # digests are those the version before the constant pinned for this run.
+    mpath = _old_shape_manifest(tmp_path, DROP_TOLERANCE)
+    old_hash = json.loads(_read(mpath))["manifest_hash"]
+    new = tmp_path / "new"
+    r = runner.invoke(main, ["decay", "--n", "6", "--L", "7", "--trials", "50", "--seed", "2",
+                             "--out-dir", str(new)])
+    assert r.exit_code == 0, r.output
+    new_hash = json.loads(_read(new / "decay_manifest.json"))["manifest_hash"]
+    assert new_hash != old_hash
+    old = tmp_path / "old"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(old)])
+    assert r.exit_code == 0, r.output
+    assert _sha256(old / "decay_report.json") == (
+        "ef8ba412349ae77e1e43a7a3cbe522db603eb79bd73154d64be3b095f3c5bdf8")
+    assert _sha256(old / "decay_layers.csv") == (
+        "d554a3de6f4a35a32355cbc859c36519097ad0e93dfc2432192315333be3837e")
+    for name in ("decay_report.json", "decay_layers.csv"):
+        assert _read(old / name).replace(old_hash, new_hash) == _read(new / name)
+
+
+@pytest.mark.parametrize("drop_tolerance", [1e-9, float("nan")])
+def test_rerun_refuses_another_recorded_drop_tolerance(runner, tmp_path, drop_tolerance):
+    # Replaying it at the constant would silently change the run.
+    mpath = _old_shape_manifest(tmp_path, drop_tolerance)
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "drop_tolerance" in r.output
+    assert not out.exists()
+
+
 def test_oracle_check_failure_writes_data_but_no_manifest(runner, tmp_path, monkeypatch):
     from qadv import statevector
 
@@ -483,15 +582,17 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
 def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in batches; each trial's norms must be the floats its
     # own backward pass gives, so these bytes hold whatever the batch size.
+    # Only the manifest_hash line moved when the drop tolerance left the
+    # config (see test_rerun_replays_a_manifest_that_recorded_the_drop_tolerance).
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "72fc46894afee2f6edd1f6a8a53f999458d74d36791800f1dea695530ba57474",
-         "ff0dfea0f2df5c6162744a4ac2f53afd85f160d61b9666133635c833ef5cba31"),
+         "bc1bbceecdb037960e036081629dbe53eb3c5c23769d11f522fd111e4ce91e57",
+         "4ea86979ddfd5b37fcc618337219b495341a2c904a9931b6a6e423b692321b3f"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "ef8ba412349ae77e1e43a7a3cbe522db603eb79bd73154d64be3b095f3c5bdf8",
-         "d554a3de6f4a35a32355cbc859c36519097ad0e93dfc2432192315333be3837e"),
+         "ad34d29359ba9b81f22d021bec8c5e9e038442ac54acf60583d9dc6b1c863eaa",
+         "8995724f6ac0b97937b5cc1e27ab48b82247ed5c03602a49960fa0471c3c38a0"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]

@@ -73,10 +73,11 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "66020a8b9baf524d470649f14457936c2f7f8a28923e24236f121c38ca1a95e2"),
+         "73b8e4ba7398288e3f7d50dc90316f819748280c05626dfa60d334a6d954b5b0"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
          "d72e0c07817c50a2f3bb9db3bc9632a062cef2e2b20f5a79c6847be3d299d9ad"),
     ],
+    ids=["decay", "bell"],
 )
 def test_manifest_hash_is_pinned(tmp_path, args, manifest_name, expected):
     # The hash covers subcommand, resolved config and version: a change in

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,10 @@ def test_decay_memory_does_not_grow_with_trials():
     decay_experiment(8, 10, trials=20, seed=0)  # warm numpy's caches
     peaks = []
     for trials in (40, 400):
+        # The traces include the interpreter's free lists, which a full
+        # collection empties: start each run from one, so the peaks do not
+        # depend on what ran before this test.
+        gc.collect()
         tracemalloc.start()
         try:
             decay_experiment(8, 10, trials=trials, seed=1)

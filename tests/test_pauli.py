@@ -533,3 +533,9 @@ def test_stacked_matrices_need_a_batched_map():
         conjugate_layer(m, [((0, 1), stack)])
     with pytest.raises(ValueError, match="size"):
         conjugate_dense(m, np.stack([np.eye(4)] * 2), (0, 1))
+    # Conversely, a batched map takes a stack, not one matrix for every trial.
+    batched = _batched([m, m])
+    with pytest.raises(ValueError, match="shape"):
+        conjugate_layer(batched, [((0, 1), transfer_matrix(np.eye(4)))])
+    with pytest.raises(ValueError, match="size"):
+        conjugate_dense(batched, np.eye(4), (0, 1))

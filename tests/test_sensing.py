@@ -216,6 +216,15 @@ def test_minimal_separable_nt_near_theory():
     assert target / 4 <= nt <= target * 4
 
 
+def test_minimal_separable_nt_spawns_a_seed_per_cell_it_runs():
+    # The scan stops early; the K cells it never reaches spawn no child.
+    ss = np.random.SeedSequence(14)
+    nt, cells = minimal_separable_nt(0.2, 0.2, trials=40, seed=ss)
+    assert ss.n_children_spawned == len(cells)
+    # Cell i still runs on child i of the seed.
+    assert minimal_separable_nt(0.2, 0.2, trials=40, seed=14) == (nt, cells)
+
+
 def test_decisions_reproducible_for_fixed_seed():
     def run():
         rng = np.random.default_rng(300)
