@@ -271,6 +271,8 @@ def random_brickwork(
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
+    if layers < 0:
+        raise ValueError("brickwork depth must be nonnegative")
     pairs = [_layer_pairs(n, j) for j in range(layers)]
     # One draw for the whole circuit, handed out to the layers in order.
     matrices = iter(haar_two_qubit(np.random.default_rng(seed), sum(map(len, pairs))))

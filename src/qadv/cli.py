@@ -12,9 +12,11 @@ An executor maps the resolved config to an `Output` and writes nothing;
 report ``<subcommand>_report.json``, at most one CSV table, and last the
 manifest ``<subcommand>_manifest.json``, only when the run succeeded.
 ``rerun`` refuses a manifest whose stored hash does not match its
-subcommand and config, or that recorded (as earlier versions did) a drop
-tolerance other than ``pauli.DROP_TOLERANCE``. Exit codes: 2 config/schema
-error, 3 runtime invariant violation, 4 resource limit exceeded.
+subcommand and config, whose config does not hold exactly its row's keys
+with values their flags accept, or that recorded (as earlier versions did)
+a drop tolerance other than ``pauli.DROP_TOLERANCE``. Exit codes: 2
+config/schema error, 3 runtime invariant violation, 4 resource limit
+exceeded.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def _load_config(path: str | None) -> dict:
 def _from_file(o: Opt, value):
     """A config-file value as its flag would take the same text: a number as
     its JSON literal, so neither ``"30"`` nor ``2.5`` is an integer (click
-    alone truncates 2.5 to 2). Null is kept where it is the default."""
-    if o.flag is None or (value is None and o.default is None):
+    alone truncates 2.5 to 2). Null is kept where it is the default of an
+    optional key."""
+    if o.flag is None or (value is None and o.default is None and not o.required):
         return value
     text = str(value) if isinstance(o.type, click.ParamType) else json.dumps(value)
     try:
@@ -454,6 +457,7 @@ _COMMANDS = (
 )
 
 _EXECUTORS = {name: executor for name, _, _, executor in _COMMANDS}
+_OPTIONS = {name: options for name, _, options, _ in _COMMANDS}
 
 
 def _option(o: Opt) -> click.Option:
@@ -501,14 +505,24 @@ for _row in _COMMANDS:
 def rerun(manifest_path, out_dir):
     """Re-run an experiment from its manifest; outputs are bit-identical.
     A manifest whose hash does not match its subcommand and config is refused,
-    and so is one that recorded a drop tolerance other than the fixed one."""
+    and so is one whose config a run could not have recorded, or that
+    recorded a drop tolerance other than the fixed one."""
     m = manifest.load_manifest(manifest_path)
     if m.subcommand not in _EXECUTORS:
         raise ConfigError(f"manifest names unknown subcommand {m.subcommand!r}")
+    if not isinstance(m.config, dict):
+        raise ConfigError("manifest config must be a JSON object")
     # Earlier versions recorded the tolerance, which the executors ignore.
     drop = m.config.get("drop_tolerance", DROP_TOLERANCE)
     if drop != DROP_TOLERANCE:
         raise ConfigError(f"manifest ran with drop_tolerance {drop}, not {DROP_TOLERANCE}")
+    options = _OPTIONS[m.subcommand]
+    keys = {o.key for o in options}
+    if set(m.config) - {"drop_tolerance"} != keys:
+        raise ConfigError(f"manifest config must hold exactly the keys {sorted(keys)}")
+    for o in options:
+        _from_file(o, m.config[o.key])  # refuses a value its flag would refuse
+    # The config as stored: the hash covers it.
     _execute(m.subcommand, m.config, out_dir)
 
 

@@ -155,14 +155,14 @@ def decay_experiment(
     """Mean normalized norm of the k=1 heuristic observable after each
     brickwork layer, over fresh random circuits.
 
-    Requires even n: the per-layer decay law needs every qubit covered by
-    exactly one two-qubit gate per layer. Trial i draws its circuit from
+    Requires even n >= 2: the per-layer decay law needs every qubit covered
+    by exactly one two-qubit gate per layer. Trial i draws its circuit from
     child i of ``seed``; trials propagate in batches sized by
     `DECAY_BATCH_BYTES`, and with jobs > 1 each worker takes whole batches.
     A trial's norms do not depend on its batch.
     """
-    if n % 2 != 0:
-        raise ValueError("decay experiment requires an even qubit count")
+    if n < 2 or n % 2 != 0:
+        raise ValueError("decay experiment requires an even qubit count of at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     norms = _decay_norms(n, layers, trials, seed, jobs)

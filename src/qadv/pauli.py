@@ -22,18 +22,18 @@ Conventions used throughout the package:
   0=I, 1=X, 2=Y, 3=Z and the gate's first target as the most significant
   digit, matching the Kronecker order of the gate matrix.
 - ``conjugate_layer`` (gates of up to 3 qubits, through their transfer
-  matrices) and ``conjugate_dense`` (any unitary, by dense conjugation)
+  matrices) and ``conjugate_dense`` (one unitary, by dense conjugation)
   share one group-and-scatter step and differ only in how a row of local
   coefficients spreads. ``transfer_matrix`` builds one matrix or a stack at
   once; the module keeps no cache, so a caller memoizes reused gates.
 - A map may carry a batch column: the terms of several observables on the
-  same qubits, stored trial after trial, so that one kernel call evolves a
-  whole batch of circuits with the same gate targets (each trial through
-  its own matrix of a stack). The step groups on (trial, off-target x,
-  off-target z), spreads each trial's rows with that trial's own matrix
-  product and keeps each trial's terms in the order its lone pass gives, so
-  every trial's coefficients are bit-identical to that pass. A map without
-  the column is a batch of one: one product, and no sort or copy for it.
+  same qubits, stored trial after trial, so that one ``conjugate_layer``
+  call evolves a whole batch of circuits with the same gate targets (each
+  trial through its own matrix of a stack). The step groups on (trial,
+  off-target x, off-target z), spreads each trial's rows with that trial's
+  own matrix product and keeps each trial's terms in the order its lone
+  pass gives, so every trial's coefficients are bit-identical to that pass.
+  A map without the column is a batch of one: one product, no sort or copy.
 """
 
 from __future__ import annotations
@@ -449,26 +449,26 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
     most significant); terms disjoint from the support pass through
     untouched. Each group of touched terms that share an off-support factor
     is materialized as a dense matrix M, conjugated as U^dag M U, and
-    re-expanded in the Pauli basis. A batched map takes a stack of one
-    unitary per trial.
+    re-expanded in the Pauli basis. It takes one unitary and a map without a
+    batch column.
     """
     support = tuple(support)
     w = len(support)
-    per_trial = m.batch is not None
-    if unitary.shape[per_trial:] != (2**w, 2**w):
+    if m.batch is not None:
+        raise ValueError("conjugate_dense takes a map without a batch column")
+    if unitary.shape != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
+    udag = unitary.conj().T
 
     def spread_rows(trial: int, rows: np.ndarray) -> np.ndarray:
-        u = unitary[trial] if per_trial else unitary
-        udag = u.conj().T
         out = np.empty((len(rows), 4**w - 1))
         for g, row in enumerate(rows):
-            coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ u, w)
+            coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ unitary, w)
             if np.abs(coeffs.imag).max() > _HERMITICITY_TOL:
                 raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
             out[g] = coeffs.real[1:]
         return out
 
-    x, z, c, batch = _conjugate_terms(m.x, m.z, m.coeffs, m.batch, support, spread_rows)
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)
+    x, z, c, _ = _conjugate_terms(m.x, m.z, m.coeffs, None, support, spread_rows)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)

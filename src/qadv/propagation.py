@@ -13,11 +13,11 @@ with its columns on a batch axis.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
 
-`backpropagate` also takes a batch of circuits that share their gate
-targets layer by layer (the trials of a Monte Carlo over random
-brickworks). The batch travels as one PauliMap with a batch column, so each
-gate slot costs one kernel call for all trials, and each trial's result is
-bit-identical to its lone pass.
+`backpropagate` also takes a batch of circuits of elementary layers of
+gates of up to 3 qubits with the same targets layer by layer (the trials of
+a Monte Carlo over random brickworks). The batch travels as one PauliMap
+with a batch column, so each gate slot costs one kernel call for all
+trials, and each trial's result is bit-identical to its lone pass.
 """
 
 from __future__ import annotations
@@ -42,20 +42,13 @@ class PropagationConfig:
             raise ValueError("weight cutoff k must be at least 1")
 
 
-def _per_trial(matrices: list[np.ndarray]) -> np.ndarray:
-    """What the kernels take: a lone trial's matrix as it is, several (a map
-    with a batch column) as a stack indexed by trial."""
-    return matrices[0] if len(matrices) == 1 else np.stack(matrices)
-
-
-def _gate_slots(layers: list[circuits.Layer]) -> tuple[list, list]:
-    """The gate slots of one elementary layer given per trial (slot j holds
-    gate j of every trial), split into gates of up to 3 qubits and wider
-    ones; none for a block."""
-    if not isinstance(layers[0], circuits.ElementaryLayer):
-        return [], []
-    slots = list(zip(*(layer.gates for layer in layers)))
-    return [s for s in slots if len(s[0].targets) <= 3], [s for s in slots if len(s[0].targets) > 3]
+def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.Layer]]:
+    """A declared layer as its gates of up to 3 qubits and its dense steps:
+    a block, or each wider gate on its own."""
+    if not isinstance(layer, circuits.ElementaryLayer):
+        return [], [layer]
+    wide = [circuits.ElementaryLayer((g,)) for g in layer.gates if len(g.targets) > 3]
+    return [g for g in layer.gates if len(g.targets) <= 3], wide
 
 
 def _unitary(g: circuits.Gate) -> np.ndarray:
@@ -82,44 +75,11 @@ def _transfer_matrices(
     return [built[key] if key in built else memo[key] for key in keys]
 
 
-def _conjugate_declared_layer(
-    m: PauliMap, layers: list[circuits.Layer], keys: list[bytes],
-    memo: dict[bytes, np.ndarray], uses: Counter,
-) -> PauliMap:
-    """One declared layer, given per trial (the layers share gate targets);
-    ``keys`` are the unitary bytes of its narrow gates, slot by slot."""
-    if not isinstance(layers[0], circuits.ElementaryLayer):
-        return _conjugate_block(m, layers)
-    narrow, wide = _gate_slots(layers)
-    if narrow:
-        tms = _transfer_matrices([g for slot in narrow for g in slot], keys, memo, uses)
-        trials = len(layers)
-        m = conjugate_layer(
-            m,
-            [
-                (slot[0].targets, _per_trial(tms[j * trials:(j + 1) * trials]))
-                for j, slot in enumerate(narrow)
-            ],
-        )
-    for slot in wide:
-        m = _conjugate_block(m, [circuits.ElementaryLayer((g,)) for g in slot])
-    return m
-
-
-def _conjugate_block(m: PauliMap, layers: list[circuits.Layer]) -> PauliMap:
+def _dense(m: PauliMap, layer: circuits.Layer) -> PauliMap:
     # Refuse before building: the unitary alone has 4^width entries.
-    check_block_width(len(layers[0].support))
-    built = [block_unitary(layer) for layer in layers]
-    support = built[0][0]
-    return conjugate_dense(m, _per_trial([u for _, u in built]), support)
-
-
-def _layout(layer: circuits.Layer) -> tuple | frozenset:
-    """What the trials of a batch must share in a layer: its gate targets,
-    or a block's support."""
-    if isinstance(layer, circuits.ElementaryLayer):
-        return tuple(g.targets for g in layer.gates)
-    return layer.support
+    check_block_width(len(layer.support))
+    support, u = block_unitary(layer)
+    return conjugate_dense(m, u, support)
 
 
 def _trial_slices(m: PauliMap, trials: int) -> list[slice]:
@@ -150,11 +110,11 @@ def backpropagate(
     the initial projection and after each layer step. Transfer matrices of
     recurring unitaries are memoized for this pass only.
 
-    ``c`` may also be a sequence of circuits whose layers have the same gate
-    targets (or block supports), layer by layer. They then evolve in one
-    batched pass, one kernel call per gate slot for all of them, and the
-    result is a list with one entry per circuit, each bit-identical to what
-    that circuit's own pass returns.
+    ``c`` may also be a sequence of circuits of elementary layers of gates
+    of up to 3 qubits, with the same gate targets layer by layer. They then
+    evolve in one batched pass, one kernel call per gate slot for all of
+    them, and the result is a list with one entry per circuit, each
+    bit-identical to what that circuit's own pass returns.
     """
     lone = isinstance(c, circuits.Circuit)
     batch = [c] if lone else list(c)
@@ -163,23 +123,38 @@ def backpropagate(
     if any(b.n_qubits != o.n_qubits for b in batch):
         raise ValueError("observable and circuit qubit counts differ")
     trials = len(batch)
-    if trials > 1:
-        layout = [_layout(layer) for layer in batch[0].layers]
-        if any([_layout(layer) for layer in b.layers] != layout for b in batch[1:]):
+    if len({len(b.layers) for b in batch}) > 1:
+        raise ValueError("batched circuits must share their gate targets layer by layer")
+    # Each declared layer, last first: its gate targets, its gates slot by
+    # slot (gate j of every trial, then gate j + 1), their unitaries' keys
+    # and its dense steps.
+    steps = []
+    for layers in zip(*(b.layers[::-1] for b in batch)):
+        split = [_split(layer) for layer in layers]
+        if not lone and any(dense for _, dense in split):
+            raise ValueError("a batch holds only elementary layers of gates of up to 3 qubits")
+        targets = [g.targets for g in split[0][0]]
+        if any([g.targets for g in narrow] != targets for narrow, _ in split):
             raise ValueError("batched circuits must share their gate targets layer by layer")
+        gates = [g for slot in zip(*(narrow for narrow, _ in split)) for g in slot]
+        steps.append((targets, gates, [_unitary(g).tobytes() for g in gates], split[0][1]))
+    uses = Counter(key for _, _, keys, _ in steps for key in keys)
+    memo: dict[bytes, np.ndarray] = {}
+    if trials > 1:
         o = PauliMap._from_arrays(
             o.n_qubits, np.tile(o.x, trials), np.tile(o.z, trials), np.tile(o.coeffs, trials),
             batch=np.repeat(np.arange(trials), len(o)),
         )
-    steps = [list(layers) for layers in zip(*(b.layers[::-1] for b in batch))]
-    keys = [[_unitary(g).tobytes() for slot in _gate_slots(layers)[0] for g in slot]
-            for layers in steps]
-    uses = Counter(key for step in keys for key in step)
-    memo: dict[bytes, np.ndarray] = {}
     acc = o.project_weight(cfg.k)
     norms = [_trial_norms(acc, trials)]
-    for layers, step_keys in zip(steps, keys):
-        acc = _conjugate_declared_layer(acc, layers, step_keys, memo, uses)
+    for targets, gates, keys, dense in steps:
+        if targets:
+            tms = _transfer_matrices(gates, keys, memo, uses)
+            if trials > 1:  # a stack per slot, indexed by trial
+                tms = [np.stack(tms[j:j + trials]) for j in range(0, len(tms), trials)]
+            acc = conjugate_layer(acc, zip(targets, tms))
+        for layer in dense:
+            acc = _dense(acc, layer)
         acc = acc.project_weight(cfg.k)
         if record_norms:
             norms.append(_trial_norms(acc, trials))

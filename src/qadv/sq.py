@@ -95,18 +95,8 @@ def build(v, normalize: bool = False) -> SQVector:
 
 
 def sample(sq: SQVector, r: float) -> int:
-    """Index i with F(i-1) <= r < F(i); exactly log2(N) tree steps."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError("r must lie in [0, 1)")
-    node = 1
-    while node < sq.dim:
-        left = sq.tree[2 * node]
-        if r < left:
-            node = 2 * node
-        else:
-            r -= left
-            node = 2 * node + 1
-    return node - sq.dim
+    """Index i with F(i-1) <= r < F(i): one lane of `sample_many`."""
+    return int(sample_many(sq, [r])[0])
 
 
 def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:

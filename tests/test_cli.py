@@ -353,6 +353,9 @@ def test_bad_parameter_value_exits_2(runner, tmp_path):
     for args in (
         ["sense", "--gamma", "-0.5"],
         ["decay", "--n", "5"],  # odd n rejected
+        ["decay", "--n", "0"],  # no qubits to pair
+        ["decay", "--L", "-1"],
+        ["suite", "--yes", "1", "--no", "0", "--L", "-1"],  # a negative depth
         ["decay", "--jobs", "0"],
         ["suite", "--yes", "1", "--no", "1", "--s", "0"],
         ["suite", "--yes", "0", "--no", "0"],  # a suite with no instances
@@ -436,7 +439,18 @@ def test_sweep_cell_with_misspelt_key_exits_2(runner, tmp_path):
     assert "['n']" in r.output
 
 
-@pytest.mark.parametrize("edit", ["trials", "subcommand", "config", "manifest_hash"])
+# Rehashed edits: the hash matches, but no run could have recorded the config.
+_REHASHED = {
+    "L_as_text": lambda config: {**config, "L": "2"},
+    "no_L": lambda config: {k: v for k, v in config.items() if k != "L"},
+    "config_list": lambda config: list(config.items()),
+    "unknown_key": lambda config: {**config, "depth": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "edit", ["trials", "subcommand", "config", "manifest_hash", *_REHASHED]
+)
 def test_rerun_refuses_modified_manifest(runner, tmp_path, edit):
     r = runner.invoke(
         main, ["decay", "--n", "4", "--L", "2", "--trials", "4", "--out-dir", str(tmp_path)]
@@ -445,6 +459,9 @@ def test_rerun_refuses_modified_manifest(runner, tmp_path, edit):
     man = json.loads(_read(tmp_path / "decay_manifest.json"))
     if edit == "trials":
         man["config"]["trials"] = 6  # the stored hash no longer matches
+    elif edit in _REHASHED:
+        man["config"] = _REHASHED[edit](man["config"])
+        man["manifest_hash"] = manifest.manifest_hash("decay", man["config"])
     else:
         del man[edit]
     mpath = tmp_path / "edited.json"
@@ -454,6 +471,25 @@ def test_rerun_refuses_modified_manifest(runner, tmp_path, edit):
     r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
     assert r.exit_code == 2, r.output
     assert not list(out.iterdir())
+
+
+def test_rerun_refuses_a_null_required_value(runner, tmp_path):
+    # Null stands for a default, and a required key has none.
+    cpath = tmp_path / "c.json"
+    circuits.save_circuit(circuits.random_brickwork(3, 2, seed=0), str(cpath))
+    r = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "2",
+                             "--out-dir", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    man = json.loads(_read(tmp_path / "detect_manifest.json"))
+    man["config"]["circuit"] = None
+    man["manifest_hash"] = manifest.manifest_hash("detect", man["config"])
+    mpath = tmp_path / "edited.json"
+    mpath.write_text(json.dumps(man))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "'circuit'" in r.output
+    assert not out.exists()
 
 
 def _old_shape_manifest(tmp_path, drop_tolerance):

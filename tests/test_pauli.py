@@ -512,17 +512,11 @@ def test_batched_kernels_give_each_trial_its_lone_bytes(seed):
         targets.append(tuple(q for q in range(n) if q not in targets[0])[:3])
     stacks = [transfer_matrix(np.stack([haar_unitary(2 ** len(t), rng) for _ in maps]))
               for t in targets]
-    support = rng.choice(n, size=min(n, 3), replace=False).tolist()
-    dense = np.stack([haar_unitary(2 ** len(support), rng) for _ in maps])
     layer = conjugate_layer(_batched(maps), list(zip(targets, stacks)))
-    block = conjugate_dense(_batched(maps), dense, support)
-    assert np.all(np.diff(layer.batch) >= 0) and np.all(np.diff(block.batch) >= 0)
+    assert np.all(np.diff(layer.batch) >= 0)
     for t, m in enumerate(maps):
         lone = conjugate_layer(m, [(tg, st_[t]) for tg, st_ in zip(targets, stacks)])
         for got, want in zip(_trial(layer, t), (lone.x, lone.z, lone.coeffs)):
-            assert got.tobytes() == want.tobytes()
-        lone = conjugate_dense(m, dense[t], support)
-        for got, want in zip(_trial(block, t), (lone.x, lone.z, lone.coeffs)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -531,11 +525,13 @@ def test_stacked_matrices_need_a_batched_map():
     stack = transfer_matrix(np.stack([np.eye(4), circuits.FIXED_GATES["CNOT"]]))
     with pytest.raises(ValueError, match="shape"):
         conjugate_layer(m, [((0, 1), stack)])
-    with pytest.raises(ValueError, match="size"):
-        conjugate_dense(m, np.stack([np.eye(4)] * 2), (0, 1))
     # Conversely, a batched map takes a stack, not one matrix for every trial.
     batched = _batched([m, m])
     with pytest.raises(ValueError, match="shape"):
         conjugate_layer(batched, [((0, 1), transfer_matrix(np.eye(4)))])
+    # conjugate_dense takes one unitary and a map without a batch column.
     with pytest.raises(ValueError, match="size"):
-        conjugate_dense(batched, np.eye(4), (0, 1))
+        conjugate_dense(m, np.stack([np.eye(4)] * 2), (0, 1))
+    for u in (np.eye(4), np.stack([np.eye(4)] * 2)):
+        with pytest.raises(ValueError, match="batch column"):
+            conjugate_dense(batched, u, (0, 1))

@@ -422,24 +422,22 @@ def test_batched_pass_gives_each_circuit_its_own_pass(n, layers, trials, split, 
     assert [m.to_labels() for m in maps] == [m.to_labels() for m, _ in want]
 
 
-def test_batched_pass_through_blocks_and_wide_gates():
-    # A batch may hold blocks (same support, different sub-circuits) and
-    # gates wider than 3 qubits; each goes through its own dense unitary.
+def test_batched_pass_refuses_blocks_and_wide_gates():
+    # A batch holds only elementary layers of gates of up to 3 qubits: a
+    # block or a wider gate goes through one dense unitary, which has no
+    # batched form. Each circuit alone still propagates.
     rng = np.random.default_rng(17)
-    cs = []
-    for _ in range(3):
-        sub = circuits.random_brickwork(3, 2, seed=int(rng.integers(2**32)))
-        perm = tuple(int(p) for p in rng.permutation(16))
-        cs.append(Circuit(5, (
-            ElementaryLayer((Gate("matrix", (0, 1), matrix=haar_unitary(4, rng)),
-                             Gate("H", (4,)))),
-            BlockLayer("sub", sub, (1, 2, 3), control=0),
-            ElementaryLayer((Gate("perm", (1, 2, 3, 4), perm=perm),)),
-        )))
+    sub = circuits.random_brickwork(3, 2, seed=int(rng.integers(2**32)))
+    perm = tuple(int(p) for p in rng.permutation(16))
+    head = ElementaryLayer((Gate("matrix", (0, 1), matrix=haar_unitary(4, rng)), Gate("H", (4,))))
     cfg = PropagationConfig(k=3)
-    want = [backpropagate(c, z_first(5), cfg, record_norms=True) for c in cs]
-    for g, w in zip(backpropagate(cs, z_first(5), cfg, record_norms=True), want):
-        _same_result(g, w)
+    for step in (BlockLayer("sub", sub, (1, 2, 3), control=0),
+                 ElementaryLayer((Gate("perm", (1, 2, 3, 4), perm=perm),))):
+        c = Circuit(5, (head, step))
+        backpropagate(c, z_first(5), cfg)
+        for batch in ([c, c], [c]):
+            with pytest.raises(ValueError, match="up to 3 qubits"):
+                backpropagate(batch, z_first(5), cfg)
 
 
 def test_batched_pass_refuses_circuits_with_other_targets():

@@ -91,16 +91,6 @@ def test_sample_matches_cdf_inverse(seed):
     assert sq.sample(v, r) == i
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=15)
-def test_sample_many_matches_scalar(seed):
-    rng = np.random.default_rng(seed)
-    v = sq.build(rng.standard_normal(16), normalize=True)
-    rs = rng.random(64)
-    vec = sq.sample_many(v, rs)
-    assert [sq.sample(v, float(r)) for r in rs] == list(vec)
-
-
 BLOCK = sq._DESCENT_LANES
 
 
