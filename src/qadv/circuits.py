@@ -9,6 +9,7 @@ treat as a single atomic step.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,7 +74,12 @@ class Gate:
     perm: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
+        targets = tuple(self.targets)
+        if any(type(t) is not int for t in targets):  # numpy integers become ints
+            if not all(isinstance(t, np.integer) or type(t) is int for t in targets):
+                raise ValueError(f"gate targets must be integers, got {targets}")
+            targets = tuple(map(int, targets))
+        object.__setattr__(self, "targets", targets)
         w = len(self.targets)
         if len(set(self.targets)) != w or w == 0:
             raise ValueError("gate targets must be distinct and nonempty")
@@ -215,7 +221,8 @@ class Circuit:
                 if not 0 <= lo <= hi < self.n_qubits:
                     raise ValueError(f"register {name!r} out of range")
                 covered.extend(range(lo, hi + 1))
-            if sorted(covered) != list(range(self.n_qubits)):
+            # The length first: a huge n_qubits must not build its range.
+            if len(covered) != self.n_qubits or sorted(covered) != list(range(self.n_qubits)):
                 raise ValueError("declared registers must partition the qubits")
 
     def input_register(self) -> tuple[int, int]:
@@ -448,64 +455,94 @@ def serialize_json(c: Circuit, indent: int | None = 2) -> str:
     return json.dumps(serialize(c), indent=indent, sort_keys=True)
 
 
-def _parse_gate(obj: dict, path: str) -> Gate:
+#: JSON type names for `_typed`'s errors.
+_JSON_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _typed(value, kind, path: str):
+    """``value`` checked to have JSON type ``kind``: `int`, `float` (any
+    number, read as a float), `str`, `list`, `dict`, ``[k]`` for a list of
+    items of type k, or a tuple of types for a list of exactly those. A bool
+    is never a number. Raises SchemaError at path."""
+    if isinstance(kind, (list, tuple)):
+        items = _typed(value, list, path)
+        kinds = kind * len(items) if isinstance(kind, list) else kind
+        if len(items) != len(kinds):
+            raise SchemaError(f"{path}: expected {len(kinds)} items, got {len(items)}")
+        return type(kind)(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(items, kinds)))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise SchemaError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
     try:
-        kind = obj["kind"]
-        targets = tuple(obj["targets"])
-        matrix = None
-        if "matrix" in obj:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in obj["matrix"]]
-            )
-        perm = tuple(obj["perm"]) if "perm" in obj else None
-        return Gate(kind, targets, param=obj.get("param"), matrix=matrix, perm=perm)
-    except (KeyError, TypeError, ValueError) as exc:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise SchemaError(f"{path}: {value} is out of range for a float") from None
+
+
+def _field(obj: dict, key: str, path: str, kind, default=_REQUIRED):
+    """``obj[key]`` checked by `_typed`. A missing key gives ``default`` (and
+    so does null, where the default is None); without one it is refused."""
+    if key not in obj or (obj[key] is None and default is None):
+        if default is _REQUIRED:
+            raise SchemaError(f"{path}.{key}: missing")
+        return default
+    return _typed(obj[key], kind, f"{path}.{key}")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Report a constructor's ValueError as a SchemaError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _parse_layer(obj: dict, path: str) -> Layer:
-    kind = obj.get("type")
-    if kind == "elementary":
-        gates = tuple(
-            _parse_gate(g, f"{path}.gates[{i}]") for i, g in enumerate(obj.get("gates", []))
+def _parse_gate(obj, path: str) -> Gate:
+    obj = _typed(obj, dict, path)
+    rows = _field(obj, "matrix", path, [[(float, float)]], None)
+    with _at(path):
+        return Gate(
+            _field(obj, "kind", path, str),
+            _field(obj, "targets", path, [int]),
+            param=_field(obj, "param", path, float, None),
+            matrix=None if rows is None else [[complex(*e) for e in row] for row in rows],
+            perm=_field(obj, "perm", path, [int], None),
         )
-        try:
-            return ElementaryLayer(gates)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
-    if kind == "block":
-        sub = _parse_circuit(obj.get("circuit", {}), f"{path}.circuit")
-        try:
+
+
+def _parse_layer(obj, path: str) -> Layer:
+    obj = _typed(obj, dict, path)
+    kind = _field(obj, "type", path, str)
+    with _at(path):
+        if kind == "elementary":
+            gates = _field(obj, "gates", path, list)
+            return ElementaryLayer(_parse_gate(g, f"{path}.gates[{i}]") for i, g in enumerate(gates))
+        if kind == "block":
             return BlockLayer(
-                obj.get("name", "block"),
-                sub,
-                tuple(obj["targets"]),
-                control=obj.get("control"),
+                _field(obj, "name", path, str, "block"),
+                _parse_circuit(_field(obj, "circuit", path, dict), f"{path}.circuit"),
+                _field(obj, "targets", path, [int]),
+                control=_field(obj, "control", path, int, None),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
     raise SchemaError(f"{path}.type: expected 'elementary' or 'block', got {kind!r}")
 
 
-def _parse_circuit(obj: dict, path: str) -> Circuit:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    if "n_qubits" not in obj:
-        raise SchemaError(f"{path}.n_qubits: missing")
-    if obj.get("version", CIRCUIT_FORMAT_VERSION) != CIRCUIT_FORMAT_VERSION:
+def _parse_circuit(obj, path: str) -> Circuit:
+    obj = _typed(obj, dict, path)
+    if _field(obj, "version", path, int, CIRCUIT_FORMAT_VERSION) != CIRCUIT_FORMAT_VERSION:
         raise SchemaError(f"{path}.version: unsupported version {obj['version']}")
-    if obj.get("endianness", ENDIANNESS) != ENDIANNESS:
+    if _field(obj, "endianness", path, str, ENDIANNESS) != ENDIANNESS:
         raise SchemaError(f"{path}.endianness: expected {ENDIANNESS!r}")
-    layers = tuple(
-        _parse_layer(l, f"{path}.layers[{i}]") for i, l in enumerate(obj.get("layers", []))
-    )
-    registers = {k: (int(v[0]), int(v[1])) for k, v in obj.get("registers", {}).items()}
-    try:
-        return Circuit(
-            int(obj["n_qubits"]), layers, registers=registers, metadata=obj.get("metadata", {})
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    n_qubits = _field(obj, "n_qubits", path, int)
+    layers = _field(obj, "layers", path, list)
+    layers = tuple(_parse_layer(l, f"{path}.layers[{i}]") for i, l in enumerate(layers))
+    spans = _field(obj, "registers", path, dict, {})
+    registers = {k: _typed(v, (int, int), f"{path}.registers.{k}") for k, v in spans.items()}
+    with _at(path):
+        return Circuit(n_qubits, layers, registers, _field(obj, "metadata", path, dict, {}))
 
 
 def deserialize(data: dict | str) -> Circuit:

@@ -65,7 +65,8 @@ def detect(
     The exact side is 1 - 2*C(x) from the statevector oracle; passing
     `shots` switches it to an empirical estimate from that many Bernoulli
     draws per input, matching the repeated-measurement procedure. One
-    backward propagation and one fused circuit serve every sampled input.
+    fused circuit serves every sampled input and lends its block unitaries
+    to the one backward propagation, so none is built twice.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
@@ -77,7 +78,7 @@ def detect(
     width = hi - lo + 1
 
     fused = statevector.fuse(c)
-    o0 = backpropagate(c, z_first(c.n_qubits), cfg)
+    o0 = backpropagate(fused, z_first(c.n_qubits), cfg)
 
     records = []
     for _ in range(s):

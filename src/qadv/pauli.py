@@ -253,7 +253,7 @@ def check_unitary(u: np.ndarray) -> None:
     d = u.shape[-1]
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise NonUnitaryError("matrix is not square")
-    with np.errstate(invalid="ignore"):  # an inf entry gives NaN, refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or NaN, refused below
         err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max()
     # Written so that a NaN deviation fails too.
     if not err <= _UNITARITY_TOL:

@@ -7,9 +7,9 @@ memoized by gate unitary within one backward pass for the unitaries that
 occur more than once in it (nothing outlives the call); composite blocks
 (and elementary gates wider than 3 qubits) evolve by dense conjugation of
 the truncated observable over the block support.
-`statevector.block_unitary`, imported here by name, builds that dense
-unitary in one pass of the statevector interpreter, applied to the identity
-with its columns on a batch axis.
+A block's dense unitary comes from a `statevector.FusedCircuit` when one is
+given; otherwise `statevector.block_unitary`, imported here by name, builds
+it in one pass of the statevector interpreter over the identity.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import circuits
 from .pauli import PauliMap, conjugate_dense, conjugate_layer, transfer_matrix
-from .statevector import block_unitary, check_block_width
+from .statevector import FusedCircuit, block_unitary, check_block_width
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,6 @@ def _transfer_matrices(
     return [built[key] if key in built else memo[key] for key in keys]
 
 
-def _dense(m: PauliMap, layer: circuits.Layer) -> PauliMap:
-    # Refuse before building: the unitary alone has 4^width entries.
-    check_block_width(len(layer.support))
-    support, u = block_unitary(layer)
-    return conjugate_dense(m, u, support)
-
-
 def _trial_slices(m: PauliMap, trials: int) -> list[slice]:
     """Where each trial's terms lie (all of them for a map without a batch
     column)."""
@@ -108,7 +101,8 @@ def backpropagate(
     from last to first conjugates exactly and projects once. With
     record_norms, also returns the normalized squared Frobenius norm after
     the initial projection and after each layer step. Transfer matrices of
-    recurring unitaries are memoized for this pass only.
+    recurring unitaries are memoized for this pass only; a `FusedCircuit`
+    lends its block layers' dense unitaries.
 
     ``c`` may also be a sequence of circuits of elementary layers of gates
     of up to 3 qubits, with the same gate targets layer by layer. They then
@@ -118,6 +112,7 @@ def backpropagate(
     """
     lone = isinstance(c, circuits.Circuit)
     batch = [c] if lone else list(c)
+    blocks = c.blocks if isinstance(c, FusedCircuit) else {}
     if not batch:
         raise ValueError("backpropagate needs at least one circuit")
     if any(b.n_qubits != o.n_qubits for b in batch):
@@ -154,7 +149,10 @@ def backpropagate(
                 tms = [np.stack(tms[j:j + trials]) for j in range(0, len(tms), trials)]
             acc = conjugate_layer(acc, zip(targets, tms))
         for layer in dense:
-            acc = _dense(acc, layer)
+            # Refuse before building: the unitary alone has 4^width entries.
+            check_block_width(len(layer.support))
+            support, u = blocks.get(layer) or block_unitary(layer)
+            acc = conjugate_dense(acc, u, support)
         acc = acc.project_weight(cfg.k)
         if record_norms:
             norms.append(_trial_norms(acc, trials))

@@ -14,6 +14,7 @@ minus outcome heralds the signal, a separable +i fraction above
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,8 +160,10 @@ def _run_cell(args, ss) -> SweepCell:
     )
 
 
-#: The keys a sweep grid cell may set; only theta has no default.
-_CELL_KEYS = frozenset({"N", "theta", "gamma", "T", "K"})
+#: The keys a sweep grid cell may set, each with what its value must be;
+#: only theta has no default. A bool is neither.
+_CELL_KEYS = {"N": numbers.Integral, "theta": numbers.Real, "gamma": numbers.Real,
+              "T": numbers.Integral, "K": numbers.Integral}
 
 
 def scaling_sweep(
@@ -181,11 +184,15 @@ def scaling_sweep(
     for i, cell in enumerate(grid):
         if not isinstance(cell, dict):
             raise ValueError(f"sweep cell {i} must be an object")
-        unknown = sorted(set(cell) - _CELL_KEYS)
+        unknown = sorted(cell.keys() - _CELL_KEYS.keys())
         if unknown:
             raise ValueError(f"sweep cell {i} has unknown keys {unknown}")
         if "theta" not in cell:
             raise ValueError(f"sweep cell {i} lacks 'theta'")
+        for key, value in cell.items():
+            if isinstance(value, bool) or not isinstance(value, _CELL_KEYS[key]):
+                kind = "an integer" if _CELL_KEYS[key] is numbers.Integral else "a number"
+                raise ValueError(f"sweep cell {i} key {key!r} must be {kind}, got {value!r}")
     work = [
         (
             protocol,

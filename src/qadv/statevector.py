@@ -3,22 +3,23 @@
 Amplitude indexing is big-endian: qubit 0 is the most significant bit of
 the index, so ``prepare_basis(2, "10")`` puts the amplitude at index 2.
 
-A circuit runs in two steps. `fuse` compiles it once into dense ops, each a
-sorted support and its unitary: every block layer becomes one op, and every
-maximal run of elementary layers whose union support stays within
-`FUSE_WIDTH` qubits becomes one op (a layer wider than that is split into
-its gates first). `apply_circuit` and `output_prob` then run the ops, each
-as one multiply on the state; both accept a `Circuit`, which they fuse on
-entry, or a `FusedCircuit`, so a caller with many inputs fuses once.
+A circuit runs in two steps. `fuse` compiles it once into a `FusedCircuit`,
+the circuit plus its dense ops, each a sorted support and its unitary:
+every block layer becomes one op, and every maximal run of elementary
+layers whose union support stays within `FUSE_WIDTH` qubits becomes one op
+(a layer wider than that is split into its gates first). `apply_circuit`
+and `output_prob` then run the ops, each as one multiply on the state; both
+fuse a bare `Circuit` on entry, so a caller with many inputs fuses once.
+`propagation` conjugates by the ops of block layers, never by fused runs.
 
-`block_unitary` builds every op, and every dense unitary `propagation`
+`block_unitary` builds every op, and every other dense unitary `propagation`
 conjugates by: it runs the gate-by-gate interpreter (`_apply_layers`) once
 on the identity, whose columns ride on a trailing batch axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -153,16 +154,12 @@ def block_unitary(*layers: circuits.Layer) -> Op:
 
 
 @dataclass(frozen=True, eq=False)
-class FusedCircuit:
-    """A circuit compiled by `fuse`: its width, its input register and its
-    dense ops in application order."""
+class FusedCircuit(circuits.Circuit):
+    """A circuit with what `fuse` compiled: its dense ops in application
+    order, and each block layer's op (the same object as in `ops`)."""
 
-    n_qubits: int
-    input_register: tuple[int, int]
-    ops: tuple[Op, ...]
-
-    def full_input(self, bits: str | Sequence[int]) -> str:
-        return circuits.pad_input(self.n_qubits, self.input_register, bits)
+    ops: tuple[Op, ...] = ()
+    blocks: Mapping[circuits.BlockLayer, Op] = field(default_factory=dict)
 
 
 def _fusion_units(layer: circuits.Layer) -> Sequence[circuits.Layer]:
@@ -197,14 +194,16 @@ def fuse(c: circuits.Circuit) -> FusedCircuit:
             extendable = elementary
     for support in supports:
         check_block_width(len(support))
-    ops = tuple(block_unitary(*run) for run, support in zip(runs, supports) if support)
-    return FusedCircuit(c.n_qubits, c.input_register(), ops)
+    built = [(run, block_unitary(*run)) for run, support in zip(runs, supports) if support]
+    blocks = {run[0]: op for run, op in built if isinstance(run[0], circuits.BlockLayer)}
+    return FusedCircuit(c.n_qubits, c.layers, c.registers, c.metadata,
+                        tuple(op for _, op in built), blocks)
 
 
-def apply_circuit(s: StateVector, c: circuits.Circuit | FusedCircuit) -> StateVector:
+def apply_circuit(s: StateVector, c: circuits.Circuit) -> StateVector:
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    fused = fuse(c) if isinstance(c, circuits.Circuit) else c
+    fused = c if isinstance(c, FusedCircuit) else fuse(c)
     arr = s.amplitudes.reshape((2,) * s.n_qubits)
     for support, u in fused.ops:
         arr = _apply_matrix(arr, u, support)
@@ -245,7 +244,7 @@ def first_qubit_one_probability(s: StateVector) -> float:
     return float(np.real(np.vdot(half, half)))
 
 
-def output_prob(c: circuits.Circuit | FusedCircuit, bits: str | Sequence[int]) -> float:
+def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     """Pr[first qubit measures 1] after running the circuit on |bits, 0...0>.
 
     ``bits`` addresses the circuit's input register (the ``main`` register

@@ -662,3 +662,18 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
         "23e8942d2748acd1342e85b1c3e9a76d3cf75d89ef62fd7fdd858eb7207df2d7")
+
+
+@pytest.mark.parametrize("cell, key", [
+    ({"N": 1.5, "T": 2, "theta": 0.1}, "N"),  # not run as N = 1
+    ({"T": 2.7, "theta": 0.1}, "T"),
+    ({"N": True, "theta": 0.1}, "N"),  # not run as N = 1
+    ({"K": 2.0, "theta": 0.1}, "K"),
+    ({"theta": "0.5"}, "theta"),
+    ({"theta": True}, "theta"),
+    ({"theta": 0.1, "gamma": "0"}, "gamma"),
+])
+def test_sweep_cell_of_the_wrong_type_exits_2(runner, tmp_path, cell, key):
+    r = _sweep_cells(runner, tmp_path, [{"theta": 0.2}, cell])
+    assert r.exit_code == 2, r.output
+    assert f"sweep cell 1 key {key!r}" in r.output

@@ -264,3 +264,49 @@ def test_yes_instance_every_input_disagrees_by_two_thirds():
     c = circuits.build_cnew(cq, n=4, depth=66, copies=3, seed=13)
     rep = detect(c, s=16, k=1, seed=3)
     assert all(r.difference >= 2 / 3 for r in rep.records)
+
+
+def _count_calls(monkeypatch, module, name, owners):
+    """Count calls of ``module.name`` through every binding in ``owners``,
+    as the benchmark's tracer does."""
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_detect_builds_each_block_unitary_once(monkeypatch):
+    from qadv import statevector
+
+    cq, _ = circuits.promise_instance("x", 1)
+    c = circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5)
+    ops = len(statevector.fuse(c).ops)
+    built = _count_calls(monkeypatch, statevector, "block_unitary", (statevector, propagation))
+    detect(c, s=4, k=1, seed=0)
+    # fuse's ops only: the two blocks are not built again for propagation.
+    assert ops == 3
+    assert len(built) == ops
+
+
+def test_detect_keeps_the_traced_dense_spans(monkeypatch):
+    # The benchmark's traced suite run expects spans of both functions.
+    from qadv import pauli, statevector
+
+    built = _count_calls(monkeypatch, statevector, "block_unitary", (statevector, propagation))
+    dense = _count_calls(monkeypatch, pauli, "conjugate_dense", (pauli, propagation))
+    cq, _ = circuits.promise_instance("x", 1)
+    detect(circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5), s=4, k=1, seed=0)
+    assert built and len(dense) == 2
+
+
+def test_fused_circuit_has_the_circuit_id():
+    from qadv import statevector
+
+    cq, _ = circuits.promise_instance("ry", 1, angle=0.4)
+    c = circuits.build_cnew(cq, n=3, depth=4, copies=3, seed=2)
+    assert detection.circuit_id(statevector.fuse(c)) == detection.circuit_id(c)

@@ -470,3 +470,47 @@ def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
     kept.clear()
     backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
     assert kept == [1] * 4
+
+
+def _blocks_and_wide_gate():
+    # An uncontrolled block, a controlled block and a 4-qubit perm gate,
+    # between Haar layers.
+    rng = np.random.default_rng(5)
+    sub = _circ(2, [Gate("matrix", (0, 1), matrix=haar_unitary(4, rng))])
+    mixing = ElementaryLayer((Gate("matrix", (0, 1), matrix=haar_unitary(4, rng)),
+                              Gate("matrix", (2, 3), matrix=haar_unitary(4, rng))))
+    return Circuit(5, (
+        mixing,
+        BlockLayer("open", sub, (1, 2)),
+        ElementaryLayer((majority_gate([0, 1, 2], 3),)),
+        BlockLayer("controlled", sub, (3, 2), control=4),
+        mixing,
+    ))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fused_circuit_propagates_bit_identically(k):
+    c = _blocks_and_wide_gate()
+    cfg = PropagationConfig(k=k)
+    want = backpropagate(c, z_first(5), cfg, record_norms=True)
+    got = backpropagate(sv.fuse(c), z_first(5), cfg, record_norms=True)
+    for a, b in zip((want[0].x, want[0].z, want[0].coeffs), (got[0].x, got[0].z, got[0].coeffs)):
+        assert a.tobytes() == b.tobytes()
+    assert got[1] == want[1]
+
+
+def test_fused_circuit_lends_block_unitaries(monkeypatch):
+    # Both blocks come from the fused circuit; only the wide gate is built.
+    c = _blocks_and_wide_gate()
+    fused = sv.fuse(c)
+    assert set(fused.blocks) == {c.layers[1], c.layers[3]}
+    assert all(any(op is f for f in fused.ops) for op in fused.blocks.values())
+    built = []
+
+    def counting(*layers):
+        built.append(layers)
+        return block_unitary(*layers)
+
+    monkeypatch.setattr(prop, "block_unitary", counting)
+    backpropagate(fused, z_first(5), PropagationConfig(k=2))
+    assert [layer.gates for (layer,) in built] == [c.layers[2].gates]
