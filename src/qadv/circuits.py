@@ -10,14 +10,15 @@ treat as a single atomic step.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, field, typed
 from .pauli import check_unitary
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -204,8 +205,8 @@ def pad_input(n_qubits: int, register: tuple[int, int], bits: str | Sequence[int
 class Circuit:
     n_qubits: int
     layers: tuple[Layer, ...] = ()
-    registers: dict[str, tuple[int, int]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    registers: dict[str, tuple[int, int]] = dataclasses.field(default_factory=dict)
+    metadata: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -455,42 +456,6 @@ def serialize_json(c: Circuit, indent: int | None = 2) -> str:
     return json.dumps(serialize(c), indent=indent, sort_keys=True)
 
 
-#: JSON type names for `_typed`'s errors.
-_JSON_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a number",
-               str: "a string", list: "a list", dict: "an object"}
-_REQUIRED = object()
-
-
-def _typed(value, kind, path: str):
-    """``value`` checked to have JSON type ``kind``: `int`, `float` (any
-    number, read as a float), `str`, `list`, `dict`, ``[k]`` for a list of
-    items of type k, or a tuple of types for a list of exactly those. A bool
-    is never a number. Raises SchemaError at path."""
-    if isinstance(kind, (list, tuple)):
-        items = _typed(value, list, path)
-        kinds = kind * len(items) if isinstance(kind, list) else kind
-        if len(items) != len(kinds):
-            raise SchemaError(f"{path}: expected {len(kinds)} items, got {len(items)}")
-        return type(kind)(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(items, kinds)))
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        got = _JSON_NAMES.get(type(value), type(value).__name__)
-        raise SchemaError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
-    try:
-        return float(value) if kind is float else value
-    except OverflowError:
-        raise SchemaError(f"{path}: {value} is out of range for a float") from None
-
-
-def _field(obj: dict, key: str, path: str, kind, default=_REQUIRED):
-    """``obj[key]`` checked by `_typed`. A missing key gives ``default`` (and
-    so does null, where the default is None); without one it is refused."""
-    if key not in obj or (obj[key] is None and default is None):
-        if default is _REQUIRED:
-            raise SchemaError(f"{path}.{key}: missing")
-        return default
-    return _typed(obj[key], kind, f"{path}.{key}")
-
-
 @contextlib.contextmanager
 def _at(path: str):
     """Report a constructor's ValueError as a SchemaError at ``path``."""
@@ -501,48 +466,48 @@ def _at(path: str):
 
 
 def _parse_gate(obj, path: str) -> Gate:
-    obj = _typed(obj, dict, path)
-    rows = _field(obj, "matrix", path, [[(float, float)]], None)
+    obj = typed(obj, dict, path)
+    rows = field(obj, "matrix", path, [[(float, float)]], None)
     with _at(path):
         return Gate(
-            _field(obj, "kind", path, str),
-            _field(obj, "targets", path, [int]),
-            param=_field(obj, "param", path, float, None),
+            field(obj, "kind", path, str),
+            field(obj, "targets", path, [int]),
+            param=field(obj, "param", path, float, None),
             matrix=None if rows is None else [[complex(*e) for e in row] for row in rows],
-            perm=_field(obj, "perm", path, [int], None),
+            perm=field(obj, "perm", path, [int], None),
         )
 
 
 def _parse_layer(obj, path: str) -> Layer:
-    obj = _typed(obj, dict, path)
-    kind = _field(obj, "type", path, str)
+    obj = typed(obj, dict, path)
+    kind = field(obj, "type", path, str)
     with _at(path):
         if kind == "elementary":
-            gates = _field(obj, "gates", path, list)
+            gates = field(obj, "gates", path, list)
             return ElementaryLayer(_parse_gate(g, f"{path}.gates[{i}]") for i, g in enumerate(gates))
         if kind == "block":
             return BlockLayer(
-                _field(obj, "name", path, str, "block"),
-                _parse_circuit(_field(obj, "circuit", path, dict), f"{path}.circuit"),
-                _field(obj, "targets", path, [int]),
-                control=_field(obj, "control", path, int, None),
+                field(obj, "name", path, str, "block"),
+                _parse_circuit(field(obj, "circuit", path, dict), f"{path}.circuit"),
+                field(obj, "targets", path, [int]),
+                control=field(obj, "control", path, int, None),
             )
     raise SchemaError(f"{path}.type: expected 'elementary' or 'block', got {kind!r}")
 
 
 def _parse_circuit(obj, path: str) -> Circuit:
-    obj = _typed(obj, dict, path)
-    if _field(obj, "version", path, int, CIRCUIT_FORMAT_VERSION) != CIRCUIT_FORMAT_VERSION:
+    obj = typed(obj, dict, path)
+    if field(obj, "version", path, int, CIRCUIT_FORMAT_VERSION) != CIRCUIT_FORMAT_VERSION:
         raise SchemaError(f"{path}.version: unsupported version {obj['version']}")
-    if _field(obj, "endianness", path, str, ENDIANNESS) != ENDIANNESS:
+    if field(obj, "endianness", path, str, ENDIANNESS) != ENDIANNESS:
         raise SchemaError(f"{path}.endianness: expected {ENDIANNESS!r}")
-    n_qubits = _field(obj, "n_qubits", path, int)
-    layers = _field(obj, "layers", path, list)
+    n_qubits = field(obj, "n_qubits", path, int)
+    layers = field(obj, "layers", path, list)
     layers = tuple(_parse_layer(l, f"{path}.layers[{i}]") for i, l in enumerate(layers))
-    spans = _field(obj, "registers", path, dict, {})
-    registers = {k: _typed(v, (int, int), f"{path}.registers.{k}") for k, v in spans.items()}
+    spans = field(obj, "registers", path, dict, {})
+    registers = {k: typed(v, (int, int), f"{path}.registers.{k}") for k, v in spans.items()}
     with _at(path):
-        return Circuit(n_qubits, layers, registers, _field(obj, "metadata", path, dict, {}))
+        return Circuit(n_qubits, layers, registers, field(obj, "metadata", path, dict, {}))
 
 
 def deserialize(data: dict | str) -> Circuit:

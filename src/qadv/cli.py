@@ -34,7 +34,7 @@ import click
 import numpy as np
 
 from . import bell, circuits, detection, manifest, sensing, sq
-from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded
+from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded, typed
 from .pauli import DROP_TOLERANCE
 
 ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that passes
@@ -48,9 +48,7 @@ def _load_config(path: str | None) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
+    return typed(data, dict, f"config {path}")
 
 
 def _from_file(o: Opt, value):
@@ -507,23 +505,21 @@ def rerun(manifest_path, out_dir):
     A manifest whose hash does not match its subcommand and config is refused,
     and so is one whose config a run could not have recorded, or that
     recorded a drop tolerance other than the fixed one."""
-    m = manifest.load_manifest(manifest_path)
-    if m.subcommand not in _EXECUTORS:
-        raise ConfigError(f"manifest names unknown subcommand {m.subcommand!r}")
-    if not isinstance(m.config, dict):
-        raise ConfigError("manifest config must be a JSON object")
+    subcommand, config = manifest.load_manifest(manifest_path)
+    if subcommand not in _EXECUTORS:
+        raise ConfigError(f"manifest names unknown subcommand {subcommand!r}")
     # Earlier versions recorded the tolerance, which the executors ignore.
-    drop = m.config.get("drop_tolerance", DROP_TOLERANCE)
+    drop = config.get("drop_tolerance", DROP_TOLERANCE)
     if drop != DROP_TOLERANCE:
         raise ConfigError(f"manifest ran with drop_tolerance {drop}, not {DROP_TOLERANCE}")
-    options = _OPTIONS[m.subcommand]
+    options = _OPTIONS[subcommand]
     keys = {o.key for o in options}
-    if set(m.config) - {"drop_tolerance"} != keys:
+    if set(config) - {"drop_tolerance"} != keys:
         raise ConfigError(f"manifest config must hold exactly the keys {sorted(keys)}")
     for o in options:
-        _from_file(o, m.config[o.key])  # refuses a value its flag would refuse
+        _from_file(o, config[o.key])  # refuses a value its flag would refuse
     # The config as stored: the hash covers it.
-    _execute(m.subcommand, m.config, out_dir)
+    _execute(subcommand, config, out_dir)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Every output file embeds the manifest hash, computed over the subcommand,
 the fully resolved configuration, and the artifact version. Numeric output
 is rounded to 12 significant digits before writing, so a re-run from the
-same manifest reproduces files byte for byte.
+same manifest reproduces files byte for byte. `load_manifest` reads back
+only the subcommand, the config and the stored hash, each checked for its
+JSON type; the seed, version, outputs and duration are there for the reader.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, field, typed
 
 #: The package version: qadv.__version__ and pyproject.toml read it here.
 ARTIFACT_VERSION = "0.1.0"
@@ -56,27 +58,18 @@ class RunManifest:
     duration_s: float
 
 
-def load_manifest(path: str) -> RunManifest:
-    """Read a manifest, refusing one that lacks a required key or whose
-    stored hash no longer matches its subcommand and config."""
+def load_manifest(path: str) -> tuple[str, dict]:
+    """A manifest's subcommand and config, refusing a manifest whose
+    subcommand, config or stored hash is missing or of the wrong type, or
+    whose stored hash no longer matches its subcommand and config."""
     with open(path) as fh:
-        data = json.load(fh)
-    required = ("subcommand", "config", "manifest_hash")
-    if not isinstance(data, dict) or any(key not in data for key in required):
-        raise ConfigError(f"manifest {path} must hold the keys {', '.join(required)}")
-    if manifest_hash(data["subcommand"], data["config"]) != data["manifest_hash"]:
+        data = typed(json.load(fh), dict, "$")
+    subcommand, config = field(data, "subcommand", "$", str), field(data, "config", "$", dict)
+    if manifest_hash(subcommand, config) != field(data, "manifest_hash", "$", str):
         raise ConfigError(
             f"manifest {path}: stored hash does not match its subcommand and config"
         )
-    return RunManifest(
-        subcommand=data["subcommand"],
-        config=data["config"],
-        seed=data.get("seed"),
-        version=data.get("version", ARTIFACT_VERSION),
-        manifest_hash=data["manifest_hash"],
-        outputs=data.get("outputs", []),
-        duration_s=data.get("duration_s", 0.0),
-    )
+    return subcommand, config
 
 
 def write_manifest(path: str, m: RunManifest) -> None:

@@ -51,10 +51,6 @@ def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.La
     return [g for g in layer.gates if len(g.targets) <= 3], wide
 
 
-def _unitary(g: circuits.Gate) -> np.ndarray:
-    return np.asarray(g.unitary(), dtype=complex)
-
-
 def _transfer_matrices(
     gates: list[circuits.Gate], keys: list[bytes], memo: dict[bytes, np.ndarray], uses: Counter
 ) -> list[np.ndarray]:
@@ -70,7 +66,7 @@ def _transfer_matrices(
             misses.setdefault(len(key), {})[key] = g
     built: dict[bytes, np.ndarray] = {}
     for group in misses.values():
-        built.update(zip(group, transfer_matrix(np.stack([_unitary(g) for g in group.values()]))))
+        built.update(zip(group, transfer_matrix(np.stack([g.unitary() for g in group.values()]))))
     memo.update((key, entries) for key, entries in built.items() if uses[key] > 1)
     return [built[key] if key in built else memo[key] for key in keys]
 
@@ -132,7 +128,7 @@ def backpropagate(
         if any([g.targets for g in narrow] != targets for narrow, _ in split):
             raise ValueError("batched circuits must share their gate targets layer by layer")
         gates = [g for slot in zip(*(narrow for narrow, _ in split)) for g in slot]
-        steps.append((targets, gates, [_unitary(g).tobytes() for g in gates], split[0][1]))
+        steps.append((targets, gates, [g.unitary().tobytes() for g in gates], split[0][1]))
     uses = Counter(key for _, _, keys, _ in steps for key in keys)
     memo: dict[bytes, np.ndarray] = {}
     if trials > 1:

@@ -14,19 +14,18 @@ minus outcome heralds the signal, a separable +i fraction above
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .errors import typed
 from .pool import child_seeds, seeded_map
 
 
 def _check(theta: float, gamma: float, *counts: int) -> None:
     # Written so that NaN fails too: every comparison with NaN is False.
-    if not (theta >= 0 and gamma >= 0):
-        raise ValueError(f"theta and gamma must be nonnegative numbers, got {theta}, {gamma}")
+    if not (0 <= theta < math.inf and 0 <= gamma < math.inf):
+        raise ValueError(f"theta and gamma must be finite and nonnegative, got {theta}, {gamma}")
     if min(counts) < 1:
         raise ValueError("N, T, K and uses per shot must be at least 1")
 
@@ -160,51 +159,40 @@ def _run_cell(args, ss) -> SweepCell:
     )
 
 
-#: The keys a sweep grid cell may set, each with what its value must be;
-#: only theta has no default. A bool is neither.
-_CELL_KEYS = {"N": numbers.Integral, "theta": numbers.Real, "gamma": numbers.Real,
-              "T": numbers.Integral, "K": numbers.Integral}
+#: Each key a sweep grid cell may set, in `_run_cell`'s order, with its
+#: JSON type and default; theta has no default.
+_CELL_KEYS = {"N": (int, 1), "theta": (float, None), "gamma": (float, 0.0),
+              "T": (int, 1), "K": (int, 1)}
 
 
 def scaling_sweep(
     protocol: str,
-    grid: Sequence[dict],
+    grid: list[dict],
     trials: int,
     seed: int | None = None,
     jobs: int = 1,
 ) -> list[SweepCell]:
     """Per grid cell, the fraction of correct two-hypothesis decisions
-    (half the trials run with theta=0, half with the signal)."""
+    (half the trials run with theta=0, half with the signal). The grid is a
+    list of objects with the keys of `_CELL_KEYS`; a value of the wrong
+    type raises SchemaError."""
     if protocol not in ("ghz", "separable"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    grid = typed(grid, list, "sweep cells")
     if not grid:
         raise ValueError("sweep grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    work = []
     for i, cell in enumerate(grid):
-        if not isinstance(cell, dict):
-            raise ValueError(f"sweep cell {i} must be an object")
+        cell = typed(cell, dict, f"sweep cell {i}")
         unknown = sorted(cell.keys() - _CELL_KEYS.keys())
         if unknown:
             raise ValueError(f"sweep cell {i} has unknown keys {unknown}")
         if "theta" not in cell:
             raise ValueError(f"sweep cell {i} lacks 'theta'")
-        for key, value in cell.items():
-            if isinstance(value, bool) or not isinstance(value, _CELL_KEYS[key]):
-                kind = "an integer" if _CELL_KEYS[key] is numbers.Integral else "a number"
-                raise ValueError(f"sweep cell {i} key {key!r} must be {kind}, got {value!r}")
-    work = [
-        (
-            protocol,
-            int(cell.get("N", 1)),
-            float(cell["theta"]),
-            float(cell.get("gamma", 0.0)),
-            int(cell.get("T", 1)),
-            int(cell.get("K", 1)),
-            trials,
-        )
-        for cell in grid
-    ]
+        work.append((protocol, *(typed(cell.get(key, default), kind, f"sweep cell {i} key {key!r}")
+                                 for key, (kind, default) in _CELL_KEYS.items()), trials))
     return seeded_map(_run_cell, work, seed, jobs)
 
 

@@ -1,6 +1,7 @@
-"""Circuit files from outside the program: a bad field exits 2 and names its
-JSON path, never a traceback, and never a run on a circuit the file does
-not describe."""
+"""Files from outside the program: a bad field of a circuit file exits 2 and
+names its JSON path, never a traceback, and never a run on a circuit the
+file does not describe. Sweep configs and run manifests keep the same
+promise of exit 0 or 2."""
 
 import copy
 import json
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qadv import circuits
+from qadv import circuits, manifest
 from qadv.circuits import Gate
 from qadv.cli import main
 
@@ -114,5 +115,62 @@ _VALUES = st.one_of(
 def test_any_one_replaced_field_exits_0_or_2(doc_and_path, value):
     doc, path = doc_and_path
     code, output, written = _detect(_edited(doc, path, value))
+    assert code in (0, 2), output
+    assert bool(written) == (code == 0)
+
+
+SWEEP = {"protocol": "ghz", "trials": 4, "seed": 1,
+         "cells": [{"N": 2, "theta": 0.3, "gamma": 0.1, "T": 2, "K": 1}]}
+_DECAY = {"n": 4, "L": 2, "trials": 4, "seed": 1, "jobs": 1}
+DECAY_MANIFEST = {"subcommand": "decay", "config": _DECAY, "seed": 1,
+                  "version": manifest.ARTIFACT_VERSION,
+                  "manifest_hash": manifest.manifest_hash("decay", _DECAY),
+                  "outputs": [], "duration_s": 0.0}
+
+
+def _run(kind, doc) -> tuple[int, str, list[Path]]:
+    """Run ``qadv sweep --config`` on a sweep config, or ``qadv rerun`` on a
+    manifest; its exit code, output and files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        args = ["sweep", "--config", str(path)] if kind == "sweep" else ["rerun", str(path)]
+        r = CliRunner().invoke(main, [*args, "--out-dir", str(out)])
+        return r.exit_code, r.output, sorted(out.glob("*")) if out.exists() else []
+
+
+def test_unedited_sweep_config_and_manifest_run():
+    for kind, doc in (("sweep", SWEEP), ("manifest", DECAY_MANIFEST)):
+        code, output, written = _run(kind, doc)
+        assert code == 0, output
+        assert written
+
+
+# Small integers only, so that no edit asks for a long run.
+_SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-8, 8), st.floats(),
+                           st.text(max_size=4))
+_SMALL_VALUES = st.one_of(
+    _SMALL_SCALARS,
+    st.lists(_SMALL_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), _SMALL_SCALARS, max_size=3),
+)
+# The manifest's jobs stays 1, so that no edit starts worker processes.
+_DOCS = [("sweep", SWEEP, list(_nodes(SWEEP))),
+         ("manifest", DECAY_MANIFEST,
+          [p for p in _nodes(DECAY_MANIFEST) if p != ("config", "jobs")])]
+
+
+@given(
+    doc_and_path=st.sampled_from(_DOCS).flatmap(
+        lambda d: st.tuples(st.just(d[:2]), st.sampled_from(d[2]))),
+    value=_SMALL_VALUES,
+)
+def test_any_one_replaced_config_or_manifest_field_exits_0_or_2(doc_and_path, value):
+    (kind, doc), path = doc_and_path
+    doc = _edited(doc, path, value)
+    if kind == "manifest" and path != ("manifest_hash",):
+        # Rehashed, so that the hash check does not hide the field checks.
+        doc["manifest_hash"] = manifest.manifest_hash(doc["subcommand"], doc["config"])
+    code, output, written = _run(kind, doc)
     assert code in (0, 2), output
     assert bool(written) == (code == 0)

@@ -6,6 +6,8 @@ import pytest
 
 from qadv import statevector as sv
 from qadv.circuits import (
+    FIXED_GATES,
+    PARAM_GATES,
     BlockLayer,
     ElementaryLayer,
     Gate,
@@ -121,6 +123,23 @@ def test_rotation_refuses_non_finite_angle(angle):
 def test_matrix_gate_refuses_nan_entries():
     with pytest.raises(ValueError):
         Gate("matrix", (0,), matrix=np.full((2, 2), np.nan))
+
+
+_EVERY_KIND = [
+    *(Gate(k, tuple(range(u.shape[0].bit_length() - 1))) for k, u in FIXED_GATES.items()),
+    *(Gate(k, (0,), param=0.3) for k in PARAM_GATES),
+    Gate("matrix", (0, 1), matrix=np.eye(4, dtype=np.float32)),  # stored as complex128
+    Gate("perm", (0, 1), perm=(1, 0, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("gate", _EVERY_KIND, ids=[g.kind for g in _EVERY_KIND])
+def test_every_gate_kind_gives_a_complex128_unitary(gate):
+    # backpropagate stacks these as they are and keys its transfer-matrix
+    # memo by their bytes, which tell gate widths apart only as complex128.
+    u = gate.unitary()
+    assert u.dtype == np.complex128
+    assert u.shape == (2 ** len(gate.targets),) * 2
 
 
 # ---------------------------------------------------------------------------

@@ -672,8 +672,44 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     ({"theta": "0.5"}, "theta"),
     ({"theta": True}, "theta"),
     ({"theta": 0.1, "gamma": "0"}, "gamma"),
+    ({"theta": int("1" * 400)}, "theta"),  # a number, but no float holds it
 ])
 def test_sweep_cell_of_the_wrong_type_exits_2(runner, tmp_path, cell, key):
     r = _sweep_cells(runner, tmp_path, [{"theta": 0.2}, cell])
     assert r.exit_code == 2, r.output
     assert f"sweep cell 1 key {key!r}" in r.output
+
+
+@pytest.mark.parametrize("cells", [5, True, 1.5, "ab"])
+def test_sweep_cells_that_are_not_a_list_exit_2(runner, tmp_path, cells):
+    r = _sweep_cells(runner, tmp_path, cells)
+    assert r.exit_code == 2, r.output
+    assert "sweep cells: expected a list" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["sense", "--theta", "inf"],
+    ["sense", "--gamma", "inf"],
+    ["sweep", "--config", "grid.json"],
+])
+def test_non_finite_theta_or_gamma_exits_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    Path("grid.json").write_text('{"cells": [{"theta": 1e400}]}')  # JSON reads it as inf
+    r = runner.invoke(main, [*args, "--out-dir", "out"])
+    assert r.exit_code == 2, r.output
+    assert "theta and gamma must be finite" in r.output
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("subcommand", [["decay"], {"decay": 1}])
+def test_rerun_refuses_a_subcommand_that_is_not_text(runner, tmp_path, subcommand):
+    # Rehashed, so the type check and not the hash check refuses it.
+    config = {"n": 4, "L": 2, "trials": 4, "seed": 1, "jobs": 1}
+    mpath = tmp_path / "edited.json"
+    mpath.write_text(json.dumps({"subcommand": subcommand, "config": config,
+                                 "manifest_hash": manifest.manifest_hash(subcommand, config)}))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "$.subcommand: expected a string" in r.output
+    assert not out.exists()

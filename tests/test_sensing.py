@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qadv.errors import SchemaError
 from qadv.sensing import (
     default_uses_per_shot,
     ghz_minus_probability,
@@ -33,6 +34,13 @@ def test_config_validation():
         ghz_trial(1, 1, math.nan, 0.1, rng)
     with pytest.raises(ValueError):
         separable_fraction(1, 1, 0.1, math.nan, rng)
+    # Infinity passes "x >= 0", and a non-finite angle or noise variance
+    # has no meaning.
+    for theta, gamma in ((math.inf, 0.1), (0.1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ghz_trial(1, 1, theta, gamma, rng)
+        with pytest.raises(ValueError, match="finite"):
+            separable_fraction(1, 1, theta, gamma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,17 @@ def test_sweep_refuses_unknown_protocol_first():
     # Refused before the grid is even read, so no cell runs.
     with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
         scaling_sweep("bogus", [], trials=10, seed=0)
+
+
+def test_sweep_reads_numpy_scalars_and_refuses_a_bool_cell_value():
+    # One reader types every JSON value: numpy scalars pass as numbers and
+    # become Python ones; a bool is no integer, and the refusal is a
+    # SchemaError naming the cell and key.
+    (cell,) = scaling_sweep("ghz", [{"N": np.int64(2), "theta": np.float32(0.25)}],
+                            trials=10, seed=0)
+    assert (type(cell.N), type(cell.theta)) == (int, float)
+    with pytest.raises(SchemaError, match="sweep cell 0 key 'N'"):
+        scaling_sweep("ghz", [{"N": True, "theta": 0.1}], trials=10, seed=0)
 
 
 def test_sweep_parallel_matches_serial():
