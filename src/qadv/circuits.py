@@ -66,15 +66,20 @@ PARAM_GATES = {"RX": _rx, "RY": _ry, "RZ": _rz}
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One gate: a named gate, an explicit 1-3 qubit unitary, or a
-    classical-reversible basis permutation of arbitrary width."""
+    classical-reversible basis permutation of arbitrary width.
+
+    A matrix is checked for unitarity here, unless ``_stack_checked`` says
+    that the caller already checked it as part of one stacked
+    `check_unitary` call (only `random_brickwork` does)."""
 
     kind: str
     targets: tuple[int, ...]
     param: float | None = None
     matrix: np.ndarray | None = None
     perm: tuple[int, ...] | None = None
+    _stack_checked: dataclasses.InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _stack_checked: bool) -> None:
         targets = tuple(self.targets)
         if any(type(t) is not int for t in targets):  # numpy integers become ints
             if not all(isinstance(t, np.integer) or type(t) is int for t in targets):
@@ -92,7 +97,8 @@ class Gate:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2**w, 2**w):
                 raise ValueError("matrix size does not match target count")
-            check_unitary(m)
+            if not _stack_checked:
+                check_unitary(m)
             object.__setattr__(self, "matrix", m)
         elif self.kind == "perm":
             if self.perm is None:
@@ -275,7 +281,9 @@ def random_brickwork(
     """Brickwork of fresh Haar two-qubit gates; deterministic for fixed seed.
 
     Even n is covered completely each layer (the shifted layer wraps
-    around); odd n leaves one qubit idle per layer.
+    around); odd n leaves one qubit idle per layer. The whole Haar stack is
+    checked for unitarity once, in one `check_unitary` call, and its gates
+    skip the per-matrix check.
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -283,9 +291,13 @@ def random_brickwork(
         raise ValueError("brickwork depth must be nonnegative")
     pairs = [_layer_pairs(n, j) for j in range(layers)]
     # One draw for the whole circuit, handed out to the layers in order.
-    matrices = iter(haar_two_qubit(np.random.default_rng(seed), sum(map(len, pairs))))
+    stack = haar_two_qubit(np.random.default_rng(seed), sum(map(len, pairs)))
+    # Unitary by construction (Mezzadri's QR): the check guards, not filters.
+    check_unitary(stack)
+    matrices = iter(stack)
     out = [
-        ElementaryLayer(tuple(Gate("matrix", ab, matrix=next(matrices)) for ab in layer))
+        ElementaryLayer(tuple(Gate("matrix", ab, matrix=next(matrices), _stack_checked=True)
+                              for ab in layer))
         for layer in pairs
     ]
     meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": "brick"}

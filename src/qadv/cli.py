@@ -386,7 +386,7 @@ class Opt(NamedTuple):
     required: bool = False
 
 
-_PATH = click.Path(exists=True)
+_PATH = click.Path(exists=True, dir_okay=False)
 _SEED = Opt("--seed", "seed", 0)
 _JOBS = Opt("--jobs", "jobs", 1)
 _NORMALIZE = Opt("--normalize", "normalize", False, bool)
@@ -497,7 +497,7 @@ for _row in _COMMANDS:
 
 
 @main.command()
-@click.argument("manifest_path", type=click.Path(exists=True))
+@click.argument("manifest_path", type=_PATH)
 @click.option("--out-dir", envvar="QADV_OUTPUT_DIR", default=".", show_default=True)
 @guarded
 def rerun(manifest_path, out_dir):

@@ -4,8 +4,9 @@ Every output file embeds the manifest hash, computed over the subcommand,
 the fully resolved configuration, and the artifact version. Numeric output
 is rounded to 12 significant digits before writing, so a re-run from the
 same manifest reproduces files byte for byte. `load_manifest` reads back
-only the subcommand, the config and the stored hash, each checked for its
-JSON type; the seed, version, outputs and duration are there for the reader.
+only the subcommand, the config, the version and the stored hash, each
+checked for its JSON type; the seed, outputs and duration are there for the
+reader.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ def canonical_json(obj) -> str:
     return json.dumps(round_floats(obj), sort_keys=True, separators=(",", ":"))
 
 
-def manifest_hash(subcommand: str, config: dict) -> str:
-    blob = canonical_json(
-        {"subcommand": subcommand, "config": config, "version": ARTIFACT_VERSION}
-    )
+def manifest_hash(subcommand: str, config: dict, version: str = ARTIFACT_VERSION) -> str:
+    blob = canonical_json({"subcommand": subcommand, "config": config, "version": version})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -59,15 +58,25 @@ class RunManifest:
 
 
 def load_manifest(path: str) -> tuple[str, dict]:
-    """A manifest's subcommand and config, refusing a manifest whose
-    subcommand, config or stored hash is missing or of the wrong type, or
-    whose stored hash no longer matches its subcommand and config."""
-    with open(path) as fh:
-        data = typed(json.load(fh), dict, "$")
+    """A manifest's subcommand and config, refusing a manifest that is not
+    JSON, whose subcommand, config, version or stored hash is missing or of
+    the wrong type, whose stored hash no longer matches its subcommand,
+    config and version, or that another version of qadv wrote."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
+    data = typed(data, dict, "$")
     subcommand, config = field(data, "subcommand", "$", str), field(data, "config", "$", dict)
-    if manifest_hash(subcommand, config) != field(data, "manifest_hash", "$", str):
+    version = field(data, "version", "$", str)
+    if manifest_hash(subcommand, config, version) != field(data, "manifest_hash", "$", str):
         raise ConfigError(
-            f"manifest {path}: stored hash does not match its subcommand and config"
+            f"manifest {path}: stored hash does not match its subcommand, config and version"
+        )
+    if version != ARTIFACT_VERSION:
+        raise ConfigError(
+            f"manifest {path} was written by qadv {version}; this is qadv {ARTIFACT_VERSION}"
         )
     return subcommand, config
 

@@ -249,12 +249,12 @@ def _basis(arity: int) -> np.ndarray:
 
 def check_unitary(u: np.ndarray) -> None:
     """Raise NonUnitaryError unless ``u`` is one square unitary or a
-    ``(g, d, d)`` stack of them."""
+    ``(g, d, d)`` stack of them (an empty stack passes)."""
     d = u.shape[-1]
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise NonUnitaryError("matrix is not square")
     with np.errstate(invalid="ignore", over="ignore"):  # inf or NaN, refused below
-        err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max()
+        err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(initial=0.0)
     # Written so that a NaN deviation fails too.
     if not err <= _UNITARITY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")

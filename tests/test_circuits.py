@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qadv import circuits
 from qadv import statevector as sv
 from qadv.circuits import (
     FIXED_GATES,
@@ -21,6 +22,7 @@ from qadv.circuits import (
     serialize_json,
 )
 from qadv.errors import SchemaError
+from qadv.pauli import NonUnitaryError
 
 from oracles import circuit_unitary, haar_unitary
 
@@ -110,6 +112,38 @@ def test_brickwork_odd_n_leaves_one_idle():
 def test_brickwork_rejects_width_one():
     with pytest.raises(ValueError):
         random_brickwork(1, 1, seed=0)
+
+
+def test_brickwork_refuses_a_stack_with_one_non_unitary_matrix(monkeypatch):
+    # The stack is checked once, as a whole, instead of matrix by matrix.
+    def one_bad(rng, count):
+        stack = haar_two_qubit(rng, count)
+        stack[count // 2] *= 1.01
+        return stack
+
+    monkeypatch.setattr(circuits, "haar_two_qubit", one_bad)
+    with pytest.raises(NonUnitaryError):
+        random_brickwork(4, 3, seed=0)
+
+
+@pytest.mark.parametrize("n, layers", [(2, 1), (5, 3), (6, 4)])
+def test_brickwork_gates_equal_checked_matrix_gates(n, layers):
+    c = random_brickwork(n, layers, seed=11)
+    stack = iter(haar_two_qubit(np.random.default_rng(11), sum(len(l.gates) for l in c.layers)))
+    for layer in c.layers:
+        for g in layer.gates:
+            ref = Gate("matrix", g.targets, matrix=next(stack))
+            assert (g.kind, g.targets) == (ref.kind, ref.targets)
+            assert all(type(t) is int for t in g.targets)
+            assert g.matrix.dtype == ref.matrix.dtype == np.complex128
+            assert g.matrix.tobytes() == ref.matrix.tobytes()
+    assert serialize_json(deserialize(serialize_json(c))) == serialize_json(c)
+
+
+def test_brickwork_of_no_layers_is_empty():
+    # An empty Haar stack passes its one unitarity check.
+    c = random_brickwork(4, 0, seed=0)
+    assert c.n_qubits == 4 and c.layers == ()
 
 
 @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])

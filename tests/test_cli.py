@@ -713,3 +713,47 @@ def test_rerun_refuses_a_subcommand_that_is_not_text(runner, tmp_path, subcomman
     assert r.exit_code == 2, r.output
     assert "$.subcommand: expected a string" in r.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["rerun", "d"], ["detect", "--circuit", "d"]])
+def test_a_directory_given_as_a_file_exits_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    r = runner.invoke(main, [*args, "--out-dir", "out"])
+    assert r.exit_code == 2, r.output
+    assert "is a directory" in r.output
+    assert not Path("out").exists()
+
+
+def test_rerun_names_a_truncated_manifest(runner, tmp_path):
+    r = runner.invoke(
+        main, ["decay", "--n", "4", "--L", "2", "--trials", "4", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    text = _read(tmp_path / "decay_manifest.json")
+    mpath = tmp_path / "truncated.json"
+    mpath.write_text(text[: len(text) // 2])
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"cannot read manifest {mpath}" in r.output
+    assert not out.exists()
+
+
+def test_rerun_refuses_a_manifest_of_another_version(runner, tmp_path):
+    # Rehashed under its own version: the version, not drift, is refused.
+    r = runner.invoke(
+        main, ["decay", "--n", "4", "--L", "2", "--trials", "4", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    man = json.loads(_read(tmp_path / "decay_manifest.json"))
+    man["version"] = "0.0.9"
+    man["manifest_hash"] = manifest.manifest_hash("decay", man["config"], "0.0.9")
+    mpath = tmp_path / "old.json"
+    mpath.write_text(json.dumps(man))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"written by qadv 0.0.9; this is qadv {manifest.ARTIFACT_VERSION}" in r.output
+    assert "does not match" not in r.output
+    assert not out.exists()
