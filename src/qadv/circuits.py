@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError, field, typed
+from .errors import ConfigError, SchemaError, field, typed
 from .pauli import check_unitary
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -532,8 +532,12 @@ def deserialize(data: dict | str) -> Circuit:
 
 
 def load_circuit(path: str) -> Circuit:
-    with open(path) as fh:
-        return deserialize(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read circuit {path}: {exc}") from exc
+    return deserialize(text)
 
 
 def save_circuit(c: Circuit, path: str) -> None:

@@ -12,11 +12,10 @@ An executor maps the resolved config to an `Output` and writes nothing;
 report ``<subcommand>_report.json``, at most one CSV table, and last the
 manifest ``<subcommand>_manifest.json``, only when the run succeeded.
 ``rerun`` refuses a manifest whose stored hash does not match its
-subcommand and config, whose config does not hold exactly its row's keys
-with values their flags accept, or that recorded (as earlier versions did)
-a drop tolerance other than ``pauli.DROP_TOLERANCE``. Exit codes: 2
-config/schema error, 3 runtime invariant violation, 4 resource limit
-exceeded.
+subcommand, config and version, that another version of qadv wrote, or
+whose config does not hold exactly its row's keys with values their flags
+accept. Exit codes: 2 config/schema error, 3 runtime invariant violation,
+4 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 
 from . import bell, circuits, detection, manifest, sensing, sq
 from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded, typed
-from .pauli import DROP_TOLERANCE
 
 ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that passes
 
@@ -503,18 +501,14 @@ for _row in _COMMANDS:
 def rerun(manifest_path, out_dir):
     """Re-run an experiment from its manifest; outputs are bit-identical.
     A manifest whose hash does not match its subcommand and config is refused,
-    and so is one whose config a run could not have recorded, or that
-    recorded a drop tolerance other than the fixed one."""
+    and so is one that another version wrote or whose config a run could not
+    have recorded."""
     subcommand, config = manifest.load_manifest(manifest_path)
     if subcommand not in _EXECUTORS:
         raise ConfigError(f"manifest names unknown subcommand {subcommand!r}")
-    # Earlier versions recorded the tolerance, which the executors ignore.
-    drop = config.get("drop_tolerance", DROP_TOLERANCE)
-    if drop != DROP_TOLERANCE:
-        raise ConfigError(f"manifest ran with drop_tolerance {drop}, not {DROP_TOLERANCE}")
     options = _OPTIONS[subcommand]
     keys = {o.key for o in options}
-    if set(config) - {"drop_tolerance"} != keys:
+    if set(config) != keys:
         raise ConfigError(f"manifest config must hold exactly the keys {sorted(keys)}")
     for o in options:
         _from_file(o, config[o.key])  # refuses a value its flag would refuse

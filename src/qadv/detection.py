@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +27,33 @@ DISAGREEMENT_GAP = 1.0 / 3.0
 DECAY_BATCH_BYTES = 1024 * 1024
 
 
+def _hash_circuit(h, c: circuits.Circuit) -> None:
+    # The layer count ends a sub-circuit, and a gate's kind and width fix
+    # its matrix's length, so the stream reads back one way only.
+    h.update(json.dumps([c.n_qubits, len(c.layers), c.registers, c.metadata],
+                        sort_keys=True).encode())
+    for layer in c.layers:
+        if isinstance(layer, circuits.BlockLayer):
+            h.update(json.dumps([layer.name, layer.targets, layer.control]).encode())
+            _hash_circuit(h, layer.circuit)
+        else:
+            for g in layer.gates:
+                param = None if g.param is None else float(g.param)
+                h.update(json.dumps([g.kind, g.targets, param, g.perm]).encode())
+                if g.matrix is not None:
+                    h.update(g.matrix.tobytes())
+        h.update(b";")
+
+
 def circuit_id(c: circuits.Circuit) -> str:
-    blob = circuits.serialize_json(c, indent=None).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    """A sha256 prefix over the circuit's fields: per circuit its width,
+    layer count, registers and metadata; per gate its kind, targets, angle
+    and permutation, then its complex128 matrix bytes; per block its name,
+    targets and control, then its sub-circuit; a terminator after each
+    layer. Unchanged by a serialize/deserialize round trip."""
+    h = hashlib.sha256()
+    _hash_circuit(h, c)
+    return h.hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ for the GHZ minus outcome and (1 + sin phi)/2 for the separable +i outcome.
 The trial functions return what was measured; the decision on it (the GHZ
 minus outcome heralds the signal, a separable +i fraction above
 1/2 + separable_bias/2 does) is the caller's.
+
+Trials are drawn in blocks, one per-trial theta each: a block draws all
+its Gaussian phase noise first, then all its uniforms. A lone trial
+(`ghz_trial`, `separable_fraction`) is a block of one. A sweep cell runs
+its trials in blocks whose noise fits in `CELL_BLOCK_BYTES`, so its memory
+is bounded by that budget (or by one trial), not by the trial count.
 """
 
 from __future__ import annotations
@@ -22,24 +28,47 @@ from .errors import typed
 from .pool import child_seeds, seeded_map
 
 
-def _check(theta: float, gamma: float, *counts: int) -> None:
+#: Bytes of Gaussian noise one block of a sweep cell's trials may draw: a
+#: block holds max(1, CELL_BLOCK_BYTES // (8 * noise draws per trial))
+#: trials. The budget fixes where the blocks of a cell with gamma > 0 start
+#: and so the order of its draws: like `pauli.DROP_TOLERANCE`, it is part of
+#: the output contract, and changing it changes the success rates (and
+#: orphans every manifest) of noisy sweeps.
+CELL_BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def _check(thetas, gamma: float, *counts: int) -> None:
+    # The smallest and largest theta stand for all, and a NaN reaches both.
     # Written so that NaN fails too: every comparison with NaN is False.
-    if not (0 <= theta < math.inf and 0 <= gamma < math.inf):
-        raise ValueError(f"theta and gamma must be finite and nonnegative, got {theta}, {gamma}")
+    for theta in (np.min(thetas, initial=0.0), np.max(thetas, initial=0.0)):
+        if not (0 <= theta < math.inf and 0 <= gamma < math.inf):
+            raise ValueError(
+                f"theta and gamma must be finite and nonnegative, got {theta}, {gamma}")
     if min(counts) < 1:
         raise ValueError("N, T, K and uses per shot must be at least 1")
+
+
+def ghz_trials(
+    n_probes: int, uses: int, thetas, gamma: float, rng: np.random.Generator
+) -> np.ndarray:
+    """GHZ trials, one per entry of `thetas`: N entangled probes through T
+    parallel channel uses, then a measurement in the GHZ +/- basis. Draws
+    the (trials, N*T) phase noise, then one uniform per trial. Returns the
+    minus outcomes."""
+    thetas = np.asarray(thetas, dtype=float)
+    _check(thetas, gamma, n_probes, uses)
+    phases = n_probes * uses * thetas
+    if gamma > 0:
+        size = (len(thetas), n_probes * uses)
+        phases += rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=1)
+    return rng.random(len(thetas)) < 0.5 * (1.0 - np.cos(phases))
 
 
 def ghz_trial(
     n_probes: int, uses: int, theta: float, gamma: float, rng: np.random.Generator
 ) -> bool:
-    """One GHZ trial: N entangled probes through T parallel channel uses,
-    then a measurement in the GHZ +/- basis. Returns the minus outcome."""
-    _check(theta, gamma, n_probes, uses)
-    phase = n_probes * uses * theta
-    if gamma > 0:
-        phase += rng.normal(0.0, math.sqrt(gamma), size=n_probes * uses).sum()
-    return bool(rng.random() < 0.5 * (1.0 - math.cos(phase)))
+    """One GHZ trial: one lane of `ghz_trials`."""
+    return bool(ghz_trials(n_probes, uses, [theta], gamma, rng)[0])
 
 
 def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
@@ -58,21 +87,29 @@ def separable_bias(theta: float, gamma: float, uses_per_shot: int) -> float:
     return math.sin(theta * uses_per_shot) * math.exp(-gamma * uses_per_shot / 2) / 2
 
 
+def separable_fractions(
+    shots: int, uses_per_shot: int, thetas, gamma: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Separable trials, one per entry of `thetas`: `shots` independent |+>
+    probes, each evolved R times and measured in the Y basis. Draws the
+    (trials, shots, R) phase noise, then the (trials, shots) uniforms.
+    Returns each trial's +i fraction."""
+    thetas = np.asarray(thetas, dtype=float)
+    _check(thetas, gamma, shots, uses_per_shot)
+    # Without noise every shot of a trial has the same phase: one column.
+    phases = uses_per_shot * thetas[:, None]
+    if gamma > 0:
+        size = (len(thetas), shots, uses_per_shot)
+        phases = phases + rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=2)
+    p_plus_i = 0.5 * (1.0 + np.sin(phases))
+    return np.count_nonzero(rng.random((len(thetas), shots)) < p_plus_i, axis=1) / shots
+
+
 def separable_fraction(
     shots: int, uses_per_shot: int, theta: float, gamma: float, rng: np.random.Generator
 ) -> float:
-    """One separable trial: `shots` independent |+> probes, each evolved R
-    times and measured in the Y basis. Returns the +i fraction."""
-    _check(theta, gamma, shots, uses_per_shot)
-    if gamma > 0:
-        # Adding the signal to the noise sums in place gives the same floats
-        # as adding the noise to the signal: IEEE addition commutes.
-        phases = rng.normal(0.0, math.sqrt(gamma), size=(shots, uses_per_shot)).sum(axis=1)
-        phases += uses_per_shot * theta
-    else:
-        phases = np.full(shots, uses_per_shot * theta)
-    p_plus_i = 0.5 * (1.0 + np.sin(phases))
-    return np.count_nonzero(rng.random(shots) < p_plus_i) / shots
+    """One separable trial: one lane of `separable_fractions`."""
+    return float(separable_fractions(shots, uses_per_shot, [theta], gamma, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +165,31 @@ class SweepCell:
 
 
 def _run_cell(args, ss) -> SweepCell:
+    """One grid cell: its trials in blocks of at most `CELL_BLOCK_BYTES` of
+    phase noise, each block one `ghz_trials` or `separable_fractions` call.
+    Equal priors: even trials are null (theta = 0), odd trials carry the
+    signal; a separable trial heralds it when its +i fraction exceeds the
+    signal's threshold 1/2 + separable_bias/2, also on null trials."""
     protocol, n, theta, gamma, t_uses, k_reps, trials = args
     # Checked here too: with trials = 1 only a null trial runs, never theta.
     _check(theta, gamma, n, t_uses, k_reps)
     rng = np.random.default_rng(ss)
-    if protocol == "separable":
+    if protocol == "ghz":
+        noise_per_trial = n * t_uses
+    else:
         r = default_uses_per_shot(gamma)
-        # The threshold is the hypothesized signal's, also on null trials.
         threshold = 0.5 + separable_bias(theta, gamma, r) / 2
+        noise_per_trial = k_reps * n * r
+    block = max(1, CELL_BLOCK_BYTES // (8 * noise_per_trial))
     correct = 0
-    for trial in range(trials):
-        # Equal priors: even trials are null, odd trials carry the signal.
-        true_theta = 0.0 if trial % 2 == 0 else theta
+    for start in range(0, trials, block):
+        odd = np.arange(start, min(start + block, trials)) % 2 == 1
+        thetas = np.where(odd, theta, 0.0)
         if protocol == "ghz":
-            present = ghz_trial(n, t_uses, true_theta, gamma, rng)
+            present = ghz_trials(n, t_uses, thetas, gamma, rng)
         else:
-            present = separable_fraction(k_reps * n, r, true_theta, gamma, rng) > threshold
-        correct += present == (true_theta != 0)
+            present = separable_fractions(k_reps * n, r, thetas, gamma, rng) > threshold
+        correct += int(np.count_nonzero(present == (thetas != 0)))
     success = correct / trials
     return SweepCell(
         protocol=protocol,

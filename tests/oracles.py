@@ -8,6 +8,7 @@ side of every dual-route check.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -151,3 +152,46 @@ def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
         r -= np.where(go_right, left, 0.0)
         node = 2 * node + go_right
     return node - sq.dim
+
+
+def sweep_cell_per_trial(protocol, n, theta, gamma, t_uses, k_reps, trials, rng,
+                         uses_per_shot=None) -> float:
+    """The per-trial loop that `qadv.sensing._run_cell` replaced: every
+    trial draws its own phase noise and then its own uniforms. Even trials
+    are null, odd ones carry theta; returns the success rate. A separable
+    cell takes R = ceil(1/gamma) uses per shot unless `uses_per_shot` says."""
+    r = uses_per_shot
+    if protocol == "separable" and r is None:
+        r = math.ceil(1.0 / gamma)
+    correct = 0
+    for trial in range(trials):
+        true_theta = 0.0 if trial % 2 == 0 else theta
+        if protocol == "ghz":
+            phase = n * t_uses * true_theta
+            if gamma > 0:
+                phase += rng.normal(0.0, math.sqrt(gamma), size=n * t_uses).sum()
+            present = bool(rng.random() < 0.5 * (1.0 - math.cos(phase)))
+        else:
+            shots = k_reps * n
+            if gamma > 0:
+                phases = rng.normal(0.0, math.sqrt(gamma), size=(shots, r)).sum(axis=1)
+                phases += r * true_theta
+            else:
+                phases = np.full(shots, r * true_theta)
+            fraction = np.count_nonzero(rng.random(shots) < 0.5 * (1.0 + np.sin(phases))) / shots
+            threshold = 0.5 + math.sin(theta * r) * math.exp(-gamma * r / 2) / 4
+            present = fraction > threshold
+        correct += present == (true_theta != 0)
+    return correct / trials
+
+
+def separable_success_closed_form(shots: int, threshold: float, bias: float) -> float:
+    """Two-hypothesis success of the separable decision "the +i fraction
+    exceeds the threshold" with equal priors: each of the `shots` outcomes
+    is +i with probability 1/2 under the null and 1/2 + bias under the
+    signal, so the count is binomial."""
+    def exceeds(p):
+        return sum(math.comb(shots, c) * p**c * (1 - p) ** (shots - c)
+                   for c in range(shots + 1) if c / shots > threshold)
+
+    return 0.5 * ((1.0 - exceeds(0.5)) + exceeds(0.5 + bias))

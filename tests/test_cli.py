@@ -492,52 +492,37 @@ def test_rerun_refuses_a_null_required_value(runner, tmp_path):
     assert not out.exists()
 
 
-def _old_shape_manifest(tmp_path, drop_tolerance):
-    """A decay manifest as versions that took the drop tolerance wrote it:
-    the key in its config, and its hash over that config."""
+def _decay_manifest_with_drop_tolerance(tmp_path, version):
+    """A decay manifest whose config holds the drop tolerance, as qadv 0.1.0
+    wrote it before the tolerance became a constant, hashed under
+    `version`."""
     config = {"n": 6, "L": 7, "trials": 50, "seed": 2, "jobs": 1,
-              "drop_tolerance": drop_tolerance}
+              "drop_tolerance": DROP_TOLERANCE}
     mpath = tmp_path / "old_manifest.json"
     mpath.write_text(json.dumps({
-        "subcommand": "decay", "config": config, "seed": 2,
-        "version": manifest.ARTIFACT_VERSION,
-        "manifest_hash": manifest.manifest_hash("decay", config),
+        "subcommand": "decay", "config": config, "seed": 2, "version": version,
+        "manifest_hash": manifest.manifest_hash("decay", config, version),
         "outputs": [], "duration_s": 0.0,
     }))
     return mpath
 
 
-def test_rerun_replays_a_manifest_that_recorded_the_drop_tolerance(runner, tmp_path):
-    # Such a run dropped at today's constant, so it replays to the bytes it
-    # wrote then: a fresh run's data under the old manifest hash. The
-    # digests are those the version before the constant pinned for this run.
-    mpath = _old_shape_manifest(tmp_path, DROP_TOLERANCE)
-    old_hash = json.loads(_read(mpath))["manifest_hash"]
-    new = tmp_path / "new"
-    r = runner.invoke(main, ["decay", "--n", "6", "--L", "7", "--trials", "50", "--seed", "2",
-                             "--out-dir", str(new)])
-    assert r.exit_code == 0, r.output
-    new_hash = json.loads(_read(new / "decay_manifest.json"))["manifest_hash"]
-    assert new_hash != old_hash
-    old = tmp_path / "old"
-    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(old)])
-    assert r.exit_code == 0, r.output
-    assert _sha256(old / "decay_report.json") == (
-        "ef8ba412349ae77e1e43a7a3cbe522db603eb79bd73154d64be3b095f3c5bdf8")
-    assert _sha256(old / "decay_layers.csv") == (
-        "d554a3de6f4a35a32355cbc859c36519097ad0e93dfc2432192315333be3837e")
-    for name in ("decay_report.json", "decay_layers.csv"):
-        assert _read(old / name).replace(old_hash, new_hash) == _read(new / name)
-
-
-@pytest.mark.parametrize("drop_tolerance", [1e-9, float("nan")])
-def test_rerun_refuses_another_recorded_drop_tolerance(runner, tmp_path, drop_tolerance):
-    # Replaying it at the constant would silently change the run.
-    mpath = _old_shape_manifest(tmp_path, drop_tolerance)
+def test_rerun_refuses_a_0_1_0_manifest_that_recorded_the_drop_tolerance(runner, tmp_path):
+    # Only 0.1.0 wrote the key; the version check refuses the manifest first.
+    mpath = _decay_manifest_with_drop_tolerance(tmp_path, "0.1.0")
     out = tmp_path / "out"
     r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
     assert r.exit_code == 2, r.output
-    assert "drop_tolerance" in r.output
+    assert f"written by qadv 0.1.0; this is qadv {manifest.ARTIFACT_VERSION}" in r.output
+    assert not out.exists()
+
+
+def test_rerun_refuses_a_current_manifest_with_a_drop_tolerance_key(runner, tmp_path):
+    mpath = _decay_manifest_with_drop_tolerance(tmp_path, manifest.ARTIFACT_VERSION)
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "manifest config must hold exactly the keys" in r.output
     assert not out.exists()
 
 
@@ -570,9 +555,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "91f4bfbbf07e04108f4a02a7e51ed596ce50ea92b14b1e936446b4fb1aa641bf")
+        "cd0648164fa446100c51f8776bbcd586898dd8e37124eb611bb77f69cb24d739")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "a903eb53ca1317f76e4518063572a5754c73fb1aadb83dd4f74603cae67c8477")
+        "53419876f79e4d402bd4386a57ed3c0920d867c34864275c12a5920ed0f8f5cc")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -582,9 +567,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "6a9bdefa43993938af0179640484093d09b89322801af271fa765b3cd14e8497")
+        "f1838142ae7acce9a7d0d73a23daeebc21f98d457ad79ce676905753a1642119")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "1b32fac4121f1971fd9ae857c6aee31eee648b73676010b6da6f527ab8185ee6")
+        "958769eeb7a0d4bbc65fc5afa77d615d0095c9a4f001b12ec894a2a1a2f37b6d")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -596,7 +581,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "bab76f2839cc62619210a799960c887040c198f6d2fc837fcbbce7328cff1c13")
+        "cf1f5c0d11b9418b78ffa1d60276c1e2176e6f09297b4a5427c2e8456cde3f9b")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -609,9 +594,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "874153b8155574d724244ebe6123144d3f412b83d3456f150563dccd82c89085")
+        "69d04855960a4d798df386b11b85c3f9a42a457bc613e8ef94d64b0a673534f1")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "50a92d31e32503bd2e3a93391161ed1f57ec97d62185aa4243a34d2bb5fa3d88")
+        "dce5e7d74ceee2333cb78133a0a8490ac3fa93ad1be810782ca2a2aec5f38c00")
 
 
 
@@ -619,16 +604,16 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in batches; each trial's norms must be the floats its
     # own backward pass gives, so these bytes hold whatever the batch size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config (see test_rerun_replays_a_manifest_that_recorded_the_drop_tolerance).
+    # config and when the version went to 0.2.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "bc1bbceecdb037960e036081629dbe53eb3c5c23769d11f522fd111e4ce91e57",
-         "4ea86979ddfd5b37fcc618337219b495341a2c904a9931b6a6e423b692321b3f"),
+         "0f22ae1e4c4438cc3b190fa3d938016ba6916488d3d677638d7944ccc5ec375a",
+         "a399387763805ed15fb8bdae0de6a33bb84c187812d8c26a1de904edbc32076a"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "ad34d29359ba9b81f22d021bec8c5e9e038442ac54acf60583d9dc6b1c863eaa",
-         "8995724f6ac0b97937b5cc1e27ab48b82247ed5c03602a49960fa0471c3c38a0"),
+         "19e214e93e52850e8d5610e9d60992068718e33646b040094196586fabc6702f",
+         "27d1d2d2370a5198c07dd612ae094be252693f7e98880c2ba57ace8442579c72"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -652,16 +637,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "becc926cd96a6ae427eb3ba29b5bbdd81144dc73b7de94d1f0ce37b8af36cee7")
+        "e3883a9442b2249d540e43d1879fa6b6e1f5ce214e3aa680784bba1c0000e556")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "fbf40512f78bb057a4c6938d7baa4541aa84e1646633c697e9e011e04b198227")
+        "09841c501d092ae0e87a8af02cf9db858483eb9ab58597b48f591ba33ce6cf58")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "23e8942d2748acd1342e85b1c3e9a76d3cf75d89ef62fd7fdd858eb7207df2d7")
+        "4fc116522da5d8ca6544b257aab16c4c926a39bcda9a71c222bc4c14a6275d90")
 
 
 @pytest.mark.parametrize("cell, key", [
@@ -713,6 +698,15 @@ def test_rerun_refuses_a_subcommand_that_is_not_text(runner, tmp_path, subcomman
     assert r.exit_code == 2, r.output
     assert "$.subcommand: expected a string" in r.output
     assert not out.exists()
+
+
+def test_detect_names_a_circuit_file_that_is_not_text(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_bytes(b"\xff\xfe\x00\x01\x02\x03\x04")
+    r = runner.invoke(main, ["detect", "--circuit", "c.json", "--out-dir", "out"])
+    assert r.exit_code == 2, r.output
+    assert "cannot read circuit c.json" in r.output
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("args", [["rerun", "d"], ["detect", "--circuit", "d"]])

@@ -73,9 +73,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "73b8e4ba7398288e3f7d50dc90316f819748280c05626dfa60d334a6d954b5b0"),
+         "e886c3f6a8b14f884bdfc5094e38abf4bb50e853c3d7d8691bf9e8680ae7facd"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "d72e0c07817c50a2f3bb9db3bc9632a062cef2e2b20f5a79c6847be3d299d9ad"),
+         "d6f64326eeffefe4c95f5e53f550d710b03c8716534d340dfbd671c9d0b4b2fb"),
     ],
     ids=["decay", "bell"],
 )

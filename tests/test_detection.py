@@ -310,3 +310,47 @@ def test_fused_circuit_has_the_circuit_id():
     cq, _ = circuits.promise_instance("ry", 1, angle=0.4)
     c = circuits.build_cnew(cq, n=3, depth=4, copies=3, seed=2)
     assert detection.circuit_id(statevector.fuse(c)) == detection.circuit_id(c)
+
+
+def test_circuit_id_survives_a_serialize_round_trip():
+    cq, _ = circuits.promise_instance("ry", 1, angle=0.4)
+    for c in (circuits.build_cnew(cq, n=3, depth=4, copies=3, seed=2),
+              circuits.random_brickwork(4, 3, seed=1), _id_circuit()):
+        back = circuits.deserialize(circuits.serialize_json(c))
+        assert detection.circuit_id(back) == detection.circuit_id(c)
+
+
+def _id_circuit() -> Circuit:
+    """A circuit with one of every field the id covers."""
+    sub = Circuit(2, (ElementaryLayer((Gate("H", (0,)),)),))
+    return Circuit(
+        4,
+        (
+            ElementaryLayer((Gate("RX", (0,), param=0.3),
+                             Gate("matrix", (1, 2), matrix=np.diag([1, 1j, -1, 1])))),
+            ElementaryLayer((Gate("perm", (0, 1), perm=(1, 0, 2, 3)),)),
+            circuits.BlockLayer("b", sub, (1, 2), control=0),
+        ),
+        registers={"main": (0, 1), "anc": (2, 3)},
+        metadata={"note": "x"},
+    )
+
+
+_ID_EDITS = {
+    "kind": lambda d: d["layers"][0]["gates"][0].update(kind="RY"),
+    "target": lambda d: d["layers"][0]["gates"][0].update(targets=[3]),
+    "param": lambda d: d["layers"][0]["gates"][0].update(param=0.3 + 1e-15),
+    "matrix_entry": lambda d: d["layers"][0]["gates"][1]["matrix"][3].__setitem__(3, [0.0, 1.0]),
+    "perm": lambda d: d["layers"][1]["gates"][0].update(perm=[0, 1, 3, 2]),
+    "register": lambda d: d.update(registers={"main": [0, 2], "anc": [3, 3]}),
+    "metadata": lambda d: d.update(metadata={"note": "y"}),
+    "block_control": lambda d: d["layers"][2].update(control=3),
+}
+
+
+@pytest.mark.parametrize("edit", _ID_EDITS)
+def test_circuit_id_changes_with_any_one_field(edit):
+    data = circuits.serialize(_id_circuit())
+    before = detection.circuit_id(circuits.deserialize(data))
+    _ID_EDITS[edit](data)
+    assert detection.circuit_id(circuits.deserialize(data)) != before

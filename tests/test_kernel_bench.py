@@ -5,20 +5,21 @@ Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark
 asserts that its kernel preserves the Pauli-2 norm, builds a unitary,
-matches the gate-by-gate interpreter, or draws what the lockstep tree
-descent draws.
+matches the gate-by-gate interpreter, draws what the lockstep tree
+descent draws, or succeeds as often as the closed form says.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qadv import circuits, sq, statevector
+from qadv import circuits, sensing, sq, statevector
 from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
-from oracles import haar_unitary, sample_many_lockstep
+from oracles import haar_unitary, sample_many_lockstep, separable_success_closed_form
 
 N_WIDE = 24
 
@@ -118,3 +119,15 @@ def test_sample_many_2_20(benchmark):
     got = benchmark(sq.sample_many, v, rs)
     part = slice(3 * sq._DESCENT_LANES - 5, 3 * sq._DESCENT_LANES + 40_000)
     assert np.array_equal(got[part], sample_many_lockstep(v, rs[part]))
+
+
+def test_separable_cell_600_trials(benchmark):
+    # One cell of the sampling workload's separable scan near its stopping
+    # point: 600 trials of K = 150 shots with R = 5 uses each.
+    theta, gamma, k, trials = 0.02, 0.2, 150, 600
+    args = ("separable", 1, theta, gamma, 1, k, trials)
+    cell = benchmark(sensing._run_cell, args, np.random.SeedSequence(5))
+    r = sensing.default_uses_per_shot(gamma)
+    bias = sensing.separable_bias(theta, gamma, r)
+    want = separable_success_closed_form(k, 0.5 + bias / 2, bias)
+    assert abs(cell.success - want) < 4 * math.sqrt(want * (1 - want) / trials)

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qadv import sensing
 from qadv.errors import SchemaError
 from qadv.sensing import (
+    CELL_BLOCK_BYTES,
     default_uses_per_shot,
     ghz_minus_probability,
     ghz_trial,
+    ghz_trials,
     kl_divergence,
     kl_sample_bound,
     minimal_ghz_uses,
@@ -16,7 +20,10 @@ from qadv.sensing import (
     scaling_sweep,
     separable_bias,
     separable_fraction,
+    separable_fractions,
 )
+
+from oracles import separable_success_closed_form, sweep_cell_per_trial
 
 
 def test_config_validation():
@@ -252,3 +259,101 @@ def test_decisions_reproducible_for_fixed_seed():
         return g, s
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# Trials drawn in blocks
+
+
+def test_block_functions_refuse_any_bad_theta():
+    rng = np.random.default_rng(0)
+    for thetas in ([0.1, -0.1], [0.1, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ghz_trials(2, 3, thetas, 0.1, rng)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            separable_fractions(4, 2, thetas, 0.1, rng)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5])
+def test_lone_trials_are_lane_0_of_a_block_of_one(gamma):
+    # A block of one draws what the parent's lone trial drew, in its order,
+    # so `sense` keeps its bytes; the generators end in the same state.
+    for seed in range(4):
+        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        theta = 0.03 * seed
+        lone = separable_fraction(37, 4, theta, gamma, a)
+        assert lone == separable_fractions(37, 4, [theta], gamma, b)[0]
+        phases = c.normal(0.0, math.sqrt(gamma), size=(37, 4)).sum(axis=1) + 4 * theta
+        assert lone == np.count_nonzero(c.random(37) < 0.5 * (1 + np.sin(phases))) / 37
+        lone = ghz_trial(3, 5, theta, gamma, a)
+        assert lone == ghz_trials(3, 5, [theta], gamma, b)[0]
+        phase = 15 * theta + c.normal(0.0, math.sqrt(gamma), size=15).sum()
+        assert lone == (c.random() < 0.5 * (1 - math.cos(phase)))
+        assert a.random() == b.random() == c.random()
+
+
+def test_noiseless_ghz_cell_equals_the_per_trial_loop():
+    # At gamma = 0 a block draws only its uniforms, one contiguous stream,
+    # so the cell's success is the per-trial loop's whatever the blocks.
+    # N*T = 74,898 makes blocks of 7 trials: 100 trials cross 15 of them.
+    n, t, theta, trials = 2, 37_449, 1e-5, 100
+    assert CELL_BLOCK_BYTES // (8 * n * t) == 7
+    cell = sensing._run_cell(("ghz", n, theta, 0.0, t, 1, trials), np.random.SeedSequence(9))
+    want = sweep_cell_per_trial("ghz", n, theta, 0.0, t, 1, trials,
+                                np.random.default_rng(np.random.SeedSequence(9)))
+    assert 0.5 < want < 1.0
+    assert cell.success == want
+
+
+def test_noiseless_separable_cell_equals_the_per_trial_loop(monkeypatch):
+    # The separable schedule needs gamma > 0, so the cell is given R = 4 at
+    # gamma = 0. K*N*R = 104,860 makes blocks of 4 trials: 41 trials cross 11.
+    monkeypatch.setattr(sensing, "default_uses_per_shot", lambda gamma: 4)
+    k, theta, trials = 26_215, 0.0025, 41
+    assert CELL_BLOCK_BYTES // (8 * k * 4) == 4
+    cell = sensing._run_cell(("separable", 1, theta, 0.0, 1, k, trials),
+                             np.random.SeedSequence(10))
+    want = sweep_cell_per_trial("separable", 1, theta, 0.0, 1, k, trials,
+                                np.random.default_rng(np.random.SeedSequence(10)),
+                                uses_per_shot=4)
+    assert 0.5 < want < 1.0
+    assert cell.success == want
+    # The fractions themselves, however the trials are split into blocks.
+    thetas = np.where(np.arange(trials) % 2 == 1, theta, 0.0)
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    whole = separable_fractions(k, 4, thetas, 0.0, a)
+    split = [separable_fractions(k, 4, part, 0.0, b) for part in np.array_split(thetas, 5)]
+    assert np.array_equal(whole, np.concatenate(split))
+
+
+@pytest.mark.parametrize("n, theta, gamma, k", [
+    (1, 0.05, 0.2, 20),
+    (2, 0.1, 0.5, 10),
+    (3, 0.02, 0.1, 15),
+])
+def test_noisy_separable_cell_matches_the_binomial_closed_form(n, theta, gamma, k):
+    # Each shot's noise is its own, so a trial's +i count is binomial with
+    # p = 1/2 under the null and 1/2 + separable_bias under the signal,
+    # whatever order the blocks draw in.
+    trials = 20_000
+    (cell,) = scaling_sweep("separable", [{"N": n, "theta": theta, "gamma": gamma, "K": k}],
+                            trials=trials, seed=15)
+    r = default_uses_per_shot(gamma)
+    bias = separable_bias(theta, gamma, r)
+    want = separable_success_closed_form(k * n, 0.5 + bias / 2, bias)
+    stderr = math.sqrt(want * (1 - want) / trials)
+    assert abs(cell.success - want) < 4 * stderr
+
+
+def test_cell_memory_is_bounded_by_the_block_budget():
+    # 600 trials of 4,000 shots with R = 5: all their noise at once would be
+    # 600 * 4,000 * 5 * 8 bytes, about 96 MB. Blocks of 26 trials hold 4.2 MB.
+    args = ("separable", 1, 0.02, 0.2, 1, 4_000, 600)
+    assert 600 * 4_000 * 5 * 8 > 20 * CELL_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        sensing._run_cell(args, np.random.SeedSequence(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * CELL_BLOCK_BYTES
