@@ -509,7 +509,10 @@ def rerun(manifest_path, out_dir):
     options = _OPTIONS[subcommand]
     keys = {o.key for o in options}
     if set(config) != keys:
-        raise ConfigError(f"manifest config must hold exactly the keys {sorted(keys)}")
+        raise ConfigError(
+            f"manifest config must hold exactly the keys {sorted(keys)}, "
+            f"not {sorted(config)}"
+        )
     for o in options:
         _from_file(o, config[o.key])  # refuses a value its flag would refuse
     # The config as stored: the hash covers it.

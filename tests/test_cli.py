@@ -492,12 +492,12 @@ def test_rerun_refuses_a_null_required_value(runner, tmp_path):
     assert not out.exists()
 
 
-def _decay_manifest_with_drop_tolerance(tmp_path, version):
-    """A decay manifest whose config holds the drop tolerance, as qadv 0.1.0
+def _decay_manifest_with_drop_tolerance(tmp_path, version, drop_tolerance=DROP_TOLERANCE):
+    """A decay manifest whose config holds a drop tolerance, as qadv 0.1.0
     wrote it before the tolerance became a constant, hashed under
     `version`."""
     config = {"n": 6, "L": 7, "trials": 50, "seed": 2, "jobs": 1,
-              "drop_tolerance": DROP_TOLERANCE}
+              "drop_tolerance": drop_tolerance}
     mpath = tmp_path / "old_manifest.json"
     mpath.write_text(json.dumps({
         "subcommand": "decay", "config": config, "seed": 2, "version": version,
@@ -517,12 +517,18 @@ def test_rerun_refuses_a_0_1_0_manifest_that_recorded_the_drop_tolerance(runner,
     assert not out.exists()
 
 
-def test_rerun_refuses_a_current_manifest_with_a_drop_tolerance_key(runner, tmp_path):
-    mpath = _decay_manifest_with_drop_tolerance(tmp_path, manifest.ARTIFACT_VERSION)
+@pytest.mark.parametrize("drop_tolerance", [1e-9, float("nan"), DROP_TOLERANCE])
+def test_rerun_refuses_another_recorded_drop_tolerance(runner, tmp_path, drop_tolerance):
+    # A current manifest cannot hold the key, whatever its value: the
+    # exact-keys check refuses it and names the key.
+    mpath = _decay_manifest_with_drop_tolerance(
+        tmp_path, manifest.ARTIFACT_VERSION, drop_tolerance
+    )
     out = tmp_path / "out"
     r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
     assert r.exit_code == 2, r.output
     assert "manifest config must hold exactly the keys" in r.output
+    assert "drop_tolerance" in r.output
     assert not out.exists()
 
 
