@@ -63,6 +63,17 @@ def _rz(theta: float) -> np.ndarray:
 PARAM_GATES = {"RX": _rx, "RY": _ry, "RZ": _rz}
 
 
+def _qubits(qubits, what: str) -> tuple[int, ...]:
+    """`qubits` as a tuple of ints: numpy integers become ints, and anything
+    else that is not an int (a bool, a float) is refused."""
+    qubits = tuple(qubits)
+    if any(type(q) is not int for q in qubits):
+        if not all(isinstance(q, np.integer) or type(q) is int for q in qubits):
+            raise ValueError(f"{what} must be integers, got {qubits}")
+        qubits = tuple(map(int, qubits))
+    return qubits
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One gate: a named gate, an explicit 1-3 qubit unitary, or a
@@ -80,12 +91,7 @@ class Gate:
     _stack_checked: dataclasses.InitVar[bool] = False
 
     def __post_init__(self, _stack_checked: bool) -> None:
-        targets = tuple(self.targets)
-        if any(type(t) is not int for t in targets):  # numpy integers become ints
-            if not all(isinstance(t, np.integer) or type(t) is int for t in targets):
-                raise ValueError(f"gate targets must be integers, got {targets}")
-            targets = tuple(map(int, targets))
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "targets", _qubits(self.targets, "gate targets"))
         w = len(self.targets)
         if len(set(self.targets)) != w or w == 0:
             raise ValueError("gate targets must be distinct and nonempty")
@@ -181,7 +187,9 @@ class BlockLayer:
     control: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "targets", _qubits(self.targets, "block targets"))
+        if self.control is not None:
+            object.__setattr__(self, "control", _qubits((self.control,), "block control")[0])
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("block targets must be distinct")
         if self.circuit.n_qubits != len(self.targets):

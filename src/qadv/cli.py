@@ -227,7 +227,7 @@ def _exec_dequant_sample(config: dict) -> Output:
         raise ConfigError("draws must be at least 1")
     sqv = _load_sq(config["vector"], config["normalize"])
     rng = np.random.default_rng(config["seed"])
-    counts = np.bincount(sq.sample_many(sqv, rng.random(draws)), minlength=sqv.dim)
+    counts = sq.sample_counts(sqv, draws, rng)
     probs = sqv.tree[sqv.dim :]
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return Output(

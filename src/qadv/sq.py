@@ -7,6 +7,10 @@ descend the tree in blocks of lanes small enough to stay in a core's L2
 cache, each level in place on the block's buffers. On top of that
 sits the unbiased importance-sampling inner-product estimator
 X = y_i / x_i with i ~ x_i^2, whose variance is at most 1 for unit vectors.
+Long runs of draws go through fixed blocks of uniforms (`_DRAW_BLOCK`):
+the estimator holds 8 bytes per sample for its draws plus one block, and
+`sample_counts` only one block and its counts. Chunked ``rng.random``
+calls give exactly the stream of one call, so every index is unchanged.
 
 Boundary convention: a uniform draw r in [0, 1) selects the unique index i
 with F(i-1) <= r < F(i); exact ties between r and a stored prefix resolve
@@ -27,6 +31,9 @@ _NORM_TOL = 1e-9
 # scratch rows (about 0.5 MB) stay in one core's L2 cache through every
 # level of the descent.
 _DESCENT_LANES = 1 << 14
+#: Draws per block of `_index_blocks`. Output bytes do not depend on it:
+#: every block's uniforms continue the generator's one stream.
+_DRAW_BLOCK = 1 << 17
 
 
 def _children_sum(tree: np.ndarray, lo: int) -> np.ndarray:
@@ -86,7 +93,7 @@ def build(v, normalize: bool = False) -> SQVector:
     if dim != len(values):
         values = np.concatenate([values, np.zeros(dim - len(values))])
     tree = np.zeros(2 * dim)
-    tree[dim:] = values**2
+    np.square(values, out=tree[dim:])
     lo = dim // 2
     while lo >= 1:
         tree[lo : 2 * lo] = _children_sum(tree, lo)
@@ -130,6 +137,31 @@ def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _index_blocks(sq_x: SQVector, n: int, rng: np.random.Generator):
+    """The indices of n draws, `_DRAW_BLOCK` at a time: yields
+    ``(start, idx)`` where ``idx`` holds draws start, start + 1, ..."""
+    for start in range(0, n, _DRAW_BLOCK):
+        yield start, sample_many(sq_x, rng.random(min(_DRAW_BLOCK, n - start)))
+
+
+def sample_counts(sq: SQVector, n: int, rng: np.random.Generator) -> np.ndarray:
+    """How often each index comes up in n draws: the counts of
+    ``sample_many(sq, rng.random(n))`` in O(dim) memory, not O(n)."""
+    counts = np.zeros(sq.dim, dtype=np.int64)
+    for _, idx in _index_blocks(sq, n, rng):
+        counts += np.bincount(idx, minlength=sq.dim)
+    return counts
+
+
+def _var_in_place(a: np.ndarray) -> float:
+    """``a.var(ddof=1)`` by its own steps, with `a` as the scratch array:
+    the same float, without a full-size temporary. Overwrites `a`."""
+    n = len(a)
+    np.subtract(a, np.add.reduce(a, keepdims=True) / n, out=a)
+    np.square(a, out=a)
+    return float(np.add.reduce(a) / (n - 1))
+
+
 @dataclass(frozen=True)
 class InnerProductEstimate:
     estimate: float
@@ -157,13 +189,14 @@ def inner_product_estimate(
         raise ValueError("query vector must have unit norm")
     if len(yv) != sq_x.dim:
         raise ValueError("vector dimensions differ")
-    idx = sample_many(sq_x, rng.random(n_samples))
-    xi = sq_x.values[idx]
-    if np.any(xi == 0.0):
-        raise InvariantViolation("sampled an index with zero probability mass")
-    draws = yv[idx] / xi
+    draws = np.empty(n_samples)
+    for start, idx in _index_blocks(sq_x, n_samples, rng):
+        xi = sq_x.values[idx]
+        if np.any(xi == 0.0):
+            raise InvariantViolation("sampled an index with zero probability mass")
+        np.divide(yv[idx], xi, out=draws[start : start + len(idx)])
     est = float(draws.mean())
-    var = float(draws.var(ddof=1)) if n_samples > 1 else 0.0
+    var = _var_in_place(draws) if n_samples > 1 else 0.0
     return InnerProductEstimate(
         estimate=est,
         stderr=float(np.sqrt(var / n_samples)),

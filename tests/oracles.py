@@ -154,6 +154,19 @@ def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
     return node - sq.dim
 
 
+def inner_product_estimate_one_shot(sq_x, y, n_samples: int, rng) -> tuple[float, float, float]:
+    """The whole-run estimator that `qadv.sq.inner_product_estimate`
+    replaced: every uniform, index and draw of the run held at once, then
+    ``mean`` and ``var(ddof=1)``. Returns (estimate, stderr, sample_variance)."""
+    from qadv.sq import sample_many
+
+    yv = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
+    idx = sample_many(sq_x, rng.random(n_samples))
+    draws = yv[idx] / sq_x.values[idx]
+    var = float(draws.var(ddof=1)) if n_samples > 1 else 0.0
+    return float(draws.mean()), float(np.sqrt(var / n_samples)), var
+
+
 def sweep_cell_per_trial(protocol, n, theta, gamma, t_uses, k_reps, trials, rng,
                          uses_per_shot=None) -> float:
     """The per-trial loop that `qadv.sensing._run_cell` replaced: every

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qadv import circuits, manifest
 from qadv.circuits import Gate
 from qadv.cli import main
+from qadv.detection import circuit_id
 
 BRICKWORK = circuits.serialize(circuits.random_brickwork(4, 2, seed=1))
 CNEW = circuits.serialize(
@@ -89,6 +90,27 @@ def test_gate_takes_numpy_integer_targets_as_ints():
     g = Gate("CNOT", tuple(np.arange(2)))
     assert g.targets == (0, 1)
     assert all(type(t) is int for t in g.targets)
+
+
+def test_block_takes_numpy_integer_targets_and_control_as_ints():
+    sub = circuits.random_brickwork(2, 1, seed=3)
+    block = circuits.BlockLayer("b", sub, (np.int64(1), np.int64(2)), control=np.int64(0))
+    assert block.targets == (1, 2) and block.control == 0
+    assert all(type(q) is int for q in (*block.targets, block.control))
+    c = circuits.Circuit(3, (block,))
+    plain = circuits.Circuit(3, (circuits.BlockLayer("b", sub, (1, 2), control=0),))
+    assert circuit_id(c) == circuit_id(plain)
+    again = circuits.deserialize(circuits.serialize_json(c))
+    assert circuits.serialize_json(again) == circuits.serialize_json(c)
+
+
+@pytest.mark.parametrize("targets, control", [
+    ((1.0, 2), None), ((True, 2), None), (("1", "2"), None), ((1, 2), 0.0), ((1, 2), False),
+])
+def test_block_refuses_targets_or_control_that_are_not_integers(targets, control):
+    sub = circuits.random_brickwork(2, 1, seed=3)
+    with pytest.raises(ValueError, match="integers"):
+        circuits.BlockLayer("b", sub, targets, control=control)
 
 
 def _nodes(doc, path=()):

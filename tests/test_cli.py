@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qadv import circuits, cli, manifest
+from qadv import circuits, cli, manifest, sq
 from qadv.cli import main
 from qadv.errors import ConfigError
 from qadv.pauli import DROP_TOLERANCE
@@ -225,6 +227,37 @@ def test_dequant_commands(runner, tmp_path):
     assert r.exit_code == 0, r.output
     rep = json.loads(_read(tmp_path / "dequant_estimate_report.json"))
     assert abs(rep["estimate"] - rep["exact"]) < 0.1
+
+
+def test_dequant_sample_counts_equal_one_shot_draws_across_blocks(tmp_path):
+    vp = tmp_path / "v.txt"
+    np.savetxt(vp, np.random.default_rng(4).standard_normal(100))
+    draws = 3 * sq._DRAW_BLOCK + 5
+    out = cli._exec_dequant_sample({"vector": str(vp), "normalize": True, "draws": draws,
+                                    "seed": 9})
+    v = sq.build(np.loadtxt(vp), normalize=True)
+    want = np.bincount(sq.sample_many(v, np.random.default_rng(9).random(draws)), minlength=v.dim)
+    assert [count for _, count, _ in out.table[2]] == want.tolist()
+
+
+def test_dequant_sample_memory_does_not_grow_with_draws(tmp_path):
+    # Each block's indices are counted and dropped, so 2 x 10^6 draws on a
+    # dim-16 vector peak no higher than two blocks do (whole-run uniforms
+    # and indices alone would be 32 MB).
+    vp = tmp_path / "v.txt"
+    np.savetxt(vp, np.random.default_rng(5).standard_normal(16))
+    peaks = []
+    for draws in (2 * sq._DRAW_BLOCK, 2 * 10**6):
+        config = {"vector": str(vp), "normalize": True, "draws": draws, "seed": 1}
+        cli._exec_dequant_sample(config)  # warm numpy's caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cli._exec_dequant_sample(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_dequant_zero_vector_exits_2(runner, tmp_path):

@@ -6,7 +6,8 @@ plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark
 asserts that its kernel preserves the Pauli-2 norm, builds a unitary,
 matches the gate-by-gate interpreter, draws what the lockstep tree
-descent draws, or succeeds as often as the closed form says.
+descent draws, estimates what the one-shot estimator estimates, or
+succeeds as often as the closed form says.
 """
 
 import math
@@ -19,7 +20,12 @@ from qadv import circuits, sensing, sq, statevector
 from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
-from oracles import haar_unitary, sample_many_lockstep, separable_success_closed_form
+from oracles import (
+    haar_unitary,
+    inner_product_estimate_one_shot,
+    sample_many_lockstep,
+    separable_success_closed_form,
+)
 
 N_WIDE = 24
 
@@ -119,6 +125,17 @@ def test_sample_many_2_20(benchmark):
     got = benchmark(sq.sample_many, v, rs)
     part = slice(3 * sq._DESCENT_LANES - 5, 3 * sq._DESCENT_LANES + 40_000)
     assert np.array_equal(got[part], sample_many_lockstep(v, rs[part]))
+
+
+def test_inner_product_estimate_2_20(benchmark):
+    # The sampling workload's estimate: 10^6 samples on a 2^20 tree, drawn
+    # in blocks; each round starts from the same seed.
+    rng = np.random.default_rng(6)
+    x = sq.build(rng.standard_normal(1 << 20), normalize=True)
+    y = sq.build(rng.standard_normal(1 << 20), normalize=True)
+    got = benchmark(lambda: sq.inner_product_estimate(x, y, 10**6, np.random.default_rng(7)))
+    want = inner_product_estimate_one_shot(x, y, 10**6, np.random.default_rng(7))
+    assert (got.estimate, got.stderr, got.sample_variance) == want
 
 
 def test_separable_cell_600_trials(benchmark):

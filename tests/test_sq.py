@@ -1,12 +1,18 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qadv import sq
 from qadv.errors import InvariantViolation
 
-from oracles import sample_many_lockstep
+from oracles import inner_product_estimate_one_shot, sample_many_lockstep
+
+B = sq._DRAW_BLOCK
 
 
 def test_build_point_mass():
@@ -233,6 +239,76 @@ def test_sqvector_accepted_as_query_side():
     assert abs(est.estimate - float(x.values @ y.values)) < 0.2
 
 
+@pytest.mark.parametrize("n_samples", [1, 2, B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("length", [1000, 1024])
+def test_blocked_estimate_equals_one_shot_oracle(n_samples, length):
+    # 1000 entries pad to 1024; the query side is an SQVector on half the
+    # cases and a plain array on the other.
+    rng = np.random.default_rng(n_samples + length)
+    x = sq.build(rng.standard_normal(length), normalize=True)
+    y = sq.build(rng.standard_normal(length), normalize=True)
+    for query in (y, y.values):
+        got = sq.inner_product_estimate(x, query, n_samples, np.random.default_rng(8))
+        want = inner_product_estimate_one_shot(x, query, n_samples, np.random.default_rng(8))
+        assert (got.estimate, got.stderr, got.sample_variance) == want
+        assert got.n_samples == n_samples
+
+
+@given(hnp.arrays(np.float64, st.integers(2, 3000),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+@settings(max_examples=200)
+def test_variance_in_place_equals_numpy_var(a):
+    want = np.var(a, ddof=1)
+    assert sq._var_in_place(a.copy()) == want
+
+
+def test_zero_mass_index_in_a_later_block_raises(monkeypatch):
+    # Index 3 is padding: sampling it is impossible, so a kernel that drew
+    # it in the second block must trip the check there, not only in the first.
+    x = sq.build([0.6, 0.8, 0.0], normalize=True)
+    real, calls = sq.sample_many, []
+
+    def second_block_hits_padding(sq_x, rs):
+        out = real(sq_x, rs)
+        calls.append(len(rs))
+        if len(calls) == 2:
+            out[len(out) // 2] = 3
+        return out
+
+    monkeypatch.setattr(sq, "sample_many", second_block_hits_padding)
+    y = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolation, match="zero probability"):
+        sq.inner_product_estimate(x, y, 3 * B, np.random.default_rng(0))
+    assert calls == [B, B]
+
+
+def _peak_bytes(run) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_is_draws_plus_one_block():
+    # 10^6 samples on a 2^16 tree. The draws take 8 B each, and one block
+    # adds its uniforms, indices and two gathers: about 4.5 times the 1 MiB
+    # of a block's uniforms. The one-shot oracle holds the whole run's
+    # indices and draws at once: 22.9 MiB against 12.1 MiB here (numpy 2.4).
+    n = 10**6
+    rng = np.random.default_rng(2)
+    x = sq.build(rng.standard_normal(1 << 16), normalize=True)
+    y = sq.build(rng.standard_normal(1 << 16), normalize=True).values
+    sq.inner_product_estimate(x, y, 10, rng)  # warm numpy's caches
+    peak = _peak_bytes(lambda: sq.inner_product_estimate(x, y, n, np.random.default_rng(3)))
+    oracle = _peak_bytes(lambda: inner_product_estimate_one_shot(x, y, n, np.random.default_rng(3)))
+    bound = 8 * n + 6 * 8 * B
+    assert peak <= bound
+    assert oracle > bound
+
+
 def test_check_tree_detects_corruption():
     v = sq.build([0.6, 0.8])
     v.tree[2] += 1e-6
@@ -268,6 +344,12 @@ def test_tree_matches_node_by_node_sums(n):
         want[node] = want[2 * node] + want[2 * node + 1]
     assert np.array_equal(v.tree, want)
     v.check_tree()
+
+
+@pytest.mark.parametrize("n", [1, 3, 1 << 20])
+def test_tree_leaves_are_the_squared_entries(n):
+    v = sq.build(np.random.default_rng(n).standard_normal(n), normalize=True)
+    assert v.tree[v.dim :].tobytes() == (v.values**2).tobytes()
 
 
 def test_check_tree_reports_first_bad_node_in_heap_order():
