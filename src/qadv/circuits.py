@@ -206,15 +206,6 @@ class BlockLayer:
 Layer = ElementaryLayer | BlockLayer
 
 
-def pad_input(n_qubits: int, register: tuple[int, int], bits: str | Sequence[int]) -> str:
-    """The full-width bitstring of |bits, 0...0>: ``bits`` on the input
-    register (first and last qubit), 0 on every other qubit."""
-    lo, hi = register
-    if len(bits) != hi - lo + 1:
-        raise ValueError("input length must match the input register")
-    return "0" * lo + "".join(str(int(b)) for b in bits) + "0" * (n_qubits - 1 - hi)
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     n_qubits: int
@@ -246,7 +237,12 @@ class Circuit:
         return (0, self.n_qubits - 1)
 
     def full_input(self, bits: str | Sequence[int]) -> str:
-        return pad_input(self.n_qubits, self.input_register(), bits)
+        """The full-width bitstring of |bits, 0...0>: ``bits`` on the input
+        register, 0 on every other qubit."""
+        lo, hi = self.input_register()
+        if len(bits) != hi - lo + 1:
+            raise ValueError("input length must match the input register")
+        return "0" * lo + "".join(str(int(b)) for b in bits) + "0" * (self.n_qubits - 1 - hi)
 
     def inverse(self) -> "Circuit":
         """Layer-wise inverse; only defined for elementary layers."""

@@ -20,6 +20,7 @@ accept. Exit codes: 2 config/schema error, 3 runtime invariant violation,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -154,10 +155,11 @@ def _exec_decay(config: dict) -> Output:
         seed=config["seed"],
         jobs=config["jobs"],
     )
-    rows = [(j, m, result.ratios[j - 1] if j else "") for j, m in enumerate(result.layer_means)]
+    rows = [(j, m, r) for j, (m, r) in enumerate(zip(result.layer_means, (None, *result.ratios)))]
     summary = [f"final mean={result.final_mean:.6g} expected={result.expected_final:.6g}"]
-    if result.ratios:
-        summary.insert(0, f"ratios min={min(result.ratios):.4f} max={max(result.ratios):.4f} "
+    defined = [r for r in result.ratios if r is not None]
+    if defined:
+        summary.insert(0, f"ratios min={min(defined):.4f} max={max(defined):.4f} "
                           f"(expect {result.expected_ratio})")
     return Output(asdict(result), summary, ("decay_layers", ["layer", "mean_norm", "ratio"], rows))
 
@@ -261,10 +263,18 @@ def _exec_sense(config: dict) -> Output:
     theta, gamma, shots = config["theta"], config["gamma"], config["shots"]
     r = sensing.default_uses_per_shot(gamma) if config["r_uses"] is None else config["r_uses"]
     rng = np.random.default_rng(config["seed"])
-    fraction = sensing.separable_fraction(shots, r, theta, gamma, rng)
+    fraction = float(sensing.separable_fractions(shots, r, [theta], gamma, rng)[0])
     eps = sensing.separable_bias(theta, gamma, r)
     stderr = math.sqrt(0.25 / shots)
     bias = fraction - 0.5
+    bounds = None, None, None
+    if theta > 0:
+        # Also None where no float holds a bound: theta^2 over- or
+        # underflows, or a quotient overflows.
+        with contextlib.suppress(ArithmeticError):
+            kl, nt = sensing.kl_divergence(theta, gamma), sensing.nt_bound_branches(theta, gamma)
+            if all(map(math.isfinite, (kl, 1.0 / kl, nt["max"]))):
+                bounds = kl, sensing.kl_sample_bound(theta, gamma), nt
     report = {
         "theta": theta,
         "gamma": gamma,
@@ -275,9 +285,7 @@ def _exec_sense(config: dict) -> Output:
         "bias_analytic": eps,
         "fraction_stderr": stderr,
         "decision": "signal-present" if fraction > 0.5 + eps / 2 else "signal-absent",
-        "kl_divergence": sensing.kl_divergence(theta, gamma) if theta > 0 else None,
-        "kl_sample_bound": sensing.kl_sample_bound(theta, gamma) if theta > 0 else None,
-        "nt_bound": sensing.nt_bound_branches(theta, gamma) if theta > 0 else None,
+        **dict(zip(("kl_divergence", "kl_sample_bound", "nt_bound"), bounds)),
     }
     return Output(
         report, [f"measured bias {bias:.5f} vs analytic {eps:.5f} (stderr {stderr:.5f})"]

@@ -140,7 +140,7 @@ class DecayResult:
     trials: int
     seed: int | None
     layer_means: tuple[float, ...]  # index j = after j layer steps; [0] = 1
-    ratios: tuple[float, ...]  # ratios[j] = layer_means[j+1] / layer_means[j]
+    ratios: tuple[float | None, ...]  # layer_means[j+1] / layer_means[j]; None if 0/0
     final_mean: float
     final_stderr: float
     expected_final: float  # (2/5)^layers
@@ -193,7 +193,7 @@ def decay_experiment(
         raise ValueError("trials must be at least 1")
     norms = _decay_norms(n, layers, trials, seed, jobs)
     means = norms.mean(axis=0)
-    ratios = tuple(float(means[j + 1] / means[j]) for j in range(layers))
+    ratios = tuple(float(means[j + 1] / means[j]) if means[j] else None for j in range(layers))
     final = norms[:, -1]
     stderr = float(final.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return DecayResult(
@@ -293,7 +293,7 @@ def _suite_entry(args, ss) -> SuiteEntry:
     expected = "advantage" if inst.label == "YES" else "no-advantage"
     # Markov budget on the final heuristic norm: exceeded for at most a
     # 2^-n fraction of random circuits; an exceedance is flagged, not fatal.
-    budget = 0.4**depth * 2**n
+    budget = 0.4 ** cnew.metadata["depth"] * 2**n
     return SuiteEntry(
         name=inst.name,
         label=inst.label,
@@ -315,12 +315,10 @@ def instance_suite(
     jobs: int = 1,
 ) -> SuiteResult:
     """Verify every label before any detection work, then build one
-    detection circuit per instance with a fresh random-circuit seed, run
-    detect, and tally verdict-vs-label counts."""
+    detection circuit per instance with a fresh random-circuit seed (and,
+    without ``depth``, the default depth of its own width), run detect, and
+    tally verdict-vs-label counts."""
     probs = [verify_promise(inst) for inst in instances]
-    if instances and depth is None:
-        m = instances[0].circuit.n_qubits
-        depth = circuits.default_depth(n + m * copies + 1)
     work = [(inst, prob, n, depth, copies, s, k) for inst, prob in zip(instances, probs)]
     entries = tuple(seeded_map(_suite_entry, work, seed, jobs))
     confusion: dict[str, int] = {}

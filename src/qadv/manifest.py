@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError, field, typed
+from .errors import ConfigError, InvariantViolation, field, typed
 
 #: The package version: qadv.__version__ and pyproject.toml read it here.
 ARTIFACT_VERSION = "0.2.0"
@@ -91,11 +91,14 @@ def write_manifest(path: str, m: RunManifest) -> None:
 
 
 def write_json_report(path: str, payload: dict, mhash: str) -> None:
-    body = {"manifest_hash": mhash}
-    body.update(payload)
+    """Write strict JSON: a NaN or infinity raises before the file opens."""
+    body = round_floats({"manifest_hash": mhash, **payload})
+    try:
+        text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolation(f"report {path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(round_floats(body), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _format_cell(v) -> str:
@@ -103,7 +106,7 @@ def _format_cell(v) -> str:
         return str(v)
     if isinstance(v, float):
         return f"{v:.{SIGNIFICANT_DIGITS}g}"
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def write_csv_table(path: str, header: list[str], rows, mhash: str) -> None:

@@ -179,18 +179,6 @@ def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:
     return float(np.sum(np.where(flipped, -c, c)))
 
 
-def heuristic_expectation(
-    c: circuits.Circuit,
-    o: PauliMap,
-    bits: str | Sequence[int],
-    cfg: PropagationConfig,
-) -> float:
-    """Backpropagate then evaluate on |x, 0...0>; x addresses the circuit's
-    input register and all other qubits start at 0."""
-    full = c.full_input(bits)
-    return evaluate_product_state(backpropagate(c, o, cfg), full)
-
-
 def z_first(n_qubits: int) -> PauliMap:
     """The observable Z on the first qubit, identity elsewhere."""
     return PauliMap._from_masks(n_qubits, [0], [1], [1.0])

@@ -11,8 +11,8 @@ minus outcome heralds the signal, a separable +i fraction above
 1/2 + separable_bias/2 does) is the caller's.
 
 Trials are drawn in blocks, one per-trial theta each: a block draws all
-its Gaussian phase noise first, then all its uniforms. A lone trial
-(`ghz_trial`, `separable_fraction`) is a block of one. A sweep cell runs
+its Gaussian phase noise first, then all its uniforms. A lone trial is a
+block of one: a one-element `thetas`. A sweep cell runs
 its trials in blocks whose noise fits in `CELL_BLOCK_BYTES`, so its memory
 is bounded by that budget (or by one trial), not by the trial count.
 """
@@ -64,13 +64,6 @@ def ghz_trials(
     return rng.random(len(thetas)) < 0.5 * (1.0 - np.cos(phases))
 
 
-def ghz_trial(
-    n_probes: int, uses: int, theta: float, gamma: float, rng: np.random.Generator
-) -> bool:
-    """One GHZ trial: one lane of `ghz_trials`."""
-    return bool(ghz_trials(n_probes, uses, [theta], gamma, rng)[0])
-
-
 def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
     """Noiseless closed form: sin^2(N T theta / 2)."""
     return math.sin(n_probes * uses * theta / 2.0) ** 2
@@ -103,13 +96,6 @@ def separable_fractions(
         phases = phases + rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=2)
     p_plus_i = 0.5 * (1.0 + np.sin(phases))
     return np.count_nonzero(rng.random((len(thetas), shots)) < p_plus_i, axis=1) / shots
-
-
-def separable_fraction(
-    shots: int, uses_per_shot: int, theta: float, gamma: float, rng: np.random.Generator
-) -> float:
-    """One separable trial: one lane of `separable_fractions`."""
-    return float(separable_fractions(shots, uses_per_shot, [theta], gamma, rng)[0])
 
 
 # ---------------------------------------------------------------------------

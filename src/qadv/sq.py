@@ -51,12 +51,6 @@ class SQVector:
         self.values = values
         self.tree = tree
 
-    def query(self, i: int) -> float:
-        return float(self.values[i])
-
-    def probability(self, i: int) -> float:
-        return float(self.tree[self.dim + i])
-
     def check_tree(self) -> None:
         """Re-verify the prefix-sum invariants in O(N). Written as
         ``not (deviation <= tol)`` so that a NaN node fails."""
@@ -101,14 +95,9 @@ def build(v, normalize: bool = False) -> SQVector:
     return SQVector(dim, values, tree)
 
 
-def sample(sq: SQVector, r: float) -> int:
-    """Index i with F(i-1) <= r < F(i): one lane of `sample_many`."""
-    return int(sample_many(sq, [r])[0])
-
-
 def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
-    """Vectorized sample() over an array of uniforms, `_DESCENT_LANES` lanes
-    at a time."""
+    """Per uniform r, the index i with F(i-1) <= r < F(i), `_DESCENT_LANES`
+    lanes at a time."""
     rs = np.asarray(rs, dtype=float)
     # Written so that a NaN uniform fails.
     if not ((rs >= 0.0).all() and (rs < 1.0).all()):
@@ -178,12 +167,12 @@ def inner_product_estimate(
 ) -> InnerProductEstimate:
     """Unbiased estimate of x . y from n_samples importance draws.
 
-    y is query access to a unit vector: any indexable array (or SQVector).
+    y is query access to a unit vector: an array of x's padded dimension.
     A sampled index with x_i = 0 is impossible by construction and raises.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    yv = y.values if isinstance(y, SQVector) else np.asarray(y, dtype=float)
+    yv = np.asarray(y, dtype=float)
     _check_finite(yv)
     if abs(np.linalg.norm(yv) - 1.0) > _NORM_TOL:
         raise ValueError("query vector must have unit norm")

@@ -239,11 +239,6 @@ def expectation(s: StateVector, o: PauliMap) -> float:
     return float(total.real)
 
 
-def first_qubit_one_probability(s: StateVector) -> float:
-    half = s.amplitudes[2 ** (s.n_qubits - 1) :]
-    return float(np.real(np.vdot(half, half)))
-
-
 def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     """Pr[first qubit measures 1] after running the circuit on |bits, 0...0>.
 
@@ -252,4 +247,5 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     a `FusedCircuit` to run many inputs through one compiled circuit.
     """
     out = apply_circuit(prepare_basis(c.n_qubits, c.full_input(bits)), c)
-    return first_qubit_one_probability(out)
+    half = out.amplitudes[2 ** (c.n_qubits - 1) :]
+    return float(np.real(np.vdot(half, half)))

@@ -160,7 +160,7 @@ def inner_product_estimate_one_shot(sq_x, y, n_samples: int, rng) -> tuple[float
     ``mean`` and ``var(ddof=1)``. Returns (estimate, stderr, sample_variance)."""
     from qadv.sq import sample_many
 
-    yv = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
+    yv = np.asarray(y, dtype=float)
     idx = sample_many(sq_x, rng.random(n_samples))
     draws = yv[idx] / sq_x.values[idx]
     var = float(draws.var(ddof=1)) if n_samples > 1 else 0.0

@@ -130,7 +130,7 @@ def test_criterion_5_dequantization_estimator():
 def test_criterion_6_sensing_bias_formula():
     shots = 100_000
     rng = np.random.default_rng(15)
-    fraction = sensing.separable_fraction(shots, 5, 0.05, 0.2, rng)
+    fraction = sensing.separable_fractions(shots, 5, [0.05], 0.2, rng)[0]
     eps = sensing.separable_bias(0.05, 0.2, 5)
     stderr = math.sqrt(0.25 / shots)
     gap = abs((fraction - 0.5) - eps)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from qadv import circuits, cli, manifest, sq
 from qadv.cli import main
-from qadv.errors import ConfigError
+from qadv.errors import ConfigError, InvariantViolation
 from qadv.pauli import DROP_TOLERANCE
 
 
@@ -280,6 +280,29 @@ def test_sense_command(runner, tmp_path):
     assert rep["kl_sample_bound"] == pytest.approx(2 * 0.2 / 0.05**2)
 
 
+def _strict_json(text: str):
+    """The parsed JSON, refusing the NaN and Infinity tokens json.dumps
+    writes by default."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["--theta", "1e-200"], ["--theta", "1e-170"], ["--theta", "1e-160"],
+    ["--theta", "1e-155"], ["--theta", "1e155"], ["--theta", "1e300"],
+    ["--gamma", "1e-320", "--r-uses", "3"],
+])
+def test_sense_bounds_beyond_float_range_stay_strict_json(runner, tmp_path, args):
+    # theta^2 under- or overflows, or a quotient overflows: the bound no
+    # float holds is reported as null, as at theta = 0.
+    r = runner.invoke(main, ["sense", *args, "--shots", "1000", "--out-dir", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    rep = _strict_json(_read(tmp_path / "sense_report.json"))
+    assert rep["kl_divergence"] is rep["kl_sample_bound"] is rep["nt_bound"] is None
+
+
 def test_bell_command(runner, tmp_path):
     r = runner.invoke(
         main, ["bell", "--trials", "20000", "--seed", "0", "--out-dir", str(tmp_path)]
@@ -448,6 +471,31 @@ def test_decay_zero_layers_writes_one_row(runner, tmp_path):
     rows = [l for l in _read(tmp_path / "decay_layers.csv").splitlines()
             if not l.startswith("#")]
     assert rows == ["layer,mean_norm,ratio", "0,1,"]
+
+
+def test_deep_decay_reports_undefined_ratios_as_null(runner, tmp_path):
+    # At n = 2 the mean norm underflows to 0 long before layer 900; every
+    # later ratio is 0/0.
+    r = runner.invoke(
+        main, ["decay", "--n", "2", "--L", "900", "--trials", "2", "--out-dir", str(tmp_path)]
+    )
+    assert r.exit_code == 0, r.output
+    rep = _strict_json(_read(tmp_path / "decay_report.json"))
+    first = rep["ratios"].index(None)
+    assert 0 < first < 900 and rep["layer_means"][first] == 0.0
+    assert set(rep["ratios"][first:]) == {None}
+    defined = rep["ratios"][:first]
+    assert f"ratios min={min(defined):.4f} max={max(defined):.4f}" in r.output
+    rows = [l.split(",") for l in _read(tmp_path / "decay_layers.csv").splitlines()[2:]]
+    assert [row[2] == "" for row in rows] == [j == 0 or j > first for j in range(901)]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_report_with_a_non_finite_float_raises_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(InvariantViolation, match="report"):
+        manifest.write_json_report(str(path), {"ok": 1.0, "nested": [{"bad": bad}]}, "h")
+    assert not path.exists()
 
 
 def _sweep_cells(runner, tmp_path, cells):

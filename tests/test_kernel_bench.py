@@ -132,7 +132,7 @@ def test_inner_product_estimate_2_20(benchmark):
     # in blocks; each round starts from the same seed.
     rng = np.random.default_rng(6)
     x = sq.build(rng.standard_normal(1 << 20), normalize=True)
-    y = sq.build(rng.standard_normal(1 << 20), normalize=True)
+    y = sq.build(rng.standard_normal(1 << 20), normalize=True).values
     got = benchmark(lambda: sq.inner_product_estimate(x, y, 10**6, np.random.default_rng(7)))
     want = inner_product_estimate_one_shot(x, y, 10**6, np.random.default_rng(7))
     assert (got.estimate, got.stderr, got.sample_variance) == want

@@ -14,7 +14,6 @@ from qadv.propagation import (
     backpropagate,
     block_unitary,
     evaluate_product_state,
-    heuristic_expectation,
     z_first,
 )
 
@@ -59,7 +58,8 @@ def test_evaluate_product_state_examples():
 
 def test_depth_zero_expectation():
     c = Circuit(2, ())
-    assert heuristic_expectation(c, z_first(2), "10", PropagationConfig(k=1)) == -1.0
+    o = backpropagate(c, z_first(2), PropagationConfig(k=1))
+    assert evaluate_product_state(o, c.full_input("10")) == -1.0
 
 
 def test_exact_mode_matches_statevector():
@@ -286,7 +286,8 @@ def test_accuracy_improves_with_k():
         x = "".join(str(b) for b in rng.integers(0, 2, n))
         exact = 1 - 2 * sv.output_prob(c, x)
         for k in (1, 2, 3):
-            val = heuristic_expectation(c, z_first(n), x, PropagationConfig(k=k))
+            o = backpropagate(c, z_first(n), PropagationConfig(k=k))
+            val = evaluate_product_state(o, c.full_input(x))
             errors[k].append(abs(val - exact))
     e1, e2, e3 = (np.array(errors[k]) for k in (1, 2, 3))
     assert e1.mean() >= e2.mean() >= e3.mean()

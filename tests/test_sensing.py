@@ -10,7 +10,6 @@ from qadv.sensing import (
     CELL_BLOCK_BYTES,
     default_uses_per_shot,
     ghz_minus_probability,
-    ghz_trial,
     ghz_trials,
     kl_divergence,
     kl_sample_bound,
@@ -19,7 +18,6 @@ from qadv.sensing import (
     nt_bound_branches,
     scaling_sweep,
     separable_bias,
-    separable_fraction,
     separable_fractions,
 )
 
@@ -29,25 +27,25 @@ from oracles import separable_success_closed_form, sweep_cell_per_trial
 def test_config_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        ghz_trial(0, 1, 0.1, 0.1, rng)
+        ghz_trials(0, 1, [0.1], 0.1, rng)
     with pytest.raises(ValueError):
-        ghz_trial(1, 1, -0.1, 0.1, rng)
+        ghz_trials(1, 1, [-0.1], 0.1, rng)
     with pytest.raises(ValueError):
-        separable_fraction(0, 1, 0.1, 0.1, rng)
+        separable_fractions(0, 1, [0.1], 0.1, rng)
     with pytest.raises(ValueError):
-        separable_fraction(1, 1, -0.1, 0.1, rng)
+        separable_fractions(1, 1, [-0.1], 0.1, rng)
     # NaN passes every "x < 0" test, so it is refused explicitly.
     with pytest.raises(ValueError):
-        ghz_trial(1, 1, math.nan, 0.1, rng)
+        ghz_trials(1, 1, [math.nan], 0.1, rng)
     with pytest.raises(ValueError):
-        separable_fraction(1, 1, 0.1, math.nan, rng)
+        separable_fractions(1, 1, [0.1], math.nan, rng)
     # Infinity passes "x >= 0", and a non-finite angle or noise variance
     # has no meaning.
     for theta, gamma in ((math.inf, 0.1), (0.1, math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            ghz_trial(1, 1, theta, gamma, rng)
+            ghz_trials(1, 1, [theta], gamma, rng)
         with pytest.raises(ValueError, match="finite"):
-            separable_fraction(1, 1, theta, gamma, rng)
+            separable_fractions(1, 1, [theta], gamma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +55,13 @@ def test_config_validation():
 def test_ghz_no_signal_never_heralds():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        assert not ghz_trial(4, 10, 0.0, 0.0, rng)
+        assert not ghz_trials(4, 10, [0.0], 0.0, rng)[0]
 
 
 def test_ghz_pi_phase_always_heralds():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        assert ghz_trial(2, 4, math.pi / 8, 0.0, rng)  # N*T*theta = pi
+        assert ghz_trials(2, 4, [math.pi / 8], 0.0, rng)[0]  # N*T*theta = pi
 
 
 def test_ghz_detection_rate_matches_closed_form():
@@ -71,14 +69,14 @@ def test_ghz_detection_rate_matches_closed_form():
     rng = np.random.default_rng(5)
     want = ghz_minus_probability(8, 40, 0.01)
     assert want == pytest.approx(math.sin(1.6) ** 2)
-    hits = sum(ghz_trial(8, 40, 0.01, 0.0, rng) for _ in range(1000))
+    hits = sum(ghz_trials(8, 40, [0.01], 0.0, rng)[0] for _ in range(1000))
     assert hits / 1000 >= 0.99
 
 
 def test_ghz_noisy_phase_accumulates_nt_noise_draws():
     # With full dephasing the herald rate drops to about 1/2.
     rng = np.random.default_rng(6)
-    hits = sum(ghz_trial(4, 50, 0.0, 0.5, rng) for _ in range(4000))
+    hits = sum(ghz_trials(4, 50, [0.0], 0.5, rng)[0] for _ in range(4000))
     assert hits / 4000 == pytest.approx(0.5, abs=0.03)
 
 
@@ -88,7 +86,7 @@ def test_ghz_noisy_phase_accumulates_nt_noise_draws():
 
 def test_separable_zero_signal_fraction_half():
     rng = np.random.default_rng(7)
-    fraction = separable_fraction(100_000, 5, 0.0, 0.2, rng)
+    fraction = separable_fractions(100_000, 5, [0.0], 0.2, rng)[0]
     assert abs(fraction - 0.5) < 0.01
 
 
@@ -102,7 +100,7 @@ def test_separable_bias_formula_value():
 def test_separable_measured_bias_matches_formula():
     rng = np.random.default_rng(8)
     shots = 100_000
-    fraction = separable_fraction(shots, 5, 0.05, 0.2, rng)
+    fraction = separable_fractions(shots, 5, [0.05], 0.2, rng)[0]
     eps = separable_bias(0.05, 0.2, 5)
     stderr = math.sqrt(0.25 / shots)
     assert abs((fraction - 0.5) - eps) < 3 * stderr
@@ -111,7 +109,7 @@ def test_separable_measured_bias_matches_formula():
 def test_separable_deterministic_quarter_turn():
     # gamma = 0 and R*theta = pi/2 puts every shot at +i.
     rng = np.random.default_rng(9)
-    assert separable_fraction(500, 4, math.pi / 8, 0.0, rng) == 1.0
+    assert separable_fractions(500, 4, [math.pi / 8], 0.0, rng)[0] == 1.0
 
 
 def test_default_uses_per_shot():
@@ -231,7 +229,7 @@ def test_outcome_frequencies_match_analytic_probability():
     rng = np.random.default_rng(13)
     trials = 100_000
     p = 0.5 * (1 - math.cos(3 * 3 * 0.07))
-    hits = sum(ghz_trial(3, 3, 0.07, 0.0, rng) for _ in range(trials))
+    hits = sum(ghz_trials(3, 3, [0.07], 0.0, rng)[0] for _ in range(trials))
     se = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 4 * se
 
@@ -254,8 +252,8 @@ def test_minimal_separable_nt_spawns_a_seed_per_cell_it_runs():
 def test_decisions_reproducible_for_fixed_seed():
     def run():
         rng = np.random.default_rng(300)
-        g = ghz_trial(2, 20, 0.03, 0.1, rng)
-        s = separable_fraction(2 * 50, 10, 0.03, 0.1, rng)
+        g = ghz_trials(2, 20, [0.03], 0.1, rng)[0]
+        s = separable_fractions(2 * 50, 10, [0.03], 0.1, rng)[0]
         return g, s
 
     assert run() == run()
@@ -276,20 +274,18 @@ def test_block_functions_refuse_any_bad_theta():
 
 @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5])
 def test_lone_trials_are_lane_0_of_a_block_of_one(gamma):
-    # A block of one draws what the parent's lone trial drew, in its order,
-    # so `sense` keeps its bytes; the generators end in the same state.
+    # A block of one draws a lone trial's noise, then its uniforms, so
+    # `sense` keeps its bytes; the generators end in the same state.
     for seed in range(4):
-        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        b, c = (np.random.default_rng(seed) for _ in range(2))
         theta = 0.03 * seed
-        lone = separable_fraction(37, 4, theta, gamma, a)
-        assert lone == separable_fractions(37, 4, [theta], gamma, b)[0]
+        lone = separable_fractions(37, 4, [theta], gamma, b)[0]
         phases = c.normal(0.0, math.sqrt(gamma), size=(37, 4)).sum(axis=1) + 4 * theta
         assert lone == np.count_nonzero(c.random(37) < 0.5 * (1 + np.sin(phases))) / 37
-        lone = ghz_trial(3, 5, theta, gamma, a)
-        assert lone == ghz_trials(3, 5, [theta], gamma, b)[0]
+        lone = ghz_trials(3, 5, [theta], gamma, b)[0]
         phase = 15 * theta + c.normal(0.0, math.sqrt(gamma), size=15).sum()
         assert lone == (c.random() < 0.5 * (1 - math.cos(phase)))
-        assert a.random() == b.random() == c.random()
+        assert b.random() == c.random()
 
 
 def test_noiseless_ghz_cell_equals_the_per_trial_loop():

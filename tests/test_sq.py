@@ -18,13 +18,13 @@ B = sq._DRAW_BLOCK
 def test_build_point_mass():
     v = sq.build([1.0, 0.0, 0.0, 0.0])
     assert v.tree[1] == pytest.approx(1.0)
-    assert v.probability(0) == pytest.approx(1.0)
-    assert v.query(0) == 1.0
+    assert v.tree[v.dim] == pytest.approx(1.0)
+    assert v.values[0] == 1.0
 
 
 def test_build_uniform():
     v = sq.build(np.ones(4) / 2)
-    assert [v.probability(i) for i in range(4)] == pytest.approx([0.25] * 4)
+    assert list(v.tree[v.dim :]) == pytest.approx([0.25] * 4)
     assert v.tree[2] == pytest.approx(0.5)
     assert v.tree[3] == pytest.approx(0.5)
     assert v.tree[1] == pytest.approx(1.0)
@@ -32,8 +32,7 @@ def test_build_uniform():
 
 def test_build_two_entry_probs():
     v = sq.build([0.6, 0.8])
-    assert v.probability(0) == pytest.approx(0.36)
-    assert v.probability(1) == pytest.approx(0.64)
+    assert list(v.tree[v.dim :]) == pytest.approx([0.36, 0.64])
     v.check_tree()
 
 
@@ -46,38 +45,35 @@ def test_build_requires_unit_norm_unless_normalizing():
     with pytest.raises(ValueError):
         sq.build([1.0, 1.0])
     v = sq.build([1.0, 1.0], normalize=True)
-    assert v.probability(0) == pytest.approx(0.5)
+    assert v.tree[v.dim] == pytest.approx(0.5)
 
 
 def test_build_pads_to_power_of_two():
     v = sq.build([0.6, 0.8, 0.0], normalize=True)
     assert v.dim == 4
-    assert v.probability(3) == 0.0
+    assert v.tree[v.dim + 3] == 0.0
     v.check_tree()
 
 
 def test_sample_point_mass():
     v = sq.build([1.0, 0.0, 0.0, 0.0])
-    for r in (0.0, 0.3, 0.999):
-        assert sq.sample(v, r) == 0
+    assert list(sq.sample_many(v, [0.0, 0.3, 0.999])) == [0, 0, 0]
 
 
 def test_sample_uniform_cdf_walk():
     # CDF is (0.25, 0.5, 0.75, 1.0); r = 0.6 falls in the third interval
     # (index 2 counting from 0).
     v = sq.build(np.ones(4) / 2)
-    assert sq.sample(v, 0.6) == 2
-    assert sq.sample(v, 0.0) == 0
-    assert sq.sample(v, 0.25) == 1  # tie resolves right
-    assert sq.sample(v, 0.999) == 3
+    # 0.25 ties with a stored prefix and resolves right.
+    assert list(sq.sample_many(v, [0.6, 0.0, 0.25, 0.999])) == [2, 0, 1, 3]
 
 
 def test_sample_validates_range():
     v = sq.build([1.0, 0.0])
     with pytest.raises(ValueError):
-        sq.sample(v, 1.0)
+        sq.sample_many(v, [1.0])
     with pytest.raises(ValueError):
-        sq.sample(v, -0.1)
+        sq.sample_many(v, [-0.1])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -89,12 +85,12 @@ def test_sample_matches_cdf_inverse(seed):
     probs = v.values**2
     cdf = np.concatenate([[0.0], np.cumsum(probs)])
     r = float(rng.random())
-    i = sq.sample(v, r)
+    i = int(sq.sample_many(v, [r])[0])
     assert cdf[i] <= r + 1e-12
     assert r < cdf[i + 1] + 1e-12
     assert probs[i] > 0
     # Purity: the same r always lands on the same index.
-    assert sq.sample(v, r) == i
+    assert sq.sample_many(v, [r])[0] == i
 
 
 BLOCK = sq._DESCENT_LANES
@@ -135,7 +131,7 @@ def test_sample_many_ties_on_stored_prefixes_resolve_right():
     # The index i with F(i-1) <= r < F(i): a tie moves past every zero leaf.
     want = np.searchsorted(cdf, rs, side="right")
     assert np.array_equal(sq.sample_many(v, rs), want)
-    assert [sq.sample(v, float(r)) for r in rs] == list(want)
+    assert [sq.sample_many(v, [r])[0] for r in rs] == list(want)
     across = np.resize(rs, 2 * BLOCK + 3)
     assert np.array_equal(sq.sample_many(v, across), sample_many_lockstep(v, across))
 
@@ -146,7 +142,7 @@ def test_sample_many_refuses_uniforms_outside_unit_interval(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         sq.sample_many(v, [bad, 0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        sq.sample(v, bad)
+        sq.sample_many(v, [bad])
 
 
 def test_sample_many_of_no_draws_is_empty():
@@ -231,27 +227,25 @@ def test_estimate_never_divides_by_zero():
     assert np.isfinite(est.estimate)
 
 
-def test_sqvector_accepted_as_query_side():
+def test_estimate_between_two_built_vectors():
     rng = np.random.default_rng(7)
     x = sq.build(rng.standard_normal(32), normalize=True)
     y = sq.build(rng.standard_normal(32), normalize=True)
-    est = sq.inner_product_estimate(x, y, 500, rng)
+    est = sq.inner_product_estimate(x, y.values, 500, rng)
     assert abs(est.estimate - float(x.values @ y.values)) < 0.2
 
 
 @pytest.mark.parametrize("n_samples", [1, 2, B - 1, B, B + 1, 3 * B + 5])
 @pytest.mark.parametrize("length", [1000, 1024])
 def test_blocked_estimate_equals_one_shot_oracle(n_samples, length):
-    # 1000 entries pad to 1024; the query side is an SQVector on half the
-    # cases and a plain array on the other.
+    # 1000 entries pad to 1024.
     rng = np.random.default_rng(n_samples + length)
     x = sq.build(rng.standard_normal(length), normalize=True)
-    y = sq.build(rng.standard_normal(length), normalize=True)
-    for query in (y, y.values):
-        got = sq.inner_product_estimate(x, query, n_samples, np.random.default_rng(8))
-        want = inner_product_estimate_one_shot(x, query, n_samples, np.random.default_rng(8))
-        assert (got.estimate, got.stderr, got.sample_variance) == want
-        assert got.n_samples == n_samples
+    y = sq.build(rng.standard_normal(length), normalize=True).values
+    got = sq.inner_product_estimate(x, y, n_samples, np.random.default_rng(8))
+    want = inner_product_estimate_one_shot(x, y, n_samples, np.random.default_rng(8))
+    assert (got.estimate, got.stderr, got.sample_variance) == want
+    assert got.n_samples == n_samples
 
 
 @given(hnp.arrays(np.float64, st.integers(2, 3000),
