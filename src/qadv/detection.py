@@ -21,9 +21,11 @@ from .propagation import PropagationConfig, backpropagate, evaluate_product_stat
 DISAGREEMENT_GAP = 1.0 / 3.0
 
 #: Bytes of memory one batch of decay trials may hold while it propagates.
-#: A trial takes about (16 + L) KiB per two-qubit gate of a layer: its share
-#: of one layer's transfer-matrix build, then its circuit and gate keys. So
-#: 1 MiB batches 9 trials at n = 8, L = 10, and at most 64.
+#: Measured with `tracemalloc`, a batch holds about 240 KiB however many
+#: trials it has (most of it one step of a transfer-matrix build), and each
+#: trial about (3 + 0.6 L) KiB per two-qubit gate of a layer: 0.6 KiB per
+#: gate of its circuit, and 3 KiB for its share of the layer being built.
+#: So 1 MiB batches 21 trials at n = 8, L = 10.
 DECAY_BATCH_BYTES = 1024 * 1024
 
 
@@ -155,9 +157,11 @@ def _decay_batch(n: int, layers: int, seeds) -> list[list[float]]:
 
 
 def _batch_trials(n: int, layers: int) -> int:
-    """Trials per batch: a trial takes about (16 + layers) KiB per two-qubit
-    gate of a layer (see `DECAY_BATCH_BYTES`)."""
-    return max(1, DECAY_BATCH_BYTES // ((16 + layers) * 1024 * (n // 2)))
+    """Trials per batch: what is left of `DECAY_BATCH_BYTES` after a batch's
+    240 KiB, at (3 + 0.6 layers) KiB per trial and two-qubit gate of a
+    layer."""
+    trial = (3 + 0.6 * layers) * 1024 * (n // 2)
+    return max(1, int((DECAY_BATCH_BYTES - 240 * 1024) // trial))
 
 
 def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.ndarray:

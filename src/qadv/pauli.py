@@ -24,15 +24,18 @@ Conventions used throughout the package:
 - ``conjugate_layer`` (gates of up to 3 qubits, through their transfer
   matrices) and ``conjugate_dense`` (one unitary, by dense conjugation)
   share one group-and-scatter step and differ only in how a row of local
-  coefficients spreads. ``transfer_matrix`` builds one matrix or a stack at
-  once; the module keeps no cache, so a caller memoizes reused gates.
+  coefficients spreads. ``transfer_matrix`` builds one matrix or a stack,
+  a fixed number of matrices at a time into one output, so its transient
+  memory does not grow with the stack; the module keeps no cache, so a
+  caller memoizes reused gates.
 - A map may carry a batch column: the terms of several observables on the
   same qubits, stored trial after trial, so that one ``conjugate_layer``
   call evolves a whole batch of circuits with the same gate targets (each
   trial through its own matrix of a stack). The step groups on (trial,
   off-target x, off-target z), spreads each trial's rows with that trial's
-  own matrix product and keeps each trial's terms in the order its lone
-  pass gives, so every trial's coefficients are bit-identical to that pass.
+  own matrix product (one stacked product for all trials with the same
+  number of rows) and keeps each trial's terms in the order its lone pass
+  gives, so every trial's coefficients are bit-identical to that pass.
   A map without the column is a batch of one: one product, no sort or copy.
 """
 
@@ -70,6 +73,11 @@ MAX_QUBITS = 64
 
 _UNITARITY_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
+
+#: Matrices per step of a stacked `transfer_matrix` build. A step's
+#: temporaries take about 12 KiB per two-qubit matrix (16 times that per
+#: three-qubit one), so a build holds its output plus this many of them.
+_TRANSFER_CHUNK = 16
 
 
 class NonUnitaryError(ValueError):
@@ -267,28 +275,41 @@ def transfer_matrix(u: np.ndarray) -> np.ndarray:
     entries[a, b] = Tr(P_b U^dag P_a U) / 2^w, so a row lists how the input
     Pauli P_a spreads over output Paulis under backward evolution. Rows are
     orthonormal (conjugation is an isometry of the Pauli basis) and the
-    identity row is the identity unit row.
+    identity row is the identity unit row. A stack is built
+    `_TRANSFER_CHUNK` matrices at a time into one preallocated output, so
+    the build holds the output plus a fixed transient, however long the
+    stack; each matrix comes out as its own one-matrix build.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
     if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
         raise ValueError("unitary must act on 1, 2, or 3 qubits")
     check_unitary(u)
-    # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U, U)
-    # is vec(U^dag P_a U) with its two indices swapped; the product with
-    # conj(vec(P_b)) = vec(P_b^T) then sums to Tr(P_b U^dag P_a U). The
-    # Kronecker product is formed by broadcasting, which is faster than np.kron.
-    superop = u.conj()[..., :, None, :, None] * u[..., None, :, None, :]
-    superop = superop.reshape(u.shape[:-2] + (d * d, d * d))
     flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)
-    raw = flat @ superop @ flat.conj().T / d
-    if np.abs(raw.imag).max() > _HERMITICITY_TOL:
-        raise InvariantViolation("transfer matrix has nonreal entries")
-    entries = raw.real.copy()
-    # Snap trace-noise to exact zeros so structurally absent outputs are
-    # skipped; the perturbation is far below the orthogonality tolerance.
-    entries[np.abs(entries) < 1e-13] = 0.0
-    return entries
+    flat_h = flat.conj().T
+    stack = u.reshape(-1, d, d)
+    out = np.empty((len(stack), d * d, d * d))
+    for start in range(0, len(stack), _TRANSFER_CHUNK):
+        part = stack[start:start + _TRANSFER_CHUNK]
+        # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U,
+        # U) is vec(U^dag P_a U) with its two indices swapped; the product
+        # with conj(vec(P_b)) = vec(P_b^T) then sums to Tr(P_b U^dag P_a U).
+        # The Kronecker product is formed by broadcasting, which is faster
+        # than np.kron.
+        superop = part.conj()[:, :, None, :, None] * part[:, None, :, None, :]
+        raw = flat @ superop.reshape(len(part), d * d, d * d)
+        del superop
+        raw = raw @ flat_h
+        raw /= d
+        if np.abs(raw.imag).max() > _HERMITICITY_TOL:
+            raise InvariantViolation("transfer matrix has nonreal entries")
+        entries = out[start:start + len(part)]
+        entries[...] = raw.real
+        del raw
+        # Snap trace-noise to exact zeros so structurally absent outputs are
+        # skipped; the perturbation is far below the orthogonality tolerance.
+        entries[np.abs(entries) < 1e-13] = 0.0
+    return out.reshape(u.shape[:-2] + (d * d, d * d))
 
 
 def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -336,7 +357,7 @@ def _conjugate_terms(
     c: np.ndarray,
     batch: np.ndarray | None,
     targets: Sequence[int],
-    spread_rows: Callable[[int, np.ndarray], np.ndarray],
+    spread_rows: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward-evolve the terms through one unitary on ``targets`` (one per
     trial of a batch).
@@ -344,9 +365,11 @@ def _conjugate_terms(
     Terms that are the identity on the targets pass through. The others are
     grouped by their trial and off-target part; each group's coefficients
     over the local indices form one row of a (groups, 4^w) array, and
-    ``spread_rows(trial, rows)`` maps one trial's rows to the coefficients
-    of the non-identity local outputs (columns 1..4^w-1), summing every
-    collision. A unitary preserves the trace, so a term that is not the
+    ``spread_rows(None, rows)`` maps the rows to the coefficients of the
+    non-identity local outputs (columns 1..4^w-1), summing every collision.
+    In a batch, ``spread_rows(trials, rows)`` takes a ``(k, r, 4^w)`` stack
+    of the rows of k trials with r rows each and spreads each trial's rows
+    alone. A unitary preserves the trace, so a term that is not the
     identity on the targets never maps onto one that is: the identity output
     is rounding noise and is not kept, and no new term can coincide with a
     passing one. Each trial's terms come out contiguous: its passing terms
@@ -364,16 +387,19 @@ def _conjugate_terms(
     local = np.zeros((len(first), 4 ** len(targets)))
     local[group, a[moving]] = c[moving]
     if batch is None:
-        spread = spread_rows(0, local)
+        spread = spread_rows(None, local)
     else:
-        # One product per trial, on that trial's rows alone: the same
-        # operation as the trial's lone pass, so the same floats.
+        # One stacked product per distinct per-trial row count. Each trial's
+        # rows still meet its own matrix alone, with the core shapes and
+        # strides of its lone pass, so they give the same floats.
         trials = keys[2][first]
         starts = np.flatnonzero(np.diff(trials, prepend=-1))
-        spread = np.concatenate([
-            spread_rows(t, rows)
-            for t, rows in zip(trials[starts].tolist(), np.split(local, starts[1:]))
-        ])
+        counts = np.diff(starts, append=len(trials))
+        spread = np.empty((len(first), local.shape[1] - 1))
+        for r in set(counts.tolist()):
+            at = starts[counts == r]
+            rows = at[:, None] + np.arange(r)
+            spread[rows] = spread_rows(trials[at], local[rows])
     g, b = np.nonzero(spread)
     bx, bz = _scatter_digits(b + 1, targets)
     stay = ~moving
@@ -414,7 +440,7 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
     for targets, entries in gates:
         x, z, c, batch = _conjugate_terms(
             x, z, c, batch, targets,
-            lambda trial, rows: rows @ (entries[trial] if per_trial else entries)[:, 1:],
+            lambda trials, rows: rows @ (entries if trials is None else entries[trials])[..., 1:],
         )
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)
 
@@ -461,7 +487,7 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
     check_unitary(unitary)
     udag = unitary.conj().T
 
-    def spread_rows(trial: int, rows: np.ndarray) -> np.ndarray:
+    def spread_rows(_, rows: np.ndarray) -> np.ndarray:
         out = np.empty((len(rows), 4**w - 1))
         for g, row in enumerate(rows):
             coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ unitary, w)

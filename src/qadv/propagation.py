@@ -2,9 +2,9 @@
 observable with a weight-k projection after every declared layer.
 
 Elementary layers evolve exactly through Pauli transfer matrices, built
-per layer, one stack per gate width for the unitaries not yet seen, and
-memoized by gate unitary within one backward pass for the unitaries that
-occur more than once in it (nothing outlives the call); composite blocks
+per layer, one stack per gate width for the unitaries not yet seen. A lone
+pass memoizes them by gate unitary for the unitaries that occur more than
+once in it (nothing outlives the call); composite blocks
 (and elementary gates wider than 3 qubits) evolve by dense conjugation of
 the truncated observable over the block support.
 A block's dense unitary comes from a `statevector.FusedCircuit` when one is
@@ -17,7 +17,9 @@ count as a single step.
 gates of up to 3 qubits with the same targets layer by layer (the trials of
 a Monte Carlo over random brickworks). The batch travels as one PauliMap
 with a batch column, so each gate slot costs one kernel call for all
-trials, and each trial's result is bit-identical to its lone pass.
+trials, and each trial's result is bit-identical to its lone pass. A batch
+keeps no memo: its trials draw fresh Haar gates, which never repeat, so
+each layer builds every trial's matrices in one stack per gate width.
 """
 
 from __future__ import annotations
@@ -71,6 +73,21 @@ def _transfer_matrices(
     return [built[key] if key in built else memo[key] for key in keys]
 
 
+def _slot_stacks(gates: list[circuits.Gate], trials: int) -> list[np.ndarray]:
+    """The transfer-matrix stack of each gate slot of a batched layer, whose
+    ``gates`` run slot by slot, ``trials`` to a slot: one build per gate
+    width, and each slot a view of its build. A batch of Haar trials never
+    repeats a unitary, so nothing is keyed or kept."""
+    by_width: dict[int, list[int]] = {}
+    for j in range(0, len(gates), trials):
+        by_width.setdefault(len(gates[j].targets), []).append(j)
+    stacks = {}
+    for slots in by_width.values():
+        built = transfer_matrix(np.stack([g.unitary() for j in slots for g in gates[j:j + trials]]))
+        stacks.update((j, built[i * trials:(i + 1) * trials]) for i, j in enumerate(slots))
+    return [stacks[j] for j in range(0, len(gates), trials)]
+
+
 def _trial_slices(m: PauliMap, trials: int) -> list[slice]:
     """Where each trial's terms lie (all of them for a map without a batch
     column)."""
@@ -96,9 +113,9 @@ def backpropagate(
     Projects the observable to weight <= k up front, then for each layer
     from last to first conjugates exactly and projects once. With
     record_norms, also returns the normalized squared Frobenius norm after
-    the initial projection and after each layer step. Transfer matrices of
-    recurring unitaries are memoized for this pass only; a `FusedCircuit`
-    lends its block layers' dense unitaries.
+    the initial projection and after each layer step. A lone pass memoizes
+    the transfer matrices of recurring unitaries for this pass only; a
+    `FusedCircuit` lends its block layers' dense unitaries.
 
     ``c`` may also be a sequence of circuits of elementary layers of gates
     of up to 3 qubits, with the same gate targets layer by layer. They then
@@ -118,17 +135,21 @@ def backpropagate(
         raise ValueError("batched circuits must share their gate targets layer by layer")
     # Each declared layer, last first: its gate targets, its gates slot by
     # slot (gate j of every trial, then gate j + 1), their unitaries' keys
-    # and its dense steps.
+    # (a lone pass only) and its dense steps. Gathered by index here and in
+    # the norms below, not by zipping: CPython 3.11 never reuses a freed
+    # 20-tuple, so zipping 20 trials (or 20 norms) would leave up to 400 KiB
+    # in its free list.
     steps = []
-    for layers in zip(*(b.layers[::-1] for b in batch)):
-        split = [_split(layer) for layer in layers]
+    for depth in reversed(range(len(batch[0].layers))):
+        split = [_split(b.layers[depth]) for b in batch]
         if not lone and any(dense for _, dense in split):
             raise ValueError("a batch holds only elementary layers of gates of up to 3 qubits")
         targets = [g.targets for g in split[0][0]]
         if any([g.targets for g in narrow] != targets for narrow, _ in split):
             raise ValueError("batched circuits must share their gate targets layer by layer")
-        gates = [g for slot in zip(*(narrow for narrow, _ in split)) for g in slot]
-        steps.append((targets, gates, [g.unitary().tobytes() for g in gates], split[0][1]))
+        gates = [narrow[j] for j in range(len(targets)) for narrow, _ in split]
+        keys = [g.unitary().tobytes() for g in gates] if trials == 1 else []
+        steps.append((targets, gates, keys, split[0][1]))
     uses = Counter(key for _, _, keys, _ in steps for key in keys)
     memo: dict[bytes, np.ndarray] = {}
     if trials > 1:
@@ -140,10 +161,11 @@ def backpropagate(
     norms = [_trial_norms(acc, trials)]
     for targets, gates, keys, dense in steps:
         if targets:
-            tms = _transfer_matrices(gates, keys, memo, uses)
-            if trials > 1:  # a stack per slot, indexed by trial
-                tms = [np.stack(tms[j:j + trials]) for j in range(0, len(tms), trials)]
-            acc = conjugate_layer(acc, zip(targets, tms))
+            # Built in the call, so no name keeps this layer's matrices
+            # alive while the next layer's are built.
+            acc = conjugate_layer(acc, zip(targets, (
+                _slot_stacks(gates, trials) if trials > 1
+                else _transfer_matrices(gates, keys, memo, uses))))
         for layer in dense:
             # Refuse before building: the unitary alone has 4^width entries.
             check_block_width(len(layer.support))
@@ -157,7 +179,7 @@ def backpropagate(
         for t in _trial_slices(acc, trials)
     ]
     if record_norms:
-        out = [(m, list(row)) for m, row in zip(out, zip(*norms))]
+        out = [(m, [row[t] for row in norms]) for t, m in enumerate(out)]
     return out[0] if lone else out
 
 

@@ -72,7 +72,11 @@ def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
 def default_uses_per_shot(gamma: float) -> int:
     if not gamma > 0:
         raise ValueError("separable schedule needs gamma > 0")
-    return math.ceil(1.0 / gamma)
+    uses = 1.0 / gamma
+    # A subnormal gamma has no float reciprocal.
+    if not math.isfinite(uses):
+        raise ValueError(f"gamma {gamma!r} is too small for a default uses per shot")
+    return math.ceil(uses)
 
 
 def separable_bias(theta: float, gamma: float, uses_per_shot: int) -> float:

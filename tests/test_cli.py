@@ -303,6 +303,17 @@ def test_sense_bounds_beyond_float_range_stay_strict_json(runner, tmp_path, args
     assert rep["kl_divergence"] is rep["kl_sample_bound"] is rep["nt_bound"] is None
 
 
+@pytest.mark.parametrize("gamma", ["1e-320", "5e-324"])
+def test_sense_subnormal_gamma_without_uses_exits_2(runner, tmp_path, gamma):
+    # 1/gamma overflows to inf, so no default uses per shot exists: a
+    # configuration error, with nothing written.
+    r = runner.invoke(main, ["sense", "--gamma", gamma, "--shots", "10",
+                             "--out-dir", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "too small" in r.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bell_command(runner, tmp_path):
     r = runner.invoke(
         main, ["bell", "--trials", "20000", "--seed", "0", "--out-dir", str(tmp_path)]

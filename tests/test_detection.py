@@ -151,14 +151,14 @@ def _per_trial_norms(n, layers, trials, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25)
-# Batches of 8 (n = 10, L = 8) and 10 (n = 8, L = 8) trials: one short of a
+# Batches of 20 (n = 10, L = 8) and 25 (n = 8, L = 8) trials: one short of a
 # batch, exactly one, one over, and past two.
-@example(n=10, layers=8, trials=7, seed=1)
-@example(n=10, layers=8, trials=8, seed=2)
-@example(n=10, layers=8, trials=9, seed=3)
-@example(n=10, layers=8, trials=17, seed=4)
-@example(n=8, layers=8, trials=10, seed=5)
-@example(n=8, layers=8, trials=21, seed=6)
+@example(n=10, layers=8, trials=19, seed=1)
+@example(n=10, layers=8, trials=20, seed=2)
+@example(n=10, layers=8, trials=21, seed=3)
+@example(n=10, layers=8, trials=41, seed=4)
+@example(n=8, layers=8, trials=25, seed=5)
+@example(n=8, layers=8, trials=51, seed=6)
 def test_decay_norms_equal_per_trial_passes(n, layers, trials, seed):
     # Batching shares the backward pass, never the floats: each row is
     # exactly what the trial's own pass records.
@@ -167,9 +167,9 @@ def test_decay_norms_equal_per_trial_passes(n, layers, trials, seed):
 
 
 def test_decay_batch_sizes_straddle_the_examples():
-    assert detection._batch_trials(10, 8) == 8
-    assert detection._batch_trials(8, 8) == 10
-    assert detection._batch_trials(2, 0) == 64
+    assert detection._batch_trials(10, 8) == 20
+    assert detection._batch_trials(8, 8) == 25
+    assert detection._batch_trials(2, 0) == 261
 
 
 def test_decay_memory_does_not_grow_with_trials():

@@ -2,14 +2,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadv import circuits
-from qadv.errors import ResourceLimitExceeded
+from qadv import circuits, pauli
+from qadv.errors import InvariantViolation, ResourceLimitExceeded
 from qadv.pauli import (
     NonUnitaryError,
     PauliMap,
@@ -145,6 +146,42 @@ def test_transfer_stack_matches_one_matrix_at_a_time():
         assert got.shape == (5, dim * dim, dim * dim)
         for entries, u in zip(got, stack):
             assert np.abs(entries - transfer_matrix(u)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_chunked_transfer_stack_equals_one_matrix_builds(dim):
+    # Stacks that end just before, on and just after a chunk boundary, and
+    # one of several chunks: every matrix is the bytes of its lone build.
+    rng = np.random.default_rng(dim)
+    chunk = pauli._TRANSFER_CHUNK
+    for count in (chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+        stack = np.stack([haar_unitary(dim, rng) for _ in range(count)])
+        got = transfer_matrix(stack)
+        assert got.shape == (count, dim * dim, dim * dim)
+        for entries, u in zip(got, stack):
+            assert np.array_equal(entries, transfer_matrix(u))
+
+
+def test_chunked_transfer_stack_checks_hermiticity(monkeypatch):
+    monkeypatch.setattr(pauli, "_HERMITICITY_TOL", -1.0)
+    stack = circuits.haar_two_qubit(np.random.default_rng(4), 3 * pauli._TRANSFER_CHUNK + 2)
+    with pytest.raises(InvariantViolation, match="nonreal"):
+        transfer_matrix(stack)
+
+
+def test_transfer_stack_memory_is_its_output_plus_one_chunk():
+    # 1,000 two-qubit matrices: the output takes 2,048,000 bytes, and one
+    # chunk's temporaries about 12 KiB per matrix. Built all at once they
+    # would take about 12 MB.
+    stack = circuits.haar_two_qubit(np.random.default_rng(8), 1000)
+    transfer_matrix(stack[:2])  # build the cached Pauli basis outside the trace
+    tracemalloc.start()
+    try:
+        out = transfer_matrix(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 256 * 1024
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])
@@ -501,12 +538,15 @@ def _trial(m, t):
 @settings(max_examples=25)
 def test_batched_kernels_give_each_trial_its_lone_bytes(seed):
     # Every trial evolves through its own matrices of a stack; its terms
-    # must be the bytes, in the order, of its lone call. Some trials start
-    # empty or untouched by the gates.
+    # must be the bytes, in the order, of its lone call. Up to 12 trials, so
+    # that one call spreads trials that share a row count (a repeated map)
+    # and trials that do not; some start empty or untouched by the gates,
+    # and one holds only the identity, which no gate moves.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
-    trials = int(rng.integers(1, 6))
-    maps = [_random_map(n, rng, int(rng.integers(0, 30))) for _ in range(trials)]
+    maps = [_random_map(n, rng, int(rng.integers(0, 30))) for _ in range(rng.integers(1, 11))]
+    maps += [maps[0], PauliMap._from_masks(n, [0], [0], [0.5])]
+    maps = [maps[i] for i in rng.permutation(len(maps))]
     targets = [tuple(rng.choice(n, size=min(n, 2), replace=False).tolist())]
     if n >= 5:
         targets.append(tuple(q for q in range(n) if q not in targets[0])[:3])

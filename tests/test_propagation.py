@@ -454,8 +454,35 @@ def test_batched_pass_refuses_circuits_with_other_targets():
 
 
 def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
-    # Fresh Haar gates never recur, so the pass keeps none of their
-    # transfer matrices past their layer; a recurring gate is built once.
+    # A batch of Haar trials never repeats a unitary, so it keys and keeps
+    # nothing: each layer builds its matrices in one call per gate width,
+    # for every trial at once. A lone pass builds a recurring gate once.
+    shapes = []
+    real_build = prop.transfer_matrix
+
+    def build(stack):
+        shapes.append(stack.shape)
+        return real_build(stack)
+
+    monkeypatch.setattr(prop, "transfer_matrix", build)
+    cs = [circuits.random_brickwork(6, 5, seed=s) for s in range(4)]
+    backpropagate(cs, z_first(6), PropagationConfig(k=1))
+    assert shapes == [(12, 4, 4)] * 5
+    shapes.clear()
+    rng = np.random.default_rng(29)
+    mixed = [_circ(4, [Gate("matrix", (0,), matrix=haar_unitary(2, rng)),
+                       Gate("matrix", (1, 2), matrix=haar_unitary(4, rng)),
+                       Gate("matrix", (3,), matrix=haar_unitary(2, rng))],
+                   [Gate("matrix", (2, 0), matrix=haar_unitary(4, rng))])
+             for _ in range(3)]
+    got = backpropagate(mixed, z_first(4), PropagationConfig(k=2))
+    assert shapes == [(3, 4, 4), (6, 2, 2), (3, 4, 4)]
+    monkeypatch.undo()
+    for g, c in zip(got, mixed):
+        want = backpropagate(c, z_first(4), PropagationConfig(k=2))
+        assert [a.tobytes() for a in (g.x, g.z, g.coeffs)] == [
+            a.tobytes() for a in (want.x, want.z, want.coeffs)]
+
     kept = []
     real = prop._transfer_matrices
 
@@ -465,10 +492,6 @@ def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
         return out
 
     monkeypatch.setattr(prop, "_transfer_matrices", spy)
-    cs = [circuits.random_brickwork(6, 5, seed=s) for s in range(4)]
-    backpropagate(cs, z_first(6), PropagationConfig(k=1))
-    assert kept == [0] * 5
-    kept.clear()
     backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
     assert kept == [1] * 4
 
