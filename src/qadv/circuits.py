@@ -63,6 +63,18 @@ def _rz(theta: float) -> np.ndarray:
 PARAM_GATES = {"RX": _rx, "RY": _ry, "RZ": _rz}
 
 
+_BIT_VALUE = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+def bit_values(bits: str | Sequence[int]) -> list[int]:
+    """The entries of a bitstring or bit sequence as ints; ValueError on
+    any character or entry other than 0 and 1."""
+    try:
+        return [_BIT_VALUE[b] for b in bits]
+    except (KeyError, TypeError):
+        raise ValueError(f"bits must be 0s and 1s, got {bits!r}") from None
+
+
 def _qubits(qubits, what: str) -> tuple[int, ...]:
     """`qubits` as a tuple of ints: numpy integers become ints, and anything
     else that is not an int (a bool, a float) is refused."""
@@ -81,7 +93,7 @@ class Gate:
 
     A matrix is checked for unitarity here, unless ``_stack_checked`` says
     that the caller already checked it as part of one stacked
-    `check_unitary` call (only `random_brickwork` does)."""
+    `check_unitary` call (`random_brickwork` and `Circuit.inverse` do)."""
 
     kind: str
     targets: tuple[int, ...]
@@ -173,7 +185,9 @@ class ElementaryLayer:
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset().union(*(g.support for g in self.gates)) if self.gates else frozenset()
+        # From a list: a tuple built from a generator is resized, which
+        # moves it between CPython's free lists and leaves them full.
+        return frozenset().union(*[g.support for g in self.gates]) if self.gates else frozenset()
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,18 +254,36 @@ class Circuit:
         """The full-width bitstring of |bits, 0...0>: ``bits`` on the input
         register, 0 on every other qubit."""
         lo, hi = self.input_register()
-        if len(bits) != hi - lo + 1:
+        values = bit_values(bits)
+        if len(values) != hi - lo + 1:
             raise ValueError("input length must match the input register")
-        return "0" * lo + "".join(str(int(b)) for b in bits) + "0" * (self.n_qubits - 1 - hi)
+        return "0" * lo + "".join(map(str, values)) + "0" * (self.n_qubits - 1 - hi)
 
     def inverse(self) -> "Circuit":
-        """Layer-wise inverse; only defined for elementary layers."""
-        inv_layers = []
-        for layer in reversed(self.layers):
-            if not isinstance(layer, ElementaryLayer):
-                raise ValueError("inverse is only supported for elementary layers")
-            inv_layers.append(ElementaryLayer(tuple(g.adjoint() for g in layer.gates)))
-        return Circuit(self.n_qubits, tuple(inv_layers))
+        """Layer-wise inverse; only defined for elementary layers.
+
+        The matrix gates of each width are conjugate-transposed as one
+        stack and checked in one `check_unitary` call; each inverse gate's
+        matrix is a view of its stack, with the bytes of `Gate.adjoint`.
+        """
+        layers = self.layers[::-1]
+        if not all(isinstance(layer, ElementaryLayer) for layer in layers):
+            raise ValueError("inverse is only supported for elementary layers")
+        gates = [g for layer in layers for g in layer.gates]
+        inv = [g if g.kind == "matrix" else g.adjoint() for g in gates]
+        by_dim: dict[int, list[int]] = {}
+        for i, g in enumerate(gates):
+            if g.kind == "matrix":
+                by_dim.setdefault(len(g.matrix), []).append(i)
+        for idx in by_dim.values():
+            stack = np.stack([gates[i].matrix for i in idx]).conj().swapaxes(-1, -2)
+            check_unitary(stack)
+            for i, m in zip(idx, stack):
+                inv[i] = Gate("matrix", gates[i].targets, matrix=m, _stack_checked=True)
+        # Tuples from lists, not generators (see `ElementaryLayer.support`).
+        it = iter(inv)
+        return Circuit(self.n_qubits, tuple([
+            ElementaryLayer(tuple([next(it) for _ in layer.gates])) for layer in layers]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +331,10 @@ def random_brickwork(
     # Unitary by construction (Mezzadri's QR): the check guards, not filters.
     check_unitary(stack)
     matrices = iter(stack)
+    # Tuples from lists, not generators (see `ElementaryLayer.support`).
     out = [
-        ElementaryLayer(tuple(Gate("matrix", ab, matrix=next(matrices), _stack_checked=True)
-                              for ab in layer))
+        ElementaryLayer(tuple([Gate("matrix", ab, matrix=next(matrices), _stack_checked=True)
+                               for ab in layer]))
         for layer in pairs
     ]
     meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": "brick"}

@@ -189,11 +189,12 @@ def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:
     Only I/Z terms survive; each contributes its coefficient times the
     parity sign of the Z support against x.
     """
-    if len(bits) != o.n_qubits:
+    values = circuits.bit_values(bits)
+    if len(values) != o.n_qubits:
         raise ValueError("bitstring length must equal qubit count")
     xmask = 0
-    for q, b in enumerate(bits):
-        if int(b):
+    for q, b in enumerate(values):
+        if b:
             xmask |= 1 << q
     diagonal = o.x == 0
     flipped = np.bitwise_count(o.z[diagonal] & np.uint64(xmask)) & 1

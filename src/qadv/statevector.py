@@ -10,6 +10,11 @@ layers whose union support stays within `FUSE_WIDTH` qubits becomes one op
 (a layer wider than that is split into its gates first). `apply_circuit`
 and `output_prob` then run the ops, each as one multiply on the state; both
 fuse a bare `Circuit` on entry, so a caller with many inputs fuses once.
+`apply_circuit` also takes the bits of a computational basis state: the
+first op's output is then the column of its unitary that the bits select,
+copied into place instead of multiplied (the same floats, since a product
+of one exact 1 and zeros is exact in any summation order). `output_prob`
+runs its input that way.
 `propagation` conjugates by the ops of block layers, never by fused runs.
 
 `block_unitary` builds every op, and every other dense unitary `propagation`
@@ -55,10 +60,10 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1")
 
 
-def _bits_to_index(bits: str | Sequence[int]) -> int:
+def _bits_to_index(bits: Sequence[int]) -> int:
     idx = 0
     for b in bits:
-        idx = (idx << 1) | int(b)
+        idx = (idx << 1) | b
     return idx
 
 
@@ -69,12 +74,13 @@ def _check_dense_limit(n_qubits: int) -> None:
 
 def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
     """Computational basis state |bits>, first character = qubit 0."""
-    if len(bits) != n_qubits:
+    values = circuits.bit_values(bits)
+    if len(values) != n_qubits:
         raise ValueError("bitstring length must equal qubit count")
     # Refuse before allocating the 2^n amplitudes.
     _check_dense_limit(n_qubits)
     amp = np.zeros(2**n_qubits, dtype=complex)
-    amp[_bits_to_index(bits)] = 1.0
+    amp[_bits_to_index(values)] = 1.0
     return StateVector(n_qubits, amp)
 
 
@@ -82,13 +88,23 @@ def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
 AxisMap = Mapping[int, int] | Sequence[int]
 
 
+def _front(ndim: int, axes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The transpose that moves `axes` to the front in their order (the
+    others keep theirs), and its inverse: the views `np.moveaxis` makes."""
+    perm = [*axes, *(a for a in range(ndim) if a not in axes)]
+    back = [0] * ndim
+    for i, a in enumerate(perm):
+        back[a] = i
+    return perm, back
+
+
 def _apply_matrix(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Move `axes` to the front, flatten them to 2^w rows (first axis most
     significant), multiply the rows by u, and move the axes back."""
-    w = len(axes)
-    moved = np.moveaxis(arr, axes, range(w))
-    out = u @ moved.reshape(2**w, -1)
-    return np.moveaxis(out.reshape(moved.shape), range(w), axes)
+    perm, back = _front(arr.ndim, axes)
+    moved = arr.transpose(perm)
+    out = u @ moved.reshape(len(u), -1)
+    return out.reshape(moved.shape).transpose(back)
 
 
 def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.ndarray:
@@ -96,10 +112,10 @@ def _apply_gate(arr: np.ndarray, gate: circuits.Gate, axis_map: AxisMap) -> np.n
     if gate.kind != "perm":
         return _apply_matrix(arr, gate.unitary(), axes)
     # A basis permutation moves whole rows: index them instead of multiplying.
-    w = len(axes)
-    moved = np.moveaxis(arr, axes, range(w))
-    out = moved.reshape(2**w, -1)[np.argsort(gate.perm)]
-    return np.moveaxis(out.reshape(moved.shape), range(w), axes)
+    perm, back = _front(arr.ndim, axes)
+    moved = arr.transpose(perm)
+    out = moved.reshape(len(gate.perm), -1)[np.argsort(gate.perm)]
+    return out.reshape(moved.shape).transpose(back)
 
 
 def _apply_layers(arr: np.ndarray, layers, axis_map: AxisMap) -> np.ndarray:
@@ -200,14 +216,31 @@ def fuse(c: circuits.Circuit) -> FusedCircuit:
                         tuple(op for _, op in built), blocks)
 
 
-def apply_circuit(s: StateVector, c: circuits.Circuit) -> StateVector:
-    if c.n_qubits != s.n_qubits:
+def apply_circuit(s: StateVector | str | Sequence[int], c: circuits.Circuit) -> StateVector:
+    """Run the circuit's ops on a state, or on the basis state |s> for the
+    bits ``s`` (first = qubit 0). From a basis state, the first op's output
+    is its unitary's column at the bits on its support, copied into the
+    slice of the other qubits' bits: the floats the multiply would give."""
+    n = c.n_qubits
+    bits = None if isinstance(s, StateVector) else circuits.bit_values(s)
+    if (s.n_qubits if bits is None else len(bits)) != n:
         raise ValueError("circuit and state qubit counts differ")
     fused = c if isinstance(c, FusedCircuit) else fuse(c)
-    arr = s.amplitudes.reshape((2,) * s.n_qubits)
-    for support, u in fused.ops:
+    ops = fused.ops
+    if bits is None:
+        arr = s.amplitudes.reshape((2,) * n)
+    elif not ops:
+        return prepare_basis(n, bits)
+    else:
+        (support, u), ops = ops[0], ops[1:]
+        arr = np.zeros((2,) * n, dtype=complex)
+        column = u[:, _bits_to_index([bits[q] for q in support])]
+        # Sorted support: the slice's axes are the op's rows, in order.
+        arr[tuple([slice(None) if q in support else b for q, b in enumerate(bits)])] = (
+            column.reshape((2,) * len(support)))
+    for support, u in ops:
         arr = _apply_matrix(arr, u, support)
-    return StateVector(s.n_qubits, arr.reshape(-1))
+    return StateVector(n, arr.reshape(-1))
 
 
 def _index_mask(qubit_mask: int, n: int) -> int:
@@ -246,6 +279,6 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     when declared, otherwise all qubits); remaining qubits start at 0. Pass
     a `FusedCircuit` to run many inputs through one compiled circuit.
     """
-    out = apply_circuit(prepare_basis(c.n_qubits, c.full_input(bits)), c)
+    out = apply_circuit(c.full_input(bits), c)
     half = out.amplitudes[2 ** (c.n_qubits - 1) :]
     return float(np.real(np.vdot(half, half)))

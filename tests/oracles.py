@@ -113,6 +113,15 @@ def circuit_unitary(c) -> np.ndarray:
     return total
 
 
+def apply_matrix_moveaxis(arr: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
+    """u on the named axes of a tensor, by two `np.moveaxis` calls: move the
+    axes to the front, multiply the flattened rows, move them back."""
+    w = len(axes)
+    moved = np.moveaxis(arr, axes, range(w))
+    out = u @ moved.reshape(2**w, -1)
+    return np.moveaxis(out.reshape(moved.shape), range(w), axes)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

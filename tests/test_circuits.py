@@ -10,6 +10,7 @@ from qadv.circuits import (
     FIXED_GATES,
     PARAM_GATES,
     BlockLayer,
+    Circuit,
     ElementaryLayer,
     Gate,
     amplify,
@@ -22,7 +23,7 @@ from qadv.circuits import (
     serialize_json,
 )
 from qadv.errors import SchemaError
-from qadv.pauli import NonUnitaryError
+from qadv.pauli import NonUnitaryError, check_unitary
 
 from oracles import circuit_unitary, haar_unitary
 
@@ -291,6 +292,66 @@ def test_build_cnew_controlled_block_is_adjoint_reversed():
         for gi, gf in zip(inv_layer.gates, fwd_layer.gates):
             assert gi.targets == gf.targets
             assert np.allclose(gi.matrix, gf.matrix.conj().T)
+
+
+def test_inverse_checks_a_brickwork_in_one_call(monkeypatch):
+    c = random_brickwork(6, 5, seed=3)
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape)
+        check_unitary(u)
+
+    monkeypatch.setattr(circuits, "check_unitary", counting)
+    inv = c.inverse()
+    assert calls == [(15, 4, 4)]
+    monkeypatch.undo()
+    assert len(inv.layers) == len(c.layers)
+    for inv_layer, layer in zip(inv.layers, reversed(c.layers)):
+        assert len(inv_layer.gates) == len(layer.gates)
+        for gi, g in zip(inv_layer.gates, layer.gates):
+            ref = g.adjoint()
+            assert (gi.kind, gi.targets) == (ref.kind, ref.targets)
+            assert gi.matrix.strides == ref.matrix.strides
+            assert gi.matrix.tobytes() == ref.matrix.tobytes()
+
+
+def test_inverse_of_mixed_gates_is_each_gates_adjoint(monkeypatch):
+    rng = np.random.default_rng(4)
+    layers = [
+        ElementaryLayer((Gate("matrix", (0,), matrix=haar_unitary(2, rng)),
+                         Gate("matrix", (3, 1), matrix=haar_unitary(4, rng)), Gate("S", (2,)))),
+        ElementaryLayer((Gate("matrix", (2, 0, 3), matrix=haar_unitary(8, rng)),
+                         Gate("RX", (1,), param=0.3))),
+        ElementaryLayer((Gate("perm", (1, 2), perm=(1, 3, 0, 2)), Gate("Z", (3,)),
+                         Gate("matrix", (0,), matrix=haar_unitary(2, rng)))),
+    ]
+    c = Circuit(4, layers)
+    calls = []
+    monkeypatch.setattr(circuits, "check_unitary", lambda u: calls.append(u.shape))
+    inv = c.inverse()
+    # One check per matrix width.
+    assert sorted(calls) == [(1, 4, 4), (1, 8, 8), (2, 2, 2)]
+    monkeypatch.undo()
+    for inv_layer, layer in zip(inv.layers, reversed(c.layers)):
+        for gi, g in zip(inv_layer.gates, layer.gates, strict=True):
+            ref = g.adjoint()
+            assert (gi.kind, gi.targets, gi.param, gi.perm) == (
+                ref.kind, ref.targets, ref.param, ref.perm)
+            assert gi.unitary().tobytes() == ref.unitary().tobytes()
+    want = circuit_unitary(c).conj().T
+    assert np.abs(circuit_unitary(inv) - want).max() < 1e-12
+    block = BlockLayer("b", Circuit(1, ()), (0,))
+    with pytest.raises(ValueError):
+        Circuit(4, [block, *layers]).inverse()
+
+
+@pytest.mark.parametrize("bits", ["12", "1x", [0, 2], ["0", "01"], [1.5, 0]], ids=repr)
+def test_full_input_refuses_non_binary_bits(bits):
+    c = Circuit(4, (), registers={"a": (0, 0), "main": (1, 2), "b": (3, 3)})
+    assert c.full_input("10") == c.full_input([1, 0]) == c.full_input(np.array([1, 0])) == "0100"
+    with pytest.raises(ValueError):
+        c.full_input(bits)
 
 
 def test_build_cnew_unitary_identity_when_control_fires():

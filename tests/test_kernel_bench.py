@@ -3,11 +3,11 @@
 
 Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
---benchmark-enable`` for timings. Every benchmark
-asserts that its kernel preserves the Pauli-2 norm, builds a unitary,
-matches the gate-by-gate interpreter, draws what the lockstep tree
-descent draws, estimates what the one-shot estimator estimates, or
-succeeds as often as the closed form says.
+--benchmark-enable`` for timings. Every benchmark asserts that its kernel
+preserves the Pauli-2 norm, builds a unitary, builds the adjoint's bytes,
+matches the gate-by-gate interpreter, draws what the lockstep tree descent
+draws, estimates what the one-shot estimator estimates, or succeeds as
+often as the closed form says.
 """
 
 import math
@@ -97,6 +97,31 @@ def test_block_unitary_suite_block(benchmark):
     support, u = benchmark(block_unitary, block)
     assert support == tuple(sorted(block.support))
     assert np.abs(u @ u.conj().T - np.eye(2**7)).max() < 1e-12
+
+
+def test_build_cnew_suite_shape(benchmark):
+    # The suite shape's C_new: the brickwork, its inverse (one stacked
+    # unitarity check) and the amplified instance.
+    cq, _ = circuits.promise_instance("x", 2)
+    cnew = benchmark(circuits.build_cnew, cq, n=6, depth=78, copies=3, seed=0)
+    assert cnew.n_qubits == 13 and len(cnew.layers) == 80
+    inverse = cnew.layers[1].circuit
+    for inv_layer, layer in zip(inverse.layers, reversed(cnew.layers[2:]), strict=True):
+        for gi, g in zip(inv_layer.gates, layer.gates, strict=True):
+            assert gi.matrix.tobytes() == g.adjoint().matrix.tobytes()
+
+
+def test_fuse_suite_shape(benchmark):
+    # Compiling the suite shape's C_new: the amplified block, the
+    # controlled inverse and the open run, each one dense op.
+    cq, _ = circuits.promise_instance("x", 2)
+    cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
+    fused = benchmark(statevector.fuse, cnew)
+    assert [len(support) for support, _ in fused.ops] == [7, 7, 6]
+    ctrl = cnew.layers[1]
+    assert np.array_equal(fused.blocks[ctrl][1], block_unitary(ctrl)[1])
+    for _, u in fused.ops:
+        assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-12
 
 
 def test_output_prob_fused_suite_shape(benchmark):

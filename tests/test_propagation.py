@@ -56,6 +56,16 @@ def test_evaluate_product_state_examples():
     assert evaluate_product_state(PauliMap.from_labels({"ZZI": 0.5}), "100") == -0.5
 
 
+@pytest.mark.parametrize("bits", ["12", "0a0", "1 0", [0, 1, 2], [1, 0, -1]], ids=repr)
+def test_evaluate_product_state_refuses_non_binary_bits(bits):
+    # The heuristic must read an input as the oracle does: a digit other
+    # than 0 or 1 is refused, not read as a 1.
+    o = PauliMap.from_labels({"ZII": 1.0, "IZZ": 0.5})
+    assert evaluate_product_state(o, [1, 0, 1]) == evaluate_product_state(o, "101") == -1.5
+    with pytest.raises(ValueError):
+        evaluate_product_state(o, bits)
+
+
 def test_depth_zero_expectation():
     c = Circuit(2, ())
     o = backpropagate(c, z_first(2), PropagationConfig(k=1))

@@ -8,7 +8,13 @@ from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate
 from qadv.errors import ResourceLimitExceeded
 from qadv.pauli import PauliMap
 
-from oracles import circuit_unitary, haar_unitary, paulimap_matrix
+from oracles import (
+    apply_matrix_moveaxis,
+    circuit_unitary,
+    gate_unitary,
+    haar_unitary,
+    paulimap_matrix,
+)
 
 
 def _circ(n, *gate_layers):
@@ -21,6 +27,89 @@ def test_prepare_basis_examples():
     assert np.allclose(sv.prepare_basis(1, "1").amplitudes, [0, 1])
     with pytest.raises(ValueError):
         sv.prepare_basis(2, "101")
+
+
+_NON_BINARY = ["12", "1 ", "ab", [0, 2], [1, -1], ["1", "x"], [0.5, 1]]
+
+
+@pytest.mark.parametrize("bits", _NON_BINARY, ids=repr)
+def test_basis_inputs_refuse_non_binary_bits(bits):
+    # The oracle and the heuristic must read an input alike: a stray digit
+    # is refused, neither ORed into the amplitude index nor read as a 1.
+    c = _circ(2, [Gate("H", (0,))])
+    with pytest.raises(ValueError):
+        sv.prepare_basis(2, bits)
+    with pytest.raises(ValueError):
+        sv.apply_circuit(bits, c)
+    with pytest.raises(ValueError):
+        sv.output_prob(c, bits)
+
+
+def test_basis_inputs_take_strings_ints_and_numpy_bits():
+    want = sv.prepare_basis(3, "101").amplitudes
+    for bits in ([1, 0, 1], (True, False, True), np.array([1, 0, 1])):
+        assert np.array_equal(sv.prepare_basis(3, bits).amplitudes, want)
+        assert np.array_equal(sv.apply_circuit(bits, Circuit(3, ())).amplitudes, want)
+
+
+def _bits_case(name: str) -> Circuit:
+    rng = np.random.default_rng(7)
+    bw = circuits.random_brickwork(5, 3, seed=2).layers
+    if name.startswith("brickwork"):
+        n = int(name.split("-")[1])
+        return circuits.random_brickwork(n, 4, seed=n)
+    if name == "perm-first":
+        perm = tuple(int(v) for v in rng.permutation(8))
+        return Circuit(5, (ElementaryLayer((Gate("perm", (3, 0, 4), perm=perm),)), *bw))
+    if name == "controlled-block-first":
+        sub = circuits.random_brickwork(3, 2, seed=1)
+        return Circuit(5, (BlockLayer("c", sub, (4, 0, 2), control=1), *bw))
+    if name == "no-layers":
+        return Circuit(3, ())
+    return Circuit(3, (ElementaryLayer(()),))
+
+
+@pytest.mark.parametrize("name", ["brickwork-2", "brickwork-5", "brickwork-8", "perm-first",
+                                  "controlled-block-first", "no-layers", "empty-layer"])
+def test_basis_bits_give_the_prepared_basis_state_bytes(name):
+    # The bits form copies the first op's column instead of multiplying:
+    # the same floats, for every basis input. brickwork-8 is wider than
+    # FUSE_WIDTH, so its first op covers only some qubits.
+    c = _bits_case(name)
+    fused = sv.fuse(c)
+    assert not fused.ops if name in ("no-layers", "empty-layer") else fused.ops
+    n = c.n_qubits
+    for x in range(2**n):
+        bits = format(x, f"0{n}b")
+        want = sv.apply_circuit(sv.prepare_basis(n, bits), fused).amplitudes
+        assert np.array_equal(sv.apply_circuit(bits, fused).amplitudes, want)
+    bits = [x & 1 for x in range(n)]
+    want = sv.apply_circuit(sv.prepare_basis(n, bits), c).amplitudes
+    assert np.array_equal(sv.apply_circuit(bits, c).amplitudes, want)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_apply_matrix_equals_moveaxis_reference(seed):
+    # One transpose and its inverse make the views two np.moveaxis calls
+    # make: the same bytes, on qubit axes in any order, with or without a
+    # trailing batch axis, from C- or Fortran-ordered tensors.
+    rng = np.random.default_rng(seed)
+    ndim = int(rng.integers(1, 8))
+    w = int(rng.integers(1, min(ndim, 3) + 1))
+    axes = [int(a) for a in rng.permutation(ndim)[:w]]
+    shape = (2,) * ndim + ((int(rng.integers(1, 6)),) if seed % 2 else ())
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if seed % 3 == 0:
+        arr = np.asfortranarray(arr)
+    u = haar_unitary(2**w, rng)
+    got = sv._apply_matrix(arr, u, axes)
+    want = apply_matrix_moveaxis(arr, u, axes)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    # A perm gate indexes rows: the product with its permutation matrix.
+    gate = Gate("perm", tuple(range(w)), perm=tuple(int(v) for v in rng.permutation(2**w)))
+    got = sv._apply_gate(arr, gate, axes)
+    assert np.array_equal(got, apply_matrix_moveaxis(arr, gate_unitary(gate), axes))
 
 
 def test_apply_x_and_cnot():
