@@ -24,10 +24,16 @@ Conventions used throughout the package:
 - ``conjugate_layer`` (gates of up to 3 qubits, through their transfer
   matrices) and ``conjugate_dense`` (one unitary, by dense conjugation)
   share one group-and-scatter step and differ only in how a row of local
-  coefficients spreads. ``transfer_matrix`` builds one matrix or a stack,
-  a fixed number of matrices at a time into one output, so its transient
-  memory does not grow with the stack; the module keeps no cache, so a
-  caller memoizes reused gates.
+  coefficients spreads. Both refuse repeated and out-of-range targets. The
+  step finds the terms a gate moves from their masks, gathers the local
+  digits of those terms alone, and groups them with one argsort of a packed
+  uint64 key (trial, off-target x, off-target z); np.lexsort on the
+  separate keys takes over when the key needs more than 64 bits (n > 32, or
+  too wide a trial number). It places the outputs' target digits from a
+  table of at most 64 masks per three targets. ``transfer_matrix`` builds
+  one matrix or a stack, a fixed number of matrices at a time into one
+  output, so its transient memory does not grow with the stack; the module
+  keeps no cache, so a caller memoizes reused gates.
 - A map may carry a batch column: the terms of several observables on the
   same qubits, stored trial after trial, so that one ``conjugate_layer``
   call evolves a whole batch of circuits with the same gate targets (each
@@ -312,43 +318,104 @@ def transfer_matrix(u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape[:-2] + (d * d, d * d))
 
 
-def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Base-4 local index of every term on ``targets`` (first most significant)."""
-    a = np.zeros(len(x), dtype=np.uint64)
-    y = x ^ z
+def _target_mask(n_qubits: int, targets: Sequence[int]) -> int:
+    """Bitmask of ``targets``; raises ValueError unless they are distinct
+    qubits of 0..n_qubits-1."""
+    mask = 0
     for t in targets:
-        # Digit bits: low = x xor z, high = z (I=00, X=01, Y=10, Z=11).
-        a = (a << 2) | ((y >> t) & 1) | (((z >> t) & 1) << 1)
-    return a.astype(np.intp)
+        if not 0 <= t < n_qubits:
+            raise ValueError(f"gate target {t} out of range")
+        if mask >> t & 1:
+            raise ValueError(f"gate target {t} repeated")
+        mask |= 1 << t
+    return mask
 
 
-def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """x- and z-masks of the local indices ``b`` placed on ``targets``."""
-    b = b.astype(np.uint64)
-    x = np.zeros(len(b), dtype=np.uint64)
-    z = np.zeros(len(b), dtype=np.uint64)
+def _gather_digits(
+    x: np.ndarray, z: np.ndarray, targets: Sequence[int], rows: np.ndarray
+) -> np.ndarray:
+    """Flat index of every term in a ``(rows, 4^w)`` array: its row times
+    4^w plus its base-4 local index on ``targets`` (first most
+    significant)."""
     w = len(targets)
+    # Digit bits: low = x xor z, high = z (I=00, X=01, Y=10, Z=11). The
+    # masks are viewed as int64 to combine with the intp row numbers, as
+    # uint64 with intp would promote to float.
+    y, z = (x ^ z).view(np.int64), z.view(np.int64)
+    a = rows << 2 * w
     for j, t in enumerate(targets):
-        digit = (b >> (2 * (w - 1 - j))) & 3
-        high = digit >> 1
-        x |= ((digit & 1) ^ high) << t
-        z |= high << t
-    return x, z
+        for v, p in ((y, 2 * (w - 1 - j)), (z, 2 * (w - 1 - j) + 1)):
+            a |= (v >> t - p if t >= p else v << p - t) & (1 << p)
+    return a
 
 
-def _group(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct key tuples in sorted order, the last key most
-    significant (as in np.lexsort): returns each element's group and the
-    index of one element of every group."""
-    order = np.lexsort(keys)
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for k in keys:
-        k = k[order]
-        starts[1:] |= k[1:] != k[:-1]
+@functools.cache
+def _digit_bits(width: int) -> np.ndarray:
+    """The x and z bit of every digit of every local index on ``width``
+    targets, first target most significant: a read-only ``(2, 4^width,
+    width)`` uint64 array."""
+    digits = np.array(list(np.ndindex(*(4,) * width)), dtype=np.uint64).reshape(-1, width)
+    high = digits >> 1
+    bits = np.stack(((digits & 1) ^ high, high))
+    bits.flags.writeable = False
+    return bits
+
+
+def _mask_table(targets: Sequence[int]) -> np.ndarray:
+    """The x- and z-masks of every local index on 1-3 ``targets``: a
+    ``(2, 4^w)`` uint64 array."""
+    return _digit_bits(len(targets)) @ np.array([1 << t for t in targets], dtype=np.uint64)
+
+
+def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """The x- and z-masks, as one ``(2, len(b))`` array, of the local
+    indices ``b`` placed on ``targets``: looked up three targets (six bits
+    of ``b``) at a time in a `_mask_table` of at most 64 entries."""
+    w = len(targets)
+    if w <= 3:
+        return _mask_table(targets).take(b, axis=1)
+    xz = 0
+    for end in range(w, 0, -3):
+        # The digits of targets[end-3:end] are bits 2(w-end) to 2(w-end)+5
+        # of b; the first targets' are its top bits, so b < 4^w masks them.
+        part = _mask_table(targets[max(end - 3, 0):end])
+        xz = xz | part.take(b >> 2 * (w - end) & 63, axis=1)
+    return xz
+
+
+def _group(
+    rest_x: np.ndarray, rest_z: np.ndarray, trial: np.ndarray | None, n_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct (trial, rest_x, rest_z) triples in sorted order,
+    trial most significant; ``trial`` is None or non-decreasing. Returns
+    each term's group and the index of one term of every group.
+
+    The triple is sorted as one packed uint64 key when its 2n bits and the
+    largest trial's bits fit in 64, and by np.lexsort on the separate keys
+    otherwise; both give the same numbering.
+    """
+    top = 0 if trial is None else int(trial[-1]).bit_length()
+    if 2 * n_qubits + top <= 64:
+        key = rest_x << n_qubits | rest_z
+        if top:
+            key |= trial.astype(np.uint64) << 2 * n_qubits
+        order = key.argsort()
+        key = key[order]
+        starts = np.empty(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+    else:
+        keys = (rest_z, rest_x) if trial is None else (rest_z, rest_x, trial)
+        order = np.lexsort(keys)
+        starts = np.zeros(len(order), dtype=bool)
+        for k in keys:
+            k = k[order]
+            starts[1:] |= k[1:] != k[:-1]
+    starts[0] = True
+    first = order[starts]
+    starts[0] = False  # so that the running count numbers groups from 0
     group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return group, order[starts]
+    group[order] = starts.cumsum()
+    return group, first
 
 
 def _conjugate_terms(
@@ -356,11 +423,13 @@ def _conjugate_terms(
     z: np.ndarray,
     c: np.ndarray,
     batch: np.ndarray | None,
+    n_qubits: int,
     targets: Sequence[int],
+    tmask: int,
     spread_rows: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward-evolve the terms through one unitary on ``targets`` (one per
-    trial of a batch).
+    trial of a batch); ``tmask`` is their `_target_mask`.
 
     Terms that are the identity on the targets pass through. The others are
     grouped by their trial and off-target part; each group's coefficients
@@ -375,37 +444,39 @@ def _conjugate_terms(
     passing one. Each trial's terms come out contiguous: its passing terms
     in their order, then its new terms by group.
     """
-    a = _gather_digits(x, z, targets)
-    moving = a != 0
-    if not moving.any():
+    hit = (x | z) & np.uint64(tmask)
+    moving = hit.nonzero()[0]
+    if not len(moving):
         return x, z, c, batch
-    off = ~np.uint64(sum(1 << t for t in targets))
-    rest_x, rest_z = x[moving] & off, z[moving] & off
-    keys = (rest_z, rest_x) if batch is None else (rest_z, rest_x, batch[moving])
-    group, first = _group(*keys)
-    rest_x, rest_z = rest_x[first], rest_z[first]
-    local = np.zeros((len(first), 4 ** len(targets)))
-    local[group, a[moving]] = c[moving]
+    off = ~np.uint64(tmask)
+    mx, mz = x[moving], z[moving]
+    rest_x, rest_z = mx & off, mz & off
+    trial = None if batch is None else batch[moving]
+    group, first = _group(rest_x, rest_z, trial, n_qubits)
+    width = 4 ** len(targets)
+    local = np.zeros((len(first), width))
+    local.reshape(-1)[_gather_digits(mx, mz, targets, group)] = c[moving]
     if batch is None:
         spread = spread_rows(None, local)
     else:
         # One stacked product per distinct per-trial row count. Each trial's
         # rows still meet its own matrix alone, with the core shapes and
         # strides of its lone pass, so they give the same floats.
-        trials = keys[2][first]
+        trials = trial[first]
         starts = np.flatnonzero(np.diff(trials, prepend=-1))
         counts = np.diff(starts, append=len(trials))
-        spread = np.empty((len(first), local.shape[1] - 1))
+        spread = np.empty((len(first), width - 1))
         for r in set(counts.tolist()):
             at = starts[counts == r]
             rows = at[:, None] + np.arange(r)
             spread[rows] = spread_rows(trials[at], local[rows])
-    g, b = np.nonzero(spread)
-    bx, bz = _scatter_digits(b + 1, targets)
-    stay = ~moving
-    x = np.concatenate((x[stay], rest_x[g] | bx))
-    z = np.concatenate((z[stay], rest_z[g] | bz))
-    c = np.concatenate((c[stay], spread[g, b]))
+    flat = spread.reshape(-1).nonzero()[0]
+    g = flat // (width - 1)
+    xz = _scatter_digits(flat % (width - 1) + 1, targets)
+    stay = (hit == 0).nonzero()[0]
+    x = np.concatenate((x[stay], rest_x[first][g] | xz[0]))
+    z = np.concatenate((z[stay], rest_z[first][g] | xz[1]))
+    c = np.concatenate((c[stay], spread.reshape(-1)[flat]))
     if batch is None:
         return x, z, c, None
     batch = np.concatenate((batch[stay], trials[g]))
@@ -423,23 +494,21 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
     """
     gates = list(gates)
     per_trial = m.batch is not None
+    masks = []
     seen = 0
     for targets, entries in gates:
-        tmask = 0
-        for t in targets:
-            if not 0 <= t < m.n_qubits:
-                raise ValueError(f"gate target {t} out of range")
-            tmask |= 1 << t
+        tmask = _target_mask(m.n_qubits, targets)
         if tmask & seen:
             raise ValueError("overlapping gate supports in one layer")
         if entries.shape[per_trial:] != (4 ** len(targets),) * 2:
             raise ValueError("transfer matrix shape does not match targets")
         seen |= tmask
+        masks.append(tmask)
 
     x, z, c, batch = m.x, m.z, m.coeffs, m.batch
-    for targets, entries in gates:
+    for (targets, entries), tmask in zip(gates, masks):
         x, z, c, batch = _conjugate_terms(
-            x, z, c, batch, targets,
+            x, z, c, batch, m.n_qubits, targets, tmask,
             lambda trials, rows: rows @ (entries if trials is None else entries[trials])[..., 1:],
         )
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)
@@ -482,6 +551,7 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
     w = len(support)
     if m.batch is not None:
         raise ValueError("conjugate_dense takes a map without a batch column")
+    tmask = _target_mask(m.n_qubits, support)
     if unitary.shape != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
@@ -496,5 +566,7 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
             out[g] = coeffs.real[1:]
         return out
 
-    x, z, c, _ = _conjugate_terms(m.x, m.z, m.coeffs, None, support, spread_rows)
+    x, z, c, _ = _conjugate_terms(
+        m.x, m.z, m.coeffs, None, m.n_qubits, support, tmask, spread_rows
+    )
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -217,3 +218,111 @@ def separable_success_closed_form(shots: int, threshold: float, bias: float) -> 
                    for c in range(shots + 1) if c / shots > threshold)
 
     return 0.5 * ((1.0 - exceeds(0.5)) + exceeds(0.5 + bias))
+
+
+# ---------------------------------------------------------------------------
+# The group-and-scatter step of `qadv.pauli` in its lexsort form: every
+# term's digits gathered and tested, groups sorted by np.lexsort on separate
+# keys, outputs scattered digit by digit. Kept verbatim as the reference the
+# packed-key kernel must match byte for byte.
+
+
+def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Base-4 local index of every term on ``targets`` (first most significant)."""
+    a = np.zeros(len(x), dtype=np.uint64)
+    y = x ^ z
+    for t in targets:
+        # Digit bits: low = x xor z, high = z (I=00, X=01, Y=10, Z=11).
+        a = (a << 2) | ((y >> t) & 1) | (((z >> t) & 1) << 1)
+    return a.astype(np.intp)
+
+
+def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """x- and z-masks of the local indices ``b`` placed on ``targets``."""
+    b = b.astype(np.uint64)
+    x = np.zeros(len(b), dtype=np.uint64)
+    z = np.zeros(len(b), dtype=np.uint64)
+    w = len(targets)
+    for j, t in enumerate(targets):
+        digit = (b >> (2 * (w - 1 - j))) & 3
+        high = digit >> 1
+        x |= ((digit & 1) ^ high) << t
+        z |= high << t
+    return x, z
+
+
+def _group(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct key tuples in sorted order, the last key most
+    significant (as in np.lexsort): returns each element's group and the
+    index of one element of every group."""
+    order = np.lexsort(keys)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for k in keys:
+        k = k[order]
+        starts[1:] |= k[1:] != k[:-1]
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
+
+
+def _conjugate_terms(
+    x: np.ndarray,
+    z: np.ndarray,
+    c: np.ndarray,
+    batch: np.ndarray | None,
+    targets: Sequence[int],
+    spread_rows: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Backward-evolve the terms through one unitary on ``targets`` (one per
+    trial of a batch).
+
+    Terms that are the identity on the targets pass through. The others are
+    grouped by their trial and off-target part; each group's coefficients
+    over the local indices form one row of a (groups, 4^w) array, and
+    ``spread_rows(None, rows)`` maps the rows to the coefficients of the
+    non-identity local outputs (columns 1..4^w-1), summing every collision.
+    In a batch, ``spread_rows(trials, rows)`` takes a ``(k, r, 4^w)`` stack
+    of the rows of k trials with r rows each and spreads each trial's rows
+    alone. A unitary preserves the trace, so a term that is not the
+    identity on the targets never maps onto one that is: the identity output
+    is rounding noise and is not kept, and no new term can coincide with a
+    passing one. Each trial's terms come out contiguous: its passing terms
+    in their order, then its new terms by group.
+    """
+    a = _gather_digits(x, z, targets)
+    moving = a != 0
+    if not moving.any():
+        return x, z, c, batch
+    off = ~np.uint64(sum(1 << t for t in targets))
+    rest_x, rest_z = x[moving] & off, z[moving] & off
+    keys = (rest_z, rest_x) if batch is None else (rest_z, rest_x, batch[moving])
+    group, first = _group(*keys)
+    rest_x, rest_z = rest_x[first], rest_z[first]
+    local = np.zeros((len(first), 4 ** len(targets)))
+    local[group, a[moving]] = c[moving]
+    if batch is None:
+        spread = spread_rows(None, local)
+    else:
+        # One stacked product per distinct per-trial row count. Each trial's
+        # rows still meet its own matrix alone, with the core shapes and
+        # strides of its lone pass, so they give the same floats.
+        trials = keys[2][first]
+        starts = np.flatnonzero(np.diff(trials, prepend=-1))
+        counts = np.diff(starts, append=len(trials))
+        spread = np.empty((len(first), local.shape[1] - 1))
+        for r in set(counts.tolist()):
+            at = starts[counts == r]
+            rows = at[:, None] + np.arange(r)
+            spread[rows] = spread_rows(trials[at], local[rows])
+    g, b = np.nonzero(spread)
+    bx, bz = _scatter_digits(b + 1, targets)
+    stay = ~moving
+    x = np.concatenate((x[stay], rest_x[g] | bx))
+    z = np.concatenate((z[stay], rest_z[g] | bz))
+    c = np.concatenate((c[stay], spread[g, b]))
+    if batch is None:
+        return x, z, c, None
+    batch = np.concatenate((batch[stay], trials[g]))
+    order = np.argsort(batch, kind="stable")
+    return x[order], z[order], c[order], batch[order]

@@ -4,10 +4,10 @@
 Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark asserts that its kernel
-preserves the Pauli-2 norm, builds a unitary, builds the adjoint's bytes,
-matches the gate-by-gate interpreter, draws what the lockstep tree descent
-draws, estimates what the one-shot estimator estimates, or succeeds as
-often as the closed form says.
+preserves the Pauli-2 norm, gives the bytes of the lexsort group-and-scatter
+step, builds a unitary, builds the adjoint's bytes, matches the gate-by-gate
+interpreter, draws what the lockstep tree descent draws, estimates what the
+one-shot estimator estimates, or succeeds as often as the closed form says.
 """
 
 import math
@@ -16,10 +16,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qadv import circuits, sensing, sq, statevector
+from qadv import circuits, pauli, sensing, sq, statevector
 from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
 from qadv.propagation import block_unitary
 
+import oracles
 from oracles import (
     haar_unitary,
     inner_product_estimate_one_shot,
@@ -51,6 +52,33 @@ def test_conjugate_layer_wide_step(benchmark):
     layer = [((q, q + 1), transfer_matrix(haar_unitary(4, rng))) for q in range(0, N_WIDE, 2)]
     out = benchmark(conjugate_layer, m, layer)
     assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
+
+
+def test_conjugate_layer_trotter_step(benchmark):
+    # One RX layer on all 24 qubits over 1,500 random strings of weight 1-4,
+    # the trotter workload's shape: 24 one-qubit gates that each move a few
+    # hundred terms, so the per-gate bookkeeping is most of the cost.
+    rng = np.random.default_rng(5)
+    pairs = {}
+    while len(pairs) < 1500:
+        support = rng.choice(N_WIDE, size=rng.integers(1, 5), replace=False)
+        digits = rng.integers(1, 4, size=len(support))
+        x = sum(int(d != 3) << int(q) for q, d in zip(support, digits))
+        z = sum(int(d != 1) << int(q) for q, d in zip(support, digits))
+        pairs[(x, z)] = None
+    m = PauliMap._from_masks(N_WIDE, [p[0] for p in pairs], [p[1] for p in pairs],
+                             rng.normal(size=len(pairs)))
+    rx = transfer_matrix(circuits.Gate("RX", (0,), param=0.9).unitary())
+    layer = [((q,), rx) for q in range(N_WIDE)]
+    out = benchmark(conjugate_layer, m, layer)
+    assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
+    x, z, c = m.x, m.z, m.coeffs
+    for targets, entries in layer:
+        x, z, c, _ = oracles._conjugate_terms(
+            x, z, c, None, targets, lambda _, rows: rows @ entries[:, 1:])
+    want = PauliMap._from_arrays(N_WIDE, x, z, c, pauli.DROP_TOLERANCE)
+    for got, ref in ((out.x, want.x), (out.z, want.z), (out.coeffs, want.coeffs)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_conjugate_layer_batched_step(benchmark):

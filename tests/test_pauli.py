@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qadv.pauli import (
     transfer_matrix,
 )
 
+import oracles
 from oracles import (
     conjugate_gate_labels,
     conjugate_map_dense,
@@ -245,6 +247,18 @@ def test_overlapping_supports_rejected():
             PauliMap.from_labels({"ZZ": 1.0}),
             _layer(((0, 1), np.eye(4)), ((1,), np.eye(2))),
         )
+
+
+@pytest.mark.parametrize("targets", [(1, 1), (0, 5), (-1, 0), (0, 64)])
+def test_kernels_refuse_repeated_or_out_of_range_targets(targets):
+    # A repeated target names one qubit twice, and one outside 0..n-1 names
+    # none; neither may pass through as if the gate did nothing.
+    m = PauliMap.from_labels({"ZIZ": 1.0, "XYI": 0.5})
+    cnot = circuits.FIXED_GATES["CNOT"]
+    with pytest.raises(ValueError, match="target"):
+        conjugate_layer(m, [(targets, transfer_matrix(cnot))])
+    with pytest.raises(ValueError, match="target"):
+        conjugate_dense(m, cnot, targets)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -575,3 +589,108 @@ def test_stacked_matrices_need_a_batched_map():
     for u in (np.eye(4), np.stack([np.eye(4)] * 2)):
         with pytest.raises(ValueError, match="batch column"):
             conjugate_dense(batched, u, (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# The group-and-scatter step against its lexsort form
+
+
+def _local_masks(a, targets):
+    """x- and z-masks of the base-4 local index ``a`` on ``targets``."""
+    x = z = 0
+    for j, t in enumerate(targets):
+        d = a >> 2 * (len(targets) - 1 - j) & 3
+        x |= (d in (1, 2)) << t
+        z |= (d in (2, 3)) << t
+    return x, z
+
+
+def _signed_permutation(dim, rng):
+    """A sparse orthogonal matrix that fixes the identity index, as a
+    Clifford gate's transfer matrix does."""
+    perm = np.concatenate(([0], 1 + rng.permutation(dim - 1)))
+    return np.eye(dim)[perm] * np.concatenate(([1.0], rng.choice([-1.0, 1.0], dim - 1)))
+
+
+def _dense_spread(u, w):
+    """The row spread of `conjugate_dense`: each row as a matrix, conjugated
+    by ``u`` and expanded in the Pauli basis again."""
+    def spread_rows(_, rows):
+        return np.stack([
+            pauli._pauli_coefficients(u.conj().T @ pauli._local_matrix(row, w) @ u, w).real[1:]
+            for row in rows
+        ])
+    return spread_rows
+
+
+@st.composite
+def _bookkeeping_case(draw, packed):
+    """A map, its targets and a row spread. With ``packed`` the sort key
+    fits in 64 bits (2n plus the largest trial's bits), otherwise it does
+    not: maps wider than 32 qubits, or batches whose trial numbers are too
+    wide."""
+    kind = draw(st.sampled_from(["gate", "dense", "batch"]))
+    if kind == "batch":
+        n = draw(st.integers(1, 32) if packed else st.integers(26, 32))
+        top = draw(st.integers(0, min(14, 64 - 2 * n)) if packed else st.integers(65 - 2 * n, 14))
+    else:
+        n = draw(st.one_of(st.sampled_from([1, 32]), st.integers(1, 32)) if packed
+                 else st.one_of(st.sampled_from([33, 64]), st.integers(33, 64)))
+        top = 0
+    w = draw(st.integers(1, min(6 if kind == "dense" else 3, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = tuple(rng.permutation(n)[:w].tolist())
+    tmask = sum(1 << t for t in targets)
+    # The largest trial number has exactly `top` bits.
+    trials = [0] if kind != "batch" else sorted(
+        {0 if top == 0 else int(rng.integers(2 ** (top - 1), 2**top))}
+        | {int(t) for t in rng.integers(0, max(1, 2**top), size=rng.integers(0, 4))})
+    # Off-target parts from a small pool, so that groups gather several
+    # terms; some terms are the identity on the targets and pass through.
+    full = (1 << n) - 1
+    pool = [(int(rng.integers(0, 2**63)) * 2 & full & ~tmask,
+             int(rng.integers(0, 2**63)) * 2 & full & ~tmask) for _ in range(rng.integers(1, 5))]
+    xs, zs, batch = [], [], []
+    for trial in trials:
+        terms = {}
+        # The last trial always moves, so the key is as wide as drawn.
+        for i in range(int(rng.integers(1 if trial == trials[-1] else 0, 25))):
+            rx, rz = pool[rng.integers(len(pool))]
+            a = int(rng.integers(1 if i == 0 else 0, 4**w))
+            lx, lz = _local_masks(a, targets)
+            terms[(rx | lx, rz | lz)] = None
+        xs += [p[0] for p in terms]
+        zs += [p[1] for p in terms]
+        batch += [trial] * len(terms)
+    x, z = np.array(xs, dtype=np.uint64), np.array(zs, dtype=np.uint64)
+    c = rng.normal(size=len(xs))
+    if kind == "dense":
+        spread = _dense_spread(haar_unitary(2**w, rng), w)
+    else:
+        stack = np.stack([
+            transfer_matrix(haar_unitary(2**w, rng)) if rng.random() < 0.5
+            else _signed_permutation(4**w, rng) for _ in range(3)])
+
+        def spread(trials, rows):
+            return rows @ (stack[0] if trials is None else stack[trials % 3])[..., 1:]
+    return n, x, z, c, None if kind != "batch" else np.array(batch), targets, spread
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed-key", "lexsort"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_group_and_scatter_matches_the_lexsort_form(packed, data):
+    # The step must give the lexsort form's bytes, in its order: the same
+    # rows reach the same spread, and every output term lands where it did.
+    n, x, z, c, batch, targets, spread = data.draw(_bookkeeping_case(packed))
+    want = oracles._conjugate_terms(x, z, c, batch, targets, spread)
+    tmask = pauli._target_mask(n, targets)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = pauli._conjugate_terms(x, z, c, batch, n, targets, tmask, spread)
+    moves = bool(np.any((x | z) & np.uint64(tmask)))
+    assert lexsort.called == (moves and not packed)
+    for g, w in zip(got, want, strict=True):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
