@@ -1,6 +1,14 @@
 """Advantage-detection experiments: heuristic-vs-exact comparison over
 sampled inputs, the Frobenius-decay Monte Carlo, and labeled instance
-suites with confusion counts."""
+suites with confusion counts.
+
+The decay Monte Carlo propagates at k = 1, where the observable holds only
+weight-1 terms, so it computes in that sector: per trial an ``(n, 3)``
+array of X, Y and Z coefficients, and per gate the 6 x 6 weight-1 block of
+its transfer matrix. Once per run, trial 0 is re-derived through
+`circuits.random_brickwork` and `propagation.backpropagate`, and a
+disagreement is an `InvariantViolation`.
+"""
 
 from __future__ import annotations
 
@@ -13,20 +21,25 @@ from typing import Sequence
 import numpy as np
 
 from . import circuits, statevector
-from .errors import PromiseViolation
-from .pool import seeded_chunks, seeded_map
+from .errors import InvariantViolation, PromiseViolation
+from .pauli import DROP_TOLERANCE, transfer_matrix
+from .pool import seeded_chunks, seeded_map, spawn_seeds
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
 #: A heuristic and an exact value disagree when they differ by at least this.
 DISAGREEMENT_GAP = 1.0 / 3.0
 
-#: Bytes of memory one batch of decay trials may hold while it propagates.
-#: Measured with `tracemalloc`, a batch holds about 240 KiB however many
-#: trials it has (most of it one step of a transfer-matrix build), and each
-#: trial about (3 + 0.6 L) KiB per two-qubit gate of a layer: 0.6 KiB per
-#: gate of its circuit, and 3 KiB for its share of the layer being built.
-#: So 1 MiB batches 21 trials at n = 8, L = 10.
+#: Bytes of memory one chunk of decay trials may hold while it propagates.
+#: Measured with `tracemalloc`, a chunk holds a fixed 208 KiB (most of it
+#: one 16-matrix step of a stacked transfer-matrix build), and each trial
+#: its Haar stack (256 B a gate) plus, for the layer in flight, 2.75 KiB a
+#: gate: its transfer matrix (2 KiB), its weight-1 block (288 B) and the
+#: rows that meet the block. So 1 MiB holds 38 trials at n = 8, L = 10.
 DECAY_BATCH_BYTES = 1024 * 1024
+
+#: The local indices of a two-qubit gate's weight-1 Paulis: X, Y and Z on
+#: its first target (the most significant base-4 digit), then on its second.
+_WEIGHT_ONE = np.array([4, 8, 12, 1, 2, 3])
 
 
 def _hash_circuit(h, c: circuits.Circuit) -> None:
@@ -149,29 +162,75 @@ class DecayResult:
     expected_ratio: float = 0.4
 
 
-def _decay_batch(n: int, layers: int, seeds) -> list[list[float]]:
-    """The norms of one trial per seed, from one batched backward pass."""
-    batch = [circuits.random_brickwork(n, layers, seed=ss) for ss in seeds]
-    cfg = PropagationConfig(k=1)
-    return [norms for _, norms in backpropagate(batch, z_first(n), cfg, record_norms=True)]
+def _brick_pairs(n: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second targets of the gates of layer ``depth`` of an
+    even-n `circuits.random_brickwork`, in its gate order: (q, q + 1 mod n)
+    for every other q from depth mod 2. Derived here, not taken from
+    `circuits`, so that the trial-0 check compares two derivations."""
+    first = np.arange(depth % 2, n, 2)
+    return first, (first + 1) % n
 
 
-def _batch_trials(n: int, layers: int) -> int:
-    """Trials per batch: what is left of `DECAY_BATCH_BYTES` after a batch's
-    240 KiB, at (3 + 0.6 layers) KiB per trial and two-qubit gate of a
+def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
+    """The k = 1 norms of one trial per seed: a row of layers + 1.
+
+    Trial t draws the Haar stack that ``circuits.random_brickwork(n, layers,
+    seeds[t])`` draws. Its observable is an (n, 3) array of weight-1
+    coefficients. A gate moves a weight-1 term on its pair to terms on the
+    pair alone, and the projection keeps their weight-1 part, so each gate
+    acts on the 6 coefficients of its pair through the weight-1 block of
+    its transfer matrix. No drop tolerance applies. A trial's rows never meet
+    another trial's, so its norms do not depend on the other seeds.
+    """
+    half, trials = n // 2, len(seeds)
+    haar = np.empty((layers, trials, half, 4, 4), dtype=complex)
+    for t, ss in enumerate(seeds):
+        haar[:, t] = circuits.haar_two_qubit(np.random.default_rng(ss), half * layers).reshape(
+            layers, half, 4, 4)
+    coeffs = np.zeros((trials, n, 3))
+    coeffs[:, 0, 2] = 1.0  # Z on the first qubit
+    norms = np.empty((trials, layers + 1))
+    norms[:, 0] = 1.0
+    for depth in reversed(range(layers)):
+        a, b = _brick_pairs(n, depth)
+        block = transfer_matrix(haar[depth].reshape(-1, 4, 4))[:, _WEIGHT_ONE[:, None], _WEIGHT_ONE]
+        rows = np.concatenate((coeffs[:, a], coeffs[:, b]), axis=2)
+        # Summed in index order rather than by matmul, whose BLAS or loop
+        # path, and so its rounding, can change with the chunk's shape.
+        out = (rows[..., None] * block.reshape(trials, half, 6, 6)).sum(axis=2)
+        coeffs[:, a], coeffs[:, b] = out[..., :3], out[..., 3:]
+        norms[:, layers - depth] = np.square(coeffs).sum(axis=(1, 2))
+    return norms
+
+
+def _chunk_trials(n: int, layers: int) -> int:
+    """Trials per chunk: what is left of `DECAY_BATCH_BYTES` after a
+    chunk's 208 KiB, at (256 layers + 2816) B per trial and gate of a
     layer."""
-    trial = (3 + 0.6 * layers) * 1024 * (n // 2)
-    return max(1, int((DECAY_BATCH_BYTES - 240 * 1024) // trial))
+    trial = (n // 2) * (256 * layers + 2816)
+    return max(1, (DECAY_BATCH_BYTES - 208 * 1024) // trial)
 
 
 def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.ndarray:
-    """One row of layers + 1 norms per trial, each the trial's own
-    ``backpropagate(..., record_norms=True)`` norms."""
-    size = _batch_trials(n, layers)
+    """One row of layers + 1 norms per trial (`_sector_norms`), in chunks of
+    `_chunk_trials`. Trial 0 is re-derived through its own
+    ``backpropagate(..., record_norms=True)`` pass; a row that differs from
+    it by more than rounding and the pass's drops raises
+    InvariantViolation."""
+    entropy = np.random.SeedSequence(seed).entropy  # a None seed is drawn once, here
+    size = _chunk_trials(n, layers)
     norms = np.empty((trials, layers + 1))
-    run = functools.partial(_decay_batch, n, layers)
-    for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, seed, jobs)):
+    run = functools.partial(_sector_norms, n, layers)
+    for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, entropy, jobs)):
         norms[start:start + len(rows)] = rows
+    circuit = circuits.random_brickwork(n, layers, seed=spawn_seeds(entropy, 1)[0])
+    _, want = backpropagate(circuit, z_first(n), PropagationConfig(k=1), record_norms=True)
+    # A layer's drops move the pass's coefficients by at most sqrt(3n) times
+    # the tolerance in 2-norm, and later layers do not stretch that; a
+    # squared norm at most 1 moves by at most twice the distance.
+    atol = 2 * layers * np.sqrt(3 * n) * DROP_TOLERANCE
+    if not np.allclose(norms[0], want, rtol=1e-12, atol=atol):
+        raise InvariantViolation("decay norms of trial 0 differ from its backward pass")
     return norms
 
 
@@ -187,12 +246,14 @@ def decay_experiment(
 
     Requires even n >= 2: the per-layer decay law needs every qubit covered
     by exactly one two-qubit gate per layer. Trial i draws its circuit from
-    child i of ``seed``; trials propagate in batches sized by
-    `DECAY_BATCH_BYTES`, and with jobs > 1 each worker takes whole batches.
-    A trial's norms do not depend on its batch.
+    child i of ``seed``; trials propagate in chunks sized by
+    `DECAY_BATCH_BYTES`, and with jobs > 1 each worker takes whole chunks.
+    A trial's norms do not depend on its chunk.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("decay experiment requires an even qubit count of at least 2")
+    if layers < 0:
+        raise ValueError("decay depth must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     norms = _decay_norms(n, layers, trials, seed, jobs)

@@ -27,22 +27,13 @@ Conventions used throughout the package:
   coefficients spreads. Both refuse repeated and out-of-range targets. The
   step finds the terms a gate moves from their masks, gathers the local
   digits of those terms alone, and groups them with one argsort of a packed
-  uint64 key (trial, off-target x, off-target z); np.lexsort on the
-  separate keys takes over when the key needs more than 64 bits (n > 32, or
-  too wide a trial number). It places the outputs' target digits from a
-  table of at most 64 masks per three targets. ``transfer_matrix`` builds
-  one matrix or a stack, a fixed number of matrices at a time into one
-  output, so its transient memory does not grow with the stack; the module
-  keeps no cache, so a caller memoizes reused gates.
-- A map may carry a batch column: the terms of several observables on the
-  same qubits, stored trial after trial, so that one ``conjugate_layer``
-  call evolves a whole batch of circuits with the same gate targets (each
-  trial through its own matrix of a stack). The step groups on (trial,
-  off-target x, off-target z), spreads each trial's rows with that trial's
-  own matrix product (one stacked product for all trials with the same
-  number of rows) and keeps each trial's terms in the order its lone pass
-  gives, so every trial's coefficients are bit-identical to that pass.
-  A map without the column is a batch of one: one product, no sort or copy.
+  uint64 key (off-target x, off-target z); np.lexsort on the separate keys
+  takes over when the key needs more than 64 bits (n > 32). It places the
+  outputs' target digits from a table of at most 64 masks per three
+  targets. ``transfer_matrix`` builds one matrix or a stack, a fixed number
+  of matrices at a time into one output, so its transient memory does not
+  grow with the stack; the module keeps no cache, so a caller memoizes
+  reused gates.
 """
 
 from __future__ import annotations
@@ -134,15 +125,9 @@ class PauliMap:
     after construction (the arrays are read-only); all operations return
     new maps. Zero coefficients are discarded; the conjugation kernels also
     discard those at or below ``DROP_TOLERANCE``.
-
-    ``batch`` is None, except in the maps that `propagation.backpropagate`
-    passes between its steps when it evolves several circuits at once: there
-    it is the non-decreasing trial index of every term, (x, z) pairs are
-    distinct within a trial, and only the kernels and `project_weight` read
-    it. Such maps never leave that function.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "coeffs", "batch")
+    __slots__ = ("n_qubits", "x", "z", "coeffs")
 
     def __init__(
         self,
@@ -155,16 +140,15 @@ class PauliMap:
         x, z, coeffs = _checked_arrays(
             n_qubits, [p.x for p, _ in items], [p.z for p, _ in items], [c for _, c in items]
         )
-        self._assign(n_qubits, x, z, coeffs, 0.0, None)
+        self._assign(n_qubits, x, z, coeffs, 0.0)
 
-    def _assign(self, n_qubits, x, z, coeffs, threshold, batch) -> None:
+    def _assign(self, n_qubits, x, z, coeffs, threshold) -> None:
         keep = np.abs(coeffs) > threshold
         if not keep.all():
             x, z, coeffs = x[keep], z[keep], coeffs[keep]
-            batch = None if batch is None else batch[keep]
-        for a in (x, z, coeffs) if batch is None else (x, z, coeffs, batch):
+        for a in (x, z, coeffs):
             a.flags.writeable = False
-        self.n_qubits, self.x, self.z, self.coeffs, self.batch = n_qubits, x, z, coeffs, batch
+        self.n_qubits, self.x, self.z, self.coeffs = n_qubits, x, z, coeffs
 
     @classmethod
     def _from_arrays(
@@ -174,13 +158,12 @@ class PauliMap:
         z: np.ndarray,
         coeffs: np.ndarray,
         threshold: float = 0.0,
-        batch: np.ndarray | None = None,
     ) -> "PauliMap":
-        """Wrap arrays that already hold distinct (x, z) pairs (per trial,
-        with a batch column), without copying or validating them; terms with
-        |coefficient| at or below ``threshold`` are dropped."""
+        """Wrap arrays that already hold distinct (x, z) pairs, without
+        copying or validating them; terms with |coefficient| at or below
+        ``threshold`` are dropped."""
         m = object.__new__(cls)
-        m._assign(n_qubits, x, z, coeffs, threshold, batch)
+        m._assign(n_qubits, x, z, coeffs, threshold)
         return m
 
     @classmethod
@@ -236,10 +219,7 @@ class PauliMap:
         if k < 0:
             raise ValueError("k must be nonnegative")
         keep = np.bitwise_count(self.x | self.z) <= k
-        return PauliMap._from_arrays(
-            self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep],
-            batch=None if self.batch is None else self.batch[keep],
-        )
+        return PauliMap._from_arrays(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -384,27 +364,23 @@ def _scatter_digits(b: np.ndarray, targets: Sequence[int]) -> np.ndarray:
 
 
 def _group(
-    rest_x: np.ndarray, rest_z: np.ndarray, trial: np.ndarray | None, n_qubits: int
+    rest_x: np.ndarray, rest_z: np.ndarray, n_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct (trial, rest_x, rest_z) triples in sorted order,
-    trial most significant; ``trial`` is None or non-decreasing. Returns
+    """Number the distinct (rest_x, rest_z) pairs in sorted order. Returns
     each term's group and the index of one term of every group.
 
-    The triple is sorted as one packed uint64 key when its 2n bits and the
-    largest trial's bits fit in 64, and by np.lexsort on the separate keys
-    otherwise; both give the same numbering.
+    The pair is sorted as one packed uint64 key when its 2n bits fit in 64,
+    and by np.lexsort on the separate keys otherwise; both give the same
+    numbering.
     """
-    top = 0 if trial is None else int(trial[-1]).bit_length()
-    if 2 * n_qubits + top <= 64:
+    if 2 * n_qubits <= 64:
         key = rest_x << n_qubits | rest_z
-        if top:
-            key |= trial.astype(np.uint64) << 2 * n_qubits
         order = key.argsort()
         key = key[order]
         starts = np.empty(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=starts[1:])
     else:
-        keys = (rest_z, rest_x) if trial is None else (rest_z, rest_x, trial)
+        keys = (rest_z, rest_x)
         order = np.lexsort(keys)
         starts = np.zeros(len(order), dtype=bool)
         for k in keys:
@@ -422,54 +398,37 @@ def _conjugate_terms(
     x: np.ndarray,
     z: np.ndarray,
     c: np.ndarray,
-    batch: np.ndarray | None,
     n_qubits: int,
     targets: Sequence[int],
     tmask: int,
-    spread_rows: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward-evolve the terms through one unitary on ``targets`` (one per
-    trial of a batch); ``tmask`` is their `_target_mask`.
+    spread_rows: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward-evolve the terms through one unitary on ``targets``;
+    ``tmask`` is their `_target_mask`.
 
     Terms that are the identity on the targets pass through. The others are
-    grouped by their trial and off-target part; each group's coefficients
-    over the local indices form one row of a (groups, 4^w) array, and
-    ``spread_rows(None, rows)`` maps the rows to the coefficients of the
+    grouped by their off-target part; each group's coefficients over the
+    local indices form one row of a (groups, 4^w) array, and
+    ``spread_rows(rows)`` maps the rows to the coefficients of the
     non-identity local outputs (columns 1..4^w-1), summing every collision.
-    In a batch, ``spread_rows(trials, rows)`` takes a ``(k, r, 4^w)`` stack
-    of the rows of k trials with r rows each and spreads each trial's rows
-    alone. A unitary preserves the trace, so a term that is not the
-    identity on the targets never maps onto one that is: the identity output
-    is rounding noise and is not kept, and no new term can coincide with a
-    passing one. Each trial's terms come out contiguous: its passing terms
-    in their order, then its new terms by group.
+    A unitary preserves the trace, so a term that is not the identity on the
+    targets never maps onto one that is: the identity output is rounding
+    noise and is not kept, and no new term can coincide with a passing one.
+    The passing terms come out first, in their order, then the new terms by
+    group.
     """
     hit = (x | z) & np.uint64(tmask)
     moving = hit.nonzero()[0]
     if not len(moving):
-        return x, z, c, batch
+        return x, z, c
     off = ~np.uint64(tmask)
     mx, mz = x[moving], z[moving]
     rest_x, rest_z = mx & off, mz & off
-    trial = None if batch is None else batch[moving]
-    group, first = _group(rest_x, rest_z, trial, n_qubits)
+    group, first = _group(rest_x, rest_z, n_qubits)
     width = 4 ** len(targets)
     local = np.zeros((len(first), width))
     local.reshape(-1)[_gather_digits(mx, mz, targets, group)] = c[moving]
-    if batch is None:
-        spread = spread_rows(None, local)
-    else:
-        # One stacked product per distinct per-trial row count. Each trial's
-        # rows still meet its own matrix alone, with the core shapes and
-        # strides of its lone pass, so they give the same floats.
-        trials = trial[first]
-        starts = np.flatnonzero(np.diff(trials, prepend=-1))
-        counts = np.diff(starts, append=len(trials))
-        spread = np.empty((len(first), width - 1))
-        for r in set(counts.tolist()):
-            at = starts[counts == r]
-            rows = at[:, None] + np.arange(r)
-            spread[rows] = spread_rows(trials[at], local[rows])
+    spread = spread_rows(local)
     flat = spread.reshape(-1).nonzero()[0]
     g = flat // (width - 1)
     xz = _scatter_digits(flat % (width - 1) + 1, targets)
@@ -477,41 +436,34 @@ def _conjugate_terms(
     x = np.concatenate((x[stay], rest_x[first][g] | xz[0]))
     z = np.concatenate((z[stay], rest_z[first][g] | xz[1]))
     c = np.concatenate((c[stay], spread.reshape(-1)[flat]))
-    if batch is None:
-        return x, z, c, None
-    batch = np.concatenate((batch[stay], trials[g]))
-    order = np.argsort(batch, kind="stable")
-    return x[order], z[order], c[order], batch[order]
+    return x, z, c
 
 
 def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray]]) -> PauliMap:
     """Backward-evolve a PauliMap through one layer of disjoint gates, each
-    given as its targets and its ``transfer_matrix`` (for a batched map, a
-    stack of one matrix per trial).
+    given as its targets and its ``transfer_matrix``.
 
     Computes U^dag O U for the layer unitary U; exact up to
     ``DROP_TOLERANCE``, so the Frobenius norm is preserved.
     """
     gates = list(gates)
-    per_trial = m.batch is not None
     masks = []
     seen = 0
     for targets, entries in gates:
         tmask = _target_mask(m.n_qubits, targets)
         if tmask & seen:
             raise ValueError("overlapping gate supports in one layer")
-        if entries.shape[per_trial:] != (4 ** len(targets),) * 2:
+        if entries.shape != (4 ** len(targets),) * 2:
             raise ValueError("transfer matrix shape does not match targets")
         seen |= tmask
         masks.append(tmask)
 
-    x, z, c, batch = m.x, m.z, m.coeffs, m.batch
+    x, z, c = m.x, m.z, m.coeffs
     for (targets, entries), tmask in zip(gates, masks):
-        x, z, c, batch = _conjugate_terms(
-            x, z, c, batch, m.n_qubits, targets, tmask,
-            lambda trials, rows: rows @ (entries if trials is None else entries[trials])[..., 1:],
+        x, z, c = _conjugate_terms(
+            x, z, c, m.n_qubits, targets, tmask, lambda rows: rows @ entries[:, 1:]
         )
-    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE, batch)
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)
 
 
 def _local_matrix(coeffs: np.ndarray, w: int) -> np.ndarray:
@@ -544,20 +496,17 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
     most significant); terms disjoint from the support pass through
     untouched. Each group of touched terms that share an off-support factor
     is materialized as a dense matrix M, conjugated as U^dag M U, and
-    re-expanded in the Pauli basis. It takes one unitary and a map without a
-    batch column.
+    re-expanded in the Pauli basis.
     """
     support = tuple(support)
     w = len(support)
-    if m.batch is not None:
-        raise ValueError("conjugate_dense takes a map without a batch column")
     tmask = _target_mask(m.n_qubits, support)
     if unitary.shape != (2**w, 2**w):
         raise ValueError("unitary size does not match support")
     check_unitary(unitary)
     udag = unitary.conj().T
 
-    def spread_rows(_, rows: np.ndarray) -> np.ndarray:
+    def spread_rows(rows: np.ndarray) -> np.ndarray:
         out = np.empty((len(rows), 4**w - 1))
         for g, row in enumerate(rows):
             coeffs = _pauli_coefficients(udag @ _local_matrix(row, w) @ unitary, w)
@@ -566,7 +515,5 @@ def conjugate_dense(m: PauliMap, unitary: np.ndarray, support: Sequence[int]) ->
             out[g] = coeffs.real[1:]
         return out
 
-    x, z, c, _ = _conjugate_terms(
-        m.x, m.z, m.coeffs, None, m.n_qubits, support, tmask, spread_rows
-    )
+    x, z, c = _conjugate_terms(m.x, m.z, m.coeffs, m.n_qubits, support, tmask, spread_rows)
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)

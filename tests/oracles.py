@@ -223,8 +223,9 @@ def separable_success_closed_form(shots: int, threshold: float, bias: float) -> 
 # ---------------------------------------------------------------------------
 # The group-and-scatter step of `qadv.pauli` in its lexsort form: every
 # term's digits gathered and tested, groups sorted by np.lexsort on separate
-# keys, outputs scattered digit by digit. Kept verbatim as the reference the
-# packed-key kernel must match byte for byte.
+# keys, outputs scattered digit by digit. Kept, less the batch column maps
+# no longer carry, as the reference the packed-key kernel must match byte
+# for byte.
 
 
 def _gather_digits(x: np.ndarray, z: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -270,59 +271,37 @@ def _conjugate_terms(
     x: np.ndarray,
     z: np.ndarray,
     c: np.ndarray,
-    batch: np.ndarray | None,
     targets: Sequence[int],
-    spread_rows: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward-evolve the terms through one unitary on ``targets`` (one per
-    trial of a batch).
+    spread_rows: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward-evolve the terms through one unitary on ``targets``.
 
     Terms that are the identity on the targets pass through. The others are
-    grouped by their trial and off-target part; each group's coefficients
-    over the local indices form one row of a (groups, 4^w) array, and
-    ``spread_rows(None, rows)`` maps the rows to the coefficients of the
+    grouped by their off-target part; each group's coefficients over the
+    local indices form one row of a (groups, 4^w) array, and
+    ``spread_rows(rows)`` maps the rows to the coefficients of the
     non-identity local outputs (columns 1..4^w-1), summing every collision.
-    In a batch, ``spread_rows(trials, rows)`` takes a ``(k, r, 4^w)`` stack
-    of the rows of k trials with r rows each and spreads each trial's rows
-    alone. A unitary preserves the trace, so a term that is not the
-    identity on the targets never maps onto one that is: the identity output
-    is rounding noise and is not kept, and no new term can coincide with a
-    passing one. Each trial's terms come out contiguous: its passing terms
-    in their order, then its new terms by group.
+    A unitary preserves the trace, so a term that is not the identity on the
+    targets never maps onto one that is: the identity output is rounding
+    noise and is not kept, and no new term can coincide with a passing one.
+    The passing terms come out first, in their order, then the new terms by
+    group.
     """
     a = _gather_digits(x, z, targets)
     moving = a != 0
     if not moving.any():
-        return x, z, c, batch
+        return x, z, c
     off = ~np.uint64(sum(1 << t for t in targets))
     rest_x, rest_z = x[moving] & off, z[moving] & off
-    keys = (rest_z, rest_x) if batch is None else (rest_z, rest_x, batch[moving])
-    group, first = _group(*keys)
+    group, first = _group(rest_z, rest_x)
     rest_x, rest_z = rest_x[first], rest_z[first]
     local = np.zeros((len(first), 4 ** len(targets)))
     local[group, a[moving]] = c[moving]
-    if batch is None:
-        spread = spread_rows(None, local)
-    else:
-        # One stacked product per distinct per-trial row count. Each trial's
-        # rows still meet its own matrix alone, with the core shapes and
-        # strides of its lone pass, so they give the same floats.
-        trials = keys[2][first]
-        starts = np.flatnonzero(np.diff(trials, prepend=-1))
-        counts = np.diff(starts, append=len(trials))
-        spread = np.empty((len(first), local.shape[1] - 1))
-        for r in set(counts.tolist()):
-            at = starts[counts == r]
-            rows = at[:, None] + np.arange(r)
-            spread[rows] = spread_rows(trials[at], local[rows])
+    spread = spread_rows(local)
     g, b = np.nonzero(spread)
     bx, bz = _scatter_digits(b + 1, targets)
     stay = ~moving
     x = np.concatenate((x[stay], rest_x[g] | bx))
     z = np.concatenate((z[stay], rest_z[g] | bz))
     c = np.concatenate((c[stay], spread[g, b]))
-    if batch is None:
-        return x, z, c, None
-    batch = np.concatenate((batch[stay], trials[g]))
-    order = np.argsort(batch, kind="stable")
-    return x[order], z[order], c[order], batch[order]
+    return x, z, c

@@ -101,6 +101,34 @@ def test_detect_refuses_nan_gate_angle(runner, tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("depth", ["-1", "-8"])
+def test_decay_negative_depth_exits_2(runner, tmp_path, depth):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay", "--L", depth, "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "depth" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("patch", ["pairing", "weight-one table"])
+def test_decay_trial_zero_mismatch_exits_3(runner, tmp_path, monkeypatch, patch):
+    # A wrong pairing or index table in the sector step fails the run's
+    # trial-0 check: exit 3, and no report, table or manifest.
+    from qadv import detection
+
+    real = detection._brick_pairs
+    if patch == "pairing":
+        monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
+    else:
+        monkeypatch.setattr(detection, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["decay", "--n", "4", "--L", "3", "--trials", "5", "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "trial 0" in result.output
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "L": 2, "trials": 4, "seed": 5}))
@@ -646,8 +674,8 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     # Report and table bytes, not only manifest hashes, are the output
     # contract. Suite is not pinned: its random unitaries come from a LAPACK
     # QR whose output may differ between machines (decay is pinned below,
-    # for the numpy build in use, because the batched propagation must not
-    # move its floats).
+    # for the numpy build in use, because chunking its trials must not move
+    # its floats).
     r = runner.invoke(
         main, ["bell", "--trials", "20000", "--seed", "0", "--out-dir", str(tmp_path)]
     )

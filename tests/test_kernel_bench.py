@@ -5,7 +5,7 @@ Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark asserts that its kernel
 preserves the Pauli-2 norm, gives the bytes of the lexsort group-and-scatter
-step, builds a unitary, builds the adjoint's bytes, matches the gate-by-gate
+step, gives the norms of the backward pass, builds a unitary, builds the adjoint's bytes, matches the gate-by-gate
 interpreter, draws what the lockstep tree descent draws, estimates what the
 one-shot estimator estimates, or succeeds as often as the closed form says.
 """
@@ -16,9 +16,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qadv import circuits, pauli, sensing, sq, statevector
-from qadv.pauli import PauliMap, conjugate_layer, transfer_matrix
-from qadv.propagation import block_unitary
+from qadv import circuits, detection, pauli, sensing, sq, statevector
+from qadv.pauli import DROP_TOLERANCE, PauliMap, conjugate_layer, transfer_matrix
+from qadv.propagation import PropagationConfig, backpropagate, block_unitary, z_first
 
 import oracles
 from oracles import (
@@ -74,35 +74,25 @@ def test_conjugate_layer_trotter_step(benchmark):
     assert out.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
     x, z, c = m.x, m.z, m.coeffs
     for targets, entries in layer:
-        x, z, c, _ = oracles._conjugate_terms(
-            x, z, c, None, targets, lambda _, rows: rows @ entries[:, 1:])
+        x, z, c = oracles._conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
     want = PauliMap._from_arrays(N_WIDE, x, z, c, pauli.DROP_TOLERANCE)
     for got, ref in ((out.x, want.x), (out.z, want.z), (out.coeffs, want.coeffs)):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_conjugate_layer_batched_step(benchmark):
-    # One brickwork layer over a 16-trial batch at n = 8, the decay shape:
-    # each trial carries all 276 strings of weight 1 and 2 and has its own
-    # four Haar gates.
-    n, trials = 8, 16
-    rng = np.random.default_rng(3)
-    maps = [_all_low_weight(n, rng) for _ in range(trials)]
-    m = PauliMap._from_arrays(
-        n,
-        np.concatenate([p.x for p in maps]),
-        np.concatenate([p.z for p in maps]),
-        np.concatenate([p.coeffs for p in maps]),
-        batch=np.repeat(np.arange(trials), [len(p) for p in maps]),
-    )
-    layer = [
-        ((q, q + 1), transfer_matrix(np.stack([haar_unitary(4, rng) for _ in range(trials)])))
-        for q in range(0, n, 2)
-    ]
-    out = benchmark(conjugate_layer, m, layer)
-    for t, p in enumerate(maps):
-        c = out.coeffs[out.batch == t]
-        assert c @ c == pytest.approx(p.frobenius_normalized(), rel=1e-12)
+def test_decay_sector_step(benchmark):
+    # One layer of the decay Monte Carlo in the weight-1 sector at its
+    # shape: 32 trials at n = 8, each drawing its own four Haar gates. Each
+    # trial's norms match its one-layer backward pass to the tolerance of
+    # the run's own trial-0 check.
+    n, trials = 8, 32
+    seeds = np.random.SeedSequence(3).spawn(trials)
+    got = benchmark(detection._sector_norms, n, 1, seeds)
+    cfg = PropagationConfig(k=1)
+    for ss, row in zip(seeds, got):
+        _, want = backpropagate(circuits.random_brickwork(n, 1, seed=ss), z_first(n), cfg,
+                                record_norms=True)
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=2 * math.sqrt(3 * n) * DROP_TOLERANCE)
 
 
 def test_transfer_matrix_two_qubit(benchmark):

@@ -493,7 +493,7 @@ def test_drop_tolerance_filters_small_terms():
 
 
 # ---------------------------------------------------------------------------
-# Lone maps through the batch-capable kernel
+# Kernel bytes pinned across rewrites
 
 
 def _random_map(n, rng, size):
@@ -509,9 +509,9 @@ def test_lone_map_kernels_are_byte_equal_to_the_per_map_kernel():
     # sha256 of x, z and coeffs from conjugate_layer and conjugate_dense on
     # 30 seeded random maps (n 3-8, 1-3-qubit gates, dense supports of 2-5
     # qubits), taken with the kernel as it was before maps could carry a
-    # batch column. A lone map is a batch of one and must give the same
-    # bytes. The unitaries come from LAPACK's QR, so another numpy build
-    # may need the digest re-taken.
+    # batch column, and unchanged since the column was removed. The
+    # unitaries come from LAPACK's QR, so another numpy build may need the
+    # digest re-taken.
     h = hashlib.sha256()
     rng = np.random.default_rng(2024)
     for _ in range(30):
@@ -526,69 +526,19 @@ def test_lone_map_kernels_are_byte_equal_to_the_per_map_kernel():
         w = int(rng.integers(2, min(n, 5) + 1))
         support = rng.choice(n, size=w, replace=False).tolist()
         for out in (conjugate_layer(m, gates), conjugate_dense(m, haar_unitary(2**w, rng), support)):
-            assert out.batch is None
             for a in (out.x, out.z, out.coeffs):
                 h.update(a.tobytes())
     assert h.hexdigest() == "4bfdc1e167fd2bed16a87c2d58aaa58e9e71ea3adef645fd4267cffb9bc44431"
 
 
-def _batched(maps):
-    """Several maps on the same qubits as one map with a batch column."""
-    return PauliMap._from_arrays(
-        maps[0].n_qubits,
-        np.concatenate([m.x for m in maps]),
-        np.concatenate([m.z for m in maps]),
-        np.concatenate([m.coeffs for m in maps]),
-        batch=np.repeat(np.arange(len(maps)), [len(m) for m in maps]),
-    )
-
-
-def _trial(m, t):
-    keep = m.batch == t
-    return m.x[keep], m.z[keep], m.coeffs[keep]
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25)
-def test_batched_kernels_give_each_trial_its_lone_bytes(seed):
-    # Every trial evolves through its own matrices of a stack; its terms
-    # must be the bytes, in the order, of its lone call. Up to 12 trials, so
-    # that one call spreads trials that share a row count (a repeated map)
-    # and trials that do not; some start empty or untouched by the gates,
-    # and one holds only the identity, which no gate moves.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    maps = [_random_map(n, rng, int(rng.integers(0, 30))) for _ in range(rng.integers(1, 11))]
-    maps += [maps[0], PauliMap._from_masks(n, [0], [0], [0.5])]
-    maps = [maps[i] for i in rng.permutation(len(maps))]
-    targets = [tuple(rng.choice(n, size=min(n, 2), replace=False).tolist())]
-    if n >= 5:
-        targets.append(tuple(q for q in range(n) if q not in targets[0])[:3])
-    stacks = [transfer_matrix(np.stack([haar_unitary(2 ** len(t), rng) for _ in maps]))
-              for t in targets]
-    layer = conjugate_layer(_batched(maps), list(zip(targets, stacks)))
-    assert np.all(np.diff(layer.batch) >= 0)
-    for t, m in enumerate(maps):
-        lone = conjugate_layer(m, [(tg, st_[t]) for tg, st_ in zip(targets, stacks)])
-        for got, want in zip(_trial(layer, t), (lone.x, lone.z, lone.coeffs)):
-            assert got.tobytes() == want.tobytes()
-
-
 def test_stacked_matrices_need_a_batched_map():
     m = PauliMap.from_labels({"ZI": 1.0})
     stack = transfer_matrix(np.stack([np.eye(4), circuits.FIXED_GATES["CNOT"]]))
+    # A map is one observable, so each gate takes one matrix, not a stack.
     with pytest.raises(ValueError, match="shape"):
         conjugate_layer(m, [((0, 1), stack)])
-    # Conversely, a batched map takes a stack, not one matrix for every trial.
-    batched = _batched([m, m])
-    with pytest.raises(ValueError, match="shape"):
-        conjugate_layer(batched, [((0, 1), transfer_matrix(np.eye(4)))])
-    # conjugate_dense takes one unitary and a map without a batch column.
     with pytest.raises(ValueError, match="size"):
         conjugate_dense(m, np.stack([np.eye(4)] * 2), (0, 1))
-    for u in (np.eye(4), np.stack([np.eye(4)] * 2)):
-        with pytest.raises(ValueError, match="batch column"):
-            conjugate_dense(batched, u, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +565,7 @@ def _signed_permutation(dim, rng):
 def _dense_spread(u, w):
     """The row spread of `conjugate_dense`: each row as a matrix, conjugated
     by ``u`` and expanded in the Pauli basis again."""
-    def spread_rows(_, rows):
+    def spread_rows(rows):
         return np.stack([
             pauli._pauli_coefficients(u.conj().T @ pauli._local_matrix(row, w) @ u, w).real[1:]
             for row in rows
@@ -626,54 +576,39 @@ def _dense_spread(u, w):
 @st.composite
 def _bookkeeping_case(draw, packed):
     """A map, its targets and a row spread. With ``packed`` the sort key
-    fits in 64 bits (2n plus the largest trial's bits), otherwise it does
-    not: maps wider than 32 qubits, or batches whose trial numbers are too
-    wide."""
-    kind = draw(st.sampled_from(["gate", "dense", "batch"]))
-    if kind == "batch":
-        n = draw(st.integers(1, 32) if packed else st.integers(26, 32))
-        top = draw(st.integers(0, min(14, 64 - 2 * n)) if packed else st.integers(65 - 2 * n, 14))
-    else:
-        n = draw(st.one_of(st.sampled_from([1, 32]), st.integers(1, 32)) if packed
-                 else st.one_of(st.sampled_from([33, 64]), st.integers(33, 64)))
-        top = 0
+    fits in 64 bits (2n of them), otherwise it does not: maps wider than 32
+    qubits."""
+    kind = draw(st.sampled_from(["gate", "dense"]))
+    n = draw(st.one_of(st.sampled_from([1, 32]), st.integers(1, 32)) if packed
+             else st.one_of(st.sampled_from([33, 64]), st.integers(33, 64)))
     w = draw(st.integers(1, min(6 if kind == "dense" else 3, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     targets = tuple(rng.permutation(n)[:w].tolist())
     tmask = sum(1 << t for t in targets)
-    # The largest trial number has exactly `top` bits.
-    trials = [0] if kind != "batch" else sorted(
-        {0 if top == 0 else int(rng.integers(2 ** (top - 1), 2**top))}
-        | {int(t) for t in rng.integers(0, max(1, 2**top), size=rng.integers(0, 4))})
     # Off-target parts from a small pool, so that groups gather several
     # terms; some terms are the identity on the targets and pass through.
     full = (1 << n) - 1
     pool = [(int(rng.integers(0, 2**63)) * 2 & full & ~tmask,
              int(rng.integers(0, 2**63)) * 2 & full & ~tmask) for _ in range(rng.integers(1, 5))]
-    xs, zs, batch = [], [], []
-    for trial in trials:
-        terms = {}
-        # The last trial always moves, so the key is as wide as drawn.
-        for i in range(int(rng.integers(1 if trial == trials[-1] else 0, 25))):
-            rx, rz = pool[rng.integers(len(pool))]
-            a = int(rng.integers(1 if i == 0 else 0, 4**w))
-            lx, lz = _local_masks(a, targets)
-            terms[(rx | lx, rz | lz)] = None
-        xs += [p[0] for p in terms]
-        zs += [p[1] for p in terms]
-        batch += [trial] * len(terms)
-    x, z = np.array(xs, dtype=np.uint64), np.array(zs, dtype=np.uint64)
-    c = rng.normal(size=len(xs))
+    terms = {}
+    # The first term always moves.
+    for i in range(int(rng.integers(1, 25))):
+        rx, rz = pool[rng.integers(len(pool))]
+        a = int(rng.integers(1 if i == 0 else 0, 4**w))
+        lx, lz = _local_masks(a, targets)
+        terms[(rx | lx, rz | lz)] = None
+    x = np.array([p[0] for p in terms], dtype=np.uint64)
+    z = np.array([p[1] for p in terms], dtype=np.uint64)
+    c = rng.normal(size=len(terms))
     if kind == "dense":
         spread = _dense_spread(haar_unitary(2**w, rng), w)
     else:
-        stack = np.stack([
-            transfer_matrix(haar_unitary(2**w, rng)) if rng.random() < 0.5
-            else _signed_permutation(4**w, rng) for _ in range(3)])
+        entries = (transfer_matrix(haar_unitary(2**w, rng)) if rng.random() < 0.5
+                   else _signed_permutation(4**w, rng))
 
-        def spread(trials, rows):
-            return rows @ (stack[0] if trials is None else stack[trials % 3])[..., 1:]
-    return n, x, z, c, None if kind != "batch" else np.array(batch), targets, spread
+        def spread(rows):
+            return rows @ entries[:, 1:]
+    return n, x, z, c, targets, spread
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed-key", "lexsort"])
@@ -682,15 +617,12 @@ def _bookkeeping_case(draw, packed):
 def test_group_and_scatter_matches_the_lexsort_form(packed, data):
     # The step must give the lexsort form's bytes, in its order: the same
     # rows reach the same spread, and every output term lands where it did.
-    n, x, z, c, batch, targets, spread = data.draw(_bookkeeping_case(packed))
-    want = oracles._conjugate_terms(x, z, c, batch, targets, spread)
+    n, x, z, c, targets, spread = data.draw(_bookkeeping_case(packed))
+    want = oracles._conjugate_terms(x, z, c, targets, spread)
     tmask = pauli._target_mask(n, targets)
     with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-        got = pauli._conjugate_terms(x, z, c, batch, n, targets, tmask, spread)
-    moves = bool(np.any((x | z) & np.uint64(tmask)))
-    assert lexsort.called == (moves and not packed)
+        got = pauli._conjugate_terms(x, z, c, n, targets, tmask, spread)
+    assert lexsort.called == (not packed)
     for g, w in zip(got, want, strict=True):
-        assert (g is None) == (w is None)
-        if w is not None:
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 

@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
@@ -396,113 +394,32 @@ def test_multilayer_truncated_chain_matches_dense_route():
         assert got_labels[label] == pytest.approx(v, abs=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# Batched passes
-
-
-def _same_result(got, want):
-    (gm, gn), (wm, wn) = got, want
-    assert gn == wn
-    for a, b in ((gm.x, wm.x), (gm.z, wm.z), (gm.coeffs, wm.coeffs)):
-        assert a.tobytes() == b.tobytes()
-
-
-@given(
-    n=st.integers(2, 7),
-    layers=st.integers(0, 6),
-    trials=st.integers(1, 12),
-    split=st.integers(1, 12),
-    k=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=30)
-def test_batched_pass_gives_each_circuit_its_own_pass(n, layers, trials, split, k, seed):
-    # Batches of any size, cut anywhere: each circuit's map and norms are
-    # the bytes of its lone pass.
-    cs = [circuits.random_brickwork(n, layers, seed=ss)
-          for ss in np.random.SeedSequence(seed).spawn(trials)]
-    cfg = PropagationConfig(k=k)
-    want = [backpropagate(c, z_first(n), cfg, record_norms=True) for c in cs]
-    got = []
-    for start in range(0, trials, split):
-        got += backpropagate(cs[start:start + split], z_first(n), cfg, record_norms=True)
-    assert len(got) == trials
-    for g, w in zip(got, want):
-        _same_result(g, w)
-    maps = backpropagate(cs, z_first(n), cfg)
-    assert [m.to_labels() for m in maps] == [m.to_labels() for m, _ in want]
-
-
-def test_batched_pass_refuses_blocks_and_wide_gates():
-    # A batch holds only elementary layers of gates of up to 3 qubits: a
-    # block or a wider gate goes through one dense unitary, which has no
-    # batched form. Each circuit alone still propagates.
-    rng = np.random.default_rng(17)
-    sub = circuits.random_brickwork(3, 2, seed=int(rng.integers(2**32)))
-    perm = tuple(int(p) for p in rng.permutation(16))
-    head = ElementaryLayer((Gate("matrix", (0, 1), matrix=haar_unitary(4, rng)), Gate("H", (4,))))
-    cfg = PropagationConfig(k=3)
-    for step in (BlockLayer("sub", sub, (1, 2, 3), control=0),
-                 ElementaryLayer((Gate("perm", (1, 2, 3, 4), perm=perm),))):
-        c = Circuit(5, (head, step))
-        backpropagate(c, z_first(5), cfg)
-        for batch in ([c, c], [c]):
-            with pytest.raises(ValueError, match="up to 3 qubits"):
-                backpropagate(batch, z_first(5), cfg)
-
-
-def test_batched_pass_refuses_circuits_with_other_targets():
-    a = _circ(3, [Gate("CNOT", (0, 1))])
-    b = _circ(3, [Gate("CNOT", (1, 2))])
-    deeper = _circ(3, [Gate("CNOT", (0, 1))], [Gate("H", (2,))])
-    cfg = PropagationConfig(k=1)
-    for batch in ([a, b], [a, deeper]):
-        with pytest.raises(ValueError, match="targets"):
-            backpropagate(batch, z_first(3), cfg)
-    with pytest.raises(ValueError, match="at least one"):
-        backpropagate([], z_first(3), cfg)
-
-
 def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
-    # A batch of Haar trials never repeats a unitary, so it keys and keeps
-    # nothing: each layer builds its matrices in one call per gate width,
-    # for every trial at once. A lone pass builds a recurring gate once.
-    shapes = []
-    real_build = prop.transfer_matrix
+    # Each layer builds the matrices of its unitaries not seen before in one
+    # call per gate width; only a unitary that recurs in the pass is kept,
+    # so a brickwork of fresh Haar gates keeps nothing and a recurring gate
+    # is built once.
+    shapes, kept = [], []
+    real_build, real = prop.transfer_matrix, prop._transfer_matrices
 
     def build(stack):
         shapes.append(stack.shape)
         return real_build(stack)
-
-    monkeypatch.setattr(prop, "transfer_matrix", build)
-    cs = [circuits.random_brickwork(6, 5, seed=s) for s in range(4)]
-    backpropagate(cs, z_first(6), PropagationConfig(k=1))
-    assert shapes == [(12, 4, 4)] * 5
-    shapes.clear()
-    rng = np.random.default_rng(29)
-    mixed = [_circ(4, [Gate("matrix", (0,), matrix=haar_unitary(2, rng)),
-                       Gate("matrix", (1, 2), matrix=haar_unitary(4, rng)),
-                       Gate("matrix", (3,), matrix=haar_unitary(2, rng))],
-                   [Gate("matrix", (2, 0), matrix=haar_unitary(4, rng))])
-             for _ in range(3)]
-    got = backpropagate(mixed, z_first(4), PropagationConfig(k=2))
-    assert shapes == [(3, 4, 4), (6, 2, 2), (3, 4, 4)]
-    monkeypatch.undo()
-    for g, c in zip(got, mixed):
-        want = backpropagate(c, z_first(4), PropagationConfig(k=2))
-        assert [a.tobytes() for a in (g.x, g.z, g.coeffs)] == [
-            a.tobytes() for a in (want.x, want.z, want.coeffs)]
-
-    kept = []
-    real = prop._transfer_matrices
 
     def spy(gates, keys, memo, uses):
         out = real(gates, keys, memo, uses)
         kept.append(len(memo))
         return out
 
+    monkeypatch.setattr(prop, "transfer_matrix", build)
     monkeypatch.setattr(prop, "_transfer_matrices", spy)
+    backpropagate(circuits.random_brickwork(6, 5, seed=0), z_first(6), PropagationConfig(k=1))
+    assert shapes == [(3, 4, 4)] * 5
+    assert kept == [0] * 5
+    shapes.clear()
+    kept.clear()
     backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
+    assert shapes == [(1, 4, 4)]
     assert kept == [1] * 4
 
 
