@@ -290,15 +290,29 @@ class Circuit:
 # Random circuit generation
 
 
-def haar_two_qubit(rng: np.random.Generator, count: int) -> np.ndarray:
-    """A ``(count, 4, 4)`` stack of Haar unitaries: QR of complex Ginibre
-    matrices with the R-diagonal phase folded back in to remove the QR sign
-    ambiguity. One draw of 16 real then 16 imaginary normals per matrix
-    serves the stack: the same stream as ``count`` one-matrix draws."""
+def ginibre_two_qubit(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A ``(count, 4, 4)`` stack of complex Ginibre matrices, the input of
+    `haar_from_ginibre`. One draw of 16 real then 16 imaginary normals per
+    matrix serves the stack: the same stream as ``count`` one-matrix
+    draws."""
     g = rng.standard_normal((count, 2, 4, 4))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
+    return (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a ``(..., 4, 4)`` stack of Ginibre matrices:
+    their QR with the R-diagonal phase folded back in to remove the QR sign
+    ambiguity (Mezzadri's recipe). numpy factors each matrix of a stack on
+    its own, so a matrix comes out with the same bytes in any stack."""
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_two_qubit(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A ``(count, 4, 4)`` stack of Haar unitaries: `haar_from_ginibre` of
+    ``ginibre_two_qubit(rng, count)``."""
+    return haar_from_ginibre(ginibre_two_qubit(rng, count))
 
 
 def _layer_pairs(n: int, layer_idx: int) -> list[tuple[int, int]]:

@@ -5,9 +5,12 @@ suites with confusion counts.
 The decay Monte Carlo propagates at k = 1, where the observable holds only
 weight-1 terms, so it computes in that sector: per trial an ``(n, 3)``
 array of X, Y and Z coefficients, and per gate the 6 x 6 weight-1 block of
-its transfer matrix. Once per run, trial 0 is re-derived through
-`circuits.random_brickwork` and `propagation.backpropagate`, and a
-disagreement is an `InvariantViolation`.
+its transfer matrix, built alone. Each trial draws its Ginibre matrices
+from its own stream; the QR step that makes them Haar runs once per layer
+over the gates of every trial in a chunk. Once per run, trial 0 is
+re-derived through `circuits.random_brickwork` and
+`propagation.backpropagate`, and a disagreement is an
+`InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from .propagation import PropagationConfig, backpropagate, evaluate_product_stat
 DISAGREEMENT_GAP = 1.0 / 3.0
 
 #: Bytes of memory one chunk of decay trials may hold while it propagates.
-#: Measured with `tracemalloc`, a chunk holds a fixed 208 KiB (most of it
-#: one 16-matrix step of a stacked transfer-matrix build), and each trial
-#: its Haar stack (256 B a gate) plus, for the layer in flight, 2.75 KiB a
-#: gate: its transfer matrix (2 KiB), its weight-1 block (288 B) and the
-#: rows that meet the block. So 1 MiB holds 38 trials at n = 8, L = 10.
+#: `_chunk_trials` reserves a fixed 208 KiB a chunk (most of it one
+#: 16-matrix step of a stacked transfer-matrix build), and per trial its
+#: Ginibre stack (256 B a gate) plus, for the layer in flight, 2.75 KiB a
+#: gate: what a full 16 x 16 build and its weight-1 block took. So 1 MiB
+#: holds 38 trials at n = 8, L = 10. Measured with `tracemalloc`, the layer
+#: in flight takes about 1.3 KiB a gate (its QR step, its unitary, its
+#: weight-1 block and the rows that meet the block), so such a chunk peaks
+#: at 732 KiB.
 DECAY_BATCH_BYTES = 1024 * 1024
 
 #: The local indices of a two-qubit gate's weight-1 Paulis: X, Y and Z on
@@ -174,26 +180,30 @@ def _brick_pairs(n: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     """The k = 1 norms of one trial per seed: a row of layers + 1.
 
-    Trial t draws the Haar stack that ``circuits.random_brickwork(n, layers,
-    seeds[t])`` draws. Its observable is an (n, 3) array of weight-1
-    coefficients. A gate moves a weight-1 term on its pair to terms on the
-    pair alone, and the projection keeps their weight-1 part, so each gate
-    acts on the 6 coefficients of its pair through the weight-1 block of
-    its transfer matrix. No drop tolerance applies. A trial's rows never meet
-    another trial's, so its norms do not depend on the other seeds.
+    Trial t draws the Ginibre stack that ``circuits.random_brickwork(n,
+    layers, seeds[t])`` draws. Just before a layer propagates, its gates of
+    every trial become Haar in one `circuits.haar_from_ginibre` call, which
+    gives each gate `random_brickwork`'s bytes. A trial's observable is an
+    (n, 3) array of weight-1 coefficients. A gate moves a weight-1 term on
+    its pair to terms on the pair alone, and the projection keeps their
+    weight-1 part, so each gate acts on the 6 coefficients of its pair
+    through the weight-1 block of its transfer matrix, built alone. No drop
+    tolerance applies. A trial's rows never meet another trial's, so its
+    norms do not depend on the other seeds.
     """
     half, trials = n // 2, len(seeds)
-    haar = np.empty((layers, trials, half, 4, 4), dtype=complex)
+    ginibre = np.empty((layers, trials, half, 4, 4), dtype=complex)
     for t, ss in enumerate(seeds):
-        haar[:, t] = circuits.haar_two_qubit(np.random.default_rng(ss), half * layers).reshape(
-            layers, half, 4, 4)
+        ginibre[:, t] = circuits.ginibre_two_qubit(
+            np.random.default_rng(ss), half * layers).reshape(layers, half, 4, 4)
     coeffs = np.zeros((trials, n, 3))
     coeffs[:, 0, 2] = 1.0  # Z on the first qubit
     norms = np.empty((trials, layers + 1))
     norms[:, 0] = 1.0
     for depth in reversed(range(layers)):
         a, b = _brick_pairs(n, depth)
-        block = transfer_matrix(haar[depth].reshape(-1, 4, 4))[:, _WEIGHT_ONE[:, None], _WEIGHT_ONE]
+        haar = circuits.haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
+        block = transfer_matrix(haar, _WEIGHT_ONE)
         rows = np.concatenate((coeffs[:, a], coeffs[:, b]), axis=2)
         # Summed in index order rather than by matmul, whose BLAS or loop
         # path, and so its rounding, can change with the chunk's shape.

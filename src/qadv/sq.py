@@ -195,9 +195,13 @@ def inner_product_estimate(
 
 
 def load_vector(path: str) -> np.ndarray:
-    """Read a vector from .npy or a whitespace/comma text file."""
+    """Read a real vector from .npy or a whitespace/comma text file; a
+    complex .npy is a ValueError, not its real part."""
     if path.endswith(".npy"):
-        return np.load(path).reshape(-1).astype(float)
+        vec = np.load(path).reshape(-1)
+        if np.iscomplexobj(vec):
+            raise ValueError("vector has complex entries; sample access needs real ones")
+        return vec.astype(float)
     try:
         return np.loadtxt(path).reshape(-1)
     except ValueError:

@@ -16,6 +16,8 @@ from qadv.circuits import (
     amplify,
     build_cnew,
     deserialize,
+    ginibre_two_qubit,
+    haar_from_ginibre,
     haar_two_qubit,
     majority_gate,
     promise_instance,
@@ -60,6 +62,24 @@ def test_haar_stack_matches_one_at_a_time_draws(count):
     reference = np.stack([haar_unitary(4, rng) for _ in range(count)])
     assert stack.shape == (count, 4, 4)
     assert np.abs(stack - reference).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "trials, layers, half", [(1, 1, 1), (2, 3, 1), (3, 2, 4), (38, 10, 4), (39, 3, 5)])
+def test_split_haar_recipe_gives_each_trials_bytes(trials, layers, half):
+    # The decay sector's layout: each trial draws its Ginibre matrices from
+    # its own stream, and the QR step runs over one layer's gates of every
+    # trial at once, so each slice cuts across the trials' draws.
+    seeds = np.random.SeedSequence(trials).spawn(trials)
+    ginibre = np.stack([
+        ginibre_two_qubit(np.random.default_rng(ss), layers * half).reshape(layers, half, 4, 4)
+        for ss in seeds
+    ], axis=1)
+    got = np.stack([haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
+                    for depth in range(layers)])
+    for t, ss in enumerate(seeds):
+        want = haar_two_qubit(np.random.default_rng(ss), layers * half)
+        assert got.reshape(layers, trials, half, 4, 4)[:, t].tobytes() == want.tobytes()
 
 
 def test_brickwork_hands_out_one_stream_in_layer_order():

@@ -295,6 +295,22 @@ def test_dequant_zero_vector_exits_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["build", "estimate"])
+def test_dequant_complex_vector_exits_2(runner, tmp_path, command):
+    # Casting to float would keep [0.6, 0] of [0.6 + 0.8j, 0] and report on
+    # its normalization [1, 0].
+    cp, rp = tmp_path / "c.npy", tmp_path / "r.npy"
+    np.save(cp, np.array([0.6 + 0.8j, 0]))
+    np.save(rp, np.array([0.6, 0.8]))
+    args = (["build", "--vector", str(cp)] if command == "build"
+            else ["estimate", "--x", str(rp), "--y", str(cp)])
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["dequant", *args, "--normalize", "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "complex" in r.output
+    assert not out.exists()
+
+
 def test_sense_command(runner, tmp_path):
     r = runner.invoke(
         main,
@@ -727,8 +743,8 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
 
 
 def test_decay_report_bytes_are_pinned(runner, tmp_path):
-    # Trials propagate in batches; each trial's norms must be the floats its
-    # own backward pass gives, so these bytes hold whatever the batch size.
+    # Trials propagate in chunks; each trial's norms are the same floats in
+    # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
     # config and when the version went to 0.2.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may

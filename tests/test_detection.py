@@ -214,8 +214,8 @@ def test_decay_trial_zero_check_bites(monkeypatch, patch):
 
 
 def test_decay_memory_does_not_grow_with_trials():
-    # Trials run a batch at a time and their seeds are spawned per batch,
-    # so traced memory is set by the batch, not by the trial count. The
+    # Trials run a chunk at a time and their seeds are spawned per chunk,
+    # so traced memory is set by the chunk, not by the trial count. The
     # slack covers the norms array (35 KB at 400 trials) and allocator
     # noise.
     decay_experiment(8, 10, trials=20, seed=0)  # warm numpy's caches

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qadv import circuits, pauli
@@ -201,6 +201,48 @@ def test_transfer_stack_rejects_one_non_unitary_member():
     stack = np.stack([np.eye(4), circuits.FIXED_GATES["CNOT"], np.ones((4, 4))])
     with pytest.raises(NonUnitaryError):
         transfer_matrix(stack)
+
+
+@st.composite
+def _narrowed_builds(draw):
+    """A width, a nonempty index of distinct local indices in drawn order,
+    a stack length (None for a single matrix) and a seed."""
+    w = draw(st.integers(1, 3))
+    index = draw(st.lists(st.integers(0, 4**w - 1), min_size=1, max_size=4**w, unique=True))
+    return w, index, draw(st.none() | st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_narrowed_builds())
+@settings(max_examples=60)
+# The decay sector's block: the weight-1 rows of a two-qubit gate, across
+# two chunks of the stacked build; and a lone row.
+@example((2, [4, 8, 12, 1, 2, 3], 40, 0))
+@example((2, [7], 17, 1))
+def test_narrowed_transfer_build_is_the_sliced_full_build(case):
+    w, index, count, seed = case
+    rng = np.random.default_rng(seed)
+    u = np.stack([haar_unitary(2**w, rng) for _ in range(count or 1)])
+    if count is None:
+        u = u[0]
+    got = transfer_matrix(u, index)
+    rows = np.array(index)
+    want = transfer_matrix(u)[..., rows[:, None], rows]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "index",
+    [[], [4, 8, 4], [1.0, 2.0], np.array([True, False] * 8), [0, 16], [-1, 3]],
+    ids=["empty", "repeated", "float", "bool", "past-the-end", "negative"],
+)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_transfer_refuses_a_bad_index(index, stacked):
+    u = circuits.FIXED_GATES["CNOT"]
+    if stacked:
+        u = np.stack([u, np.eye(4), u])
+    with pytest.raises(ValueError, match="index"):
+        transfer_matrix(u, index)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
