@@ -92,8 +92,9 @@ class Gate:
     classical-reversible basis permutation of arbitrary width.
 
     A matrix is checked for unitarity here, unless ``_stack_checked`` says
-    that the caller already checked it as part of one stacked
-    `check_unitary` call (`random_brickwork` and `Circuit.inverse` do)."""
+    that it was already checked: as part of one stacked `check_unitary`
+    call (`random_brickwork`), or as the adjoint of a checked matrix
+    (`Gate.adjoint`)."""
 
     kind: str
     targets: tuple[int, ...]
@@ -168,7 +169,9 @@ class Gate:
             for j, pj in enumerate(self.perm):
                 inv[pj] = j
             return Gate("perm", self.targets, perm=tuple(inv))
-        return Gate("matrix", self.targets, matrix=self.matrix.conj().T)
+        # U^dag U - I and U U^dag - I have the same singular values, so the
+        # check this gate's matrix passed covers its adjoint.
+        return Gate("matrix", self.targets, matrix=self.matrix.conj().T, _stack_checked=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,30 +263,14 @@ class Circuit:
         return "0" * lo + "".join(map(str, values)) + "0" * (self.n_qubits - 1 - hi)
 
     def inverse(self) -> "Circuit":
-        """Layer-wise inverse; only defined for elementary layers.
-
-        The matrix gates of each width are conjugate-transposed as one
-        stack and checked in one `check_unitary` call; each inverse gate's
-        matrix is a view of its stack, with the bytes of `Gate.adjoint`.
-        """
+        """Layer-wise inverse, each gate its `Gate.adjoint`; only defined
+        for elementary layers."""
         layers = self.layers[::-1]
         if not all(isinstance(layer, ElementaryLayer) for layer in layers):
             raise ValueError("inverse is only supported for elementary layers")
-        gates = [g for layer in layers for g in layer.gates]
-        inv = [g if g.kind == "matrix" else g.adjoint() for g in gates]
-        by_dim: dict[int, list[int]] = {}
-        for i, g in enumerate(gates):
-            if g.kind == "matrix":
-                by_dim.setdefault(len(g.matrix), []).append(i)
-        for idx in by_dim.values():
-            stack = np.stack([gates[i].matrix for i in idx]).conj().swapaxes(-1, -2)
-            check_unitary(stack)
-            for i, m in zip(idx, stack):
-                inv[i] = Gate("matrix", gates[i].targets, matrix=m, _stack_checked=True)
         # Tuples from lists, not generators (see `ElementaryLayer.support`).
-        it = iter(inv)
         return Circuit(self.n_qubits, tuple([
-            ElementaryLayer(tuple([next(it) for _ in layer.gates])) for layer in layers]))
+            ElementaryLayer(tuple([g.adjoint() for g in layer.gates])) for layer in layers]))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +502,8 @@ def serialize(c: Circuit) -> dict:
     }
 
 
-def serialize_json(c: Circuit, indent: int | None = 2) -> str:
-    return json.dumps(serialize(c), indent=indent, sort_keys=True)
+def serialize_json(c: Circuit) -> str:
+    return json.dumps(serialize(c), indent=2, sort_keys=True)
 
 
 @contextlib.contextmanager

@@ -5,9 +5,10 @@ suites with confusion counts.
 The decay Monte Carlo propagates at k = 1, where the observable holds only
 weight-1 terms, so it computes in that sector: per trial an ``(n, 3)``
 array of X, Y and Z coefficients, and per gate the 6 x 6 weight-1 block of
-its transfer matrix, built alone. Each trial draws its Ginibre matrices
-from its own stream; the QR step that makes them Haar runs once per layer
-over the gates of every trial in a chunk. Once per run, trial 0 is
+its transfer matrix from `pauli.weight_one_blocks`, which alone knows the
+block's local indices. Each trial draws its Ginibre matrices from its own
+stream; the QR step that makes them Haar runs once per layer over the gates
+of every trial in a chunk. Once per run, trial 0 is
 re-derived through `circuits.random_brickwork` and
 `propagation.backpropagate`, and a disagreement is an
 `InvariantViolation`.
@@ -24,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import circuits, statevector
-from .errors import InvariantViolation, PromiseViolation
-from .pauli import DROP_TOLERANCE, transfer_matrix
+from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
+from .pauli import DROP_TOLERANCE, MAX_QUBITS, weight_one_blocks
 from .pool import seeded_chunks, seeded_map, spawn_seeds
 from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
 
@@ -42,10 +43,6 @@ DISAGREEMENT_GAP = 1.0 / 3.0
 #: weight-1 block and the rows that meet the block), so such a chunk peaks
 #: at 732 KiB.
 DECAY_BATCH_BYTES = 1024 * 1024
-
-#: The local indices of a two-qubit gate's weight-1 Paulis: X, Y and Z on
-#: its first target (the most significant base-4 digit), then on its second.
-_WEIGHT_ONE = np.array([4, 8, 12, 1, 2, 3])
 
 
 def _hash_circuit(h, c: circuits.Circuit) -> None:
@@ -187,9 +184,11 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     (n, 3) array of weight-1 coefficients. A gate moves a weight-1 term on
     its pair to terms on the pair alone, and the projection keeps their
     weight-1 part, so each gate acts on the 6 coefficients of its pair
-    through the weight-1 block of its transfer matrix, built alone. No drop
-    tolerance applies. A trial's rows never meet another trial's, so its
-    norms do not depend on the other seeds.
+    through the weight-1 block of its transfer matrix
+    (`pauli.weight_one_blocks`, rows and columns X, Y, Z on the pair's first
+    qubit, then on its second). No drop tolerance applies. A trial's rows
+    never meet another trial's, so its norms do not depend on the other
+    seeds.
     """
     half, trials = n // 2, len(seeds)
     ginibre = np.empty((layers, trials, half, 4, 4), dtype=complex)
@@ -203,7 +202,7 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     for depth in reversed(range(layers)):
         a, b = _brick_pairs(n, depth)
         haar = circuits.haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
-        block = transfer_matrix(haar, _WEIGHT_ONE)
+        block = weight_one_blocks(haar)
         rows = np.concatenate((coeffs[:, a], coeffs[:, b]), axis=2)
         # Summed in index order rather than by matmul, whose BLAS or loop
         # path, and so its rounding, can change with the chunk's shape.
@@ -262,6 +261,9 @@ def decay_experiment(
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("decay experiment requires an even qubit count of at least 2")
+    if n > MAX_QUBITS:
+        raise ResourceLimitExceeded(
+            f"decay on {n} qubits exceeds the {MAX_QUBITS}-qubit mask width")
     if layers < 0:
         raise ValueError("decay depth must be nonnegative")
     if trials < 1:
@@ -389,10 +391,13 @@ def instance_suite(
     seed: int | None = None,
     jobs: int = 1,
 ) -> SuiteResult:
-    """Verify every label before any detection work, then build one
-    detection circuit per instance with a fresh random-circuit seed (and,
-    without ``depth``, the default depth of its own width), run detect, and
-    tally verdict-vs-label counts."""
+    """Check every detection circuit's width, n + m*copies + 1, against
+    `statevector.DENSE_LIMIT` and verify every label before any detection
+    work, then build one detection circuit per instance with a fresh
+    random-circuit seed (and, without ``depth``, the default depth of its
+    own width), run detect, and tally verdict-vs-label counts."""
+    for inst in instances:
+        statevector.check_dense_limit(n + inst.circuit.n_qubits * copies + 1)
     probs = [verify_promise(inst) for inst in instances]
     work = [(inst, prob, n, depth, copies, s, k) for inst, prob in zip(instances, probs)]
     entries = tuple(seeded_map(_suite_entry, work, seed, jobs))

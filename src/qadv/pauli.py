@@ -33,9 +33,9 @@ Conventions used throughout the package:
   targets. ``transfer_matrix`` builds one matrix or a stack, a fixed number
   of matrices at a time into one output, so its transient memory does not
   grow with the stack; the module keeps no cache, so a caller memoizes
-  reused gates. Given an index of local Pauli indices, it contracts only
-  those rows and columns of the basis and returns that submatrix of each
-  matrix, with the bytes of the full build.
+  reused gates. ``weight_one_blocks`` builds, in the same loop, only the
+  6 x 6 weight-1 block of each two-qubit matrix, with the bytes of the
+  full build sliced there: the one narrowed build the decay sector needs.
 """
 
 from __future__ import annotations
@@ -76,10 +76,14 @@ _HERMITICITY_TOL = 1e-10
 #: Matrices per step of a stacked `transfer_matrix` build. A step's
 #: temporaries take about 12.6 KiB per two-qubit matrix (16 times that per
 #: three-qubit one), so a build holds its output plus this many of them.
-#: Most of that forms the superoperators, which a build narrowed by an index
-#: forms in full too, so its step takes about as much; it saves in its
-#: products and in its output of m^2 floats a matrix.
+#: Most of that forms the superoperators, which `weight_one_blocks` forms in
+#: full too, so its step takes about as much; it saves in its products and
+#: in its output of 36 floats a matrix.
 _TRANSFER_CHUNK = 16
+
+#: The local indices of a two-qubit gate's weight-1 Paulis: X, Y and Z on
+#: its first target (the most significant base-4 digit), then on its second.
+_WEIGHT_ONE = np.array([4, 8, 12, 1, 2, 3])
 
 
 class NonUnitaryError(ValueError):
@@ -259,55 +263,17 @@ def check_unitary(u: np.ndarray) -> None:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
-def _checked_index(index, size: int) -> np.ndarray:
-    """``index`` as an integer array, after the checks of `transfer_matrix`:
-    nonempty, one-dimensional, integer, distinct and inside 0..size-1."""
-    index = np.asarray(index)
-    if index.ndim != 1 or not len(index):
-        raise ValueError("index must be a nonempty sequence of rows")
-    if not np.issubdtype(index.dtype, np.integer):
-        raise ValueError("index must hold integers")
-    if index.min() < 0 or index.max() >= size:
-        raise ValueError(f"index outside 0..{size - 1}")
-    if len(set(index.tolist())) != len(index):
-        raise ValueError("index repeats a row")
-    return index
-
-
-def transfer_matrix(u: np.ndarray, index: Sequence[int] | None = None) -> np.ndarray:
-    """Real Pauli transfer matrix of a 1-3 qubit unitary, or the
-    ``(g, 4^w, 4^w)`` stack of them for a ``(g, 2^w, 2^w)`` stack.
-
-    entries[a, b] = Tr(P_b U^dag P_a U) / 2^w, so a row lists how the input
-    Pauli P_a spreads over output Paulis under backward evolution. Rows are
-    orthonormal (conjugation is an isometry of the Pauli basis) and the
-    identity row is the identity unit row. A stack is built
-    `_TRANSFER_CHUNK` matrices at a time into one preallocated output, so
-    the build holds the output plus a fixed transient, however long the
-    stack; each matrix comes out as its own one-matrix build.
-
-    With an ``index`` of m distinct local indices (ValueError for an empty,
-    repeated, non-integer or out-of-range one), only those rows of the Pauli
-    basis are contracted, and the result is ``entries[index][:, index]``
-    (``(m, m)``, or ``(g, m, m)`` for a stack) with the full build's bytes.
-    """
+def _transfer(u: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
+    """Transfer matrices of a shape-checked unitary or stack, restricted on
+    both axes to the local indices ``rows`` (``slice(None)`` for all)."""
     u = np.asarray(u, dtype=complex)
-    d = u.shape[-1]
-    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
-        raise ValueError("unitary must act on 1, 2, or 3 qubits")
     check_unitary(u)
-    flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)
-    m = d * d
-    if index is not None:
-        index = _checked_index(index, d * d)
-        m = len(index)
-        # numpy multiplies by a lone row along a vector path that rounds
-        # otherwise than its matrix path, so a lone row is contracted with
-        # the next one, which is then dropped.
-        flat = flat[index if m > 1 else [index[0], (index[0] + 1) % (d * d)]]
+    d = u.shape[-1]
+    flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)[rows]
     flat_h = flat.conj().T
     stack = u.reshape(-1, d, d)
-    out = np.empty((len(stack), len(flat), len(flat)))
+    m = len(flat)
+    out = np.empty((len(stack), m, m))
     for start in range(0, len(stack), _TRANSFER_CHUNK):
         part = stack[start:start + _TRANSFER_CHUNK]
         # Row a of the flattened basis is vec(P_a), and vec(P_a) kron(conj U,
@@ -328,7 +294,39 @@ def transfer_matrix(u: np.ndarray, index: Sequence[int] | None = None) -> np.nda
         # Snap trace-noise to exact zeros so structurally absent outputs are
         # skipped; the perturbation is far below the orthogonality tolerance.
         entries[np.abs(entries) < 1e-13] = 0.0
-    return np.ascontiguousarray(out[:, :m, :m]).reshape(u.shape[:-2] + (m, m))
+    return out.reshape(u.shape[:-2] + (m, m))
+
+
+def transfer_matrix(u: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix of a 1-3 qubit unitary, or the
+    ``(g, 4^w, 4^w)`` stack of them for a ``(g, 2^w, 2^w)`` stack.
+
+    entries[a, b] = Tr(P_b U^dag P_a U) / 2^w, so a row lists how the input
+    Pauli P_a spreads over output Paulis under backward evolution. Rows are
+    orthonormal (conjugation is an isometry of the Pauli basis) and the
+    identity row is the identity unit row. A stack is built
+    `_TRANSFER_CHUNK` matrices at a time into one preallocated output, so
+    the build holds the output plus a fixed transient, however long the
+    stack; each matrix comes out as its own one-matrix build.
+    """
+    u = np.asarray(u)
+    d = u.shape[-1]
+    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ValueError("unitary must act on 1, 2, or 3 qubits")
+    return _transfer(u, slice(None))
+
+
+def weight_one_blocks(u: np.ndarray) -> np.ndarray:
+    """The 6 x 6 weight-1 block of a two-qubit unitary's transfer matrix, or
+    the ``(g, 6, 6)`` stack of them for a ``(g, 4, 4)`` stack: rows and
+    columns X, Y, Z on the first target, then on the second
+    (`_WEIGHT_ONE`). Only those rows of the Pauli basis are contracted, in
+    `transfer_matrix`'s chunked loop, and each block has the bytes of the
+    full build sliced at `_WEIGHT_ONE` on both axes."""
+    u = np.asarray(u)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
+        raise ValueError("weight-1 blocks need a two-qubit unitary or a stack of them")
+    return _transfer(u, _WEIGHT_ONE)
 
 
 def _target_mask(n_qubits: int, targets: Sequence[int]) -> int:

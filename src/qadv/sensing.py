@@ -238,6 +238,11 @@ def minimal_ghz_uses(
 ) -> int:
     """Smallest noiseless T whose two-hypothesis success meets the target,
     from the closed form success = (1 + sin^2(N T theta / 2)) / 2."""
+    if n_probes < 1:
+        raise ValueError("N must be at least 1")
+    # Written so that NaN fails too.
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     need = 2 * success_target - 1
     if not 0 < need < 1:
         raise ValueError("success target must lie in (1/2, 1)")

@@ -67,7 +67,8 @@ def _bits_to_index(bits: Sequence[int]) -> int:
     return idx
 
 
-def _check_dense_limit(n_qubits: int) -> None:
+def check_dense_limit(n_qubits: int) -> None:
+    """Refuse a statevector wider than DENSE_LIMIT before it is built."""
     if n_qubits > DENSE_LIMIT:
         raise ResourceLimitExceeded(f"{n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
 
@@ -78,7 +79,7 @@ def prepare_basis(n_qubits: int, bits: str | Sequence[int]) -> StateVector:
     if len(values) != n_qubits:
         raise ValueError("bitstring length must equal qubit count")
     # Refuse before allocating the 2^n amplitudes.
-    _check_dense_limit(n_qubits)
+    check_dense_limit(n_qubits)
     amp = np.zeros(2**n_qubits, dtype=complex)
     amp[_bits_to_index(values)] = 1.0
     return StateVector(n_qubits, amp)
@@ -194,7 +195,7 @@ def fuse(c: circuits.Circuit) -> FusedCircuit:
     Widths are checked before anything is built: the circuit against
     DENSE_LIMIT, every op against DENSE_BLOCK_LIMIT.
     """
-    _check_dense_limit(c.n_qubits)
+    check_dense_limit(c.n_qubits)
     runs: list[list[circuits.Layer]] = []
     supports: list[frozenset[int]] = []
     extendable = False  # the last run is elementary and may still grow

@@ -324,7 +324,8 @@ def test_inverse_checks_a_brickwork_in_one_call(monkeypatch):
 
     monkeypatch.setattr(circuits, "check_unitary", counting)
     inv = c.inverse()
-    assert calls == [(15, 4, 4)]
+    # Each adjoint's source passed the check, so nothing is checked again.
+    assert calls == []
     monkeypatch.undo()
     assert len(inv.layers) == len(c.layers)
     for inv_layer, layer in zip(inv.layers, reversed(c.layers)):
@@ -350,8 +351,7 @@ def test_inverse_of_mixed_gates_is_each_gates_adjoint(monkeypatch):
     calls = []
     monkeypatch.setattr(circuits, "check_unitary", lambda u: calls.append(u.shape))
     inv = c.inverse()
-    # One check per matrix width.
-    assert sorted(calls) == [(1, 4, 4), (1, 8, 8), (2, 2, 2)]
+    assert calls == []
     monkeypatch.undo()
     for inv_layer, layer in zip(inv.layers, reversed(c.layers)):
         for gi, g in zip(inv_layer.gates, layer.gates, strict=True):

@@ -114,13 +114,13 @@ def test_decay_negative_depth_exits_2(runner, tmp_path, depth):
 def test_decay_trial_zero_mismatch_exits_3(runner, tmp_path, monkeypatch, patch):
     # A wrong pairing or index table in the sector step fails the run's
     # trial-0 check: exit 3, and no report, table or manifest.
-    from qadv import detection
+    from qadv import detection, pauli
 
     real = detection._brick_pairs
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setattr(detection, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
+        monkeypatch.setattr(pauli, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
     out = tmp_path / "out"
     result = runner.invoke(
         main, ["decay", "--n", "4", "--L", "3", "--trials", "5", "--out-dir", str(out)])
@@ -445,6 +445,47 @@ def test_resource_limit_exits_4(runner, tmp_path):
         main, ["decay", "--n", "66", "--L", "1", "--trials", "2", "--out-dir", str(tmp_path)]
     )
     assert r.exit_code == 4
+
+
+def test_decay_refuses_a_wide_register_before_any_sector_work(runner, tmp_path, monkeypatch):
+    # Checked beside the other argument checks, not by trial 0's check
+    # after every chunk has propagated.
+    from qadv import detection
+
+    def spy(*_):
+        raise AssertionError("sector work started")
+
+    monkeypatch.setattr(detection, "_sector_norms", spy)
+    out = tmp_path / "out"
+    r = runner.invoke(
+        main, ["decay", "--n", "66", "--L", "4", "--trials", "2000", "--out-dir", str(out)])
+    assert r.exit_code == 4, r.output
+    assert "64-qubit" in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--copies", "27"], ["--n", "200"]], ids=["copies", "n"])
+def test_suite_refuses_a_wide_detection_circuit_before_building_it(
+        runner, tmp_path, monkeypatch, args):
+    # n + m*copies + 1 is checked against the dense limit before any
+    # detection circuit, with its 2^(copies + 1)-entry majority
+    # permutation, is built.
+    def spy(*_, **__):
+        raise AssertionError("a detection circuit was built")
+
+    monkeypatch.setattr(circuits, "build_cnew", spy)
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["suite", "--yes", "1", "--no", "1", *args, "--out-dir", str(out)])
+    assert r.exit_code == 4, r.output
+    assert "dense limit" in r.output
+    assert not out.exists()
+    # Even copies that fit reach the majority vote, which refuses them.
+    monkeypatch.undo()
+    r = runner.invoke(main, ["suite", "--yes", "1", "--no", "1", "--copies", "4",
+                             "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "odd" in r.output
+    assert not out.exists()
 
 
 def test_bad_parameter_value_exits_2(runner, tmp_path):

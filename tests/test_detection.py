@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qadv import circuits, detection, propagation
+from qadv import circuits, detection, pauli, propagation
 from qadv.circuits import Circuit, ElementaryLayer, Gate
 from qadv.detection import (
     PromiseInstance,
@@ -208,7 +208,7 @@ def test_decay_trial_zero_check_bites(monkeypatch, patch):
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setattr(detection, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
+        monkeypatch.setattr(pauli, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
     with pytest.raises(InvariantViolation, match="trial 0"):
         decay_experiment(4, 3, trials=5, seed=2)
 

@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from qadv import circuits, detection, pauli, sensing, sq, statevector
-from qadv.pauli import DROP_TOLERANCE, PauliMap, conjugate_layer, transfer_matrix
+from qadv.pauli import (
+    DROP_TOLERANCE,
+    PauliMap,
+    conjugate_layer,
+    transfer_matrix,
+    weight_one_blocks,
+)
 from qadv.propagation import PropagationConfig, backpropagate, block_unitary, z_first
 
 import oracles
@@ -112,8 +118,8 @@ def test_transfer_matrix_weight_one_block(benchmark):
     # One layer of a decay chunk at n = 8, L = 10: 38 trials of four Haar
     # gates, each narrowed to its 6 x 6 weight-1 block.
     stack = circuits.haar_two_qubit(np.random.default_rng(6), 152)
-    w = detection._WEIGHT_ONE
-    got = benchmark(transfer_matrix, stack, w)
+    w = pauli._WEIGHT_ONE
+    got = benchmark(weight_one_blocks, stack)
     assert got.tobytes() == transfer_matrix(stack)[:, w[:, None], w].tobytes()
 
 

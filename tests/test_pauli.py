@@ -19,6 +19,7 @@ from qadv.pauli import (
     conjugate_dense,
     conjugate_layer,
     transfer_matrix,
+    weight_one_blocks,
 )
 
 import oracles
@@ -203,46 +204,30 @@ def test_transfer_stack_rejects_one_non_unitary_member():
         transfer_matrix(stack)
 
 
-@st.composite
-def _narrowed_builds(draw):
-    """A width, a nonempty index of distinct local indices in drawn order,
-    a stack length (None for a single matrix) and a seed."""
-    w = draw(st.integers(1, 3))
-    index = draw(st.lists(st.integers(0, 4**w - 1), min_size=1, max_size=4**w, unique=True))
-    return w, index, draw(st.none() | st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
-
-
-@given(_narrowed_builds())
+@given(st.none() | st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
-# The decay sector's block: the weight-1 rows of a two-qubit gate, across
-# two chunks of the stacked build; and a lone row.
-@example((2, [4, 8, 12, 1, 2, 3], 40, 0))
-@example((2, [7], 17, 1))
-def test_narrowed_transfer_build_is_the_sliced_full_build(case):
-    w, index, count, seed = case
+# Stacks that end just short of, on and just past a chunk boundary, and
+# one across three chunks.
+@example(15, 0)
+@example(16, 0)
+@example(17, 0)
+@example(40, 0)
+def test_narrowed_transfer_build_is_the_sliced_full_build(count, seed):
     rng = np.random.default_rng(seed)
-    u = np.stack([haar_unitary(2**w, rng) for _ in range(count or 1)])
+    u = np.stack([haar_unitary(4, rng) for _ in range(count or 1)])
     if count is None:
         u = u[0]
-    got = transfer_matrix(u, index)
-    rows = np.array(index)
-    want = transfer_matrix(u)[..., rows[:, None], rows]
+    got = weight_one_blocks(u)
+    w = pauli._WEIGHT_ONE
+    want = transfer_matrix(u)[..., w[:, None], w]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "index",
-    [[], [4, 8, 4], [1.0, 2.0], np.array([True, False] * 8), [0, 16], [-1, 3]],
-    ids=["empty", "repeated", "float", "bool", "past-the-end", "negative"],
-)
-@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-def test_transfer_refuses_a_bad_index(index, stacked):
-    u = circuits.FIXED_GATES["CNOT"]
-    if stacked:
-        u = np.stack([u, np.eye(4), u])
-    with pytest.raises(ValueError, match="index"):
-        transfer_matrix(u, index)
+def test_weight_one_blocks_refuse_other_widths():
+    for u in (np.eye(2), np.eye(8), np.stack([np.eye(8)] * 3)):
+        with pytest.raises(ValueError, match="two-qubit"):
+            weight_one_blocks(u)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))

@@ -210,6 +210,15 @@ def test_minimal_ghz_uses_halves_with_doubling_n():
     assert abs(t_values[8] - t_values[4] / 2) <= 1
 
 
+@pytest.mark.parametrize(
+    "n_probes, theta",
+    [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1), (2, math.inf), (2, math.nan)],
+)
+def test_minimal_ghz_uses_refuses_bad_input(n_probes, theta):
+    with pytest.raises(ValueError):
+        minimal_ghz_uses(n_probes, theta, 0.9)
+
+
 def test_minimal_ghz_uses_monte_carlo_agreement():
     # The analytic minimal T must be minimal in simulation too: success at
     # T* clears the target and at T*-2 falls short (1-step tolerance).
