@@ -107,9 +107,13 @@ def detect(
 
     The exact side is 1 - 2*C(x) from the statevector oracle; passing
     `shots` switches it to an empirical estimate from that many Bernoulli
-    draws per input, matching the repeated-measurement procedure. One
-    fused circuit serves every sampled input and lends its block unitaries
-    to the one backward propagation, so none is built twice.
+    draws per input, matching the repeated-measurement procedure; a
+    probability within `statevector._NORM_TOL` of [0, 1] is clipped for the
+    draw, and one farther out raises InvariantViolation. One fused circuit
+    serves every sampled input and lends its block unitaries to the one
+    backward propagation, so none is built twice. Of a `circuits.build_cnew`
+    circuit's ops, `statevector.fuse` derives the controlled inverse's from
+    the open run's; `backpropagate` builds transfer matrices in windows.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
@@ -128,7 +132,12 @@ def detect(
         x = "".join(str(int(b)) for b in rng.integers(0, 2, size=width))
         prob = statevector.output_prob(fused, x)
         if shots is not None:
-            prob = rng.binomial(shots, prob) / shots
+            # Rounding can carry an exact probability of 0 or 1 a few ulps
+            # past it; the draw takes it clipped, and anything farther out
+            # is a broken oracle.
+            if not -statevector._NORM_TOL <= prob <= 1.0 + statevector._NORM_TOL:
+                raise InvariantViolation(f"output probability {prob} lies outside [0, 1]")
+            prob = rng.binomial(shots, min(max(prob, 0.0), 1.0)) / shots
         exact = 1.0 - 2.0 * prob
         heur = evaluate_product_state(o0, c.full_input(x))
         records.append(InputRecord(x, exact, heur, abs(exact - heur)))

@@ -1,12 +1,14 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through Pauli transfer matrices, built
-per layer, one stack per gate width for the unitaries not yet seen. A lone
-pass memoizes them by gate unitary for the unitaries that occur more than
-once in it (nothing outlives the call); composite blocks
-(and elementary gates wider than 3 qubits) evolve by dense conjugation of
-the truncated observable over the block support.
+Elementary layers evolve exactly through Pauli transfer matrices. A pass
+builds them a window at a time: at the first layer with a matrix not yet
+built, one stack per gate width for the unitaries not yet built in that
+layer and in as many following layers as fit in `TRANSFER_WINDOW_BYTES`.
+A recurring unitary is built once per pass, and every matrix is dropped
+after the last layer that uses it (nothing outlives the call). Composite
+blocks (and elementary gates wider than 3 qubits) evolve by dense
+conjugation of the truncated observable over the block support.
 A block's dense unitary comes from a `statevector.FusedCircuit` when one is
 given; otherwise `statevector.block_unitary`, imported here by name, builds
 it in one pass of the statevector interpreter over the identity.
@@ -25,6 +27,11 @@ import numpy as np
 from . import circuits
 from .pauli import PauliMap, conjugate_dense, conjugate_layer, transfer_matrix
 from .statevector import FusedCircuit, block_unitary, check_block_width
+
+#: Bytes of transfer matrices one build of a backward pass may output:
+#: 512 two-qubit or 32 three-qubit matrices. A layer whose own new matrices
+#: take more is still built whole, in one build of its own.
+TRANSFER_WINDOW_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -45,24 +52,32 @@ def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.La
     return [g for g in layer.gates if len(g.targets) <= 3], wide
 
 
-def _transfer_matrices(
-    gates: list[circuits.Gate], keys: list[bytes], memo: dict[bytes, np.ndarray], uses: Counter
-) -> list[np.ndarray]:
-    """The transfer matrix of each gate, keyed by its unitary's bytes: from
-    the memo, or built in one stack per gate width for the unitaries not
-    seen before. Only those of unitaries that occur more than once in the
-    pass go into the memo, so one-shot gates (fresh Haar draws) hold no
-    memory past their layer."""
+def _build_window(
+    steps: list, start: int, built: dict[bytes, np.ndarray], left: Counter
+) -> None:
+    """Add to ``built`` the transfer matrices not yet built of step
+    ``start`` and of as many following steps as fit in
+    `TRANSFER_WINDOW_BYTES` of output (always step ``start``): one
+    `transfer_matrix` stack per gate width. A matrix whose unitary has uses
+    ``left`` after this one is copied out of its stack, so that it alone
+    outlives the window."""
     misses: dict[int, dict[bytes, circuits.Gate]] = {}
-    for key, g in zip(keys, gates):
-        if key not in memo:
-            # As complex128, the byte length alone tells 1-, 2- and 3-qubit gates apart.
+    size = 0
+    for gates, keys, _ in steps[start:]:
+        new = {key: g for key, g in zip(keys, gates)
+               if key not in built and key not in misses.get(len(key), ())}
+        # A d x d complex128 unitary has 16 d^2 bytes, its transfer matrix
+        # 8 d^4; the byte length alone also tells the widths apart.
+        grow = sum(8 * (len(key) // 16) ** 2 for key in new)
+        if size and size + grow > TRANSFER_WINDOW_BYTES:
+            break
+        size += grow
+        for key, g in new.items():
             misses.setdefault(len(key), {})[key] = g
-    built: dict[bytes, np.ndarray] = {}
     for group in misses.values():
-        built.update(zip(group, transfer_matrix(np.stack([g.unitary() for g in group.values()]))))
-    memo.update((key, entries) for key, entries in built.items() if uses[key] > 1)
-    return [built[key] if key in built else memo[key] for key in keys]
+        stack = transfer_matrix(np.stack([g.unitary() for g in group.values()]))
+        built.update((key, entries.copy() if left[key] > 1 else entries)
+                     for key, entries in zip(group, stack))
 
 
 def backpropagate(
@@ -76,9 +91,14 @@ def backpropagate(
     Projects the observable to weight <= k up front, then for each layer
     from last to first conjugates exactly and projects once. With
     record_norms, also returns the normalized squared Frobenius norm after
-    the initial projection and after each layer step. The pass memoizes
-    the transfer matrices of recurring unitaries for this pass only; a
-    `FusedCircuit` lends its block layers' dense unitaries.
+    the initial projection and after each layer step.
+
+    Transfer matrices are built a window at a time (`_build_window`): at
+    the first layer with a matrix not yet built, for it and the following
+    layers up to `TRANSFER_WINDOW_BYTES` of new matrices. Each distinct
+    unitary is built once per pass and dropped after its last layer; each
+    matrix has the bytes of its one-matrix build. A `FusedCircuit` lends
+    its block layers' dense unitaries.
     """
     if c.n_qubits != o.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
@@ -89,16 +109,19 @@ def backpropagate(
     for layer in reversed(c.layers):
         gates, dense = _split(layer)
         steps.append((gates, [g.unitary().tobytes() for g in gates], dense))
-    uses = Counter(key for _, keys, _ in steps for key in keys)
-    memo: dict[bytes, np.ndarray] = {}
+    left = Counter(key for _, keys, _ in steps for key in keys)
+    built: dict[bytes, np.ndarray] = {}
     acc = o.project_weight(cfg.k)
     norms = [acc.frobenius_normalized()]
-    for gates, keys, dense in steps:
+    for i, (gates, keys, dense) in enumerate(steps):
         if gates:
-            # Built in the call, so no name keeps this layer's matrices
-            # alive while the next layer's are built.
-            acc = conjugate_layer(acc, zip(
-                [g.targets for g in gates], _transfer_matrices(gates, keys, memo, uses)))
+            if not all(key in built for key in keys):
+                _build_window(steps, i, built, left)
+            acc = conjugate_layer(acc, zip([g.targets for g in gates], [built[key] for key in keys]))
+            for key in keys:
+                left[key] -= 1
+                if not left[key]:
+                    del built[key]
         for layer in dense:
             # Refuse before building: the unitary alone has 4^width entries.
             check_block_width(len(layer.support))

@@ -17,9 +17,13 @@ of one exact 1 and zeros is exact in any summation order). `output_prob`
 runs its input that way.
 `propagation` conjugates by the ops of block layers, never by fused runs.
 
-`block_unitary` builds every op, and every other dense unitary `propagation`
-conjugates by: it runs the gate-by-gate interpreter (`_apply_layers`) once
-on the identity, whose columns ride on a trailing batch axis.
+`block_unitary` builds every op but one kind, and every other dense unitary
+`propagation` conjugates by: it runs the gate-by-gate interpreter
+(`_apply_layers`) once on the identity, whose columns ride on a trailing
+batch axis. The exception is a controlled block whose sub-circuit undoes,
+gate for gate, the run that directly follows it (the controlled inverse of
+`circuits.build_cnew`): its op is the identity and the adjoint of the
+run's op, placed without arithmetic (`_controlled_adjoint`).
 """
 
 from __future__ import annotations
@@ -188,9 +192,58 @@ def _fusion_units(layer: circuits.Layer) -> Sequence[circuits.Layer]:
     return [circuits.ElementaryLayer((g,)) for g in layer.gates]
 
 
+def _undoes(
+    sub: circuits.Circuit, targets: Sequence[int], run: Sequence[circuits.ElementaryLayer]
+) -> bool:
+    """Whether ``sub``, placed on ``targets``, undoes ``run`` gate for gate:
+    its layer j pairs with run layer L-1-j, gate by gate in order, with the
+    same targets once mapped through ``targets``, and each gate the
+    `Gate.adjoint` of its partner (a matrix gate: the conjugate transpose
+    of its partner's matrix, exactly)."""
+    if len(sub.layers) != len(run):
+        return False
+    for sub_layer, layer in zip(sub.layers, reversed(run)):
+        if not isinstance(sub_layer, circuits.ElementaryLayer) or (
+                len(sub_layer.gates) != len(layer.gates)):
+            return False
+        for s, g in zip(sub_layer.gates, layer.gates):
+            if tuple([targets[t] for t in s.targets]) != g.targets:
+                return False
+            if g.kind == "matrix":
+                if s.kind != "matrix" or not np.array_equal(s.matrix, g.matrix.conj().T):
+                    return False
+            elif (s.kind, s.param, s.perm) != ((a := g.adjoint()).kind, a.param, a.perm):
+                return False
+    return True
+
+
+def _controlled_adjoint(control: int, op: Op) -> Op:
+    """The op of a block that applies the adjoint of ``op`` when ``control``
+    is 1 and the identity when it is 0, over the sorted support of both:
+    the identity and ``op``'s conjugate transpose placed, entry for entry,
+    on the control's two diagonal blocks."""
+    targets, u = op
+    support = tuple(sorted((*targets, control)))
+    d, w = len(u), len(support)
+    m = np.zeros((2, d, 2, d), dtype=complex)
+    m[0, :, 0, :] = np.eye(d)
+    m[1, :, 1, :] = u.conj().T
+    # The control axis leads the rows and the columns; move it to its rank.
+    p = support.index(control)
+    m = np.moveaxis(m.reshape((2,) * (2 * w)), (0, w), (p, w + p))
+    return support, m.reshape(2 * d, 2 * d)
+
+
 def fuse(c: circuits.Circuit) -> FusedCircuit:
     """Compile a circuit into dense ops: one per block layer, and one per
     maximal run of elementary units whose union support fits in FUSE_WIDTH.
+
+    A controlled block directly followed by a run that acts on exactly its
+    targets, and whose sub-circuit undoes that run gate for gate
+    (`_undoes`), takes its op from the run's: the identity on control 0
+    and the run's adjoint on control 1 (`_controlled_adjoint`), built after
+    the run's. Every other op is built by `block_unitary`. Only the layers
+    are read, never the metadata.
 
     Widths are checked before anything is built: the circuit against
     DENSE_LIMIT, every op against DENSE_BLOCK_LIMIT.
@@ -211,7 +264,17 @@ def fuse(c: circuits.Circuit) -> FusedCircuit:
             extendable = elementary
     for support in supports:
         check_block_width(len(support))
-    built = [(run, block_unitary(*run)) for run, support in zip(runs, supports) if support]
+    # The runs whose op comes from the next run's.
+    derived = {
+        i for i, (run, nxt) in enumerate(zip(runs, runs[1:]))
+        if isinstance(block := run[0], circuits.BlockLayer) and block.control is not None
+        and isinstance(nxt[0], circuits.ElementaryLayer)
+        and supports[i + 1] == frozenset(block.targets)
+        and _undoes(block.circuit, block.targets, nxt)
+    }
+    ops = {i: block_unitary(*run) for i, run in enumerate(runs) if supports[i] and i not in derived}
+    ops.update((i, _controlled_adjoint(runs[i][0].control, ops[i + 1])) for i in derived)
+    built = [(run, ops[i]) for i, run in enumerate(runs) if i in ops]
     blocks = {run[0]: op for run, op in built if isinstance(run[0], circuits.BlockLayer)}
     return FusedCircuit(c.n_qubits, c.layers, c.registers, c.metadata,
                         tuple(op for _, op in built), blocks)

@@ -305,3 +305,49 @@ def _conjugate_terms(
     z = np.concatenate((z[stay], rest_z[g] | bz))
     c = np.concatenate((c[stay], spread[g, b]))
     return x, z, c
+
+
+# ---------------------------------------------------------------------------
+# The per-layer backward pass of `qadv.propagation`: each layer builds the
+# transfer matrices of its unitaries not yet kept, one stack per gate width,
+# and keeps those of unitaries that recur in the pass. Kept as the reference
+# the windowed pass must match byte for byte.
+
+
+def backpropagate_per_layer(c, o, k: int):
+    """`qadv.propagation.backpropagate` with ``record_norms``, building per
+    layer: the map and the norm after the initial projection and after each
+    layer."""
+    from collections import Counter
+
+    from qadv import circuits, propagation, statevector
+    from qadv.pauli import conjugate_dense, conjugate_layer, transfer_matrix
+
+    blocks = c.blocks if isinstance(c, statevector.FusedCircuit) else {}
+    steps = []
+    for layer in reversed(c.layers):
+        gates, dense = propagation._split(layer)
+        steps.append((gates, [g.unitary().tobytes() for g in gates], dense))
+    uses = Counter(key for _, keys, _ in steps for key in keys)
+    memo: dict[bytes, np.ndarray] = {}
+    acc = o.project_weight(k)
+    norms = [acc.frobenius_normalized()]
+    for gates, keys, dense in steps:
+        if gates:
+            misses: dict[int, dict[bytes, circuits.Gate]] = {}
+            for key, g in zip(keys, gates):
+                if key not in memo:
+                    misses.setdefault(len(key), {})[key] = g
+            built: dict[bytes, np.ndarray] = {}
+            for group in misses.values():
+                stack = transfer_matrix(np.stack([g.unitary() for g in group.values()]))
+                built.update(zip(group, stack))
+            memo.update((key, entries) for key, entries in built.items() if uses[key] > 1)
+            matrices = [built[key] if key in built else memo[key] for key in keys]
+            acc = conjugate_layer(acc, zip([g.targets for g in gates], matrices))
+        for layer in dense:
+            support, u = blocks.get(layer) or statevector.block_unitary(layer)
+            acc = conjugate_dense(acc, u, support)
+        acc = acc.project_weight(k)
+        norms.append(acc.frobenius_normalized())
+    return acc, norms

@@ -314,7 +314,7 @@ def test_build_cnew_controlled_block_is_adjoint_reversed():
             assert np.allclose(gi.matrix, gf.matrix.conj().T)
 
 
-def test_inverse_checks_a_brickwork_in_one_call(monkeypatch):
+def test_inverse_makes_no_unitarity_check(monkeypatch):
     c = random_brickwork(6, 5, seed=3)
     calls = []
 

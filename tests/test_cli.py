@@ -101,6 +101,46 @@ def test_detect_refuses_nan_gate_angle(runner, tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def _x_then_brickwork() -> circuits.Circuit:
+    # X on qubit 0, then a 6-qubit brickwork on qubits 1-6: the exact
+    # probability of measuring 1 from |0...0> rounds to 1 + 2.2e-16.
+    bw = circuits.random_brickwork(6, 12, seed=18)
+    moved = [circuits.ElementaryLayer(tuple([
+        circuits.Gate("matrix", tuple([q + 1 for q in g.targets]), matrix=g.matrix)
+        for g in layer.gates])) for layer in bw.layers]
+    x = circuits.ElementaryLayer((circuits.Gate("X", (0,)),))
+    return circuits.Circuit(7, (x, *moved))
+
+
+def test_detect_shots_take_a_rounding_residue_past_1(runner, tmp_path):
+    from qadv import statevector
+
+    c = _x_then_brickwork()
+    assert statevector.output_prob(c, "0" * 7) > 1.0
+    cpath = tmp_path / "circuit.json"
+    circuits.save_circuit(c, str(cpath))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "4", "--seed", "0",
+                                  "--shots", "100", "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(out / "detect_report.json"))
+    assert len(report["records"]) == 4
+
+
+def test_detect_shots_refuse_a_probability_far_outside_0_1(runner, tmp_path, monkeypatch):
+    from qadv import statevector
+
+    cpath = tmp_path / "circuit.json"
+    circuits.save_circuit(_x_then_brickwork(), str(cpath))
+    monkeypatch.setattr(statevector, "output_prob", lambda c, x: 1.5)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "4", "--seed", "0",
+                                  "--shots", "100", "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "outside [0, 1]" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("depth", ["-1", "-8"])
 def test_decay_negative_depth_exits_2(runner, tmp_path, depth):
     out = tmp_path / "out"
@@ -738,9 +778,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "cd0648164fa446100c51f8776bbcd586898dd8e37124eb611bb77f69cb24d739")
+        "ee9897f46f7c644306232d18666e03e767fa981e540d76f5fb9125326d12c3f9")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "53419876f79e4d402bd4386a57ed3c0920d867c34864275c12a5920ed0f8f5cc")
+        "de586f8a33c654abc788618a9bbcc2e6fc0cf39e7d73bb24a26e7e402bc32053")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -750,9 +790,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "f1838142ae7acce9a7d0d73a23daeebc21f98d457ad79ce676905753a1642119")
+        "b1ac465d9fa5b136adf77b92e27a20bf302897892998bea7d8405d2a9acc0732")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "958769eeb7a0d4bbc65fc5afa77d615d0095c9a4f001b12ec894a2a1a2f37b6d")
+        "e88a8e39906fa62aa8465a95e9fe7259f899bb143fc27bf94c833f55bf5400b0")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -764,7 +804,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "cf1f5c0d11b9418b78ffa1d60276c1e2176e6f09297b4a5427c2e8456cde3f9b")
+        "3d961d477a3c680bababc625c8aefe224a1647800263f031ed1d6de6f3aa9bf4")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -777,9 +817,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "69d04855960a4d798df386b11b85c3f9a42a457bc613e8ef94d64b0a673534f1")
+        "422bdbea61428ec7ed69691a1a48c0dd050115271d036f0bc663d2e138127c78")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "dce5e7d74ceee2333cb78133a0a8490ac3fa93ad1be810782ca2a2aec5f38c00")
+        "89b4e1a89e9c6284046c82fa898dd00f8136518b5f921ac09430d2db39d0ce00")
 
 
 
@@ -787,16 +827,16 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in chunks; each trial's norms are the same floats in
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config and when the version went to 0.2.0.
+    # config and when the version went to 0.2.0 and to 0.3.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "0f22ae1e4c4438cc3b190fa3d938016ba6916488d3d677638d7944ccc5ec375a",
-         "a399387763805ed15fb8bdae0de6a33bb84c187812d8c26a1de904edbc32076a"),
+         "eb910b47a431b5e0029e8b43be10e0d869edfe73caec564951f30bc8f976d1ad",
+         "6e9d1682d620226170ef8330aba02bb37343fa37dd1db6e7ea27bbd409fec50e"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "19e214e93e52850e8d5610e9d60992068718e33646b040094196586fabc6702f",
-         "27d1d2d2370a5198c07dd612ae094be252693f7e98880c2ba57ace8442579c72"),
+         "bbe6ea0c4c7690245aa197c9b88fe550a743c1fce575f6c02394b7327dacfab9",
+         "b10b660733886afab147a4ee2474d56b4cdea6d749e0b825c1b4cced2db1655b"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -820,16 +860,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "e3883a9442b2249d540e43d1879fa6b6e1f5ce214e3aa680784bba1c0000e556")
+        "7619817c0f6be9804fd2f05250750daba3cf9b77b416f90f2359d939baa767c5")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "09841c501d092ae0e87a8af02cf9db858483eb9ab58597b48f591ba33ce6cf58")
+        "5b58416a201d0e9d41ec774b065854f593f8a3b0afa4f50d41cb53688e9a9674")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "4fc116522da5d8ca6544b257aab16c4c926a39bcda9a71c222bc4c14a6275d90")
+        "16fd2251db10879910dd21826c83052bef7c4b99f60f709a5ec5d9b33c803838")
 
 
 @pytest.mark.parametrize("cell, key", [

@@ -73,9 +73,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "e886c3f6a8b14f884bdfc5094e38abf4bb50e853c3d7d8691bf9e8680ae7facd"),
+         "2fdffc0db793547af97ab2f43ef74a03dbf0a1588d255ea220173c5b5de676f9"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "d6f64326eeffefe4c95f5e53f550d710b03c8716534d340dfbd671c9d0b4b2fb"),
+         "04b11695ba13f4e0966a856d16c3aed21c04396da5fb0edee196e2fa6c968ccc"),
     ],
     ids=["decay", "bell"],
 )

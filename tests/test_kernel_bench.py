@@ -5,7 +5,8 @@ Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark asserts that its kernel
 preserves the Pauli-2 norm, gives the bytes of the lexsort group-and-scatter
-step, gives the norms of the backward pass, builds a unitary, builds the
+step, gives the norms of the backward pass, gives the bytes of the per-layer
+transfer-matrix builds, builds a unitary, builds the
 adjoint's bytes, gives the bytes of the sliced full transfer-matrix build,
 matches the gate-by-gate interpreter, draws what the lockstep tree descent
 draws, estimates what the one-shot estimator estimates, or succeeds as often
@@ -104,6 +105,22 @@ def test_decay_sector_step(benchmark):
         np.testing.assert_allclose(row, want, rtol=1e-12, atol=2 * math.sqrt(3 * n) * DROP_TOLERANCE)
 
 
+def test_backpropagate_suite_shape(benchmark):
+    # One k = 1 backward pass over the fused suite-shape C_new (n=6, m=2,
+    # copies=3, L=78), its block ops lent: the 234 brickwork gates build
+    # their transfer matrices in one window. It gives the bytes and the
+    # per-layer norms of the per-layer builds; the norms decay from 1 to
+    # below the drop tolerance, where the map empties.
+    cq, _ = circuits.promise_instance("x", 2)
+    fused = statevector.fuse(circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0))
+    o = z_first(fused.n_qubits)
+    got, norms = benchmark(backpropagate, fused, o, PropagationConfig(k=1), record_norms=True)
+    want, want_norms = oracles.backpropagate_per_layer(fused, o, 1)
+    assert norms == want_norms and sum(v > 0 for v in norms) > 20
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_transfer_matrix_two_qubit(benchmark):
     rng = np.random.default_rng(1)
 
@@ -148,14 +165,25 @@ def test_build_cnew_suite_shape(benchmark):
 
 
 def test_fuse_suite_shape(benchmark):
-    # Compiling the suite shape's C_new: the amplified block, the
-    # controlled inverse and the open run, each one dense op.
+    # Compiling the suite shape's C_new: the amplified block and the open
+    # run, each one dense op built by the interpreter, and the controlled
+    # inverse, whose op is placed from the open run's adjoint.
     cq, _ = circuits.promise_instance("x", 2)
     cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
     fused = benchmark(statevector.fuse, cnew)
     assert [len(support) for support, _ in fused.ops] == [7, 7, 6]
-    ctrl = cnew.layers[1]
-    assert np.array_equal(fused.blocks[ctrl][1], block_unitary(ctrl)[1])
+    amplified, ctrl = cnew.layers[:2]
+    assert np.array_equal(fused.blocks[amplified][1], block_unitary(amplified)[1])
+    run_support, run = fused.ops[2]
+    assert np.array_equal(run, block_unitary(*cnew.layers[2:])[1])
+    # Control (qubit 12) last: identity on its 0 rows, the run's adjoint on its 1 rows.
+    support, u = fused.blocks[ctrl]
+    assert support == (*run_support, 12)
+    want = np.zeros((128, 128), dtype=complex)
+    want[0::2, 0::2] = np.eye(64)
+    want[1::2, 1::2] = run.conj().T
+    assert u.tobytes() == want.tobytes()
+    assert np.abs(u - block_unitary(ctrl)[1]).max() < 1e-12
     for _, u in fused.ops:
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-12
 

@@ -1,7 +1,11 @@
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
@@ -15,6 +19,7 @@ from qadv.propagation import (
     z_first,
 )
 
+import oracles
 from oracles import circuit_unitary, conjugate_map_dense, haar_unitary
 
 
@@ -223,7 +228,8 @@ def test_block_limit_checked_before_building_unitary(monkeypatch):
 
 def test_transfer_matrices_memoized_per_backward_pass(monkeypatch):
     # Trotter-style: RX, CNOT and RZ layers repeated, so three distinct
-    # unitaries across 4 * 3 * 2 = 24 gates. Each pass builds each once.
+    # unitaries across 4 * 3 * 2 = 24 gates. Each pass builds each once, in
+    # one window: one call per gate width.
     n, steps = 4, 3
     layers = []
     for _ in range(steps):
@@ -235,22 +241,23 @@ def test_transfer_matrices_memoized_per_backward_pass(monkeypatch):
     real = prop.transfer_matrix
 
     def counting(u):
-        calls.append(u.tobytes())
+        calls.append([m.tobytes() for m in u])
         return real(u)
 
     monkeypatch.setattr(prop, "transfer_matrix", counting)
     cfg = PropagationConfig(k=n)
     first = backpropagate(c, z_first(n), cfg)
-    assert len(calls) == 3 and len(set(calls)) == 3
+    built = [m for call in calls for m in call]
+    assert len(calls) == 2 and len(built) == 3 and len(set(built)) == 3
     second = backpropagate(c, z_first(n), cfg)
-    assert len(calls) == 6 and set(calls[3:]) == set(calls[:3])
+    assert len(calls) == 4 and sorted(m for call in calls[2:] for m in call) == sorted(built)
     assert second.to_labels() == first.to_labels()
 
 
 def test_mixed_width_layers_match_dense_route(monkeypatch):
     # Layers mixing 1-, 2- and 3-qubit matrix gates, with one unitary
-    # repeated inside a layer and one repeated across layers: each layer
-    # builds its new transfer matrices as one stack per gate width.
+    # repeated inside a layer and one repeated across layers: the pass
+    # builds its distinct transfer matrices as one stack per gate width.
     rng = np.random.default_rng(83)
     u1, u2, v2, u3 = (haar_unitary(d, rng) for d in (2, 4, 4, 8))
     n = 6
@@ -394,33 +401,42 @@ def test_multilayer_truncated_chain_matches_dense_route():
         assert got_labels[label] == pytest.approx(v, abs=1e-9)
 
 
+def _owner(entries: np.ndarray) -> np.ndarray:
+    """The array that holds a transfer matrix's memory: its stack, or the
+    matrix itself when it was copied out."""
+    return entries if entries.base is None else entries.base
+
+
 def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
-    # Each layer builds the matrices of its unitaries not seen before in one
-    # call per gate width; only a unitary that recurs in the pass is kept,
-    # so a brickwork of fresh Haar gates keeps nothing and a recurring gate
-    # is built once.
-    shapes, kept = [], []
-    real_build, real = prop.transfer_matrix, prop._transfer_matrices
+    # With a window of one layer, each layer builds the matrices of its
+    # unitaries not yet built in one call per gate width. A one-shot matrix
+    # does not outlive its layer, so a brickwork of fresh Haar gates holds
+    # one layer's stack at a time; a recurring gate is built once and kept.
+    shapes, owners, alive = [], [], []
+    real_build, real_layer = prop.transfer_matrix, prop.conjugate_layer
 
     def build(stack):
         shapes.append(stack.shape)
         return real_build(stack)
 
-    def spy(gates, keys, memo, uses):
-        out = real(gates, keys, memo, uses)
-        kept.append(len(memo))
-        return out
+    def layer(m, gates):
+        gates = list(gates)
+        owners.extend(weakref.ref(_owner(entries)) for _, entries in gates)
+        alive.append(len({id(o) for r in owners if (o := r()) is not None}))
+        return real_layer(m, gates)
 
     monkeypatch.setattr(prop, "transfer_matrix", build)
-    monkeypatch.setattr(prop, "_transfer_matrices", spy)
+    monkeypatch.setattr(prop, "conjugate_layer", layer)
+    monkeypatch.setattr(prop, "TRANSFER_WINDOW_BYTES", 3 * 8 * 4**4)
     backpropagate(circuits.random_brickwork(6, 5, seed=0), z_first(6), PropagationConfig(k=1))
     assert shapes == [(3, 4, 4)] * 5
-    assert kept == [0] * 5
+    assert alive == [1] * 5
     shapes.clear()
-    kept.clear()
+    owners.clear()
+    alive.clear()
     backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
     assert shapes == [(1, 4, 4)]
-    assert kept == [1] * 4
+    assert alive == [1] * 4
 
 
 def _blocks_and_wide_gate():
@@ -465,3 +481,95 @@ def test_fused_circuit_lends_block_unitaries(monkeypatch):
     monkeypatch.setattr(prop, "block_unitary", counting)
     backpropagate(fused, z_first(5), PropagationConfig(k=2))
     assert [layer.gates for (layer,) in built] == [c.layers[2].gates]
+
+
+_NAMED = {1: ["I", "X", "Y", "Z", "H", "S", "SDG", "RX", "RY", "RZ"], 2: ["CNOT", "CZ", "SWAP"]}
+
+
+def _random_gate(rng, targets, pool) -> Gate:
+    """A gate on ``targets``: named, a perm, or a matrix, fresh or drawn
+    from ``pool`` so that it recurs."""
+    w = len(targets)
+    kind = rng.choice(["named"] * (w in _NAMED) + ["perm", "pool", "pool", "fresh"])
+    if kind == "named":
+        name = str(rng.choice(_NAMED[w]))
+        param = float(rng.choice([0.3, -0.3, 1.1])) if name.startswith("R") else None
+        return Gate(name, targets, param=param)
+    if kind == "perm":
+        return Gate("perm", targets, perm=tuple(rng.permutation(2**w)))
+    u = pool[w][rng.integers(len(pool[w]))] if kind == "pool" else haar_unitary(2**w, rng)
+    return Gate("matrix", targets, matrix=u)
+
+
+def _random_layer(rng, n, pool) -> circuits.Layer:
+    """Disjoint 1-3 qubit gates with some qubits idle, a perm gate on 4 or
+    more qubits, or a block (controlled or not) of one or two such layers."""
+    kinds = ["gates", "gates"] + ["block"] * (n >= 2) + ["wide"] * (n >= 4)
+    kind = rng.choice(kinds)
+    if kind == "wide":
+        w = int(rng.integers(4, n + 1))
+        targets = tuple(int(q) for q in rng.permutation(n)[:w])
+        return ElementaryLayer((Gate("perm", targets, perm=tuple(rng.permutation(2**w))),))
+    if kind == "block":
+        order = [int(q) for q in rng.permutation(n)]
+        w = int(rng.integers(1, min(3, n - 1) + 1))
+        sub = Circuit(w, tuple(_random_layer(rng, w, pool) for _ in range(rng.integers(1, 3))))
+        control = order[w] if rng.random() < 0.5 else None
+        return BlockLayer("b", sub, tuple(order[:w]), control=control)
+    qubits = [int(q) for q in rng.permutation(n)]
+    gates = []
+    while qubits:
+        w = min(int(rng.integers(1, 4)), len(qubits))
+        targets, qubits = tuple(qubits[:w]), qubits[w:]
+        if rng.random() < 0.8:
+            gates.append(_random_gate(rng, targets, pool))
+    return ElementaryLayer(tuple(gates))
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 6 * 1024, 1 << 20]),
+       st.booleans())
+@settings(max_examples=60)
+def test_windowed_pass_matches_the_per_layer_route(n, seed, window, fused):
+    # Byte for byte against the per-layer builds, whatever the window: a
+    # window of 1 byte builds every layer on its own, 6 KiB a few layers of
+    # two-qubit gates at a time, 1 MiB the whole pass at once.
+    rng = np.random.default_rng(seed)
+    pool = {w: [haar_unitary(2**w, rng)] for w in (1, 2, 3)}
+    c = Circuit(n, tuple(_random_layer(rng, n, pool) for _ in range(rng.integers(1, 9))))
+    if fused:
+        c = sv.fuse(c)
+    labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)]
+    o = PauliMap.from_labels({label: float(rng.normal()) for label in labels})
+    k = int(rng.integers(1, n + 1))
+    with mock.patch.object(prop, "TRANSFER_WINDOW_BYTES", window):
+        got, norms = backpropagate(c, o, PropagationConfig(k=k), record_norms=True)
+    want, want_norms = oracles.backpropagate_per_layer(c, o, k)
+    assert norms == want_norms
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _three_qubit_haar(depth: int) -> Circuit:
+    rng = np.random.default_rng(depth)
+    return _circ(3, *[[Gate("matrix", (0, 1, 2), matrix=haar_unitary(8, rng))]
+                      for _ in range(depth)])
+
+
+def test_windowed_pass_memory_is_bounded_by_the_window():
+    # Depths 40 and 400 of fresh three-qubit Haar gates (32 KiB a transfer
+    # matrix): the deeper pass builds ten times as many matrices in windows
+    # of TRANSFER_WINDOW_BYTES, so its peak barely grows. The slack covers
+    # the build's fixed transient (two 1 MiB complex arrays for a chunk of
+    # 16 three-qubit matrices), the pass's keys (1 KiB a gate) and the maps.
+    slack = 3 * 2**20
+    peaks = []
+    for depth in (40, 400):
+        c = _three_qubit_haar(depth)
+        tracemalloc.start()
+        try:
+            backpropagate(c, z_first(3), PropagationConfig(k=2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.25
+    assert max(peaks) < prop.TRANSFER_WINDOW_BYTES + slack

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,3 +349,114 @@ def test_fuse_refuses_wide_block_before_building(monkeypatch):
     sub = _circ(w, [Gate("H", (q,)) for q in range(w)])
     with pytest.raises(ResourceLimitExceeded):
         sv.fuse(Circuit(w + 1, (BlockLayer("wide", sub, tuple(range(w)), control=w),)))
+
+
+def _mixed_run(w: int, depth: int, rng: np.random.Generator) -> list[ElementaryLayer]:
+    """``depth`` layers on qubits 0..w-1: a brickwork of Haar matrices whose
+    first layer is named gates (S, whose adjoint is SDG, and rotations) and
+    whose third is a perm gate."""
+    layers = list(circuits.random_brickwork(w, depth, seed=int(rng.integers(2**32))).layers)
+    layers[0] = ElementaryLayer(tuple([Gate("S", (0,))] + [
+        Gate("RX", (q,), param=0.3 * q) for q in range(1, w)]))
+    perm = tuple(int(v) for v in rng.permutation(4))
+    layers[2] = ElementaryLayer((Gate("perm", (1, 0), perm=perm),))
+    return layers
+
+
+def _placed(layers, targets) -> list[ElementaryLayer]:
+    """The layers with qubit i moved to ``targets[i]``."""
+    return [ElementaryLayer(tuple([dataclasses.replace(g, targets=tuple([targets[t] for t in g.targets]))
+                                   for g in layer.gates])) for layer in layers]
+
+
+def _undo_then_run(w: int, where: str, rng: np.random.Generator, depth: int = 6):
+    """A controlled block whose sub-circuit undoes the run that follows it,
+    on w shuffled targets with the control below, between or above them."""
+    control = {"below": 0, "between": w // 2, "above": w}[where]
+    targets = tuple(int(q) for q in rng.permutation([q for q in range(w + 1) if q != control]))
+    run = _mixed_run(w, depth, rng)
+    sub = Circuit(w, tuple(run)).inverse()
+    return BlockLayer("inv", sub, targets, control=control), _placed(run, targets)
+
+
+def _controlled_adjoint_by_entries(control, op):
+    """The identity on control 0 and op's adjoint on control 1, over the
+    sorted support, placed entry by entry."""
+    targets, u = op
+    support = sorted((*targets, control))
+    w = len(support)
+    out = np.zeros((2**w, 2**w), dtype=complex)
+    adj = u.conj().T
+    p = support.index(control)
+    for r in range(2**w):
+        for c in range(2**w):
+            bits_r = [(r >> (w - 1 - i)) & 1 for i in range(w)]
+            bits_c = [(c >> (w - 1 - i)) & 1 for i in range(w)]
+            if bits_r[p] != bits_c[p]:
+                continue
+            t_r = int("".join(map(str, bits_r[:p] + bits_r[p + 1:])), 2)
+            t_c = int("".join(map(str, bits_c[:p] + bits_c[p + 1:])), 2)
+            out[r, c] = adj[t_r, t_c] if bits_r[p] else float(t_r == t_c)
+    return out
+
+
+_CONTROL_AT = ["below", "between", "above"]
+
+
+@pytest.mark.parametrize("where", _CONTROL_AT)
+@pytest.mark.parametrize("w", range(2, 7))
+def test_fuse_derives_a_controlled_inverse_from_the_open_run(monkeypatch, w, where):
+    rng = np.random.default_rng(10 * w + _CONTROL_AT.index(where))
+    block, run = _undo_then_run(w, where, rng)
+    c = Circuit(w + 1, (block, *run))
+    built = []
+    real = sv.block_unitary
+
+    def counting(*layers):
+        built.append(layers)
+        return real(*layers)
+
+    monkeypatch.setattr(sv, "block_unitary", counting)
+    fused = sv.fuse(c)
+    # Only the run goes through the interpreter; the block's op follows it.
+    assert [len(layers) for layers in built] == [len(run)]
+    (run_op,) = [op for op in fused.ops if op is not fused.blocks[block]]
+    support, u = fused.blocks[block]
+    assert support == tuple(range(w + 1))
+    assert u.tobytes() == _controlled_adjoint_by_entries(block.control, run_op).tobytes()
+    assert np.abs(u - real(block)[1]).max() < 1e-12
+    assert np.abs(u - circuit_unitary(Circuit(w + 1, (block,)))).max() < 1e-12
+
+
+def _altered(block: BlockLayer, rng) -> BlockLayer:
+    """The block with the first matrix of its sub-circuit replaced."""
+    layers = list(block.circuit.layers)
+    gates = list(layers[0].gates)
+    gates[0] = Gate("matrix", gates[0].targets, matrix=haar_unitary(4, rng))
+    layers[0] = ElementaryLayer(tuple(gates))
+    return dataclasses.replace(block, circuit=Circuit(block.circuit.n_qubits, tuple(layers)))
+
+
+@pytest.mark.parametrize("case", ["altered gate", "one layer short", "wider run", "rotation"])
+def test_fuse_builds_the_block_when_it_does_not_undo_the_run(case):
+    rng = np.random.default_rng(7)
+    block, run = _undo_then_run(4, "between", rng)
+    n = 5
+    if case == "altered gate":
+        block = _altered(block, rng)
+    elif case == "one layer short":
+        sub = block.circuit
+        block = dataclasses.replace(block, circuit=Circuit(sub.n_qubits, sub.layers[:-1]))
+    elif case == "wider run":
+        n = 6
+        run[1] = ElementaryLayer((*run[1].gates, Gate("H", (5,))))
+    else:
+        # RX(0.3) undone by RX(0.3), not RX(-0.3).
+        sub = block.circuit
+        last = sub.layers[-1]
+        gates = tuple(Gate("RX", g.targets, param=abs(g.param)) if g.kind == "RX" else g
+                      for g in last.gates)
+        block = dataclasses.replace(block, circuit=Circuit(
+            sub.n_qubits, (*sub.layers[:-1], ElementaryLayer(gates))))
+    fused = sv.fuse(Circuit(n, (block, *run)))
+    assert fused.blocks[block][1].tobytes() == sv.block_unitary(block)[1].tobytes()
