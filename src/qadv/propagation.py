@@ -2,13 +2,13 @@
 observable with a weight-k projection after every declared layer.
 
 Elementary layers evolve exactly through Pauli transfer matrices. A pass
-builds them a window at a time: at the first layer with a matrix not yet
-built, one stack per gate width for the unitaries not yet built in that
-layer and in as many following layers as fit in `TRANSFER_WINDOW_BYTES`.
-A recurring unitary is built once per pass, and every matrix is dropped
-after the last layer that uses it (nothing outlives the call). Composite
-blocks (and elementary gates wider than 3 qubits) evolve by dense
-conjugation of the truncated observable over the block support.
+walks the circuit a window at a time: a run of consecutive layers whose
+distinct unitaries' matrices fit in `TRANSFER_WINDOW_BYTES`, built in one
+stack per gate width and dropped with the window. A unitary that recurs in
+a window is built once; one that recurs across windows is built again, with
+the same bytes. Composite blocks (and elementary gates wider than 3 qubits)
+evolve by dense conjugation of the truncated observable over the block
+support.
 A block's dense unitary comes from a `statevector.FusedCircuit` when one is
 given; otherwise `statevector.block_unitary`, imported here by name, builds
 it in one pass of the statevector interpreter over the identity.
@@ -18,7 +18,6 @@ count as a single step.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,20 +51,22 @@ def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.La
     return [g for g in layer.gates if len(g.targets) <= 3], wide
 
 
-def _build_window(
-    steps: list, start: int, built: dict[bytes, np.ndarray], left: Counter
-) -> None:
-    """Add to ``built`` the transfer matrices not yet built of step
-    ``start`` and of as many following steps as fit in
-    `TRANSFER_WINDOW_BYTES` of output (always step ``start``): one
-    `transfer_matrix` stack per gate width. A matrix whose unitary has uses
-    ``left`` after this one is copied out of its stack, so that it alone
-    outlives the window."""
-    misses: dict[int, dict[bytes, circuits.Gate]] = {}
+def _window(
+    layers: Sequence[circuits.Layer], start: int
+) -> list[tuple[list[circuits.Gate], list[np.ndarray], list[circuits.Layer]]]:
+    """The window from ``layers[start]``: that layer and each following one
+    while the window's distinct unitaries of up to 3 qubits have transfer
+    matrices within `TRANSFER_WINDOW_BYTES` (a layer whose own take more is
+    a window of its own). Each layer comes as its gates, their matrices and
+    its dense steps; the matrices are views into one `transfer_matrix`
+    stack per gate width, so they live as long as the window."""
+    steps = []
+    distinct: dict[int, dict[bytes, circuits.Gate]] = {}
     size = 0
-    for gates, keys, _ in steps[start:]:
-        new = {key: g for key, g in zip(keys, gates)
-               if key not in built and key not in misses.get(len(key), ())}
+    for layer in layers[start:]:
+        gates, dense = _split(layer)
+        keys = [g.unitary().tobytes() for g in gates]
+        new = {key: g for key, g in zip(keys, gates) if key not in distinct.get(len(key), ())}
         # A d x d complex128 unitary has 16 d^2 bytes, its transfer matrix
         # 8 d^4; the byte length alone also tells the widths apart.
         grow = sum(8 * (len(key) // 16) ** 2 for key in new)
@@ -73,11 +74,12 @@ def _build_window(
             break
         size += grow
         for key, g in new.items():
-            misses.setdefault(len(key), {})[key] = g
-    for group in misses.values():
-        stack = transfer_matrix(np.stack([g.unitary() for g in group.values()]))
-        built.update((key, entries.copy() if left[key] > 1 else entries)
-                     for key, entries in zip(group, stack))
+            distinct.setdefault(len(key), {})[key] = g
+        steps.append((gates, keys, dense))
+    built: dict[bytes, np.ndarray] = {}
+    for group in distinct.values():
+        built.update(zip(group, transfer_matrix(np.stack([g.unitary() for g in group.values()]))))
+    return [(gates, [built[key] for key in keys], dense) for gates, keys, dense in steps]
 
 
 def backpropagate(
@@ -93,43 +95,35 @@ def backpropagate(
     record_norms, also returns the normalized squared Frobenius norm after
     the initial projection and after each layer step.
 
-    Transfer matrices are built a window at a time (`_build_window`): at
-    the first layer with a matrix not yet built, for it and the following
-    layers up to `TRANSFER_WINDOW_BYTES` of new matrices. Each distinct
-    unitary is built once per pass and dropped after its last layer; each
-    matrix has the bytes of its one-matrix build. A `FusedCircuit` lends
-    its block layers' dense unitaries.
+    The layers are taken a window at a time (`_window`), last first: each
+    window builds its matrices, runs its layers and is dropped before the
+    next. Each matrix has the bytes of its one-matrix build. A
+    `FusedCircuit` lends its block layers' dense unitaries.
     """
     if c.n_qubits != o.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     blocks = c.blocks if isinstance(c, FusedCircuit) else {}
-    # Each declared layer, last first: its gates of up to 3 qubits, their
-    # unitaries' keys and its dense steps.
-    steps = []
-    for layer in reversed(c.layers):
-        gates, dense = _split(layer)
-        steps.append((gates, [g.unitary().tobytes() for g in gates], dense))
-    left = Counter(key for _, keys, _ in steps for key in keys)
-    built: dict[bytes, np.ndarray] = {}
+    layers = c.layers[::-1]
     acc = o.project_weight(cfg.k)
     norms = [acc.frobenius_normalized()]
-    for i, (gates, keys, dense) in enumerate(steps):
-        if gates:
-            if not all(key in built for key in keys):
-                _build_window(steps, i, built, left)
-            acc = conjugate_layer(acc, zip([g.targets for g in gates], [built[key] for key in keys]))
-            for key in keys:
-                left[key] -= 1
-                if not left[key]:
-                    del built[key]
-        for layer in dense:
-            # Refuse before building: the unitary alone has 4^width entries.
-            check_block_width(len(layer.support))
-            support, u = blocks.get(layer) or block_unitary(layer)
-            acc = conjugate_dense(acc, u, support)
-        acc = acc.project_weight(cfg.k)
-        if record_norms:
-            norms.append(acc.frobenius_normalized())
+    done = 0
+    while done < len(layers):
+        window = _window(layers, done)
+        done += len(window)
+        for gates, matrices, dense in window:
+            if gates:
+                acc = conjugate_layer(acc, zip([g.targets for g in gates], matrices))
+            for layer in dense:
+                # Refuse before building: the unitary alone has 4^width entries.
+                check_block_width(len(layer.support))
+                support, u = blocks.get(layer) or block_unitary(layer)
+                acc = conjugate_dense(acc, u, support)
+            acc = acc.project_weight(cfg.k)
+            if record_norms:
+                norms.append(acc.frobenius_normalized())
+        # The last layer's matrices are views that pin the window's stacks:
+        # release them before the next window is built.
+        del window, matrices
     return (acc, norms) if record_norms else acc
 
 

@@ -310,8 +310,10 @@ def _conjugate_terms(
 # ---------------------------------------------------------------------------
 # The per-layer backward pass of `qadv.propagation`: each layer builds the
 # transfer matrices of its unitaries not yet kept, one stack per gate width,
-# and keeps those of unitaries that recur in the pass. Kept as the reference
-# the windowed pass must match byte for byte.
+# and keeps those of unitaries that recur in the pass for the whole pass.
+# The windowed pass builds a recurring unitary again in each window instead;
+# each matrix has the bytes of its one-matrix build, so the two must match
+# byte for byte.
 
 
 def backpropagate_per_layer(c, o, k: int):

@@ -402,16 +402,16 @@ def test_multilayer_truncated_chain_matches_dense_route():
 
 
 def _owner(entries: np.ndarray) -> np.ndarray:
-    """The array that holds a transfer matrix's memory: its stack, or the
-    matrix itself when it was copied out."""
-    return entries if entries.base is None else entries.base
+    """The array that holds a transfer matrix's memory: its window's stack."""
+    return entries.base
 
 
 def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
-    # With a window of one layer, each layer builds the matrices of its
-    # unitaries not yet built in one call per gate width. A one-shot matrix
-    # does not outlive its layer, so a brickwork of fresh Haar gates holds
-    # one layer's stack at a time; a recurring gate is built once and kept.
+    # With a window of one Haar layer, each window builds the matrices of
+    # its distinct unitaries in one call per gate width and is dropped
+    # before the next is built, so a pass holds one window's stack at a
+    # time. A gate that recurs within a window is built once; one that
+    # recurs across windows is built again, with the same bytes.
     shapes, owners, alive = [], [], []
     real_build, real_layer = prop.transfer_matrix, prop.conjugate_layer
 
@@ -437,6 +437,21 @@ def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
     backpropagate(_circ(2, *[[Gate("CNOT", (0, 1))]] * 4), z_first(2), PropagationConfig(k=2))
     assert shapes == [(1, 4, 4)]
     assert alive == [1] * 4
+    shapes.clear()
+    owners.clear()
+    alive.clear()
+    # A CNOT layer after each Haar layer: the window holds a Haar layer or
+    # a CNOT, not both, so the CNOT is built again in each of its windows.
+    cnot = ElementaryLayer((Gate("CNOT", (0, 1)),))
+    c = Circuit(6, tuple(layer for haar in circuits.random_brickwork(6, 4, seed=0).layers
+                         for layer in (haar, cnot)))
+    got, norms = backpropagate(c, z_first(6), PropagationConfig(k=1), record_norms=True)
+    assert shapes == [(1, 4, 4), (3, 4, 4)] * 4
+    assert alive == [1] * 8
+    want, want_norms = oracles.backpropagate_per_layer(c, z_first(6), 1)
+    assert norms == want_norms
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _blocks_and_wide_gate():
@@ -549,25 +564,26 @@ def test_windowed_pass_matches_the_per_layer_route(n, seed, window, fused):
         assert a.tobytes() == b.tobytes()
 
 
-def _three_qubit_haar(depth: int) -> Circuit:
+def _three_qubit_haar(n: int, depth: int) -> Circuit:
     rng = np.random.default_rng(depth)
-    return _circ(3, *[[Gate("matrix", (0, 1, 2), matrix=haar_unitary(8, rng))]
-                      for _ in range(depth)])
+    return _circ(n, *[[Gate("matrix", (q, q + 1, q + 2), matrix=haar_unitary(8, rng))
+                       for q in range(0, n, 3)] for _ in range(depth)])
 
 
-def test_windowed_pass_memory_is_bounded_by_the_window():
+@pytest.mark.parametrize("n", [3, 6])
+def test_windowed_pass_memory_is_bounded_by_the_window(n):
     # Depths 40 and 400 of fresh three-qubit Haar gates (32 KiB a transfer
-    # matrix): the deeper pass builds ten times as many matrices in windows
-    # of TRANSFER_WINDOW_BYTES, so its peak barely grows. The slack covers
-    # the build's fixed transient (two 1 MiB complex arrays for a chunk of
-    # 16 three-qubit matrices), the pass's keys (1 KiB a gate) and the maps.
+    # matrix), one or two a layer: the deeper pass builds ten times as many
+    # matrices in windows of TRANSFER_WINDOW_BYTES, so its peak barely
+    # grows. The slack covers the build's fixed transient (two 1 MiB
+    # complex arrays for a chunk of 16 three-qubit matrices) and the maps.
     slack = 3 * 2**20
     peaks = []
     for depth in (40, 400):
-        c = _three_qubit_haar(depth)
+        c = _three_qubit_haar(n, depth)
         tracemalloc.start()
         try:
-            backpropagate(c, z_first(3), PropagationConfig(k=2))
+            backpropagate(c, z_first(n), PropagationConfig(k=2))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
