@@ -117,8 +117,8 @@ def detect(
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be at least 1")
+    if shots is not None and not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError("shots must be between 1 and 2^63 - 1")
     cfg = PropagationConfig(k=k)
     rng = np.random.default_rng(seed)
     lo, hi = c.input_register()
@@ -231,10 +231,11 @@ def _chunk_trials(n: int, layers: int) -> int:
 
 def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.ndarray:
     """One row of layers + 1 norms per trial (`_sector_norms`), in chunks of
-    `_chunk_trials`. Trial 0 is re-derived through its own
-    ``backpropagate(..., record_norms=True)`` pass; a row that differs from
-    it by more than rounding and the pass's drops raises
-    InvariantViolation."""
+    `_chunk_trials`. Trial 0 is re-derived through `backpropagate`, one
+    declared layer at a time, last first: a pass over a bare circuit is
+    the chain of its one-layer passes, so the chain's norms are the pass's
+    own. A row that differs from them by more than rounding and the pass's
+    drops raises InvariantViolation."""
     entropy = np.random.SeedSequence(seed).entropy  # a None seed is drawn once, here
     size = _chunk_trials(n, layers)
     norms = np.empty((trials, layers + 1))
@@ -242,7 +243,11 @@ def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.nd
     for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, entropy, jobs)):
         norms[start:start + len(rows)] = rows
     circuit = circuits.random_brickwork(n, layers, seed=spawn_seeds(entropy, 1)[0])
-    _, want = backpropagate(circuit, z_first(n), PropagationConfig(k=1), record_norms=True)
+    acc, cfg = z_first(n), PropagationConfig(k=1)
+    want = [acc.frobenius_normalized()]
+    for layer in reversed(circuit.layers):
+        acc = backpropagate(circuits.Circuit(n, (layer,)), acc, cfg)
+        want.append(acc.frobenius_normalized())
     # A layer's drops move the pass's coefficients by at most sqrt(3n) times
     # the tolerance in 2-norm, and later layers do not stretch that; a
     # squared norm at most 1 moves by at most twice the distance.

@@ -82,18 +82,14 @@ def _window(
     return [(gates, [built[key] for key in keys], dense) for gates, keys, dense in steps]
 
 
-def backpropagate(
-    c: circuits.Circuit,
-    o: PauliMap,
-    cfg: PropagationConfig,
-    record_norms: bool = False,
-) -> PauliMap | tuple[PauliMap, list[float]]:
+def backpropagate(c: circuits.Circuit, o: PauliMap, cfg: PropagationConfig) -> PauliMap:
     """Evolve the observable backward through the whole circuit.
 
     Projects the observable to weight <= k up front, then for each layer
-    from last to first conjugates exactly and projects once. With
-    record_norms, also returns the normalized squared Frobenius norm after
-    the initial projection and after each layer step.
+    from last to first conjugates exactly and projects once. A pass over a
+    bare circuit is byte-equal to the chain of its one-layer passes, last
+    layer first, so a caller that wants the map after each layer makes
+    those passes itself.
 
     The layers are taken a window at a time (`_window`), last first: each
     window builds its matrices, runs its layers and is dropped before the
@@ -105,7 +101,6 @@ def backpropagate(
     blocks = c.blocks if isinstance(c, FusedCircuit) else {}
     layers = c.layers[::-1]
     acc = o.project_weight(cfg.k)
-    norms = [acc.frobenius_normalized()]
     done = 0
     while done < len(layers):
         window = _window(layers, done)
@@ -119,12 +114,10 @@ def backpropagate(
                 support, u = blocks.get(layer) or block_unitary(layer)
                 acc = conjugate_dense(acc, u, support)
             acc = acc.project_weight(cfg.k)
-            if record_norms:
-                norms.append(acc.frobenius_normalized())
         # The last layer's matrices are views that pin the window's stacks:
         # release them before the next window is built.
         del window, matrices
-    return (acc, norms) if record_norms else acc
+    return acc
 
 
 def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:

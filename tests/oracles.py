@@ -313,13 +313,13 @@ def _conjugate_terms(
 # and keeps those of unitaries that recur in the pass for the whole pass.
 # The windowed pass builds a recurring unitary again in each window instead;
 # each matrix has the bytes of its one-matrix build, so the two must match
-# byte for byte.
+# byte for byte. Its norms after each layer are the reference for a chain
+# of one-layer `backpropagate` passes, which is how callers get them.
 
 
 def backpropagate_per_layer(c, o, k: int):
-    """`qadv.propagation.backpropagate` with ``record_norms``, building per
-    layer: the map and the norm after the initial projection and after each
-    layer."""
+    """`qadv.propagation.backpropagate`, building per layer: the final map,
+    and the norms after the initial projection and after each layer."""
     from collections import Counter
 
     from qadv import circuits, propagation, statevector

@@ -141,6 +141,19 @@ def test_detect_shots_refuse_a_probability_far_outside_0_1(runner, tmp_path, mon
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_detect_shots_past_the_binomial_range_exit_2(runner, tmp_path):
+    # The binomial draw takes counts up to 2^63 - 1; one more is a
+    # configuration error, not an OverflowError traceback.
+    cpath = tmp_path / "circuit.json"
+    circuits.save_circuit(circuits.random_brickwork(2, 1, seed=0), str(cpath))
+    for shots, code in ((2**63, 2), (2**63 - 1, 0)):
+        out = tmp_path / f"out{code}"
+        result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "2", "--seed", "0",
+                                      "--shots", str(shots), "--out-dir", str(out)])
+        assert result.exit_code == code, (shots, result.output)
+        assert any(out.glob("*")) == (code == 0), shots
+
+
 @pytest.mark.parametrize("depth", ["-1", "-8"])
 def test_decay_negative_depth_exits_2(runner, tmp_path, depth):
     out = tmp_path / "out"

@@ -141,14 +141,18 @@ def test_decay_stderr_shrinks_with_trials():
 
 
 def _per_trial_norms(n, layers, trials, seed):
+    # Each trial's norms after each layer, from one-layer passes chained
+    # last layer first, as the run's own trial-0 check takes them.
     cfg = propagation.PropagationConfig(k=1)
-    return np.array([
-        propagation.backpropagate(
-            circuits.random_brickwork(n, layers, seed=ss), propagation.z_first(n), cfg,
-            record_norms=True,
-        )[1]
-        for ss in np.random.SeedSequence(seed).spawn(trials)
-    ])
+    rows = []
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        acc = propagation.z_first(n)
+        row = [acc.frobenius_normalized()]
+        for layer in reversed(circuits.random_brickwork(n, layers, seed=ss).layers):
+            acc = propagation.backpropagate(circuits.Circuit(n, (layer,)), acc, cfg)
+            row.append(acc.frobenius_normalized())
+        rows.append(row)
+    return np.array(rows)
 
 
 @given(

@@ -100,23 +100,23 @@ def test_decay_sector_step(benchmark):
     got = benchmark(detection._sector_norms, n, 1, seeds)
     cfg = PropagationConfig(k=1)
     for ss, row in zip(seeds, got):
-        _, want = backpropagate(circuits.random_brickwork(n, 1, seed=ss), z_first(n), cfg,
-                                record_norms=True)
+        final = backpropagate(circuits.random_brickwork(n, 1, seed=ss), z_first(n), cfg)
+        want = [1.0, final.frobenius_normalized()]
         np.testing.assert_allclose(row, want, rtol=1e-12, atol=2 * math.sqrt(3 * n) * DROP_TOLERANCE)
 
 
 def test_backpropagate_suite_shape(benchmark):
     # One k = 1 backward pass over the fused suite-shape C_new (n=6, m=2,
     # copies=3, L=78), its block ops lent: the 234 brickwork gates build
-    # their transfer matrices in one window. It gives the bytes and the
-    # per-layer norms of the per-layer builds; the norms decay from 1 to
-    # below the drop tolerance, where the map empties.
+    # their transfer matrices in one window. It gives the bytes of the
+    # per-layer builds, whose norms decay from 1 to below the drop
+    # tolerance, where the map empties.
     cq, _ = circuits.promise_instance("x", 2)
     fused = statevector.fuse(circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0))
     o = z_first(fused.n_qubits)
-    got, norms = benchmark(backpropagate, fused, o, PropagationConfig(k=1), record_norms=True)
+    got = benchmark(backpropagate, fused, o, PropagationConfig(k=1))
     want, want_norms = oracles.backpropagate_per_layer(fused, o, 1)
-    assert norms == want_norms and sum(v > 0 for v in norms) > 20
+    assert sum(v > 0 for v in want_norms) > 20
     for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
         assert a.tobytes() == b.tobytes()
 

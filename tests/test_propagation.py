@@ -92,12 +92,23 @@ def test_exact_mode_matches_statevector():
             assert heur == pytest.approx(exact, abs=1e-9)
 
 
+def _chain(c, o, k):
+    """One-layer passes over a bare circuit, last layer first: the final map
+    and the norms after the initial projection and after each layer."""
+    cfg = PropagationConfig(k=k)
+    acc = o.project_weight(k)
+    norms = [acc.frobenius_normalized()]
+    for layer in reversed(c.layers):
+        acc = backpropagate(Circuit(c.n_qubits, (layer,)), acc, cfg)
+        norms.append(acc.frobenius_normalized())
+    return acc, norms
+
+
 def test_norm_monotone_per_layer():
     rng = np.random.default_rng(23)
     cq, _ = circuits.promise_instance("x", 1)
     c = circuits.build_cnew(cq, n=4, depth=8, copies=1, seed=3)
-    cfg = PropagationConfig(k=1)
-    _, norms = backpropagate(c, z_first(c.n_qubits), cfg, record_norms=True)
+    _, norms = _chain(c, z_first(c.n_qubits), 1)
     for before, after in zip(norms, norms[1:]):
         assert after <= before + 1e-9
 
@@ -445,11 +456,10 @@ def test_one_shot_transfer_matrices_are_not_kept(monkeypatch):
     cnot = ElementaryLayer((Gate("CNOT", (0, 1)),))
     c = Circuit(6, tuple(layer for haar in circuits.random_brickwork(6, 4, seed=0).layers
                          for layer in (haar, cnot)))
-    got, norms = backpropagate(c, z_first(6), PropagationConfig(k=1), record_norms=True)
+    got = backpropagate(c, z_first(6), PropagationConfig(k=1))
     assert shapes == [(1, 4, 4), (3, 4, 4)] * 4
     assert alive == [1] * 8
-    want, want_norms = oracles.backpropagate_per_layer(c, z_first(6), 1)
-    assert norms == want_norms
+    want, _ = oracles.backpropagate_per_layer(c, z_first(6), 1)
     for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
         assert a.tobytes() == b.tobytes()
 
@@ -474,11 +484,10 @@ def _blocks_and_wide_gate():
 def test_fused_circuit_propagates_bit_identically(k):
     c = _blocks_and_wide_gate()
     cfg = PropagationConfig(k=k)
-    want = backpropagate(c, z_first(5), cfg, record_norms=True)
-    got = backpropagate(sv.fuse(c), z_first(5), cfg, record_norms=True)
-    for a, b in zip((want[0].x, want[0].z, want[0].coeffs), (got[0].x, got[0].z, got[0].coeffs)):
+    want = backpropagate(c, z_first(5), cfg)
+    got = backpropagate(sv.fuse(c), z_first(5), cfg)
+    for a, b in ((want.x, got.x), (want.z, got.z), (want.coeffs, got.coeffs)):
         assert a.tobytes() == b.tobytes()
-    assert got[1] == want[1]
 
 
 def test_fused_circuit_lends_block_unitaries(monkeypatch):
@@ -541,6 +550,17 @@ def _random_layer(rng, n, pool) -> circuits.Layer:
     return ElementaryLayer(tuple(gates))
 
 
+def _random_circuit_and_observable(n, seed):
+    """A bare circuit of 1-8 `_random_layer`s, an observable of three random
+    Pauli strings and a cutoff k in 1..n, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    pool = {w: [haar_unitary(2**w, rng)] for w in (1, 2, 3)}
+    c = Circuit(n, tuple(_random_layer(rng, n, pool) for _ in range(rng.integers(1, 9))))
+    labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)]
+    o = PauliMap.from_labels({label: float(rng.normal()) for label in labels})
+    return c, o, int(rng.integers(1, n + 1))
+
+
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 6 * 1024, 1 << 20]),
        st.booleans())
 @settings(max_examples=60)
@@ -548,20 +568,48 @@ def test_windowed_pass_matches_the_per_layer_route(n, seed, window, fused):
     # Byte for byte against the per-layer builds, whatever the window: a
     # window of 1 byte builds every layer on its own, 6 KiB a few layers of
     # two-qubit gates at a time, 1 MiB the whole pass at once.
-    rng = np.random.default_rng(seed)
-    pool = {w: [haar_unitary(2**w, rng)] for w in (1, 2, 3)}
-    c = Circuit(n, tuple(_random_layer(rng, n, pool) for _ in range(rng.integers(1, 9))))
+    c, o, k = _random_circuit_and_observable(n, seed)
     if fused:
         c = sv.fuse(c)
-    labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)]
-    o = PauliMap.from_labels({label: float(rng.normal()) for label in labels})
-    k = int(rng.integers(1, n + 1))
     with mock.patch.object(prop, "TRANSFER_WINDOW_BYTES", window):
-        got, norms = backpropagate(c, o, PropagationConfig(k=k), record_norms=True)
-    want, want_norms = oracles.backpropagate_per_layer(c, o, k)
-    assert norms == want_norms
+        got = backpropagate(c, o, PropagationConfig(k=k))
+    want, _ = oracles.backpropagate_per_layer(c, o, k)
     for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
         assert a.tobytes() == b.tobytes()
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 6 * 1024, 1 << 20]))
+@settings(max_examples=60)
+def test_pass_is_the_chain_of_its_one_layer_passes(n, seed, window):
+    # A whole pass over a bare circuit is byte-equal to its one-layer passes
+    # chained last layer first, whatever the window: the up-front
+    # projection of a projected map keeps every term in order, and each
+    # transfer matrix has the bytes of its one-matrix build. The chain's
+    # norms are the per-layer reference's.
+    c, o, k = _random_circuit_and_observable(n, seed)
+    with mock.patch.object(prop, "TRANSFER_WINDOW_BYTES", window):
+        whole = backpropagate(c, o, PropagationConfig(k=k))
+        got, norms = _chain(c, o, k)
+    want, want_norms = oracles.backpropagate_per_layer(c, o, k)
+    assert norms == want_norms
+    for a, b in ((whole.x, got.x), (whole.z, got.z), (whole.coeffs, got.coeffs)):
+        assert a.tobytes() == b.tobytes()
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_exact_pass_matches_the_dense_oracle_on_generated_circuits(n, seed):
+    # At k = n the projection keeps everything, so the pass is the exact
+    # Heisenberg conjugation, whatever mix of gates, perms and blocks the
+    # circuit holds. n = 6 takes seconds an example through the dense
+    # oracle, so the property stops at 5.
+    c, o, _ = _random_circuit_and_observable(n, seed)
+    got = backpropagate(c, o, PropagationConfig(k=n)).to_labels()
+    want = conjugate_map_dense(o, circuit_unitary(c))
+    for label in set(got) | set(want):
+        assert got.get(label, 0.0) == pytest.approx(want.get(label, 0.0), abs=1e-10)
 
 
 def _three_qubit_haar(n: int, depth: int) -> Circuit:
