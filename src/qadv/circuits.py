@@ -326,9 +326,11 @@ def random_brickwork(
         raise ValueError("brickwork needs at least 2 qubits")
     if layers < 0:
         raise ValueError("brickwork depth must be nonnegative")
+    # One draw for the whole circuit, n // 2 gates a layer, handed out to
+    # the layers in order. Drawn first, so that a depth no memory can hold
+    # fails in numpy before any per-layer list grows.
+    stack = haar_two_qubit(np.random.default_rng(seed), n // 2 * layers)
     pairs = [_layer_pairs(n, j) for j in range(layers)]
-    # One draw for the whole circuit, handed out to the layers in order.
-    stack = haar_two_qubit(np.random.default_rng(seed), sum(map(len, pairs)))
     # Unitary by construction (Mezzadri's QR): the check guards, not filters.
     check_unitary(stack)
     matrices = iter(stack)

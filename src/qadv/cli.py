@@ -88,8 +88,9 @@ def guarded(fn):
         except InvariantViolation as exc:
             click.echo(f"invariant violation: {exc}", err=True)
             sys.exit(3)
-        except ResourceLimitExceeded as exc:
-            click.echo(f"resource limit: {exc}", err=True)
+        except (ResourceLimitExceeded, MemoryError) as exc:
+            # A failed allocation is a resource limit too, not a traceback.
+            click.echo(f"resource limit: {str(exc) or 'out of memory'}", err=True)
             sys.exit(4)
 
     return wrapper

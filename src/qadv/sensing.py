@@ -2,19 +2,21 @@
 detection protocols, the closed-form measurement bias, and the
 KL-divergence sample bound.
 
-Every protocol state here is characterized by a single accumulated phase,
-so the simulation is phase bookkeeping plus Bernoulli draws; no qubit-level
-state is needed. A phase phi gives outcome probabilities (1 - cos phi)/2
-for the GHZ minus outcome and (1 + sin phi)/2 for the separable +i outcome.
+Every protocol state here is characterized by a single accumulated phase
+whose Gaussian noise has a closed form, so each trial is one draw from its
+exact distribution; no phase noise and no qubit-level state is sampled. A
+GHZ trial's minus outcome is Bernoulli(`ghz_minus_probability`), and a
+separable trial's +i count is Binomial(shots, 1/2 + `separable_bias`): its
+shots are independent, each with that +i probability.
 The trial functions return what was measured; the decision on it (the GHZ
 minus outcome heralds the signal, a separable +i fraction above
 1/2 + separable_bias/2 does) is the caller's.
 
-Trials are drawn in blocks, one per-trial theta each: a block draws all
-its Gaussian phase noise first, then all its uniforms. A lone trial is a
-block of one: a one-element `thetas`. A sweep cell runs
-its trials in blocks whose noise fits in `CELL_BLOCK_BYTES`, so its memory
-is bounded by that budget (or by one trial), not by the trial count.
+Trials are drawn in blocks, one per-trial theta each: one uniform or one
+binomial draw per trial, in trial order. A lone trial is a block of one: a
+one-element `thetas`. A sweep cell runs its trials in blocks of
+`_TRIAL_BLOCK`; chunked draws continue one stream, so the block size moves
+no output byte and only bounds the cell's memory.
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ from .errors import typed
 from .pool import child_seeds, seeded_map
 
 
-#: Bytes of Gaussian noise one block of a sweep cell's trials may draw: a
-#: block holds max(1, CELL_BLOCK_BYTES // (8 * noise draws per trial))
-#: trials. The budget fixes where the blocks of a cell with gamma > 0 start
-#: and so the order of its draws: like `pauli.DROP_TOLERANCE`, it is part of
-#: the output contract, and changing it changes the success rates (and
-#: orphans every manifest) of noisy sweeps.
-CELL_BLOCK_BYTES = 4 * 1024 * 1024
-
-
 def _check(thetas, gamma: float, *counts: int) -> None:
     # The smallest and largest theta stand for all, and a NaN reaches both.
     # Written so that NaN fails too: every comparison with NaN is False.
@@ -44,8 +37,17 @@ def _check(thetas, gamma: float, *counts: int) -> None:
         if not (0 <= theta < math.inf and 0 <= gamma < math.inf):
             raise ValueError(
                 f"theta and gamma must be finite and nonnegative, got {theta}, {gamma}")
-    if min(counts) < 1:
-        raise ValueError("N, T, K and uses per shot must be at least 1")
+    # rng.binomial takes at most 2^63 - 1 shots.
+    if not all(1 <= count <= np.iinfo(np.int64).max for count in counts):
+        raise ValueError("N, T, K, K*N, uses per shot and shots must lie in [1, 2**63 - 1]")
+
+
+def ghz_minus_probability(n_probes: int, uses: int, theta, gamma: float):
+    """Probability of the GHZ minus outcome, elementwise in theta:
+    (1 - cos(N T theta) exp(-N T gamma / 2)) / 2. The phase noise of N*T
+    channel uses is N(0, N T gamma), whose characteristic function gives
+    the damping."""
+    return 0.5 * (1.0 - np.cos(n_probes * uses * theta) * math.exp(-n_probes * uses * gamma / 2))
 
 
 def ghz_trials(
@@ -53,20 +55,10 @@ def ghz_trials(
 ) -> np.ndarray:
     """GHZ trials, one per entry of `thetas`: N entangled probes through T
     parallel channel uses, then a measurement in the GHZ +/- basis. Draws
-    the (trials, N*T) phase noise, then one uniform per trial. Returns the
-    minus outcomes."""
+    one uniform per trial. Returns the minus outcomes."""
     thetas = np.asarray(thetas, dtype=float)
     _check(thetas, gamma, n_probes, uses)
-    phases = n_probes * uses * thetas
-    if gamma > 0:
-        size = (len(thetas), n_probes * uses)
-        phases += rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=1)
-    return rng.random(len(thetas)) < 0.5 * (1.0 - np.cos(phases))
-
-
-def ghz_minus_probability(n_probes: int, uses: int, theta: float) -> float:
-    """Noiseless closed form: sin^2(N T theta / 2)."""
-    return math.sin(n_probes * uses * theta / 2.0) ** 2
+    return rng.random(len(thetas)) < ghz_minus_probability(n_probes, uses, thetas, gamma)
 
 
 def default_uses_per_shot(gamma: float) -> int:
@@ -79,27 +71,21 @@ def default_uses_per_shot(gamma: float) -> int:
     return math.ceil(uses)
 
 
-def separable_bias(theta: float, gamma: float, uses_per_shot: int) -> float:
-    """Bias of the +i outcome: sin(theta * R) * exp(-gamma * R / 2) / 2."""
-    return math.sin(theta * uses_per_shot) * math.exp(-gamma * uses_per_shot / 2) / 2
+def separable_bias(theta, gamma: float, uses_per_shot: int):
+    """Bias of the +i outcome, elementwise in theta:
+    sin(theta * R) * exp(-gamma * R / 2) / 2."""
+    return np.sin(theta * uses_per_shot) * math.exp(-gamma * uses_per_shot / 2) / 2
 
 
 def separable_fractions(
     shots: int, uses_per_shot: int, thetas, gamma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Separable trials, one per entry of `thetas`: `shots` independent |+>
-    probes, each evolved R times and measured in the Y basis. Draws the
-    (trials, shots, R) phase noise, then the (trials, shots) uniforms.
-    Returns each trial's +i fraction."""
+    probes, each evolved R times and measured in the Y basis. Draws one
+    binomial +i count per trial. Returns each trial's +i fraction."""
     thetas = np.asarray(thetas, dtype=float)
     _check(thetas, gamma, shots, uses_per_shot)
-    # Without noise every shot of a trial has the same phase: one column.
-    phases = uses_per_shot * thetas[:, None]
-    if gamma > 0:
-        size = (len(thetas), shots, uses_per_shot)
-        phases = phases + rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=2)
-    p_plus_i = 0.5 * (1.0 + np.sin(phases))
-    return np.count_nonzero(rng.random((len(thetas), shots)) < p_plus_i, axis=1) / shots
+    return rng.binomial(shots, 0.5 + separable_bias(thetas, gamma, uses_per_shot)) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +140,14 @@ class SweepCell:
     stderr: float
 
 
+#: Trials per block of a sweep cell. Chunked uniform and binomial draws
+#: continue one stream, so this bounds a cell's memory and moves no byte.
+_TRIAL_BLOCK = 2**16
+
+
 def _run_cell(args, ss) -> SweepCell:
-    """One grid cell: its trials in blocks of at most `CELL_BLOCK_BYTES` of
-    phase noise, each block one `ghz_trials` or `separable_fractions` call.
+    """One grid cell: its trials in blocks of `_TRIAL_BLOCK`, each block one
+    `ghz_trials` or `separable_fractions` call.
     Equal priors: even trials are null (theta = 0), odd trials carry the
     signal; a separable trial heralds it when its +i fraction exceeds the
     signal's threshold 1/2 + separable_bias/2, also on null trials."""
@@ -164,16 +155,12 @@ def _run_cell(args, ss) -> SweepCell:
     # Checked here too: with trials = 1 only a null trial runs, never theta.
     _check(theta, gamma, n, t_uses, k_reps)
     rng = np.random.default_rng(ss)
-    if protocol == "ghz":
-        noise_per_trial = n * t_uses
-    else:
+    if protocol == "separable":
         r = default_uses_per_shot(gamma)
         threshold = 0.5 + separable_bias(theta, gamma, r) / 2
-        noise_per_trial = k_reps * n * r
-    block = max(1, CELL_BLOCK_BYTES // (8 * noise_per_trial))
     correct = 0
-    for start in range(0, trials, block):
-        odd = np.arange(start, min(start + block, trials)) % 2 == 1
+    for start in range(0, trials, _TRIAL_BLOCK):
+        odd = np.arange(start, min(start + _TRIAL_BLOCK, trials)) % 2 == 1
         thetas = np.where(odd, theta, 0.0)
         if protocol == "ghz":
             present = ghz_trials(n, t_uses, thetas, gamma, rng)

@@ -177,12 +177,38 @@ def inner_product_estimate_one_shot(sq_x, y, n_samples: int, rng) -> tuple[float
     return float(draws.mean()), float(np.sqrt(var / n_samples)), var
 
 
+def ghz_trials_per_shot(n_probes, uses, thetas, gamma, rng) -> np.ndarray:
+    """The GHZ sampler that `qadv.sensing.ghz_trials` replaced: every
+    channel use draws its own N(0, gamma) phase noise, (trials, N*T) normals
+    in all, then one uniform per trial. Returns the minus outcomes."""
+    phases = n_probes * uses * np.asarray(thetas, dtype=float)
+    if gamma > 0:
+        size = (len(phases), n_probes * uses)
+        phases = phases + rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=1)
+    return rng.random(len(phases)) < 0.5 * (1.0 - np.cos(phases))
+
+
+def separable_fractions_per_shot(shots, uses_per_shot, thetas, gamma, rng) -> np.ndarray:
+    """The separable sampler that `qadv.sensing.separable_fractions`
+    replaced: every shot sums its own R normals of phase noise, (trials,
+    shots, R) in all, then draws one uniform. Returns the +i fractions."""
+    phases = uses_per_shot * np.asarray(thetas, dtype=float)[:, None]
+    if gamma > 0:
+        size = (len(phases), shots, uses_per_shot)
+        phases = phases + rng.normal(0.0, math.sqrt(gamma), size=size).sum(axis=2)
+    p_plus_i = 0.5 * (1.0 + np.sin(phases))
+    return np.count_nonzero(rng.random((len(phases), shots)) < p_plus_i, axis=1) / shots
+
+
 def sweep_cell_per_trial(protocol, n, theta, gamma, t_uses, k_reps, trials, rng,
                          uses_per_shot=None) -> float:
-    """The per-trial loop that `qadv.sensing._run_cell` replaced: every
-    trial draws its own phase noise and then its own uniforms. Even trials
-    are null, odd ones carry theta; returns the success rate. A separable
-    cell takes R = ceil(1/gamma) uses per shot unless `uses_per_shot` says."""
+    """A sweep cell as a per-trial loop, the reference of
+    `qadv.sensing._run_cell`: every trial draws one variate from its exact
+    distribution, a uniform against the GHZ minus probability
+    (1 - cos(N T theta) exp(-N T gamma / 2)) / 2 or a binomial +i count
+    with p = 1/2 + sin(R theta) exp(-gamma R / 2) / 2. Even trials are
+    null, odd ones carry theta; returns the success rate. A separable cell
+    takes R = ceil(1/gamma) uses per shot unless `uses_per_shot` says."""
     r = uses_per_shot
     if protocol == "separable" and r is None:
         r = math.ceil(1.0 / gamma)
@@ -190,20 +216,14 @@ def sweep_cell_per_trial(protocol, n, theta, gamma, t_uses, k_reps, trials, rng,
     for trial in range(trials):
         true_theta = 0.0 if trial % 2 == 0 else theta
         if protocol == "ghz":
-            phase = n * t_uses * true_theta
-            if gamma > 0:
-                phase += rng.normal(0.0, math.sqrt(gamma), size=n * t_uses).sum()
-            present = bool(rng.random() < 0.5 * (1.0 - math.cos(phase)))
+            nt = n * t_uses
+            p_minus = 0.5 * (1.0 - math.cos(nt * true_theta) * math.exp(-nt * gamma / 2))
+            present = bool(rng.random() < p_minus)
         else:
             shots = k_reps * n
-            if gamma > 0:
-                phases = rng.normal(0.0, math.sqrt(gamma), size=(shots, r)).sum(axis=1)
-                phases += r * true_theta
-            else:
-                phases = np.full(shots, r * true_theta)
-            fraction = np.count_nonzero(rng.random(shots) < 0.5 * (1.0 + np.sin(phases))) / shots
-            threshold = 0.5 + math.sin(theta * r) * math.exp(-gamma * r / 2) / 4
-            present = fraction > threshold
+            damping = math.exp(-gamma * r / 2)
+            fraction = rng.binomial(shots, 0.5 + math.sin(r * true_theta) * damping / 2) / shots
+            present = fraction > 0.5 + math.sin(theta * r) * damping / 4
         correct += present == (true_theta != 0)
     return correct / trials
 

@@ -1,6 +1,10 @@
 import gc
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -152,6 +156,68 @@ def test_detect_shots_past_the_binomial_range_exit_2(runner, tmp_path):
                                       "--shots", str(shots), "--out-dir", str(out)])
         assert result.exit_code == code, (shots, result.output)
         assert any(out.glob("*")) == (code == 0), shots
+
+
+def test_sense_and_sweep_counts_past_the_binomial_range_exit_2(runner, tmp_path):
+    # Shots, a 310-digit N (at gamma = 0 and gamma > 0) and a separable K*N
+    # past 2^63 - 1 are configuration errors, refused before any draw.
+    runs = [["sense", "--theta", "0.05", "--gamma", "0.2", "--shots", str(2**63)]]
+    for protocol, cell in (("ghz", {"N": 10**309, "theta": 0.1, "gamma": 0.0}),
+                           ("ghz", {"N": 10**309, "theta": 0.1, "gamma": 0.1}),
+                           ("separable", {"N": 4, "theta": 0.1, "gamma": 0.1, "K": 2**62})):
+        cfg = tmp_path / f"cells{len(runs)}.json"
+        cfg.write_text(json.dumps({"cells": [cell]}))
+        runs.append(["sweep", "--protocol", protocol, "--config", str(cfg)])
+    for i, args in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        result = runner.invoke(main, [*args, "--out-dir", str(out)])
+        assert result.exit_code == 2, (args, result.output)
+        assert "2**63 - 1" in result.output
+        assert not out.exists()
+
+
+def test_sense_draws_a_trillion_shots(runner, tmp_path):
+    # One binomial draw: nothing the run holds grows with the shot count.
+    result = runner.invoke(main, ["sense", "--theta", "0.05", "--gamma", "0.2", "--shots",
+                                  str(10**12), "--seed", "3", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(tmp_path / "sense_report.json"))
+    assert report["shots"] == 10**12
+    gap = abs(report["bias_measured"] - report["bias_analytic"])
+    assert gap < 4 * report["fraction_stderr"]
+
+
+def test_memory_error_exits_4_and_writes_nothing(runner, tmp_path, monkeypatch):
+    def starved(config):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._EXECUTORS, "bell", starved)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["bell", "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "resource limit: out of memory" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth, code", [(10**30, 2), (10**8, 4)])
+def test_suite_depth_past_any_memory_exits_cleanly(tmp_path, depth, code):
+    # `random_brickwork` draws its Haar stack before it builds a per-layer
+    # list: numpy refuses the shape of 10^30 layers (exit 2), and cannot
+    # allocate the 24 GiB of 10^8 layers (MemoryError, exit 4). The run gets
+    # a 2 GiB address-space cap, so that a regression fails here instead of
+    # filling the machine's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    out = tmp_path / "out"
+    args = ["suite", "--yes", "1", "--no", "0", "--n", "2", "--m", "1", "--copies", "1",
+            "--L", str(depth), "--out-dir", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", "from qadv.cli import main; main()", *args],
+                         env=env, capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("depth", ["-1", "-8"])
@@ -791,9 +857,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "ee9897f46f7c644306232d18666e03e767fa981e540d76f5fb9125326d12c3f9")
+        "5100383681d0031347cb2ed9113d15c3dba18202d83d0d7defbbdf7d34e29c96")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "de586f8a33c654abc788618a9bbcc2e6fc0cf39e7d73bb24a26e7e402bc32053")
+        "80b8013a28ba5ff8636a335ffa4174ef1bb310b1e576b8fa126f90cbd14d5575")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -803,9 +869,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "b1ac465d9fa5b136adf77b92e27a20bf302897892998bea7d8405d2a9acc0732")
+        "24e197b42f37e39de67ef3d8c205ea8ecc247ada2b8fb3ca0b29ea32738d7b4b")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "e88a8e39906fa62aa8465a95e9fe7259f899bb143fc27bf94c833f55bf5400b0")
+        "529d851be76b33c1edc2070a7ef09eb3706c3f5d248431054d59ba0e188f3cab")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -817,7 +883,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "3d961d477a3c680bababc625c8aefe224a1647800263f031ed1d6de6f3aa9bf4")
+        "ddb12416a303d5b6d7261652875e417a2044e76b7444ccedb5c57f3ecfd2cc3f")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -830,9 +896,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "422bdbea61428ec7ed69691a1a48c0dd050115271d036f0bc663d2e138127c78")
+        "b5d2a2880f54ece6aeda862c2207740dd656843fa165b45fd6b0cc2b13bb594b")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "89b4e1a89e9c6284046c82fa898dd00f8136518b5f921ac09430d2db39d0ce00")
+        "d957e9427af5b26716753dae030bc49e1fa1b83d63d602de49659bfa19b991de")
 
 
 
@@ -840,16 +906,16 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in chunks; each trial's norms are the same floats in
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config and when the version went to 0.2.0 and to 0.3.0.
+    # config and when the version went to 0.2.0, to 0.3.0 and to 0.4.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "eb910b47a431b5e0029e8b43be10e0d869edfe73caec564951f30bc8f976d1ad",
-         "6e9d1682d620226170ef8330aba02bb37343fa37dd1db6e7ea27bbd409fec50e"),
+         "a103addf2df067b63f68f9b864d836782ad8fee82f8782093d3a33fe2d60dfff",
+         "f42ae86f26c9b858c8fb3b87d7bf4baed23234bad9539c9649c60847b139959f"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "bbe6ea0c4c7690245aa197c9b88fe550a743c1fce575f6c02394b7327dacfab9",
-         "b10b660733886afab147a4ee2474d56b4cdea6d749e0b825c1b4cced2db1655b"),
+         "2b6232bd28b37d014dcdf1242525be35d251d8ccd73b219a9af8033b329ccb21",
+         "ede8ba4205778208b2620f1e04dd1780206d547da59d2e635032fb400f76debd"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -873,16 +939,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "7619817c0f6be9804fd2f05250750daba3cf9b77b416f90f2359d939baa767c5")
+        "3286209cdcc30529d80ecd397f296cf12c25884c3e7ebd60356ce022c0f47ef8")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "5b58416a201d0e9d41ec774b065854f593f8a3b0afa4f50d41cb53688e9a9674")
+        "484bb27b8ba37e4bc978af52152b1b28e230dd0212dc490611c335d845a45a84")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "16fd2251db10879910dd21826c83052bef7c4b99f60f709a5ec5d9b33c803838")
+        "f96ad3ffd1e828c81cc5e4dc0f704d70efa901929ad48e2d476e27cded35c329")
 
 
 @pytest.mark.parametrize("cell, key", [

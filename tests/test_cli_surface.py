@@ -73,9 +73,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "2fdffc0db793547af97ab2f43ef74a03dbf0a1588d255ea220173c5b5de676f9"),
+         "74e4ad90c1f58e40f4bdc5a256709001334e0dad633c51f6d9fbc5ebec1ae805"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "04b11695ba13f4e0966a856d16c3aed21c04396da5fb0edee196e2fa6c968ccc"),
+         "f08585cc2a2d9a4311baed23a0eec55b5862575bb278572aaf57f26f531653ef"),
     ],
     ids=["decay", "bell"],
 )

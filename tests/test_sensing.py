@@ -7,7 +7,6 @@ import pytest
 from qadv import sensing
 from qadv.errors import SchemaError
 from qadv.sensing import (
-    CELL_BLOCK_BYTES,
     default_uses_per_shot,
     ghz_minus_probability,
     ghz_trials,
@@ -21,7 +20,38 @@ from qadv.sensing import (
     separable_fractions,
 )
 
-from oracles import separable_success_closed_form, sweep_cell_per_trial
+from oracles import (
+    ghz_trials_per_shot,
+    separable_fractions_per_shot,
+    separable_success_closed_form,
+    sweep_cell_per_trial,
+)
+
+
+def test_closed_forms_are_elementwise_in_theta():
+    # The GHZ minus probability is sin^2(N T theta / 2) without noise; the
+    # fringe shrinks by exp(-N T gamma / 2) with it.
+    thetas = np.array([0.0, 0.01, 0.05])
+    got = ghz_minus_probability(4, 10, thetas, 0.02)
+    want = [0.5 * (1 - math.cos(40 * t) * math.exp(-0.4)) for t in thetas]
+    assert got == pytest.approx(want, rel=1e-14)
+    assert ghz_minus_probability(4, 10, 0.05, 0.0) == pytest.approx(math.sin(1.0) ** 2)
+    assert separable_bias(thetas, 0.2, 5) == pytest.approx(
+        [separable_bias(t, 0.2, 5) for t in thetas], rel=1e-15)
+
+
+@pytest.mark.parametrize("counts", [(2**63, 1), (1, 2**63), (10**309, 1)])
+def test_counts_past_the_binomial_range_are_refused(counts):
+    # rng.binomial takes counts up to 2^63 - 1; the trial functions refuse
+    # larger ones with ValueError before they draw.
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        ghz_trials(*counts, [0.1], 0.1, rng)
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        separable_fractions(*counts, [0.1], 0.1, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    # The largest count is drawn.
+    assert separable_fractions(2**63 - 1, 1, [0.1], 0.1, rng).shape == (1,)
 
 
 def test_config_validation():
@@ -67,14 +97,15 @@ def test_ghz_pi_phase_always_heralds():
 def test_ghz_detection_rate_matches_closed_form():
     # N=8, theta=0.01, T=40: Pr[minus] = sin^2(1.6) ~ 0.9992.
     rng = np.random.default_rng(5)
-    want = ghz_minus_probability(8, 40, 0.01)
+    want = ghz_minus_probability(8, 40, 0.01, 0.0)
     assert want == pytest.approx(math.sin(1.6) ** 2)
     hits = sum(ghz_trials(8, 40, [0.01], 0.0, rng)[0] for _ in range(1000))
     assert hits / 1000 >= 0.99
 
 
 def test_ghz_noisy_phase_accumulates_nt_noise_draws():
-    # With full dephasing the herald rate drops to about 1/2.
+    # N*T uses of N(0, gamma) noise damp the fringe by exp(-N T gamma / 2):
+    # with full dephasing the herald rate drops to about 1/2.
     rng = np.random.default_rng(6)
     hits = sum(ghz_trials(4, 50, [0.0], 0.5, rng)[0] for _ in range(4000))
     assert hits / 4000 == pytest.approx(0.5, abs=0.03)
@@ -283,26 +314,28 @@ def test_block_functions_refuse_any_bad_theta():
 
 @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5])
 def test_lone_trials_are_lane_0_of_a_block_of_one(gamma):
-    # A block of one draws a lone trial's noise, then its uniforms, so
-    # `sense` keeps its bytes; the generators end in the same state.
+    # A lone trial is one binomial or one uniform draw, written out here;
+    # the generators end in the same state. Lane 0 of a longer block draws
+    # first, so it is the lone trial too.
     for seed in range(4):
         b, c = (np.random.default_rng(seed) for _ in range(2))
         theta = 0.03 * seed
         lone = separable_fractions(37, 4, [theta], gamma, b)[0]
-        phases = c.normal(0.0, math.sqrt(gamma), size=(37, 4)).sum(axis=1) + 4 * theta
-        assert lone == np.count_nonzero(c.random(37) < 0.5 * (1 + np.sin(phases))) / 37
+        p_plus_i = 0.5 + math.sin(4 * theta) * math.exp(-2 * gamma) / 2
+        assert lone == c.binomial(37, p_plus_i) / 37
+        block = separable_fractions(37, 4, [theta, 0.1, 0.0], gamma, np.random.default_rng(seed))
+        assert block[0] == lone
         lone = ghz_trials(3, 5, [theta], gamma, b)[0]
-        phase = 15 * theta + c.normal(0.0, math.sqrt(gamma), size=15).sum()
-        assert lone == (c.random() < 0.5 * (1 - math.cos(phase)))
+        assert lone == (c.random() < 0.5 * (1 - math.cos(15 * theta) * math.exp(-7.5 * gamma)))
         assert b.random() == c.random()
 
 
-def test_noiseless_ghz_cell_equals_the_per_trial_loop():
-    # At gamma = 0 a block draws only its uniforms, one contiguous stream,
-    # so the cell's success is the per-trial loop's whatever the blocks.
-    # N*T = 74,898 makes blocks of 7 trials: 100 trials cross 15 of them.
+def test_noiseless_ghz_cell_equals_the_per_trial_loop(monkeypatch):
+    # A block draws one uniform per trial, one contiguous stream, so the
+    # cell's success is the per-trial loop's whatever the blocks. Blocks of
+    # 7 trials: 100 trials cross 15 of them.
+    monkeypatch.setattr(sensing, "_TRIAL_BLOCK", 7)
     n, t, theta, trials = 2, 37_449, 1e-5, 100
-    assert CELL_BLOCK_BYTES // (8 * n * t) == 7
     cell = sensing._run_cell(("ghz", n, theta, 0.0, t, 1, trials), np.random.SeedSequence(9))
     want = sweep_cell_per_trial("ghz", n, theta, 0.0, t, 1, trials,
                                 np.random.default_rng(np.random.SeedSequence(9)))
@@ -312,10 +345,10 @@ def test_noiseless_ghz_cell_equals_the_per_trial_loop():
 
 def test_noiseless_separable_cell_equals_the_per_trial_loop(monkeypatch):
     # The separable schedule needs gamma > 0, so the cell is given R = 4 at
-    # gamma = 0. K*N*R = 104,860 makes blocks of 4 trials: 41 trials cross 11.
+    # gamma = 0. Blocks of 4 trials: 41 trials cross 11.
     monkeypatch.setattr(sensing, "default_uses_per_shot", lambda gamma: 4)
+    monkeypatch.setattr(sensing, "_TRIAL_BLOCK", 4)
     k, theta, trials = 26_215, 0.0025, 41
-    assert CELL_BLOCK_BYTES // (8 * k * 4) == 4
     cell = sensing._run_cell(("separable", 1, theta, 0.0, 1, k, trials),
                              np.random.SeedSequence(10))
     want = sweep_cell_per_trial("separable", 1, theta, 0.0, 1, k, trials,
@@ -350,15 +383,88 @@ def test_noisy_separable_cell_matches_the_binomial_closed_form(n, theta, gamma, 
     assert abs(cell.success - want) < 4 * stderr
 
 
-def test_cell_memory_is_bounded_by_the_block_budget():
-    # 600 trials of 4,000 shots with R = 5: all their noise at once would be
-    # 600 * 4,000 * 5 * 8 bytes, about 96 MB. Blocks of 26 trials hold 4.2 MB.
-    args = ("separable", 1, 0.02, 0.2, 1, 4_000, 600)
-    assert 600 * 4_000 * 5 * 8 > 20 * CELL_BLOCK_BYTES
+_NOISY_CELLS = [("ghz", 3, 0.04, 0.05, 6, 1), ("separable", 2, 0.05, 0.1, 1, 30)]
+
+
+@pytest.mark.parametrize("protocol, n, theta, gamma, t, k", _NOISY_CELLS)
+def test_noisy_cell_equals_the_per_trial_loop(monkeypatch, protocol, n, theta, gamma, t, k):
+    # One variate per trial, one stream: blocks of 7 trials give the
+    # per-trial loop's success, noise and all. 101 trials cross 15 blocks.
+    monkeypatch.setattr(sensing, "_TRIAL_BLOCK", 7)
+    cell = sensing._run_cell((protocol, n, theta, gamma, t, k, 101), np.random.SeedSequence(17))
+    want = sweep_cell_per_trial(protocol, n, theta, gamma, t, k, 101,
+                                np.random.default_rng(np.random.SeedSequence(17)))
+    assert 0.5 < want < 1.0
+    assert cell.success == want
+
+
+@pytest.mark.parametrize("protocol, n, theta, gamma, t, k", _NOISY_CELLS)
+def test_noisy_cell_bytes_do_not_depend_on_the_trial_block(monkeypatch, protocol, n, theta,
+                                                           gamma, t, k):
+    args = (protocol, n, theta, gamma, t, k, 1_000)
+    whole = sensing._run_cell(args, np.random.SeedSequence(18))
+    monkeypatch.setattr(sensing, "_TRIAL_BLOCK", 7)
+    assert sensing._run_cell(args, np.random.SeedSequence(18)) == whole
+
+
+def _mean_and_variance_agree(a: np.ndarray, b: np.ndarray) -> None:
+    # Two independent samples of one distribution: their means, and their
+    # sample variances, differ by less than 4 standard errors of the
+    # difference. A sample variance's standard error is
+    # sqrt((m4 - var^2) / n), m4 the fourth central moment.
+    def moments(x):
+        mean, var = x.mean(), x.var(ddof=1)
+        return mean, var, x.var(ddof=1) / len(x), (np.mean((x - mean) ** 4) - var**2) / len(x)
+
+    (ma, va, sa, wa), (mb, vb, sb, wb) = moments(a), moments(b)
+    assert abs(ma - mb) < 4 * math.sqrt(sa + sb)
+    assert abs(va - vb) < 4 * math.sqrt(wa + wb)
+
+
+def test_separable_fractions_match_the_per_shot_reference():
+    # K*N = 100 shots, R = 5, theta = 0.04, gamma = 0.2, 20,000 trials: the
+    # binomial draw against every shot's own noise and uniform. The per-shot
+    # reference runs in chunks of 1,000 trials (4 MB of noise each).
+    trials, shots, r, theta, gamma = 20_000, 100, 5, 0.04, 0.2
+    got = separable_fractions(shots, r, np.full(trials, theta), gamma, np.random.default_rng(19))
+    rng = np.random.default_rng(20)
+    ref = np.concatenate([separable_fractions_per_shot(shots, r, np.full(1_000, theta), gamma, rng)
+                          for _ in range(trials // 1_000)])
+    _mean_and_variance_agree(got, ref)
+    # Both sit on the exact binomial mean, 1/2 + separable_bias.
+    p = 0.5 + separable_bias(theta, gamma, r)
+    for fractions in (got, ref):
+        assert abs(fractions.mean() - p) < 4 * math.sqrt(p * (1 - p) / shots / trials)
+
+
+def test_ghz_trials_match_the_per_shot_reference():
+    # N = 4, T = 10, gamma = 0.05: N*T = 40 noise draws a trial in the
+    # reference, the damped closed form here. Null and signal trials
+    # alternate, so the outcomes mix two Bernoulli rates.
+    trials, n, t, gamma = 20_000, 4, 10, 0.05
+    thetas = np.where(np.arange(trials) % 2 == 1, 0.05, 0.0)
+    got = ghz_trials(n, t, thetas, gamma, np.random.default_rng(21)).astype(float)
+    ref = ghz_trials_per_shot(n, t, thetas, gamma, np.random.default_rng(22)).astype(float)
+    _mean_and_variance_agree(got, ref)
+    for outcomes in (got, ref):
+        for parity in (0, 1):
+            p = ghz_minus_probability(n, t, thetas[parity], gamma)
+            half = outcomes[parity::2]
+            assert abs(half.mean() - p) < 4 * math.sqrt(p * (1 - p) / len(half))
+
+
+def test_cell_memory_does_not_grow_with_shots():
+    # 600 trials of K = 10^9 shots with R = 5: drawn shot by shot, one
+    # trial's phase noise alone would be 40 GB. One binomial a trial keeps
+    # the cell's tracemalloc peak under 64 KiB (about 31 KiB measured). A
+    # first cell imports lazily, so one runs before the trace starts.
+    args = ("separable", 1, 0.02, 0.2, 1, 10**9, 600)
+    sensing._run_cell(args, np.random.SeedSequence(15))
     tracemalloc.start()
     try:
-        sensing._run_cell(args, np.random.SeedSequence(16))
+        cell = sensing._run_cell(args, np.random.SeedSequence(16))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * CELL_BLOCK_BYTES
+    assert cell.success == 1.0
+    assert peak < 64 * 1024
