@@ -328,8 +328,13 @@ def random_brickwork(
         raise ValueError("brickwork depth must be nonnegative")
     # One draw for the whole circuit, n // 2 gates a layer, handed out to
     # the layers in order. Drawn first, so that a depth no memory can hold
-    # fails in numpy before any per-layer list grows.
-    stack = haar_two_qubit(np.random.default_rng(seed), n // 2 * layers)
+    # fails in numpy before any per-layer list grows; a depth whose draw
+    # (256 bytes a gate) no array can index is refused here.
+    count = n // 2 * layers
+    if count > np.iinfo(np.intp).max // 256:
+        raise ValueError(f"brickwork depth {layers} needs {count} two-qubit gates, "
+                         "more than one numpy array can hold")
+    stack = haar_two_qubit(np.random.default_rng(seed), count)
     pairs = [_layer_pairs(n, j) for j in range(layers)]
     # Unitary by construction (Mezzadri's QR): the check guards, not filters.
     check_unitary(stack)

@@ -2,15 +2,18 @@
 sampled inputs, the Frobenius-decay Monte Carlo, and labeled instance
 suites with confusion counts.
 
-The decay Monte Carlo propagates at k = 1, where the observable holds only
-weight-1 terms, so it computes in that sector: per trial an ``(n, 3)``
-array of X, Y and Z coefficients, and per gate the 6 x 6 weight-1 block of
-its transfer matrix from `pauli.weight_one_blocks`, which alone knows the
-block's local indices. Each trial draws its Ginibre matrices from its own
-stream; the QR step that makes them Haar runs once per layer over the gates
-of every trial in a chunk. Once per run, trial 0 is
-re-derived through `circuits.random_brickwork` and
-`propagation.backpropagate`, and a disagreement is an
+At k = 1 the observable holds only weight-1 terms, so both `detect` and
+the decay Monte Carlo compute in that sector: an ``(n, 3)`` array of X, Y
+and Z coefficients, and per gate the weight-1 block of its transfer matrix
+from `pauli.weight_one_blocks`, which alone knows the block's local
+indices. `detect` takes its map from `propagation.weight_one_pass`; at
+k >= 2 it runs `propagation.backpropagate`. Once per suite, the first
+instance's k = 1 map is re-derived through `backpropagate`.
+
+Each decay trial draws its Ginibre matrices from its own stream; the QR
+step that makes them Haar runs once per layer over the gates of every
+trial in a chunk. Once per run, trial 0 is re-derived through
+`circuits.random_brickwork` and `backpropagate`. Either disagreement is an
 `InvariantViolation`.
 """
 
@@ -26,9 +29,16 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
-from .pauli import DROP_TOLERANCE, MAX_QUBITS, weight_one_blocks
+from .pauli import DROP_TOLERANCE, MAX_QUBITS, PauliMap, weight_one_blocks
 from .pool import seeded_chunks, seeded_map, spawn_seeds
-from .propagation import PropagationConfig, backpropagate, evaluate_product_state, z_first
+from .propagation import (
+    PropagationConfig,
+    backpropagate,
+    evaluate_product_state,
+    weight_one_pass,
+    weight_one_step,
+    z_first,
+)
 
 #: A heuristic and an exact value disagree when they differ by at least this.
 DISAGREEMENT_GAP = 1.0 / 3.0
@@ -95,6 +105,20 @@ class DetectionReport:
     heuristic_norm: float  # normalized squared Frobenius norm of O_0
 
 
+def _heuristic(c: circuits.Circuit, cfg: PropagationConfig) -> PauliMap:
+    """The weight-k heuristic map of Z on the first qubit: at k = 1 the
+    `weight_one_pass` coefficients wrapped as a map (X, Y, Z on each qubit
+    in turn), otherwise `backpropagate`."""
+    o = z_first(c.n_qubits)
+    if cfg.k > 1:
+        return backpropagate(c, o, cfg)
+    v = weight_one_pass(c, o)
+    q, a = v.nonzero()
+    bit = np.uint64(1) << q.astype(np.uint64)
+    return PauliMap._from_masks(c.n_qubits, np.where(a < 2, bit, 0), np.where(a > 0, bit, 0),
+                                v[q, a])
+
+
 def detect(
     c: circuits.Circuit,
     s: int = 32,
@@ -110,10 +134,13 @@ def detect(
     draws per input, matching the repeated-measurement procedure; a
     probability within `statevector._NORM_TOL` of [0, 1] is clipped for the
     draw, and one farther out raises InvariantViolation. One fused circuit
-    serves every sampled input and lends its block unitaries to the one
-    backward propagation, so none is built twice. Of a `circuits.build_cnew`
-    circuit's ops, `statevector.fuse` derives the controlled inverse's from
-    the open run's; `backpropagate` builds transfer matrices in windows.
+    (``c`` itself when it is a `statevector.FusedCircuit`) serves every
+    sampled input and lends its block unitaries to the heuristic, so none
+    is built twice. At k = 1 the heuristic comes from
+    `propagation.weight_one_pass`, wrapped as a `PauliMap`; at k >= 2 from
+    `backpropagate`, which builds transfer matrices in windows. Of a
+    `circuits.build_cnew` circuit's ops, `statevector.fuse` derives the
+    controlled inverse's from the open run's.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
@@ -124,8 +151,8 @@ def detect(
     lo, hi = c.input_register()
     width = hi - lo + 1
 
-    fused = statevector.fuse(c)
-    o0 = backpropagate(fused, z_first(c.n_qubits), cfg)
+    fused = c if isinstance(c, statevector.FusedCircuit) else statevector.fuse(c)
+    o0 = _heuristic(fused, cfg)
 
     records = []
     for _ in range(s):
@@ -195,7 +222,9 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     weight-1 part, so each gate acts on the 6 coefficients of its pair
     through the weight-1 block of its transfer matrix
     (`pauli.weight_one_blocks`, rows and columns X, Y, Z on the pair's first
-    qubit, then on its second). No drop tolerance applies. A trial's rows
+    qubit, then on its second), in the gate step `propagation.weight_one_pass`
+    takes too (`propagation.weight_one_step`, whose index-order sum does not
+    depend on the chunk's shape). No drop tolerance applies. A trial's rows
     never meet another trial's, so its norms do not depend on the other
     seeds.
     """
@@ -209,14 +238,9 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     norms = np.empty((trials, layers + 1))
     norms[:, 0] = 1.0
     for depth in reversed(range(layers)):
-        a, b = _brick_pairs(n, depth)
         haar = circuits.haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
-        block = weight_one_blocks(haar)
-        rows = np.concatenate((coeffs[:, a], coeffs[:, b]), axis=2)
-        # Summed in index order rather than by matmul, whose BLAS or loop
-        # path, and so its rounding, can change with the chunk's shape.
-        out = (rows[..., None] * block.reshape(trials, half, 6, 6)).sum(axis=2)
-        coeffs[:, a], coeffs[:, b] = out[..., :3], out[..., 3:]
+        blocks = weight_one_blocks(haar).reshape(trials, half, 6, 6)
+        weight_one_step(coeffs, np.stack(_brick_pairs(n, depth), axis=1), blocks)
         norms[:, layers - depth] = np.square(coeffs).sum(axis=(1, 2))
     return norms
 
@@ -376,10 +400,30 @@ class SuiteResult:
     total: int
 
 
+def _check_sector(c: statevector.FusedCircuit) -> None:
+    """Re-derive the k = 1 heuristic of ``c`` through `backpropagate` and
+    raise InvariantViolation unless the two maps agree to rounding and the
+    passes' drops: a layer's drops move either pass's coefficients by at
+    most sqrt(3n) times the tolerance in 2-norm, and later layers do not
+    stretch that."""
+    cfg = PropagationConfig(k=1)
+    got = _heuristic(c, cfg).to_labels()
+    want = backpropagate(c, z_first(c.n_qubits), cfg).to_labels()
+    labels = sorted(set(got) | set(want))
+    atol = 2 * len(c.layers) * np.sqrt(3 * c.n_qubits) * DROP_TOLERANCE
+    if not np.allclose([got.get(p, 0.0) for p in labels], [want.get(p, 0.0) for p in labels],
+                       rtol=1e-12, atol=atol):
+        raise InvariantViolation(
+            "weight-1 heuristic of suite instance 0 differs from its backward pass")
+
+
 def _suite_entry(args, ss) -> SuiteEntry:
-    inst, prob, n, depth, copies, s, k = args
+    inst, prob, n, depth, copies, s, k, first = args
     u_seed, detect_seed = ss.spawn(2)
-    cnew = circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed)
+    cnew = statevector.fuse(
+        circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed))
+    if first and k == 1:
+        _check_sector(cnew)
     report = detect(cnew, s=s, k=k, seed=detect_seed)
     expected = "advantage" if inst.label == "YES" else "no-advantage"
     # Markov budget on the final heuristic norm: exceeded for at most a
@@ -409,11 +453,14 @@ def instance_suite(
     `statevector.DENSE_LIMIT` and verify every label before any detection
     work, then build one detection circuit per instance with a fresh
     random-circuit seed (and, without ``depth``, the default depth of its
-    own width), run detect, and tally verdict-vs-label counts."""
+    own width), run detect, and tally verdict-vs-label counts. At k = 1 the
+    first instance's heuristic is re-derived through `backpropagate`
+    (`_check_sector`), and a disagreement raises InvariantViolation."""
     for inst in instances:
         statevector.check_dense_limit(n + inst.circuit.n_qubits * copies + 1)
     probs = [verify_promise(inst) for inst in instances]
-    work = [(inst, prob, n, depth, copies, s, k) for inst, prob in zip(instances, probs)]
+    work = [(inst, prob, n, depth, copies, s, k, i == 0)
+            for i, (inst, prob) in enumerate(zip(instances, probs))]
     entries = tuple(seeded_map(_suite_entry, work, seed, jobs))
     confusion: dict[str, int] = {}
     for e in entries:

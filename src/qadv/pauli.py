@@ -34,8 +34,9 @@ Conventions used throughout the package:
   of matrices at a time into one output, so its transient memory does not
   grow with the stack; the module keeps no cache, so a caller memoizes
   reused gates. ``weight_one_blocks`` builds, in the same loop, only the
-  6 x 6 weight-1 block of each two-qubit matrix, with the bytes of the
-  full build sliced there: the one narrowed build the decay sector needs.
+  3w x 3w weight-1 block of each w-qubit matrix (w = 1..3), with the
+  bytes of the full build sliced there: the one narrowed build that the
+  weight-1 sector (decay and `propagation.weight_one_pass`) needs.
 """
 
 from __future__ import annotations
@@ -78,12 +79,17 @@ _HERMITICITY_TOL = 1e-10
 #: three-qubit one), so a build holds its output plus this many of them.
 #: Most of that forms the superoperators, which `weight_one_blocks` forms in
 #: full too, so its step takes about as much; it saves in its products and
-#: in its output of 36 floats a matrix.
+#: in its output of 9w^2 floats a matrix.
 _TRANSFER_CHUNK = 16
 
-#: The local indices of a two-qubit gate's weight-1 Paulis: X, Y and Z on
-#: its first target (the most significant base-4 digit), then on its second.
-_WEIGHT_ONE = np.array([4, 8, 12, 1, 2, 3])
+#: The local indices of a w-qubit gate's weight-1 Paulis, one table per
+#: width w = 1..3: X, Y and Z on its first target (the most significant
+#: base-4 digit), then on its second, and so on.
+_WEIGHT_ONE = {
+    1: np.array([1, 2, 3]),
+    2: np.array([4, 8, 12, 1, 2, 3]),
+    3: np.array([16, 32, 48, 4, 8, 12, 1, 2, 3]),
+}
 
 
 class NonUnitaryError(ValueError):
@@ -317,16 +323,17 @@ def transfer_matrix(u: np.ndarray) -> np.ndarray:
 
 
 def weight_one_blocks(u: np.ndarray) -> np.ndarray:
-    """The 6 x 6 weight-1 block of a two-qubit unitary's transfer matrix, or
-    the ``(g, 6, 6)`` stack of them for a ``(g, 4, 4)`` stack: rows and
-    columns X, Y, Z on the first target, then on the second
-    (`_WEIGHT_ONE`). Only those rows of the Pauli basis are contracted, in
-    `transfer_matrix`'s chunked loop, and each block has the bytes of the
-    full build sliced at `_WEIGHT_ONE` on both axes."""
+    """The 3w x 3w weight-1 block of a w-qubit unitary's transfer matrix
+    (w = 1..3), or the ``(g, 3w, 3w)`` stack of them for a ``(g, 2^w,
+    2^w)`` stack: rows and columns X, Y, Z on the first target, then on the
+    second, and so on (`_WEIGHT_ONE` of the width). Only those rows of the
+    Pauli basis are contracted, in `transfer_matrix`'s chunked loop, and
+    each block has the bytes of the full build sliced there on both axes."""
     u = np.asarray(u)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
-        raise ValueError("weight-1 blocks need a two-qubit unitary or a stack of them")
-    return _transfer(u, _WEIGHT_ONE)
+    d = u.shape[-1]
+    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ValueError("weight-1 blocks need a unitary on 1, 2 or 3 qubits, or a stack of them")
+    return _transfer(u, _WEIGHT_ONE[d.bit_length() - 1])
 
 
 def _target_mask(n_qubits: int, targets: Sequence[int]) -> int:

@@ -14,22 +14,40 @@ given; otherwise `statevector.block_unitary`, imported here by name, builds
 it in one pass of the statevector interpreter over the identity.
 Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
+
+At k = 1 `weight_one_pass` gives the same projected map in the weight-1
+sector, as an (n, 3) array of X, Y and Z coefficients per qubit: each gate
+of up to 3 qubits acts through the weight-1 block of its transfer matrix
+(`weight_one_step`, the gate step of decay's sector pass too), each dense
+step through one matmul of its unitary. `backpropagate` stays the route for
+k >= 2 and the reference the sector pass is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import circuits
-from .pauli import PauliMap, conjugate_dense, conjugate_layer, transfer_matrix
+from .errors import InvariantViolation
+from .pauli import (
+    _HERMITICITY_TOL,
+    DROP_TOLERANCE,
+    PauliMap,
+    conjugate_dense,
+    conjugate_layer,
+    transfer_matrix,
+    weight_one_blocks,
+)
 from .statevector import FusedCircuit, block_unitary, check_block_width
 
-#: Bytes of transfer matrices one build of a backward pass may output:
-#: 512 two-qubit or 32 three-qubit matrices. A layer whose own new matrices
-#: take more is still built whole, in one build of its own.
+#: Bytes of matrices one build of a backward pass may output: 512 two-qubit
+#: or 32 three-qubit transfer matrices, or 3,640 two-qubit weight-1 blocks.
+#: A layer whose own new matrices take more is still built whole, in one
+#: build of its own.
 TRANSFER_WINDOW_BYTES = 1024 * 1024
 
 
@@ -52,14 +70,19 @@ def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.La
 
 
 def _window(
-    layers: Sequence[circuits.Layer], start: int
+    layers: Sequence[circuits.Layer],
+    start: int,
+    build: Callable[[np.ndarray], np.ndarray],
+    side: Callable[[int], int],
 ) -> list[tuple[list[circuits.Gate], list[np.ndarray], list[circuits.Layer]]]:
     """The window from ``layers[start]``: that layer and each following one
-    while the window's distinct unitaries of up to 3 qubits have transfer
-    matrices within `TRANSFER_WINDOW_BYTES` (a layer whose own take more is
-    a window of its own). Each layer comes as its gates, their matrices and
-    its dense steps; the matrices are views into one `transfer_matrix`
-    stack per gate width, so they live as long as the window."""
+    while the window's distinct unitaries of up to 3 qubits have matrices
+    within `TRANSFER_WINDOW_BYTES` (a layer whose own take more is a window
+    of its own). ``build`` makes the matrices of a stack of d x d unitaries,
+    each ``side(d)`` square: `transfer_matrix` or `weight_one_blocks`. Each
+    layer comes as its gates, their matrices and its dense steps; the
+    matrices are views into one ``build`` stack per gate width, so they
+    live as long as the window."""
     steps = []
     distinct: dict[int, dict[bytes, circuits.Gate]] = {}
     size = 0
@@ -67,9 +90,9 @@ def _window(
         gates, dense = _split(layer)
         keys = [g.unitary().tobytes() for g in gates]
         new = {key: g for key, g in zip(keys, gates) if key not in distinct.get(len(key), ())}
-        # A d x d complex128 unitary has 16 d^2 bytes, its transfer matrix
-        # 8 d^4; the byte length alone also tells the widths apart.
-        grow = sum(8 * (len(key) // 16) ** 2 for key in new)
+        # A d x d complex128 unitary has 16 d^2 bytes; the byte length alone
+        # also tells the widths apart.
+        grow = sum(8 * side(math.isqrt(len(key) // 16)) ** 2 for key in new)
         if size and size + grow > TRANSFER_WINDOW_BYTES:
             break
         size += grow
@@ -78,7 +101,7 @@ def _window(
         steps.append((gates, keys, dense))
     built: dict[bytes, np.ndarray] = {}
     for group in distinct.values():
-        built.update(zip(group, transfer_matrix(np.stack([g.unitary() for g in group.values()]))))
+        built.update(zip(group, build(np.stack([g.unitary() for g in group.values()]))))
     return [(gates, [built[key] for key in keys], dense) for gates, keys, dense in steps]
 
 
@@ -103,7 +126,7 @@ def backpropagate(c: circuits.Circuit, o: PauliMap, cfg: PropagationConfig) -> P
     acc = o.project_weight(cfg.k)
     done = 0
     while done < len(layers):
-        window = _window(layers, done)
+        window = _window(layers, done, transfer_matrix, lambda d: d * d)
         done += len(window)
         for gates, matrices, dense in window:
             if gates:
@@ -118,6 +141,108 @@ def backpropagate(c: circuits.Circuit, o: PauliMap, cfg: PropagationConfig) -> P
         # release them before the next window is built.
         del window, matrices
     return acc
+
+
+def _sector(o: PauliMap) -> np.ndarray:
+    """The weight-1 terms of ``o`` as an ``(n, 3)`` array: row q holds the
+    coefficients of X, Y and Z on qubit q."""
+    v = np.zeros((o.n_qubits, 3))
+    one = np.bitwise_count(o.x | o.z) == 1
+    x, z = o.x[one] != 0, o.z[one] != 0
+    # A weight-1 mask is one bit: the bits below it count its qubit.
+    q = np.bitwise_count((o.x[one] | o.z[one]) - np.uint64(1))
+    v[q, np.where(z, 2 - x, 0)] = o.coeffs[one]
+    return v
+
+
+def weight_one_step(v: np.ndarray, targets: np.ndarray, blocks: np.ndarray) -> None:
+    """Apply, in place, one layer's gates of one width w to the weight-1
+    coefficients ``v`` (``(..., n, 3)``): gate i acts on qubits
+    ``targets[i]`` (a ``(g, w)`` array) through ``blocks[..., i, :, :]``,
+    its 3w x 3w weight-1 block. Exact for the weight-1 part, since a gate
+    maps a weight-1 term on its targets to terms on its targets alone.
+
+    Row r of a block lists how the input Pauli r spreads, so each output
+    is the sum over r of row r times its input, summed in index order
+    rather than by matmul, whose BLAS or loop path, and so its rounding,
+    can change with the shape of the leading axes."""
+    rows = v[..., targets, :]
+    out = (rows.reshape(rows.shape[:-2] + (-1, 1)) * blocks).sum(axis=-2)
+    v[..., targets, :] = out.reshape(rows.shape)
+
+
+def _dense_step(v: np.ndarray, support: Sequence[int], u: np.ndarray) -> None:
+    """Apply, in place, a dense unitary ``u`` on ``support`` (first qubit
+    most significant) to the weight-1 coefficients ``v``: the weight-1 part
+    of U^dag O U for O = sum_{q, a} v[q, a] P_{q, a} over the support.
+
+    O U comes from U's rows without a product (a Pauli on support position
+    j maps row r to +-row r, or to row r xor b_j with b_j its bit), then M =
+    U^dag (O U) is one matmul. Tr(P M) for P = X, Y or Z on position j reads
+    M on its bit-flipped diagonal or its diagonal."""
+    support = list(support)
+    rows = v[support]
+    w, d = len(support), len(u)
+    index = np.arange(d)
+    shifts = np.arange(w - 1, -1, -1)[:, None]
+    flips = index ^ (1 << shifts)  # (w, d): r xor b_j
+    signs = 1 - 2 * (index >> shifts & 1)  # (w, d): (-1)^(bit j of r)
+    # Z_j U = sign_j U and (X_j U)[r] = U[r xor b_j], (Y_j U)[r] = -i sign_j U[r xor b_j].
+    ou = (rows[:, 2] @ signs)[:, None] * u
+    for j in rows[:, :2].any(axis=1).nonzero()[0]:
+        ou += (rows[j, 0] - 1j * rows[j, 1] * signs[j])[:, None] * u[flips[j]]
+    m = u.conj().T @ ou
+    # Tr(P M) = sum_{r, c} P[r, c] M[c, r]: X_j and Y_j have their entries at
+    # c = r xor b_j (1 and -i sign_j), Z_j on the diagonal (sign_j).
+    flipped = m[flips, index]
+    out = np.stack((flipped.sum(axis=1), (-1j * signs * flipped).sum(axis=1),
+                    signs @ np.diagonal(m)), axis=1) / d
+    if np.abs(out.imag).max() > _HERMITICITY_TOL:
+        raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
+    v[support] = out.real
+
+
+def weight_one_pass(c: circuits.Circuit, o: PauliMap) -> np.ndarray:
+    """The k = 1 backward pass in the weight-1 sector: the ``(n, 3)`` X, Y
+    and Z coefficients per qubit of what ``backpropagate(c, o,
+    PropagationConfig(k=1))`` returns, without its identity part (which no
+    step changes) and with the rounding of its own sums.
+
+    ``o`` is projected to weight 1 up front. A declared layer's gates are
+    disjoint, so a weight-1 term meets at most one of them, and the
+    projected step is the gate's weight-1 block (`weight_one_step`), built
+    a window at a time as `backpropagate` builds its transfer matrices
+    (`_window` with `weight_one_blocks`). A dense step (a block, or a gate
+    wider than 3 qubits) is `_dense_step`, with a `FusedCircuit`'s block
+    ops lent; one whose support rows are all zero is skipped, since zero in
+    gives zero out. After a layer's gate step and after each dense step,
+    every coefficient at or below `DROP_TOLERANCE` is zeroed, where
+    `conjugate_layer` and `conjugate_dense` drop.
+    """
+    if c.n_qubits != o.n_qubits:
+        raise ValueError("observable and circuit qubit counts differ")
+    blocks = c.blocks if isinstance(c, FusedCircuit) else {}
+    layers = c.layers[::-1]
+    v = _sector(o)
+    done = 0
+    while done < len(layers):
+        window = _window(layers, done, weight_one_blocks, lambda d: 3 * (d.bit_length() - 1))
+        done += len(window)
+        for gates, matrices, dense in window:
+            if gates:
+                widths = [len(g.targets) for g in gates]
+                for w in set(widths):
+                    group = [i for i, x in enumerate(widths) if x == w]
+                    weight_one_step(v, np.array([gates[i].targets for i in group]),
+                                    np.array([matrices[i] for i in group]))
+                v[np.abs(v) <= DROP_TOLERANCE] = 0.0
+            for layer in dense:
+                check_block_width(len(layer.support))
+                if v[list(layer.support)].any():
+                    _dense_step(v, *(blocks.get(layer) or block_unitary(layer)))
+                v[np.abs(v) <= DROP_TOLERANCE] = 0.0
+        del window, matrices
+    return v
 
 
 def evaluate_product_state(o: PauliMap, bits: str | Sequence[int]) -> float:

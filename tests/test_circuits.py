@@ -135,6 +135,17 @@ def test_brickwork_rejects_width_one():
         random_brickwork(1, 1, seed=0)
 
 
+def test_brickwork_refuses_a_depth_no_array_can_hold(monkeypatch):
+    # 2^57 gates of 256 bytes each pass numpy's largest array: refused
+    # before any draw, naming the depth and the gate count.
+    def no_draw(rng, count):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(circuits, "haar_two_qubit", no_draw)
+    with pytest.raises(ValueError, match=f"depth {2**56} needs {2**57} two-qubit gates"):
+        random_brickwork(4, 2**56, seed=0)
+
+
 def test_brickwork_refuses_a_stack_with_one_non_unitary_matrix(monkeypatch):
     # The stack is checked once, as a whole, instead of matrix by matrix.
     def one_bad(rng, count):

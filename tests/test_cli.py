@@ -202,10 +202,11 @@ def test_memory_error_exits_4_and_writes_nothing(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("depth, code", [(10**30, 2), (10**8, 4)])
 def test_suite_depth_past_any_memory_exits_cleanly(tmp_path, depth, code):
     # `random_brickwork` draws its Haar stack before it builds a per-layer
-    # list: numpy refuses the shape of 10^30 layers (exit 2), and cannot
-    # allocate the 24 GiB of 10^8 layers (MemoryError, exit 4). The run gets
-    # a 2 GiB address-space cap, so that a regression fails here instead of
-    # filling the machine's memory.
+    # list: it refuses 10^30 layers up front, naming the depth and the gate
+    # count, since no numpy array can hold their draw (exit 2), and numpy
+    # cannot allocate the 24 GiB of 10^8 layers (MemoryError, exit 4). The
+    # run gets a 2 GiB address-space cap, so that a regression fails here
+    # instead of filling the machine's memory.
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
 
@@ -217,6 +218,8 @@ def test_suite_depth_past_any_memory_exits_cleanly(tmp_path, depth, code):
                          env=env, capture_output=True, text=True, preexec_fn=cap, timeout=120)
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stderr
+    if code == 2:
+        assert f"brickwork depth {depth} needs {depth} two-qubit gates" in run.stderr
     assert not out.exists()
 
 
@@ -226,6 +229,20 @@ def test_decay_negative_depth_exits_2(runner, tmp_path, depth):
     result = runner.invoke(main, ["decay", "--L", depth, "--out-dir", str(out)])
     assert result.exit_code == 2, result.output
     assert "depth" in result.output
+    assert not out.exists()
+
+
+def test_suite_sector_mismatch_exits_3(runner, tmp_path, monkeypatch):
+    # A wrong index table in the sector pass fails the suite's check of its
+    # first instance: exit 3, and no report, table or manifest.
+    from qadv import pauli
+
+    monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array([8, 4, 12, 1, 2, 3]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["suite", "--yes", "1", "--no", "1", "--L", "4", "--s", "4",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "suite instance 0" in result.output
     assert not out.exists()
 
 
@@ -239,7 +256,7 @@ def test_decay_trial_zero_mismatch_exits_3(runner, tmp_path, monkeypatch, patch)
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setattr(pauli, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
+        monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array([8, 4, 12, 1, 2, 3]))
     out = tmp_path / "out"
     result = runner.invoke(
         main, ["decay", "--n", "4", "--L", "3", "--trials", "5", "--out-dir", str(out)])
@@ -857,9 +874,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "5100383681d0031347cb2ed9113d15c3dba18202d83d0d7defbbdf7d34e29c96")
+        "f699269effb59fb3e673f1ccc6cf2b032f5aa9eaf9a09ab824936ef848445615")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "80b8013a28ba5ff8636a335ffa4174ef1bb310b1e576b8fa126f90cbd14d5575")
+        "d4b14b316e16e8cdbb0a43688267064657b338152436233241c5f6b3202c9e63")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -869,9 +886,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "24e197b42f37e39de67ef3d8c205ea8ecc247ada2b8fb3ca0b29ea32738d7b4b")
+        "b1c40cf641f70462b0681c8c16907422fd108c1725a135efdc4c57cf3c6cdf80")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "529d851be76b33c1edc2070a7ef09eb3706c3f5d248431054d59ba0e188f3cab")
+        "08ed838c823a3c7d0a460e933b786338dc418ad4da8962ba9e9ec531dfa023b7")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -883,7 +900,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "ddb12416a303d5b6d7261652875e417a2044e76b7444ccedb5c57f3ecfd2cc3f")
+        "6359b9a05c9ad06cedf83d0f62fc0d5d5c39844d7291a35d018be4a492a6a89f")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -896,9 +913,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "b5d2a2880f54ece6aeda862c2207740dd656843fa165b45fd6b0cc2b13bb594b")
+        "8eee5e7954093b8e860d3553467fe396e583beb203a634cd5c96d58318dab118")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "d957e9427af5b26716753dae030bc49e1fa1b83d63d602de49659bfa19b991de")
+        "d04b867f906cac1d615d4f26587af816aa9379c0b4f1dfc2936c89d5148c427d")
 
 
 
@@ -906,16 +923,16 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in chunks; each trial's norms are the same floats in
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config and when the version went to 0.2.0, to 0.3.0 and to 0.4.0.
+    # config and when the version went to 0.2.0, 0.3.0, 0.4.0 and 0.5.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "a103addf2df067b63f68f9b864d836782ad8fee82f8782093d3a33fe2d60dfff",
-         "f42ae86f26c9b858c8fb3b87d7bf4baed23234bad9539c9649c60847b139959f"),
+         "cf94c451bbba1f153a63c6a7f83b6cd21f72f6c440b20280b3eed0994f896b0d",
+         "50e4afdaaa5b94f9b474b482e9f1b96703ced808009aa47180038b28d3d0157c"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "2b6232bd28b37d014dcdf1242525be35d251d8ccd73b219a9af8033b329ccb21",
-         "ede8ba4205778208b2620f1e04dd1780206d547da59d2e635032fb400f76debd"),
+         "48bff45fa3e30dc8981c85f1e1a3402392cc4a9039058335a2917638c69b0c38",
+         "01b1cc99ca2e390b8022164bcd4ffb6ca93864ed55c2d073134a5a78328d4f70"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -939,16 +956,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "3286209cdcc30529d80ecd397f296cf12c25884c3e7ebd60356ce022c0f47ef8")
+        "f5a6da165454ea12abec469371c4e782e69652608f3116263d02471378e6e21a")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "484bb27b8ba37e4bc978af52152b1b28e230dd0212dc490611c335d845a45a84")
+        "48e67367166ac8a6c831eb653bbc21de6208c2ab619f6fe1b7a5b26d3519ae2c")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "f96ad3ffd1e828c81cc5e4dc0f704d70efa901929ad48e2d476e27cded35c329")
+        "d58f4cc649dc6692fa13dc3539fa586bd34f0e9cf38831d67c8566583ad8ff81")
 
 
 @pytest.mark.parametrize("cell, key", [

@@ -73,9 +73,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "74e4ad90c1f58e40f4bdc5a256709001334e0dad633c51f6d9fbc5ebec1ae805"),
+         "36c2a3eb879d2ce5d41a8692cc5431564472c47feae672af82f828c04de9f9fe"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "f08585cc2a2d9a4311baed23a0eec55b5862575bb278572aaf57f26f531653ef"),
+         "48b9239db2e559e5bf527dfc9b25cf4d41002afab983f733d7464d3bf2c669c6"),
     ],
     ids=["decay", "bell"],
 )

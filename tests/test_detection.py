@@ -39,18 +39,16 @@ def test_detect_is_reproducible_for_fixed_seed():
 
 
 def test_detect_reuses_single_backpropagation(monkeypatch):
+    # At k >= 2 one backward pass serves every input; at k = 1 one
+    # weight-1 sector pass does, and detect never backpropagates.
     cq, _ = circuits.promise_instance("x", 1)
     c = circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return propagation.backpropagate(*args, **kwargs)
-
-    monkeypatch.setattr(detection, "backpropagate", counting)
-    rep = detect(c, s=16, k=1, seed=0)
-    assert len(calls) == 1
-    assert len(rep.records) == 16
+    passes = _count_calls(monkeypatch, propagation, "backpropagate", (detection,))
+    sectors = _count_calls(monkeypatch, propagation, "weight_one_pass", (detection,))
+    for k, want in ((2, [1, 0]), (1, [1, 1])):
+        rep = detect(c, s=16, k=k, seed=0)
+        assert [len(passes), len(sectors)] == want
+        assert len(rep.records) == 16
 
 
 def test_detect_fuses_its_circuit_once(monkeypatch):
@@ -68,6 +66,9 @@ def test_detect_fuses_its_circuit_once(monkeypatch):
     rep = detect(c, s=16, k=1, seed=0)
     assert calls == [c]
     assert len(rep.records) == 16
+    # A fused circuit is taken as it is, with the same report.
+    assert detect(real(c), s=16, k=1, seed=0) == rep
+    assert calls == [c]
 
 
 def test_detect_verdicts_on_small_instances():
@@ -212,9 +213,30 @@ def test_decay_trial_zero_check_bites(monkeypatch, patch):
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setattr(pauli, "_WEIGHT_ONE", np.array([8, 4, 12, 1, 2, 3]))
+        monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array([8, 4, 12, 1, 2, 3]))
     with pytest.raises(InvariantViolation, match="trial 0"):
         decay_experiment(4, 3, trials=5, seed=2)
+
+
+@pytest.mark.parametrize("table", [[1, 2, 3, 4, 8, 12], [8, 4, 12, 1, 2, 3]],
+                         ids=["target order", "X and Y"])
+def test_suite_check_bites(monkeypatch, table):
+    # A sector pass that disagrees with the backward pass must not reach a
+    # report: the width-2 weight-1 table with the targets in the other
+    # order, or with the first target's X and Y swapped. At depth 4 the
+    # first instance's map survives the brickwork and both blocks.
+    monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array(table))
+    with pytest.raises(InvariantViolation, match="suite instance 0"):
+        instance_suite(default_instances(1, 1, 2, seed=0), n=6, depth=4, copies=3, s=4, seed=0)
+
+
+@pytest.mark.parametrize("k, passes", [(1, 1), (2, 3)])
+def test_suite_backpropagates_once_at_k_1(monkeypatch, k, passes):
+    # At k = 1 only the first instance's check runs a backward pass; at
+    # k = 2 each instance's detect runs its own and there is no check.
+    calls = _count_calls(monkeypatch, propagation, "backpropagate", (detection,))
+    instance_suite(default_instances(2, 1, 1, seed=0), n=3, depth=4, copies=1, s=4, k=k, seed=0)
+    assert len(calls) == passes
 
 
 def test_decay_memory_does_not_grow_with_trials():
@@ -339,14 +361,15 @@ def test_detect_builds_each_block_unitary_once(monkeypatch):
     assert len(built) == ops - 1
 
 
-def test_detect_keeps_the_traced_dense_spans(monkeypatch):
-    # The benchmark's traced suite run expects spans of both functions.
+def test_suite_keeps_the_traced_dense_spans(monkeypatch):
+    # The benchmark's traced suite run expects spans of both functions: at
+    # k = 1 `fuse` builds the block unitaries, and the first instance's
+    # backward pass conjugates its two blocks.
     from qadv import pauli, statevector
 
     built = _count_calls(monkeypatch, statevector, "block_unitary", (statevector, propagation))
     dense = _count_calls(monkeypatch, pauli, "conjugate_dense", (pauli, propagation))
-    cq, _ = circuits.promise_instance("x", 1)
-    detect(circuits.build_cnew(cq, n=3, depth=8, copies=1, seed=5), s=4, k=1, seed=0)
+    instance_suite(default_instances(1, 1, 1, seed=0), n=3, depth=8, copies=1, s=4, k=1, seed=0)
     assert built and len(dense) == 2
 
 

@@ -6,7 +6,8 @@ plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark asserts that its kernel
 preserves the Pauli-2 norm, gives the bytes of the lexsort group-and-scatter
 step, gives the norms of the backward pass, gives the bytes of the per-layer
-transfer-matrix builds, builds a unitary, builds the
+transfer-matrix builds, matches the backward pass in the weight-1 sector,
+builds a unitary, builds the
 adjoint's bytes, gives the bytes of the sliced full transfer-matrix build,
 matches the gate-by-gate interpreter, draws what the lockstep tree descent
 draws, estimates what the one-shot estimator estimates, or succeeds as often
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qadv import circuits, detection, pauli, sensing, sq, statevector
+from qadv import circuits, detection, pauli, propagation, sensing, sq, statevector
 from qadv.pauli import (
     DROP_TOLERANCE,
     PauliMap,
@@ -27,7 +28,13 @@ from qadv.pauli import (
     transfer_matrix,
     weight_one_blocks,
 )
-from qadv.propagation import PropagationConfig, backpropagate, block_unitary, z_first
+from qadv.propagation import (
+    PropagationConfig,
+    backpropagate,
+    block_unitary,
+    weight_one_pass,
+    z_first,
+)
 
 import oracles
 from oracles import (
@@ -121,6 +128,24 @@ def test_backpropagate_suite_shape(benchmark):
         assert a.tobytes() == b.tobytes()
 
 
+def test_weight_one_pass_suite_shape(benchmark):
+    # The k = 1 heuristic of one suite-shape detect: the weight-1 sector
+    # pass over the fused C_new of `test_backpropagate_suite_shape`. Its 234
+    # gates' 6 x 6 blocks come from one build, and its map empties as the
+    # backward pass's does. At depth 8 the map survives, and its
+    # coefficients match the backward pass's to the suite check's
+    # tolerance.
+    cq, _ = circuits.promise_instance("x", 2)
+    for depth in (78, 8):
+        fused = statevector.fuse(circuits.build_cnew(cq, n=6, depth=depth, copies=3, seed=0))
+        o = z_first(fused.n_qubits)
+        got = benchmark(weight_one_pass, fused, o) if depth == 78 else weight_one_pass(fused, o)
+        want = backpropagate(fused, o, PropagationConfig(k=1))
+        assert got.any() == (depth == 8) and len(want) == np.count_nonzero(got)
+        atol = 2 * len(fused.layers) * math.sqrt(3 * fused.n_qubits) * DROP_TOLERANCE
+        np.testing.assert_allclose(got, propagation._sector(want), rtol=1e-12, atol=atol)
+
+
 def test_transfer_matrix_two_qubit(benchmark):
     rng = np.random.default_rng(1)
 
@@ -135,7 +160,7 @@ def test_transfer_matrix_weight_one_block(benchmark):
     # One layer of a decay chunk at n = 8, L = 10: 38 trials of four Haar
     # gates, each narrowed to its 6 x 6 weight-1 block.
     stack = circuits.haar_two_qubit(np.random.default_rng(6), 152)
-    w = pauli._WEIGHT_ONE
+    w = pauli._WEIGHT_ONE[2]
     got = benchmark(weight_one_blocks, stack)
     assert got.tobytes() == transfer_matrix(stack)[:, w[:, None], w].tobytes()
 

@@ -218,15 +218,31 @@ def test_narrowed_transfer_build_is_the_sliced_full_build(count, seed):
     if count is None:
         u = u[0]
     got = weight_one_blocks(u)
-    w = pauli._WEIGHT_ONE
+    w = pauli._WEIGHT_ONE[2]
     want = transfer_matrix(u)[..., w[:, None], w]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_weight_one_blocks_are_the_sliced_full_build_at_every_width(w):
+    # Byte-equal to the full transfer matrices sliced at the width's table,
+    # for one unitary and for a stack across a chunk boundary; the table
+    # lists X, Y, Z on the first target, then on the next (base-4 digits,
+    # first target most significant).
+    rng = np.random.default_rng(w)
+    table = pauli._WEIGHT_ONE[w]
+    assert table.tolist() == [a * 4 ** (w - 1 - j) for j in range(w) for a in (1, 2, 3)]
+    for u in (haar_unitary(2**w, rng), np.stack([haar_unitary(2**w, rng) for _ in range(17)])):
+        got = weight_one_blocks(u)
+        want = transfer_matrix(u)[..., table[:, None], table]
+        assert got.shape == want.shape == u.shape[:-2] + (3 * w, 3 * w)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_weight_one_blocks_refuse_other_widths():
-    for u in (np.eye(2), np.eye(8), np.stack([np.eye(8)] * 3)):
-        with pytest.raises(ValueError, match="two-qubit"):
+    for u in (np.eye(1), np.eye(16), np.stack([np.eye(16)] * 3), np.eye(6), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="1, 2 or 3 qubits"):
             weight_one_blocks(u)
 
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
 from qadv.errors import ResourceLimitExceeded
-from qadv.pauli import PauliMap, PauliString
+from qadv.pauli import DROP_TOLERANCE, PauliMap, PauliString, conjugate_dense
 from qadv.propagation import (
     PropagationConfig,
     backpropagate,
     block_unitary,
     evaluate_product_state,
+    weight_one_pass,
     z_first,
 )
 
@@ -612,6 +613,92 @@ def test_exact_pass_matches_the_dense_oracle_on_generated_circuits(n, seed):
         assert got.get(label, 0.0) == pytest.approx(want.get(label, 0.0), abs=1e-10)
 
 
+def _weight_one_labels(v: np.ndarray) -> dict[str, float]:
+    """The nonzero entries of an (n, 3) weight-1 array as labels: row q,
+    column a is X, Y or Z (a = 0, 1, 2) on qubit q."""
+    n = len(v)
+    return {"I" * q + "XYZ"[a] + "I" * (n - 1 - q): float(v[q, a]) for q, a in zip(*v.nonzero())}
+
+
+def _assert_weight_one_close(v: np.ndarray, want: PauliMap, layers: int) -> None:
+    """The sector array ``v`` against the weight-1 terms of a k = 1 map, to
+    the suite check's tolerance: rtol 1e-12, and per layer twice sqrt(3n)
+    times the drop tolerance, since either pass may drop at a layer what
+    the other keeps."""
+    n = len(v)
+    got = _weight_one_labels(v)
+    ref = {p: c for p, c in want.to_labels().items() if p.count("I") == n - 1}
+    atol = 2 * layers * np.sqrt(3 * n) * DROP_TOLERANCE
+    for label in set(got) | set(ref):
+        assert got.get(label, 0.0) == pytest.approx(ref.get(label, 0.0), rel=1e-12, abs=atol)
+
+
+def test_sector_holds_the_weight_one_terms():
+    o = PauliMap.from_labels({"XII": 1.0, "IYI": 2.0, "IIZ": 3.0, "ZZI": 4.0, "III": 5.0})
+    assert prop._sector(o).tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    v = np.random.default_rng(0).normal(size=(5, 3))
+    assert prop._sector(PauliMap.from_labels(_weight_one_labels(v))).tolist() == v.tolist()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+def test_dense_sector_step_is_the_projected_dense_conjugation(w):
+    # A Haar unitary on w of 6 qubits in unsorted order, with weight-1
+    # terms on every qubit: on the support the step is the weight-1 part of
+    # conjugate_dense's output; off it the rows stay.
+    rng = np.random.default_rng(w)
+    support = tuple(int(q) for q in rng.permutation(6)[:w])
+    u = haar_unitary(2**w, rng)
+    v = rng.normal(size=(6, 3))
+    want = conjugate_dense(PauliMap.from_labels(_weight_one_labels(v)), u, support)
+    prop._dense_step(v, support, u)
+    _assert_weight_one_close(v, want, 1)
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60)
+def test_weight_one_pass_matches_backpropagate_at_k_1(n, seed, fused):
+    # Shallow circuits (at most 6 layers) of the generator's named, perm
+    # and matrix gates of 1-3 qubits, perm gates on 4 or more, and bare,
+    # controlled and nested blocks, so the weight-1 map survives; the
+    # observable adds a weight-1 term on every qubit and letter to the
+    # generator's three strings. The sector sums in another order than the
+    # Pauli kernels, so the match is to a tolerance, not in bytes.
+    c, o, _ = _random_circuit_and_observable(n, seed)
+    c = Circuit(n, c.layers[:6])
+    terms = o.to_labels()
+    extra = _weight_one_labels(np.random.default_rng(seed).normal(size=(n, 3)))
+    for label, coeff in extra.items():
+        terms[label] = terms.get(label, 0.0) + coeff
+    o = PauliMap.from_labels(terms)
+    if fused:
+        c = sv.fuse(c)
+    got = weight_one_pass(c, o)
+    _assert_weight_one_close(got, backpropagate(c, o, PropagationConfig(k=1)), len(c.layers))
+
+
+def test_weight_one_pass_empties_where_backpropagate_does():
+    # 100 Haar brickwork layers take the weight-1 mass to about 0.4^100;
+    # both passes drop it at the tolerance after each layer, so both maps
+    # are exactly empty, as at the suite's default depth.
+    c = circuits.random_brickwork(6, 100, seed=3)
+    assert len(backpropagate(c, z_first(6), PropagationConfig(k=1))) == 0
+    assert not weight_one_pass(c, z_first(6)).any()
+
+
+@pytest.mark.parametrize("window", [1, 6 * 1024, 1 << 20])
+def test_weight_one_pass_windows_give_the_same_bytes(window):
+    # Each block has the bytes of its one-block build, so the window that
+    # builds it does not matter: 1 byte builds every layer on its own.
+    c = _three_qubit_haar(6, 12)
+    c = Circuit(6, c.layers + circuits.random_brickwork(6, 12, seed=1).layers)
+    o = PauliMap.from_labels(_weight_one_labels(np.random.default_rng(2).normal(size=(6, 3))))
+    with mock.patch.object(prop, "TRANSFER_WINDOW_BYTES", window):
+        got = weight_one_pass(c, o)
+    assert got.any()
+    assert got.tobytes() == weight_one_pass(c, o).tobytes()
+    _assert_weight_one_close(got, backpropagate(c, o, PropagationConfig(k=1)), len(c.layers))
+
+
 def _three_qubit_haar(n: int, depth: int) -> Circuit:
     rng = np.random.default_rng(depth)
     return _circ(n, *[[Gate("matrix", (q, q + 1, q + 2), matrix=haar_unitary(8, rng))
@@ -637,3 +724,22 @@ def test_windowed_pass_memory_is_bounded_by_the_window(n):
             tracemalloc.stop()
     assert peaks[1] / peaks[0] <= 1.25
     assert max(peaks) < prop.TRANSFER_WINDOW_BYTES + slack
+
+
+def test_weight_one_pass_memory_is_bounded_by_the_window():
+    # The sector pass builds its 9 x 9 blocks (648 B each) in windows too:
+    # at a 16 KiB window, depth 400 of fresh three-qubit Haar gates takes
+    # ten times the windows of depth 40 and about the same peak, which the
+    # build's fixed transient (about 1 MiB for a chunk of 16 three-qubit
+    # gates) sets. All 800 blocks at once would add 0.5 MiB.
+    peaks = []
+    for depth in (40, 400):
+        c = _three_qubit_haar(6, depth)
+        with mock.patch.object(prop, "TRANSFER_WINDOW_BYTES", 16 * 1024):
+            tracemalloc.start()
+            try:
+                weight_one_pass(c, z_first(6))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 1.25
