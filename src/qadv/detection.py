@@ -55,22 +55,26 @@ DISAGREEMENT_GAP = 1.0 / 3.0
 DECAY_BATCH_BYTES = 1024 * 1024
 
 
-def _hash_circuit(h, c: circuits.Circuit) -> None:
+def _hash_circuit(update, gates: dict, c: circuits.Circuit) -> None:
     # The layer count ends a sub-circuit, and a gate's kind and width fix
     # its matrix's length, so the stream reads back one way only.
-    h.update(json.dumps([c.n_qubits, len(c.layers), c.registers, c.metadata],
-                        sort_keys=True).encode())
+    update(json.dumps([c.n_qubits, len(c.layers), c.registers, c.metadata],
+                      sort_keys=True).encode())
     for layer in c.layers:
         if isinstance(layer, circuits.BlockLayer):
-            h.update(json.dumps([layer.name, layer.targets, layer.control]).encode())
-            _hash_circuit(h, layer.circuit)
+            update(json.dumps([layer.name, layer.targets, layer.control]).encode())
+            _hash_circuit(update, gates, layer.circuit)
         else:
             for g in layer.gates:
-                param = None if g.param is None else float(g.param)
-                h.update(json.dumps([g.kind, g.targets, param, g.perm]).encode())
+                # 0.0 and -0.0 are one key but encode apart: key zeros by text.
+                key = (g.kind, g.targets, g.param if g.param else str(g.param), g.perm)
+                if (head := gates.get(key)) is None:
+                    param = None if g.param is None else float(g.param)
+                    head = gates[key] = json.dumps([g.kind, g.targets, param, g.perm]).encode()
+                update(head)
                 if g.matrix is not None:
-                    h.update(g.matrix.tobytes())
-        h.update(b";")
+                    update(g.matrix.tobytes())
+        update(b";")
 
 
 def circuit_id(c: circuits.Circuit) -> str:
@@ -80,7 +84,9 @@ def circuit_id(c: circuits.Circuit) -> str:
     targets and control, then its sub-circuit; a terminator after each
     layer. Unchanged by a serialize/deserialize round trip."""
     h = hashlib.sha256()
-    _hash_circuit(h, c)
+    # Each distinct gate head (kind, targets, angle, permutation) is
+    # encoded once per call; the stream goes to the hash piece by piece.
+    _hash_circuit(h.update, {}, c)
     return h.hexdigest()[:12]
 
 
@@ -129,18 +135,23 @@ def detect(
     """Sample s uniform inputs over the main register, compare the exact
     first-qubit expectation against the weight-k heuristic, and classify.
 
-    The exact side is 1 - 2*C(x) from the statevector oracle; passing
-    `shots` switches it to an empirical estimate from that many Bernoulli
-    draws per input, matching the repeated-measurement procedure; a
-    probability within `statevector._NORM_TOL` of [0, 1] is clipped for the
-    draw, and one farther out raises InvariantViolation. One fused circuit
-    (``c`` itself when it is a `statevector.FusedCircuit`) serves every
-    sampled input and lends its block unitaries to the heuristic, so none
-    is built twice. At k = 1 the heuristic comes from
-    `propagation.weight_one_pass`, wrapped as a `PauliMap`; at k >= 2 from
-    `backpropagate`, which builds transfer matrices in windows. Of a
-    `circuits.build_cnew` circuit's ops, `statevector.fuse` derives the
-    controlled inverse's from the open run's.
+    The exact side is 1 - 2*C(x) from the statevector oracle, which sums
+    out the spectators of the circuit's first op (`statevector.output_prob`).
+    In a `circuits.build_cnew` circuit those are the amplified block's
+    ancillas, all its qubits but the majority qubit; with two or more of
+    them, each input runs two kets of the main register and the majority
+    qubit, not the full state. Passing `shots` switches it to an empirical
+    estimate from that many Bernoulli draws per input, matching the
+    repeated-measurement procedure; a probability within
+    `statevector._NORM_TOL` of [0, 1] is clipped for the draw, and one
+    farther out raises InvariantViolation. One fused circuit (``c`` itself
+    when it is a `statevector.FusedCircuit`) serves every sampled input and
+    lends its block unitaries to the heuristic, so none is built twice. At
+    k = 1 the heuristic comes from `propagation.weight_one_pass`, wrapped
+    as a `PauliMap`; at k >= 2 from `backpropagate`, which builds transfer
+    matrices in windows. Of a `circuits.build_cnew` circuit's ops,
+    `statevector.fuse` derives the controlled inverse's from the open
+    run's.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")

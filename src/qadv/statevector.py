@@ -13,9 +13,18 @@ fuse a bare `Circuit` on entry, so a caller with many inputs fuses once.
 `apply_circuit` also takes the bits of a computational basis state: the
 first op's output is then the column of its unitary that the bits select,
 copied into place instead of multiplied (the same floats, since a product
-of one exact 1 and zeros is exact in any summation order). `output_prob`
-runs its input that way.
+of one exact 1 and zeros is exact in any summation order).
 `propagation` conjugates by the ops of block layers, never by fused runs.
+
+`output_prob` runs its input's first op that way, then sums out that op's
+spectators, the qubits of its support that no later op touches (qubit 0
+aside): the later ops run on one basis ket per setting of the first op's
+other qubits, over the remaining qubits only, and the first op's column
+enters through its Gram matrix over the spectators. It does so only when
+the spectators outnumber the other qubits of the support, which is when
+it is cheaper than one run of the full state. In `circuits.build_cnew`'s
+circuit that first op is the amplified block, and all its ancillas but the
+majority qubit are spectators.
 
 `block_unitary` builds every op but one kind, and every other dense unitary
 `propagation` conjugates by: it runs the gate-by-gate interpreter
@@ -342,7 +351,50 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     ``bits`` addresses the circuit's input register (the ``main`` register
     when declared, otherwise all qubits); remaining qubits start at 0. Pass
     a `FusedCircuit` to run many inputs through one compiled circuit.
+
+    The first op's support splits into K, the qubits a later op touches
+    plus qubit 0, and the spectators S, which no later op touches. When
+    |K| < |S| the spectators are summed out: the first op's output column,
+    as a 2^|K| x 2^|S| matrix C, gives the Gram matrix G = C C^dag, the
+    later ops run (through `apply_circuit`) on the 2^|K| basis kets
+    |bits, k> of the n - |S| kept qubits, and Pr = Re sum G[k, k'] <h_k'|h_k>
+    with h_k the qubit-0 = 1 half of ket k's output. That costs 2^|K| runs
+    of 2^(n - |S|) amplitudes in place of one of 2^n, so it is taken only
+    when |K| < |S|; otherwise the whole state runs. An imaginary residue of
+    the sum past `_NORM_TOL` raises InvariantViolation.
     """
-    out = apply_circuit(c.full_input(bits), c)
-    half = out.amplitudes[2 ** (c.n_qubits - 1) :]
-    return float(np.real(np.vdot(half, half)))
+    fused = c if isinstance(c, FusedCircuit) else fuse(c)
+    n = c.n_qubits
+    full = circuits.bit_values(c.full_input(bits))
+    k_qubits: list[int] = []
+    spectators: list[int] = []
+    if fused.ops:
+        (support, u), later = fused.ops[0], fused.ops[1:]
+        touched = {0}.union(*(s for s, _ in later))
+        for q in support:
+            (k_qubits if q in touched else spectators).append(q)
+    if len(k_qubits) >= len(spectators):
+        half = apply_circuit(full, fused).amplitudes[2 ** (n - 1) :]
+        return float(np.real(np.vdot(half, half)))
+    column = u[:, _bits_to_index([full[q] for q in support])].reshape((2,) * len(support))
+    axes = [support.index(q) for q in (*k_qubits, *spectators)]
+    cmat = column.transpose(axes).reshape(2 ** len(k_qubits), -1)
+    gram = cmat @ cmat.conj().T
+    # The later ops act on the kept qubits alone, renumbered in order (so
+    # each support stays sorted and qubit 0 stays first).
+    kept = [q for q in range(n) if q not in spectators]
+    pos = {q: i for i, q in enumerate(kept)}
+    sub = FusedCircuit(len(kept), ops=tuple(
+        (tuple([pos[q] for q in s]), v) for s, v in later))
+    ket = [full[q] for q in kept]
+    halves = []
+    for k in range(2 ** len(k_qubits)):
+        for j, q in enumerate(k_qubits):
+            ket[pos[q]] = (k >> (len(k_qubits) - 1 - j)) & 1
+        halves.append(apply_circuit(ket, sub).amplitudes[2 ** (len(kept) - 1) :])
+    h = np.array(halves)
+    # sum_k' <h_k'| sum_k G[k, k'] h_k>, the rows of G^T @ h.
+    total = np.vdot(h, gram.T @ h)
+    if abs(total.imag) > _NORM_TOL:
+        raise InvariantViolation(f"output probability has imaginary residue {total.imag}")
+    return float(total.real)

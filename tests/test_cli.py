@@ -874,9 +874,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "f699269effb59fb3e673f1ccc6cf2b032f5aa9eaf9a09ab824936ef848445615")
+        "3fb0b238bcdaa894f24113a4948c936a562affc9b7c926fa0bdd0d1f4cccd1ff")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "d4b14b316e16e8cdbb0a43688267064657b338152436233241c5f6b3202c9e63")
+        "11434dc7beea65951b9930c054be568bc06aa56569fc5c833553f8aaf6b44c2d")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -886,9 +886,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "b1c40cf641f70462b0681c8c16907422fd108c1725a135efdc4c57cf3c6cdf80")
+        "a0df35c1c61bce074c148f697cc03f6e22f98c6a98d5a5091b4e1ec898805491")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "08ed838c823a3c7d0a460e933b786338dc418ad4da8962ba9e9ec531dfa023b7")
+        "94964f767a88cdcda3a70599285aed9a140bcdb5de48755a872b8b859d7d2cb3")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -900,7 +900,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "6359b9a05c9ad06cedf83d0f62fc0d5d5c39844d7291a35d018be4a492a6a89f")
+        "2d35afb00a964e67aa29c3c6e160c0ece6ef9a4b1572a23e20e21e1ee9686dda")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -913,9 +913,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "8eee5e7954093b8e860d3553467fe396e583beb203a634cd5c96d58318dab118")
+        "bb189d26fd3675a0f5872f1bc8661f02c9aa8898625bffc3a32e8264456f5563")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "d04b867f906cac1d615d4f26587af816aa9379c0b4f1dfc2936c89d5148c427d")
+        "0338b88912d96c5611bc6cf11b504db561b90b9d02ffd5e9daa0a94a499947ab")
 
 
 
@@ -923,16 +923,16 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in chunks; each trial's norms are the same floats in
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config and when the version went to 0.2.0, 0.3.0, 0.4.0 and 0.5.0.
+    # config and when the version went to 0.2.0, 0.3.0, 0.4.0, 0.5.0 and 0.6.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "cf94c451bbba1f153a63c6a7f83b6cd21f72f6c440b20280b3eed0994f896b0d",
-         "50e4afdaaa5b94f9b474b482e9f1b96703ced808009aa47180038b28d3d0157c"),
+         "abd96d479dee2e4f71f6f532f5a6b1aa125672e96eff85ca5fe361a757fddcbe",
+         "b68d2e231ac46244d599076f5124bac3a2d22817b8ff1b32a4a977798c60af53"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "48bff45fa3e30dc8981c85f1e1a3402392cc4a9039058335a2917638c69b0c38",
-         "01b1cc99ca2e390b8022164bcd4ffb6ca93864ed55c2d073134a5a78328d4f70"),
+         "e21d7945c8a2135a98ec98fc6711585d9e3732cc0ba67e96e3525bbfece5f25f",
+         "b695efd8e7e96b1b6d7bc00cc1f062233b6eec1ccd66c97fb099f5d6ba811563"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -956,16 +956,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "f5a6da165454ea12abec469371c4e782e69652608f3116263d02471378e6e21a")
+        "b13ccd447520efa2e62bb84e75e126e7b3cf2806d09c64b5f1f0c52d2958ab7b")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "48e67367166ac8a6c831eb653bbc21de6208c2ab619f6fe1b7a5b26d3519ae2c")
+        "3d2fe5bd5bb1e1d04e8bcfc5a7e4e4dadde9d209a160456106dba5d2a2bb1551")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "d58f4cc649dc6692fa13dc3539fa586bd34f0e9cf38831d67c8566583ad8ff81")
+        "7bd961b80b0ec5fbf86f464f1aaac86c98990e93fc58345808853601a105feef")
 
 
 @pytest.mark.parametrize("cell, key", [

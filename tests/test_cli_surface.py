@@ -73,9 +73,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "36c2a3eb879d2ce5d41a8692cc5431564472c47feae672af82f828c04de9f9fe"),
+         "4ebcc2d795541c23bfefe4d4a83ce66d0f2df4bf4c67163c813e25dd5c43916b"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "48b9239db2e559e5bf527dfc9b25cf4d41002afab983f733d7464d3bf2c669c6"),
+         "175ed1b7abb90ccd0b4d1b1cf1c6df21f27022e560fcb3714d54e4d40df42a61"),
     ],
     ids=["decay", "bell"],
 )

@@ -381,6 +381,18 @@ def test_fused_circuit_has_the_circuit_id():
     assert detection.circuit_id(statevector.fuse(c)) == detection.circuit_id(c)
 
 
+def test_circuit_id_is_pinned():
+    # Ids from before each distinct gate head was encoded once per call: a
+    # suite-shape C_new, and RX(0.0) and RX(-0.0) on one qubit in either
+    # order (equal as keys, apart as text).
+    cq, _ = circuits.promise_instance("x", 2)
+    cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
+    assert detection.circuit_id(cnew) == "6af20b203191"
+    rx = [ElementaryLayer((Gate("RX", (0,), param=t),)) for t in (0.0, -0.0)]
+    assert detection.circuit_id(Circuit(1, tuple(rx))) == "f0c687497e97"
+    assert detection.circuit_id(Circuit(1, tuple(rx[::-1]))) == "df1b15897940"
+
+
 def test_circuit_id_survives_a_serialize_round_trip():
     cq, _ = circuits.promise_instance("ry", 1, angle=0.4)
     for c in (circuits.build_cnew(cq, n=3, depth=4, copies=3, seed=2),

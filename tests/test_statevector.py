@@ -161,6 +161,114 @@ def test_output_prob_examples():
     assert sv.output_prob(had, "0") == pytest.approx(0.5)
 
 
+def _haar_layer(rng: np.random.Generator, *targets: int) -> ElementaryLayer:
+    return ElementaryLayer((Gate("matrix", targets, matrix=haar_unitary(2 ** len(targets), rng)),))
+
+
+def _first_block(targets, control=None, seed=0) -> BlockLayer:
+    """A Haar brickwork block: its op has complex entries, so a G that is
+    transposed or unconjugated reads wrong."""
+    return BlockLayer("first", circuits.random_brickwork(len(targets), 3, seed=seed),
+                      targets, control)
+
+
+def _split_case(name: str) -> Circuit:
+    """Circuits around the first op's split into kept qubits K and
+    spectators S (see `output_prob`)."""
+    rng = np.random.default_rng(11)
+    if name == "q0_untouched_later":  # K = (0, 4), S = (1, 2, 3)
+        return Circuit(6, (_first_block((0, 1, 2, 3, 4)), _haar_layer(rng, 4, 5),
+                           ElementaryLayer((Gate("H", (5,)),))))
+    if name == "two_kept_controlled":  # K = (1, 6), S = (2, 3, 4, 5)
+        return Circuit(7, (_first_block((2, 3, 4, 5, 6), control=1, seed=1),
+                           _haar_layer(rng, 0, 6), _haar_layer(rng, 1, 0)))
+    if name == "no_spectators":  # every qubit of the first op is touched later
+        return Circuit(4, (_first_block((0, 1, 2)), _haar_layer(rng, 1, 2),
+                           _haar_layer(rng, 0, 3)))
+    if name == "one_op":  # K = (0,), S = (1, 2, 3, 4)
+        return Circuit(5, (_first_block((0, 1, 2, 3, 4), seed=2),))
+    if name == "one_op_without_q0":  # K empty, S = (1, 2, 3, 4)
+        return Circuit(5, (_first_block((1, 2, 3, 4), seed=3),))
+    if name == "no_ops":
+        return Circuit(3, ())
+    if name == "main_overlaps_first":  # K = (1,), S = (2, 3, 4, 5)
+        return Circuit(6, (_first_block((1, 2, 3, 4, 5), seed=4), _haar_layer(rng, 0, 1)),
+                       registers={"main": (0, 3), "anc": (4, 5)})
+    raise AssertionError(name)
+
+
+#: Per input: the kets `apply_circuit` runs, and their width.
+_SPLIT_ROUTES = {
+    "q0_untouched_later": (4, 3),
+    "two_kept_controlled": (4, 3),
+    "no_spectators": (1, 4),
+    "one_op": (2, 1),
+    "one_op_without_q0": (1, 1),
+    "no_ops": (1, 3),
+    "main_overlaps_first": (2, 2),
+}
+
+
+def _check_against_oracle(c: Circuit, route: tuple[int, int], monkeypatch) -> None:
+    """output_prob on every input equals the dense oracle's to 1e-12, and
+    runs ``route``'s kets."""
+    u = circuit_unitary(c)
+    fused = sv.fuse(c)
+    lo, hi = c.input_register()
+    widths = []
+    apply = sv.apply_circuit
+
+    def spy(state, circuit):
+        widths.append(circuit.n_qubits)
+        return apply(state, circuit)
+
+    monkeypatch.setattr(sv, "apply_circuit", spy)
+    for i in range(2 ** (hi - lo + 1)):
+        x = format(i, f"0{hi - lo + 1}b")
+        column = u[:, int(c.full_input(x), 2)]
+        want = np.sum(np.abs(column[len(column) // 2 :]) ** 2)
+        widths.clear()
+        assert sv.output_prob(fused, x) == pytest.approx(want, abs=1e-12)
+        assert (len(widths), *set(widths)) == route
+
+
+@pytest.mark.parametrize("name", _SPLIT_ROUTES)
+def test_output_prob_split_matches_the_dense_oracle(name, monkeypatch):
+    _check_against_oracle(_split_case(name), _SPLIT_ROUTES[name], monkeypatch)
+
+
+@pytest.mark.parametrize("n,m,copies", [(2, 1, 1), (3, 2, 1), (3, 1, 3), (4, 2, 1),
+                                        (4, 1, 3), (2, 2, 3)])
+def test_output_prob_of_cnew_matches_the_dense_oracle(n, m, copies, monkeypatch):
+    # The amplified block comes first; every qubit of it but the majority
+    # qubit is a spectator, so m * copies >= 2 takes the split route: two
+    # kets of the main register and the majority qubit.
+    cq, _ = circuits.promise_instance("ry", m, angle=1.1)
+    c = circuits.build_cnew(cq, n=n, depth=3, copies=copies, seed=n + m + copies)
+    route = (2, n + 1) if m * copies >= 2 else (1, c.n_qubits)
+    _check_against_oracle(c, route, monkeypatch)
+
+
+def test_output_prob_sums_out_the_suite_spectators(monkeypatch):
+    # The suite shape: 13 qubits, the amplified block on 6 ancillas and the
+    # majority qubit first. Its 6 ancillas are spectators, so the later ops
+    # get two kets of 2^7 amplitudes per input, never the 2^13 state.
+    cq, _ = circuits.promise_instance("x", 2)
+    fused = sv.fuse(circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0))
+    sizes = []
+    apply = sv._apply_matrix
+
+    def spy(arr, u, axes):
+        sizes.append(arr.size)
+        return apply(arr, u, axes)
+
+    monkeypatch.setattr(sv, "_apply_matrix", spy)
+    for x in ("000000", "101101", "111111"):
+        sizes.clear()
+        sv.output_prob(fused, x)
+        assert 0 < sum(sizes) <= 2 * 2**7
+
+
 def test_expectation_consistent_with_output_prob():
     rng = np.random.default_rng(5)
     c = circuits.random_brickwork(4, 4, seed=9)
