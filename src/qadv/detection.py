@@ -4,11 +4,13 @@ suites with confusion counts.
 
 At k = 1 the observable holds only weight-1 terms, so both `detect` and
 the decay Monte Carlo compute in that sector: an ``(n, 3)`` array of X, Y
-and Z coefficients, and per gate the weight-1 block of its transfer matrix
-from `pauli.weight_one_blocks`, which alone knows the block's local
-indices. `detect` takes its map from `propagation.weight_one_pass`; at
-k >= 2 it runs `propagation.backpropagate`. Once per suite, the first
-instance's k = 1 map is re-derived through `backpropagate`.
+and Z coefficients. `detect` takes its map from
+`propagation.weight_one_pass`, which steps each gate through the weight-1
+block of its transfer matrix; at k >= 2 it runs
+`propagation.backpropagate`. Once per suite, the first instance's k = 1
+map is re-derived through `backpropagate`. Decay uses each Haar gate once,
+so it steps each straight from its unitary (`propagation.unitary_step`)
+and builds no block.
 
 Each decay trial draws its Ginibre matrices from its own stream; the QR
 step that makes them Haar runs once per layer over the gates of every
@@ -29,14 +31,14 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
-from .pauli import DROP_TOLERANCE, MAX_QUBITS, PauliMap, weight_one_blocks
+from .pauli import DROP_TOLERANCE, MAX_QUBITS, PauliMap, check_unitary
 from .pool import seeded_chunks, seeded_map, spawn_seeds
 from .propagation import (
     PropagationConfig,
     backpropagate,
     evaluate_product_state,
+    unitary_step,
     weight_one_pass,
-    weight_one_step,
     z_first,
 )
 
@@ -44,14 +46,15 @@ from .propagation import (
 DISAGREEMENT_GAP = 1.0 / 3.0
 
 #: Bytes of memory one chunk of decay trials may hold while it propagates.
-#: `_chunk_trials` reserves a fixed 208 KiB a chunk (most of it one
-#: 16-matrix step of a stacked transfer-matrix build), and per trial its
-#: Ginibre stack (256 B a gate) plus, for the layer in flight, 2.75 KiB a
-#: gate: what a full 16 x 16 build and its weight-1 block took. So 1 MiB
-#: holds 38 trials at n = 8, L = 10. Measured with `tracemalloc`, the layer
-#: in flight takes about 1.3 KiB a gate (its QR step, its unitary, its
-#: weight-1 block and the rows that meet the block), so such a chunk peaks
-#: at 732 KiB.
+#: `_chunk_trials` reserves a fixed 208 KiB a chunk, and per trial its
+#: Ginibre stack (256 B a gate and layer) plus 2.75 KiB a gate for the
+#: layer in flight. So 1 MiB holds 38 trials at n = 8, L = 10. Measured
+#: with `tracemalloc` over chunks of 38 to 152 trials there, the layer in
+#: flight takes about 2.1 KiB a gate (its QR, its Haar stack and unitarity
+#: check, and the step's O U and gathered columns) and the fixed part about
+#: 7 KiB, so a 38-trial chunk peaks at 713 KiB. The reservation was sized
+#: for block builds that decay no longer makes; it is kept as headroom, so
+#: the chunk sizes stand.
 DECAY_BATCH_BYTES = 1024 * 1024
 
 
@@ -230,14 +233,12 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     gives each gate `random_brickwork`'s bytes. A trial's observable is an
     (n, 3) array of weight-1 coefficients. A gate moves a weight-1 term on
     its pair to terms on the pair alone, and the projection keeps their
-    weight-1 part, so each gate acts on the 6 coefficients of its pair
-    through the weight-1 block of its transfer matrix
-    (`pauli.weight_one_blocks`, rows and columns X, Y, Z on the pair's first
-    qubit, then on its second), in the gate step `propagation.weight_one_pass`
-    takes too (`propagation.weight_one_step`, whose index-order sum does not
-    depend on the chunk's shape). No drop tolerance applies. A trial's rows
-    never meet another trial's, so its norms do not depend on the other
-    seeds.
+    weight-1 part, so each gate acts on the 6 coefficients of its pair.
+    After `pauli.check_unitary` passes the layer's Haar stack, one
+    `propagation.unitary_step` steps every gate of every trial straight
+    from its unitary; its sums run in a fixed order, so they do not depend
+    on the chunk's shape. No drop tolerance applies. A trial's rows never
+    meet another trial's, so its norms do not depend on the other seeds.
     """
     half, trials = n // 2, len(seeds)
     ginibre = np.empty((layers, trials, half, 4, 4), dtype=complex)
@@ -250,8 +251,9 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     norms[:, 0] = 1.0
     for depth in reversed(range(layers)):
         haar = circuits.haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
-        blocks = weight_one_blocks(haar).reshape(trials, half, 6, 6)
-        weight_one_step(coeffs, np.stack(_brick_pairs(n, depth), axis=1), blocks)
+        check_unitary(haar)
+        unitary_step(coeffs, np.stack(_brick_pairs(n, depth), axis=1),
+                     haar.reshape(trials, half, 4, 4))
         norms[:, layers - depth] = np.square(coeffs).sum(axis=(1, 2))
     return norms
 
@@ -259,7 +261,7 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
 def _chunk_trials(n: int, layers: int) -> int:
     """Trials per chunk: what is left of `DECAY_BATCH_BYTES` after a
     chunk's 208 KiB, at (256 layers + 2816) B per trial and gate of a
-    layer."""
+    layer: more than a chunk measures (see `DECAY_BATCH_BYTES`)."""
     trial = (n // 2) * (256 * layers + 2816)
     return max(1, (DECAY_BATCH_BYTES - 208 * 1024) // trial)
 

@@ -35,8 +35,9 @@ Conventions used throughout the package:
   grow with the stack; the module keeps no cache, so a caller memoizes
   reused gates. ``weight_one_blocks`` builds, in the same loop, only the
   3w x 3w weight-1 block of each w-qubit matrix (w = 1..3), with the
-  bytes of the full build sliced there: the one narrowed build that the
-  weight-1 sector (decay and `propagation.weight_one_pass`) needs.
+  bytes of the full build sliced there: the one narrowed build that
+  `propagation.weight_one_pass` needs. Decay steps its gates from their
+  unitaries instead (`propagation.unitary_step`), since it uses each once.
 """
 
 from __future__ import annotations

@@ -18,13 +18,17 @@ count as a single step.
 At k = 1 `weight_one_pass` gives the same projected map in the weight-1
 sector, as an (n, 3) array of X, Y and Z coefficients per qubit: each gate
 of up to 3 qubits acts through the weight-1 block of its transfer matrix
-(`weight_one_step`, the gate step of decay's sector pass too), each dense
-step through one matmul of its unitary. `backpropagate` stays the route for
-k >= 2 and the reference the sector pass is checked against.
+(`weight_one_step`), each dense step through one matmul of its unitary
+(`_dense_step`). Decay's sector pass uses each Haar gate once, so it steps
+its gates straight from their unitaries (`unitary_step`), with
+`_dense_step`'s row action and read-off and every sum in a fixed order.
+`backpropagate` stays the route for k >= 2 and the reference the sector
+passes are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -171,35 +175,104 @@ def weight_one_step(v: np.ndarray, targets: np.ndarray, blocks: np.ndarray) -> N
     v[..., targets, :] = out.reshape(rows.shape)
 
 
+@functools.cache
+def _bit_tables(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each position j of a w-qubit support (first qubit most
+    significant) and each row r of a 2^w x 2^w matrix: r xor b_j, with b_j
+    the bit of position j, and (-1)^(bit j of r), as two read-only (w, 2^w)
+    arrays. The row action and the read-off of the weight-1 steps read
+    both."""
+    index = np.arange(1 << w)
+    shifts = np.arange(w - 1, -1, -1)[:, None]
+    tables = index ^ (1 << shifts), 1.0 - 2 * (index >> shifts & 1)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _times_rows(u: np.ndarray, rows: np.ndarray, z: np.ndarray, positions) -> np.ndarray:
+    """O U, for O = sum_{j, a} rows[..., j, a] P_{j, a} over a w-qubit
+    support and ``u`` a ``(..., d, d)`` stack, from U's rows without a
+    product: a Pauli on support position j maps row r to +-row r, or to row
+    r xor b_j (`_bit_tables`). ``z`` is the ``(..., d)`` sum of rows[...,
+    j, 2] sign_j over j, which each caller sums its own way, and only
+    ``positions`` carry X or Y."""
+    flips, signs = _bit_tables(rows.shape[-2])
+    # Z_j U = sign_j U and (X_j U)[r] = U[r xor b_j], (Y_j U)[r] = -i sign_j U[r xor b_j].
+    ou = z[..., None] * u
+    xy = rows[..., 0, None] - 1j * rows[..., 1, None] * signs
+    for j in positions:
+        ou += xy[..., j, :, None] * u.take(flips[j], axis=-2)
+    return ou
+
+
+def _read_off(flipped: np.ndarray, z: np.ndarray, d: int) -> np.ndarray:
+    """The weight-1 coefficients Tr(P M) / d of a ``(..., d, d)`` M, as a
+    real ``(..., w, 3)`` array, from flipped[..., j, r] = M[r xor b_j, r]
+    and z[..., j] = sum_r sign_j(r) M[r, r]: Tr(P M) = sum_{r, c} P[r, c]
+    M[c, r], and X_j and Y_j have their entries at c = r xor b_j (1 and -i
+    sign_j), Z_j on the diagonal (sign_j). A residue past
+    `_HERMITICITY_TOL` in the imaginary parts is an InvariantViolation."""
+    _, signs = _bit_tables(flipped.shape[-2])
+    out = np.stack((flipped.sum(axis=-1), (-1j * signs * flipped).sum(axis=-1), z),
+                   axis=-1) / d
+    if np.abs(out.imag).max() > _HERMITICITY_TOL:
+        raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
+    return out.real
+
+
+def unitary_step(v: np.ndarray, targets: np.ndarray, u: np.ndarray) -> None:
+    """Apply, in place, one layer's gates of one width w to the weight-1
+    coefficients ``v`` (``(..., n, 3)``), as `weight_one_step` does, but
+    from their unitaries: gate i acts on qubits ``targets[i]`` (a ``(g,
+    w)`` array) through ``u[..., i, :, :]``. Its step is the weight-1 part
+    of U^dag O U for O = sum_{j, a} v[q_j, a] P_{j, a}, read as
+    `_dense_step` reads it, with O U from U's rows (`_times_rows`) and only
+    the entries of U^dag (O U) that `_read_off` needs.
+
+    A gate's output is the same floats in any stack. The sums over the
+    positions j and over the rows k of U are elementwise adds in index
+    order, not matmuls, whose BLAS or loop path, and so its rounding, can
+    change with the shape of the leading axes. The read-off sums each row
+    of a C-ordered array along its innermost axis, which numpy sums the
+    same way however many rows there are; along an outer axis it would sum
+    in another order once a leading axis of size 1 is dropped."""
+    rows = v[..., targets, :]
+    w, d = targets.shape[1], u.shape[-1]
+    flips, signs = _bit_tables(w)
+    z = rows[..., 0, 2, None] * signs[0]
+    for j in range(1, w):
+        z = z + rows[..., j, 2, None] * signs[j]
+    ou = _times_rows(u, rows, z, range(w))
+    # M[c, r] = sum_k conj(U[k, c]) (O U)[k, r], wanted at c = r xor b_j
+    # (one row of m per position j) and at c = r (the last row). Both
+    # factors are gathered to (..., k, w + 1, d), so that the product
+    # broadcasts nothing within a gate. The gathers lay their index axes
+    # out first in memory, so m is asked for in C order.
+    cols = np.vstack((flips, np.arange(d)))
+    prod = u.conj()[..., cols]
+    prod *= ou[..., np.broadcast_to(np.arange(d), cols.shape)]
+    m = np.add(prod[..., 0, :, :], prod[..., 1, :, :], order="C")
+    for k in range(2, d):
+        m += prod[..., k, :, :]
+    v[..., targets, :] = _read_off(m[..., :w, :], (signs * m[..., w, None, :]).sum(axis=-1), d)
+
+
 def _dense_step(v: np.ndarray, support: Sequence[int], u: np.ndarray) -> None:
     """Apply, in place, a dense unitary ``u`` on ``support`` (first qubit
     most significant) to the weight-1 coefficients ``v``: the weight-1 part
     of U^dag O U for O = sum_{q, a} v[q, a] P_{q, a} over the support.
 
-    O U comes from U's rows without a product (a Pauli on support position
-    j maps row r to +-row r, or to row r xor b_j with b_j its bit), then M =
-    U^dag (O U) is one matmul. Tr(P M) for P = X, Y or Z on position j reads
-    M on its bit-flipped diagonal or its diagonal."""
+    O U comes from U's rows (`_times_rows`, skipping positions with no X or
+    Y), M = U^dag (O U) is one matmul, and `_read_off` reads M on its
+    bit-flipped diagonals and its diagonal."""
     support = list(support)
     rows = v[support]
-    w, d = len(support), len(u)
-    index = np.arange(d)
-    shifts = np.arange(w - 1, -1, -1)[:, None]
-    flips = index ^ (1 << shifts)  # (w, d): r xor b_j
-    signs = 1 - 2 * (index >> shifts & 1)  # (w, d): (-1)^(bit j of r)
-    # Z_j U = sign_j U and (X_j U)[r] = U[r xor b_j], (Y_j U)[r] = -i sign_j U[r xor b_j].
-    ou = (rows[:, 2] @ signs)[:, None] * u
-    for j in rows[:, :2].any(axis=1).nonzero()[0]:
-        ou += (rows[j, 0] - 1j * rows[j, 1] * signs[j])[:, None] * u[flips[j]]
+    d = len(u)
+    flips, signs = _bit_tables(len(support))
+    ou = _times_rows(u, rows, rows[:, 2] @ signs, rows[:, :2].any(axis=1).nonzero()[0])
     m = u.conj().T @ ou
-    # Tr(P M) = sum_{r, c} P[r, c] M[c, r]: X_j and Y_j have their entries at
-    # c = r xor b_j (1 and -i sign_j), Z_j on the diagonal (sign_j).
-    flipped = m[flips, index]
-    out = np.stack((flipped.sum(axis=1), (-1j * signs * flipped).sum(axis=1),
-                    signs @ np.diagonal(m)), axis=1) / d
-    if np.abs(out.imag).max() > _HERMITICITY_TOL:
-        raise InvariantViolation("conjugation produced nonreal Pauli coefficients")
-    v[support] = out.real
+    v[support] = _read_off(m[flips, np.arange(d)], signs @ np.diagonal(m), d)
 
 
 def weight_one_pass(c: circuits.Circuit, o: PauliMap) -> np.ndarray:

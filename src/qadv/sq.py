@@ -14,8 +14,11 @@ calls give exactly the stream of one call, so every index is unchanged.
 
 Boundary convention: a uniform draw r in [0, 1) selects the unique index i
 with F(i-1) <= r < F(i); exact ties between r and a stored prefix resolve
-to the right child. Zero-probability leaves (including power-of-two
-padding) are unreachable.
+to the right child. `build` accepts a root mass up to `_NORM_TOL` below 1,
+so r is first scaled by the root's mass when that is below 1; otherwise a
+uniform past the root would go right at every level, to the last leaf,
+which may be padding. Scaled so, r never reaches a zero-probability leaf
+(power-of-two padding included) but through rounding in the descent.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ def build(v, normalize: bool = False) -> SQVector:
 
 
 def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
-    """Per uniform r, the index i with F(i-1) <= r < F(i), `_DESCENT_LANES`
-    lanes at a time."""
+    """Per uniform r, the index i with F(i-1) <= r < F(i) for r scaled by
+    min(root mass, 1), `_DESCENT_LANES` lanes at a time. At a root mass of
+    1 or more the scale is 1 and r is taken as it is."""
     rs = np.asarray(rs, dtype=float)
     # Written so that a NaN uniform fails.
     if not ((rs >= 0.0).all() and (rs < 1.0).all()):
@@ -106,11 +110,12 @@ def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
     lanes = min(len(rs), _DESCENT_LANES)
     buffers = np.empty(lanes), np.empty(lanes), np.empty(lanes, bool), np.empty(lanes)
     depth = sq.dim.bit_length() - 1
+    scale = min(sq.tree[1], 1.0)  # see the boundary convention above
     for start in range(0, len(rs), _DESCENT_LANES):
         # The block's slice of `out` holds its node ids until the last level.
         node = out[start : start + _DESCENT_LANES]
         r, left, go, step = (b[: len(node)] for b in buffers)
-        r[:] = rs[start : start + _DESCENT_LANES]
+        np.multiply(rs[start : start + _DESCENT_LANES], scale, out=r)
         node.fill(1)
         for _ in range(depth):
             node <<= 1

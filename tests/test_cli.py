@@ -246,17 +246,19 @@ def test_suite_sector_mismatch_exits_3(runner, tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("patch", ["pairing", "weight-one table"])
+@pytest.mark.parametrize("patch", ["pairing", "first-target signs"])
 def test_decay_trial_zero_mismatch_exits_3(runner, tmp_path, monkeypatch, patch):
-    # A wrong pairing or index table in the sector step fails the run's
-    # trial-0 check: exit 3, and no report, table or manifest.
-    from qadv import detection, pauli
+    # A wrong pairing, or the first target's signs negated in the sector
+    # step's bit tables, fails the run's trial-0 check: exit 3, and no
+    # report, table or manifest.
+    from qadv import detection, propagation
 
     real = detection._brick_pairs
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array([8, 4, 12, 1, 2, 3]))
+        flips, signs = propagation._bit_tables(2)
+        monkeypatch.setattr(propagation, "_bit_tables", lambda w: (flips, signs * [[-1], [1]]))
     out = tmp_path / "out"
     result = runner.invoke(
         main, ["decay", "--n", "4", "--L", "3", "--trials", "5", "--out-dir", str(out)])

@@ -204,18 +204,38 @@ def test_decay_norms_do_not_depend_on_the_chunk(monkeypatch, n, layers, trials):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("patch", ["pairing", "weight-one table"])
+@pytest.mark.parametrize("patch", ["pairing", "first-target signs"])
 def test_decay_trial_zero_check_bites(monkeypatch, patch):
     # A sector step that disagrees with the backward pass must not reach a
     # report: a layer's targets in the other order, or the first target's
-    # X and Y swapped in the weight-1 index table.
+    # signs negated in the step's bit tables, so that each gate steps as
+    # (X x I) U (X x I). Negating every sign would not do: X on every qubit
+    # of every layer leaves each norm as it is.
     real = detection._brick_pairs
     if patch == "pairing":
         monkeypatch.setattr(detection, "_brick_pairs", lambda n, depth: real(n, depth)[::-1])
     else:
-        monkeypatch.setitem(pauli._WEIGHT_ONE, 2, np.array([8, 4, 12, 1, 2, 3]))
+        flips, signs = propagation._bit_tables(2)
+        monkeypatch.setattr(propagation, "_bit_tables", lambda w: (flips, signs * [[-1], [1]]))
     with pytest.raises(InvariantViolation, match="trial 0"):
         decay_experiment(4, 3, trials=5, seed=2)
+
+
+@pytest.mark.parametrize("patch", ["not unitary", "nonreal"])
+def test_decay_keeps_its_step_checks(monkeypatch, patch):
+    # Each layer's Haar stack passes the unitarity check before it steps
+    # (here the Ginibre matrices go through unmade), and an imaginary
+    # residue past the tolerance (here any at all) stops the step. The
+    # sector pass runs alone: trial 0's check would refuse the Ginibre
+    # matrices as gates of its own circuit.
+    if patch == "not unitary":
+        monkeypatch.setattr(circuits, "haar_from_ginibre", lambda z: z)
+        error, match = pauli.NonUnitaryError, "unitary"
+    else:
+        monkeypatch.setattr(propagation, "_HERMITICITY_TOL", -1.0)
+        error, match = InvariantViolation, "nonreal"
+    with pytest.raises(error, match=match):
+        detection._sector_norms(4, 3, np.random.SeedSequence(2).spawn(5))
 
 
 @pytest.mark.parametrize("table", [[1, 2, 3, 4, 8, 12], [8, 4, 12, 1, 2, 3]],

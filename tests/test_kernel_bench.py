@@ -100,8 +100,9 @@ def test_decay_sector_step(benchmark):
     # One layer of the decay Monte Carlo in the weight-1 sector at its
     # shape: 32 trials at n = 8, each drawing its own four Haar gates. Each
     # trial's norms match its one-layer backward pass to the tolerance of
-    # the run's own trial-0 check. Timed, it takes about 1.3 ms median on a
-    # 2-vCPU x86_64 VM.
+    # the run's own trial-0 check. Timed, it took 2.1 ms median against
+    # 2.8 ms with the 6 x 6 block builds it replaced (paired runs, 2-vCPU
+    # x86_64 VM under load).
     n, trials = 8, 32
     seeds = np.random.SeedSequence(3).spawn(trials)
     got = benchmark(detection._sector_norms, n, 1, seeds)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
 from qadv.errors import ResourceLimitExceeded
-from qadv.pauli import DROP_TOLERANCE, PauliMap, PauliString, conjugate_dense
+from qadv.pauli import (
+    DROP_TOLERANCE,
+    PauliMap,
+    PauliString,
+    conjugate_dense,
+    weight_one_blocks,
+)
 from qadv.propagation import (
     PropagationConfig,
     backpropagate,
@@ -652,6 +658,49 @@ def test_dense_sector_step_is_the_projected_dense_conjugation(w):
     want = conjugate_dense(PauliMap.from_labels(_weight_one_labels(v)), u, support)
     prop._dense_step(v, support, u)
     _assert_weight_one_close(v, want, 1)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_unitary_step_is_the_block_step(w):
+    # Random w-qubit unitaries on shuffled disjoint targets of 7 qubits, in
+    # a (3, 2, g, d, d) stack whose every leading index has its own rows:
+    # the step from the unitaries is the step through their weight-1
+    # blocks, to rounding. A qubit that no gate targets keeps its row.
+    rng = np.random.default_rng(10 + w)
+    n, d = 7, 2**w
+    g = n // w
+    targets = rng.permutation(n)[:g * w].reshape(g, w)
+    u = np.stack([haar_unitary(d, rng) for _ in range(6 * g)]).reshape(3, 2, g, d, d)
+    v = rng.normal(size=(3, 2, n, 3))
+    want = v.copy()
+    blocks = weight_one_blocks(u.reshape(-1, d, d)).reshape(3, 2, g, 3 * w, 3 * w)
+    prop.weight_one_step(want, targets, blocks)
+    prop.unitary_step(v, targets, u)
+    np.testing.assert_allclose(v, want, rtol=0, atol=1e-14)
+
+
+def test_unitary_step_gives_a_gate_the_same_bytes_in_any_stack():
+    # Decay's shape: trials of four Haar gates on 8 qubits, one pair
+    # wrapping around. A trial's rows come out as the same floats alone,
+    # in each stack of 7 and in one stack of all 38, and so does each gate
+    # stepped on its own (a stack of one gate, where numpy drops every
+    # leading axis).
+    rng = np.random.default_rng(5)
+    targets = np.array([[1, 2], [3, 4], [5, 6], [7, 0]])
+    u = circuits.haar_two_qubit(rng, 38 * 4).reshape(38, 4, 4, 4)
+    v = rng.normal(size=(38, 8, 3))
+    whole = v.copy()
+    prop.unitary_step(whole, targets, u)
+    for size in (1, 7):
+        for start in range(0, 38, size):
+            part = v[start:start + size].copy()
+            prop.unitary_step(part, targets, u[start:start + size])
+            assert part.tobytes() == whole[start:start + size].tobytes()
+    for t in range(38):
+        part = v[t].copy()
+        for i in range(4):
+            prop.unitary_step(part, targets[i:i + 1], u[t, i:i + 1])
+        assert part.tobytes() == whole[t].tobytes()
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())

@@ -136,6 +136,27 @@ def test_sample_many_ties_on_stored_prefixes_resolve_right():
     assert np.array_equal(sq.sample_many(v, across), sample_many_lockstep(v, across))
 
 
+def test_sample_many_draws_against_a_root_mass_below_one():
+    # `build` accepts a norm within 1e-9 of 1, so the root can hold less
+    # than 1. A uniform past it once went right at every level, to padding
+    # index 3; it is now drawn against the root's mass.
+    v = sq.build(np.array([0.6, 0.8, 0.0]) * (1 - 5e-10))
+    assert v.tree[1] < 1 - 5e-10
+    assert list(sq.sample_many(v, [1 - 5e-10, 0.0, np.nextafter(1.0, 0.0)])) == [1, 0, 1]
+
+    class Top:  # a generator whose every uniform lies above the root's mass
+        def random(self, n):
+            return np.full(n, 1 - 5e-10)
+
+    est = sq.inner_product_estimate(v, np.array([0.0, 1.0, 0.0, 0.0]), 5, Top())
+    assert est.estimate == pytest.approx(1 / (0.8 * (1 - 5e-10)))
+    # At a root mass above 1 a uniform is taken as it is: one just below a
+    # stored prefix stays left of it.
+    v = sq.build(np.array([0.6, 0.8]) * (1 + 5e-10))
+    assert v.tree[1] > 1
+    assert list(sq.sample_many(v, [np.nextafter(v.tree[2], 0.0), v.tree[2]])) == [0, 1]
+
+
 @pytest.mark.parametrize("bad", [np.nan, -0.1, -np.inf, 1.0, np.inf])
 def test_sample_many_refuses_uniforms_outside_unit_interval(bad):
     v = sq.build([0.0, 0.6, 0.8, 0.0])
