@@ -139,10 +139,6 @@ class Gate:
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.targets)
-
     def unitary(self) -> np.ndarray:
         if self.kind == "matrix":
             return self.matrix
@@ -176,48 +172,49 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class ElementaryLayer:
+    """Gates on disjoint targets, applied together. ``support``, the union
+    of their targets, is set once at construction by the overlap check."""
+
     gates: tuple[Gate, ...]
+    support: frozenset[int] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         seen: set[int] = set()
         for g in self.gates:
-            if seen & g.support:
+            if not seen.isdisjoint(g.targets):
                 raise ValueError("overlapping gate supports in one layer")
-            seen |= g.support
-
-    @property
-    def support(self) -> frozenset[int]:
-        # From a list: a tuple built from a generator is resized, which
-        # moves it between CPython's free lists and leaves them full.
-        return frozenset().union(*[g.support for g in self.gates]) if self.gates else frozenset()
+            seen.update(g.targets)
+        object.__setattr__(self, "support", frozenset(seen))
 
 
 @dataclass(frozen=True, eq=False)
 class BlockLayer:
     """A sub-circuit placed on `targets`, applied when `control` is |1> (or
-    unconditionally when control is None). Treated as one atomic step."""
+    unconditionally when control is None). Treated as one atomic step.
+    ``support``, the targets plus the control, is set once at construction
+    by the checks."""
 
     name: str
     circuit: "Circuit"
     targets: tuple[int, ...]
     control: int | None = None
+    support: frozenset[int] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", _qubits(self.targets, "block targets"))
         if self.control is not None:
             object.__setattr__(self, "control", _qubits((self.control,), "block control")[0])
-        if len(set(self.targets)) != len(self.targets):
+        support = frozenset(self.targets)
+        if len(support) != len(self.targets):
             raise ValueError("block targets must be distinct")
         if self.circuit.n_qubits != len(self.targets):
             raise ValueError("block target count must match sub-circuit width")
-        if self.control is not None and self.control in self.targets:
-            raise ValueError("control qubit cannot be a block target")
-
-    @property
-    def support(self) -> frozenset[int]:
-        s = frozenset(self.targets)
-        return s | {self.control} if self.control is not None else s
+        if self.control is not None:
+            if self.control in support:
+                raise ValueError("control qubit cannot be a block target")
+            support |= {self.control}
+        object.__setattr__(self, "support", support)
 
 
 Layer = ElementaryLayer | BlockLayer
@@ -268,9 +265,8 @@ class Circuit:
         layers = self.layers[::-1]
         if not all(isinstance(layer, ElementaryLayer) for layer in layers):
             raise ValueError("inverse is only supported for elementary layers")
-        # Tuples from lists, not generators (see `ElementaryLayer.support`).
-        return Circuit(self.n_qubits, tuple([
-            ElementaryLayer(tuple([g.adjoint() for g in layer.gates])) for layer in layers]))
+        return Circuit(self.n_qubits, tuple(
+            ElementaryLayer(tuple(g.adjoint() for g in layer.gates)) for layer in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +335,9 @@ def random_brickwork(
     # Unitary by construction (Mezzadri's QR): the check guards, not filters.
     check_unitary(stack)
     matrices = iter(stack)
-    # Tuples from lists, not generators (see `ElementaryLayer.support`).
     out = [
-        ElementaryLayer(tuple([Gate("matrix", ab, matrix=next(matrices), _stack_checked=True)
-                               for ab in layer]))
+        ElementaryLayer(tuple(Gate("matrix", ab, matrix=next(matrices), _stack_checked=True)
+                              for ab in layer))
         for layer in pairs
     ]
     meta = {"generator": "brickwork", "seed": _seed_repr(seed), "pairing": "brick"}

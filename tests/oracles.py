@@ -153,8 +153,9 @@ def conjugate_gate_labels(m, targets, entries) -> dict[str, float]:
 
 def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
     """The full-length descent that `qadv.sq.sample_many` replaced: every
-    lane steps one tree level per iteration, with fresh arrays each level."""
-    r = np.array(rs, dtype=float)
+    lane steps one tree level per iteration, with fresh arrays each level.
+    r is scaled by min(root mass, 1) first, as `sample_many` scales it."""
+    r = np.array(rs, dtype=float) * min(sq.tree[1], 1.0)
     node = np.ones(len(r), dtype=np.int64)
     while len(node) and node[0] < sq.dim:
         left = sq.tree[2 * node]

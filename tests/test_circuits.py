@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from qadv.circuits import (
     random_brickwork,
     serialize_json,
 )
+from qadv.detection import circuit_id
 from qadv.errors import SchemaError
 from qadv.pauli import NonUnitaryError, check_unitary
 
@@ -323,6 +326,50 @@ def test_build_cnew_controlled_block_is_adjoint_reversed():
         for gi, gf in zip(inv_layer.gates, fwd_layer.gates):
             assert gi.targets == gf.targets
             assert np.allclose(gi.matrix, gf.matrix.conj().T)
+
+
+def _union_of_targets(layer) -> frozenset[int]:
+    if isinstance(layer, BlockLayer):
+        return frozenset(layer.targets) | ({layer.control} - {None})
+    return frozenset(q for g in layer.gates for q in g.targets)
+
+
+def _fields_repr(layer) -> str:
+    """The dataclass repr of a layer from its init fields alone."""
+    args = ", ".join(f"{f.name}={getattr(layer, f.name)!r}"
+                     for f in dataclasses.fields(layer) if f.init)
+    return f"{type(layer).__name__}({args})"
+
+
+def test_layers_store_their_support():
+    cq, _ = promise_instance("x", 2)
+    cnew = build_cnew(cq, n=4, depth=3, copies=3, seed=5)
+    c_ext, ctrl = cnew.layers[:2]
+    assert ctrl.control == 10 and c_ext.control is None
+    perm = ElementaryLayer((majority_gate([0, 2, 5], 3),))  # one 4-qubit perm gate
+    brick = random_brickwork(5, 3, seed=2)
+    for layer in (*brick.layers, c_ext, ctrl, perm):
+        want = _union_of_targets(layer)
+        assert layer.support == want
+        assert pickle.loads(pickle.dumps(layer)).support == want
+        assert repr(layer) == _fields_repr(layer)
+    # A copy with edited fields builds its own support.
+    moved = [dataclasses.replace(g, targets=tuple(q + 1 for q in g.targets)) for g in perm.gates]
+    for layer, want in [
+        (dataclasses.replace(ctrl, control=7), frozenset({0, 1, 2, 3, 7})),
+        (dataclasses.replace(ctrl, control=None), frozenset(range(4))),
+        (dataclasses.replace(c_ext, circuit=amplify(cq, 3)), frozenset(range(4, 11))),
+        (dataclasses.replace(perm, gates=tuple(moved)), frozenset({1, 3, 6, 4})),
+    ]:
+        assert layer.support == want
+    # The stored field reaches no output: a pickled circuit serializes and
+    # hashes as the original does.
+    for c in (cnew, brick):
+        back = pickle.loads(pickle.dumps(c))
+        assert serialize_json(back) == serialize_json(c)
+        assert circuit_id(back) == circuit_id(c)
+        assert [l.support for l in back.layers] == [l.support for l in c.layers]
+        assert "support" not in serialize_json(c)
 
 
 def test_inverse_makes_no_unitarity_check(monkeypatch):

@@ -113,6 +113,19 @@ def test_sample_many_matches_lockstep_oracle(n, draws):
     assert np.all(v.values[got] != 0.0)
 
 
+def test_sample_many_matches_lockstep_oracle_below_unit_root():
+    # Three entries padded to four, with a root that `build` accepts 1e-9
+    # below 1: a uniform in [root, 1) must not reach the padding leaf.
+    v = sq.build(np.array([0.6, 0.48, 0.64]) * (1 - 0.9e-9))
+    root = v.tree[1]
+    assert v.dim == 4 and 1 - 2e-9 < root < 1 - 1e-9
+    rs = root + (1 - root) * np.random.default_rng(5).random(1000)
+    assert ((rs >= root) & (rs < 1.0)).all()
+    got = sq.sample_many(v, rs)
+    assert got.tobytes() == sample_many_lockstep(v, rs).tobytes()
+    assert np.all(v.values[got] != 0.0)
+
+
 def _dyadic_vector(rng: np.random.Generator) -> np.ndarray:
     """Entries a_i / s with small integers a_i and sum(a_i^2) = s^2 for a
     power of two s, so every tree node and every prefix is exact."""
