@@ -231,7 +231,7 @@ def _exec_dequant_sample(config: dict) -> Output:
     sqv = _load_sq(config["vector"], config["normalize"])
     rng = np.random.default_rng(config["seed"])
     counts = sq.sample_counts(sqv, draws, rng)
-    probs = sqv.tree[sqv.dim :]
+    probs = np.square(sqv.values)
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return Output(
         {"dim": sqv.dim, "draws": draws, "tv_distance": tv},
@@ -422,7 +422,7 @@ _COMMANDS = (
         Opt("--s", "s", 32), Opt("--k", "k", 1),
         _SEED, _JOBS,
     ), _exec_suite),
-    ("dequant-build", "Build the prefix-sum tree and verify its invariants.", (
+    ("dequant-build", "Build the cumulative table and its guide, and verify their invariants.", (
         Opt("--vector", "vector", type=_PATH, required=True),
         _NORMALIZE,
     ), _exec_dequant_build),

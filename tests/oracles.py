@@ -152,13 +152,15 @@ def conjugate_gate_labels(m, targets, entries) -> dict[str, float]:
 
 
 def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
-    """The full-length descent that `qadv.sq.sample_many` replaced: every
-    lane steps one tree level per iteration, with fresh arrays each level.
-    r is scaled by min(root mass, 1) first, as `sample_many` scales it."""
-    r = np.array(rs, dtype=float) * min(sq.tree[1], 1.0)
+    """The full-length descent of the prefix-sum tree that
+    `qadv.sq.sample_many` once ran: every lane steps one tree level per
+    iteration, with fresh arrays each level. r is scaled by min(root mass, 1) first, as
+    `sample_many` scales it by min(F(dim-1), 1)."""
+    tree = sq.tree  # rebuilt on every read, so read once
+    r = np.array(rs, dtype=float) * min(tree[1], 1.0)
     node = np.ones(len(r), dtype=np.int64)
     while len(node) and node[0] < sq.dim:
-        left = sq.tree[2 * node]
+        left = tree[2 * node]
         go_right = r >= left
         r -= np.where(go_right, left, 0.0)
         node = 2 * node + go_right

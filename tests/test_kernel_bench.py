@@ -10,7 +10,8 @@ transfer-matrix builds, matches the backward pass in the weight-1 sector,
 builds a unitary, builds the
 adjoint's bytes, gives the bytes of the sliced full transfer-matrix build,
 matches the gate-by-gate interpreter, draws what the lockstep tree descent
-draws, estimates what the one-shot estimator estimates, or succeeds as often
+draws (or, where a bucket is crowded, the count of prefixes at or below r),
+estimates what the one-shot estimator estimates, or succeeds as often
 as the closed form says.
 """
 
@@ -238,8 +239,21 @@ def test_sample_many_2_20(benchmark):
     v = sq.build(rng.standard_normal(1 << 20), normalize=True)
     rs = rng.random(10**6)
     got = benchmark(sq.sample_many, v, rs)
-    part = slice(3 * sq._DESCENT_LANES - 5, 3 * sq._DESCENT_LANES + 40_000)
+    part = slice(3 * sq._LANES - 5, 3 * sq._LANES + 40_000)
     assert np.array_equal(got[part], sample_many_lockstep(v, rs[part]))
+
+
+def test_sample_many_spiked_2_20(benchmark):
+    # The guide's worst case: 10^6 draws that all land in bucket 0, among
+    # the 2^18 entries before a spike, so nearly every one goes to the
+    # binary search after `_GUIDE_STEPS` steps.
+    n = 1 << 20
+    x = np.full(n, 1e-7)
+    x[n // 4] = 1.0
+    v = sq.build(x, normalize=True)
+    rs = v.cdf[n // 4 - 1] * np.random.default_rng(5).random(10**6)
+    got = benchmark(sq.sample_many, v, rs)
+    assert np.array_equal(got, np.searchsorted(v.cdf, rs * min(v.cdf[-1], 1.0), side="right"))
 
 
 def test_inner_product_estimate_2_20(benchmark):

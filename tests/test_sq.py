@@ -93,7 +93,7 @@ def test_sample_matches_cdf_inverse(seed):
     assert sq.sample_many(v, [r])[0] == i
 
 
-BLOCK = sq._DESCENT_LANES
+BLOCK = sq._LANES
 
 
 @pytest.mark.parametrize("draws", [1, BLOCK, 2 * BLOCK + 3])
@@ -168,6 +168,58 @@ def test_sample_many_draws_against_a_root_mass_below_one():
     v = sq.build(np.array([0.6, 0.8]) * (1 + 5e-10))
     assert v.tree[1] > 1
     assert list(sq.sample_many(v, [np.nextafter(v.tree[2], 0.0), v.tree[2]])) == [0, 1]
+
+
+def _crowded(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A unit vector of length n whose guide has buckets of many entries,
+    and uniforms that reach them: (vector, extra uniforms)."""
+    rng = np.random.default_rng(n)
+    if kind == "spiked":
+        # Every entry before the spike shares bucket 0, every one after it
+        # the last bucket; uniforms below the spike's prefix reach bucket 0.
+        x = np.full(n, 1e-7)
+        x[n // 3] = 1.0
+        x /= np.linalg.norm(x)
+        return x, np.cumsum(x**2)[n // 3 - 1] * rng.random(1000)
+    if kind == "geometric":
+        x = 0.99 ** np.arange(n)  # squares fall 2% an entry, to 0
+    else:  # "half-zero": the zeros share their left neighbour's prefix
+        x = rng.standard_normal(n)
+        x[rng.permutation(n)[: n // 2]] = 0.0
+    return x / np.linalg.norm(x), np.zeros(0)
+
+
+def _guide_steps(v: sq.SQVector, rs: np.ndarray) -> np.ndarray:
+    """Steps right from the guide's start that each draw needs."""
+    r = rs * min(v.cdf[-1], 1.0)
+    return np.searchsorted(v.cdf, r, side="right") - v.guide[(r * v.dim).astype(np.int64)]
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 14, 1 << 16])
+@pytest.mark.parametrize("kind", ["spiked", "geometric", "half-zero"])
+def test_sample_many_on_crowded_buckets_matches_lockstep_oracle(kind, n):
+    x, extra = _crowded(kind, n)
+    v = sq.build(x)
+    rs = np.concatenate([np.random.default_rng(n + 1).random(2 * BLOCK + 3), extra])
+    # Some draws need more than `_GUIDE_STEPS` steps: the binary search ran.
+    assert _guide_steps(v, rs).max() > sq._GUIDE_STEPS
+    got = sq.sample_many(v, rs)
+    assert got.tobytes() == sample_many_lockstep(v, rs).tobytes()
+    assert np.all(v.values[got] != 0.0)
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 16])
+@pytest.mark.parametrize("kind", ["spiked", "geometric", "half-zero"])
+def test_sample_many_counts_the_prefixes_at_or_below_r(kind, n):
+    # At each stored prefix and the float just below it, in every bucket,
+    # the draw is #{i : F(i) <= r} for r scaled by min(F(dim-1), 1).
+    v = sq.build(_crowded(kind, n)[0])
+    cdf = v.cdf[v.cdf < 1.0]
+    rs = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0)])
+    assert _guide_steps(v, rs).max() > sq._GUIDE_STEPS
+    got = sq.sample_many(v, rs)
+    assert np.array_equal(got, np.searchsorted(v.cdf, rs * min(v.cdf[-1], 1.0), side="right"))
+    assert np.all(v.values[got] != 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, -np.inf, 1.0, np.inf])
@@ -337,20 +389,67 @@ def test_estimate_memory_is_draws_plus_one_block():
     assert oracle > bound
 
 
+def test_table_holds_at_most_12_bytes_per_entry_beyond_values():
+    # F takes 8 B an entry and the int32 guide 4 B; the prefix-sum heap
+    # took 16 B. The rest is the arrays' and the object's headers.
+    x = np.random.default_rng(4).standard_normal(1 << 16)
+    x /= np.linalg.norm(x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        v = sq.build(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(v.values, x)
+    assert v.cdf.nbytes + v.guide.nbytes == 12 * v.dim
+    assert held <= 12 * v.dim + 2048
+
+
+def test_build_transient_peak_is_at_most_the_heap_builds():
+    # The `tree` property rebuilds the heap as `build` once did: 2·dim
+    # floats and one level's sums. The guide build holds one block of keys.
+    x = np.random.default_rng(5).standard_normal(1 << 16)
+    x /= np.linalg.norm(x)
+    v = sq.build(x)
+    heap = _peak_bytes(lambda: v.tree)
+    assert heap >= 20 * v.dim
+    assert _peak_bytes(lambda: sq.build(x)) <= heap
+
+
 def test_check_tree_detects_corruption():
     v = sq.build([0.6, 0.8])
-    v.tree[2] += 1e-6
-    with pytest.raises(InvariantViolation):
+    v.cdf[1] += 1e-6
+    with pytest.raises(InvariantViolation, match="total mass"):
+        v.check_tree()
+    v = sq.build([0.6, 0.8])
+    v.cdf[0] = 1.5
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 1"):
+        v.check_tree()
+    v = sq.build([0.6, 0.8])
+    v.cdf[0] = -0.1
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 0"):
+        v.check_tree()
+    # F(1) = 1 >= 1/2: bucket 1 would start every draw past index 0.
+    v = sq.build([0.6, 0.8])
+    v.guide[1] = 2
+    with pytest.raises(InvariantViolation, match="guide bucket 1 starts past"):
+        v.check_tree()
+    v.guide[1] = -1
+    with pytest.raises(InvariantViolation, match="guide bucket 1 starts past"):
         v.check_tree()
 
 
 def test_check_tree_detects_nan_node():
     v = sq.build(np.full(4, 0.5))
-    v.tree[3] = np.nan
-    with pytest.raises(InvariantViolation, match="node 1 does"):
+    v.cdf[2] = np.nan
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 2"):
         v.check_tree()
-    v.tree[1] = np.nan
-    with pytest.raises(InvariantViolation, match="root sum"):
+    v.cdf[0] = np.nan
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 0"):
+        v.check_tree()
+    v.cdf[3] = np.nan
+    with pytest.raises(InvariantViolation, match="total mass"):
         v.check_tree()
 
 
@@ -380,22 +479,58 @@ def test_tree_leaves_are_the_squared_entries(n):
     assert v.tree[v.dim :].tobytes() == (v.values**2).tobytes()
 
 
+def _dyadic_eight() -> sq.SQVector:
+    """Squares .25, .25, .25, then .0625 four times and one 0: every F(i)
+    and every bucket edge b/8 is exact."""
+    v = sq.build(np.array([2, 2, 2, 1, 1, 1, 1, 0]) / 4)
+    assert list(v.cdf) == [0.25, 0.5, 0.75, 0.8125, 0.875, 0.9375, 1.0, 1.0]
+    assert list(v.guide) == [0, 0, 0, 1, 1, 2, 2, 4]
+    return v
+
+
 def test_check_tree_reports_first_bad_node_in_heap_order():
-    v = sq.build(np.full(8, np.sqrt(1 / 8)))
-    v.tree[13] += 1e-6  # a leaf of node 6
-    v.tree[11] += 1e-6  # a leaf of node 5
-    with pytest.raises(InvariantViolation, match="node 5 does"):
+    v = _dyadic_eight()
+    v.check_tree()
+    cdf = v.cdf.copy()
+    v.cdf[5] = 0.8  # below F(4)
+    v.cdf[3] = 0.7  # below F(2)
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 3"):
         v.check_tree()
-    v.tree[11] -= 1e-6
-    # Nodes 2 and 3 move in opposite directions, so the root still matches.
-    v.tree[2] += 1e-6
-    v.tree[3] -= 1e-6
-    with pytest.raises(InvariantViolation, match="node 2 does"):
+    v.cdf[3] = cdf[3]
+    with pytest.raises(InvariantViolation, match="cdf decreases at index 5"):
         v.check_tree()
-    v.tree[2] -= 1e-6
-    v.tree[3] += 1e-6
-    with pytest.raises(InvariantViolation, match="node 6 does"):
+    v.cdf[:] = cdf
+    v.guide[7] = 5  # F(4) = 7/8: a draw of 0.875 would skip index 4
+    v.guide[3] = 2  # F(1) = 1/2 >= 3/8
+    with pytest.raises(InvariantViolation, match="guide bucket 3 starts past"):
         v.check_tree()
+    v.guide[3] = 1
+    with pytest.raises(InvariantViolation, match="guide bucket 7 starts past"):
+        v.check_tree()
+    v.guide[7] = 4
+    v.check_tree()
+
+
+def test_guide_that_starts_early_only_costs_steps():
+    # g = 0 everywhere passes the check, and every draw still lands right:
+    # all but the first buckets go through the binary search.
+    v = _dyadic_eight()
+    rs = np.concatenate([np.arange(64) / 64, np.random.default_rng(2).random(1000)])
+    want = sq.sample_many(v, rs)
+    v.guide[:] = 0
+    v.check_tree()
+    assert np.array_equal(sq.sample_many(v, rs), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1 << 12])
+def test_table_is_the_cumulative_squares_and_its_guide(n):
+    v = sq.build(np.random.default_rng(n).standard_normal(n), normalize=True)
+    assert sq.SQVector.__slots__ == ("dim", "values", "cdf", "guide")
+    assert v.cdf.tobytes() == np.cumsum(v.values**2).tobytes()
+    # g[b] = #{i : F(i) < b/dim}, the first index with F(i) >= b/dim.
+    want = np.searchsorted(v.cdf, np.arange(v.dim) / v.dim, side="left")
+    assert v.guide.dtype == np.int32
+    assert np.array_equal(v.guide, want)
 
 
 def test_load_vector_formats(tmp_path):
