@@ -219,7 +219,7 @@ def _load_sq(path: str, normalize: bool) -> sq.SQVector:
 def _exec_dequant_build(config: dict) -> Output:
     sqv = _load_sq(config["vector"], config["normalize"])
     sqv.check_tree()
-    root = float(sqv.tree[1])
+    root = float(sqv.cdf[-1])
     report = {"dim": sqv.dim, "root": root, "nonzero": int(np.count_nonzero(sqv.values))}
     return Output(report, [f"dim={sqv.dim} root={root:.12g}"])
 

@@ -6,9 +6,11 @@ At k = 1 the observable holds only weight-1 terms, so both `detect` and
 the decay Monte Carlo compute in that sector: an ``(n, 3)`` array of X, Y
 and Z coefficients. `detect` takes its map from
 `propagation.weight_one_pass`, which steps each gate through the weight-1
-block of its transfer matrix; at k >= 2 it runs
-`propagation.backpropagate`. Once per suite, the first instance's k = 1
-map is re-derived through `backpropagate`. Decay uses each Haar gate once,
+block of its transfer matrix, wrapped by `propagation.sector_map`; at
+k >= 2 it runs `propagation.backpropagate`. Both passes walk the same
+layers in the same windows and borrow the same fused block ops. Once per
+suite, the first instance's k = 1 map is re-derived through
+`backpropagate` (`_check_sector`). Decay uses each Haar gate once,
 so it steps each straight from its unitary (`propagation.unitary_step`)
 and builds no block.
 
@@ -31,12 +33,13 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
-from .pauli import DROP_TOLERANCE, MAX_QUBITS, PauliMap, check_unitary
+from .pauli import DROP_TOLERANCE, MAX_QUBITS, check_unitary
 from .pool import seeded_chunks, seeded_map, spawn_seeds
 from .propagation import (
     PropagationConfig,
     backpropagate,
     evaluate_product_state,
+    sector_map,
     unitary_step,
     weight_one_pass,
     z_first,
@@ -114,20 +117,6 @@ class DetectionReport:
     heuristic_norm: float  # normalized squared Frobenius norm of O_0
 
 
-def _heuristic(c: circuits.Circuit, cfg: PropagationConfig) -> PauliMap:
-    """The weight-k heuristic map of Z on the first qubit: at k = 1 the
-    `weight_one_pass` coefficients wrapped as a map (X, Y, Z on each qubit
-    in turn), otherwise `backpropagate`."""
-    o = z_first(c.n_qubits)
-    if cfg.k > 1:
-        return backpropagate(c, o, cfg)
-    v = weight_one_pass(c, o)
-    q, a = v.nonzero()
-    bit = np.uint64(1) << q.astype(np.uint64)
-    return PauliMap._from_masks(c.n_qubits, np.where(a < 2, bit, 0), np.where(a > 0, bit, 0),
-                                v[q, a])
-
-
 def detect(
     c: circuits.Circuit,
     s: int = 32,
@@ -150,9 +139,9 @@ def detect(
     farther out raises InvariantViolation. One fused circuit (``c`` itself
     when it is a `statevector.FusedCircuit`) serves every sampled input and
     lends its block unitaries to the heuristic, so none is built twice. At
-    k = 1 the heuristic comes from `propagation.weight_one_pass`, wrapped
-    as a `PauliMap`; at k >= 2 from `backpropagate`, which builds transfer
-    matrices in windows. Of a `circuits.build_cnew` circuit's ops,
+    k = 1 the heuristic is `propagation.weight_one_pass` wrapped as a
+    `PauliMap` (`propagation.sector_map`); at k >= 2 it is
+    `backpropagate`. Of a `circuits.build_cnew` circuit's ops,
     `statevector.fuse` derives the controlled inverse's from the open
     run's.
     """
@@ -166,7 +155,8 @@ def detect(
     width = hi - lo + 1
 
     fused = c if isinstance(c, statevector.FusedCircuit) else statevector.fuse(c)
-    o0 = _heuristic(fused, cfg)
+    z = z_first(c.n_qubits)
+    o0 = backpropagate(fused, z, cfg) if k > 1 else sector_map(weight_one_pass(fused, z))
 
     records = []
     for _ in range(s):
@@ -414,14 +404,15 @@ class SuiteResult:
 
 
 def _check_sector(c: statevector.FusedCircuit) -> None:
-    """Re-derive the k = 1 heuristic of ``c`` through `backpropagate` and
-    raise InvariantViolation unless the two maps agree to rounding and the
+    """Derive the k = 1 heuristic of ``c`` as `detect` does (the wrapped
+    `weight_one_pass`) and again through `backpropagate`, and raise
+    InvariantViolation unless the two maps agree to rounding and the
     passes' drops: a layer's drops move either pass's coefficients by at
     most sqrt(3n) times the tolerance in 2-norm, and later layers do not
     stretch that."""
-    cfg = PropagationConfig(k=1)
-    got = _heuristic(c, cfg).to_labels()
-    want = backpropagate(c, z_first(c.n_qubits), cfg).to_labels()
+    z = z_first(c.n_qubits)
+    got = sector_map(weight_one_pass(c, z)).to_labels()
+    want = backpropagate(c, z, PropagationConfig(k=1)).to_labels()
     labels = sorted(set(got) | set(want))
     atol = 2 * len(c.layers) * np.sqrt(3 * c.n_qubits) * DROP_TOLERANCE
     if not np.allclose([got.get(p, 0.0) for p in labels], [want.get(p, 0.0) for p in labels],

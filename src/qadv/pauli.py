@@ -270,13 +270,17 @@ def check_unitary(u: np.ndarray) -> None:
         raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
-def _transfer(u: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
-    """Transfer matrices of a shape-checked unitary or stack, restricted on
-    both axes to the local indices ``rows`` (``slice(None)`` for all)."""
+def _transfer(u: np.ndarray, rows: dict[int, np.ndarray] | None) -> np.ndarray:
+    """Transfer matrices of a w-qubit unitary or stack (w = 1..3),
+    restricted on both axes to the local indices ``rows[w]``, or all of
+    them when ``rows`` is None."""
     u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-1] not in (2, 4, 8) or u.shape[-2] != u.shape[-1]:
+        raise ValueError("need a unitary on 1, 2 or 3 qubits, or a stack of them")
     check_unitary(u)
     d = u.shape[-1]
-    flat = _basis(d.bit_length() - 1).reshape(d * d, d * d)[rows]
+    w = d.bit_length() - 1
+    flat = _basis(w).reshape(d * d, d * d)[slice(None) if rows is None else rows[w]]
     flat_h = flat.conj().T
     stack = u.reshape(-1, d, d)
     m = len(flat)
@@ -316,11 +320,7 @@ def transfer_matrix(u: np.ndarray) -> np.ndarray:
     the build holds the output plus a fixed transient, however long the
     stack; each matrix comes out as its own one-matrix build.
     """
-    u = np.asarray(u)
-    d = u.shape[-1]
-    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
-        raise ValueError("unitary must act on 1, 2, or 3 qubits")
-    return _transfer(u, slice(None))
+    return _transfer(u, None)
 
 
 def weight_one_blocks(u: np.ndarray) -> np.ndarray:
@@ -330,11 +330,7 @@ def weight_one_blocks(u: np.ndarray) -> np.ndarray:
     second, and so on (`_WEIGHT_ONE` of the width). Only those rows of the
     Pauli basis are contracted, in `transfer_matrix`'s chunked loop, and
     each block has the bytes of the full build sliced there on both axes."""
-    u = np.asarray(u)
-    d = u.shape[-1]
-    if d not in (2, 4, 8) or u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
-        raise ValueError("weight-1 blocks need a unitary on 1, 2 or 3 qubits, or a stack of them")
-    return _transfer(u, _WEIGHT_ONE[d.bit_length() - 1])
+    return _transfer(u, _WEIGHT_ONE)
 
 
 def _target_mask(n_qubits: int, targets: Sequence[int]) -> int:

@@ -1,14 +1,14 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through Pauli transfer matrices. A pass
-walks the circuit a window at a time: a run of consecutive layers whose
-distinct unitaries' matrices fit in `TRANSFER_WINDOW_BYTES`, built in one
-stack per gate width and dropped with the window. A unitary that recurs in
-a window is built once; one that recurs across windows is built again, with
-the same bytes. Composite blocks (and elementary gates wider than 3 qubits)
-evolve by dense conjugation of the truncated observable over the block
-support.
+Elementary layers evolve exactly through Pauli transfer matrices. Both
+passes below take their layers from one walk (`_walk`), last first and a
+window at a time: a run of consecutive layers whose distinct unitaries'
+matrices fit in `TRANSFER_WINDOW_BYTES`, built in one stack per gate width
+and dropped with the window. A unitary that recurs in a window is built
+once; one that recurs across windows is built again, with the same bytes.
+Composite blocks (and elementary gates wider than 3 qubits) evolve by dense
+conjugation of the truncated observable over the block support.
 A block's dense unitary comes from a `statevector.FusedCircuit` when one is
 given; otherwise `statevector.block_unitary`, imported here by name, builds
 it in one pass of the statevector interpreter over the identity.
@@ -16,14 +16,14 @@ Projection happens exactly once per declared layer, so composite blocks
 count as a single step.
 
 At k = 1 `weight_one_pass` gives the same projected map in the weight-1
-sector, as an (n, 3) array of X, Y and Z coefficients per qubit: each gate
-of up to 3 qubits acts through the weight-1 block of its transfer matrix
-(`weight_one_step`), each dense step through one matmul of its unitary
-(`_dense_step`). Decay's sector pass uses each Haar gate once, so it steps
-its gates straight from their unitaries (`unitary_step`), with
-`_dense_step`'s row action and read-off and every sum in a fixed order.
-`backpropagate` stays the route for k >= 2 and the reference the sector
-passes are checked against.
+sector, as an (n, 3) array of X, Y and Z coefficients per qubit
+(`sector_map` wraps it as a map): each gate of up to 3 qubits acts through
+the weight-1 block of its transfer matrix (`weight_one_step`), each dense
+step through one matmul of its unitary (`_dense_step`). Decay's sector
+pass uses each Haar gate once, so it steps its gates straight from their
+unitaries (`unitary_step`), with `_dense_step`'s row action and read-off
+and every sum in a fixed order. `backpropagate` stays the route for k >= 2
+and the reference the sector passes are checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,40 +73,45 @@ def _split(layer: circuits.Layer) -> tuple[list[circuits.Gate], list[circuits.La
     return [g for g in layer.gates if len(g.targets) <= 3], wide
 
 
-def _window(
-    layers: Sequence[circuits.Layer],
-    start: int,
+def _walk(
+    c: circuits.Circuit,
     build: Callable[[np.ndarray], np.ndarray],
     side: Callable[[int], int],
-) -> list[tuple[list[circuits.Gate], list[np.ndarray], list[circuits.Layer]]]:
-    """The window from ``layers[start]``: that layer and each following one
-    while the window's distinct unitaries of up to 3 qubits have matrices
-    within `TRANSFER_WINDOW_BYTES` (a layer whose own take more is a window
-    of its own). ``build`` makes the matrices of a stack of d x d unitaries,
-    each ``side(d)`` square: `transfer_matrix` or `weight_one_blocks`. Each
-    layer comes as its gates, their matrices and its dense steps; the
-    matrices are views into one ``build`` stack per gate width, so they
-    live as long as the window."""
-    steps = []
-    distinct: dict[int, dict[bytes, circuits.Gate]] = {}
-    size = 0
-    for layer in layers[start:]:
-        gates, dense = _split(layer)
-        keys = [g.unitary().tobytes() for g in gates]
-        new = {key: g for key, g in zip(keys, gates) if key not in distinct.get(len(key), ())}
-        # A d x d complex128 unitary has 16 d^2 bytes; the byte length alone
-        # also tells the widths apart.
-        grow = sum(8 * side(math.isqrt(len(key) // 16)) ** 2 for key in new)
-        if size and size + grow > TRANSFER_WINDOW_BYTES:
-            break
-        size += grow
-        for key, g in new.items():
-            distinct.setdefault(len(key), {})[key] = g
-        steps.append((gates, keys, dense))
-    built: dict[bytes, np.ndarray] = {}
-    for group in distinct.values():
-        built.update(zip(group, build(np.stack([g.unitary() for g in group.values()]))))
-    return [(gates, [built[key] for key in keys], dense) for gates, keys, dense in steps]
+) -> Iterator[tuple[list[circuits.Gate], list[np.ndarray], list[circuits.Layer]]]:
+    """Each declared layer of ``c``, last first, as its gates, their
+    matrices and its dense steps (`_split`), taken a window at a time: a
+    layer and each following one while the window's distinct unitaries of
+    up to 3 qubits have matrices within `TRANSFER_WINDOW_BYTES` (a layer
+    whose own take more is a window of its own). ``build`` makes the
+    matrices of a stack of d x d unitaries, each ``side(d)`` square:
+    `transfer_matrix` or `weight_one_blocks`, called once per gate width
+    and window. A layer's matrices are views into those stacks, in a list
+    that is emptied when the caller asks for the next layer: no caller
+    pins a window's stacks while the next window is built."""
+    layers = c.layers[::-1]
+    done = 0
+    while done < len(layers):
+        steps, distinct, size, built = [], {}, 0, {}
+        for layer in layers[done:]:
+            gates, dense = _split(layer)
+            keys = [g.unitary().tobytes() for g in gates]
+            new = {key: g for key, g in zip(keys, gates) if key not in distinct.get(len(key), ())}
+            # A d x d complex128 unitary has 16 d^2 bytes; the byte length alone
+            # also tells the widths apart.
+            grow = sum(8 * side(math.isqrt(len(key) // 16)) ** 2 for key in new)
+            if size and size + grow > TRANSFER_WINDOW_BYTES:
+                break
+            size += grow
+            for key, g in new.items():
+                distinct.setdefault(len(key), {})[key] = g
+            steps.append((gates, keys, dense))
+        done += len(steps)
+        for group in distinct.values():
+            built.update(zip(group, build(np.stack([g.unitary() for g in group.values()]))))
+        for gates, keys, dense in steps:
+            matrices = [built[key] for key in keys]
+            yield gates, matrices, dense
+            matrices.clear()
 
 
 def backpropagate(c: circuits.Circuit, o: PauliMap, cfg: PropagationConfig) -> PauliMap:
@@ -118,32 +123,23 @@ def backpropagate(c: circuits.Circuit, o: PauliMap, cfg: PropagationConfig) -> P
     layer first, so a caller that wants the map after each layer makes
     those passes itself.
 
-    The layers are taken a window at a time (`_window`), last first: each
-    window builds its matrices, runs its layers and is dropped before the
-    next. Each matrix has the bytes of its one-matrix build. A
+    The layers come from `_walk` with `transfer_matrix`, a window at a
+    time; each matrix has the bytes of its one-matrix build. A
     `FusedCircuit` lends its block layers' dense unitaries.
     """
     if c.n_qubits != o.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     blocks = c.blocks if isinstance(c, FusedCircuit) else {}
-    layers = c.layers[::-1]
     acc = o.project_weight(cfg.k)
-    done = 0
-    while done < len(layers):
-        window = _window(layers, done, transfer_matrix, lambda d: d * d)
-        done += len(window)
-        for gates, matrices, dense in window:
-            if gates:
-                acc = conjugate_layer(acc, zip([g.targets for g in gates], matrices))
-            for layer in dense:
-                # Refuse before building: the unitary alone has 4^width entries.
-                check_block_width(len(layer.support))
-                support, u = blocks.get(layer) or block_unitary(layer)
-                acc = conjugate_dense(acc, u, support)
-            acc = acc.project_weight(cfg.k)
-        # The last layer's matrices are views that pin the window's stacks:
-        # release them before the next window is built.
-        del window, matrices
+    for gates, matrices, dense in _walk(c, transfer_matrix, lambda d: d * d):
+        if gates:
+            acc = conjugate_layer(acc, zip([g.targets for g in gates], matrices))
+        for layer in dense:
+            # Refuse before building: the unitary alone has 4^width entries.
+            check_block_width(len(layer.support))
+            support, u = blocks.get(layer) or block_unitary(layer)
+            acc = conjugate_dense(acc, u, support)
+        acc = acc.project_weight(cfg.k)
     return acc
 
 
@@ -157,6 +153,14 @@ def _sector(o: PauliMap) -> np.ndarray:
     q = np.bitwise_count((o.x[one] | o.z[one]) - np.uint64(1))
     v[q, np.where(z, 2 - x, 0)] = o.coeffs[one]
     return v
+
+
+def sector_map(v: np.ndarray) -> PauliMap:
+    """The inverse of `_sector`: the map whose terms are the nonzero
+    entries of ``v`` (X, Y, Z on each qubit in turn)."""
+    q, a = v.nonzero()
+    bit = np.uint64(1) << q.astype(np.uint64)
+    return PauliMap._from_masks(len(v), np.where(a < 2, bit, 0), np.where(a > 0, bit, 0), v[q, a])
 
 
 def weight_one_step(v: np.ndarray, targets: np.ndarray, blocks: np.ndarray) -> None:
@@ -283,38 +287,33 @@ def weight_one_pass(c: circuits.Circuit, o: PauliMap) -> np.ndarray:
 
     ``o`` is projected to weight 1 up front. A declared layer's gates are
     disjoint, so a weight-1 term meets at most one of them, and the
-    projected step is the gate's weight-1 block (`weight_one_step`), built
-    a window at a time as `backpropagate` builds its transfer matrices
-    (`_window` with `weight_one_blocks`). A dense step (a block, or a gate
-    wider than 3 qubits) is `_dense_step`, with a `FusedCircuit`'s block
-    ops lent; one whose support rows are all zero is skipped, since zero in
-    gives zero out. After a layer's gate step and after each dense step,
+    projected step is the gate's weight-1 block (`weight_one_step`): the
+    layers come from `backpropagate`'s walk (`_walk`), with
+    `weight_one_blocks` in place of `transfer_matrix`. A dense step (a
+    block, or a gate wider than 3 qubits) is `_dense_step`, with a
+    `FusedCircuit`'s block ops lent; a block too wide is refused first, and
+    one whose support rows are all zero is skipped, since zero in gives
+    zero out. After a layer's gate step and after each dense step,
     every coefficient at or below `DROP_TOLERANCE` is zeroed, where
     `conjugate_layer` and `conjugate_dense` drop.
     """
     if c.n_qubits != o.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     blocks = c.blocks if isinstance(c, FusedCircuit) else {}
-    layers = c.layers[::-1]
     v = _sector(o)
-    done = 0
-    while done < len(layers):
-        window = _window(layers, done, weight_one_blocks, lambda d: 3 * (d.bit_length() - 1))
-        done += len(window)
-        for gates, matrices, dense in window:
-            if gates:
-                widths = [len(g.targets) for g in gates]
-                for w in set(widths):
-                    group = [i for i, x in enumerate(widths) if x == w]
-                    weight_one_step(v, np.array([gates[i].targets for i in group]),
-                                    np.array([matrices[i] for i in group]))
-                v[np.abs(v) <= DROP_TOLERANCE] = 0.0
-            for layer in dense:
-                check_block_width(len(layer.support))
-                if v[list(layer.support)].any():
-                    _dense_step(v, *(blocks.get(layer) or block_unitary(layer)))
-                v[np.abs(v) <= DROP_TOLERANCE] = 0.0
-        del window, matrices
+    for gates, matrices, dense in _walk(c, weight_one_blocks, lambda d: 3 * (d.bit_length() - 1)):
+        if gates:
+            widths = [len(g.targets) for g in gates]
+            for w in set(widths):
+                group = [i for i, x in enumerate(widths) if x == w]
+                weight_one_step(v, np.array([gates[i].targets for i in group]),
+                                np.array([matrices[i] for i in group]))
+            v[np.abs(v) <= DROP_TOLERANCE] = 0.0
+        for layer in dense:
+            check_block_width(len(layer.support))
+            if v[list(layer.support)].any():
+                _dense_step(v, *(blocks.get(layer) or block_unitary(layer)))
+            v[np.abs(v) <= DROP_TOLERANCE] = 0.0
     return v
 
 

@@ -433,6 +433,26 @@ def test_dequant_zero_vector_exits_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_dequant_build_accepts_every_norm_that_build_accepts(runner, tmp_path):
+    # A norm 0.9e-9 short of 1 passes build's check, and its total mass,
+    # about 1.8e-9 short, passes the table's check.
+    vp, out = tmp_path / "v.npy", tmp_path / "out"
+    np.save(vp, np.array([0.6, 0.8]) * (1 - 0.9e-9))
+    r = runner.invoke(main, ["dequant", "build", "--vector", str(vp), "--out-dir", str(out)])
+    assert r.exit_code == 0, r.output
+    report = json.loads(_read(out / "dequant_build_report.json"))
+    assert report["dim"] == 2 and abs(report["root"] - (1 - 1.8e-9)) < 1e-15
+
+
+def test_dequant_build_refuses_a_norm_past_the_bound(runner, tmp_path):
+    vp, out = tmp_path / "v.npy", tmp_path / "out"
+    np.save(vp, np.array([0.6, 0.8]) * (1 - 1.1e-9))
+    r = runner.invoke(main, ["dequant", "build", "--vector", str(vp), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "norm" in r.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build", "estimate"])
 def test_dequant_complex_vector_exits_2(runner, tmp_path, command):
     # Casting to float would keep [0.6, 0] of [0.6 + 0.8j, 0] and report on

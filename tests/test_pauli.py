@@ -241,9 +241,12 @@ def test_weight_one_blocks_are_the_sliced_full_build_at_every_width(w):
 
 
 def test_weight_one_blocks_refuse_other_widths():
-    for u in (np.eye(1), np.eye(16), np.stack([np.eye(16)] * 3), np.eye(6), np.ones((4, 2))):
-        with pytest.raises(ValueError, match="1, 2 or 3 qubits"):
-            weight_one_blocks(u)
+    # Both builds share one shape check, transfer_matrix included.
+    for build in (transfer_matrix, weight_one_blocks):
+        for u in (np.eye(1), np.eye(16), np.stack([np.eye(16)] * 3), np.eye(6), np.ones((4, 2)),
+                  np.array(1.0), np.ones(4)):
+            with pytest.raises(ValueError, match="1, 2 or 3 qubits"):
+                build(u)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))

@@ -748,6 +748,33 @@ def test_weight_one_pass_windows_give_the_same_bytes(window):
     _assert_weight_one_close(got, backpropagate(c, o, PropagationConfig(k=1)), len(c.layers))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_window_stacks_are_released_before_the_next_build(monkeypatch, k):
+    # A window of one Haar layer: by the time a pass builds the next
+    # window's stack, no earlier stack is alive, in the sector pass (k = 1)
+    # and in backpropagate (k = 2). Each stack is weakly held through the
+    # array that owns its memory, which its views keep alive.
+    owners = []
+
+    def spy(real):
+        def build(u):
+            assert [r for r in owners if r() is not None] == []
+            out = real(u)
+            owners.append(weakref.ref(out if out.base is None else out.base))
+            return out
+        return build
+
+    monkeypatch.setattr(prop, "transfer_matrix", spy(prop.transfer_matrix))
+    monkeypatch.setattr(prop, "weight_one_blocks", spy(prop.weight_one_blocks))
+    monkeypatch.setattr(prop, "TRANSFER_WINDOW_BYTES", 1)
+    c = circuits.random_brickwork(6, 5, seed=0)
+    if k == 1:
+        weight_one_pass(c, z_first(6))
+    else:
+        backpropagate(c, z_first(6), PropagationConfig(k=k))
+    assert len(owners) == 5
+
+
 def _three_qubit_haar(n: int, depth: int) -> Circuit:
     rng = np.random.default_rng(depth)
     return _circ(n, *[[Gate("matrix", (q, q + 1, q + 2), matrix=haar_unitary(8, rng))
