@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, field, typed
+from .errors import SchemaError, field, read_json, typed
 from .pauli import check_unitary
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -572,12 +572,7 @@ def deserialize(data: dict | str) -> Circuit:
 
 
 def load_circuit(path: str) -> Circuit:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read circuit {path}: {exc}") from exc
-    return deserialize(text)
+    return _parse_circuit(read_json(path, "circuit"), "$")
 
 
 def save_circuit(c: Circuit, path: str) -> None:

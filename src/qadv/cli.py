@@ -3,9 +3,14 @@
 Every subcommand except ``rerun`` is one row of the ``_COMMANDS`` table:
 name, help text, options (each with its flag, config key, default and
 type), and the executor that runs it. The table is the only place defaults
-live; a config file overrides them, and explicit flags override the config
-file, whose values are typed as their flags' text would be. Only ``cells``
-(``sweep``'s grid, checked by ``scaling_sweep``) has no flag.
+and option ranges live: a range is its option's click type (``--draws`` is
+an ``IntRange(1)``), so a flag, a config-file value and a manifest value
+are refused alike. A config file overrides the defaults, and explicit
+flags override the config file, whose values are typed as their flags'
+text would be. Only ``cells`` (``sweep``'s grid, checked by
+``scaling_sweep``) has no flag. A check across options (``--yes`` plus
+``--no``) stays with its executor, and the library's own checks (an odd
+``--copies``, a positive ``--gamma``) raise ValueError.
 
 An executor maps the resolved config to an `Output` and writes nothing;
 `_execute` alone writes files into --out-dir (or $QADV_OUTPUT_DIR): the
@@ -34,7 +39,7 @@ import click
 import numpy as np
 
 from . import bell, circuits, detection, manifest, sensing, sq
-from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded, typed
+from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded, read_json, typed
 
 ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that passes
 
@@ -42,22 +47,18 @@ ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that p
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return typed(data, dict, f"config {path}")
+    return typed(read_json(path, "config"), dict, f"config {path}")
 
 
 def _from_file(o: Opt, value):
-    """A config-file value as its flag would take the same text: a number as
-    its JSON literal, so neither ``"30"`` nor ``2.5`` is an integer (click
-    alone truncates 2.5 to 2). Null is kept where it is the default of an
+    """A config-file value as its flag would take the same text, range
+    included: a number as its JSON literal, so neither ``"30"`` nor ``2.5``
+    is an integer (click alone truncates 2.5 to 2). Only a path or a choice
+    takes a string as its text. Null is kept where it is the default of an
     optional key."""
     if o.flag is None or (value is None and o.default is None and not o.required):
         return value
-    text = str(value) if isinstance(o.type, click.ParamType) else json.dumps(value)
+    text = str(value) if isinstance(o.type, (click.Path, click.Choice)) else json.dumps(value)
     try:
         return click.types.convert_type(o.type).convert(text, None, None)
     except click.BadParameter as exc:
@@ -209,15 +210,15 @@ def _exec_suite(config: dict) -> Output:
     )
 
 
-def _load_sq(path: str, normalize: bool) -> sq.SQVector:
+def _vector(path: str) -> np.ndarray:
     try:
-        return sq.build(sq.load_vector(path), normalize=normalize)
+        return sq.load_vector(path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot build sample access from {path}: {exc}") from exc
+        raise ConfigError(f"cannot read vector {path}: {exc}") from exc
 
 
 def _exec_dequant_build(config: dict) -> Output:
-    sqv = _load_sq(config["vector"], config["normalize"])
+    sqv = sq.build(_vector(config["vector"]), normalize=config["normalize"])
     sqv.check_tree()
     root = float(sqv.cdf[-1])
     report = {"dim": sqv.dim, "root": root, "nonzero": int(np.count_nonzero(sqv.values))}
@@ -226,9 +227,7 @@ def _exec_dequant_build(config: dict) -> Output:
 
 def _exec_dequant_sample(config: dict) -> Output:
     draws = config["draws"]
-    if draws < 1:
-        raise ConfigError("draws must be at least 1")
-    sqv = _load_sq(config["vector"], config["normalize"])
+    sqv = sq.build(_vector(config["vector"]), normalize=config["normalize"])
     rng = np.random.default_rng(config["seed"])
     counts = sq.sample_counts(sqv, draws, rng)
     probs = np.square(sqv.values)
@@ -242,15 +241,13 @@ def _exec_dequant_sample(config: dict) -> Output:
 
 
 def _exec_dequant_estimate(config: dict) -> Output:
-    sqx = _load_sq(config["x"], config["normalize"])
-    try:
-        y = sq.load_vector(config["y"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read query vector: {exc}") from exc
+    x, y = _vector(config["x"]), _vector(config["y"])
+    if len(x) != len(y):
+        raise ConfigError(f"--x has {len(x)} entries and --y {len(y)}: they must agree")
+    sqx = sq.build(x, normalize=config["normalize"])
     if config["normalize"]:
         y = y / np.linalg.norm(y)
-    if len(y) < sqx.dim:
-        y = np.concatenate([y, np.zeros(sqx.dim - len(y))])
+    y = np.concatenate([y, np.zeros(sqx.dim - len(y))])  # x's padding
     rng = np.random.default_rng(config["seed"])
     est = sq.inner_product_estimate(sqx, y, config["samples"], rng)
     exact = float(np.dot(sqx.values, y))
@@ -269,7 +266,7 @@ def _exec_sense(config: dict) -> Output:
     stderr = math.sqrt(0.25 / shots)
     bias = fraction - 0.5
     bounds = None, None, None
-    if theta > 0:
+    if theta > 0 and gamma > 0:
         # Also None where no float holds a bound: theta^2 over- or
         # underflows, or a quotient overflows.
         with contextlib.suppress(ArithmeticError):
@@ -342,12 +339,6 @@ def _exec_bell(config: dict) -> Output:
 
 
 def _exec_oracle_check(config: dict) -> Output:
-    if config["instances"] < 1:
-        raise ConfigError("instances must be at least 1")
-    if config["max_n"] < 2:
-        raise ConfigError("--max-n must be at least 2: a brickwork needs 2 qubits")
-    if config["max_layers"] < 1:
-        raise ConfigError("--max-layers must be at least 1")
     rng = np.random.default_rng(config["seed"])
     rows = []
     for i in range(config["instances"]):
@@ -413,8 +404,8 @@ _COMMANDS = (
         Opt("--shots", "shots", None, help="Shot-based exact side (default: exact probabilities)."),
     ), _exec_detect),
     ("suite", "Labeled YES/NO detection suite with confusion counts.", (
-        Opt("--yes", "yes", 20, help="YES instances."),
-        Opt("--no", "no", 20, help="NO instances."),
+        Opt("--yes", "yes", 20, click.IntRange(0), "YES instances."),
+        Opt("--no", "no", 20, click.IntRange(0), "NO instances."),
         Opt("--n", "n", 6, help="Main register width."),
         Opt("--m", "m", 2, help="Instance circuit width."),
         Opt("--copies", "copies", 3, help="Majority-vote copies (odd)."),
@@ -428,7 +419,7 @@ _COMMANDS = (
     ), _exec_dequant_build),
     ("dequant-sample", "Draw indices with probability values[i]^2 and tabulate frequencies.", (
         Opt("--vector", "vector", type=_PATH, required=True),
-        _NORMALIZE, Opt("--draws", "draws", 100000), _SEED,
+        _NORMALIZE, Opt("--draws", "draws", 100000, click.IntRange(1)), _SEED,
     ), _exec_dequant_sample),
     ("dequant-estimate", "Importance-sampling inner-product estimate with standard error.", (
         Opt("--x", "x", type=_PATH, required=True),
@@ -453,9 +444,9 @@ _COMMANDS = (
     ), _exec_bell),
     ("oracle-check", "Heuristic with k=n against the statevector oracle "
                      f"(must agree to {ORACLE_TOLERANCE:g}).", (
-        Opt("--instances", "instances", 100),
-        Opt("--max-n", "max_n", 6),
-        Opt("--max-layers", "max_layers", 8),
+        Opt("--instances", "instances", 100, click.IntRange(1)),
+        Opt("--max-n", "max_n", 6, click.IntRange(2)),
+        Opt("--max-layers", "max_layers", 8, click.IntRange(1)),
         Opt("--inputs-per-circuit", "inputs_per_circuit", 3),
         _SEED,
     ), _exec_oracle_check),

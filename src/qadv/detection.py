@@ -256,6 +256,15 @@ def _chunk_trials(n: int, layers: int) -> int:
     return max(1, (DECAY_BATCH_BYTES - 208 * 1024) // trial)
 
 
+def _within_drops(got, want, n: int, layers: int) -> bool:
+    """Whether two k = 1 results over ``layers`` layers of ``n`` qubits
+    agree to rounding and the passes' drops. A layer's drops move a pass's
+    coefficients by at most sqrt(3n) times the tolerance in 2-norm, and
+    later layers do not stretch that; two passes compared, or a squared
+    norm at most 1, move by at most twice that distance."""
+    return np.allclose(got, want, rtol=1e-12, atol=2 * layers * np.sqrt(3 * n) * DROP_TOLERANCE)
+
+
 def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.ndarray:
     """One row of layers + 1 norms per trial (`_sector_norms`), in chunks of
     `_chunk_trials`. Trial 0 is re-derived through `backpropagate`, one
@@ -275,11 +284,7 @@ def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.nd
     for layer in reversed(circuit.layers):
         acc = backpropagate(circuits.Circuit(n, (layer,)), acc, cfg)
         want.append(acc.frobenius_normalized())
-    # A layer's drops move the pass's coefficients by at most sqrt(3n) times
-    # the tolerance in 2-norm, and later layers do not stretch that; a
-    # squared norm at most 1 moves by at most twice the distance.
-    atol = 2 * layers * np.sqrt(3 * n) * DROP_TOLERANCE
-    if not np.allclose(norms[0], want, rtol=1e-12, atol=atol):
+    if not _within_drops(norms[0], want, n, layers):
         raise InvariantViolation("decay norms of trial 0 differ from its backward pass")
     return norms
 
@@ -406,17 +411,14 @@ class SuiteResult:
 def _check_sector(c: statevector.FusedCircuit) -> None:
     """Derive the k = 1 heuristic of ``c`` as `detect` does (the wrapped
     `weight_one_pass`) and again through `backpropagate`, and raise
-    InvariantViolation unless the two maps agree to rounding and the
-    passes' drops: a layer's drops move either pass's coefficients by at
-    most sqrt(3n) times the tolerance in 2-norm, and later layers do not
-    stretch that."""
+    InvariantViolation unless the two maps agree label by label
+    (`_within_drops`), a stray identity term included."""
     z = z_first(c.n_qubits)
     got = sector_map(weight_one_pass(c, z)).to_labels()
     want = backpropagate(c, z, PropagationConfig(k=1)).to_labels()
     labels = sorted(set(got) | set(want))
-    atol = 2 * len(c.layers) * np.sqrt(3 * c.n_qubits) * DROP_TOLERANCE
-    if not np.allclose([got.get(p, 0.0) for p in labels], [want.get(p, 0.0) for p in labels],
-                       rtol=1e-12, atol=atol):
+    if not _within_drops([got.get(p, 0.0) for p in labels], [want.get(p, 0.0) for p in labels],
+                         c.n_qubits, len(c.layers)):
         raise InvariantViolation(
             "weight-1 heuristic of suite instance 0 differs from its backward pass")
 

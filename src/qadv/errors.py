@@ -1,14 +1,17 @@
-"""Exception types shared across the package, and the one checked reader
-of JSON values.
+"""Exception types shared across the package, the one reader of JSON
+files and the one checked reader of JSON values.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
 InvariantViolation -> 3, ResourceLimitExceeded -> 4.
 
-Every JSON file the package reads (circuit files, sweep grids, run
-manifests, the config file's top level) checks its values' types through
-`typed` and `field`, which raise SchemaError naming the value's path.
+Every JSON file the package reads (circuit files, run manifests, config
+files, which carry the sweep grids) is opened and parsed by `read_json`,
+which names the file in a ConfigError when it cannot be opened, is not
+UTF-8, is not JSON or nests too deep to parse. Its values' types are checked through `typed` and
+`field`, which raise SchemaError naming the value's path.
 """
 
+import json
 import numbers
 
 
@@ -38,6 +41,17 @@ _JSON_NAMES = {type(None): "null", bool: "a bool", int: "an integer", float: "a 
 #: What passes as an int or a float, so numpy scalars do too.
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 _REQUIRED = object()
+
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; a file that cannot be read
+    raises ConfigError naming ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: not JSON, or not UTF-8; RecursionError: nested too deep to parse.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def typed(value, kind, path: str):

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError, InvariantViolation, field, typed
+from .errors import ConfigError, InvariantViolation, field, read_json, typed
 
 #: The package version: qadv.__version__ and pyproject.toml read it here.
 ARTIFACT_VERSION = "0.6.0"
@@ -62,12 +62,7 @@ def load_manifest(path: str) -> tuple[str, dict]:
     JSON, whose subcommand, config, version or stored hash is missing or of
     the wrong type, whose stored hash no longer matches its subcommand,
     config and version, or that another version of qadv wrote."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    data = typed(data, dict, "$")
+    data = typed(read_json(path, "manifest"), dict, "$")
     subcommand, config = field(data, "subcommand", "$", str), field(data, "config", "$", dict)
     version = field(data, "version", "$", str)
     if manifest_hash(subcommand, config, version) != field(data, "manifest_hash", "$", str):

@@ -494,7 +494,7 @@ def _strict_json(text: str):
 @pytest.mark.parametrize("args", [
     ["--theta", "1e-200"], ["--theta", "1e-170"], ["--theta", "1e-160"],
     ["--theta", "1e-155"], ["--theta", "1e155"], ["--theta", "1e300"],
-    ["--gamma", "1e-320", "--r-uses", "3"],
+    ["--gamma", "1e-320", "--r-uses", "3"], ["--gamma", "0", "--r-uses", "3"],
 ])
 def test_sense_bounds_beyond_float_range_stay_strict_json(runner, tmp_path, args):
     # theta^2 under- or overflows, or a quotient overflows: the bound no
@@ -704,17 +704,104 @@ def test_oracle_check_out_of_range_bound_names_the_flag(runner, tmp_path, flag, 
     "execute, config",
     [
         (cli._exec_suite, {"yes": 0, "no": 0}),
-        (cli._exec_dequant_sample, {"draws": 0}),
-        (cli._exec_oracle_check, {"instances": 0, "max_n": 4, "max_layers": 4}),
-        (cli._exec_oracle_check, {"instances": 1, "max_n": 1, "max_layers": 4}),
-        (cli._exec_oracle_check, {"instances": 1, "max_n": 4, "max_layers": 0}),
     ],
-    ids=["yes-no", "draws", "instances", "max-n", "max-layers"],
+    ids=["yes-no"],
 )
 def test_parameter_checks_raise_config_error(execute, config):
     # A config error, not a ValueError, so exit 2 does not rest on ValueError.
     with pytest.raises(ConfigError):
         execute(config)
+
+
+# (command, other flags, flag, config key, a value outside its range). The
+# suite's other count is 2, so that the sum passes the cross-option check.
+_RANGES = [(["dequant", "sample"], ["--vector", "{v}"], "--draws", "draws", 0),
+           (["oracle-check"], [], "--instances", "instances", 0),
+           (["oracle-check"], [], "--max-n", "max_n", 1),
+           (["oracle-check"], [], "--max-layers", "max_layers", 0),
+           (["suite"], ["--no", "2"], "--yes", "yes", -1),
+           (["suite"], ["--yes", "2"], "--no", "no", -1)]
+
+
+@pytest.mark.parametrize("command, others, flag, key, value", _RANGES,
+                         ids=[r[2] for r in _RANGES])
+def test_option_ranges_are_refused_where_a_value_enters(runner, tmp_path, command, others,
+                                                        flag, key, value):
+    # The range is the option's type in the table: config resolution
+    # refuses the value as a ConfigError naming the key, and the flag
+    # exits 2 naming the flag, before anything is written.
+    with pytest.raises(ConfigError, match=repr(key)):
+        cli._resolve(cli._OPTIONS["-".join(command)], {key: value}, {})
+    vp = tmp_path / "v.txt"
+    np.savetxt(vp, [0.6, 0.8])
+    out = tmp_path / "out"
+    r = runner.invoke(main, [*command, *(a.format(v=vp) for a in others), flag, str(value),
+                             "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert flag in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("y_len", [3, 7])
+def test_dequant_estimate_refuses_vectors_of_different_lengths(runner, tmp_path, y_len):
+    # Both pad to 8 entries, but a y of another length is not x's query vector.
+    xp, yp, out = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "out"
+    np.savetxt(xp, np.ones(5))
+    np.savetxt(yp, np.ones(y_len))
+    r = runner.invoke(main, ["dequant", "estimate", "--x", str(xp), "--y", str(yp),
+                             "--normalize", "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"--x has 5 entries and --y {y_len}" in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"draws": 0}, {"draws": "30"}])
+def test_config_draws_out_of_range_or_of_the_wrong_type_exits_2(runner, tmp_path, config):
+    vp, cfg, out = tmp_path / "v.txt", tmp_path / "cfg.json", tmp_path / "out"
+    np.savetxt(vp, [0.6, 0.8])
+    cfg.write_text(json.dumps(config))
+    r = runner.invoke(main, ["dequant", "sample", "--vector", str(vp), "--config", str(cfg),
+                             "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "'draws'" in r.output
+    assert not out.exists()
+
+
+def test_rerun_refuses_a_rehashed_count_out_of_range(runner, tmp_path):
+    r = runner.invoke(main, ["oracle-check", "--instances", "1", "--max-n", "2",
+                             "--max-layers", "1", "--out-dir", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    man = json.loads(_read(tmp_path / "oracle_check_manifest.json"))
+    man["config"]["instances"] = 0
+    man["manifest_hash"] = manifest.manifest_hash("oracle-check", man["config"])
+    mpath = tmp_path / "edited.json"
+    mpath.write_text(json.dumps(man))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["rerun", str(mpath), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "'instances'" in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b'{"trials": 4, "seed": "\xff"}',
+                                  b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_config_file_that_cannot_be_read_is_named(runner, tmp_path, text):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_bytes(text)
+    r = runner.invoke(main, ["bell", "--config", str(cfg), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"cannot read config {cfg}" in r.output
+    assert not out.exists()
+
+
+def test_every_default_lies_in_its_own_range():
+    # Defaults reach a run unconverted, so a range that excluded its own
+    # default would go unnoticed by every run that leaves the flag out.
+    for _, _, options, _ in cli._COMMANDS:
+        for o in options:
+            if o.flag is not None and o.default is not None:
+                assert cli._from_file(o, o.default) == o.default, o.key
 
 
 def test_decay_zero_layers_writes_one_row(runner, tmp_path):

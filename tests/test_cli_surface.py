@@ -1,13 +1,19 @@
-"""The CLI's surface: flags, usage errors and manifest hashes that scripts
-and earlier manifests depend on."""
+"""The CLI's surface: flags, usage errors, exit codes and manifest hashes
+that scripts and earlier manifests depend on."""
 
 import json
+import tempfile
+from pathlib import Path
 
+import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qadv
-from qadv import manifest
+from qadv import circuits, cli, manifest
 from qadv.cli import main
 
 FLAGS = {
@@ -89,3 +95,87 @@ def test_manifest_hash_is_pinned(tmp_path, args, manifest_name, expected):
 
 def test_one_version_string():
     assert qadv.__version__ is manifest.ARTIFACT_VERSION
+
+
+#: The text every int and float option draws from: small values, tiny and
+#: huge floats, non-finite values and text of no number type.
+_NUMBERS = ["0", "1", "-1", "2", "1e-300", "5e-324", "1e300", "nan", "inf", "-inf", "two"]
+#: Options given "2" when not drawn: their defaults (up to 500 trials or
+#: 100 instances, a suite depth of 6 times its width) take seconds a run.
+_CAPPED = {"yes", "no", "n", "L", "s", "trials", "instances"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Small input files by option key, each good or bad: vectors,
+    circuits, and config files that carry sweep grids."""
+    d = tmp_path_factory.mktemp("cli_files")
+    rng = np.random.default_rng(0)
+    vectors = {"x5.txt": rng.standard_normal(5), "y5.txt": rng.standard_normal(5),
+               "y3.txt": np.ones(3), "y7.txt": np.ones(7), "zero.txt": np.zeros(4)}
+    for name, v in vectors.items():
+        np.savetxt(d / name, v / (np.linalg.norm(v) or 1.0))
+    np.save(d / "complex.npy", np.array([0.6 + 0.8j, 0]))
+    (d / "words.txt").write_text("a b\n")
+    circuits.save_circuit(circuits.random_brickwork(3, 2, seed=0), str(d / "c.json"))
+    (d / "schema.json").write_text('{"n_qubits": 0}')
+    (d / "truncated.json").write_text('{"n_qubits": 3, "lay')
+    (d / "latin1.json").write_bytes(b'{"n_qubits": "\xff"}')
+    (d / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    grids = {"grid.json": {"cells": [{"N": 2, "theta": 0.1, "gamma": 0.0, "T": 4}]},
+             "grid_no_theta.json": {"cells": [{"N": 2}]}, "grid_not_a_list.json": {"cells": 5}}
+    for name, grid in grids.items():
+        (d / name).write_text(json.dumps(grid))
+    vectors = [str(d / name) for name in [*vectors, "complex.npy", "words.txt"]]
+    return d, {"vector": vectors, "x": vectors, "y": vectors,
+               "circuit": [str(d / name) for name in
+                           ("c.json", "schema.json", "truncated.json", "latin1.json",
+                            "deep.json")],
+               "cells": [str(d / name) for name in [*grids, "deep.json"]]}
+
+
+def _arguments(o: cli.Opt, files: dict):
+    """Flag and value lists for one option of the command table."""
+    if o.flag is None:  # sweep's grid, from a config file
+        return st.sampled_from([["--config", path] for path in files[o.key]])
+    if o.key == "jobs":
+        return st.sampled_from([["--jobs", "1"], ["--jobs", "2"]])
+    if o.type is bool:
+        return st.sampled_from([[], [o.flag]])
+    if isinstance(o.type, click.Path):
+        return st.sampled_from([[o.flag, path] for path in files[o.key]])
+    if isinstance(o.type, click.Choice):
+        return st.sampled_from([[o.flag, c] for c in [*o.type.choices, "bogus"]])
+    texts = st.sampled_from(_NUMBERS)
+    if o.key in ("n", "m", "copies"):
+        # A width past any limit, refused before work starts (exit 4).
+        texts |= st.just("66")
+    return texts.map(lambda t: [o.flag, t])
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_every_subcommand_exits_0_2_or_4(cli_files, data):
+    # Exit 1 is a traceback: every input a user can give ends in a report
+    # and its manifest (0), or in nothing written at all (2 or 4). Up to
+    # three options are drawn; the rest keep their defaults, or "2".
+    d, files = cli_files
+    name, _, options, _ = data.draw(st.sampled_from(cli._COMMANDS), label="subcommand")
+    free = [o.key for o in options if o.flag and not o.required]
+    drawn = data.draw(st.sets(st.sampled_from(free), max_size=3), label="drawn")
+    args = []
+    for o in options:
+        if o.key in drawn or o.required or o.flag is None:
+            args += data.draw(_arguments(o, files), label=o.key)
+        elif o.key in _CAPPED:
+            args += [o.flag, "2"]
+    out = Path(tempfile.mkdtemp(dir=d)) / "out"
+    command = ["dequant", name.removeprefix("dequant-")] if name.startswith("dequant-") else [name]
+    r = CliRunner().invoke(main, [*command, *args, "--out-dir", str(out)])
+    event(f"{name} exit {r.exit_code}")
+    assert r.exit_code in (0, 2, 4), (args, r.output, r.exception)
+    stem = name.replace("-", "_")
+    if r.exit_code == 0:
+        assert (out / f"{stem}_report.json").exists() and (out / f"{stem}_manifest.json").exists()
+    else:
+        assert not out.exists() or not any(out.iterdir()), (args, r.output)

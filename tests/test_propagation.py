@@ -1,3 +1,5 @@
+import os
+import tempfile
 import tracemalloc
 import weakref
 from unittest import mock
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from qadv import circuits, propagation as prop, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate, majority_gate
+from qadv.detection import circuit_id
 from qadv.errors import ResourceLimitExceeded
 from qadv.pauli import (
     DROP_TOLERANCE,
@@ -617,6 +620,24 @@ def test_exact_pass_matches_the_dense_oracle_on_generated_circuits(n, seed):
     want = conjugate_map_dense(o, circuit_unitary(c))
     for label in set(got) | set(want):
         assert got.get(label, 0.0) == pytest.approx(want.get(label, 0.0), abs=1e-10)
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_generated_circuit_survives_its_file(n, seed):
+    # save_circuit then load_circuit gives back the same circuit: the same
+    # file text, the same id, and at k = n the same backward pass byte for
+    # byte, whatever mix of gates, perms and blocks it holds.
+    c, o, _ = _random_circuit_and_observable(n, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        circuits.save_circuit(c, path)
+        back = circuits.load_circuit(path)
+    assert circuits.serialize_json(back) == circuits.serialize_json(c)
+    assert circuit_id(back) == circuit_id(c)
+    got, want = (backpropagate(x, o, PropagationConfig(k=n)) for x in (back, c))
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _weight_one_labels(v: np.ndarray) -> dict[str, float]:
