@@ -66,7 +66,8 @@ def _from_file(o: Opt, value):
 
 
 def _resolve(options: tuple[Opt, ...], file_config: dict, flags: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
+    """Defaults, overridden by the config file, overridden by explicit flags.
+    A required option may come from either; with neither it is refused here."""
     by_key = {o.key: o for o in options}
     unknown = set(file_config) - set(by_key)
     if unknown:
@@ -74,6 +75,10 @@ def _resolve(options: tuple[Opt, ...], file_config: dict, flags: dict) -> dict:
     out = {o.key: o.default for o in options}
     out.update((k, _from_file(by_key[k], v)) for k, v in file_config.items())
     out.update({k: v for k, v in flags.items() if v is not None})
+    for o in options:
+        if o.required and out[o.key] is None:
+            raise ConfigError(f"Missing option '{o.flag}': give the flag or the config key "
+                              f"{o.key!r}")
     return out
 
 
@@ -370,9 +375,10 @@ def _exec_oracle_check(config: dict) -> Output:
 
 
 # ---------------------------------------------------------------------------
-# Command table. A required option must not get a default, not even None:
-# click 8.4 then accepts the missing flag, and the run crashes (exit 1)
-# instead of failing as a usage error (exit 2).
+# Command table. A required option keeps the default None and is not
+# required of click, which would refuse it before --config is read:
+# `_resolve` refuses it (exit 2) when neither the flag nor the config file
+# gives it.
 
 
 class Opt(NamedTuple):
@@ -460,7 +466,8 @@ def _option(o: Opt) -> click.Option:
     if o.type is bool:
         # An absent flag arrives as None, so it never overrides the config file.
         return click.Option([o.flag, o.key], is_flag=True, default=None, help=o.help)
-    return click.Option([o.flag, o.key], type=o.type, required=o.required, help=o.help)
+    help_text = "Required, as this flag or its config key." if o.required else o.help
+    return click.Option([o.flag, o.key], type=o.type, help=help_text)
 
 
 def _command(name: str, help_text: str, options: tuple[Opt, ...]) -> click.Command:

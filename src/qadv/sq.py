@@ -14,8 +14,17 @@ top of that sits the unbiased importance-sampling inner-product estimator
 X = y_i / x_i with i ~ x_i^2, whose variance is at most 1 for unit vectors.
 Long runs of draws go through fixed blocks of uniforms (`_DRAW_BLOCK`):
 the estimator holds 8 bytes per sample for its draws plus one block, and
-`sample_counts` only one block and its counts. Chunked ``rng.random``
-calls give exactly the stream of one call, so every index is unchanged.
+`sample_counts` only one block and its counts. Both use the draws only
+through sums that ignore their order (a mean and variance, a bincount), so
+a run's n uniforms come already sorted, largest first (Bentley & Saxe,
+*Generating sorted lists of random numbers*, ACM TOMS 6, 359, 1980):
+U_(j) = exp(-sum_{i>=j} E_i / i) for j = n, n-1, ..., 1, with E_i standard
+exponentials. Every guide and cdf lookup and every gather then walks
+through memory in order instead of jumping around it. The block size
+cannot move a byte: chunked exponential draws continue one stream, each
+block divides by its own slice of n, n-1, ..., and adds the running sum
+of the blocks before it to its first term ahead of its cumsum, so every
+running sum is the float of one whole-run cumsum.
 
 Boundary convention: a uniform draw r in [0, 1) selects i = #{j : F(j) <= r},
 the unique index with F(i-1) <= r < F(i); exact ties between r and a stored
@@ -43,8 +52,11 @@ _LANES = 1 << 14
 #: Steps right from the guide's start before a draw goes to the binary search.
 _GUIDE_STEPS = 2
 #: Draws per block of `_index_blocks`. Output bytes do not depend on it:
-#: every block's uniforms continue the generator's one stream.
+#: every block continues the generator's one stream and the run's one sum.
 _DRAW_BLOCK = 1 << 17
+#: The largest double below 1: exp(-s) rounds to 1.0 for a running sum s
+#: below about 1.1e-16, and `sample_many` refuses r >= 1.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _children_sum(tree: np.ndarray, lo: int) -> np.ndarray:
@@ -182,15 +194,28 @@ def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
 
 
 def _index_blocks(sq_x: SQVector, n: int, rng: np.random.Generator):
-    """The indices of n draws, `_DRAW_BLOCK` at a time: yields
-    ``(start, idx)`` where ``idx`` holds draws start, start + 1, ..."""
+    """The indices of n draws at n sorted uniforms, largest first (see the
+    module docstring), `_DRAW_BLOCK` at a time: yields ``(start, idx)``
+    where ``idx`` holds draws start, start + 1, ..."""
+    carry = 0.0
     for start in range(0, n, _DRAW_BLOCK):
-        yield start, sample_many(sq_x, rng.random(min(_DRAW_BLOCK, n - start)))
+        m, hi = min(_DRAW_BLOCK, n - start), n - start
+        e = rng.standard_exponential(m)
+        e /= np.arange(hi, hi - m, -1)
+        e[0] += carry  # before the cumsum, so each sum is the whole run's float
+        np.cumsum(e, out=e)
+        carry = e[-1]
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.minimum(e, _BELOW_ONE, out=e)
+        yield start, sample_many(sq_x, e)
 
 
 def sample_counts(sq: SQVector, n: int, rng: np.random.Generator) -> np.ndarray:
     """How often each index comes up in n draws: the counts of
-    ``sample_many(sq, rng.random(n))`` in O(dim) memory, not O(n)."""
+    `sample_many` at n sorted uniforms (`_index_blocks`), in O(dim) memory,
+    not O(n). Counts ignore the draws' order, so they are distributed as
+    the counts of n independent draws."""
     counts = np.zeros(sq.dim, dtype=np.int64)
     for _, idx in _index_blocks(sq, n, rng):
         counts += np.bincount(idx, minlength=sq.dim)

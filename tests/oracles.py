@@ -167,6 +167,14 @@ def sample_many_lockstep(sq, rs: np.ndarray) -> np.ndarray:
     return node - sq.dim
 
 
+def sorted_uniforms_one_shot(n: int, rng) -> np.ndarray:
+    """n sorted uniforms, largest first, as one whole-run array (Bentley &
+    Saxe): U_(j) = exp(-sum_{i>=j} E_i / i) for j = n, ..., 1, each clamped
+    below 1. The reference for `qadv.sq._index_blocks`' blocked draw."""
+    spacings = rng.standard_exponential(n) / np.arange(n, 0, -1)
+    return np.minimum(np.exp(-np.cumsum(spacings)), np.nextafter(1.0, 0.0))
+
+
 def inner_product_estimate_one_shot(sq_x, y, n_samples: int, rng) -> tuple[float, float, float]:
     """The whole-run estimator that `qadv.sq.inner_product_estimate`
     replaced: every uniform, index and draw of the run held at once, then
@@ -174,7 +182,7 @@ def inner_product_estimate_one_shot(sq_x, y, n_samples: int, rng) -> tuple[float
     from qadv.sq import sample_many
 
     yv = np.asarray(y, dtype=float)
-    idx = sample_many(sq_x, rng.random(n_samples))
+    idx = sample_many(sq_x, sorted_uniforms_one_shot(n_samples, rng))
     draws = yv[idx] / sq_x.values[idx]
     var = float(draws.var(ddof=1)) if n_samples > 1 else 0.0
     return float(draws.mean()), float(np.sqrt(var / n_samples)), var

@@ -17,6 +17,8 @@ from qadv.cli import main
 from qadv.errors import ConfigError, InvariantViolation
 from qadv.pauli import DROP_TOLERANCE
 
+from oracles import sorted_uniforms_one_shot
+
 
 @pytest.fixture
 def runner():
@@ -402,7 +404,8 @@ def test_dequant_sample_counts_equal_one_shot_draws_across_blocks(tmp_path):
     out = cli._exec_dequant_sample({"vector": str(vp), "normalize": True, "draws": draws,
                                     "seed": 9})
     v = sq.build(np.loadtxt(vp), normalize=True)
-    want = np.bincount(sq.sample_many(v, np.random.default_rng(9).random(draws)), minlength=v.dim)
+    rs = sorted_uniforms_one_shot(draws, np.random.default_rng(9))
+    want = np.bincount(sq.sample_many(v, rs), minlength=v.dim)
     assert [count for _, count, _ in out.table[2]] == want.tolist()
 
 
@@ -914,6 +917,51 @@ def test_rerun_refuses_a_null_required_value(runner, tmp_path):
     assert not out.exists()
 
 
+def _required_inputs(tmp_path) -> dict:
+    """A config per subcommand with required options: its required keys
+    (input paths) and small counts."""
+    cpath = tmp_path / "c.json"
+    circuits.save_circuit(circuits.random_brickwork(3, 2, seed=0), str(cpath))
+    rng = np.random.default_rng(3)
+    for name in ("x", "y"):
+        np.savetxt(tmp_path / f"{name}.txt", rng.standard_normal(6))
+    x, y = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
+    return {
+        "detect": {"circuit": str(cpath), "s": 2},
+        "dequant build": {"vector": x, "normalize": True},
+        "dequant sample": {"vector": x, "normalize": True, "draws": 50},
+        "dequant estimate": {"x": x, "y": y, "normalize": True, "samples": 50},
+    }
+
+
+@pytest.mark.parametrize("name", ["detect", "dequant build", "dequant sample", "dequant estimate"])
+def test_required_options_may_come_from_the_config_file(runner, tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    config = _required_inputs(tmp_path)[name]
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    r = runner.invoke(main, [*name.split(), "--config", str(cfg), "--out-dir", str(out)])
+    assert r.exit_code == 0, r.output
+    stem = name.replace(" ", "_")
+    assert json.loads(_read(out / f"{stem}_manifest.json"))["config"].items() >= config.items()
+
+
+@pytest.mark.parametrize("name, flag, key", [
+    ("detect", "--circuit", "circuit"), ("dequant build", "--vector", "vector"),
+    ("dequant sample", "--vector", "vector"), ("dequant estimate", "--y", "y"),
+])
+def test_required_option_in_neither_flag_nor_config_exits_2(runner, tmp_path, name, flag, key):
+    cfg = tmp_path / "cfg.json"
+    config = _required_inputs(tmp_path)[name]
+    del config[key]
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    r = runner.invoke(main, [*name.split(), "--config", str(cfg), "--out-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"Missing option '{flag}'" in r.output and repr(key) in r.output
+    assert not out.exists()
+
+
 def _decay_manifest_with_drop_tolerance(tmp_path, version, drop_tolerance=DROP_TOLERANCE):
     """A decay manifest whose config holds a drop tolerance, as qadv 0.1.0
     wrote it before the tolerance became a constant, hashed under
@@ -983,9 +1031,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "3fb0b238bcdaa894f24113a4948c936a562affc9b7c926fa0bdd0d1f4cccd1ff")
+        "106e6e1d1b90d725bf9730b94284a664a8d5c139b495a6f67186a1487e808e64")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "11434dc7beea65951b9930c054be568bc06aa56569fc5c833553f8aaf6b44c2d")
+        "3ab3a4c6f6d60cfa9593b08b0d34f95e320eaec5074e551e0a12c02ecc759d35")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -995,9 +1043,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "a0df35c1c61bce074c148f697cc03f6e22f98c6a98d5a5091b4e1ec898805491")
+        "6bd864b22bd1a41244af1029b9347130222f9152d960052510ae9a0e060ed708")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "94964f767a88cdcda3a70599285aed9a140bcdb5de48755a872b8b859d7d2cb3")
+        "fdbd1f7feab6669c3e7fd6bf3e6fb05aa55b0667403cb57ea15ecf3ee7e6356e")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -1009,7 +1057,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "2d35afb00a964e67aa29c3c6e160c0ece6ef9a4b1572a23e20e21e1ee9686dda")
+        "1300e87d9af70f3bff8a771f29a25c48acfe70be9fe7b108476b18af895df687")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -1022,9 +1070,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "bb189d26fd3675a0f5872f1bc8661f02c9aa8898625bffc3a32e8264456f5563")
+        "6124efebfe974d3093f90814db27f85d1efe71d455f660ce6e9a148f8e4d9636")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "0338b88912d96c5611bc6cf11b504db561b90b9d02ffd5e9daa0a94a499947ab")
+        "7d780a7f382392dcc8e811fef2a1ef8605dc561f49ea0a1870cbfa928f6f4b0c")
 
 
 
@@ -1032,16 +1080,17 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # Trials propagate in chunks; each trial's norms are the same floats in
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
-    # config and when the version went to 0.2.0, 0.3.0, 0.4.0, 0.5.0 and 0.6.0.
+    # config and when the version went to 0.2.0, 0.3.0, 0.4.0, 0.5.0, 0.6.0 and
+    # 0.7.0.
     # The Haar draws go through LAPACK's QR, so another numpy build may
     # need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "abd96d479dee2e4f71f6f532f5a6b1aa125672e96eff85ca5fe361a757fddcbe",
-         "b68d2e231ac46244d599076f5124bac3a2d22817b8ff1b32a4a977798c60af53"),
+         "a8b14c2025ecb95eed86bd08e634277383f1cb0cf1589b2ea7b362dc490a3393",
+         "074d3e7b415e14b33d53cd538c1c5a27a98f58bbdfb49a56c212da35b220668b"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "e21d7945c8a2135a98ec98fc6711585d9e3732cc0ba67e96e3525bbfece5f25f",
-         "b695efd8e7e96b1b6d7bc00cc1f062233b6eec1ccd66c97fb099f5d6ba811563"),
+         "0baa9ae9fd6d945a18a428bec82b85492087790a07dcd1b5b635c5f8fdc3bd41",
+         "76cd300da0e72e65a17bc17662f81217e1dda243219603bc4682a43ee3e7fd41"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -1065,16 +1114,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "b13ccd447520efa2e62bb84e75e126e7b3cf2806d09c64b5f1f0c52d2958ab7b")
+        "759b95457077228253b4e4c3e3ec713b7ee6bd913c2f8c2c154627d279fcdf8c")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "3d2fe5bd5bb1e1d04e8bcfc5a7e4e4dadde9d209a160456106dba5d2a2bb1551")
+        "9f5798d5f93913b14e2a883045336a46b7060843922a304564df26577e1cb8a2")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "7bd961b80b0ec5fbf86f464f1aaac86c98990e93fc58345808853601a105feef")
+        "97a53fac05a17bc516f9448c2658fb13b1b508e11f10b63647a1472c97341260")
 
 
 @pytest.mark.parametrize("cell, key", [

@@ -43,8 +43,11 @@ def _command(name):
 def test_subcommand_flags(name):
     opts = [p.opts[0] for p in _command(name).params]
     assert opts == FLAGS[name] + ["--config", "--out-dir"]
-    required = [p.opts[0] for p in _command(name).params if p.required]
+    # Required options are checked after the config file is merged, so a
+    # required path may come from --config; click itself requires none.
+    required = [o.flag for o in cli._OPTIONS[name.replace(" ", "-")] if o.required]
     assert required == REQUIRED.get(name, [])
+    assert not any(p.required for p in _command(name).params)
 
 
 @pytest.mark.parametrize(
@@ -79,9 +82,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "4ebcc2d795541c23bfefe4d4a83ce66d0f2df4bf4c67163c813e25dd5c43916b"),
+         "8d3d6a616b2471815ca9b49ab797b2b6d46fa5fa775d4f20ed2d0eb85cd8fd39"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "175ed1b7abb90ccd0b4d1b1cf1c6df21f27022e560fcb3714d54e4d40df42a61"),
+         "83727c6ac992b3613a58f9fa0f15b049d56666cedb7e6c8f11e26232d6beea49"),
     ],
     ids=["decay", "bell"],
 )

@@ -43,6 +43,7 @@ from oracles import (
     inner_product_estimate_one_shot,
     sample_many_lockstep,
     separable_success_closed_form,
+    sorted_uniforms_one_shot,
 )
 
 N_WIDE = 24
@@ -265,6 +266,15 @@ def test_inner_product_estimate_2_20(benchmark):
     got = benchmark(lambda: sq.inner_product_estimate(x, y, 10**6, np.random.default_rng(7)))
     want = inner_product_estimate_one_shot(x, y, 10**6, np.random.default_rng(7))
     assert (got.estimate, got.stderr, got.sample_variance) == want
+
+
+def test_sample_counts_2_20(benchmark):
+    # `dequant sample`'s path at the sampling workload's shape: the counts
+    # of 10^6 sorted draws on a 2^20 table; each round starts from the same seed.
+    x = sq.build(np.random.default_rng(8).standard_normal(1 << 20), normalize=True)
+    got = benchmark(lambda: sq.sample_counts(x, 10**6, np.random.default_rng(9)))
+    rs = sorted_uniforms_one_shot(10**6, np.random.default_rng(9))
+    assert np.array_equal(got, np.bincount(sq.sample_many(x, rs), minlength=x.dim))
 
 
 def test_separable_cell_600_trials(benchmark):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from qadv import sq
 from qadv.errors import InvariantViolation
 
-from oracles import inner_product_estimate_one_shot, sample_many_lockstep
+from oracles import inner_product_estimate_one_shot, sample_many_lockstep, sorted_uniforms_one_shot
 
 B = sq._DRAW_BLOCK
 
@@ -157,9 +158,10 @@ def test_sample_many_draws_against_a_root_mass_below_one():
     assert v.tree[1] < 1 - 5e-10
     assert list(sq.sample_many(v, [1 - 5e-10, 0.0, np.nextafter(1.0, 0.0)])) == [1, 0, 1]
 
-    class Top:  # a generator whose every uniform lies above the root's mass
-        def random(self, n):
-            return np.full(n, 1 - 5e-10)
+    class Top:  # every running sum is 0, so every uniform exp(-0) = 1.0 is
+        # clamped to the largest double below 1, above the root's mass
+        def standard_exponential(self, n):
+            return np.zeros(n)
 
     est = sq.inner_product_estimate(v, np.array([0.0, 1.0, 0.0, 0.0]), 5, Top())
     assert est.estimate == pytest.approx(1 / (0.8 * (1 - 5e-10)))
@@ -332,6 +334,94 @@ def test_blocked_estimate_equals_one_shot_oracle(n_samples, length):
     want = inner_product_estimate_one_shot(x, y, n_samples, np.random.default_rng(8))
     assert (got.estimate, got.stderr, got.sample_variance) == want
     assert got.n_samples == n_samples
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 5])
+def test_blocked_draws_equal_sample_many_on_whole_run_sorted_uniforms(n):
+    # The blocked draw is byte-equal to one whole-run sorted array, so no
+    # index depends on `_DRAW_BLOCK`; and as `sample_many` is monotone in
+    # r, the same uniforms in any order give the same multiset of indices.
+    x = np.random.default_rng(n).standard_normal(100)
+    x[::7] = 0.0
+    v = sq.build(x, normalize=True)
+    got = np.concatenate([idx for _, idx in sq._index_blocks(v, n, np.random.default_rng(4))])
+    rs = sorted_uniforms_one_shot(n, np.random.default_rng(4))
+    assert (rs[1:] <= rs[:-1]).all() and rs[0] < 1.0 and rs[-1] >= 0.0
+    assert np.array_equal(got, sq.sample_many(v, rs))
+    shuffled = sq.sample_many(v, np.random.default_rng(5).permutation(rs))
+    assert np.array_equal(np.sort(shuffled), np.sort(got))
+    counts = sq.sample_counts(v, n, np.random.default_rng(4))
+    assert np.array_equal(counts, np.bincount(shuffled, minlength=v.dim))
+
+
+def test_sample_counts_chi_square_over_seeds():
+    # Seeds 0-199, fixed before the run: 2,000 draws each from a 16-entry
+    # vector with two zero entries. Each chi-square of the counts against
+    # n x_i^2 over the 14 nonzero entries has df 13: mean 13, variance 26.
+    # Their mean over 200 seeds must lie within 5 standard errors of 13,
+    # and at most 25 of them (5% plus 5 binomial sd) above the 95% point
+    # of chi-square(13), 22.36. Zero entries must never come up.
+    x = np.linspace(0.2, 1.6, 16)
+    x[[3, 11]] = 0.0
+    v = sq.build(x, normalize=True)
+    p = np.square(v.values)
+    nonzero, n, seeds = p > 0, 2000, range(200)
+    stats = []
+    for seed in seeds:
+        counts = sq.sample_counts(v, n, np.random.default_rng(seed))
+        assert counts.sum() == n and not counts[~nonzero].any()
+        expected = n * p[nonzero]
+        stats.append(float(np.sum((counts[nonzero] - expected) ** 2 / expected)))
+    stats = np.array(stats)
+    df = int(nonzero.sum()) - 1
+    assert abs(stats.mean() - df) <= 5 * np.sqrt(2 * df / len(stats))
+    assert np.count_nonzero(stats > 22.362) <= 25
+
+
+@functools.cache
+def _estimates_over_seeds():
+    """Seeds 0-299, fixed before the run: 10^4 draws each on a 250-entry x
+    (padded to 256) with every 8th entry 0 and |x_i| in [0.2, 1] elsewhere,
+    against a Gaussian y. Returns the exact moments and every estimate."""
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.2, 1.0, 250) * rng.choice([-1.0, 1.0], 250)
+    x[::8] = 0.0
+    y = rng.standard_normal(250)
+    y[3] = 1.0  # weight where x is 0
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    v = sq.build(x)
+    y = np.concatenate([y, np.zeros(v.dim - len(y))])
+    mu = float(v.values @ y)
+    live = v.values != 0.0
+    ratio = y[live] / v.values[live]
+    p = np.square(v.values[live])
+    var = float(np.sum(y[live] ** 2)) - mu**2
+    mu4 = float(np.sum(p * (ratio - mu) ** 4))
+    n = 10**4
+    runs = [sq.inner_product_estimate(v, y, n, np.random.default_rng(s)) for s in range(300)]
+    return mu, var, mu4, n, runs
+
+
+def test_estimate_z_scores_over_seeds():
+    # z = (estimate - x.y) / stderr is about standard normal over the 300
+    # seeds: its mean within 5/sqrt(300), its sd within 5/sqrt(600) of 1.
+    mu, _, _, _, runs = _estimates_over_seeds()
+    z = np.array([(r.estimate - mu) / r.stderr for r in runs])
+    assert abs(z.mean()) <= 5 / np.sqrt(len(z))
+    assert abs(z.std(ddof=1) - 1.0) <= 5 / np.sqrt(2 * len(z))
+
+
+def test_sample_variance_predicts_the_exact_variance():
+    # X = y_i / x_i with i ~ x_i^2 has Var X = sum_{x_i != 0} y_i^2 - (x.y)^2,
+    # and the sample variance of n draws has sd sqrt((mu4 - Var^2) / n) to
+    # leading order, mu4 the fourth central moment of X. Every seed's
+    # sample_variance lies within 6 such sd, and their mean over 300 seeds
+    # within 5 of its standard errors.
+    _, var, mu4, n, runs = _estimates_over_seeds()
+    sd = np.sqrt((mu4 - var**2) / n)
+    dev = np.array([r.sample_variance - var for r in runs]) / sd
+    assert np.abs(dev).max() <= 6
+    assert abs(dev.mean()) <= 5 / np.sqrt(len(dev))
 
 
 @given(hnp.arrays(np.float64, st.integers(2, 3000),
