@@ -39,7 +39,8 @@ import click
 import numpy as np
 
 from . import bell, circuits, detection, manifest, sensing, sq
-from .errors import ConfigError, InvariantViolation, ResourceLimitExceeded, read_json, typed
+from .errors import (ConfigError, InvariantViolation, ResourceLimitExceeded, read_json,
+                     read_vector, typed)
 
 ORACLE_TOLERANCE = 1e-9  # oracle-check: largest |heuristic(k=n) - exact| that passes
 
@@ -215,15 +216,8 @@ def _exec_suite(config: dict) -> Output:
     )
 
 
-def _vector(path: str) -> np.ndarray:
-    try:
-        return sq.load_vector(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read vector {path}: {exc}") from exc
-
-
 def _exec_dequant_build(config: dict) -> Output:
-    sqv = sq.build(_vector(config["vector"]), normalize=config["normalize"])
+    sqv = sq.build(read_vector(config["vector"]), normalize=config["normalize"])
     sqv.check_tree()
     root = float(sqv.cdf[-1])
     report = {"dim": sqv.dim, "root": root, "nonzero": int(np.count_nonzero(sqv.values))}
@@ -232,7 +226,7 @@ def _exec_dequant_build(config: dict) -> Output:
 
 def _exec_dequant_sample(config: dict) -> Output:
     draws = config["draws"]
-    sqv = sq.build(_vector(config["vector"]), normalize=config["normalize"])
+    sqv = sq.build(read_vector(config["vector"]), normalize=config["normalize"])
     rng = np.random.default_rng(config["seed"])
     counts = sq.sample_counts(sqv, draws, rng)
     probs = np.square(sqv.values)
@@ -246,7 +240,7 @@ def _exec_dequant_sample(config: dict) -> Output:
 
 
 def _exec_dequant_estimate(config: dict) -> Output:
-    x, y = _vector(config["x"]), _vector(config["y"])
+    x, y = read_vector(config["x"]), read_vector(config["y"])
     if len(x) != len(y):
         raise ConfigError(f"--x has {len(x)} entries and --y {len(y)}: they must agree")
     sqx = sq.build(x, normalize=config["normalize"])
@@ -520,8 +514,7 @@ def rerun(manifest_path, out_dir):
             f"manifest config must hold exactly the keys {sorted(keys)}, "
             f"not {sorted(config)}"
         )
-    for o in options:
-        _from_file(o, config[o.key])  # refuses a value its flag would refuse
+    _resolve(options, config, {})  # refuses a value its flag would refuse
     # The config as stored: the hash covers it.
     _execute(subcommand, config, out_dir)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the one reader of JSON
+"""Exception types shared across the package, the readers of its input
 files and the one checked reader of JSON values.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
@@ -8,11 +8,15 @@ Every JSON file the package reads (circuit files, run manifests, config
 files, which carry the sweep grids) is opened and parsed by `read_json`,
 which names the file in a ConfigError when it cannot be opened, is not
 UTF-8, is not JSON or nests too deep to parse. Its values' types are checked through `typed` and
-`field`, which raise SchemaError naming the value's path.
+`field`, which raise SchemaError naming the value's path. Every vector
+file (`dequant`'s inputs) is read by `read_vector`, which names the file
+in a ConfigError alike.
 """
 
 import json
 import numbers
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -52,6 +56,24 @@ def read_json(path: str, what: str):
     # ValueError: not JSON, or not UTF-8; RecursionError: nested too deep to parse.
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_vector(path: str) -> np.ndarray:
+    """The real vector in a .npy or a whitespace- or comma-separated text
+    file; a file that cannot be read, or a complex .npy (not taken as its
+    real part), raises ConfigError naming the path."""
+    try:
+        if path.endswith(".npy"):
+            vec = np.load(path).reshape(-1)
+            if np.iscomplexobj(vec):
+                raise ValueError("vector has complex entries; sample access needs real ones")
+            return vec.astype(float)
+        try:
+            return np.loadtxt(path).reshape(-1)
+        except ValueError:
+            return np.loadtxt(path, delimiter=",").reshape(-1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read vector {path}: {exc}") from exc
 
 
 def typed(value, kind, path: str):

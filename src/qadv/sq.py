@@ -189,8 +189,6 @@ def sample_many(sq: SQVector, rs: np.ndarray) -> np.ndarray:
         for _ in range(_GUIDE_STEPS):
             i[lanes] += 1
             lanes = lanes[cdf.take(i[lanes], mode="clip") <= r[lanes]]
-        # In order of r, numpy's binary search narrows from the last key.
-        lanes = lanes[np.argsort(r[lanes])]
         i[lanes] = np.searchsorted(cdf, r[lanes], side="right")
         out[start : start + _LANES] = i
     return out
@@ -221,7 +219,8 @@ def sample_counts(sq: SQVector, n: int, rng: np.random.Generator) -> np.ndarray:
     the counts of n independent draws."""
     counts = np.zeros(sq.dim, dtype=np.int64)
     for _, idx in _index_blocks(sq, n, rng):
-        counts += np.bincount(idx, minlength=sq.dim)
+        # A block's indices never increase: count them over their own span.
+        counts[idx[-1] : idx[0] + 1] += np.bincount(idx - idx[-1])
     return counts
 
 
@@ -275,17 +274,3 @@ def inner_product_estimate(
         n_samples=n_samples,
         sample_variance=var,
     )
-
-
-def load_vector(path: str) -> np.ndarray:
-    """Read a real vector from .npy or a whitespace/comma text file; a
-    complex .npy is a ValueError, not its real part."""
-    if path.endswith(".npy"):
-        vec = np.load(path).reshape(-1)
-        if np.iscomplexobj(vec):
-            raise ValueError("vector has complex entries; sample access needs real ones")
-        return vec.astype(float)
-    try:
-        return np.loadtxt(path).reshape(-1)
-    except ValueError:
-        return np.loadtxt(path, delimiter=",").reshape(-1)

@@ -10,21 +10,19 @@ layers whose union support stays within `FUSE_WIDTH` qubits becomes one op
 (a layer wider than that is split into its gates first). `apply_circuit`
 and `output_prob` then run the ops, each as one multiply on the state; both
 fuse a bare `Circuit` on entry, so a caller with many inputs fuses once.
-`apply_circuit` also takes the bits of a computational basis state: the
-first op's output is then the column of its unitary that the bits select,
-copied into place instead of multiplied (the same floats, since a product
-of one exact 1 and zeros is exact in any summation order).
-`propagation` conjugates by the ops of block layers, never by fused runs.
+`apply_circuit` also takes the bits of a basis state, which it prepares
+and multiplies like any other state. `propagation` conjugates by the ops
+of block layers, never by fused runs.
 
-`output_prob` runs its input's first op that way, then sums out that op's
-spectators, the qubits of its support that no later op touches (qubit 0
-aside): the later ops run on one basis ket per setting of the first op's
-other qubits, over the remaining qubits only, and the first op's column
-enters through its Gram matrix over the spectators. It does so only when
-the spectators outnumber the other qubits of the support, which is when
-it is cheaper than one run of the full state. In `circuits.build_cnew`'s
-circuit that first op is the amplified block, and all its ancillas but the
-majority qubit are spectators.
+`output_prob` sums out the spectators of its input's first op, the qubits
+of its support that no later op touches (qubit 0 aside), when they
+outnumber its other qubits. It reads that op's output off the column of
+its unitary that the bits select (the floats a multiply would give: a
+product of one exact 1 and zeros is exact in any summation order); the
+later ops multiply one basis ket per setting of its other qubits, over the
+kept qubits only, and the column enters through its Gram matrix over the
+spectators. In `circuits.build_cnew`'s circuit that first op is the
+amplified block, and all its ancillas but the majority qubit are spectators.
 
 `block_unitary` builds every op but one kind, and every other dense unitary
 `propagation` conjugates by: it runs the gate-by-gate interpreter
@@ -291,27 +289,14 @@ def fuse(c: circuits.Circuit) -> FusedCircuit:
 
 def apply_circuit(s: StateVector | str | Sequence[int], c: circuits.Circuit) -> StateVector:
     """Run the circuit's ops on a state, or on the basis state |s> for the
-    bits ``s`` (first = qubit 0). From a basis state, the first op's output
-    is its unitary's column at the bits on its support, copied into the
-    slice of the other qubits' bits: the floats the multiply would give."""
+    bits ``s`` (first = qubit 0): each op is one multiply."""
     n = c.n_qubits
-    bits = None if isinstance(s, StateVector) else circuits.bit_values(s)
-    if (s.n_qubits if bits is None else len(bits)) != n:
+    s = s if isinstance(s, StateVector) else prepare_basis(n, s)
+    if s.n_qubits != n:
         raise ValueError("circuit and state qubit counts differ")
     fused = c if isinstance(c, FusedCircuit) else fuse(c)
-    ops = fused.ops
-    if bits is None:
-        arr = s.amplitudes.reshape((2,) * n)
-    elif not ops:
-        return prepare_basis(n, bits)
-    else:
-        (support, u), ops = ops[0], ops[1:]
-        arr = np.zeros((2,) * n, dtype=complex)
-        column = u[:, _bits_to_index([bits[q] for q in support])]
-        # Sorted support: the slice's axes are the op's rows, in order.
-        arr[tuple([slice(None) if q in support else b for q, b in enumerate(bits)])] = (
-            column.reshape((2,) * len(support)))
-    for support, u in ops:
+    arr = s.amplitudes.reshape((2,) * n)
+    for support, u in fused.ops:
         arr = _apply_matrix(arr, u, support)
     return StateVector(n, arr.reshape(-1))
 
@@ -356,12 +341,12 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     plus qubit 0, and the spectators S, which no later op touches. When
     |K| < |S| the spectators are summed out: the first op's output column,
     as a 2^|K| x 2^|S| matrix C, gives the Gram matrix G = C C^dag, the
-    later ops run (through `apply_circuit`) on the 2^|K| basis kets
-    |bits, k> of the n - |S| kept qubits, and Pr = Re sum G[k, k'] <h_k'|h_k>
+    later ops, renumbered onto the n - |S| kept qubits, multiply the 2^|K|
+    basis kets |bits, k> of those, and Pr = Re sum G[k, k'] <h_k'|h_k>
     with h_k the qubit-0 = 1 half of ket k's output. That costs 2^|K| runs
     of 2^(n - |S|) amplitudes in place of one of 2^n, so it is taken only
-    when |K| < |S|; otherwise the whole state runs. An imaginary residue of
-    the sum past `_NORM_TOL` raises InvariantViolation.
+    when |K| < |S|; otherwise the whole state runs. A ket norm or an
+    imaginary residue off by more than `_NORM_TOL` raises InvariantViolation.
     """
     fused = c if isinstance(c, FusedCircuit) else fuse(c)
     n = c.n_qubits
@@ -383,16 +368,20 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     # The later ops act on the kept qubits alone, renumbered in order (so
     # each support stays sorted and qubit 0 stays first).
     kept = [q for q in range(n) if q not in spectators]
-    pos = {q: i for i, q in enumerate(kept)}
-    sub = FusedCircuit(len(kept), ops=tuple(
-        (tuple([pos[q] for q in s]), v) for s, v in later))
-    ket = [full[q] for q in kept]
-    halves = []
+    ops = [(tuple([kept.index(q) for q in s]), v) for s, v in later]
+    kets = []
     for k in range(2 ** len(k_qubits)):
-        for j, q in enumerate(k_qubits):
-            ket[pos[q]] = (k >> (len(k_qubits) - 1 - j)) & 1
-        halves.append(apply_circuit(ket, sub).amplitudes[2 ** (len(kept) - 1) :])
-    h = np.array(halves)
+        at = {q: k >> (len(k_qubits) - 1 - j) & 1 for j, q in enumerate(k_qubits)}
+        arr = np.zeros((2,) * len(kept), dtype=complex)
+        arr[tuple([at.get(q, full[q]) for q in kept])] = 1.0
+        for s, v in ops:
+            arr = _apply_matrix(arr, v, s)
+        kets.append(arr.reshape(-1))
+    # Written so that a NaN norm fails.
+    off = np.abs(np.linalg.norm(kets, axis=1) - 1.0)
+    if not (off <= _NORM_TOL).all():
+        raise InvariantViolation(f"an output ket's norm deviates from 1 by {off.max()}")
+    h = np.array(kets)[:, 2 ** (len(kept) - 1) :]
     # sum_k' <h_k'| sum_k G[k, k'] h_k>, the rows of G^T @ h.
     total = np.vdot(h, gram.T @ h)
     if abs(total.imag) > _NORM_TOL:

@@ -123,6 +123,58 @@ def apply_matrix_moveaxis(arr: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out.reshape(moved.shape), range(w), axes)
 
 
+def basis_run_copying_the_first_column(ops, bits) -> np.ndarray:
+    """Dense ops run on the basis state |bits> the way
+    `qadv.statevector.apply_circuit` once ran them: the first op's output is
+    its unitary's column at the bits on its support, copied into the slice
+    of the other qubits' bits, and every later op multiplies
+    (`apply_matrix_moveaxis`). No ops leave the basis state."""
+    arr = np.zeros((2,) * len(bits), dtype=complex)
+    if not ops:
+        arr[tuple(bits)] = 1.0
+        return arr.reshape(-1)
+    (support, u), *rest = ops
+    column = u[:, int("".join(str(bits[q]) for q in support), 2)]
+    arr[tuple(slice(None) if q in support else b for q, b in enumerate(bits))] = (
+        column.reshape((2,) * len(support)))
+    for support, u in rest:
+        arr = apply_matrix_moveaxis(arr, u, support)
+    return arr.reshape(-1)
+
+
+def output_prob_per_ket(fused, bits) -> float:
+    """`qadv.statevector.output_prob` of a fused circuit by the route it once
+    took. The first op's spectators (qubits of its support that no later op
+    touches, qubit 0 aside), when they outnumber its other qubits K, are
+    summed out: the Gram matrix of its column over them weighs the outputs
+    of one run of the later ops, renumbered onto the kept qubits, per
+    setting of K (`basis_run_copying_the_first_column`). Otherwise the
+    whole state runs once."""
+    n = fused.n_qubits
+    full = [int(b) for b in fused.full_input(bits)]
+    ops = list(fused.ops)
+    support, u = ops[0] if ops else ((), None)
+    touched = {0}.union(*(s for s, _ in ops[1:]))
+    k_qubits = [q for q in support if q in touched]
+    spectators = [q for q in support if q not in touched]
+    if len(k_qubits) >= len(spectators):
+        half = basis_run_copying_the_first_column(ops, full)[2 ** (n - 1) :]
+        return float(np.real(np.vdot(half, half)))
+    column = u[:, int("".join(str(full[q]) for q in support), 2)].reshape((2,) * len(support))
+    order = [support.index(q) for q in (*k_qubits, *spectators)]
+    cmat = column.transpose(order).reshape(2 ** len(k_qubits), -1)
+    gram = cmat @ cmat.conj().T
+    kept = [q for q in range(n) if q not in spectators]
+    later = [([kept.index(q) for q in s], v) for s, v in ops[1:]]
+    halves = []
+    for k_bits in product((0, 1), repeat=len(k_qubits)):
+        at = dict(zip(k_qubits, k_bits))
+        ket = [at.get(q, full[q]) for q in kept]
+        halves.append(basis_run_copying_the_first_column(later, ket)[2 ** (len(kept) - 1) :])
+    h = np.array(halves)
+    return float(np.vdot(h, gram.T @ h).real)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

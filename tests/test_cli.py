@@ -147,6 +147,33 @@ def test_detect_shots_refuse_a_probability_far_outside_0_1(runner, tmp_path, mon
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_detect_exits_3_when_an_oracle_ket_loses_its_norm(runner, tmp_path, monkeypatch):
+    # The exact side of C_new sums out the amplified block's ancillas; a
+    # later op that is not unitary breaks an invariant of the oracle, not
+    # the configuration.
+    import dataclasses
+
+    from qadv import statevector
+
+    cq, _ = circuits.promise_instance("x", 2)
+    cpath = tmp_path / "circuit.json"
+    circuits.save_circuit(circuits.build_cnew(cq, n=3, depth=12, copies=1, seed=3), str(cpath))
+    fuse = statevector.fuse
+
+    def scaled(c):
+        fused = fuse(c)
+        support, u = fused.ops[-1]
+        return dataclasses.replace(fused, ops=(*fused.ops[:-1], (support, 1.1 * u)))
+
+    monkeypatch.setattr(statevector, "fuse", scaled)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "2", "--seed", "0",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "norm deviates from 1" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_detect_shots_past_the_binomial_range_exit_2(runner, tmp_path):
     # The binomial draw takes counts up to 2^63 - 1; one more is a
     # configuration error, not an OverflowError traceback.

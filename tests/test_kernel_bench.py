@@ -235,10 +235,11 @@ def test_output_prob_fused_suite_shape(benchmark):
 
 
 def test_sample_many_2_20(benchmark):
-    # The sampling workload's shape: 10^6 draws on a 2^20 tree.
+    # The sampling workload's shape: 10^6 draws on a 2^20 tree, at sorted
+    # uniforms, largest first, as `sq._index_blocks` sends them.
     rng = np.random.default_rng(4)
     v = sq.build(rng.standard_normal(1 << 20), normalize=True)
-    rs = rng.random(10**6)
+    rs = sorted_uniforms_one_shot(10**6, rng)
     got = benchmark(sq.sample_many, v, rs)
     part = slice(3 * sq._LANES - 5, 3 * sq._LANES + 40_000)
     assert np.array_equal(got[part], sample_many_lockstep(v, rs[part]))
@@ -247,12 +248,13 @@ def test_sample_many_2_20(benchmark):
 def test_sample_many_spiked_2_20(benchmark):
     # The guide's worst case: 10^6 draws that all land in bucket 0, among
     # the 2^18 entries before a spike, so nearly every one goes to the
-    # binary search after `_GUIDE_STEPS` steps.
+    # binary search after `_GUIDE_STEPS` steps. The uniforms come sorted,
+    # largest first, as `sq._index_blocks` sends them.
     n = 1 << 20
     x = np.full(n, 1e-7)
     x[n // 4] = 1.0
     v = sq.build(x, normalize=True)
-    rs = v.cdf[n // 4 - 1] * np.random.default_rng(5).random(10**6)
+    rs = v.cdf[n // 4 - 1] * sorted_uniforms_one_shot(10**6, np.random.default_rng(5))
     got = benchmark(sq.sample_many, v, rs)
     assert np.array_equal(got, np.searchsorted(v.cdf, rs * min(v.cdf[-1], 1.0), side="right"))
 

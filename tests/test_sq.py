@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qadv import sq
-from qadv.errors import InvariantViolation
+from qadv.errors import InvariantViolation, read_vector
 
 from oracles import inner_product_estimate_one_shot, sample_many_lockstep, sorted_uniforms_one_shot
 
@@ -622,10 +622,10 @@ def test_load_vector_formats(tmp_path):
     arr = np.array([0.1, -0.2, 0.3])
     npy = tmp_path / "v.npy"
     np.save(npy, arr)
-    assert np.allclose(sq.load_vector(str(npy)), arr)
+    assert np.allclose(read_vector(str(npy)), arr)
     txt = tmp_path / "v.txt"
     txt.write_text("0.1 -0.2 0.3\n")
-    assert np.allclose(sq.load_vector(str(txt)), arr)
+    assert np.allclose(read_vector(str(txt)), arr)
     csvf = tmp_path / "v.csv"
     csvf.write_text("0.1,-0.2,0.3\n")
-    assert np.allclose(sq.load_vector(str(csvf)), arr)
+    assert np.allclose(read_vector(str(csvf)), arr)

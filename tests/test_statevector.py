@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qadv import circuits, statevector as sv
 from qadv.circuits import BlockLayer, Circuit, ElementaryLayer, Gate
-from qadv.errors import ResourceLimitExceeded
+from qadv.errors import InvariantViolation, ResourceLimitExceeded
 from qadv.pauli import PauliMap
 
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     circuit_unitary,
     gate_unitary,
     haar_unitary,
+    output_prob_per_ket,
     paulimap_matrix,
 )
 
@@ -74,8 +75,8 @@ def _bits_case(name: str) -> Circuit:
 @pytest.mark.parametrize("name", ["brickwork-2", "brickwork-5", "brickwork-8", "perm-first",
                                   "controlled-block-first", "no-layers", "empty-layer"])
 def test_basis_bits_give_the_prepared_basis_state_bytes(name):
-    # The bits form copies the first op's column instead of multiplying:
-    # the same floats, for every basis input. brickwork-8 is wider than
+    # The bits form prepares the basis state and multiplies every op: the
+    # same floats, for every basis input. brickwork-8 is wider than
     # FUSE_WIDTH, so its first op covers only some qubits.
     c = _bits_case(name)
     fused = sv.fuse(c)
@@ -197,7 +198,8 @@ def _split_case(name: str) -> Circuit:
     raise AssertionError(name)
 
 
-#: Per input: the kets `apply_circuit` runs, and their width.
+#: Per input: the kets the later ops run on, and their width (the whole
+#: state counts as one ket).
 _SPLIT_ROUTES = {
     "q0_untouched_later": (4, 3),
     "two_kept_controlled": (4, 3),
@@ -211,25 +213,28 @@ _SPLIT_ROUTES = {
 
 def _check_against_oracle(c: Circuit, route: tuple[int, int], monkeypatch) -> None:
     """output_prob on every input equals the dense oracle's to 1e-12, and
-    runs ``route``'s kets."""
+    runs ``route``'s kets: its one `np.vdot` takes their qubit-0 = 1
+    halves, one row per ket (a single row when the whole state runs)."""
     u = circuit_unitary(c)
     fused = sv.fuse(c)
     lo, hi = c.input_register()
-    widths = []
-    apply = sv.apply_circuit
+    shapes = []
+    vdot = np.vdot
 
-    def spy(state, circuit):
-        widths.append(circuit.n_qubits)
-        return apply(state, circuit)
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return vdot(a, b)
 
-    monkeypatch.setattr(sv, "apply_circuit", spy)
+    monkeypatch.setattr(np, "vdot", spy)
     for i in range(2 ** (hi - lo + 1)):
         x = format(i, f"0{hi - lo + 1}b")
         column = u[:, int(c.full_input(x), 2)]
         want = np.sum(np.abs(column[len(column) // 2 :]) ** 2)
-        widths.clear()
+        shapes.clear()
         assert sv.output_prob(fused, x) == pytest.approx(want, abs=1e-12)
-        assert (len(widths), *set(widths)) == route
+        [shape] = shapes
+        kets, half = shape if len(shape) == 2 else (1, *shape)
+        assert (kets, half.bit_length()) == route
 
 
 @pytest.mark.parametrize("name", _SPLIT_ROUTES)
@@ -252,7 +257,7 @@ def test_output_prob_of_cnew_matches_the_dense_oracle(n, m, copies, monkeypatch)
 def test_output_prob_sums_out_the_suite_spectators(monkeypatch):
     # The suite shape: 13 qubits, the amplified block on 6 ancillas and the
     # majority qubit first. Its 6 ancillas are spectators, so the later ops
-    # get two kets of 2^7 amplitudes per input, never the 2^13 state.
+    # multiply kets of 2^7 amplitudes, never the 2^13 state.
     cq, _ = circuits.promise_instance("x", 2)
     fused = sv.fuse(circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0))
     sizes = []
@@ -266,7 +271,55 @@ def test_output_prob_sums_out_the_suite_spectators(monkeypatch):
     for x in ("000000", "101101", "111111"):
         sizes.clear()
         sv.output_prob(fused, x)
-        assert 0 < sum(sizes) <= 2 * 2**7
+        assert sizes and max(sizes) <= 2**7
+
+
+def _suite_shape(kind: str) -> Circuit:
+    """The suite's C_new: 6 main qubits, a 2-qubit instance amplified to 3
+    copies, depth 6 * 13."""
+    cq, _ = circuits.promise_instance(kind, 2, angle=None if kind == "x" else 2.5)
+    return circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
+
+
+_PER_KET_CASES = [
+    *(("split", name) for name in _SPLIT_ROUTES),
+    *(("cnew", n, m, copies) for n, m, copies in
+      [(2, 1, 1), (3, 2, 1), (3, 1, 3), (4, 2, 1), (4, 1, 3), (2, 2, 3)]),
+    ("suite", "x"), ("suite", "ry"),
+]
+
+
+@pytest.mark.parametrize("case", _PER_KET_CASES, ids=str)
+def test_output_prob_bytes_equal_the_per_ket_route(case):
+    # No pin holds the bytes of a suite or detect report, so this test does:
+    # on every input, output_prob gives the float of the route it once took,
+    # each ket run as a column copy then multiplies (oracles.output_prob_per_ket).
+    if case[0] == "split":
+        c = _split_case(case[1])
+    elif case[0] == "cnew":
+        _, n, m, copies = case
+        cq, _ = circuits.promise_instance("ry", m, angle=1.1)
+        c = circuits.build_cnew(cq, n=n, depth=3, copies=copies, seed=n + m + copies)
+    else:
+        c = _suite_shape(case[1])
+    fused = sv.fuse(c)
+    lo, hi = c.input_register()
+    for i in range(2 ** (hi - lo + 1)):
+        x = format(i, f"0{hi - lo + 1}b")
+        assert sv.output_prob(fused, x).hex() == output_prob_per_ket(fused, x).hex(), x
+
+
+def test_output_prob_refuses_a_ket_whose_norm_drifts():
+    # A later op scaled by 1.1 scales every ket's norm by 1.1: the one norm
+    # check raises InvariantViolation (exit 3), not the ValueError of a
+    # StateVector (exit 2).
+    fused = sv.fuse(_suite_shape("ry"))
+    support, u = fused.ops[1]
+    for scale in (1.1, np.nan):
+        bad = dataclasses.replace(fused, ops=(fused.ops[0], (support, scale * u),
+                                              *fused.ops[2:]))
+        with pytest.raises(InvariantViolation, match="norm deviates from 1"):
+            sv.output_prob(bad, "101101")
 
 
 def test_expectation_consistent_with_output_prob():
