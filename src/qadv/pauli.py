@@ -30,8 +30,15 @@ Conventions used throughout the package:
   uint64 key (off-target x, off-target z); np.lexsort on the separate keys
   takes over when the key needs more than 64 bits (n > 32). It places the
   outputs' target digits from a table of at most 64 masks per three
-  targets. ``transfer_matrix`` builds one matrix or a stack, a fixed number
-  of matrices at a time into one output, so its transient memory does not
+  targets. ``conjugate_layer`` steps a Clifford gate without it: such a
+  gate maps each Pauli string to one signed Pauli string, so its transfer
+  matrix, whose 4^w rows are orthonormal and so never zero, has exactly
+  4^w nonzero entries, and one ``np.count_nonzero`` tells it apart (the
+  build's snap to zero lets rotations by multiples of pi/2 through). Each
+  term it moves gets its new digits and its coefficient times the one
+  entry in place, with the grouped step's bytes.
+- ``transfer_matrix`` builds one matrix or a stack, a fixed number of
+  matrices at a time into one output, so its transient memory does not
   grow with the stack; the module keeps no cache, so a caller memoizes
   reused gates. ``weight_one_blocks`` builds, in the same loop, only the
   3w x 3w weight-1 block of each w-qubit matrix (w = 1..3), with the
@@ -480,6 +487,12 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
 
     Computes U^dag O U for the layer unitary U; exact up to
     ``DROP_TOLERANCE``, so the Frobenius norm is preserved.
+
+    A matrix with 4^w nonzero entries has one in each row, as orthonormal
+    rows are never zero, and each in its own column: a Clifford gate's
+    signed permutation. Its moving terms take their new digits and their
+    coefficients times the entry in place, on copies made once per layer;
+    every other gate takes `_conjugate_terms`.
     """
     gates = list(gates)
     masks = []
@@ -495,9 +508,25 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
 
     x, z, c = m.x, m.z, m.coeffs
     for (targets, entries), tmask in zip(gates, masks):
-        x, z, c = _conjugate_terms(
-            x, z, c, m.n_qubits, targets, tmask, lambda rows: rows @ entries[:, 1:]
-        )
+        if np.count_nonzero(entries) != len(entries):
+            x, z, c = _conjugate_terms(
+                x, z, c, m.n_qubits, targets, tmask, lambda rows: rows @ entries[:, 1:]
+            )
+            continue
+        hit = ((x | z) & np.uint64(tmask)).nonzero()[0]
+        if not len(hit):
+            continue
+        if c is m.coeffs:
+            x, z, c = x.copy(), z.copy(), c.copy()
+        hx, hz = x[hit], z[hit]
+        b = _gather_digits(hx, hz, targets, np.zeros(len(hit), dtype=np.intp))
+        pb = entries.nonzero()[1][b]
+        xz = _scatter_digits(pb, targets)
+        off = ~np.uint64(tmask)
+        x[hit] = hx & off | xz[0]
+        z[hit] = hz & off | xz[1]
+        # The entry itself, not its sign: the grouped path's product bytes.
+        c[hit] *= entries[b, pb]
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)
 
 

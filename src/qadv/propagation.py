@@ -1,7 +1,10 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through Pauli transfer matrices. Both
+Elementary layers evolve exactly through Pauli transfer matrices. A
+Clifford gate's matrix has one nonzero entry in each row, which one count
+of its nonzeros finds, as orthonormal rows are never zero; its terms step
+as a signed permutation, in place (`pauli.conjugate_layer`). Both
 passes below take their layers from one walk (`_walk`), last first and a
 window at a time: a run of consecutive layers whose distinct unitaries'
 matrices fit in `TRANSFER_WINDOW_BYTES`, built in one stack per gate width

@@ -98,6 +98,39 @@ def test_conjugate_layer_trotter_step(benchmark):
         assert got.tobytes() == ref.tobytes()
 
 
+def _trotter_map(rng) -> PauliMap:
+    """1,500 random strings of weight 1-4 on 24 qubits with random
+    coefficients: the trotter workload's map shape."""
+    pairs = {}
+    while len(pairs) < 1500:
+        support = rng.choice(N_WIDE, size=rng.integers(1, 5), replace=False)
+        digits = rng.integers(1, 4, size=len(support))
+        x = sum(int(d != 3) << int(q) for q, d in zip(support, digits))
+        z = sum(int(d != 1) << int(q) for q, d in zip(support, digits))
+        pairs[(x, z)] = None
+    return PauliMap._from_masks(N_WIDE, [p[0] for p in pairs], [p[1] for p in pairs],
+                                rng.normal(size=len(pairs)))
+
+
+def test_conjugate_layer_cnot_layer(benchmark):
+    # One CNOT layer of the trotter workload over its map shape: 12 CNOTs,
+    # each a signed permutation that moves its terms in place. The terms and
+    # coefficient bytes are those of the grouped step, in another order.
+    m = _trotter_map(np.random.default_rng(6))
+    cnot = transfer_matrix(circuits.FIXED_GATES["CNOT"])
+    layer = [((q, q + 1), cnot) for q in range(0, N_WIDE, 2)]
+    out = benchmark(conjugate_layer, m, layer)
+    x, z, c = m.x, m.z, m.coeffs
+    for targets, entries in layer:
+        x, z, c = oracles._conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
+    want = PauliMap._from_arrays(N_WIDE, x, z, c, pauli.DROP_TOLERANCE)
+    assert len(out) == len(want) == len(m)
+    got_order = np.lexsort((out.z, out.x))
+    want_order = np.lexsort((want.z, want.x))
+    for got, ref in ((out.x, want.x), (out.z, want.z), (out.coeffs, want.coeffs)):
+        assert got[got_order].tobytes() == ref[want_order].tobytes()
+
+
 def test_decay_sector_step(benchmark):
     # One layer of the decay Monte Carlo in the weight-1 sector at its
     # shape: 32 trials at n = 8, each drawing its own four Haar gates. Each

@@ -672,3 +672,119 @@ def test_group_and_scatter_matches_the_lexsort_form(packed, data):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
+
+
+# ---------------------------------------------------------------------------
+# Clifford gates as signed permutations of Pauli terms
+
+_QUARTER_TURNS = (np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+_CLIFFORD_1Q = ("I", "X", "Y", "Z", "H", "S", "SDG")
+_CLIFFORD_2Q = ("CNOT", "CZ", "SWAP")
+_TOFFOLI = (0, 1, 2, 3, 4, 5, 7, 6)
+
+
+def _grouped_reference(m, gates):
+    """The layer stepped gate by gate through the grouped oracle, as
+    ``{(x, z): float.hex(coeff)}`` after the layer's drop."""
+    x, z, c = m.x, m.z, m.coeffs
+    for targets, entries in gates:
+        x, z, c = oracles._conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
+    return _hex_terms(PauliMap._from_arrays(m.n_qubits, x, z, c, pauli.DROP_TOLERANCE))
+
+
+def _hex_terms(m):
+    return {(x, z): c.hex() for x, z, c in zip(m.x.tolist(), m.z.tolist(), m.coeffs.tolist())}
+
+
+def _grouped_targets(m, gates):
+    """The layer through `conjugate_layer`, and the targets of every gate
+    that took the grouped path."""
+    with mock.patch.object(pauli, "_conjugate_terms", wraps=pauli._conjugate_terms) as grouped:
+        out = conjugate_layer(m, gates)
+    return out, {tuple(call.args[4]) for call in grouped.call_args_list}
+
+
+@st.composite
+def _mixed_clifford_layer(draw):
+    """A random map and one layer on shuffled (so unsorted) targets: a
+    Toffoli, then named Clifford gates, RX/RY/RZ at quarter and half turns,
+    Haar gates and 1-3-qubit perm gates. Each gate comes with whether it is
+    Clifford: True, False, or None for a random 3-qubit perm, which may be
+    either (every permutation of 1 or 2 bits is affine, so Clifford)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(4, 10))
+    m = _random_map(n, rng, int(rng.integers(1, 80)))
+    qubits = rng.permutation(n).tolist()
+    gates = [(circuits.Gate("perm", qubits[:3], perm=_TOFFOLI), False)]
+    qubits = qubits[3:]
+    while qubits:
+        kind = rng.choice(["clifford", "clifford", "rotation", "haar", "perm"])
+        w = min(int(rng.integers(1, 4)), len(qubits))
+        if kind == "clifford":
+            w = min(w, 2)
+            name = str(rng.choice(_CLIFFORD_1Q if w == 1 else _CLIFFORD_2Q))
+            gates.append((circuits.Gate(name, qubits[:w]), True))
+        elif kind == "rotation":
+            w = 1
+            name = str(rng.choice(["RX", "RY", "RZ"]))
+            theta = float(rng.choice(_QUARTER_TURNS))
+            gates.append((circuits.Gate(name, qubits[:1], param=theta), True))
+        elif kind == "haar":
+            gates.append((circuits.Gate("matrix", qubits[:w], matrix=haar_unitary(2**w, rng)), False))
+        else:
+            perm = tuple(rng.permutation(2**w).tolist())
+            gates.append((circuits.Gate("perm", qubits[:w], perm=perm), w < 3 or None))
+        qubits = qubits[w:]
+    return m, [(g.targets, transfer_matrix(g.unitary())) for g, _ in gates], [c for _, c in gates]
+
+
+@given(case=_mixed_clifford_layer())
+@settings(max_examples=60)
+def test_clifford_steps_match_the_grouped_path_bytes(case):
+    # Clifford gates step as signed permutations and every other gate takes
+    # the grouped path; the layer must give the gate-by-gate grouped
+    # oracle's terms and coefficient bytes, whatever their order.
+    m, gates, clifford = case
+    out, grouped = _grouped_targets(m, gates)
+    assert _hex_terms(out) == _grouped_reference(m, gates)
+    for (targets, _), is_clifford in zip(gates, clifford):
+        if is_clifford is not None:
+            assert (targets in grouped) != is_clifford
+
+
+@pytest.mark.parametrize("theta, clifford", [(np.pi / 2, True), (np.pi / 2 + 1e-12, False)])
+def test_rz_quarter_turn_is_clifford_only_after_the_snap(theta, clifford):
+    # transfer_matrix snaps entries below 1e-13 to zero, so RZ(pi/2) has one
+    # nonzero per row; 1e-12 off it keeps 6 nonzeros and steps grouped.
+    entries = transfer_matrix(circuits.Gate("RZ", (1,), param=theta).unitary())
+    assert np.count_nonzero(entries) == (4 if clifford else 6)
+    m = PauliMap.from_labels({"IXZ": 0.5, "ZYI": -0.25, "XZY": 0.8, "IIZ": 0.1})
+    gates = [((1,), entries)]
+    out, grouped = _grouped_targets(m, gates)
+    assert grouped == (set() if clifford else {(1,)})
+    assert _hex_terms(out) == _grouped_reference(m, gates)
+
+
+def test_clifford_steps_never_write_the_input_map():
+    # Terms move in place on a copy taken once per layer. The input must
+    # keep its bytes, and every output be read-only, after a layer that
+    # opens with a Clifford gate, mixed layers (one whose grouped gate moves
+    # no term before a Clifford gate that does), and a layer whose Clifford
+    # gate moves no term.
+    rng = np.random.default_rng(7)
+    m = PauliMap.from_labels({"XIZY": 0.5, "ZYII": -0.25, "IXXZ": 0.8, "YIIX": 0.1})
+    idle = PauliMap.from_labels({"XIZY": 0.5, "ZIII": -0.25})
+    cnot, cz, h = (circuits.FIXED_GATES[g] for g in ("CNOT", "CZ", "H"))
+    cases = [
+        (m, _layer(((0, 1), cnot), ((2,), haar_unitary(2, rng)), ((3,), h))),
+        (m, _layer(((3, 1), haar_unitary(4, rng)), ((2, 0), cz))),
+        (idle, _layer(((1,), haar_unitary(2, rng)), ((0,), h))),
+        (idle, _layer(((1,), h))),
+        (idle, _layer(((0, 2), haar_unitary(4, rng)), ((1,), h))),
+    ]
+    for src, gates in cases:
+        before = [a.tobytes() for a in (src.x, src.z, src.coeffs)]
+        out = conjugate_layer(src, gates)
+        assert [a.tobytes() for a in (src.x, src.z, src.coeffs)] == before
+        assert not any(a.flags.writeable for a in (out.x, out.z, out.coeffs))
+        assert _hex_terms(out) == _grouped_reference(src, gates)
