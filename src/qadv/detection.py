@@ -14,9 +14,9 @@ suite, the first instance's k = 1 map is re-derived through
 so it steps each straight from its unitary (`propagation.unitary_step`)
 and builds no block.
 
-Each decay trial draws its Ginibre matrices from its own stream; the QR
-step that makes them Haar runs once per layer over the gates of every
-trial in a chunk. Once per run, trial 0 is re-derived through
+Each decay trial draws its Ginibre matrices from its own stream; the
+Gram-Schmidt that makes them Haar runs once per chunk, over every gate
+of every trial and layer. Once per run, trial 0 is re-derived through
 `circuits.random_brickwork` and `backpropagate`. Either disagreement is an
 `InvariantViolation`.
 """
@@ -49,15 +49,18 @@ from .propagation import (
 DISAGREEMENT_GAP = 1.0 / 3.0
 
 #: Bytes of memory one chunk of decay trials may hold while it propagates.
-#: `_chunk_trials` reserves a fixed 208 KiB a chunk, and per trial its
-#: Ginibre stack (256 B a gate and layer) plus 2.75 KiB a gate for the
-#: layer in flight. So 1 MiB holds 38 trials at n = 8, L = 10. Measured
-#: with `tracemalloc` over chunks of 38 to 152 trials there, the layer in
-#: flight takes about 2.1 KiB a gate (its QR, its Haar stack and unitarity
-#: check, and the step's O U and gathered columns) and the fixed part about
-#: 7 KiB, so a 38-trial chunk peaks at 713 KiB. The reservation was sized
-#: for block builds that decay no longer makes; it is kept as headroom, so
-#: the chunk sizes stand.
+#: `_chunk_trials` reserves a fixed 208 KiB a chunk, and per trial and
+#: gate its Ginibre stack (256 B a layer) plus the larger of 224 B a layer
+#: for the Gram-Schmidt that makes the whole stack Haar at once and 2.75
+#: KiB for the layer in flight. So 1 MiB holds 38 trials at n = 8, L = 10,
+#: and chunks shrink faster with depth past 12 layers. Measured with
+#: `tracemalloc` over chunks of 38 to 152 trials at L = 10 and 40, the
+#: Gram-Schmidt's temporaries take 180 to 225 B a gate and layer, and the
+#: layer in flight about 2 KiB a gate (its unitarity check, and the step's
+#: O U and gathered columns). The Gram-Schmidt sets the peak: 726 KiB for
+#: a 38-trial chunk at L = 10. The reservation was sized for block builds
+#: that decay no longer makes; it is kept as headroom, so the chunk sizes
+#: stand.
 DECAY_BATCH_BYTES = 1024 * 1024
 
 
@@ -218,17 +221,19 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     """The k = 1 norms of one trial per seed: a row of layers + 1.
 
     Trial t draws the Ginibre stack that ``circuits.random_brickwork(n,
-    layers, seeds[t])`` draws. Just before a layer propagates, its gates of
-    every trial become Haar in one `circuits.haar_from_ginibre` call, which
-    gives each gate `random_brickwork`'s bytes. A trial's observable is an
+    layers, seeds[t])`` draws. Every gate of every trial and layer becomes
+    Haar in one `circuits.haar_from_ginibre` call, in place, which gives
+    each gate `random_brickwork`'s bytes. A trial's observable is an
     (n, 3) array of weight-1 coefficients. A gate moves a weight-1 term on
     its pair to terms on the pair alone, and the projection keeps their
     weight-1 part, so each gate acts on the 6 coefficients of its pair.
-    After `pauli.check_unitary` passes the layer's Haar stack, one
-    `propagation.unitary_step` steps every gate of every trial straight
-    from its unitary; its sums run in a fixed order, so they do not depend
-    on the chunk's shape. No drop tolerance applies. A trial's rows never
-    meet another trial's, so its norms do not depend on the other seeds.
+    Layer by layer, after `pauli.check_unitary` passes the layer's Haar
+    stack (one check of the whole chunk would hold two more copies of
+    it), one `propagation.unitary_step` steps every gate of every trial
+    straight from its unitary; its sums run in a fixed order, so they do
+    not depend on the chunk's shape. No drop tolerance applies. A trial's
+    rows never meet another trial's, so its norms do not depend on the
+    other seeds.
     """
     half, trials = n // 2, len(seeds)
     ginibre = np.empty((layers, trials, half, 4, 4), dtype=complex)
@@ -239,20 +244,20 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     coeffs[:, 0, 2] = 1.0  # Z on the first qubit
     norms = np.empty((trials, layers + 1))
     norms[:, 0] = 1.0
+    haar = circuits.haar_from_ginibre(ginibre)
     for depth in reversed(range(layers)):
-        haar = circuits.haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
-        check_unitary(haar)
-        unitary_step(coeffs, np.stack(_brick_pairs(n, depth), axis=1),
-                     haar.reshape(trials, half, 4, 4))
+        check_unitary(haar[depth].reshape(-1, 4, 4))
+        unitary_step(coeffs, np.stack(_brick_pairs(n, depth), axis=1), haar[depth])
         norms[:, layers - depth] = np.square(coeffs).sum(axis=(1, 2))
     return norms
 
 
 def _chunk_trials(n: int, layers: int) -> int:
     """Trials per chunk: what is left of `DECAY_BATCH_BYTES` after a
-    chunk's 208 KiB, at (256 layers + 2816) B per trial and gate of a
-    layer: more than a chunk measures (see `DECAY_BATCH_BYTES`)."""
-    trial = (n // 2) * (256 * layers + 2816)
+    chunk's 208 KiB, at (256 layers + max(224 layers, 2816)) B per trial
+    and gate of a layer: more than a chunk measures (see
+    `DECAY_BATCH_BYTES`)."""
+    trial = (n // 2) * (256 * layers + max(224 * layers, 2816))
     return max(1, (DECAY_BATCH_BYTES - 208 * 1024) // trial)
 
 

@@ -29,6 +29,7 @@ from qadv.circuits import (
 from qadv.detection import circuit_id
 from qadv.errors import SchemaError
 from qadv.pauli import NonUnitaryError, check_unitary
+from qadv.propagation import unitary_step
 
 from oracles import circuit_unitary, haar_unitary
 
@@ -57,40 +58,125 @@ def test_haar_trace_moment():
     assert vals.mean() == pytest.approx(1 / 16, abs=0.003)
 
 
+def test_haar_fourth_moment():
+    # E |<00|U|00>|^4 = 2 / (d (d + 1)) = 1/10 for Haar on dimension 4.
+    rng = np.random.default_rng(3)
+    vals = np.abs(haar_two_qubit(rng, 100_000)[:, 0, 0]) ** 4
+    assert vals.mean() == pytest.approx(0.1, abs=0.002)
+
+
+def test_haar_gate_keeps_six_fifteenths_of_a_weight_one_term():
+    # A Haar gate sends a weight-1 Pauli on its pair to a unit vector over
+    # the 15 nonidentity Paulis, which keeps on average 6/15 of its squared
+    # weight on the 6 weight-1 ones: decay's ratio per layer.
+    count = 100_000
+    u = haar_two_qubit(np.random.default_rng(4), count)
+    v = np.zeros((count, 2, 3))
+    v[:, 0, 2] = 1.0  # Z on the first qubit
+    unitary_step(v, np.array([[0, 1]]), u[:, None])
+    assert np.square(v).sum(axis=(1, 2)).mean() == pytest.approx(6 / 15, abs=0.003)
+
+
+def test_haar_unitarity_tail_over_a_million_draws():
+    # Two Gram-Schmidt passes leave each stack unitary to rounding; a single
+    # pass leaves an error that grows with the draw's condition number.
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(50):
+        u = haar_two_qubit(rng, 20_000)
+        worst = max(worst, np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(4)).max())
+    assert worst < 1e-14
+
+
+def test_ginibre_keeps_the_bytes_of_the_complex_sum():
+    # Filling the real and imaginary parts and scaling in place gives the
+    # bytes of the expression it replaced.
+    for count in (0, 1, 40, 1520):
+        g = np.random.default_rng(count).standard_normal((count, 2, 4, 4))
+        want = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
+        got = ginibre_two_qubit(np.random.default_rng(count), count)
+        assert got.tobytes() == want.tobytes()
+
+
+def _one_at_a_time(rng, count):
+    """``count`` one-matrix Ginibre draws from ``rng``, and their Haar
+    unitaries, each made on its own."""
+    z = np.stack([ginibre_two_qubit(rng, 1)[0] for _ in range(count)])
+    return z, np.stack([haar_from_ginibre(m.copy()) for m in z])
+
+
+def _assert_near_qr(got, z, rng):
+    """Each of ``got`` within 2e-15 kappa_2(Z) of the QR route's unitary
+    drawn from ``rng``, kappa_2(Z) the condition number of the Ginibre
+    matrix it came from: both routes are backward stable, so they part by
+    rounding magnified by the matrix's conditioning."""
+    for u, m in zip(got, z):
+        assert np.abs(u - haar_unitary(4, rng)).max() <= 2e-15 * np.linalg.cond(m)
+
+
 @pytest.mark.parametrize("count", [1, 4, 37])
 def test_haar_stack_matches_one_at_a_time_draws(count):
-    # The reference is the one-matrix sampler the stacked draw replaced.
     stack = haar_two_qubit(np.random.default_rng(count), count)
-    rng = np.random.default_rng(count)
-    reference = np.stack([haar_unitary(4, rng) for _ in range(count)])
+    _, want = _one_at_a_time(np.random.default_rng(count), count)
     assert stack.shape == (count, 4, 4)
-    assert np.abs(stack - reference).max() <= 1e-15
+    assert stack.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 4, 37, 2000])
+def test_haar_stack_agrees_with_the_qr_oracle(count):
+    # The reference is the one-matrix QR sampler with Mezzadri's phase fix.
+    z = ginibre_two_qubit(np.random.default_rng(count), count)
+    _assert_near_qr(haar_two_qubit(np.random.default_rng(count), count), z,
+                    np.random.default_rng(count))
 
 
 @pytest.mark.parametrize(
     "trials, layers, half", [(1, 1, 1), (2, 3, 1), (3, 2, 4), (38, 10, 4), (39, 3, 5)])
 def test_split_haar_recipe_gives_each_trials_bytes(trials, layers, half):
     # The decay sector's layout: each trial draws its Ginibre matrices from
-    # its own stream, and the QR step runs over one layer's gates of every
-    # trial at once, so each slice cuts across the trials' draws.
+    # its own stream, and one Gram-Schmidt call makes the whole chunk Haar,
+    # so each trial's gates lie strided through the stack.
     seeds = np.random.SeedSequence(trials).spawn(trials)
     ginibre = np.stack([
         ginibre_two_qubit(np.random.default_rng(ss), layers * half).reshape(layers, half, 4, 4)
         for ss in seeds
     ], axis=1)
-    got = np.stack([haar_from_ginibre(ginibre[depth].reshape(-1, 4, 4))
-                    for depth in range(layers)])
+    got = haar_from_ginibre(ginibre)
+    assert got is ginibre
     for t, ss in enumerate(seeds):
         want = haar_two_qubit(np.random.default_rng(ss), layers * half)
-        assert got.reshape(layers, trials, half, 4, 4)[:, t].tobytes() == want.tobytes()
+        assert got[:, t].tobytes() == want.tobytes()
 
 
 def test_brickwork_hands_out_one_stream_in_layer_order():
     c = random_brickwork(5, 3, seed=9)
-    rng = np.random.default_rng(9)
-    for layer in c.layers:
-        for g in layer.gates:
-            assert np.abs(g.matrix - haar_unitary(4, rng)).max() <= 1e-15
+    _, want = _one_at_a_time(np.random.default_rng(9), 6)
+    got = np.stack([g.matrix for layer in c.layers for g in layer.gates])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_brickwork_gates_agree_with_the_qr_oracle():
+    c = random_brickwork(5, 3, seed=9)
+    z, _ = _one_at_a_time(np.random.default_rng(9), 6)
+    _assert_near_qr([g.matrix for layer in c.layers for g in layer.gates], z,
+                    np.random.default_rng(9))
+
+
+def test_rank_deficient_ginibre_comes_out_nan_and_is_refused():
+    # A zero column, or one that Gram-Schmidt reduces to exactly zero (here
+    # column 3 repeats column 1 of the identity), has no direction to
+    # normalize: it and the columns after it come out NaN.
+    zero = ginibre_two_qubit(np.random.default_rng(6), 2)
+    zero[0, :, 1] = 0.0
+    repeat = np.eye(4, dtype=complex)[None]
+    repeat[0, :, 3] = repeat[0, :, 1]
+    got = haar_from_ginibre(zero)
+    assert np.isnan(got[0, :, 1:]).all() and not np.isnan(got[0, :, 0]).any()
+    assert not np.isnan(got[1]).any()
+    assert np.isnan(haar_from_ginibre(repeat)[0, :, 3]).all()
+    for u in (got, repeat):
+        with pytest.raises(NonUnitaryError, match="unitary"):
+            check_unitary(u)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "8d3d6a616b2471815ca9b49ab797b2b6d46fa5fa775d4f20ed2d0eb85cd8fd39"),
+         "fbd6119b0a23a4664aa0d0eb94a5cfe7a3f1cccbb36d5893299777877f5e265d"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "83727c6ac992b3613a58f9fa0f15b049d56666cedb7e6c8f11e26232d6beea49"),
+         "61ba37e6069d8acf81856d721c3f0b0f66db2d05e654a761a732222d1b0cf81f"),
     ],
     ids=["decay", "bell"],
 )

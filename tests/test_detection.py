@@ -221,15 +221,20 @@ def test_decay_trial_zero_check_bites(monkeypatch, patch):
         decay_experiment(4, 3, trials=5, seed=2)
 
 
-@pytest.mark.parametrize("patch", ["not unitary", "nonreal"])
+@pytest.mark.parametrize("patch", ["not unitary", "nonreal", "rank-deficient"])
 def test_decay_keeps_its_step_checks(monkeypatch, patch):
     # Each layer's Haar stack passes the unitarity check before it steps
-    # (here the Ginibre matrices go through unmade), and an imaginary
-    # residue past the tolerance (here any at all) stops the step. The
-    # sector pass runs alone: trial 0's check would refuse the Ginibre
-    # matrices as gates of its own circuit.
+    # (here the Ginibre matrices go through unmade, or a zero draw comes out
+    # of Gram-Schmidt as NaN), and an imaginary residue past the tolerance
+    # (here any at all) stops the step. The sector pass runs alone: trial
+    # 0's check would refuse the Ginibre matrices as gates of its own
+    # circuit.
     if patch == "not unitary":
         monkeypatch.setattr(circuits, "haar_from_ginibre", lambda z: z)
+        error, match = pauli.NonUnitaryError, "unitary"
+    elif patch == "rank-deficient":
+        monkeypatch.setattr(circuits, "ginibre_two_qubit",
+                            lambda rng, count: np.zeros((count, 4, 4), dtype=complex))
         error, match = pauli.NonUnitaryError, "unitary"
     else:
         monkeypatch.setattr(propagation, "_HERMITICITY_TOL", -1.0)
@@ -279,6 +284,23 @@ def test_decay_memory_does_not_grow_with_trials():
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
     assert max(peaks) <= detection.DECAY_BATCH_BYTES + 256 * 1024
+
+
+@pytest.mark.parametrize("layers", [10, 150])
+def test_decay_chunk_stays_within_its_budget(layers):
+    # One whole chunk holds its Ginibre stack while Gram-Schmidt makes all
+    # of it Haar at once, so its temporaries grow with the depth; past 12
+    # layers they outgrow the layer in flight, and chunks must shrink.
+    seeds = np.random.SeedSequence(0).spawn(detection._chunk_trials(8, layers))
+    detection._sector_norms(8, layers, seeds[:1])  # warm numpy's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        detection._sector_norms(8, layers, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= detection.DECAY_BATCH_BYTES
 
 
 def test_decay_parallel_matches_serial():
@@ -403,11 +425,12 @@ def test_fused_circuit_has_the_circuit_id():
 
 def test_circuit_id_is_pinned():
     # Ids from before each distinct gate head was encoded once per call: a
-    # suite-shape C_new, and RX(0.0) and RX(-0.0) on one qubit in either
-    # order (equal as keys, apart as text).
+    # suite-shape C_new (re-taken when Gram-Schmidt replaced QR and moved
+    # its Haar gates by about 1e-15), and RX(0.0) and RX(-0.0) on one qubit
+    # in either order (equal as keys, apart as text).
     cq, _ = circuits.promise_instance("x", 2)
     cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
-    assert detection.circuit_id(cnew) == "6af20b203191"
+    assert detection.circuit_id(cnew) == "ad9b2b2d892a"
     rx = [ElementaryLayer((Gate("RX", (0,), param=t),)) for t in (0.0, -0.0)]
     assert detection.circuit_id(Circuit(1, tuple(rx))) == "f0c687497e97"
     assert detection.circuit_id(Circuit(1, tuple(rx[::-1]))) == "df1b15897940"

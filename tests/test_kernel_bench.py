@@ -5,7 +5,8 @@ Timing is off by default (see ``conftest.py``): each kernel runs once as a
 plain correctness test. Run ``pytest tests/test_kernel_bench.py
 --benchmark-enable`` for timings. Every benchmark asserts that its kernel
 preserves the Pauli-2 norm, gives the bytes of the lexsort group-and-scatter
-step, gives the norms of the backward pass, gives the bytes of the per-layer
+step, gives the norms of the backward pass, makes Haar unitaries with the
+bytes of one-matrix conversions, gives the bytes of the per-layer
 transfer-matrix builds, matches the backward pass in the weight-1 sector,
 builds a unitary, builds the
 adjoint's bytes, gives the bytes of the sliced full transfer-matrix build,
@@ -146,6 +147,24 @@ def test_decay_sector_step(benchmark):
         final = backpropagate(circuits.random_brickwork(n, 1, seed=ss), z_first(n), cfg)
         want = [1.0, final.frobenius_normalized()]
         np.testing.assert_allclose(row, want, rtol=1e-12, atol=2 * math.sqrt(3 * n) * DROP_TOLERANCE)
+
+
+@pytest.mark.parametrize("count", [152, 1520])
+def test_haar_from_ginibre(benchmark, count):
+    # The decay chunk's conversion at n = 8, L = 10: one layer of 38 trials
+    # (152 gates), and the whole chunk (1,520) in one call, as
+    # `detection._sector_norms` makes it. Each round converts a fresh copy
+    # in place; every matrix comes out unitary, with the bytes it has when
+    # made on its own.
+    z = circuits.ginibre_two_qubit(np.random.default_rng(7), count)
+
+    def fresh():
+        return (z.copy(),), {}
+
+    got = benchmark.pedantic(circuits.haar_from_ginibre, setup=fresh, rounds=200)
+    pauli.check_unitary(got)
+    want = np.stack([circuits.haar_from_ginibre(m.copy()) for m in z[:: count // 38]])
+    assert got[:: count // 38].tobytes() == want.tobytes()
 
 
 def test_backpropagate_suite_shape(benchmark):
