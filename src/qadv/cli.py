@@ -38,7 +38,7 @@ from typing import NamedTuple
 import click
 import numpy as np
 
-from . import bell, circuits, detection, manifest, sensing, sq
+from . import bell, circuits, detection, manifest, pauli, sensing, sq
 from .errors import (ConfigError, InvariantViolation, ResourceLimitExceeded, read_json,
                      read_vector, typed)
 
@@ -88,13 +88,14 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except (InvariantViolation, pauli.NonUnitaryError) as exc:
+            # A circuit file's matrix is refused as a SchemaError: this one the run built.
+            click.echo(f"invariant violation: {exc}", err=True)
+            sys.exit(3)
         except (ConfigError, ValueError) as exc:
             # ValueError reaching the CLI boundary means a bad parameter value.
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
-        except InvariantViolation as exc:
-            click.echo(f"invariant violation: {exc}", err=True)
-            sys.exit(3)
         except (ResourceLimitExceeded, MemoryError) as exc:
             # A failed allocation is a resource limit too, not a traceback.
             click.echo(f"resource limit: {str(exc) or 'out of memory'}", err=True)
@@ -419,7 +420,7 @@ _COMMANDS = (
     ), _exec_dequant_build),
     ("dequant-sample", "Draw indices with probability values[i]^2 and tabulate frequencies.", (
         Opt("--vector", "vector", type=_PATH, required=True),
-        _NORMALIZE, Opt("--draws", "draws", 100000, click.IntRange(1)), _SEED,
+        _NORMALIZE, Opt("--draws", "draws", 100000, click.IntRange(1, 2**63 - 1)), _SEED,
     ), _exec_dequant_sample),
     ("dequant-estimate", "Importance-sampling inner-product estimate with standard error.", (
         Opt("--x", "x", type=_PATH, required=True),

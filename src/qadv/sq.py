@@ -12,31 +12,27 @@ in blocks of `_LANES` lanes, small enough that their temporaries stay in
 a core's L2 cache, and only the unresolved lanes take each next step. On
 top of that sits the unbiased importance-sampling inner-product estimator
 X = y_i / x_i with i ~ x_i^2, whose variance is at most 1 for unit vectors.
-Long runs of draws go through fixed blocks of uniforms (`_DRAW_BLOCK`):
-the estimator holds 8 bytes per sample for its draws plus one block, and
-`sample_counts` only one block and its counts. Both use the draws only
-through sums that ignore their order (a mean and variance, a bincount), so
+Its draws go through fixed blocks of uniforms (`_DRAW_BLOCK`), so it holds
+8 bytes per sample plus one block; `sample_counts` reads no table. It uses
+them only through sums that ignore their order (a mean and a variance), so
 a run's n uniforms come already sorted, largest first (Bentley & Saxe,
 *Generating sorted lists of random numbers*, ACM TOMS 6, 359, 1980):
 U_(j) = exp(-sum_{i>=j} E_i / i) for j = n, n-1, ..., 1, with E_i standard
 exponentials. Every guide and cdf lookup and every gather then walks
 through memory in order instead of jumping around it. That pays only
 when the tables are larger than the cache (2^17 entries and up on a
-2-core x86_64 box): on a cache-resident table the sorted draw's extra
-cost, about 10 ms per 10^6 draws, is not repaid. The block size
-cannot move a byte: chunked exponential draws continue one stream, each
-block divides by its own slice of n, n-1, ..., and adds the running sum
-of the blocks before it to its first term ahead of its cumsum, so every
-running sum is the float of one whole-run cumsum.
+2-core x86_64 box): on a cache-resident table the estimator pays the
+sorted draw's extra cost, about 10 ms per 10^6 draws, for nothing. The
+block size cannot move a byte (see `_DRAW_BLOCK` and `_index_blocks`).
 
 Boundary convention: a uniform draw r in [0, 1) selects i = #{j : F(j) <= r},
 the unique index with F(i-1) <= r < F(i); exact ties between r and a stored
 prefix resolve to the right. `build` accepts a norm up to `_NORM_TOL` from
 1, so a total mass F(dim-1) up to about 2·`_NORM_TOL` below 1, and r is
-first scaled by that mass when it is below 1;
-otherwise a uniform past it would land on the last index, which may be
-padding. Scaled so, r < F(dim-1), and F(i) > F(i-1) at the index drawn: a
-zero-probability index (power-of-two padding included) is never drawn.
+first scaled by that mass when it is below 1; otherwise a uniform past it
+would land on the last index, which may be padding. Scaled so, r < F(dim-1),
+and F(i) > F(i-1) at the index drawn: a zero-probability index
+(power-of-two padding included) is never drawn.
 """
 
 from __future__ import annotations
@@ -213,14 +209,15 @@ def _index_blocks(sq_x: SQVector, n: int, rng: np.random.Generator):
 
 
 def sample_counts(sq: SQVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """How often each index comes up in n draws: the counts of
-    `sample_many` at n sorted uniforms (`_index_blocks`), in O(dim) memory,
-    not O(n). Counts ignore the draws' order, so they are distributed as
-    the counts of n independent draws."""
+    """How often each index comes up in n draws: one Multinomial(n, p)
+    vector (C. S. Davis, Comput. Stat. Data Anal. 16, 205, 1993) over the
+    indices of nonzero mass, so a zero-mass index gets count 0: numpy gives
+    its last category, which may be padding, what the others leave. p is
+    divided by its sum, as `build` accepts a mass about 2e-9 off 1."""
+    p = np.square(sq.values)
+    hit = np.flatnonzero(p)
     counts = np.zeros(sq.dim, dtype=np.int64)
-    for _, idx in _index_blocks(sq, n, rng):
-        # A block's indices never increase: count them over their own span.
-        counts[idx[-1] : idx[0] + 1] += np.bincount(idx - idx[-1])
+    counts[hit] = rng.multinomial(n, p[hit] / p[hit].sum())
     return counts
 
 

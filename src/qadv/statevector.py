@@ -67,8 +67,9 @@ class StateVector:
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise ValueError("amplitude length must be 2^n_qubits")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1")
+        # Written so that a NaN norm fails.
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise InvariantViolation(f"state norm {norm} deviates from 1")
 
 
 def _bits_to_index(bits: Sequence[int]) -> int:

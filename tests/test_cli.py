@@ -17,8 +17,6 @@ from qadv.cli import main
 from qadv.errors import ConfigError, InvariantViolation
 from qadv.pauli import DROP_TOLERANCE
 
-from oracles import sorted_uniforms_one_shot
-
 
 @pytest.fixture
 def runner():
@@ -172,6 +170,56 @@ def test_detect_exits_3_when_an_oracle_ket_loses_its_norm(runner, tmp_path, monk
     assert result.exit_code == 3, result.output
     assert "norm deviates from 1" in result.output
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_suite_exits_3_when_the_full_oracle_route_loses_the_norm(runner, tmp_path,
+                                                                  monkeypatch):
+    # Each instance's promise check runs its whole state (no spectators to
+    # sum out); a first op scaled by 1.5 leaves a state of norm 1.5, which
+    # no input can build.
+    import dataclasses
+
+    from qadv import statevector
+
+    fuse = statevector.fuse
+
+    def scaled(c):
+        fused = fuse(c)
+        support, u = fused.ops[0]
+        return dataclasses.replace(fused, ops=((support, 1.5 * u), *fused.ops[1:]))
+
+    monkeypatch.setattr(statevector, "fuse", scaled)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["suite", "--yes", "1", "--no", "1", "--L", "4", "--s", "4",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "state norm 1.5 deviates from 1" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_decay_exits_3_on_a_gate_it_built_that_is_not_unitary(runner, tmp_path, monkeypatch):
+    # The Ginibre matrices go through unmade. A NonUnitaryError is a
+    # ValueError, yet this one is no configuration error: the run built it.
+    monkeypatch.setattr(circuits, "haar_from_ginibre", lambda z: z)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decay", "--n", "4", "--L", "3", "--trials", "5",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "invariant violation: matrix is not unitary" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_circuit_file_with_a_matrix_that_is_not_unitary_exits_2(runner, tmp_path):
+    data = circuits.serialize(circuits.random_brickwork(2, 1, seed=0))
+    data["layers"][0]["gates"][0]["matrix"][0][0] = [2.0, 0.0]
+    cpath = tmp_path / "circuit.json"
+    cpath.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["detect", "--circuit", str(cpath), "--s", "2",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and "not unitary" in result.output
+    assert not out.exists()
 
 
 def test_detect_shots_past_the_binomial_range_exit_2(runner, tmp_path):
@@ -424,16 +472,30 @@ def test_dequant_commands(runner, tmp_path):
     assert abs(rep["estimate"] - rep["exact"]) < 0.1
 
 
-def test_dequant_sample_counts_equal_one_shot_draws_across_blocks(tmp_path):
+def test_dequant_sample_table_is_one_sample_counts_draw(tmp_path):
+    # Every row of the table, padding included, from one `sample_counts`
+    # call on the seed's generator.
     vp = tmp_path / "v.txt"
     np.savetxt(vp, np.random.default_rng(4).standard_normal(100))
-    draws = 3 * sq._DRAW_BLOCK + 5
+    draws = 400_005
     out = cli._exec_dequant_sample({"vector": str(vp), "normalize": True, "draws": draws,
                                     "seed": 9})
     v = sq.build(np.loadtxt(vp), normalize=True)
-    rs = sorted_uniforms_one_shot(draws, np.random.default_rng(9))
-    want = np.bincount(sq.sample_many(v, rs), minlength=v.dim)
-    assert [count for _, count, _ in out.table[2]] == want.tolist()
+    want = sq.sample_counts(v, draws, np.random.default_rng(9))
+    assert [row[:2] for row in out.table[2]] == list(enumerate(want.tolist()))
+
+
+def test_dequant_sample_draws_past_the_multinomial_range_exit_2(runner, tmp_path):
+    # The multinomial draw takes counts up to 2^63 - 1; one more is a
+    # configuration error, not an OverflowError traceback.
+    vp = tmp_path / "v.txt"
+    np.savetxt(vp, [0.6, 0.8])
+    for draws, code in ((2**63, 2), (2**63 - 1, 0)):
+        out = tmp_path / f"out{code}"
+        result = runner.invoke(main, ["dequant", "sample", "--vector", str(vp), "--draws",
+                                      str(draws), "--out-dir", str(out)])
+        assert result.exit_code == code, (draws, result.output)
+        assert any(out.glob("*")) == (code == 0), draws
 
 
 def test_dequant_sample_memory_does_not_grow_with_draws(tmp_path):
@@ -1058,9 +1120,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "89bbab7fed7f725bb8a6e3c834c145da329b8dd46902f8ae5b8040933522195d")
+        "c49baac55b5f9cd49aa2e263ca254d5dc964d646ede4dbbe6a4941df05731009")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "456c87bd6e8fcbc3f5bb2bde02a6e5c0998aeee31695a493cc5927793fc6ab07")
+        "69cce51774f3970fa706ce654c39e11a650d0a440b92b3c2e16cf30e221f46de")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -1070,9 +1132,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "d865308cca2f6d38dbaaa6e47a7a7e564a93b7493c21008ae7ef7c57e377d8df")
+        "d48f4378be2b3f14fd2131befd304d43be471df0887c5da4baa2dac4ae443446")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "a752b593e2a387ac84e7681a3e9481e63b7790d05dbff51364521470aacf5ba6")
+        "a6bb497922cbaaee64b172ba8aca976a8c3985afc92e59d40617d2b03fbeb8ed")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -1084,7 +1146,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "9eac76f1598b31fba0774798527376ba60be4b17f2237839f1e916c18b316b75")
+        "9ebf6733df36268c3cc8ab74709e3f6a65dabbee7dbc7fbbb8baf08ee2aad4a5")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -1097,9 +1159,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "545338bf8118fce4a1b16272e1964b338de33bbf86367f2599d08554e853b37c")
+        "4e4e7f0b92de9ff68a7b1f153d3b81f4be0f80fec1f12914c13c9bffc7707ba8")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "d23c3bd5f413e88fbd4c4eaa4148a22cadaec343c4d5a4bbf0ab7c37cf097e5a")
+        "c5efdbabebb2ebc89d00332e54562097ccbd5c729270a4c6c89b0de47816ab5a")
 
 
 
@@ -1108,18 +1170,18 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
     # config and when the version went to 0.2.0, 0.3.0, 0.4.0, 0.5.0, 0.6.0,
-    # 0.7.0 and 0.8.0; at 0.8.0 Gram-Schmidt replaced QR and moved the Haar
-    # gates by about 1e-15, which no reported digit shows.
+    # 0.7.0, 0.8.0 and 0.9.0; at 0.8.0 Gram-Schmidt replaced QR and moved
+    # the Haar gates by about 1e-15, which no reported digit shows.
     # The Haar draws use numpy's complex multiply, which may fuse its
     # multiply-adds on one CPU and not on another, so another numpy build or
     # machine may need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "5bdc3185341aae136aadfbf659cb60be971e5b2c978fc50555e0c9eb633552dd",
-         "b0beb03422f6d9fea72c57b91807ab6483b407fc8314273e450ce9ddcd6cc54f"),
+         "b2cd5f7f0eff7af964a05b50dbb5d51b03f75ac86868732fbfd021be716f4899",
+         "34341deab795b4a25e3fc5e9d0b6b6a25aaa9a0027a17d521027d1e003b39f33"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "16d0f3a564a91a27bcfc31a811f6a0fea4f6a1b522166adc79de67f2074297cd",
-         "6f5516aba57c0c4b7f3b78a49bdae5a24b14fcee76432ba29daec584589eca70"),
+         "e9d2c45b64057c3df44db6f125714c58c6744f77ccace18a7eb522a4e3651755",
+         "c834c8c95a0c85e008b173234b97ee815ad8c7b370fc105c4725069d2aa99904"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -1130,9 +1192,10 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
 
 
 def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
-    # The draws cross several descent blocks, so a kernel that changed a
-    # single index would move these bytes. The vector paths enter the
-    # manifest hash, so they are given relative to the working directory.
+    # The counts are one multinomial draw over 1,000 entries; the estimate's
+    # draws cross several descent blocks, so a kernel that changed a single
+    # index would move these bytes. The vector paths enter the manifest
+    # hash, so they are given relative to the working directory.
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(11)
     np.savetxt("x.txt", rng.standard_normal(1000))
@@ -1143,16 +1206,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "687efaaed89f5441ae967b55c158c256e35fbdb2d4a29ec893b1f3eb270acef2")
+        "b198c8d463662a2c8947ef279a8e5dc1c4e41b26e4f8d5b561394cd1712edd2c")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "e0a17ef99639995ba23fbc0bd9c964cbc706efeb18d265aa6ed4097f8f9c0ec6")
+        "530bc85566fc5c4255bdd4327a74c42fbb6058f338fccba16a7314f43dc0c882")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "f173f0346722d15de43d103fc3ed38f6a681fbfe1bff5ee488c7e4c23d08751d")
+        "f80a00e1be5238848846c4e5d0ea1191e418418dab9e1279e79105d2938c39c2")
 
 
 @pytest.mark.parametrize("cell, key", [

@@ -82,9 +82,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "fbd6119b0a23a4664aa0d0eb94a5cfe7a3f1cccbb36d5893299777877f5e265d"),
+         "013e06c556f7c3117c880d9a0a648dbcb2d11f32f2fda5a754b60698429d6dbb"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "61ba37e6069d8acf81856d721c3f0b0f66db2d05e654a761a732222d1b0cf81f"),
+         "e27c28393293c15b436055aacf9894f962e899c250647a0536afe6cfb7b70f25"),
     ],
     ids=["decay", "bell"],
 )

@@ -324,11 +324,15 @@ def test_inner_product_estimate_2_20(benchmark):
 
 def test_sample_counts_2_20(benchmark):
     # `dequant sample`'s path at the sampling workload's shape: the counts
-    # of 10^6 sorted draws on a 2^20 table; each round starts from the same seed.
+    # of 10^6 draws on a 2^20 table, one multinomial over the entries of
+    # nonzero mass; each round starts from the same seed.
     x = sq.build(np.random.default_rng(8).standard_normal(1 << 20), normalize=True)
     got = benchmark(lambda: sq.sample_counts(x, 10**6, np.random.default_rng(9)))
-    rs = sorted_uniforms_one_shot(10**6, np.random.default_rng(9))
-    assert np.array_equal(got, np.bincount(sq.sample_many(x, rs), minlength=x.dim))
+    p = np.square(x.values)
+    hit = np.flatnonzero(p)
+    want = np.zeros(x.dim, dtype=np.int64)
+    want[hit] = np.random.default_rng(9).multinomial(10**6, p[hit] / p[hit].sum())
+    assert got.tobytes() == want.tobytes()
 
 
 def test_separable_cell_600_trials(benchmark):

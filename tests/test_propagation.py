@@ -623,6 +623,28 @@ def test_exact_pass_matches_the_dense_oracle_on_generated_circuits(n, seed):
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_output_prob_matches_the_dense_oracle_on_generated_circuits(n, seed):
+    # For every input x, Pr[qubit 0 = 1] is the mass of the lower half of
+    # column x of the circuit's unitary, whichever route output_prob takes.
+    # About a quarter of the generated circuits sum out their first op's
+    # spectators, but nearly all of those have no later op. So the circuit
+    # also runs as a block followed by a gate on qubit 0 and a new last
+    # qubit: from n = 3 its spectators 1..n-1 lie below a kept qubit, and
+    # the later op is renumbered.
+    c, _, _ = _random_circuit_and_observable(n, seed)
+    gate = Gate("matrix", (0, n), matrix=haar_unitary(4, np.random.default_rng(seed)))
+    wide = Circuit(n + 1, (BlockLayer("c", c, tuple(range(n))), ElementaryLayer((gate,))))
+    for circuit in (c, wide):
+        m = circuit.n_qubits
+        fused = sv.fuse(circuit)
+        want = np.sum(np.abs(circuit_unitary(circuit)[2 ** (m - 1) :]) ** 2, axis=0)
+        for x in range(2**m):
+            got = sv.output_prob(fused, format(x, f"0{m}b"))
+            assert got == pytest.approx(want[x], abs=1e-12), (m, x)
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_generated_circuit_survives_its_file(n, seed):
     # save_circuit then load_circuit gives back the same circuit: the same

@@ -373,6 +373,33 @@ def test_sample_counts_chi_square_over_seeds():
     assert np.count_nonzero(stats > 22.362) <= 25
 
 
+class _LastTakesAll:
+    """A generator whose multinomial puts every draw in its last category,
+    as numpy's does with whatever the other categories leave."""
+
+    def multinomial(self, n, pvals):
+        counts = np.zeros(len(pvals), dtype=np.int64)
+        counts[-1] = n
+        return counts
+
+
+def test_sample_counts_leave_no_last_category_on_padding():
+    # Entry 1 is zero and entry 3 is padding: the last category of the draw
+    # is entry 2, the last of nonzero mass.
+    v = sq.build([0.6, 0.0, 0.8])
+    assert sq.sample_counts(v, 7, _LastTakesAll()).tolist() == [0, 0, 7, 0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_counts_put_nothing_on_zero_mass_below_a_mass_of_1(seed):
+    # A norm 0.9e-9 short of 1 passes build's check, so the mass is about
+    # 1.8e-9 short. Over all entries, 10^10 draws would leave about 18 to
+    # the padding, numpy's last category; seeds fixed before the run.
+    v = sq.build(np.array([0.6, 0.8, 0.0]) * (1 - 0.9e-9))
+    counts = sq.sample_counts(v, 10**10, np.random.default_rng(seed))
+    assert counts.sum() == 10**10 and counts[2:].tolist() == [0, 0]
+
+
 @functools.cache
 def _estimates_over_seeds():
     """Seeds 0-299, fixed before the run: 10^4 draws each on a 250-entry x
