@@ -587,17 +587,13 @@ def _parse_circuit(obj, path: str) -> Circuit:
         return Circuit(n_qubits, layers, registers, field(obj, "metadata", path, dict, {}))
 
 
-def deserialize(data: dict | str) -> Circuit:
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"$: invalid JSON ({exc})") from exc
+def deserialize(data: dict) -> Circuit:
+    """The inverse of `serialize`; a file is read through `load_circuit`."""
     return _parse_circuit(data, "$")
 
 
 def load_circuit(path: str) -> Circuit:
-    return _parse_circuit(read_json(path, "circuit"), "$")
+    return deserialize(read_json(path, "circuit"))
 
 
 def save_circuit(c: Circuit, path: str) -> None:

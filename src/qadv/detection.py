@@ -34,7 +34,7 @@ import numpy as np
 from . import circuits, statevector
 from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
 from .pauli import DROP_TOLERANCE, MAX_QUBITS, check_unitary
-from .pool import seeded_chunks, seeded_map, spawn_seeds
+from .pool import child_seeds, seeded_chunks, seeded_map
 from .propagation import (
     PropagationConfig,
     backpropagate,
@@ -283,7 +283,7 @@ def _decay_norms(n: int, layers: int, trials: int, seed, jobs: int = 1) -> np.nd
     run = functools.partial(_sector_norms, n, layers)
     for start, rows in zip(range(0, trials, size), seeded_chunks(run, trials, size, entropy, jobs)):
         norms[start:start + len(rows)] = rows
-    circuit = circuits.random_brickwork(n, layers, seed=spawn_seeds(entropy, 1)[0])
+    circuit = circuits.random_brickwork(n, layers, seed=next(child_seeds(entropy)))
     acc, cfg = z_first(n), PropagationConfig(k=1)
     want = [acc.frobenius_normalized()]
     for layer in reversed(circuit.layers):

@@ -13,14 +13,9 @@ def _base(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def spawn_seeds(seed: int | np.random.SeedSequence | None, count: int) -> list:
-    """``count`` independent child SeedSequences of ``seed``."""
-    return _base(seed).spawn(count)
-
-
 def child_seeds(seed: int | np.random.SeedSequence | None) -> Iterator[np.random.SeedSequence]:
-    """The children of ``spawn_seeds(seed, ...)`` in order, each spawned only
-    as it is taken, so a caller that stops early spawns no more."""
+    """The children of ``seed``, those of ``SeedSequence(seed).spawn``, in order,
+    each spawned only as it is taken, so a caller that stops early spawns no more."""
     base = _base(seed)
     while True:
         # Each spawn call continues the numbering of the children spawned so far.
@@ -43,9 +38,9 @@ def _pooled(fn: Callable, jobs: int, rows: int, *columns: Iterable) -> Iterator:
 
 
 def seeded_map(fn: Callable, items: Sequence, seed, jobs: int = 1) -> list:
-    """``[fn(item, child_seed) ...]`` in item order, the children those of
-    ``spawn_seeds(seed, len(items))``, in a process pool when jobs > 1 (see
-    `_pooled`). In-process, each child is spawned only as its item starts."""
+    """``[fn(item, child) ...]`` in item order, item i taking the i-th of
+    `child_seeds` (seed), in a process pool when jobs > 1 (see `_pooled`).
+    In-process, each child is spawned only as its item starts."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     return list(_pooled(fn, jobs, len(items), items, child_seeds(seed)))
@@ -53,10 +48,10 @@ def seeded_map(fn: Callable, items: Sequence, seed, jobs: int = 1) -> list:
 
 def seeded_chunks(fn: Callable, count: int, size: int, seed, jobs: int = 1) -> Iterator:
     """``fn(children)`` for consecutive runs of at most ``size`` of the
-    ``count`` children of ``seed`` (those of ``spawn_seeds(seed, count)``),
-    yielded in order. Whole runs go to the worker processes when jobs > 1
-    (see `_pooled`); in-process, a run's children are spawned only as it
-    starts, so memory does not grow with ``count``."""
+    first ``count`` of `child_seeds` (seed), yielded in order. Whole runs go
+    to the worker processes when jobs > 1 (see `_pooled`); in-process, a
+    run's children are spawned only as it starts, so memory does not grow
+    with ``count``."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     base = _base(seed)

@@ -58,11 +58,6 @@ _DRAW_BLOCK = 1 << 17
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def _children_sum(tree: np.ndarray, lo: int) -> np.ndarray:
-    """Sum of the two children of every node on the level lo..2lo-1."""
-    return tree[2 * lo : 4 * lo : 2] + tree[2 * lo + 1 : 4 * lo : 2]
-
-
 class SQVector:
     """Immutable sample-and-query wrapper around a unit vector."""
 
@@ -85,7 +80,7 @@ class SQVector:
         np.square(self.values, out=tree[self.dim :])
         lo = self.dim // 2
         while lo >= 1:
-            tree[lo : 2 * lo] = _children_sum(tree, lo)
+            tree[lo : 2 * lo] = tree[2 * lo : 4 * lo : 2] + tree[2 * lo + 1 : 4 * lo : 2]
             lo //= 2
         return tree
 

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+import qadv
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
@@ -22,3 +24,9 @@ def pytest_configure(config):
     # does not exist.
     if config.pluginmanager.hasplugin("benchmark"):
         config.option.benchmark_disable = True
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this tree's src first, ahead of PYTHONPATH,
+    # so name the package that is under test.
+    return f"qadv {qadv.__version__} from {Path(qadv.__file__).parent}"

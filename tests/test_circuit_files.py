@@ -100,7 +100,7 @@ def test_block_takes_numpy_integer_targets_and_control_as_ints():
     c = circuits.Circuit(3, (block,))
     plain = circuits.Circuit(3, (circuits.BlockLayer("b", sub, (1, 2), control=0),))
     assert circuit_id(c) == circuit_id(plain)
-    again = circuits.deserialize(circuits.serialize_json(c))
+    again = circuits.deserialize(json.loads(circuits.serialize_json(c)))
     assert circuits.serialize_json(again) == circuits.serialize_json(c)
 
 

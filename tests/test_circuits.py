@@ -258,7 +258,7 @@ def test_brickwork_gates_equal_checked_matrix_gates(n, layers):
             assert all(type(t) is int for t in g.targets)
             assert g.matrix.dtype == ref.matrix.dtype == np.complex128
             assert g.matrix.tobytes() == ref.matrix.tobytes()
-    assert serialize_json(deserialize(serialize_json(c))) == serialize_json(c)
+    assert serialize_json(deserialize(json.loads(serialize_json(c)))) == serialize_json(c)
 
 
 def test_brickwork_of_no_layers_is_empty():
@@ -557,19 +557,25 @@ def test_promise_instance_probabilities():
 
 def test_round_trip_brickwork():
     c = random_brickwork(4, 3, seed=77)
-    again = deserialize(serialize_json(c))
+    again = deserialize(json.loads(serialize_json(c)))
     assert serialize_json(again) == serialize_json(c)
 
 
 def test_round_trip_nested_blocks_and_perm():
     cq, _ = promise_instance("ry", 1, angle=0.3)
     c = build_cnew(cq, n=2, depth=3, copies=3, seed=8)
-    again = deserialize(serialize_json(c))
+    again = deserialize(json.loads(serialize_json(c)))
     assert serialize_json(again) == serialize_json(c)
     # Matrices survive the decimal round trip to full precision.
     g = c.layers[-1].gates[0]
     g2 = again.layers[-1].gates[0]
     assert np.abs(g.matrix - g2.matrix).max() < 1e-15
+
+
+def test_deserialize_takes_a_parsed_document_not_json_text():
+    # JSON text is parsed once, by errors.read_json, on load_circuit's route.
+    with pytest.raises(SchemaError, match=r"\$: expected an object, got a string"):
+        deserialize(serialize_json(random_brickwork(2, 1, seed=1)))
 
 
 def test_deserialize_rejects_overlapping_supports():

@@ -499,9 +499,10 @@ def test_dequant_sample_draws_past_the_multinomial_range_exit_2(runner, tmp_path
 
 
 def test_dequant_sample_memory_does_not_grow_with_draws(tmp_path):
-    # Each block's indices are counted and dropped, so 2 x 10^6 draws on a
-    # dim-16 vector peak no higher than two blocks do (whole-run uniforms
-    # and indices alone would be 32 MB).
+    # The counts are one multinomial draw over the entries of nonzero mass,
+    # so no per-draw array is made: 2 x 10^6 draws on a dim-16 vector peak
+    # no higher than 2^18 do (whole-run uniforms and indices alone would be
+    # 32 MB).
     vp = tmp_path / "v.txt"
     np.savetxt(vp, np.random.default_rng(5).standard_normal(16))
     peaks = []

@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -440,7 +441,7 @@ def test_circuit_id_survives_a_serialize_round_trip():
     cq, _ = circuits.promise_instance("ry", 1, angle=0.4)
     for c in (circuits.build_cnew(cq, n=3, depth=4, copies=3, seed=2),
               circuits.random_brickwork(4, 3, seed=1), _id_circuit()):
-        back = circuits.deserialize(circuits.serialize_json(c))
+        back = circuits.deserialize(json.loads(circuits.serialize_json(c)))
         assert detection.circuit_id(back) == detection.circuit_id(c)
 
 

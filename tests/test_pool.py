@@ -63,9 +63,9 @@ def test_seeded_map_refuses_jobs_below_one(fake_pool, jobs):
     assert fake_pool.sizes == []
 
 
-def test_seeded_map_hands_out_the_children_of_spawn_seeds():
+def test_seeded_map_hands_out_the_children_of_the_seed():
     out = pool.seeded_map(_draw, list(range(6)), 7)
-    assert [d for _, d in out] == _draws(pool.spawn_seeds(7, 6))
+    assert [d for _, d in out] == _draws(np.random.SeedSequence(7).spawn(6))
     # A SeedSequence passed in continues its own numbering, as with spawn.
     base, twin = np.random.SeedSequence(7), np.random.SeedSequence(7)
     base.spawn(2)
@@ -116,10 +116,10 @@ def test_seeded_map_chunk_size(fake_pool, jobs, items, chunk):
     (8, 10, 4, [3]),  # never more workers than runs
     (2, 3, 4, []),  # one run goes in-process
 ])
-def test_seeded_chunks_hand_out_the_children_of_spawn_seeds(fake_pool, jobs, count, size, workers):
+def test_seeded_chunks_hand_out_the_children_of_the_seed(fake_pool, jobs, count, size, workers):
     runs = list(pool.seeded_chunks(_draws, count, size, 7, jobs))
     assert [len(r) for r in runs] == [min(size, count - s) for s in range(0, count, size)]
-    assert sum(runs, []) == _draws(pool.spawn_seeds(7, count))
+    assert sum(runs, []) == _draws(np.random.SeedSequence(7).spawn(count))
     assert fake_pool.sizes == workers
 
 

@@ -645,6 +645,35 @@ def test_output_prob_matches_the_dense_oracle_on_generated_circuits(n, seed):
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_fused_pass_is_the_bare_pass_byte_for_byte(n, seed):
+    # Every block op that fuse does not derive is the same block_unitary
+    # call that the bare passes make, so when fuse derives none, lending
+    # its ops moves no byte of either pass. A derived op (a controlled
+    # block that undoes the next run) is built another way, with other
+    # rounding.
+    c, o, k = _random_circuit_and_observable(n, seed)
+    controlled_adjoint, derived = sv._controlled_adjoint, []
+
+    def derive(control, op):
+        derived.append(controlled_adjoint(control, op))
+        return derived[-1]
+
+    with mock.patch.object(sv, "_controlled_adjoint", derive):
+        fused = sv.fuse(c)
+    for layer, (support, u) in fused.blocks.items():
+        if not any(u is v for _, v in derived):
+            want_support, want_u = block_unitary(layer)
+            assert support == want_support and u.tobytes() == want_u.tobytes()
+    if derived:
+        return
+    got, want = (backpropagate(x, o, PropagationConfig(k=k)) for x in (fused, c))
+    for a, b in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert a.tobytes() == b.tobytes()
+    assert weight_one_pass(fused, o).tobytes() == weight_one_pass(c, o).tobytes()
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_generated_circuit_survives_its_file(n, seed):
     # save_circuit then load_circuit gives back the same circuit: the same
