@@ -10,9 +10,10 @@ block of its transfer matrix, wrapped by `propagation.sector_map`; at
 k >= 2 it runs `propagation.backpropagate`. Both passes walk the same
 layers in the same windows and borrow the same fused block ops. Once per
 suite, the first instance's k = 1 map is re-derived through
-`backpropagate` (`_check_sector`). Decay uses each Haar gate once,
-so it steps each straight from its unitary (`propagation.unitary_step`)
-and builds no block.
+`backpropagate` (`_check_sector`), and that instance's `detect` uses the
+map the check verified, so the map is derived once. Decay uses each Haar
+gate once, so it steps each straight from its unitary
+(`propagation.unitary_step`) and builds no block.
 
 Each decay trial draws its Ginibre matrices from its own stream; the
 Gram-Schmidt that makes them Haar runs once per chunk, over every gate
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import circuits, statevector
 from .errors import InvariantViolation, PromiseViolation, ResourceLimitExceeded
-from .pauli import DROP_TOLERANCE, MAX_QUBITS, check_unitary
+from .pauli import DROP_TOLERANCE, MAX_QUBITS, PauliMap, check_unitary
 from .pool import child_seeds, seeded_chunks, seeded_map
 from .propagation import (
     PropagationConfig,
@@ -60,8 +61,13 @@ DISAGREEMENT_GAP = 1.0 / 3.0
 #: O U and gathered columns). The Gram-Schmidt sets the peak: 726 KiB for
 #: a 38-trial chunk at L = 10. The reservation was sized for block builds
 #: that decay no longer makes; it is kept as headroom, so the chunk sizes
-#: stand.
+#: stand. It also covers a trial's draw in flight (`DECAY_DRAW_BYTES`).
 DECAY_BATCH_BYTES = 1024 * 1024
+
+#: Bytes one piece of a trial's Ginibre draw may hold on its way into the
+#: chunk's stack: 512 B a gate (its float normals and their complex
+#: matrix), so 32 layers at n = 8. A piece is whole layers, at least one.
+DECAY_DRAW_BYTES = 64 * 1024
 
 
 def _hash_circuit(update, gates: dict, c: circuits.Circuit) -> None:
@@ -126,6 +132,8 @@ def detect(
     k: int = 1,
     seed: int | np.random.SeedSequence | None = None,
     shots: int | None = None,
+    *,
+    heuristic: PauliMap | None = None,
 ) -> DetectionReport:
     """Sample s uniform inputs over the main register, compare the exact
     first-qubit expectation against the weight-k heuristic, and classify.
@@ -146,7 +154,9 @@ def detect(
     `PauliMap` (`propagation.sector_map`); at k >= 2 it is
     `backpropagate`. Of a `circuits.build_cnew` circuit's ops,
     `statevector.fuse` derives the controlled inverse's from the open
-    run's.
+    run's. A caller that already holds that heuristic observable passes it
+    as ``heuristic`` (the suite's first instance: the map `_check_sector`
+    verified), and it is not derived again.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
@@ -159,7 +169,8 @@ def detect(
 
     fused = c if isinstance(c, statevector.FusedCircuit) else statevector.fuse(c)
     z = z_first(c.n_qubits)
-    o0 = backpropagate(fused, z, cfg) if k > 1 else sector_map(weight_one_pass(fused, z))
+    if (o0 := heuristic) is None:
+        o0 = backpropagate(fused, z, cfg) if k > 1 else sector_map(weight_one_pass(fused, z))
 
     records = []
     for _ in range(s):
@@ -221,9 +232,11 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     """The k = 1 norms of one trial per seed: a row of layers + 1.
 
     Trial t draws the Ginibre stack that ``circuits.random_brickwork(n,
-    layers, seeds[t])`` draws. Every gate of every trial and layer becomes
-    Haar in one `circuits.haar_from_ginibre` call, in place, which gives
-    each gate `random_brickwork`'s bytes. A trial's observable is an
+    layers, seeds[t])`` draws, in pieces of at most `DECAY_DRAW_BYTES`
+    straight into the chunk's stack (one stream, so the same normals).
+    Every gate of every trial and layer becomes Haar in one
+    `circuits.haar_from_ginibre` call, in place, which gives each gate
+    `random_brickwork`'s bytes. A trial's observable is an
     (n, 3) array of weight-1 coefficients. A gate moves a weight-1 term on
     its pair to terms on the pair alone, and the projection keeps their
     weight-1 part, so each gate acts on the 6 coefficients of its pair.
@@ -237,9 +250,13 @@ def _sector_norms(n: int, layers: int, seeds) -> np.ndarray:
     """
     half, trials = n // 2, len(seeds)
     ginibre = np.empty((layers, trials, half, 4, 4), dtype=complex)
+    piece = max(1, DECAY_DRAW_BYTES // (512 * half))
     for t, ss in enumerate(seeds):
-        ginibre[:, t] = circuits.ginibre_two_qubit(
-            np.random.default_rng(ss), half * layers).reshape(layers, half, 4, 4)
+        rng = np.random.default_rng(ss)
+        for lo in range(0, layers, piece):
+            hi = min(lo + piece, layers)
+            ginibre[lo:hi, t] = circuits.ginibre_two_qubit(
+                rng, half * (hi - lo)).reshape(hi - lo, half, 4, 4)
     coeffs = np.zeros((trials, n, 3))
     coeffs[:, 0, 2] = 1.0  # Z on the first qubit
     norms = np.empty((trials, layers + 1))
@@ -413,19 +430,22 @@ class SuiteResult:
     total: int
 
 
-def _check_sector(c: statevector.FusedCircuit) -> None:
+def _check_sector(c: statevector.FusedCircuit) -> PauliMap:
     """Derive the k = 1 heuristic of ``c`` as `detect` does (the wrapped
-    `weight_one_pass`) and again through `backpropagate`, and raise
-    InvariantViolation unless the two maps agree label by label
-    (`_within_drops`), a stray identity term included."""
+    `weight_one_pass`) and again through `backpropagate`, and return the
+    first, for `detect` to use. Raise InvariantViolation unless the two
+    maps agree label by label (`_within_drops`), a stray identity term
+    included."""
     z = z_first(c.n_qubits)
-    got = sector_map(weight_one_pass(c, z)).to_labels()
+    heuristic = sector_map(weight_one_pass(c, z))
+    got = heuristic.to_labels()
     want = backpropagate(c, z, PropagationConfig(k=1)).to_labels()
     labels = sorted(set(got) | set(want))
     if not _within_drops([got.get(p, 0.0) for p in labels], [want.get(p, 0.0) for p in labels],
                          c.n_qubits, len(c.layers)):
         raise InvariantViolation(
             "weight-1 heuristic of suite instance 0 differs from its backward pass")
+    return heuristic
 
 
 def _suite_entry(args, ss) -> SuiteEntry:
@@ -433,9 +453,8 @@ def _suite_entry(args, ss) -> SuiteEntry:
     u_seed, detect_seed = ss.spawn(2)
     cnew = statevector.fuse(
         circuits.build_cnew(inst.circuit, n=n, depth=depth, copies=copies, seed=u_seed))
-    if first and k == 1:
-        _check_sector(cnew)
-    report = detect(cnew, s=s, k=k, seed=detect_seed)
+    heuristic = _check_sector(cnew) if first and k == 1 else None
+    report = detect(cnew, s=s, k=k, seed=detect_seed, heuristic=heuristic)
     expected = "advantage" if inst.label == "YES" else "no-advantage"
     # Markov budget on the final heuristic norm: exceeded for at most a
     # 2^-n fraction of random circuits; an exceedance is flagged, not fatal.
@@ -466,7 +485,8 @@ def instance_suite(
     random-circuit seed (and, without ``depth``, the default depth of its
     own width), run detect, and tally verdict-vs-label counts. At k = 1 the
     first instance's heuristic is re-derived through `backpropagate`
-    (`_check_sector`), and a disagreement raises InvariantViolation."""
+    (`_check_sector`), and a disagreement raises InvariantViolation; the
+    map it checked is the one that instance's detect uses."""
     for inst in instances:
         statevector.check_dense_limit(n + inst.circuit.n_qubits * copies + 1)
     probs = [verify_promise(inst) for inst in instances]

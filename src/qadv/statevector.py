@@ -14,6 +14,14 @@ fuse a bare `Circuit` on entry, so a caller with many inputs fuses once.
 and multiplies like any other state. `propagation` conjugates by the ops
 of block layers, never by fused runs.
 
+An op or gate multiplies the state one of two ways (`_apply_matrix`). On
+consecutive, ascending qubits (a brickwork's gates but its wrap pair, an
+op on adjacent qubits) it is one stacked matmul on the state reshaped to
+(before, 2^w, after), which copies nothing when the state is C-ordered.
+On any other qubits the state is copied: its qubits move to the front,
+flatten to 2^w rows, and move back. A controlled block's slice is not
+C-ordered, so its first gate copies it either way.
+
 `output_prob` sums out the spectators of its input's first op, the qubits
 of its support that no later op touches (qubit 0 aside), when they
 outnumber its other qubits. It reads that op's output off the column of
@@ -23,6 +31,9 @@ later ops multiply one basis ket per setting of its other qubits, over the
 kept qubits only, and the column enters through its Gram matrix over the
 spectators. In `circuits.build_cnew`'s circuit that first op is the
 amplified block, and all its ancillas but the majority qubit are spectators.
+Which qubits are kept, and the later ops renumbered onto them, depend on
+the ops alone: a `FusedCircuit` works them out once, when it is made
+(`FusedCircuit.split`).
 
 `block_unitary` builds every op but one kind, and every other dense unitary
 `propagation` conjugates by: it runs the gate-by-gate interpreter
@@ -35,6 +46,7 @@ run's op, placed without arithmetic (`_controlled_adjoint`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -112,8 +124,17 @@ def _front(ndim: int, axes: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def _apply_matrix(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Move `axes` to the front, flatten them to 2^w rows (first axis most
-    significant), multiply the rows by u, and move the axes back."""
+    """Multiply u into the tensor's `axes`, the first most significant.
+
+    Axes that are consecutive and ascending are one digit of the flat
+    index: the tensor reshapes to (before, 2^w, after), a view when it is
+    C-ordered, and one stacked matmul gives the C-ordered result. Any other
+    axes move to the front, are flattened to 2^w rows and multiplied, and
+    move back: `reshape` of that transposed view copies the tensor."""
+    a = axes[0]
+    if list(axes) == list(range(a, a + len(axes))):
+        out = np.matmul(u, arr.reshape(math.prod(arr.shape[:a]), len(u), -1))
+        return out.reshape(arr.shape)
     perm, back = _front(arr.ndim, axes)
     moved = arr.transpose(perm)
     out = u @ moved.reshape(len(u), -1)
@@ -182,13 +203,57 @@ def block_unitary(*layers: circuits.Layer) -> Op:
     return support, u.reshape(dim, dim)
 
 
+@dataclass(frozen=True)
+class _Split:
+    """The input-independent part of `output_prob`'s spectator route: the
+    order that puts the first op's kept qubits K before its spectators S
+    (as axes of its support), the kept qubits (every qubit outside S,
+    ascending), where K's qubits sit among them, and the later ops
+    renumbered onto them (so each support stays sorted and qubit 0 stays
+    first)."""
+
+    order: tuple[int, ...]
+    kept: tuple[int, ...]
+    k_at: tuple[int, ...]
+    later: tuple[Op, ...]
+
+
+def _split(n: int, ops: Sequence[Op]) -> _Split | None:
+    """The spectator route's plan for these ops on n qubits, or None when
+    the whole state runs: no ops, or no more spectators than kept qubits."""
+    if not ops:
+        return None
+    (support, _), later = ops[0], ops[1:]
+    touched = {0}.union(*(s for s, _ in later))
+    k_qubits = [q for q in support if q in touched]
+    spectators = [q for q in support if q not in touched]
+    if len(k_qubits) >= len(spectators):
+        return None
+    kept = [q for q in range(n) if q not in spectators]
+    rank = {q: i for i, q in enumerate(kept)}
+    return _Split(
+        order=tuple(support.index(q) for q in (*k_qubits, *spectators)),
+        kept=tuple(kept),
+        k_at=tuple(rank[q] for q in k_qubits),
+        later=tuple((tuple(rank[q] for q in s), v) for s, v in later),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class FusedCircuit(circuits.Circuit):
     """A circuit with what `fuse` compiled: its dense ops in application
-    order, and each block layer's op (the same object as in `ops`)."""
+    order, each block layer's op (the same object as in `ops`), and the
+    plan of `output_prob`'s spectator route, derived from the ops whenever
+    a FusedCircuit is made (so a copy with other ops never keeps a stale
+    one)."""
 
     ops: tuple[Op, ...] = ()
     blocks: Mapping[circuits.BlockLayer, Op] = field(default_factory=dict)
+    split: _Split | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "split", _split(self.n_qubits, self.ops))
 
 
 def _fusion_units(layer: circuits.Layer) -> Sequence[circuits.Layer]:
@@ -207,9 +272,12 @@ def _undoes(
     its layer j pairs with run layer L-1-j, gate by gate in order, with the
     same targets once mapped through ``targets``, and each gate the
     `Gate.adjoint` of its partner (a matrix gate: the conjugate transpose
-    of its partner's matrix, exactly)."""
+    of its partner's matrix, exactly). The matrices are compared in one
+    stack per width."""
     if len(sub.layers) != len(run):
         return False
+    # Per width: the sub-circuit's matrices and their partners'.
+    pairs: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for sub_layer, layer in zip(sub.layers, reversed(run)):
         if not isinstance(sub_layer, circuits.ElementaryLayer) or (
                 len(sub_layer.gates) != len(layer.gates)):
@@ -218,11 +286,15 @@ def _undoes(
             if tuple([targets[t] for t in s.targets]) != g.targets:
                 return False
             if g.kind == "matrix":
-                if s.kind != "matrix" or not np.array_equal(s.matrix, g.matrix.conj().T):
+                if s.kind != "matrix":
                     return False
+                subs, partners = pairs.setdefault(len(g.targets), ([], []))
+                subs.append(s.matrix)
+                partners.append(g.matrix)
             elif (s.kind, s.param, s.perm) != ((a := g.adjoint()).kind, a.param, a.perm):
                 return False
-    return True
+    return all(np.array_equal(np.stack(subs), np.stack(partners).conj().swapaxes(1, 2))
+               for subs, partners in pairs.values())
 
 
 def _controlled_adjoint(control: int, op: Op) -> Op:
@@ -348,41 +420,36 @@ def output_prob(c: circuits.Circuit, bits: str | Sequence[int]) -> float:
     of 2^(n - |S|) amplitudes in place of one of 2^n, so it is taken only
     when |K| < |S|; otherwise the whole state runs. A ket norm or an
     imaginary residue off by more than `_NORM_TOL` raises InvariantViolation.
+    Which route runs, and the spectator route's axis order, kept qubits and
+    renumbered ops, come from the fused circuit's `FusedCircuit.split`.
     """
     fused = c if isinstance(c, FusedCircuit) else fuse(c)
     n = c.n_qubits
     full = circuits.bit_values(c.full_input(bits))
-    k_qubits: list[int] = []
-    spectators: list[int] = []
-    if fused.ops:
-        (support, u), later = fused.ops[0], fused.ops[1:]
-        touched = {0}.union(*(s for s, _ in later))
-        for q in support:
-            (k_qubits if q in touched else spectators).append(q)
-    if len(k_qubits) >= len(spectators):
+    split = fused.split
+    if split is None:
         half = apply_circuit(full, fused).amplitudes[2 ** (n - 1) :]
         return float(np.real(np.vdot(half, half)))
+    support, u = fused.ops[0]
+    n_k = len(split.k_at)
     column = u[:, _bits_to_index([full[q] for q in support])].reshape((2,) * len(support))
-    axes = [support.index(q) for q in (*k_qubits, *spectators)]
-    cmat = column.transpose(axes).reshape(2 ** len(k_qubits), -1)
+    cmat = column.transpose(split.order).reshape(2**n_k, -1)
     gram = cmat @ cmat.conj().T
-    # The later ops act on the kept qubits alone, renumbered in order (so
-    # each support stays sorted and qubit 0 stays first).
-    kept = [q for q in range(n) if q not in spectators]
-    ops = [(tuple([kept.index(q) for q in s]), v) for s, v in later]
+    at = [full[q] for q in split.kept]
     kets = []
-    for k in range(2 ** len(k_qubits)):
-        at = {q: k >> (len(k_qubits) - 1 - j) & 1 for j, q in enumerate(k_qubits)}
-        arr = np.zeros((2,) * len(kept), dtype=complex)
-        arr[tuple([at.get(q, full[q]) for q in kept])] = 1.0
-        for s, v in ops:
+    for k in range(2**n_k):
+        for j, i in enumerate(split.k_at):
+            at[i] = k >> (n_k - 1 - j) & 1
+        arr = np.zeros((2,) * len(at), dtype=complex)
+        arr[tuple(at)] = 1.0
+        for s, v in split.later:
             arr = _apply_matrix(arr, v, s)
         kets.append(arr.reshape(-1))
     # Written so that a NaN norm fails.
     off = np.abs(np.linalg.norm(kets, axis=1) - 1.0)
     if not (off <= _NORM_TOL).all():
         raise InvariantViolation(f"an output ket's norm deviates from 1 by {off.max()}")
-    h = np.array(kets)[:, 2 ** (len(kept) - 1) :]
+    h = np.array(kets)[:, 2 ** (len(at) - 1) :]
     # sum_k' <h_k'| sum_k G[k, k'] h_k>, the rows of G^T @ h.
     total = np.vdot(h, gram.T @ h)
     if abs(total.imag) > _NORM_TOL:

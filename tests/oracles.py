@@ -116,7 +116,10 @@ def circuit_unitary(c) -> np.ndarray:
 
 def apply_matrix_moveaxis(arr: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     """u on the named axes of a tensor, by two `np.moveaxis` calls: move the
-    axes to the front, multiply the flattened rows, move them back."""
+    axes to the front, multiply the flattened rows, move them back. This is
+    the transposing route of `qadv.statevector._apply_matrix`, the one it
+    takes for axes that are not consecutive and ascending, and the
+    reference its reshaped route is checked against."""
     w = len(axes)
     moved = np.moveaxis(arr, axes, range(w))
     out = u @ moved.reshape(2**w, -1)

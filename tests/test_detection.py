@@ -265,6 +265,14 @@ def test_suite_backpropagates_once_at_k_1(monkeypatch, k, passes):
     assert len(calls) == passes
 
 
+def test_suite_derives_the_checked_map_once(monkeypatch):
+    # The first instance's detect uses the weight-1 map its check verified,
+    # so four instances make four sector passes, not five.
+    calls = _count_calls(monkeypatch, propagation, "weight_one_pass", (detection,))
+    instance_suite(default_instances(2, 2, 1, seed=0), n=3, depth=4, copies=1, s=4, k=1, seed=0)
+    assert len(calls) == 4
+
+
 def test_decay_memory_does_not_grow_with_trials():
     # Trials run a chunk at a time and their seeds are spawned per chunk,
     # so traced memory is set by the chunk, not by the trial count. The
@@ -287,7 +295,7 @@ def test_decay_memory_does_not_grow_with_trials():
     assert max(peaks) <= detection.DECAY_BATCH_BYTES + 256 * 1024
 
 
-@pytest.mark.parametrize("layers", [10, 150])
+@pytest.mark.parametrize("layers", [10, 150, 400])
 def test_decay_chunk_stays_within_its_budget(layers):
     # One whole chunk holds its Ginibre stack while Gram-Schmidt makes all
     # of it Haar at once, so its temporaries grow with the depth; past 12

@@ -40,6 +40,7 @@ from qadv.propagation import (
 
 import oracles
 from oracles import (
+    apply_matrix_moveaxis,
     haar_unitary,
     inner_product_estimate_one_shot,
     sample_many_lockstep,
@@ -244,13 +245,33 @@ def test_build_cnew_suite_shape(benchmark):
             assert gi.matrix.tobytes() == g.adjoint().matrix.tobytes()
 
 
-def test_fuse_suite_shape(benchmark):
+@pytest.mark.parametrize("axes", [(2, 3), (5, 0)], ids=["reshaped", "transposed"])
+def test_apply_matrix_suite_shapes(benchmark, axes):
+    # One 4 x 4 gate on the open run's tensor as `block_unitary` holds it:
+    # 6 qubit axes and the identity's 64 columns. Axes (2, 3) are
+    # consecutive and ascending, so the tensor is reshaped and multiplied in
+    # place; the brickwork's wrap pair (5, 0) takes the transposing route.
+    rng = np.random.default_rng(3)
+    shape = (2,) * 6 + (64,)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u = haar_unitary(4, rng)
+    got = benchmark(statevector._apply_matrix, arr, u, axes)
+    assert np.abs(got - apply_matrix_moveaxis(arr, u, axes)).max() <= 1e-14
+
+
+def test_fuse_suite_shape(benchmark, monkeypatch):
     # Compiling the suite shape's C_new: the amplified block and the open
     # run, each one dense op built by the interpreter, and the controlled
-    # inverse, whose op is placed from the open run's adjoint.
+    # inverse, whose op is placed from the open run's adjoint. Every op
+    # agrees with the one the transposing route builds.
     cq, _ = circuits.promise_instance("x", 2)
     cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
     fused = benchmark(statevector.fuse, cnew)
+    with monkeypatch.context() as m:
+        m.setattr(statevector, "_apply_matrix", apply_matrix_moveaxis)
+        reference = statevector.fuse(cnew)
+    for (support, u), (want_support, want) in zip(fused.ops, reference.ops, strict=True):
+        assert support == want_support and np.abs(u - want).max() <= 1e-14
     assert [len(support) for support, _ in fused.ops] == [7, 7, 6]
     amplified, ctrl = cnew.layers[:2]
     assert np.array_equal(fused.blocks[amplified][1], block_unitary(amplified)[1])
@@ -268,9 +289,10 @@ def test_fuse_suite_shape(benchmark):
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-12
 
 
-def test_output_prob_fused_suite_shape(benchmark):
+def test_output_prob_fused_suite_shape(benchmark, monkeypatch):
     # The exact side of one suite-shape detect: 32 inputs through one fused
-    # C_new (13 qubits: three ops on 7, 7 and 6 qubits).
+    # C_new (13 qubits: three ops on 7, 7 and 6 qubits). Every probability
+    # agrees with the one the transposing route gives.
     cq, _ = circuits.promise_instance("x", 2)
     cnew = circuits.build_cnew(cq, n=6, depth=78, copies=3, seed=0)
     fused = statevector.fuse(cnew)
@@ -278,6 +300,11 @@ def test_output_prob_fused_suite_shape(benchmark):
     rng = np.random.default_rng(2)
     xs = ["".join(str(b) for b in rng.integers(0, 2, 6)) for _ in range(32)]
     got = benchmark(lambda: [statevector.output_prob(fused, x) for x in xs])
+    with monkeypatch.context() as m:
+        m.setattr(statevector, "_apply_matrix", apply_matrix_moveaxis)
+        reference = statevector.fuse(cnew)
+        want = [statevector.output_prob(reference, x) for x in xs]
+    assert np.abs(np.subtract(got, want)).max() <= 1e-14
     n = cnew.n_qubits
     for x, prob in zip(xs, got):
         # Unfused reference: the interpreter, gate by gate, on the basis state.

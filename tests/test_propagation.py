@@ -221,7 +221,7 @@ def test_block_unitary_is_one_interpreter_pass(monkeypatch):
 
 def test_block_unitary_transient_memory():
     # The price of the batch axis: a controlled block holds the identity,
-    # its copy and three half-size arrays of the control=1 slice (3.5x the
+    # its copy and two half-size arrays of the control=1 slice (3.0x the
     # unitary's bytes); a perm gate holds three full-size arrays (3x).
     for layer in (_ctrl_inverse_block(10), ElementaryLayer((majority_gate(range(1, 10), 0),))):
         tracemalloc.start()

@@ -95,7 +95,9 @@ def test_basis_bits_give_the_prepared_basis_state_bytes(name):
 def test_apply_matrix_equals_moveaxis_reference(seed):
     # One transpose and its inverse make the views two np.moveaxis calls
     # make: the same bytes, on qubit axes in any order, with or without a
-    # trailing batch axis, from C- or Fortran-ordered tensors.
+    # trailing batch axis, from C- or Fortran-ordered tensors. Consecutive
+    # ascending axes take the reshaped route, whose result is C-ordered;
+    # on these seeds its bytes are the same too.
     rng = np.random.default_rng(seed)
     ndim = int(rng.integers(1, 8))
     w = int(rng.integers(1, min(ndim, 3) + 1))
@@ -107,12 +109,35 @@ def test_apply_matrix_equals_moveaxis_reference(seed):
     u = haar_unitary(2**w, rng)
     got = sv._apply_matrix(arr, u, axes)
     want = apply_matrix_moveaxis(arr, u, axes)
-    assert got.shape == want.shape and got.strides == want.strides
+    if axes == list(range(axes[0], axes[0] + w)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+    else:
+        assert got.shape == want.shape and got.strides == want.strides
     assert got.tobytes() == want.tobytes()
     # A perm gate indexes rows: the product with its permutation matrix.
     gate = Gate("perm", tuple(range(w)), perm=tuple(int(v) for v in rng.permutation(2**w)))
     got = sv._apply_gate(arr, gate, axes)
     assert np.array_equal(got, apply_matrix_moveaxis(arr, gate_unitary(gate), axes))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_apply_matrix_on_consecutive_axes_matches_the_transpose_route(n):
+    # Every gate width up to 7 at every consecutive position of n qubit
+    # axes, with no trailing batch axis and with 1, 3 and 64 columns: the
+    # reshaped route agrees with the transposing one to 1e-14 (exact
+    # equality is not promised: numpy may pick gemv over gemm for few
+    # columns, and sum in another order).
+    rng = np.random.default_rng(100 + n)
+    for batch in (0, 1, 3, 64):
+        shape = (2,) * n + ((batch,) if batch else ())
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for w in range(1, min(n, 7) + 1):
+            u = haar_unitary(2**w, rng)
+            for a in range(n - w + 1):
+                axes = list(range(a, a + w))
+                got = sv._apply_matrix(arr, u, axes)
+                assert got.flags.c_contiguous
+                assert np.abs(got - apply_matrix_moveaxis(arr, u, axes)).max() <= 1e-14
 
 
 def test_apply_x_and_cnot():
@@ -589,22 +614,36 @@ def test_fuse_derives_a_controlled_inverse_from_the_open_run(monkeypatch, w, whe
     assert np.abs(u - circuit_unitary(Circuit(w + 1, (block,)))).max() < 1e-12
 
 
-def _altered(block: BlockLayer, rng) -> BlockLayer:
-    """The block with the first matrix of its sub-circuit replaced."""
+def _altered(block: BlockLayer, change) -> BlockLayer:
+    """The block with the first matrix of its sub-circuit, m, replaced by
+    ``change(m)``."""
     layers = list(block.circuit.layers)
     gates = list(layers[0].gates)
-    gates[0] = Gate("matrix", gates[0].targets, matrix=haar_unitary(4, rng))
+    gates[0] = Gate("matrix", gates[0].targets, matrix=change(gates[0].matrix))
     layers[0] = ElementaryLayer(tuple(gates))
     return dataclasses.replace(block, circuit=Circuit(block.circuit.n_qubits, tuple(layers)))
 
 
-@pytest.mark.parametrize("case", ["altered gate", "one layer short", "wider run", "rotation"])
+def _one_ulp_up(m: np.ndarray) -> np.ndarray:
+    """m with the real part of its first entry moved up by one ulp."""
+    m = m.copy()
+    m[0, 0] = complex(np.nextafter(m[0, 0].real, np.inf), m[0, 0].imag)
+    return m
+
+
+@pytest.mark.parametrize("case", ["altered gate", "one ulp", "transposed", "one layer short",
+                                  "wider run", "rotation"])
 def test_fuse_builds_the_block_when_it_does_not_undo_the_run(case):
     rng = np.random.default_rng(7)
     block, run = _undo_then_run(4, "between", rng)
     n = 5
     if case == "altered gate":
-        block = _altered(block, rng)
+        block = _altered(block, lambda m: haar_unitary(4, rng))
+    elif case == "one ulp":
+        block = _altered(block, _one_ulp_up)
+    elif case == "transposed":
+        # The partner's transpose, not its conjugate transpose.
+        block = _altered(block, np.conj)
     elif case == "one layer short":
         sub = block.circuit
         block = dataclasses.replace(block, circuit=Circuit(sub.n_qubits, sub.layers[:-1]))
