@@ -30,13 +30,17 @@ Conventions used throughout the package:
   uint64 key (off-target x, off-target z); np.lexsort on the separate keys
   takes over when the key needs more than 64 bits (n > 32). It places the
   outputs' target digits from a table of at most 64 masks per three
-  targets. ``conjugate_layer`` steps a Clifford gate without it: such a
+  targets. ``conjugate_layer`` steps Clifford gates without it: such a
   gate maps each Pauli string to one signed Pauli string, so its transfer
   matrix, whose 4^w rows are orthonormal and so never zero, has exactly
   4^w nonzero entries, and one ``np.count_nonzero`` tells it apart (the
-  build's snap to zero lets rotations by multiples of pi/2 through). Each
-  term it moves gets its new digits and its coefficient times the one
-  entry in place, with the grouped step's bytes.
+  build's snap to zero lets rotations by multiples of pi/2 through). As in
+  a stabilizer tableau (Aaronson & Gottesman, PRA 70, 052328, 2004), each
+  matrix becomes a GF(2) map of its targets' x- and z-bits, and +-1 gates
+  with equal matrices and target offsets step together in one pass of
+  shifts and XORs over the mask arrays, a term's sign the parity of one
+  ``np.bitwise_count``. Terms never move, and every output has the bytes
+  and order of stepping gate by gate.
 - ``transfer_matrix`` builds one matrix or a stack, a fixed number of
   matrices at a time into one output, so its transient memory does not
   grow with the stack; the module keeps no cache, so a caller memoizes
@@ -50,6 +54,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -481,6 +486,92 @@ def _conjugate_terms(
     return x, z, c
 
 
+def _clifford_rule(entries: np.ndarray) -> tuple[list, np.ndarray | None, list | None]:
+    """A Clifford gate's transfer matrix as a GF(2) map of the 2w bits of a
+    local Pauli, the x-bit of target j at bit 2(w-1-j) and its z-bit above.
+
+    Returns the map's rows (for each output bit, the input bits whose
+    images set it) and then either the entry at each bit pattern, or, when
+    every entry but the identity's is exactly +-1, the sign's algebraic
+    normal form: the patterns whose bit products XOR to 1 where the entry
+    is -1. The identity's entry never counts, as no step multiplies by it.
+    Raises InvariantViolation unless the map is linear on all 4^w patterns.
+    """
+    d = len(entries)
+    nonzero = entries.nonzero()
+    # A local index's digit bits (x xor z, z) and its pattern (x, z) turn
+    # into each other by one XOR of each high bit into the low bit below.
+    swap = [a ^ (a >> 1 & (d - 1) // 3) for a in range(d)]
+    cols = nonzero[1].tolist()
+    image = [swap[cols[a]] for a in swap]
+    bits = d.bit_length() - 1
+    units = [image[1 << k] for k in range(bits)]
+    span = [0]
+    for u in units:
+        span += [s ^ u for s in span]
+    if span != image:
+        raise InvariantViolation("Clifford transfer matrix is not linear on the Pauli bits")
+    rows = [[i for i, u in enumerate(units) if u >> k & 1] for k in range(bits)]
+    entry = entries[nonzero].tolist()
+    entry = [entry[a] for a in swap]
+    if any(abs(e) != 1.0 for e in entry[1:]):
+        return rows, np.array(entry), None
+    # The sign's truth table, one bit per pattern, and its Moebius
+    # transform: each variable's 0 half folded into its 1 half.
+    anf = sum(1 << v for v in range(1, d) if entry[v] < 0)
+    for k in range(bits):
+        low = ((1 << d) - 1) // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1)
+        anf ^= (anf & low) << (1 << k)
+    return rows, None, [v for v in range(d) if anf >> v & 1]
+
+
+def _shift(a: np.ndarray, by: int) -> np.ndarray:
+    """``a`` shifted right by ``by`` bits, or left by ``-by`` when negative."""
+    return a >> by if by > 0 else a << -by if by < 0 else a
+
+
+def _clifford_pass(x, z, c, firsts: int, offsets: Sequence[int], rule):
+    """Step every term through the gates whose first targets are the bits
+    of ``firsts``, which share one `_clifford_rule` and one set of target
+    ``offsets`` from the first. Returns the new masks and scales ``c`` in
+    place; terms never move.
+
+    Plane k holds bit k of each gate's local pattern, shifted onto its
+    first target. Each output plane that is not its own input is the XOR of
+    its row's planes, shifted back onto its cleared targets. A sign form
+    negates the terms with an odd number of -1 entries over the gates;
+    otherwise the pass has one gate, and each term it moves is multiplied
+    by the entry at its pattern.
+    """
+    rows, entry, anf = rule
+    w = len(offsets)
+    first = np.uint64(firsts)
+    shifts = [offsets[w - 1 - k // 2] for k in range(2 * w)]
+    planes = [_shift(z if k & 1 else x, o) & first for k, o in enumerate(shifts)]
+    new = []
+    cleared = [0, 0]
+    for k, (o, inputs) in enumerate(zip(shifts, rows)):
+        if inputs != [k]:
+            new.append((k, o, functools.reduce(np.bitwise_xor, [planes[i] for i in inputs])))
+            cleared[k & 1] |= firsts << o if o >= 0 else firsts >> -o
+    out = [a & ~np.uint64(m) if m else a for a, m in zip((x, z), cleared)]
+    for k, o, bit in new:
+        out[k & 1] |= _shift(bit, -o)
+    if entry is not None:
+        t = firsts.bit_length() - 1
+        local = functools.reduce(np.bitwise_or, [_shift(p, t - k) for k, p in enumerate(planes)])
+        moving = local.nonzero()[0]
+        # The entry itself, not its sign: the grouped path's product bytes.
+        c[moving] *= entry[local[moving]]
+    elif anf:
+        odd = functools.reduce(np.bitwise_xor, [
+            functools.reduce(np.bitwise_and, [p for k, p in enumerate(planes) if m >> k & 1])
+            for m in anf
+        ])
+        np.negative(c, out=c, where=(np.bitwise_count(odd) & 1).view(bool))
+    return out
+
+
 def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray]]) -> PauliMap:
     """Backward-evolve a PauliMap through one layer of disjoint gates, each
     given as its targets and its ``transfer_matrix``.
@@ -490,9 +581,13 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
 
     A matrix with 4^w nonzero entries has one in each row, as orthonormal
     rows are never zero, and each in its own column: a Clifford gate's
-    signed permutation. Its moving terms take their new digits and their
-    coefficients times the entry in place, on copies made once per layer;
-    every other gate takes `_conjugate_terms`.
+    signed permutation. In each run of consecutive Clifford gates, the
+    gates with equal matrix bytes and target offsets whose entries are all
+    +-1 take one `_clifford_pass`, and every other gate one of its own, in
+    gate order, so each coefficient takes its products in the order of the
+    gate-by-gate step; each distinct matrix's `_clifford_rule` is derived
+    once per call. Every other gate takes `_conjugate_terms` and ends the
+    run, so the terms keep their gate-by-gate order.
     """
     gates = list(gates)
     masks = []
@@ -507,26 +602,33 @@ def conjugate_layer(m: PauliMap, gates: Iterable[tuple[Sequence[int], np.ndarray
         masks.append(tmask)
 
     x, z, c = m.x, m.z, m.coeffs
-    for (targets, entries), tmask in zip(gates, masks):
-        if np.count_nonzero(entries) != len(entries):
-            x, z, c = _conjugate_terms(
-                x, z, c, m.n_qubits, targets, tmask, lambda rows: rows @ entries[:, 1:]
+    rules: dict[bytes, tuple] = {}
+    runs = itertools.groupby(
+        zip(gates, masks), key=lambda gate: np.count_nonzero(gate[0][1]) == len(gate[0][1])
+    )
+    for clifford, run in runs:
+        if not clifford:
+            for (targets, entries), tmask in run:
+                x, z, c = _conjugate_terms(
+                    x, z, c, m.n_qubits, targets, tmask, lambda rows: rows @ entries[:, 1:]
+                )
+            continue
+        # One pass per (bytes, offsets) for +-1 gates, and per first target
+        # for the others, in order of first use.
+        passes: dict = {}
+        for (targets, entries), _ in run:
+            key = entries.tobytes()
+            rule = rules.get(key)
+            if rule is None:
+                rule = rules[key] = _clifford_rule(entries)
+            offsets = tuple([t - targets[0] for t in targets])
+            one = passes.setdefault(
+                targets[0] if rule[1] is not None else (key, offsets), [rule, offsets, 0]
             )
-            continue
-        hit = ((x | z) & np.uint64(tmask)).nonzero()[0]
-        if not len(hit):
-            continue
-        if c is m.coeffs:
-            x, z, c = x.copy(), z.copy(), c.copy()
-        hx, hz = x[hit], z[hit]
-        b = _gather_digits(hx, hz, targets, np.zeros(len(hit), dtype=np.intp))
-        pb = entries.nonzero()[1][b]
-        xz = _scatter_digits(pb, targets)
-        off = ~np.uint64(tmask)
-        x[hit] = hx & off | xz[0]
-        z[hit] = hz & off | xz[1]
-        # The entry itself, not its sign: the grouped path's product bytes.
-        c[hit] *= entries[b, pb]
+            one[2] |= 1 << targets[0]
+        c = c.copy()
+        for rule, offsets, firsts in passes.values():
+            x, z = _clifford_pass(x, z, c, firsts, offsets, rule)
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)
 
 

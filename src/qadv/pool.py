@@ -3,7 +3,6 @@ results do not depend on how many worker processes run them."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +30,9 @@ def _pooled(fn: Callable, jobs: int, rows: int, *columns: Iterable) -> Iterator:
     result is taken."""
     workers = min(jobs, rows)
     if workers > 1:
+        # Imported here, so that a serial run does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *columns, chunksize=-(-rows // (4 * workers)))
     else:

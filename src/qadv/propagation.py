@@ -3,8 +3,9 @@ observable with a weight-k projection after every declared layer.
 
 Elementary layers evolve exactly through Pauli transfer matrices. A
 Clifford gate's matrix has one nonzero entry in each row, which one count
-of its nonzeros finds, as orthonormal rows are never zero; its terms step
-as a signed permutation, in place (`pauli.conjugate_layer`). Both
+of its nonzeros finds, as orthonormal rows are never zero; a run of such
+gates steps in place, bit-parallel on the masks, one pass per matrix and
+set of target offsets (`pauli.conjugate_layer`). Both
 passes below take their layers from one walk (`_walk`), last first and a
 window at a time: a run of consecutive layers whose distinct unitaries'
 matrices fit in `TRANSFER_WINDOW_BYTES`, built in one stack per gate width

@@ -394,6 +394,45 @@ def _conjugate_terms(
 
 
 # ---------------------------------------------------------------------------
+# The Clifford step of `qadv.pauli.conjugate_layer` one gate at a time: each
+# moving term's local index goes through the one nonzero of its row, its new
+# digits are placed in its own slot, and its coefficient is multiplied by
+# that entry. Kept as the reference the layer's bit-parallel passes must
+# match byte for byte, in order.
+
+
+def clifford_step(x: np.ndarray, z: np.ndarray, c: np.ndarray, targets: Sequence[int],
+                  entries: np.ndarray) -> None:
+    """Step the terms, in place, through one gate on ``targets`` whose
+    transfer matrix ``entries`` has one nonzero in each row. Terms that are
+    the identity on the targets are not touched."""
+    b = _gather_digits(x, z, targets)
+    hit = b != 0
+    b = b[hit]
+    pb = entries.nonzero()[1][b]
+    px, pz = _scatter_digits(pb, targets)
+    off = ~np.uint64(sum(1 << t for t in targets))
+    x[hit] = x[hit] & off | px
+    z[hit] = z[hit] & off | pz
+    c[hit] *= entries[b, pb]
+
+
+def conjugate_layer_gate_by_gate(m, gates):
+    """`qadv.pauli.conjugate_layer` one gate at a time, on copies of the
+    map's arrays: a gate with one nonzero per row through `clifford_step`,
+    every other through `_conjugate_terms`."""
+    from qadv.pauli import DROP_TOLERANCE, PauliMap
+
+    x, z, c = m.x.copy(), m.z.copy(), m.coeffs.copy()
+    for targets, entries in gates:
+        if np.count_nonzero(entries) == len(entries):
+            clifford_step(x, z, c, targets, entries)
+        else:
+            x, z, c = _conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
+    return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)
+
+
+# ---------------------------------------------------------------------------
 # The per-layer backward pass of `qadv.propagation`: each layer builds the
 # transfer matrices of its unitaries not yet kept, one stack per gate width,
 # and keeps those of unitaries that recur in the pass for the whole pass.

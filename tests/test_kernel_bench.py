@@ -133,6 +133,37 @@ def test_conjugate_layer_cnot_layer(benchmark):
         assert got[got_order].tobytes() == ref[want_order].tobytes()
 
 
+def _assert_gate_by_gate(out, m, layer):
+    want = oracles.conjugate_layer_gate_by_gate(m, layer)
+    for got, ref in ((out.x, want.x), (out.z, want.z), (out.coeffs, want.coeffs)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_conjugate_layer_h_layer(benchmark):
+    # H on all 24 qubits over the trotter map shape. H's entries are
+    # +-(1 - 2^-52), not +-1, so each gate takes a pass of its own: the
+    # layer's slowest Clifford shape. The terms have the gate-by-gate
+    # step's bytes, in its order.
+    m = _trotter_map(np.random.default_rng(7))
+    h = transfer_matrix(circuits.FIXED_GATES["H"])
+    layer = [((q,), h) for q in range(N_WIDE)]
+    out = benchmark(conjugate_layer, m, layer)
+    _assert_gate_by_gate(out, m, layer)
+
+
+def test_conjugate_layer_scattered_cz_layer(benchmark):
+    # CZ on 12 random pairs of the 24 qubits over the trotter map shape: the
+    # pairs' target offsets all differ, so each gate takes a pass of its
+    # own. The terms have the gate-by-gate step's bytes, in its order.
+    rng = np.random.default_rng(10)
+    m = _trotter_map(rng)
+    qubits = rng.permutation(N_WIDE).tolist()
+    cz = transfer_matrix(circuits.FIXED_GATES["CZ"])
+    layer = [((qubits[i], qubits[i + 1]), cz) for i in range(0, N_WIDE, 2)]
+    assert len({b - a for (a, b), _ in layer}) == 12
+    out = benchmark(conjugate_layer, m, layer)
+    _assert_gate_by_gate(out, m, layer)
+
 def test_decay_sector_step(benchmark):
     # One layer of the decay Monte Carlo in the weight-1 sector at its
     # shape: 32 trials at n = 8, each drawing its own four Haar gates. Each

@@ -788,3 +788,159 @@ def test_clifford_steps_never_write_the_input_map():
         assert [a.tobytes() for a in (src.x, src.z, src.coeffs)] == before
         assert not any(a.flags.writeable for a in (out.x, out.z, out.coeffs))
         assert _hex_terms(out) == _grouped_reference(src, gates)
+
+
+# ---------------------------------------------------------------------------
+# Clifford runs as bit-parallel passes against the gate-by-gate step
+
+_H, _S, _CZ = (circuits.FIXED_GATES[g] for g in ("H", "S", "CZ"))
+#: Explicit Clifford products. No entry of their transfer matrices is
+#: exactly +-1, and (H x H) CZ's are 1 - 2^-51 in magnitude, against H's
+#: 1 - 2^-52, so that the order of their products shows.
+_EXPLICIT = {1: (_H @ _S, _S @ _H), 2: (np.kron(_H, _H) @ _CZ, _CZ @ np.kron(_H, _S))}
+
+
+def _named(name, targets, rng):
+    """A named Clifford, or a rotation by a random quarter turn for "R"."""
+    if name == "R":
+        axis = str(rng.choice(["RX", "RY", "RZ"]))
+        return circuits.Gate(axis, targets, param=float(rng.choice(_QUARTER_TURNS))).unitary()
+    return circuits.FIXED_GATES[name]
+
+
+@st.composite
+def _clifford_run_layer(draw):
+    """A random map on 3-64 qubits (so across the 32-qubit packed-key limit)
+    and one layer of unitaries of these kinds:
+
+    - brick: one two-qubit Clifford (named, or now and then explicit) on
+      pairs (q, q + d) that share the offset d, some of them descending,
+      with the wrap pair (n - 1, 0) where both ends are free;
+    - pairs: named two-qubit Cliffords on random pairs;
+    - singles: H, S, SDG, Paulis and quarter turns on every qubit, drawn
+      from a few names, so that equal gates group;
+    - explicit: Clifford products as explicit matrices, whose entries have
+      other magnitudes, interleaved with H;
+    - mixed: any of the above, with Haar gates and RY rotations by
+      non-quarter turns (two at most) between the Clifford runs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.sampled_from([3, 32, 33, 64]), st.integers(3, 64)))
+    kind = draw(st.sampled_from(["brick", "pairs", "singles", "explicit", "mixed"]))
+    m = _random_map(n, rng, int(rng.integers(1, 200)))
+    # Half the coefficients are values whose products by 1 - 2^-52 (H's
+    # entry) and 1 - 2^-51 ((H x H) CZ's) round differently in the two
+    # orders, so that a pass out of gate order shows in the bytes.
+    ties = rng.choice([1.5, 1.75, 1.5 + 2.0**-51, 1.25 + 2.0**-52], len(m))
+    ties *= rng.choice([-0.5, 0.25, 2.0], len(m))
+    m = PauliMap._from_arrays(n, m.x, m.z, np.where(rng.random(len(m)) < 0.5, m.coeffs, ties))
+    gates = []
+    if kind == "brick":
+        u = _EXPLICIT[2][0] if rng.random() < 0.2 else circuits.FIXED_GATES[
+            str(rng.choice(_CLIFFORD_2Q))]
+        d = int(rng.integers(1, 4))
+        start = int(rng.integers(2)) * d
+        for q in range(start, n - d):
+            if (q - start) // d % 2 == 0:
+                gates.append(((q, q + d) if rng.random() < 0.7 else (q + d, q), u))
+        used = {t for pair, _ in gates for t in pair}
+        if n - 1 not in used and 0 not in used:
+            gates.append(((n - 1, 0), u))
+    else:
+        names = rng.choice(["H", "S", "SDG", "X", "Y", "Z", "R"], size=2).tolist()
+        qubits = rng.permutation(n).tolist()
+        # At most two gates that fan out, so that the map stays small.
+        fan_out = 2
+        while qubits:
+            kinds = ["pairs", "singles", "explicit"] + ["haar", "ry"] * (fan_out > 0)
+            pick = kind if kind != "mixed" else str(rng.choice(kinds))
+            fan_out -= pick in ("haar", "ry")
+            w = 2 if pick == "pairs" or (pick in ("explicit", "haar") and rng.random() < 0.5) else 1
+            w = min(w, len(qubits))
+            targets, qubits = tuple(qubits[:w]), qubits[w:]
+            if pick == "pairs" and w == 2:
+                u = circuits.FIXED_GATES[str(rng.choice(_CLIFFORD_2Q))]
+            elif pick == "explicit" and rng.random() < 0.6:
+                u = _EXPLICIT[w][int(rng.integers(2))]
+            elif pick == "explicit":
+                targets, qubits = targets[:1], list(targets[1:]) + qubits
+                u = _H
+            elif pick == "haar":
+                u = haar_unitary(2**w, rng)
+            elif pick == "ry":
+                u = circuits.Gate("RY", targets, param=float(rng.uniform(0.1, 1.4))).unitary()
+            else:
+                targets, qubits = targets[:1], list(targets[1:]) + qubits
+                u = _named(str(rng.choice(names)), targets, rng)
+            gates.append((targets, u))
+    return m, [(t, transfer_matrix(u)) for t, u in gates]
+
+
+@given(case=_clifford_run_layer())
+@settings(max_examples=120, deadline=None)
+def test_clifford_passes_match_the_gate_by_gate_step(case):
+    # The bit-parallel passes must give the gate-by-gate step's masks and
+    # coefficient bytes in its order, and leave the input as it was.
+    m, gates = case
+    before = [a.tobytes() for a in (m.x, m.z, m.coeffs)]
+    got = conjugate_layer(m, gates)
+    want = oracles.conjugate_layer_gate_by_gate(m, gates)
+    for g, w in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert [a.tobytes() for a in (m.x, m.z, m.coeffs)] == before
+
+
+_SPY_QUBITS = 8
+
+
+@pytest.mark.parametrize("specs, passes", [
+    ([((q, q + 1), "CNOT") for q in range(0, _SPY_QUBITS, 2)], 1),
+    ([((q, q + 1), "CZ") for q in range(1, _SPY_QUBITS - 1, 2)] + [((_SPY_QUBITS - 1, 0), "CZ")], 2),
+    ([((q + 1, q), "CNOT") for q in range(0, _SPY_QUBITS, 2)], 1),
+    ([((q, q + 1), "CNOT") for q in range(0, 4, 2)] + [((5, 4), "CNOT"), ((6, 7), "SWAP")], 3),
+    ([((q,), "S") for q in range(_SPY_QUBITS)], 1),
+    ([((q,), "S" if q % 2 else "X") for q in range(_SPY_QUBITS)], 2),
+    ([((q,), "H") for q in range(_SPY_QUBITS)], _SPY_QUBITS),
+], ids=["cnot-brick", "cz-brick-with-wrap", "descending", "offsets", "s", "s-and-x", "h"])
+def test_equal_offset_sign_gates_take_one_pass(specs, passes):
+    # Gates whose entries are all +-1 step together, one pass per matrix
+    # and set of target offsets; H (entries +-(1 - 2^-52)) takes one each.
+    rng = np.random.default_rng(5)
+    m = _random_map(_SPY_QUBITS, rng, 120)
+    gates = _layer(*((t, circuits.FIXED_GATES[name]) for t, name in specs))
+    with mock.patch.object(pauli, "_clifford_pass", wraps=pauli._clifford_pass) as spy:
+        got = conjugate_layer(m, gates)
+    assert spy.call_count == passes
+    want = oracles.conjugate_layer_gate_by_gate(m, gates)
+    for g, w in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_a_signed_permutation_that_is_not_linear_is_refused():
+    # X <-> Y and Z -> -Z on one qubit is linear on the Pauli bits: x stays,
+    # z takes x xor z, and the sign is z and not x, so z + xz. Swapping X
+    # and Y on one qubit of two only where the other is the identity fixes
+    # the identity too but is no GF(2) map: not a Clifford gate's matrix.
+    entries = np.eye(4)[[0, 2, 1, 3]]
+    entries[3, 3] = -1.0
+    assert pauli._clifford_rule(entries) == ([[0], [0, 1]], None, [0b10, 0b11])
+    entries = np.eye(16)[[0, 2, 1, 3] + list(range(4, 16))]
+    assert np.count_nonzero(entries) == 16
+    with pytest.raises(InvariantViolation, match="not linear"):
+        conjugate_layer(PauliMap.from_labels({"XZ": 1.0}), [((0, 1), entries)])
+
+
+def test_gates_with_other_entries_multiply_in_gate_order():
+    # 1.5 times 1 - 2^-52 (H) then 1 - 2^-51 ((H x H) CZ) rounds to another
+    # float than in the other order. Each order of the same two gates must
+    # give the gate-by-gate step's bytes, so the two layers differ.
+    m = PauliMap.from_labels({"XXZ": 1.5, "ZYY": -0.75, "YIX": 1.75})
+    h, hhcz = transfer_matrix(_H), transfer_matrix(_EXPLICIT[2][0])
+    outs = []
+    for gates in ([((0,), h), ((1, 2), hhcz)], [((1, 2), hhcz), ((0,), h)]):
+        got = conjugate_layer(m, gates)
+        want = oracles.conjugate_layer_gate_by_gate(m, gates)
+        for g, w in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+            assert g.tobytes() == w.tobytes()
+        outs.append(got.coeffs.tobytes())
+    assert outs[0] != outs[1]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,7 @@ def _draws(children):
 def fake_pool(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(_InProcessPool, "chunks", [])
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     return _InProcessPool
 
 
