@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from .errors import ConfigError, InvariantViolation, field, read_json, typed
 
 #: The package version: qadv.__version__ and pyproject.toml read it here.
-ARTIFACT_VERSION = "0.9.0"
+ARTIFACT_VERSION = "0.10.0"
 
 SIGNIFICANT_DIGITS = 12
 

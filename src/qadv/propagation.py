@@ -1,15 +1,19 @@
 """Low-weight Pauli propagation: backward Heisenberg evolution of an
 observable with a weight-k projection after every declared layer.
 
-Elementary layers evolve exactly through Pauli transfer matrices. A
-Clifford gate's matrix has one nonzero entry in each row, which one count
-of its nonzeros finds, as orthonormal rows are never zero; a run of such
-gates steps in place, bit-parallel on the masks, one pass per matrix and
-set of target offsets (`pauli.conjugate_layer`). Both
-passes below take their layers from one walk (`_walk`), last first and a
-window at a time: a run of consecutive layers whose distinct unitaries'
-matrices fit in `TRANSFER_WINDOW_BYTES`, built in one stack per gate width
-and dropped with the window. A unitary that recurs in a window is built
+Elementary layers evolve exactly through Pauli transfer matrices
+(`pauli.conjugate_layer`). A layer's one-qubit gates that are not
+Clifford step first, all together, in at most as many rounds as the
+terms' largest weight, with one merge of equal terms per round. Then the
+other gates step in order. A Clifford gate's matrix has one nonzero entry
+in each row, which one count of its nonzeros finds, as orthonormal rows
+are never zero; a run of such gates steps in place, bit-parallel on the
+masks, one pass per matrix and set of target offsets. Every other gate
+takes one grouped step of its own. Both passes below take their layers
+from one walk (`_walk`), last first and a window at a time: a run of
+consecutive layers whose distinct unitaries' matrices fit in
+`TRANSFER_WINDOW_BYTES`, built in one stack per gate width and dropped
+with the window. A unitary that recurs in a window is built
 once; one that recurs across windows is built again, with the same bytes.
 Composite blocks (and elementary gates wider than 3 qubits) evolve by dense
 conjugation of the truncated observable over the block support.

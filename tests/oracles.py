@@ -398,7 +398,8 @@ def _conjugate_terms(
 # moving term's local index goes through the one nonzero of its row, its new
 # digits are placed in its own slot, and its coefficient is multiplied by
 # that entry. Kept as the reference the layer's bit-parallel passes must
-# match byte for byte, in order.
+# match byte for byte, in order, and that its rounds of one-qubit gates must
+# match within `ROUNDS_RTOL`.
 
 
 def clifford_step(x: np.ndarray, z: np.ndarray, c: np.ndarray, targets: Sequence[int],
@@ -430,6 +431,30 @@ def conjugate_layer_gate_by_gate(m, gates):
         else:
             x, z, c = _conjugate_terms(x, z, c, targets, lambda rows: rows @ entries[:, 1:])
     return PauliMap._from_arrays(m.n_qubits, x, z, c, DROP_TOLERANCE)
+
+
+#: How far a coefficient of the rounds route may lie from the gate-by-gate
+#: step's, relative to the input's largest |coefficient|. The two sum in
+#: other orders, one by BLAS (which may fuse multiply-adds) and one by
+#: `np.bincount`; at k <= 4 an output sums at most 81 products of entries
+#: of magnitude at most 1, so each side rounds by a few ulps of the input.
+ROUNDS_RTOL = 1e-14
+
+
+def assert_terms_close(got, want, scale: float) -> None:
+    """Assert that maps ``got`` and ``want`` hold the same terms, with
+    coefficients within ``ROUNDS_RTOL * scale``. A term that only one of
+    them holds must lie within that bound of `DROP_TOLERANCE`, which the
+    other route's rounding may have put it below."""
+    from qadv.pauli import DROP_TOLERANCE
+
+    tol = ROUNDS_RTOL * scale
+    g = dict(zip(zip(got.x.tolist(), got.z.tolist()), got.coeffs.tolist()))
+    w = dict(zip(zip(want.x.tolist(), want.z.tolist()), want.coeffs.tolist()))
+    for key in g.keys() ^ w.keys():
+        assert abs(abs(g.get(key, w.get(key))) - DROP_TOLERANCE) <= tol, key
+    for key in g.keys() & w.keys():
+        assert abs(g[key] - w[key]) <= tol, (key, g[key], w[key])
 
 
 # ---------------------------------------------------------------------------

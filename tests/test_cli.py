@@ -1121,9 +1121,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "bell_report.json") == (
-        "c49baac55b5f9cd49aa2e263ca254d5dc964d646ede4dbbe6a4941df05731009")
+        "206ef53f18ab24f80f34dc9b32d28d32b7765dca224a8cc761ff40769ff19cff")
     assert _sha256(tmp_path / "bell_strategies.csv") == (
-        "69cce51774f3970fa706ce654c39e11a650d0a440b92b3c2e16cf30e221f46de")
+        "2bad5c4d593ef59ffef2797fa401ffc23dc967bb1d8c4f78e55b44f1c00053d0")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(
         {"cells": [{"N": 2, "theta": 0.01, "gamma": 0.0, "T": 158}], "trials": 200}))
@@ -1133,9 +1133,9 @@ def test_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "d48f4378be2b3f14fd2131befd304d43be471df0887c5da4baa2dac4ae443446")
+        "528406879f1931422bd1c7656d02aeb3ee588b387c155f75c4fc6614530ca742")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "a6bb497922cbaaee64b172ba8aca976a8c3985afc92e59d40617d2b03fbeb8ed")
+        "238ae6be81e4ec6e291c5f12bd0fbe237f598d011c6fc24b249d2b0d812e5908")
 
 
 def test_sensing_report_bytes_are_pinned(runner, tmp_path):
@@ -1147,7 +1147,7 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sense_report.json") == (
-        "9ebf6733df36268c3cc8ab74709e3f6a65dabbee7dbc7fbbb8baf08ee2aad4a5")
+        "ea60bdf83ac3ac94b163275e0ea0b65f6cb358ff2439123f7a25efa02d8083a9")
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"cells": [
         {"N": 2, "theta": 0.05, "gamma": 0.1, "K": 3},
@@ -1160,9 +1160,9 @@ def test_sensing_report_bytes_are_pinned(runner, tmp_path):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "sweep_report.json") == (
-        "4e4e7f0b92de9ff68a7b1f153d3b81f4be0f80fec1f12914c13c9bffc7707ba8")
+        "79753b07127a3820baae0177a9252a57b8332524b640d134325968f1263f621c")
     assert _sha256(tmp_path / "sweep_results.csv") == (
-        "c5efdbabebb2ebc89d00332e54562097ccbd5c729270a4c6c89b0de47816ab5a")
+        "2aae0d8238a1eb5477297f0177bd86db980cc217e98b1cb286691583b8c7b328")
 
 
 
@@ -1171,18 +1171,18 @@ def test_decay_report_bytes_are_pinned(runner, tmp_path):
     # any chunk, so these bytes hold whatever the chunk size.
     # Only the manifest_hash line moved when the drop tolerance left the
     # config and when the version went to 0.2.0, 0.3.0, 0.4.0, 0.5.0, 0.6.0,
-    # 0.7.0, 0.8.0 and 0.9.0; at 0.8.0 Gram-Schmidt replaced QR and moved
-    # the Haar gates by about 1e-15, which no reported digit shows.
+    # 0.7.0, 0.8.0, 0.9.0 and 0.10.0; at 0.8.0 Gram-Schmidt replaced QR and
+    # moved the Haar gates by about 1e-15, which no reported digit shows.
     # The Haar draws use numpy's complex multiply, which may fuse its
     # multiply-adds on one CPU and not on another, so another numpy build or
     # machine may need the hashes re-taken.
     pinned = [
         (["--n", "8", "--L", "10", "--trials", "300", "--seed", "1"],
-         "b2cd5f7f0eff7af964a05b50dbb5d51b03f75ac86868732fbfd021be716f4899",
-         "34341deab795b4a25e3fc5e9d0b6b6a25aaa9a0027a17d521027d1e003b39f33"),
+         "2db9def5178910bc2f18f2d34cb9fc2fd4c4f51b5c3b9652b9d2e34414f05be1",
+         "25f858187b21fc835bcb929b369f1a71e519abe7c5ccfcfe34133f812adc85d9"),
         (["--n", "6", "--L", "7", "--trials", "50", "--seed", "2"],
-         "e9d2c45b64057c3df44db6f125714c58c6744f77ccace18a7eb522a4e3651755",
-         "c834c8c95a0c85e008b173234b97ee815ad8c7b370fc105c4725069d2aa99904"),
+         "8242bcd8defc11e1959ee67b024ab97184de55ad3933e093abc14c2bfddded99",
+         "6c417df2da685669a84265de6c48a243ead6e7b89088c100716d0fbdd544c848"),
     ]
     for args, report_sha, csv_sha in pinned:
         out = tmp_path / args[-1]
@@ -1207,16 +1207,16 @@ def test_dequant_report_bytes_are_pinned(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_sample_report.json") == (
-        "b198c8d463662a2c8947ef279a8e5dc1c4e41b26e4f8d5b561394cd1712edd2c")
+        "3ca053d26172fa6ecbcaaacb97c18e4754744b429e339aec9dcd8e7a35fa6684")
     assert _sha256(tmp_path / "out" / "dequant_samples.csv") == (
-        "530bc85566fc5c4255bdd4327a74c42fbb6058f338fccba16a7314f43dc0c882")
+        "1c26a4c185997f686c071281005ebaff2a124deef68cc538180d81d5543bb650")
     r = runner.invoke(
         main, ["dequant", "estimate", "--x", "x.txt", "--y", "y.txt", "--normalize",
                "--samples", "40000", "--seed", "7", "--out-dir", "out"]
     )
     assert r.exit_code == 0, r.output
     assert _sha256(tmp_path / "out" / "dequant_estimate_report.json") == (
-        "f80a00e1be5238848846c4e5d0ea1191e418418dab9e1279e79105d2938c39c2")
+        "ed58ec73d4d51dc131db195022c4100f9e81e3ae5702588fa45ccf864194dcfa")
 
 
 @pytest.mark.parametrize("cell, key", [

@@ -82,9 +82,9 @@ def test_unknown_config_key_exits_2(tmp_path, name):
     "args, manifest_name, expected",
     [
         (["decay", "--n", "4", "--L", "3", "--trials", "8", "--seed", "1"], "decay_manifest.json",
-         "013e06c556f7c3117c880d9a0a648dbcb2d11f32f2fda5a754b60698429d6dbb"),
+         "c0da518185c8f78d39cafb711fda184d75c80f8b755acea165f1cf0f538980e7"),
         (["bell", "--trials", "20000", "--seed", "0"], "bell_manifest.json",
-         "e27c28393293c15b436055aacf9894f962e899c250647a0536afe6cfb7b70f25"),
+         "8a35fc16d9ab0f0f5830de0b9b24d279f6e7892fc21e90bafe10db1be2c34dc5"),
     ],
     ids=["decay", "bell"],
 )

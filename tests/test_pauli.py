@@ -552,13 +552,16 @@ def _random_map(n, rng, size):
 
 
 def test_lone_map_kernels_are_byte_equal_to_the_per_map_kernel():
-    # sha256 of x, z and coeffs from conjugate_layer and conjugate_dense on
-    # 30 seeded random maps (n 3-8, 1-3-qubit gates, dense supports of 2-5
-    # qubits), taken with the kernel as it was before maps could carry a
-    # batch column, and unchanged since the column was removed. The
-    # unitaries come from LAPACK's QR, so another numpy build may need the
-    # digest re-taken.
-    h = hashlib.sha256()
+    # sha256 of x, z and coeffs from conjugate_dense and from conjugate_layer
+    # on 30 seeded random maps (n 3-8, 1-3-qubit gates, dense supports of
+    # 2-5 qubits). The dense digest was taken with the kernel as it was
+    # before maps could carry a batch column, and is unchanged since the
+    # column was removed. The layer digest was re-taken when one-qubit
+    # gates came to step in rounds, which sum in another order; each layer
+    # also has the gate-by-gate step's terms, within oracles.ROUNDS_RTOL.
+    # The unitaries come from LAPACK's QR, so another numpy build may need
+    # the digests re-taken.
+    layer, dense = hashlib.sha256(), hashlib.sha256()
     rng = np.random.default_rng(2024)
     for _ in range(30):
         n = int(rng.integers(3, 9))
@@ -571,10 +574,14 @@ def test_lone_map_kernels_are_byte_equal_to_the_per_map_kernel():
             gates.append((targets, transfer_matrix(haar_unitary(2**w, rng))))
         w = int(rng.integers(2, min(n, 5) + 1))
         support = rng.choice(n, size=w, replace=False).tolist()
-        for out in (conjugate_layer(m, gates), conjugate_dense(m, haar_unitary(2**w, rng), support)):
+        got = conjugate_layer(m, gates)
+        oracles.assert_terms_close(
+            got, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+        for out, h in ((got, layer), (conjugate_dense(m, haar_unitary(2**w, rng), support), dense)):
             for a in (out.x, out.z, out.coeffs):
                 h.update(a.tobytes())
-    assert h.hexdigest() == "4bfdc1e167fd2bed16a87c2d58aaa58e9e71ea3adef645fd4267cffb9bc44431"
+    assert dense.hexdigest() == "bdef584911f4a36e2ca1f895f9ce13c71a9c96b361a50801ab6b9f5bcc8d371d"
+    assert layer.hexdigest() == "011b1af07a99c6086df64736827d36268067e3412e395565bbc428ec24930a92"
 
 
 def test_stacked_matrices_need_a_batched_map():
@@ -697,11 +704,20 @@ def _hex_terms(m):
 
 
 def _grouped_targets(m, gates):
-    """The layer through `conjugate_layer`, and the targets of every gate
-    that took the grouped path."""
-    with mock.patch.object(pauli, "_conjugate_terms", wraps=pauli._conjugate_terms) as grouped:
+    """The layer through `conjugate_layer`, the targets of every gate that
+    took the grouped path, and those of every gate that took the rounds."""
+    with mock.patch.object(pauli, "_conjugate_terms", wraps=pauli._conjugate_terms) as grouped, \
+            mock.patch.object(pauli, "_rounds", wraps=pauli._rounds) as rounds:
         out = conjugate_layer(m, gates)
-    return out, {tuple(call.args[4]) for call in grouped.call_args_list}
+    gated = [call.args[4] for call in rounds.call_args_list]
+    return out, {tuple(call.args[4]) for call in grouped.call_args_list}, {
+        (q,) for mask in gated for q in range(m.n_qubits) if mask >> q & 1}
+
+
+def _has_rotation(gates):
+    """Whether a layer has a one-qubit gate that is not Clifford, so steps
+    in rounds."""
+    return any(len(t) == 1 and np.count_nonzero(e) > 4 for t, e in gates)
 
 
 @st.composite
@@ -741,27 +757,35 @@ def _mixed_clifford_layer(draw):
 @given(case=_mixed_clifford_layer())
 @settings(max_examples=60)
 def test_clifford_steps_match_the_grouped_path_bytes(case):
-    # Clifford gates step as signed permutations and every other gate takes
-    # the grouped path; the layer must give the gate-by-gate grouped
-    # oracle's terms and coefficient bytes, whatever their order.
+    # Clifford gates step as signed permutations, other one-qubit gates in
+    # rounds, and every other gate takes the grouped path. A layer without
+    # rounds must give the gate-by-gate grouped oracle's terms and
+    # coefficient bytes, whatever their order; one with rounds its terms,
+    # with coefficients within oracles.ROUNDS_RTOL.
     m, gates, clifford = case
-    out, grouped = _grouped_targets(m, gates)
-    assert _hex_terms(out) == _grouped_reference(m, gates)
+    out, grouped, rotated = _grouped_targets(m, gates)
+    if _has_rotation(gates):
+        oracles.assert_terms_close(
+            out, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+    else:
+        assert _hex_terms(out) == _grouped_reference(m, gates)
     for (targets, _), is_clifford in zip(gates, clifford):
         if is_clifford is not None:
-            assert (targets in grouped) != is_clifford
+            assert (targets in grouped) == (not is_clifford and len(targets) > 1)
+            assert (targets in rotated) == (not is_clifford and len(targets) == 1)
 
 
 @pytest.mark.parametrize("theta, clifford", [(np.pi / 2, True), (np.pi / 2 + 1e-12, False)])
 def test_rz_quarter_turn_is_clifford_only_after_the_snap(theta, clifford):
     # transfer_matrix snaps entries below 1e-13 to zero, so RZ(pi/2) has one
-    # nonzero per row; 1e-12 off it keeps 6 nonzeros and steps grouped.
+    # nonzero per row; 1e-12 off it keeps 6 nonzeros and steps in rounds.
     entries = transfer_matrix(circuits.Gate("RZ", (1,), param=theta).unitary())
     assert np.count_nonzero(entries) == (4 if clifford else 6)
     m = PauliMap.from_labels({"IXZ": 0.5, "ZYI": -0.25, "XZY": 0.8, "IIZ": 0.1})
     gates = [((1,), entries)]
-    out, grouped = _grouped_targets(m, gates)
-    assert grouped == (set() if clifford else {(1,)})
+    out, grouped, rotated = _grouped_targets(m, gates)
+    assert grouped == set()
+    assert rotated == (set() if clifford else {(1,)})
     assert _hex_terms(out) == _grouped_reference(m, gates)
 
 
@@ -880,13 +904,19 @@ def _clifford_run_layer(draw):
 @settings(max_examples=120, deadline=None)
 def test_clifford_passes_match_the_gate_by_gate_step(case):
     # The bit-parallel passes must give the gate-by-gate step's masks and
-    # coefficient bytes in its order, and leave the input as it was.
+    # coefficient bytes in its order, and leave the input as it was. A
+    # mixed layer with a one-qubit Haar or RY gate steps it in rounds
+    # first, so it must give the step's terms, with coefficients within
+    # oracles.ROUNDS_RTOL.
     m, gates = case
     before = [a.tobytes() for a in (m.x, m.z, m.coeffs)]
     got = conjugate_layer(m, gates)
     want = oracles.conjugate_layer_gate_by_gate(m, gates)
-    for g, w in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    if _has_rotation(gates):
+        oracles.assert_terms_close(got, want, np.abs(m.coeffs).max())
+    else:
+        for g, w in ((got.x, want.x), (got.z, want.z), (got.coeffs, want.coeffs)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert [a.tobytes() for a in (m.x, m.z, m.coeffs)] == before
 
 
@@ -944,3 +974,196 @@ def test_gates_with_other_entries_multiply_in_gate_order():
             assert g.tobytes() == w.tobytes()
         outs.append(got.coeffs.tobytes())
     assert outs[0] != outs[1]
+
+
+# ---------------------------------------------------------------------------
+# One-qubit gates stepped in rounds
+
+
+def _low_weight_map(n, rng, size, qubits):
+    """``size`` random strings of weight 1-4 on ``qubits`` with random
+    coefficients: at most 81 children each under one-qubit gates."""
+    pairs = {}
+    while len(pairs) < size:
+        support = rng.choice(qubits, size=min(int(rng.integers(1, 5)), len(qubits)), replace=False)
+        digits = rng.integers(1, 4, size=len(support))
+        x = sum(int(d != 3) << int(q) for q, d in zip(support, digits))
+        z = sum(int(d != 1) << int(q) for q, d in zip(support, digits))
+        pairs[(x, z)] = None
+    return PauliMap._from_masks(n, [p[0] for p in pairs], [p[1] for p in pairs],
+                                rng.normal(size=len(pairs)))
+
+
+@st.composite
+def _rotation_layer(draw):
+    """A random map on 2-5 qubits (checked against the dense oracle too) or
+    on up to 64 (so across the 32-qubit packed-key limit), and one layer on
+    shuffled targets: RX, RY and RZ at random angles, one-qubit Haar gates
+    and Cliffords, and two- and three-qubit Haar, Clifford or Toffoli
+    gates. Each term has weight 1-4 and some touch no gate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(2, 5), st.sampled_from([24, 33, 64])))
+    qubits = rng.permutation(n).tolist()
+    m = _low_weight_map(n, rng, int(rng.integers(1, min(4**n - 1, 60))), list(range(n)))
+    gates = []
+    # On a wide layer only the first qubits are gated, so that some terms
+    # touch no gate and the maps stay small.
+    for _ in range(n if n <= 5 else 8):
+        if not qubits:
+            break
+        kind = str(rng.choice(["axis", "axis", "haar", "clifford", "wide"]))
+        w = min(int(rng.integers(2, 4)) if kind == "wide" else 1, len(qubits))
+        targets, qubits = tuple(qubits[:w]), qubits[w:]
+        if kind == "axis":
+            axis = str(rng.choice(["RX", "RY", "RZ"]))
+            u = circuits.Gate(axis, targets, param=float(rng.uniform(-np.pi, np.pi))).unitary()
+        elif kind == "clifford" or (w == 2 and rng.random() < 0.3):
+            u = circuits.FIXED_GATES[str(rng.choice(_CLIFFORD_1Q if w == 1 else _CLIFFORD_2Q))]
+        elif w == 3 and rng.random() < 0.3:
+            u = circuits.Gate("perm", targets, perm=_TOFFOLI).unitary()
+        else:
+            u = haar_unitary(2**w, rng)
+        gates.append((targets, u))
+    return m, gates
+
+
+def _layer_unitary(n, gates):
+    full = np.eye(2**n, dtype=complex)
+    for targets, u in gates:
+        full = embed(u, list(targets), n) @ full
+    return full
+
+
+@given(case=_rotation_layer())
+@settings(max_examples=60, deadline=None)
+def test_rounds_match_the_dense_oracle_and_the_gate_by_gate_step(case):
+    # The rounds must give the gate-by-gate step's terms, with coefficients
+    # within oracles.ROUNDS_RTOL, and on up to 5 qubits the dense oracle's
+    # (no projection: k = n).
+    m, specs = case
+    gates = _layer(*specs)
+    got = conjugate_layer(m, gates)
+    want = oracles.conjugate_layer_gate_by_gate(m, gates)
+    oracles.assert_terms_close(got, want, np.abs(m.coeffs).max())
+    if m.n_qubits <= 5:
+        dense = conjugate_map_dense(m, _layer_unitary(m.n_qubits, specs))
+        labels = got.to_labels()
+        for label in labels.keys() | dense.keys():
+            assert labels.get(label, 0.0) == pytest.approx(dense.get(label, 0.0), abs=1e-10)
+
+
+def _spied_rounds(m, gates):
+    """The layer through `conjugate_layer`, the calls of `_rounds`, and how
+    many merges (`_group` calls) the layer made."""
+    with mock.patch.object(pauli, "_rounds", wraps=pauli._rounds) as rounds, \
+            mock.patch.object(pauli, "_group", wraps=pauli._group) as group:
+        out = conjugate_layer(m, gates)
+    return out, rounds.call_args_list, group.call_count
+
+
+def test_rounds_use_lexsort_above_32_qubits():
+    rng = np.random.default_rng(21)
+    n = 40
+    m = _low_weight_map(n, rng, 200, [0, 5, 31, 32, 33, 39])
+    gates = _layer(*(((q,), haar_unitary(2, rng)) for q in (0, 31, 32, 39)))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got, calls, _ = _spied_rounds(m, gates)
+    assert lexsort.called and len(calls) == 1
+    oracles.assert_terms_close(
+        got, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+
+
+def test_rounds_on_an_empty_map():
+    gates = _layer(((0,), haar_unitary(2, np.random.default_rng(1))), ((1, 2), _CZ))
+    for n in (3, 40):
+        out = conjugate_layer(PauliMap(n), gates)
+        assert len(out) == 0 and out.n_qubits == n
+        assert out.x.dtype == np.uint64 and out.coeffs.dtype == np.float64
+
+
+def test_terms_that_touch_no_gate_pass_through_first():
+    # Terms without hits keep their bytes and order, ahead of the stepped
+    # terms, and a term with two hits takes two rounds; a layer whose
+    # rotations touch no term makes no merge.
+    rng = np.random.default_rng(22)
+    m = PauliMap.from_labels({"IIZX": 0.5, "XIII": -0.25, "IIYY": 0.75, "ZXIZ": 0.125})
+    gates = _layer(((0,), haar_unitary(2, rng)), ((1,), haar_unitary(2, rng)))
+    got, calls, merges = _spied_rounds(m, gates)
+    assert len(calls) == 1 and merges == 2
+    assert got.x[:2].tobytes() == m.x[[0, 2]].tobytes()
+    assert got.coeffs[:2].tobytes() == m.coeffs[[0, 2]].tobytes()
+    oracles.assert_terms_close(
+        got, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+    idle = PauliMap.from_labels({"IIZX": 0.5, "IIYY": 0.75})
+    got, calls, merges = _spied_rounds(idle, gates)
+    assert len(calls) == 1 and merges == 0
+    assert _hex_terms(got) == _hex_terms(idle)
+
+
+@pytest.mark.parametrize("name", ["RX", "RY", "RZ", "haar"])
+def test_a_lone_one_qubit_gate_takes_the_rounds(name):
+    rng = np.random.default_rng(23)
+    m = _random_map(4, rng, 40)
+    u = (haar_unitary(2, rng) if name == "haar"
+         else circuits.Gate(name, (2,), param=0.3).unitary())
+    gates = _layer(((2,), u))
+    got, calls, merges = _spied_rounds(m, gates)
+    assert len(calls) == 1 and merges == 1
+    oracles.assert_terms_close(
+        got, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+    dense = conjugate_map_dense(m, embed(u, [2], 4))
+    labels = got.to_labels()
+    for label in labels.keys() | dense.keys():
+        assert labels.get(label, 0.0) == pytest.approx(dense.get(label, 0.0), abs=1e-12)
+
+
+def test_weight_four_terms_on_gated_qubits_take_four_rounds():
+    # Every weight-4 string on the gated qubits 1, 3, 4 and 6: 81 terms, each
+    # with 81 children under Haar gates, which merge back to 81 terms.
+    rng = np.random.default_rng(24)
+    labels = {}
+    for digits in np.ndindex(3, 3, 3, 3):
+        letters = ["I"] * 8
+        for q, d in zip((1, 3, 4, 6), digits):
+            letters[q] = "XYZ"[d]
+        labels["".join(letters)] = float(rng.normal())
+    m = PauliMap.from_labels(labels)
+    gates = _layer(*(((q,), haar_unitary(2, rng)) for q in (6, 1, 4, 3, 0)))
+    got, calls, merges = _spied_rounds(m, gates)
+    assert len(calls) == 1 and merges == 4
+    assert len(got) == 81
+    assert got.frobenius_normalized() == pytest.approx(m.frobenius_normalized(), rel=1e-12)
+    oracles.assert_terms_close(
+        got, oracles.conjugate_layer_gate_by_gate(m, gates), np.abs(m.coeffs).max())
+
+
+def test_rounds_memory_is_a_few_times_the_live_terms():
+    # One-qubit Haar gates on all 24 qubits over every weight-4 string on
+    # 18 random 4-qubit supports (1,458 terms, 34,992 bytes): each support's
+    # 81 strings map onto themselves, so the output is as large as the
+    # input. The per-round merge keeps each round's arrays at most 3 times
+    # its live terms; the step peaked at 597,778 bytes, 17.1 times the
+    # input's, where one merge at the end held 81 children per term and
+    # peaked at 528 times.
+    rng = np.random.default_rng(12)
+    n = 24
+    xs, zs = [], []
+    for _ in range(18):
+        support = rng.choice(n, size=4, replace=False)
+        for digits in np.ndindex(3, 3, 3, 3):
+            xs.append(sum((d != 2) << int(q) for q, d in zip(support, digits)))
+            zs.append(sum((d != 0) << int(q) for q, d in zip(support, digits)))
+    pairs = dict.fromkeys(zip(xs, zs))
+    m = PauliMap._from_masks(n, [p[0] for p in pairs], [p[1] for p in pairs],
+                             rng.normal(size=len(pairs)))
+    gates = _layer(*(((q,), haar_unitary(2, rng)) for q in range(n)))
+    input_bytes = m.x.nbytes + m.z.nbytes + m.coeffs.nbytes
+    conjugate_layer(m, gates)  # warm any lazily built table outside the trace
+    tracemalloc.start()
+    try:
+        out = conjugate_layer(m, gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(m) == 1458
+    assert peak < 24 * input_bytes
